@@ -96,7 +96,6 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
       List.iter
         (fun p ->
           if List.mem p affected then begin
-            let out = Relation.create (Program.arity program p) in
             Ivm_obs.Attribution.set_context
               ~stratum:(Program.stratum program p) ~phase:"delta";
             Trace.span "counting.view"
@@ -104,16 +103,12 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
                 [
                   ("view", p);
                   ("stratum", string_of_int (Program.stratum program p));
-                  ("delta", string_of_int (Relation.cardinal out));
+                  ("delta", string_of_int (Relation.cardinal (Delta.full_delta ctx p)));
                   ( "propagated",
                     string_of_int (Relation.cardinal (Delta.propagated_delta ctx p)) );
                 ])
-              (fun () ->
-                let crs =
-                  List.map (Database.compile db) (Program.rules_for program p)
-                in
-                Delta.apply_delta_rules_par ctx crs ~out;
-                Delta.set_delta ctx p ~full:out);
+              (fun () -> Delta.set_delta ctx p ~full:(Delta.derive ctx p));
+            let out = Delta.full_delta ctx p in
             Metrics.observe delta_h (Relation.cardinal out);
             Log.debug (fun m ->
                 m "stratum %d: Δ(%s) has %d tuples (%d propagated)"

@@ -1,4 +1,4 @@
-(** Delta-rule machinery shared by the counting algorithm and DRed:
+(** Delta-rule machinery shared by Counting, Recursive counting and DRed:
 
     - the maintenance {!ctx} tracks, per predicate, the full count delta
       accumulated this round; "old" views read the stored relations, "new"
@@ -7,9 +7,10 @@
       and [Qν] alone — the delta literal can stay first in the join order
       without evaluating the positive subgoals of the rule;
     - {!agg_delta} caches Algorithm 6.1's [Δ(T)] per GROUPBY spec;
-    - {!delta_rule_inputs} wires one delta rule of Definition 4.1:
-      positions before the delta read new views, the delta position
-      enumerates the change, positions after read old views. *)
+    - {!rule_seeds} wires the delta rules of Definition 4.1 for
+      {!Ivm_eval.Par_eval.round}: positions before the delta read new
+      views, the delta position enumerates the change, positions after
+      read old views. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple
@@ -27,8 +28,9 @@ type version = Old | New
 type ctx = {
   db : Database.t;
   full : (string, Relation.t) Hashtbl.t;
-      (** per predicate: the count delta accumulated this maintenance round
-          (base deltas at entry, derived deltas as they are computed) *)
+      (** per predicate: the count delta accumulated this batch (base
+          deltas at entry, derived deltas as they are computed; a
+          recursive unit's grow in place between rounds) *)
   propagated : (string, Relation.t) Hashtbl.t;
       (** the delta enumerated at delta positions: equal to [full] under
           duplicate semantics; under set semantics the ±1 set transition
@@ -90,6 +92,11 @@ let set_delta ctx pred ~full =
       out
   in
   Hashtbl.replace ctx.propagated pred prop
+
+(** Install an empty delta for each predicate of a recursive unit; the
+    unit's maintenance grows it in place between rounds. *)
+let open_unit ctx preds =
+  List.iter (fun p -> Hashtbl.replace ctx.full p (empty_rel ctx p)) preds
 
 let old_view ctx pred = Database.view ctx.db pred
 
@@ -158,15 +165,6 @@ let agg_delta ctx (spec : Compile.agg_spec) =
     Hashtbl.replace ctx.agg_deltas spec.gsignature r;
     r
 
-(** Does the delta of the relation behind body literal [lit] warrant
-    evaluating a delta rule seeded there? *)
-let lit_delta_nonempty ctx (lit : Compile.clit) =
-  match lit with
-  | Compile.Catom a -> has_delta ctx a.cpred
-  | Compile.Cneg a -> not (Relation.is_empty (neg_delta ctx a.cpred))
-  | Compile.Cagg (spec, _) -> not (Relation.is_empty (agg_delta ctx spec))
-  | Compile.Ccmp _ -> false
-
 (** The delta relation enumerated when [lit] is the seed position. *)
 let seed_relation ctx (lit : Compile.clit) =
   match lit with
@@ -175,98 +173,44 @@ let seed_relation ctx (lit : Compile.clit) =
   | Compile.Cagg (spec, _) -> agg_delta ctx spec
   | Compile.Ccmp _ -> assert false
 
-(** Inputs for the [i]-th delta rule of Definition 4.1 (extended to
-    negation per Section 6.1 cases 1–3 and to aggregation per
-    Section 6.2).  [seed_override], when given, replaces the delta
-    enumerated at the seed position — parallel fan-out passes one chunk
-    of the full delta per task ({!Ivm_eval.Par_eval.split}). *)
-let delta_rule_inputs ?seed_override ctx (cr : Compile.t) ~(pos : int) :
-    int -> Rule_eval.subgoal_input =
- fun j ->
-    let lit = cr.clits.(j) in
-    if j = pos then
-      match seed_override with
-      | Some rel ->
-        Rule_eval.Enumerate (Relation_view.concrete rel, Rule_eval.identity_count)
-      | None ->
-        Rule_eval.Enumerate
-          (Relation_view.concrete (seed_relation ctx lit), Rule_eval.identity_count)
-    else
-      let version = if j < pos then New else Old in
-      match lit with
-      | Compile.Catom a ->
-        Rule_eval.Enumerate (view ctx version a.cpred, Database.mult_for ctx.db a.cpred)
-      | Compile.Cneg a -> Rule_eval.Filter_absent (view ctx version a.cpred)
-      | Compile.Cagg (spec, _) ->
-        Rule_eval.Enumerate
-          (Relation_view.concrete (grouped ctx version spec), Rule_eval.identity_count)
-      | Compile.Ccmp _ -> assert false
+(** Subgoal input of body position [j] of [cr], read at version
+    [version j]. *)
+let inputs ctx (cr : Compile.t) (version : int -> version) j =
+  match cr.clits.(j) with
+  | Compile.Catom a ->
+    Rule_eval.Enumerate (view ctx (version j) a.cpred, Database.mult_for ctx.db a.cpred)
+  | Compile.Cneg a -> Rule_eval.Filter_absent (view ctx (version j) a.cpred)
+  | Compile.Cagg (spec, _) ->
+    Rule_eval.Enumerate
+      (Relation_view.concrete (grouped ctx (version j) spec), Rule_eval.identity_count)
+  | Compile.Ccmp _ -> assert false
 
-(** Evaluate every delta rule of [cr] (one per changeable body literal with
-    a non-empty delta), accumulating into [out]. *)
-let apply_delta_rules ctx (cr : Compile.t) ~(out : Relation.t) : unit =
-  Array.iteri
-    (fun i lit ->
-      if lit_delta_nonempty ctx lit then
-        let inputs = delta_rule_inputs ctx cr ~pos:i in
-        Rule_eval.eval ~seed:i ~inputs ~emit:(fun tup c -> Relation.add out tup c) cr)
-    cr.clits
+(** The delta rules of Definition 4.1 (extended to negation per
+    Section 6.1 cases 1–3 and to aggregation per Section 6.2) for every
+    rule of [pred]: one seed per changeable body literal [i], enumerating
+    its delta, with positions before [i] reading new views and positions
+    after reading old views. *)
+let rule_seeds ctx pred =
+  let program = Database.program ctx.db in
+  Par_eval.seeds
+    ~rules:(fun p -> List.map (Database.compile ctx.db) (Program.rules_for program p))
+    ~inputs:(fun cr i -> inputs ctx cr (fun j -> if j < i then New else Old))
+    ~delta:(function
+      | Compile.Ccmp _ -> None
+      | Compile.Catom a when not (has_delta ctx a.cpred) -> None
+      | lit -> Some (seed_relation ctx lit))
+    [ pred ]
 
-(** Sequentially populate every lazy ctx cache a parallel evaluation of
-    [cr]'s delta rules will read ([neg_deltas], [agg_deltas], [grouped]),
-    touching them in the same order the sequential path would — first
-    touch must never happen inside a worker thunk. *)
-let prepare_rule ctx (cr : Compile.t) : unit =
-  Array.iteri
-    (fun i lit ->
-      if lit_delta_nonempty ctx lit then begin
-        let inputs = delta_rule_inputs ctx cr ~pos:i in
-        Array.iteri
-          (fun j l ->
-            match l with Compile.Ccmp _ -> () | _ -> ignore (inputs j))
-          cr.clits
-      end)
-    cr.clits
-
-(** The delta rules of [cr] as independent read-only thunks, one per
-    (seed position × seed chunk), each emitting into a private relation.
-    Callers run them through {!Ivm_par.parallel_map} and ⊎-merge the
-    results in task order; {!prepare_rule} must have run first. *)
-let delta_rule_thunks ctx (cr : Compile.t) ~chunks : (unit -> Relation.t) array =
-  let tasks = ref [] in
-  Array.iteri
-    (fun i lit ->
-      if lit_delta_nonempty ctx lit then
-        Array.iter
-          (fun part ->
-            tasks :=
-              (fun () ->
-                let out = Relation.create (Array.length cr.chead) in
-                let inputs = delta_rule_inputs ~seed_override:part ctx cr ~pos:i in
-                Rule_eval.eval ~seed:i ~inputs
-                  ~emit:(fun tup c -> Relation.add out tup c)
-                  cr;
-                out)
-              :: !tasks)
-          (Par_eval.split (seed_relation ctx lit) ~chunks))
-    cr.clits;
-  Array.of_list (List.rev !tasks)
-
-(** Evaluate the delta rules of every rule in [crs] across the domain
-    pool, merging all per-task deltas into [out] in fixed task order.
-    Falls back to the plain sequential loop when one domain is
-    configured — same code path as before the pool existed. *)
-let apply_delta_rules_par ctx (crs : Compile.t list) ~(out : Relation.t) : unit =
-  if Ivm_par.sequential () then
-    List.iter (fun cr -> apply_delta_rules ctx cr ~out) crs
-  else begin
-    List.iter (prepare_rule ctx) crs;
-    let chunks = Par_eval.chunks_hint () in
-    let thunks =
-      Array.concat (List.map (fun cr -> delta_rule_thunks ctx cr ~chunks) crs)
-    in
-    Par_eval.merge ~into:out (Ivm_par.parallel_map thunks)
-  end
+(** [Δ(pred)]: every delta rule of [pred] evaluated across the domain
+    pool, ⊎-merged in task order. *)
+let derive ctx pred =
+  (* the first task's buffer becomes the result: one copy fewer *)
+  let out = ref None in
+  Par_eval.round (rule_seeds ctx pred) ~commit:(fun _ buf ->
+      match !out with
+      | None -> out := Some buf
+      | Some into -> Relation.union_into ~into buf);
+  match !out with Some r -> r | None -> empty_rel ctx pred
 
 (** Commit all accumulated full deltas into the stored relations.  Returns
     the sorted non-empty (pred, full delta) list.  [?record] observes

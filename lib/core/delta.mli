@@ -1,5 +1,5 @@
-(** Delta-rule machinery shared by the counting algorithm and its
-    recursive extension: the per-round maintenance context, Definition
+(** Delta-rule machinery shared by Counting, Recursive counting and DRed:
+    the per-batch maintenance context, Definition
     6.1's [Δ(¬Q)], Algorithm 6.1's [Δ(T)], and the wiring of one delta
     rule of Definition 4.1 (positions before the delta read new views, the
     delta position enumerates the change, positions after read old
@@ -16,7 +16,9 @@ type version = Old | New
 type ctx = {
   db : Database.t;
   full : (string, Relation.t) Hashtbl.t;
-      (** per predicate: the full count delta of this maintenance round *)
+      (** per predicate: the full count delta of this batch.  Recursive
+          counting and DRed install a unit predicate's entry when its unit
+          starts and grow it in place between rounds *)
   propagated : (string, Relation.t) Hashtbl.t;
       (** what delta positions enumerate: [full] under duplicate
           semantics, the ±1 set transition under set semantics (the boxed
@@ -34,75 +36,45 @@ val full_delta : ctx -> string -> Relation.t
 (** The delta enumerated at delta positions. *)
 val propagated_delta : ctx -> string -> Relation.t
 
-val has_delta : ctx -> string -> bool
-
 (** Record a predicate's delta for this round; derives the propagated
     version from the database's semantics against the (uncommitted)
     stored relation. *)
 val set_delta : ctx -> string -> full:Relation.t -> unit
 
-(** The stored (pre-maintenance) relation. *)
-val old_view : ctx -> string -> Relation_view.t
+(** Install an empty delta for each predicate of a recursive unit; the
+    unit's maintenance grows it in place between rounds (Recursive
+    counting's accumulator, DRed's live delta). *)
+val open_unit : ctx -> string list -> unit
 
 (** [old ⊎ Δ] as a lazy overlay; collapses to the stored relation when the
     predicate has no delta. *)
 val new_view : ctx -> string -> Relation_view.t
 
-val view : ctx -> version -> string -> Relation_view.t
-
-(** Definition 6.1: [Δ(¬Q)] — [t] with count +1 when deleted outright from
-    [Q], −1 when inserted into a previously-false slot; computable from
-    [Δ(Q)], [Q], [Qν] alone, so the delta literal can stay first in the
-    join order. *)
-val neg_delta : ctx -> string -> Relation.t
-
-(** The grouped relation [T] of a GROUPBY spec over the old or new version
-    of its source, cached per spec signature. *)
-val grouped : ctx -> version -> Compile.agg_spec -> Relation.t
-
-(** Algorithm 6.1: [Δ(T)], touching only the groups occurring in the
-    source's delta; cached. *)
-val agg_delta : ctx -> Compile.agg_spec -> Relation.t
-
-(** Is there a non-empty delta behind this body literal? *)
-val lit_delta_nonempty : ctx -> Compile.clit -> bool
-
-(** The delta relation enumerated when the literal is a seed position.
+(** The delta relation enumerated when the literal is a seed position:
+    the propagated delta of a positive atom; Definition 6.1's [Δ(¬Q)] of a
+    negated atom ([t] with count +1 when deleted outright from [Q], −1
+    when inserted into a previously-false slot — computable from [Δ(Q)],
+    [Q], [Qν] alone, so the delta literal can stay first in the join
+    order); Algorithm 6.1's [Δ(T)] of a GROUPBY literal (touching only the
+    groups occurring in the source's delta).  The last two are cached.
     Raises on comparison literals (they carry no delta). *)
 val seed_relation : ctx -> Compile.clit -> Relation.t
 
-(** Inputs for the delta rule seeded at body position [pos]
-    (Definition 4.1, extended to negation and aggregation).
-    [seed_override] replaces the delta enumerated at the seed position —
-    parallel fan-out passes one {!Ivm_eval.Par_eval.split} chunk per
-    task. *)
-val delta_rule_inputs :
-  ?seed_override:Relation.t ->
-  ctx ->
-  Compile.t ->
-  pos:int ->
-  int ->
-  Rule_eval.subgoal_input
+(** Subgoal input of body position [j] of a rule, read at version
+    [version j] (GROUPBY literals read the grouped relation [T] over that
+    version of the source, cached per spec); never called on a comparison
+    literal. *)
+val inputs : ctx -> Compile.t -> (int -> version) -> int -> Rule_eval.subgoal_input
 
-(** Evaluate every applicable delta rule of the compiled rule,
-    [⊎]-accumulating into [out]. *)
-val apply_delta_rules : ctx -> Compile.t -> out:Relation.t -> unit
+(** The delta rules of every rule of a predicate, as round seeds
+    (Definition 4.1, extended to negation and aggregation): one seed per
+    changeable body literal, positions before it reading new views,
+    positions after it old views. *)
+val rule_seeds : ctx -> string -> Ivm_eval.Par_eval.seed list
 
-(** Sequentially populate every lazy ctx cache a parallel evaluation of
-    the rule's delta rules will read — first touch must never happen
-    inside a worker thunk. *)
-val prepare_rule : ctx -> Compile.t -> unit
-
-(** The rule's delta rules as independent read-only thunks (one per seed
-    position × seed chunk), each emitting into a private relation.  Run
-    them with {!Ivm_par.parallel_map} and ⊎-merge in task order;
-    {!prepare_rule} must have run first. *)
-val delta_rule_thunks : ctx -> Compile.t -> chunks:int -> (unit -> Relation.t) array
-
-(** Evaluate the delta rules of all compiled rules across the domain
-    pool, ⊎-merging into [out] in fixed task order; the plain sequential
-    loop when one domain is configured. *)
-val apply_delta_rules_par : ctx -> Compile.t list -> out:Relation.t -> unit
+(** [Δ(pred)]: the predicate's delta rules evaluated in one
+    {!Ivm_eval.Par_eval.round}. *)
+val derive : ctx -> string -> Relation.t
 
 (** Commit all accumulated deltas into the stored relations; returns the
     non-empty (predicate, delta) pairs, sorted.  [?record pred tup c]

@@ -25,10 +25,12 @@
     By Theorem 7.1 the result contains a tuple iff it has a derivation in
     the updated database.  Stored counts are treated as set membership:
     deleting a tuple cancels its whole stored count, so DRed composes with
-    materializations produced by either evaluation mode. *)
+    materializations produced by either evaluation mode.
 
-module Value = Ivm_relation.Value
-module Tuple = Ivm_relation.Tuple
+    Each phase is a {!Ivm_eval.Par_eval.fixpoint} over the unit's
+    predicates, reading and writing the maintenance context Counting
+    uses ({!Delta.ctx}); the batch commits through {!Delta.commit}. *)
+
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
 module Ast = Ivm_datalog.Ast
@@ -36,7 +38,6 @@ module Program = Ivm_datalog.Program
 module Database = Ivm_eval.Database
 module Compile = Ivm_eval.Compile
 module Rule_eval = Ivm_eval.Rule_eval
-module Grouping = Ivm_eval.Grouping
 
 let log_src = Logs.Src.create "ivm.dred" ~doc:"DRed maintenance"
 
@@ -44,6 +45,8 @@ module Log = (val Logs.src_log log_src)
 module Metrics = Ivm_obs.Metrics
 module Trace = Ivm_obs.Trace
 module Stats = Ivm_eval.Stats
+module Par_eval = Ivm_eval.Par_eval
+module Pretty = Ivm_datalog.Pretty
 
 let batches_c =
   Metrics.counter ~labels:[ ("algorithm", "dred") ] "ivm_maintain_batches_total"
@@ -60,6 +63,8 @@ let rederived_c = Metrics.counter "ivm_dred_rederived_total"
 (** Per maintenance unit per batch: size of the deletion overestimate. *)
 let overestimate_h = Metrics.histogram "ivm_dred_overestimate_size"
 
+let engine = Par_eval.engine "dred"
+
 exception Duplicate_semantics_unsupported
 
 type report = {
@@ -72,270 +77,69 @@ type report = {
   rederived : (string * int) list;  (** per predicate: tuples put back in step 2 *)
 }
 
-(* ------------------------------------------------------------------ *)
+(* DRed works in the shared maintenance context ({!Delta.ctx}) under set
+   semantics.  A unit predicate's [full] delta is its live count delta,
+   created when its unit starts and grown phase by phase: −stored for
+   an overdeleted tuple, +stored back for a rederived one, +1 for an
+   insertion while the tuple does not hold.  Its [propagated] delta, set
+   when the unit ends, is the unit's (Add − Del) set transition — the ±1
+   the next units and the aggregate indexes consume. *)
 
-type ctx = {
-  db : Database.t;
-  delta : (string, Relation.t) Hashtbl.t;
-      (** live per-predicate count delta; overlays read it as it grows *)
-  trans : (string, Relation.t * Relation.t) Hashtbl.t;
-      (** finalized (Del, Add) set transitions, per predicate *)
-  grouped : (string, Relation.t) Hashtbl.t;
-  agg_deltas : (string, Relation.t) Hashtbl.t;
-}
+let live = Delta.full_delta
+let stored ctx p = Database.relation ctx.Delta.db p
 
-let arity_of ctx pred = Program.arity (Database.program ctx.db) pred
+let holds_new ctx p tup =
+  Relation.count (stored ctx p) tup + Relation.count (live ctx p) tup > 0
 
-(* [maintain] pre-populates a slot for every program predicate before any
-   evaluation starts, so this is a pure lookup.  That matters: worker
-   thunks build overlays through [new_view] concurrently, and a lazy
-   insert here would be an unsynchronized Hashtbl mutation from multiple
-   domains — first touch must never happen inside a thunk. *)
-let delta_of ctx pred =
-  match Hashtbl.find_opt ctx.delta pred with
-  | Some r -> r
-  | None -> invalid_arg ("Dred.delta_of: no delta slot for predicate " ^ pred)
+let rules ctx p =
+  let db = ctx.Delta.db in
+  List.map (Database.compile db) (Program.rules_for (Database.program db) p)
 
-let old_view ctx pred = Database.view ctx.db pred
+(** Round-0 seeds of a phase: every rule of the unit at each literal
+    whose delta comes from outside the unit — the negative part
+    (deletions) or the positive part (insertions) of the literal's
+    delta, by [part]. *)
+let phase_seeds ctx unit_preds ~inputs ~part =
+  Par_eval.seeds ~rules:(rules ctx) ~inputs unit_preds ~delta:(function
+    | Compile.Catom a when List.mem a.cpred unit_preds -> None
+    | Compile.Ccmp _ -> None
+    | lit -> Some (part (Delta.seed_relation ctx lit)))
 
-(** Live overlay: reflects subsequent growth of the predicate's delta. *)
-let new_view ctx pred =
-  Relation_view.Overlay
-    { base = Database.relation ctx.db pred; delta = delta_of ctx pred }
-
-(** Finalize a predicate's (Del, Add) set transitions from its delta. *)
-let finalize ctx pred =
-  let stored = Database.relation ctx.db pred in
-  let del = Relation.create (arity_of ctx pred) in
-  let add = Relation.create (arity_of ctx pred) in
-  Relation.iter
-    (fun tup c ->
-      Stats.add_scanned ();
-      let before = Relation.count stored tup in
-      let after = before + c in
-      if before > 0 && after <= 0 then Relation.add del tup 1
-      else if before <= 0 && after > 0 then Relation.add add tup 1)
-    (delta_of ctx pred);
-  Hashtbl.replace ctx.trans pred (del, add)
-
-let transitions ctx pred =
-  match Hashtbl.find_opt ctx.trans pred with
-  | Some v -> v
-  | None ->
-    (* Predicates untouched by the changes have empty transitions. *)
-    let e = Relation.create (arity_of ctx pred) in
-    (e, e)
-
-let del_of ctx pred = fst (transitions ctx pred)
-let add_of ctx pred = snd (transitions ctx pred)
-
-let grouped ctx ~version (spec : Compile.agg_spec) =
-  let tag = version ^ "|" ^ spec.gsignature in
-  match Hashtbl.find_opt ctx.grouped tag with
-  | Some r -> r
-  | None ->
-    let view =
-      match version with
-      | "old" -> old_view ctx spec.gsource.cpred
-      | _ -> new_view ctx spec.gsource.cpred
-    in
-    let r = Grouping.compute ~mult:Rule_eval.set_count view spec in
-    Hashtbl.replace ctx.grouped tag r;
-    r
-
-(** Algorithm 6.1 over the finalized source delta; split by the caller into
-    deleted (negative) and inserted (positive) grouped tuples. *)
-let agg_delta ctx (spec : Compile.agg_spec) =
-  match Hashtbl.find_opt ctx.agg_deltas spec.gsignature with
-  | Some r -> r
-  | None ->
-    let pred = spec.gsource.cpred in
-    let r =
-      match Database.agg_index ctx.db spec with
-      | Some idx ->
-        (* feed the ±1 set transitions of the finalized source *)
-        let del, add = transitions ctx pred in
-        Ivm_eval.Agg_index.delta_preview idx (Relation.union (Relation.negate del) add)
-      | None ->
-        Grouping.delta ~mult:Rule_eval.set_count ~old_view:(old_view ctx pred)
-          ~new_view:(new_view ctx pred) ~delta_u:(delta_of ctx pred) spec
-    in
-    Hashtbl.replace ctx.agg_deltas spec.gsignature r;
-    r
-
-(* ------------------------------------------------------------------ *)
-(* Parallel fan-out plumbing                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Every DRed phase is a semi-naive fixpoint whose rounds evaluate rule
-   applications against views frozen for the round, then commit the
-   emissions (the commits mutate the unit deltas / pending sets the next
-   round reads).  That makes each round a batch of independent read-only
-   tasks: evaluate into private buffers across the domain pool, then
-   commit sequentially in fixed task order.  A derivation that the
-   sequential interleaving would have seen mid-round (a commit feeding a
-   later evaluation of the same round) is instead picked up by the next
-   round's seeds — all three phases are monotone fixpoints over unit
-   predicates, so the frozen-round schedule converges to the identical
-   final state.
-
-   Shared lazy state is pre-forced before fan-out: [maintain] populates a
-   [ctx.delta] slot per program predicate (so [new_view] never inserts),
-   and [prepare_grouped] forces the grouped-relation cache entries a
-   rule's aggregate literals read.  Thunks only read [ctx]. *)
-
-let par_chunks () =
-  if Ivm_par.sequential () then 1 else Ivm_eval.Par_eval.chunks_hint ()
-
-(** Run the task thunks across the pool, then commit each resulting
-    buffer sequentially in task order. *)
-let run_batch (tasks : ('k * (unit -> Relation.t)) list)
-    ~(commit : 'k -> Relation.t -> unit) =
-  match tasks with
-  | [] -> ()
-  | tasks ->
-    let tasks = Array.of_list tasks in
-    let outs = Ivm_par.parallel_map (Array.map snd tasks) in
-    Array.iteri (fun k buf -> commit (fst tasks.(k)) buf) outs
-
-(** Sequentially force the grouped-relation cache entries the rule's
-    aggregate literals will read — first touch must never happen inside
-    a worker thunk. *)
-let prepare_grouped ctx ~version (cr : Compile.t) =
-  Array.iter
-    (fun lit ->
-      match lit with
-      | Compile.Cagg (spec, _) -> ignore (grouped ctx ~version spec)
-      | _ -> ())
-    cr.Compile.clits
+(** Later rounds seed each occurrence of a unit predicate with its
+    frontier. *)
+let frontier_seeds ~rules ~inputs unit_preds frontier =
+  Par_eval.seeds ~rules ~inputs unit_preds ~delta:(function
+    | Compile.Catom a when List.mem a.cpred unit_preds -> frontier a.cpred
+    | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Step 1: the deletion overestimate                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** One δ⁻-rule application: seed position [i] with [source], all other
-    subgoals reading the {e old} database. *)
-let run_deletion_rule ctx cr ~pos ~source ~emit =
-  let inputs j =
-    if j = pos then
-      Rule_eval.Enumerate (Relation_view.concrete source, Rule_eval.set_count)
-    else
-      match cr.Compile.clits.(j) with
-      | Compile.Catom a -> Rule_eval.Enumerate (old_view ctx a.cpred, Rule_eval.set_count)
-      | Compile.Cneg a -> Rule_eval.Filter_absent (old_view ctx a.cpred)
-      | Compile.Cagg (spec, _) ->
-        Rule_eval.Enumerate
-          (Relation_view.concrete (grouped ctx ~version:"old" spec),
-           Rule_eval.identity_count)
-      | Compile.Ccmp _ -> assert false
-  in
-  Rule_eval.eval ~seed:pos ~inputs ~emit cr
-
-(** Step 1 for one unit: returns the overestimate δ⁻ per predicate, with
-    the unit deltas already reflecting the deletions. *)
+(** Step 1 for one unit: semi-naive δ⁻-rules, every non-seed subgoal
+    reading the {e old} database.  Returns the overestimate δ⁻ per
+    predicate, with the unit's live deltas already hiding it. *)
 let delete_overestimate ctx unit_preds =
-  let program = Database.program ctx.db in
-  let in_unit p = List.mem p unit_preds in
   let dminus = Hashtbl.create 4 in
-  let pending = Hashtbl.create 4 in
   List.iter
-    (fun p ->
-      Hashtbl.replace dminus p (Relation.create (arity_of ctx p));
-      Hashtbl.replace pending p (Relation.create (arity_of ctx p)))
+    (fun p -> Hashtbl.replace dminus p (Relation.create (Relation.arity (live ctx p))))
     unit_preds;
-  let next_pending = Hashtbl.create 4 in
-  List.iter
-    (fun p -> Hashtbl.replace next_pending p (Relation.create (arity_of ctx p)))
-    unit_preds;
-  let emit_for p tup c =
-    if c > 0 then begin
-      let stored = Database.relation ctx.db p in
-      let dm = Hashtbl.find dminus p in
-      Stats.add_probe ();
-      if Relation.mem stored tup && not (Relation.mem dm tup) then begin
-        Relation.add dm tup 1;
-        Relation.add (Hashtbl.find next_pending p) tup 1;
-        (* hide the tuple from the unit's new views *)
-        Relation.add (delta_of ctx p) tup (-Relation.count stored tup)
-      end
-    end
+  let inputs cr _ = Delta.inputs ctx cr (fun _ -> Delta.Old) in
+  let commit p buf ~next =
+    let stored = stored ctx p and dm = Hashtbl.find dminus p in
+    Relation.iter
+      (fun tup _ ->
+        Stats.add_probe ();
+        if Relation.mem stored tup && not (Relation.mem dm tup) then begin
+          Relation.add dm tup 1;
+          Relation.add next tup 1;
+          Relation.add (live ctx p) tup (-Relation.count stored tup)
+        end)
+      buf
   in
-  let chunks = par_chunks () in
-  let deletion_task p cr ~pos ~source () =
-    let buf = Relation.create (arity_of ctx p) in
-    run_deletion_rule ctx cr ~pos ~source ~emit:(fun tup c ->
-        if c > 0 then Relation.add buf tup 1);
-    buf
-  in
-  let commit p buf = Relation.iter (fun tup c -> emit_for p tup c) buf in
-  (* Round 0: seeds from outside the unit. *)
-  let round0 = ref [] in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun rule ->
-          let cr = Database.compile ctx.db rule in
-          Array.iteri
-            (fun i lit ->
-              let source =
-                match lit with
-                | Compile.Catom a when not (in_unit a.cpred) ->
-                  Some (del_of ctx a.cpred)
-                | Compile.Catom _ -> None
-                | Compile.Cneg a -> Some (add_of ctx a.cpred)
-                | Compile.Cagg (spec, _) ->
-                  Some (Relation.negative_part (agg_delta ctx spec))
-                | Compile.Ccmp _ -> None
-              in
-              match source with
-              | Some src when not (Relation.is_empty src) ->
-                prepare_grouped ctx ~version:"old" cr;
-                Array.iter
-                  (fun part ->
-                    round0 := (p, deletion_task p cr ~pos:i ~source:part) :: !round0)
-                  (Ivm_eval.Par_eval.split src ~chunks)
-              | _ -> ())
-            cr.Compile.clits)
-        (Program.rules_for program p))
-    unit_preds;
-  run_batch (List.rev !round0) ~commit;
-  (* Fixpoint rounds: seeds from the unit's own growing overestimate. *)
-  let rotate () =
-    let any = ref false in
-    List.iter
-      (fun p ->
-        let np = Hashtbl.find next_pending p in
-        Hashtbl.replace pending p np;
-        Hashtbl.replace next_pending p (Relation.create (arity_of ctx p));
-        if not (Relation.is_empty np) then any := true)
-      unit_preds;
-    !any
-  in
-  while rotate () do
-    let batch = ref [] in
-    List.iter
-      (fun p ->
-        List.iter
-          (fun rule ->
-            let cr = Database.compile ctx.db rule in
-            Array.iteri
-              (fun i lit ->
-                match lit with
-                | Compile.Catom a when in_unit a.cpred ->
-                  let src = Hashtbl.find pending a.cpred in
-                  if not (Relation.is_empty src) then begin
-                    prepare_grouped ctx ~version:"old" cr;
-                    Array.iter
-                      (fun part ->
-                        batch := (p, deletion_task p cr ~pos:i ~source:part) :: !batch)
-                      (Ivm_eval.Par_eval.split src ~chunks)
-                  end
-                | _ -> ())
-              cr.Compile.clits)
-          (Program.rules_for program p))
-      unit_preds;
-    run_batch (List.rev !batch) ~commit
-  done;
+  Par_eval.fixpoint engine ~preds:unit_preds ~commit
+    ~step:(fun _ -> frontier_seeds ~rules:(rules ctx) ~inputs unit_preds)
+    (phase_seeds ctx unit_preds ~inputs ~part:Relation.negative_part);
   dminus
 
 (* ------------------------------------------------------------------ *)
@@ -343,15 +147,6 @@ let delete_overestimate ctx unit_preds =
 (* ------------------------------------------------------------------ *)
 
 let marker_pred p = "$dred_overestimate$" ^ p
-
-(* Rederivation rules reach the evaluator's provenance hook under their
-   rewritten text; map it back to the source rule so stored supports name
-   the program's own rules.  Populated only from sequential task
-   construction (never from worker domains). *)
-let rederive_sources : (string, string) Hashtbl.t = Hashtbl.create 16
-
-let prov_source_rule s =
-  match Hashtbl.find_opt rederive_sources s with Some orig -> orig | None -> s
 
 (** The rederivation rule [δ⁺(p) :- δ⁻(p) & s1ν & … & snν] built as an AST
     rule whose first subgoal is a pseudo-predicate enumerating the
@@ -373,276 +168,95 @@ let rederive_rule (r : Ast.rule) : Ast.rule =
       r.head.args ([], [])
   in
   let marker = { Ast.pred = marker_pred r.head.pred; args = marker_args } in
-  let rr =
-    {
-      Ast.head = { r.head with args = marker_args };
-      body = (Ast.Lpos marker :: r.body) @ filters;
-    }
-  in
-  if Ivm_prov.Prov.capturing () then
-    Hashtbl.replace rederive_sources
-      (Ivm_datalog.Pretty.rule_to_string rr)
-      (Ivm_datalog.Pretty.rule_to_string r);
-  rr
+  {
+    Ast.head = { r.head with args = marker_args };
+    body = (Ast.Lpos marker :: r.body) @ filters;
+  }
 
 (** Step 2 for one unit: puts rederivable tuples back (their hidden counts
-    are restored in the unit deltas), semi-naively.  The first pass checks
-    every overdeleted tuple for support in the new database; subsequent
-    waves re-check only candidates joinable with the {e previous wave's}
-    putbacks (a rederived tuple can support further rederivations within a
-    recursive unit).  Returns per-predicate putback counts. *)
+    are restored in the live deltas), semi-naively.  Round 0 checks every
+    overdeleted tuple for support in the new database; later rounds
+    re-check only candidates joinable with the previous round's putbacks
+    (a rederived tuple can support further rederivations within a
+    recursive unit).  Rederivation rules are compiled under their source
+    rule's name, so provenance and attribution name the program's rules.
+    Returns per-predicate putback counts. *)
 let rederive ctx unit_preds (dminus : (string, Relation.t) Hashtbl.t) =
-  let program = Database.program ctx.db in
-  let in_unit p = List.mem p unit_preds in
+  let program = Database.program ctx.Delta.db in
   (* pend = δ⁻ tuples not yet put back *)
   let pend = Hashtbl.create 4 in
-  List.iter
-    (fun p -> Hashtbl.replace pend p (Relation.copy (Hashtbl.find dminus p)))
-    unit_preds;
   let putbacks = Hashtbl.create 4 in
-  List.iter (fun p -> Hashtbl.replace putbacks p 0) unit_preds;
-  let wave = Hashtbl.create 4 in
-  let next_wave = Hashtbl.create 4 in
   List.iter
-    (fun p -> Hashtbl.replace next_wave p (Relation.create (arity_of ctx p)))
+    (fun p ->
+      Hashtbl.replace pend p (Relation.copy (Hashtbl.find dminus p));
+      Hashtbl.replace putbacks p 0)
     unit_preds;
-  (* [marker] / [wave_rel] override what the marker and wave positions
-     enumerate — parallel fan-out passes one frozen chunk per task. *)
-  let inputs_for p cr ?(wave_pos = -1) ?marker ?wave_rel () j =
-    match cr.Compile.clits.(j) with
-    | Compile.Catom a when a.cpred = marker_pred p ->
-      let m = match marker with Some r -> r | None -> Hashtbl.find pend p in
-      Rule_eval.Enumerate (Relation_view.concrete m, Rule_eval.set_count)
-    | Compile.Catom a when j = wave_pos ->
-      let w = match wave_rel with Some r -> r | None -> Hashtbl.find wave a.cpred in
-      Rule_eval.Enumerate (Relation_view.concrete w, Rule_eval.set_count)
-    | Compile.Catom a -> Rule_eval.Enumerate (new_view ctx a.cpred, Rule_eval.set_count)
-    | Compile.Cneg a -> Rule_eval.Filter_absent (new_view ctx a.cpred)
-    | Compile.Cagg (spec, _) ->
-      Rule_eval.Enumerate
-        (Relation_view.concrete (grouped ctx ~version:"new" spec),
-         Rule_eval.identity_count)
-    | Compile.Ccmp _ -> assert false
+  let rederive_rules =
+    List.map
+      (fun p ->
+        ( p,
+          List.map
+            (fun r ->
+              Database.compile ctx.Delta.db ~name:(Pretty.rule_to_string r)
+                (rederive_rule r))
+            (Program.rules_for program p) ))
+      unit_preds
   in
-  (* Buffer emissions: applying a putback mutates relations the evaluator
-     may currently be iterating (pend, the unit deltas behind new views). *)
-  let apply_buffer p buf =
+  let rules p =
+    if Relation.is_empty (Hashtbl.find pend p) then [] else List.assoc p rederive_rules
+  in
+  (* position 0 is the marker: the head's still-pending candidates *)
+  let inputs (cr : Compile.t) _ j =
+    if j = 0 then
+      Rule_eval.Enumerate
+        (Relation_view.concrete (Hashtbl.find pend cr.head_pred), Rule_eval.set_count)
+    else Delta.inputs ctx cr (fun _ -> Delta.New) j
+  in
+  let commit p buf ~next =
     let pend_p = Hashtbl.find pend p in
-    let nv = new_view ctx p in
     Relation.iter
       (fun tup _ ->
         Metrics.inc rederive_attempts_c;
         Stats.add_probe ();
-        if Relation.mem pend_p tup && not (Relation_view.holds nv tup) then begin
-          (* restore the hidden stored count *)
-          let stored = Database.relation ctx.db p in
-          Relation.add (delta_of ctx p) tup (Relation.count stored tup);
+        if Relation.mem pend_p tup && not (holds_new ctx p tup) then begin
+          Relation.add (live ctx p) tup (Relation.count (stored ctx p) tup);
           Relation.remove pend_p tup;
-          Relation.add (Hashtbl.find next_wave p) tup 1;
+          Relation.add next tup 1;
           Hashtbl.replace putbacks p (Hashtbl.find putbacks p + 1)
         end)
       buf
   in
-  let chunks = par_chunks () in
-  (* Pass 0: support check for every overdeleted tuple.  Evaluations run
-     against views frozen for the pass (buffers committed afterwards in
-     task order); putbacks a sequential interleaving would have seen
-     mid-pass seed the wave rounds instead. *)
-  let pass0 = ref [] in
-  List.iter
-    (fun p ->
-      if not (Relation.is_empty (Hashtbl.find pend p)) then
-        List.iter
-          (fun rule ->
-            let rr = rederive_rule rule in
-            let cr = Database.compile ctx.db rr in
-            prepare_grouped ctx ~version:"new" cr;
-            Array.iter
-              (fun part ->
-                pass0 :=
-                  ( p,
-                    fun () ->
-                      let buf = Relation.create (arity_of ctx p) in
-                      Rule_eval.eval ~seed:0
-                        ~inputs:(inputs_for p cr ~marker:part ())
-                        ~emit:(fun tup c -> if c > 0 then Relation.add buf tup 1)
-                        cr;
-                      buf )
-                  :: !pass0)
-              (Ivm_eval.Par_eval.split (Hashtbl.find pend p) ~chunks))
-          (Program.rules_for program p))
-    unit_preds;
-  run_batch (List.rev !pass0) ~commit:apply_buffer;
-  (* Waves: only candidates supported by the previous wave's putbacks. *)
-  let rotate () =
-    let any = ref false in
-    List.iter
-      (fun p ->
-        let nw = Hashtbl.find next_wave p in
-        Hashtbl.replace wave p nw;
-        Hashtbl.replace next_wave p (Relation.create (arity_of ctx p));
-        if not (Relation.is_empty nw) then any := true)
-      unit_preds;
-    !any
-  in
-  while rotate () do
-    let batch = ref [] in
-    List.iter
-      (fun p ->
-        if not (Relation.is_empty (Hashtbl.find pend p)) then
-          List.iter
-            (fun rule ->
-              let rr = rederive_rule rule in
-              let cr = Database.compile ctx.db rr in
-              (* positions 1.. of the rederive rule hold the original body;
-                 seed at each occurrence of a unit predicate whose last
-                 wave is non-empty *)
-              Array.iteri
-                (fun j lit ->
-                  match lit with
-                  | Compile.Catom a
-                    when j > 0 && in_unit a.cpred
-                         && not (Relation.is_empty (Hashtbl.find wave a.cpred)) ->
-                    prepare_grouped ctx ~version:"new" cr;
-                    Array.iter
-                      (fun part ->
-                        batch :=
-                          ( p,
-                            fun () ->
-                              let buf = Relation.create (arity_of ctx p) in
-                              Rule_eval.eval ~seed:j
-                                ~inputs:(inputs_for p cr ~wave_pos:j ~wave_rel:part ())
-                                ~emit:(fun tup c ->
-                                  if c > 0 then Relation.add buf tup 1)
-                                cr;
-                              buf )
-                          :: !batch)
-                      (Ivm_eval.Par_eval.split (Hashtbl.find wave a.cpred) ~chunks)
-                  | _ -> ())
-                cr.Compile.clits)
-            (Program.rules_for program p))
-      unit_preds;
-    run_batch (List.rev !batch) ~commit:apply_buffer
-  done;
+  Par_eval.fixpoint engine ~preds:unit_preds ~commit
+    ~step:(fun _ -> frontier_seeds ~rules ~inputs unit_preds)
+    (List.concat_map
+       (fun p ->
+         List.map
+           (fun rule ->
+             let at = Some (0, Hashtbl.find pend p) in
+             { Par_eval.head = p; rule; at; inputs = inputs rule 0 })
+           (rules p))
+       unit_preds);
   putbacks
 
 (* ------------------------------------------------------------------ *)
 (* Step 3: insertions                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_insertion_rule ctx cr ~pos ~source ~emit =
-  let inputs j =
-    if j = pos then
-      Rule_eval.Enumerate (Relation_view.concrete source, Rule_eval.set_count)
-    else
-      match cr.Compile.clits.(j) with
-      | Compile.Catom a -> Rule_eval.Enumerate (new_view ctx a.cpred, Rule_eval.set_count)
-      | Compile.Cneg a -> Rule_eval.Filter_absent (new_view ctx a.cpred)
-      | Compile.Cagg (spec, _) ->
-        Rule_eval.Enumerate
-          (Relation_view.concrete (grouped ctx ~version:"new" spec),
-           Rule_eval.identity_count)
-      | Compile.Ccmp _ -> assert false
-  in
-  Rule_eval.eval ~seed:pos ~inputs ~emit cr
-
+(** Step 3 for one unit: semi-naive Δ⁺-rules over the new relations. *)
 let insert_new ctx unit_preds =
-  let program = Database.program ctx.db in
-  let in_unit p = List.mem p unit_preds in
-  let pending = Hashtbl.create 4 in
-  let next_pending = Hashtbl.create 4 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace pending p (Relation.create (arity_of ctx p));
-      Hashtbl.replace next_pending p (Relation.create (arity_of ctx p)))
-    unit_preds;
-  let chunks = par_chunks () in
-  let insertion_task p cr ~pos ~source () =
-    let buf = Relation.create (arity_of ctx p) in
-    run_insertion_rule ctx cr ~pos ~source ~emit:(fun tup c ->
-        if c > 0 then Relation.add buf tup 1);
-    buf
-  in
-  (* Committing candidate insertions mutates the unit deltas that back
-     the new views the evaluators read, so buffers are committed only
-     between batches, in task order. *)
-  let commit p buf =
-    let nv = new_view ctx p in
+  let inputs cr _ = Delta.inputs ctx cr (fun _ -> Delta.New) in
+  let commit p buf ~next =
     Relation.iter
       (fun tup _ ->
-        if not (Relation_view.holds nv tup) then begin
-          Relation.add (delta_of ctx p) tup 1;
-          Relation.add (Hashtbl.find next_pending p) tup 1
+        if not (holds_new ctx p tup) then begin
+          Relation.add (live ctx p) tup 1;
+          Relation.add next tup 1
         end)
       buf
   in
-  (* Round 0: seeds from outside the unit. *)
-  let round0 = ref [] in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun rule ->
-          let cr = Database.compile ctx.db rule in
-          Array.iteri
-            (fun i lit ->
-              let source =
-                match lit with
-                | Compile.Catom a when not (in_unit a.cpred) ->
-                  Some (add_of ctx a.cpred)
-                | Compile.Catom _ -> None
-                | Compile.Cneg a -> Some (del_of ctx a.cpred)
-                | Compile.Cagg (spec, _) ->
-                  Some (Relation.positive_part (agg_delta ctx spec))
-                | Compile.Ccmp _ -> None
-              in
-              match source with
-              | Some src when not (Relation.is_empty src) ->
-                prepare_grouped ctx ~version:"new" cr;
-                Array.iter
-                  (fun part ->
-                    round0 := (p, insertion_task p cr ~pos:i ~source:part) :: !round0)
-                  (Ivm_eval.Par_eval.split src ~chunks)
-              | _ -> ())
-            cr.Compile.clits)
-        (Program.rules_for program p))
-    unit_preds;
-  run_batch (List.rev !round0) ~commit;
-  let rotate () =
-    let any = ref false in
-    List.iter
-      (fun p ->
-        let np = Hashtbl.find next_pending p in
-        Hashtbl.replace pending p np;
-        Hashtbl.replace next_pending p (Relation.create (arity_of ctx p));
-        if not (Relation.is_empty np) then any := true)
-      unit_preds;
-    !any
-  in
-  while rotate () do
-    let batch = ref [] in
-    List.iter
-      (fun p ->
-        List.iter
-          (fun rule ->
-            let cr = Database.compile ctx.db rule in
-            Array.iteri
-              (fun i lit ->
-                match lit with
-                | Compile.Catom a when in_unit a.cpred ->
-                  let src = Hashtbl.find pending a.cpred in
-                  if not (Relation.is_empty src) then begin
-                    prepare_grouped ctx ~version:"new" cr;
-                    Array.iter
-                      (fun part ->
-                        batch := (p, insertion_task p cr ~pos:i ~source:part) :: !batch)
-                      (Ivm_eval.Par_eval.split src ~chunks)
-                  end
-                | _ -> ())
-              cr.Compile.clits)
-          (Program.rules_for program p))
-      unit_preds;
-    run_batch (List.rev !batch) ~commit
-  done
+  Par_eval.fixpoint engine ~preds:unit_preds ~commit
+    ~step:(fun _ -> frontier_seeds ~rules:(rules ctx) ~inputs unit_preds)
+    (phase_seeds ctx unit_preds ~inputs ~part:Relation.positive_part)
 
 (* ------------------------------------------------------------------ *)
 
@@ -654,30 +268,10 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
   if Database.semantics db = Database.Duplicate_semantics then
     raise Duplicate_semantics_unsupported;
   Metrics.inc batches_c;
-  if Ivm_prov.Prov.capturing () then
-    Ivm_prov.Prov.set_rule_rewrite prov_source_rule;
   let program = Database.program db in
   let normalized = Changes.normalize_base db changes in
-  let ctx =
-    {
-      db;
-      delta = Hashtbl.create 16;
-      trans = Hashtbl.create 16;
-      grouped = Hashtbl.create 8;
-      agg_deltas = Hashtbl.create 8;
-    }
-  in
-  (* Every predicate gets its delta slot up front, so [delta_of] — and
-     hence [new_view], which worker thunks call concurrently — never
-     mutates [ctx.delta] after this point. *)
-  List.iter
-    (fun p -> Hashtbl.replace ctx.delta p (Relation.create (arity_of ctx p)))
-    (Program.base_preds program @ Program.derived_preds program);
-  List.iter
-    (fun (pred, delta) ->
-      Hashtbl.replace ctx.delta pred (Relation.copy delta);
-      finalize ctx pred)
-    normalized;
+  let ctx = Delta.create db in
+  List.iter (fun (pred, delta) -> Delta.set_delta ctx pred ~full:delta) normalized;
   let overdeleted = ref [] and rederived = ref [] in
   Trace.span "dred.maintain"
     ~args:(fun () ->
@@ -686,6 +280,7 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
       List.iter
         (fun unit_preds ->
           let unit_name = String.concat "," unit_preds in
+          Delta.open_unit ctx unit_preds;
           (* a unit's predicates share a stratum; each phase retags the
              ambient attribution context before its fan-outs *)
           let stratum = Program.stratum program (List.hd unit_preds) in
@@ -728,7 +323,7 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
                 (fun () ->
                   phase "insert";
                   insert_new ctx unit_preds);
-              List.iter (fun p -> finalize ctx p) unit_preds;
+              List.iter (fun p -> Delta.set_delta ctx p ~full:(live ctx p)) unit_preds;
               let unit_rederived =
                 List.fold_left (fun acc p -> acc + Hashtbl.find putbacks p) 0 unit_preds
               in
@@ -744,48 +339,15 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
                   if pb > 0 then rederived := (p, pb) :: !rederived)
                 unit_preds))
         (Program.recursive_units program));
-  (* Commit: apply deltas to the stored relations. *)
-  let view_deltas = ref [] in
-  List.iter
-    (fun p ->
-      let del, add = transitions ctx p in
-      let d = Relation.union (Relation.negate del) add in
-      if not (Relation.is_empty d) then view_deltas := (p, d) :: !view_deltas)
-    (Program.derived_preds program);
-  let cap = Ivm_prov.Prov.capturing () in
-  Hashtbl.iter
-    (fun pred delta ->
-      let stored = Database.relation db pred in
-      Relation.iter
-        (fun tup c ->
-          let before = Relation.count stored tup in
-          let c' = max 0 (before + c) in
-          if cap then
-            if before <= 0 && c' > 0 then
-              Ivm_prov.Prov.on_transition ~pred tup `Derived
-            else if before > 0 && c' <= 0 then
-              Ivm_prov.Prov.on_transition ~pred tup `Deleted;
-          (* The recorded net change is the *applied* difference — after
-             the [max 0] clamp — so it stays exact even where the raw
-             delta would have driven a count below zero. *)
-          (match record with
-          | Some f -> if c' <> before then f pred tup (c' - before)
-          | None -> ());
-          Relation.set_count stored tup c')
-        delta)
-    ctx.delta;
-  (* Registered aggregate indexes consume ±1 set transitions. *)
-  let all_transitions =
-    Hashtbl.fold
-      (fun pred _ acc ->
-        let del, add = transitions ctx pred in
-        (pred, Relation.union (Relation.negate del) add) :: acc)
-      ctx.delta []
-  in
-  Database.refresh_agg_indexes db all_transitions;
+  ignore (Delta.commit ?record ctx);
   {
     base_deltas = normalized;
-    view_deltas = List.sort (fun (p, _) (q, _) -> String.compare p q) !view_deltas;
+    view_deltas =
+      List.filter_map
+        (fun p ->
+          let d = Delta.propagated_delta ctx p in
+          if Relation.is_empty d then None else Some (p, d))
+        (List.sort String.compare (Program.derived_preds program));
     overdeleted = List.sort compare !overdeleted;
     rederived = List.sort compare !rederived;
   }

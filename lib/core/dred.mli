@@ -33,10 +33,12 @@ type report = {
       (** per predicate: tuples put back in step 2 *)
 }
 
-(** Apply base-relation changes with DRed; commits to the stored relations.
-    [?record pred tup c] observes every applied per-tuple stored-count
-    difference at commit time — the {e applied} difference, after DRed's
-    clamp to non-negative counts, so the recorded net change is exact.
+(** Apply base-relation changes with DRed; commits to the stored relations
+    through {!Delta.commit}.  [?record pred tup c] observes every applied
+    per-tuple stored-count difference at commit time.  No count can go
+    negative: within its unit, an overdeleted tuple's delta is set to
+    −stored once, gets +stored back on putback, and gets +1 only while
+    the tuple does not hold.
     @raise Duplicate_semantics_unsupported under duplicate semantics
     (DRed is a set-semantics algorithm, Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)

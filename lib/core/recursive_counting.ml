@@ -23,6 +23,7 @@ module Database = Ivm_eval.Database
 module Compile = Ivm_eval.Compile
 module Rule_eval = Ivm_eval.Rule_eval
 
+module Par_eval = Ivm_eval.Par_eval
 module Metrics = Ivm_obs.Metrics
 module Trace = Ivm_obs.Trace
 
@@ -35,181 +36,68 @@ let batches_c =
     ~labels:[ ("algorithm", "recursive-counting") ]
     "ivm_maintain_batches_total"
 
-let rounds_c =
-  Metrics.counter
-    ~labels:[ ("engine", "recursive-counting") ]
-    "ivm_fixpoint_rounds_total"
-
-let pending_h =
-  Metrics.histogram
-    ~labels:[ ("engine", "recursive-counting") ]
-    "ivm_fixpoint_delta_size"
+let engine = Par_eval.engine ~trace:"rc.round" "recursive-counting"
 
 (* One recursive unit: iterate batch updates until the pending deltas
-   drain.  [ctx] carries the finalized deltas of lower strata; [acc]
-   relations are installed as the unit predicates' deltas in [ctx] up
-   front, so ctx's overlays see them grow. *)
+   drain.  [ctx] carries the finalized deltas of lower strata.  Each unit
+   predicate's accumulated delta is installed in [ctx] up front, so
+   [ctx]'s new views of it read the accumulator as it grows.  Round 0 is
+   plain Definition 4.1 over the lower strata's deltas (the unit is
+   unchanged in this batch); round k treats round k−1's output (the
+   frontier) as the batch: "new" is stored ⊎ accumulated, "old" is new
+   minus the batch. *)
 let fix_unit ~max_rounds (ctx : Delta.ctx) unit_preds =
   let db = ctx.Delta.db in
   let program = Database.program db in
   let in_unit p = List.mem p unit_preds in
-  let arity p = Program.arity program p in
-  let acc = Hashtbl.create 4 in
-  List.iter
-    (fun p ->
-      let r = Relation.create (arity p) in
-      Hashtbl.replace acc p r;
-      (* live: ctx new views of unit preds read the accumulator *)
-      Hashtbl.replace ctx.Delta.full p r)
-    unit_preds;
-  (* Round 0: seed from lower-strata deltas; unit predicates are unchanged
-     in this batch, so plain Definition 4.1 rules apply. *)
-  let pending = Hashtbl.create 4 in
-  (* Evaluate the whole batch before touching any accumulator: all unit
-     predicates must appear unchanged while round 0 runs. *)
-  List.iter
-    (fun p ->
-      let out = Relation.create (arity p) in
-      let crs = List.map (Database.compile db) (Program.rules_for program p) in
-      Delta.apply_delta_rules_par ctx crs ~out;
-      Hashtbl.replace pending p out)
-    unit_preds;
-  List.iter
-    (fun p ->
-      Relation.union_into ~into:(Hashtbl.find acc p) (Hashtbl.find pending p))
-    unit_preds;
-  let any_pending () =
-    List.exists (fun p -> not (Relation.is_empty (Hashtbl.find pending p))) unit_preds
+  Delta.open_unit ctx unit_preds;
+  let acc = Delta.full_delta ctx in
+  let rules p = List.map (Database.compile db) (Program.rules_for program p) in
+  let commit p buf ~next =
+    Relation.union_into ~into:next buf;
+    Relation.union_into ~into:(acc p) buf
   in
-  let rounds = ref 0 in
-  while any_pending () do
-    incr rounds;
-    Metrics.inc rounds_c;
-    List.iter
-      (fun p -> Metrics.observe pending_h (Relation.cardinal (Hashtbl.find pending p)))
-      unit_preds;
-    Trace.instant "rc.round" ~args:(fun () ->
-        ( "round", string_of_int !rounds )
-        :: List.map
-             (fun p ->
-               (p, string_of_int (Relation.cardinal (Hashtbl.find pending p))))
-             unit_preds);
-    if !rounds > max_rounds then
+  let step round frontier =
+    if round > max_rounds then
       raise
         (Divergence
            (Printf.sprintf
               "counts of recursive predicate %s did not converge after %d \
                rounds — the data has cyclic derivations with infinite counts"
               (List.hd unit_preds) max_rounds));
-    (* S = stored ⊎ acc already includes the pending batch; the batch-old
-       state subtracts it. *)
-    let old_delta = Hashtbl.create 4 in
-    List.iter
-      (fun q ->
-        Hashtbl.replace old_delta q
-          (Relation.union (Hashtbl.find acc q) (Relation.negate (Hashtbl.find pending q))))
-      unit_preds;
-    let next = Hashtbl.create 4 in
-    List.iter (fun p -> Hashtbl.replace next p (Relation.create (arity p))) unit_preds;
-    (* acc / old_delta / pending are frozen for the round, so every
-       (occurrence × pending chunk) is an independent read-only task:
-       fan out across the domain pool, each task emitting into a private
-       relation ⊎-merged into [next] in fixed task order (inline, same
-       order, with one domain). *)
-    let chunks =
-      if Ivm_par.sequential () then 1 else Ivm_eval.Par_eval.chunks_hint ()
+    let old =
+      List.map
+        (fun q ->
+          let delta =
+            match frontier q with
+            | Some d -> Relation.union (acc q) (Relation.negate d)
+            | None -> acc q
+          in
+          (q, Relation_view.overlay (Database.relation db q) delta))
+        unit_preds
     in
-    let tasks = ref [] in
-    List.iter
-      (fun p ->
-        List.iter
-          (fun rule ->
-            let cr = Database.compile db rule in
-            Array.iteri
-              (fun i lit ->
-                match lit with
-                | Compile.Catom a when in_unit a.cpred ->
-                  let pend = Hashtbl.find pending a.cpred in
-                  if not (Relation.is_empty pend) then begin
-                    let inputs_with seed j =
-                      if j = i then
-                        Rule_eval.Enumerate
-                          (Relation_view.concrete seed, Rule_eval.identity_count)
-                      else
-                        match cr.Compile.clits.(j) with
-                        | Compile.Catom b when in_unit b.cpred ->
-                          if j < i then
-                            Rule_eval.Enumerate
-                              ( Relation_view.Overlay
-                                  {
-                                    base = Database.relation db b.cpred;
-                                    delta = Hashtbl.find acc b.cpred;
-                                  },
-                                Rule_eval.identity_count )
-                          else
-                            Rule_eval.Enumerate
-                              ( Relation_view.Overlay
-                                  {
-                                    base = Database.relation db b.cpred;
-                                    delta = Hashtbl.find old_delta b.cpred;
-                                  },
-                                Rule_eval.identity_count )
-                        | Compile.Catom b ->
-                          (* lower strata: unchanged within this batch *)
-                          Rule_eval.Enumerate
-                            (Delta.new_view ctx b.cpred, Database.mult_for db b.cpred)
-                        | Compile.Cneg b ->
-                          Rule_eval.Filter_absent (Delta.new_view ctx b.cpred)
-                        | Compile.Cagg (spec, _) ->
-                          Rule_eval.Enumerate
-                            ( Relation_view.concrete (Delta.grouped ctx Delta.New spec),
-                              Rule_eval.identity_count )
-                        | Compile.Ccmp _ -> assert false
-                    in
-                    (* first-touch the grouped cache sequentially *)
-                    Array.iteri
-                      (fun j l ->
-                        match l with
-                        | Compile.Cagg _ -> ignore (inputs_with pend j)
-                        | _ -> ())
-                      cr.Compile.clits;
-                    Array.iter
-                      (fun part ->
-                        tasks :=
-                          ( p,
-                            fun () ->
-                              let out = Relation.create (arity p) in
-                              Rule_eval.eval ~seed:i ~inputs:(inputs_with part)
-                                ~emit:(fun tup c -> Relation.add out tup c)
-                                cr;
-                              out )
-                          :: !tasks)
-                      (Ivm_eval.Par_eval.split pend ~chunks)
-                  end
-                | _ -> ())
-              cr.Compile.clits)
-          (Program.rules_for program p))
-      unit_preds;
-    let tasks = Array.of_list (List.rev !tasks) in
-    let outs = Ivm_par.parallel_map (Array.map snd tasks) in
-    Array.iteri
-      (fun k part ->
-        Relation.union_into ~into:(Hashtbl.find next (fst tasks.(k))) part)
-      outs;
-    List.iter
-      (fun p ->
-        let np = Hashtbl.find next p in
-        Hashtbl.replace pending p np;
-        Relation.union_into ~into:(Hashtbl.find acc p) np)
+    let inputs cr i j =
+      match cr.Compile.clits.(j) with
+      | Compile.Catom b when in_unit b.cpred && j > i ->
+        Rule_eval.Enumerate (List.assoc b.cpred old, Rule_eval.identity_count)
+      | Compile.Catom b when in_unit b.cpred ->
+        Rule_eval.Enumerate (Delta.new_view ctx b.cpred, Rule_eval.identity_count)
+      | _ -> Delta.inputs ctx cr (fun _ -> Delta.New) j
+    in
+    Par_eval.seeds ~rules ~inputs
+      ~delta:(function
+        | Compile.Catom a when in_unit a.cpred -> frontier a.cpred
+        | _ -> None)
       unit_preds
-  done;
+  in
+  Par_eval.fixpoint engine ~preds:unit_preds ~commit ~step
+    (List.concat_map (Delta.rule_seeds ctx) unit_preds);
   (* Register final deltas (and their set transitions) with the context. *)
-  List.iter (fun p -> Delta.set_delta ctx p ~full:(Hashtbl.find acc p)) unit_preds
+  List.iter (fun p -> Delta.set_delta ctx p ~full:(acc p)) unit_preds
 
 (** Incrementally maintain all views — recursive ones included — with full
     derivation counts.  @raise Divergence when counts cannot converge;
-    @raise Dred.Duplicate_semantics_unsupported never (set semantics is
-    fine too: counts then follow the Section 5.1 convention). *)
+    @raise Invalid_argument under set semantics (use {!Dred}). *)
 let maintain ?(max_rounds = default_max_rounds) ?record (db : Database.t)
     (changes : Changes.t) : (string * Relation.t) list =
   if Database.semantics db = Database.Set_semantics then
@@ -235,12 +123,7 @@ let maintain ?(max_rounds = default_max_rounds) ?record (db : Database.t)
             ~phase:"delta";
           match unit_preds with
           | [ p ] when not (Program.recursive program p) ->
-            let out = Relation.create (Program.arity program p) in
-            let crs =
-              List.map (Database.compile db) (Program.rules_for program p)
-            in
-            Delta.apply_delta_rules_par ctx crs ~out;
-            Delta.set_delta ctx p ~full:out
+            Delta.set_delta ctx p ~full:(Delta.derive ctx p)
           | unit_preds ->
             Trace.span "rc.fixpoint"
               ~args:(fun () -> [ ("unit", String.concat "," unit_preds) ])

@@ -51,6 +51,7 @@ type clit =
 
 type t = {
   source : rule;
+  name : string;
   head_pred : string;
   nslots : int;
   slot_names : string array;
@@ -143,7 +144,7 @@ let compile_agg_spec (agg : aggregate) : agg_spec =
 (** Arity of the grouped relation a spec denotes. *)
 let spec_arity spec = Array.length spec.ggroup + 1
 
-let compile (r : rule) : t =
+let compile ?name (r : rule) : t =
   let slots = fresh_slots () in
   (* Body first so that slot order roughly follows binding order. *)
   let clits =
@@ -169,6 +170,8 @@ let compile (r : rule) : t =
   Smap.iter (fun v s -> slot_names.(s) <- v) slots.map;
   {
     source = r;
+    name =
+      (match name with Some n -> n | None -> Ivm_datalog.Pretty.rule_to_string r);
     head_pred = r.head.pred;
     nslots = slots.next;
     slot_names;

@@ -43,6 +43,9 @@ type clit =
 
 type t = {
   source : Ivm_datalog.Ast.rule;
+  name : string;
+      (** the text of the program rule this rule reports under — in
+          provenance supports, per-rule attribution and trace spans *)
   head_pred : string;
   nslots : int;
   slot_names : string array;
@@ -56,7 +59,9 @@ val compile_agg_spec : Ivm_datalog.Ast.aggregate -> agg_spec
 (** Arity of the grouped relation a spec denotes. *)
 val spec_arity : agg_spec -> int
 
-val compile : Ivm_datalog.Ast.rule -> t
+(** [?name] defaults to the rule's own text; a rewritten rule passes
+    the text of the program rule it was rewritten from. *)
+val compile : ?name:string -> Ivm_datalog.Ast.rule -> t
 
 (** Indices of body literals whose relation can change — the candidate
     delta positions of Definition 4.1 (comparisons never change). *)

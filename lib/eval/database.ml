@@ -85,11 +85,11 @@ let relation t name =
 
 let view t name = Relation_view.concrete (relation t name)
 
-let compile t rule =
+let compile ?name t rule =
   match Hashtbl.find_opt t.compiled rule with
   | Some c -> c
   | None ->
-    let c = Compile.compile rule in
+    let c = Compile.compile ?name rule in
     Hashtbl.add t.compiled rule c;
     c
 

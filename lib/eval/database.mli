@@ -51,8 +51,9 @@ val relation : t -> string -> Relation.t
 
 val view : t -> string -> Relation_view.t
 
-(** Compile a rule, memoized per database. *)
-val compile : t -> Ivm_datalog.Ast.rule -> Compile.t
+(** Compile a rule, memoized per database ([?name] as in
+    {!Compile.compile}; the first compilation of a rule fixes it). *)
+val compile : ?name:string -> t -> Ivm_datalog.Ast.rule -> Compile.t
 
 (** Insert base facts, one derivation each; idempotent per tuple under set
     semantics. *)

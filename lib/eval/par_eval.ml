@@ -1,31 +1,47 @@
-(** Evaluation-side conventions for parallel delta fan-out.
+(** The round engine every semi-naive loop runs on: Seminaive's
+    materialization, Counting's delta pass, Recursive counting's batch
+    rounds and DRed's three phases.
 
-    The maintenance algorithms package each phase as an array of thunks
-    for {!Ivm_par.parallel_map}.  Thunks follow a strict discipline:
+    A round is a list of {!seed}s — a compiled rule, the predicate its
+    emissions belong to, and optionally a body position with the delta
+    that position enumerates.  {!round} splits each seed's delta into
+    chunks by tuple hash, evaluates every (seed × chunk) as an
+    independent task across the domain pool into a private buffer, and
+    then hands the buffers to [commit] sequentially, in task order.
+    {!fixpoint} iterates rounds over per-predicate frontiers until they
+    drain.
 
-    - {b read} shared state only — stored relations, overlays, and the
-      maintenance caches, all pre-populated by a sequential prepare step
-      (first touch of a lazy cache must never happen inside a thunk);
-    - {b write} thunk-private relations only; the caller ⊎-merges them
-      sequentially in task order ({!merge}).
+    The discipline that makes tasks safe to run concurrently:
 
-    Since a batch often has fewer delta rules than domains, seed deltas
-    are additionally {!split} into chunks by tuple hash.  The partition
-    is deterministic for a given chunk count, but the chunk count tracks
-    the configured domain count ({!chunks_hint}) — so the task list, and
-    with it the merge order, is fixed only per configuration, never by
-    scheduling.  Identical final states across {e different} domain
-    counts rest on [⊎] alone: counts sum per tuple (commutative,
-    associative), so the merged content does not depend on how the seeds
-    were chunked.  That commutativity argument is what the determinism
-    property suite checks. *)
+    - {b tasks only read} — stored relations, the caller's deltas and
+      its lazy caches.  First touch of a lazy cache must never happen
+      inside a task, so {!round} resolves every input of every seed once,
+      sequentially, before fan-out;
+    - {b commits are the only writes}; they run after all of the round's
+      tasks have finished;
+    - {b no view outlives a commit}: views are resolved after the
+      previous round's commits — by a seed's [inputs] inside its task,
+      or by the fixpoint [step] that builds the round's seeds — and
+      dropped before the round commits.  A view may be resolved against
+      a delta as it stands at that moment (an overlay over a delta that
+      is still empty is the stored relation alone), so a view kept
+      across a commit could miss what the commit wrote.
+
+    Determinism: the chunk count tracks the configured domain count, so
+    the task list, and with it the commit order, is fixed per
+    configuration, never by scheduling.  Identical final states across
+    {e different} domain counts rest on [⊎] (counts sum per tuple,
+    commutative and associative, so the merged content does not depend
+    on the chunking) and, for the fixpoints, on monotonicity: a
+    derivation that a sequential interleaving would have seen mid-round
+    is picked up by the next round's seeds instead.  The determinism
+    property suite checks both. *)
 
 module Relation = Ivm_relation.Relation
+module Relation_view = Ivm_relation.Relation_view
 module Tuple = Ivm_relation.Tuple
-
-(** How many chunks to split a seed delta into: twice the domain count,
-    so task stealing can balance skewed chunk costs. *)
-let chunks_hint () = 2 * Ivm_par.domains ()
+module Metrics = Ivm_obs.Metrics
+module Trace = Ivm_obs.Trace
 
 (** Deterministically partition [r] into at most [chunks] disjoint parts
     by tuple hash (counts preserved).  Returns [[| r |]] unchanged when
@@ -45,6 +61,130 @@ let split (r : Relation.t) ~chunks : Relation.t array =
       (List.filter (fun p -> not (Relation.is_empty p)) (Array.to_list parts))
   end
 
-(** ⊎-merge task outputs into [into], sequentially, in task order. *)
-let merge ~into (outs : Relation.t array) =
-  Array.iter (fun r -> Relation.union_into ~into r) outs
+type seed = {
+  head : string;  (** the predicate the rule's emissions are committed to *)
+  rule : Compile.t;
+  at : (int * Relation.t) option;
+      (** the seed position and the delta it enumerates (with its own
+          counts); [None] evaluates the whole body once *)
+  inputs : int -> Rule_eval.subgoal_input;  (** every other position *)
+}
+
+(** Seeds at every body position of the rules of [preds] where [delta]
+    finds a relation; [rules] and [inputs] as in {!seed}. *)
+let seeds ~rules ~inputs ~delta preds =
+  List.concat_map
+    (fun head ->
+      List.concat_map
+        (fun (rule : Compile.t) ->
+          List.concat
+            (List.mapi
+               (fun pos lit ->
+                 match delta lit with
+                 | Some rel ->
+                   [ { head; rule; at = Some (pos, rel); inputs = inputs rule pos } ]
+                 | None -> [])
+               (Array.to_list rule.clits)))
+        (rules head))
+    preds
+
+let task s at () =
+  let buf = Relation.create (Array.length s.rule.chead) in
+  let emit tup c = Relation.add buf tup c in
+  (match at with
+  | None -> Rule_eval.eval ~inputs:s.inputs ~emit s.rule
+  | Some (pos, part) ->
+    let inputs j =
+      if j = pos then
+        Rule_eval.Enumerate (Relation_view.concrete part, Rule_eval.identity_count)
+      else s.inputs j
+    in
+    Rule_eval.eval ~seed:pos ~inputs ~emit s.rule);
+  buf
+
+(** One round: seeds with an empty delta are dropped; the rest are
+    forced, split into [2 × domains] chunks (one with a single domain),
+    evaluated across the pool, and their buffers committed in task
+    order. *)
+let round ~(commit : string -> Relation.t -> unit) (seeds : seed list) =
+  let chunks = if Ivm_par.sequential () then 1 else 2 * Ivm_par.domains () in
+  let tasks =
+    List.concat_map
+      (fun s ->
+        match s.at with
+        | Some (_, rel) when Relation.is_empty rel -> []
+        | _ ->
+          Array.iteri
+            (fun j lit ->
+              match (lit, s.at) with
+              | Compile.Ccmp _, _ -> ()
+              | _, Some (pos, _) when j = pos -> ()
+              | _ -> ignore (s.inputs j))
+            s.rule.clits;
+          (match s.at with
+          | None -> [ (s, None) ]
+          | Some (pos, rel) ->
+            List.map
+              (fun part -> (s, Some (pos, part)))
+              (Array.to_list (split rel ~chunks))))
+      seeds
+    |> Array.of_list
+  in
+  let outs = Ivm_par.parallel_map (Array.map (fun (s, at) -> task s at) tasks) in
+  Array.iteri (fun k buf -> commit (fst tasks.(k)).head buf) outs
+
+(** A fixpoint engine's metric series ([ivm_fixpoint_rounds_total] and
+    [ivm_fixpoint_delta_size], labelled [engine]) and, optionally, the
+    name of the trace instant marking each round. *)
+type engine = {
+  rounds : Metrics.counter;
+  sizes : Metrics.histogram;
+  trace : string option;
+}
+
+let engine ?trace name =
+  let labels = [ ("engine", name) ] in
+  {
+    rounds = Metrics.counter ~labels "ivm_fixpoint_rounds_total";
+    sizes = Metrics.histogram ~labels "ivm_fixpoint_delta_size";
+    trace;
+  }
+
+(** [fixpoint engine ~preds ~commit ~step init] runs [init] as round 0,
+    then round [step n frontier] for n = 1, 2, … while the frontier of
+    some predicate of [preds] is non-empty.  [commit p buf ~next] folds a
+    task's buffer into the caller's state and adds what is new for [p] to
+    [next], which becomes [p]'s frontier for the following round
+    ([frontier p] is [None] when nothing was committed to [p]). *)
+let fixpoint eng ~preds
+    ~(commit : string -> Relation.t -> next:Relation.t -> unit)
+    ~(step : int -> (string -> Relation.t option) -> seed list) (init : seed list) =
+  let run seeds =
+    let next = Hashtbl.create 4 in
+    round seeds ~commit:(fun p buf ->
+        let n =
+          match Hashtbl.find_opt next p with
+          | Some n -> n
+          | None ->
+            let n = Relation.create (Relation.arity buf) in
+            Hashtbl.replace next p n;
+            n
+        in
+        commit p buf ~next:n);
+    Hashtbl.find_opt next
+  in
+  let size frontier p = Option.fold ~none:0 ~some:Relation.cardinal (frontier p) in
+  let rec loop n frontier =
+    if List.exists (fun p -> size frontier p > 0) preds then begin
+      Metrics.inc eng.rounds;
+      List.iter (fun p -> Metrics.observe eng.sizes (size frontier p)) preds;
+      Option.iter
+        (fun name ->
+          Trace.instant name ~args:(fun () ->
+              ("round", string_of_int n)
+              :: List.map (fun p -> (p, string_of_int (size frontier p))) preds))
+        eng.trace;
+      loop (n + 1) (run (step n frontier))
+    end
+  in
+  loop 1 (run init)

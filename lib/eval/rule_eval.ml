@@ -322,9 +322,6 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
     (* Provenance capture, hoisted to one load per evaluation: when off,
        the emission path below pays a single boolean test. *)
     let cap = Ivm_prov.Prov.capturing () in
-    let rule_str =
-      if cap then Ivm_datalog.Pretty.rule_to_string cr.source else ""
-    in
     let record_support head cnt =
       let subs = ref [] in
       for j = Array.length cr.clits - 1 downto 0 do
@@ -338,7 +335,7 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
           subs := (a.cpred, Tuple.make vals) :: !subs
         | Cneg _ | Cagg _ | Ccmp _ -> ()
       done;
-      Ivm_prov.Prov.record ~pred:cr.head_pred ~rule:rule_str ~head ~count:cnt
+      Ivm_prov.Prov.record ~pred:cr.head_pred ~rule:cr.name ~head ~count:cnt
         ~subgoals:!subs
     in
     let rec run k cnt =
@@ -414,7 +411,7 @@ let eval ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
         ~args:(fun () ->
           let w = Stats.since before in
           [
-            ("rule", Ivm_datalog.Pretty.rule_to_string cr.source);
+            ("rule", cr.name);
             ("derivations", string_of_int w.Stats.snap_derivations);
             ("probes", string_of_int w.Stats.snap_probes);
             ("scanned", string_of_int w.Stats.snap_tuples_scanned);
@@ -438,7 +435,7 @@ let eval ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
         let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
         let w = Stats.local_since before in
         Ivm_obs.Attribution.record
-          ~rule:(Ivm_datalog.Pretty.rule_to_string cr.source)
+          ~rule:cr.name
           ~wall_ns ~din ~dout:!dout ~probes:w.Stats.snap_probes
           ~scanned:w.Stats.snap_tuples_scanned
           ~derivations:w.Stats.snap_derivations

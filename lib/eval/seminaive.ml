@@ -12,12 +12,10 @@
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
 module Program = Ivm_datalog.Program
-module Metrics = Ivm_obs.Metrics
 module Trace = Ivm_obs.Trace
 open Compile
 
-let rounds_c = Metrics.counter ~labels:[ ("engine", "seminaive") ] "ivm_fixpoint_rounds_total"
-let delta_h = Metrics.histogram ~labels:[ ("engine", "seminaive") ] "ivm_fixpoint_delta_size"
+let engine = Par_eval.engine ~trace:"seminaive.round" "seminaive"
 
 exception Recursive_duplicates of string
 
@@ -56,19 +54,10 @@ let make_inputs ~(resolve : string -> Relation_view.t)
     Rule_eval.Enumerate (Relation_view.concrete t, Rule_eval.identity_count)
   | Ccmp _ -> assert false
 
-(** Force the grouped-relation cache entries rule [cr] will read under
-    [inputs], in body-literal order — the same first-touch order the
-    evaluator itself would use.  Parallel fan-out calls this while
-    building the task list so no worker thunk ever writes the cache. *)
-let prepare_agg_inputs (cr : Compile.t) (inputs : int -> Rule_eval.subgoal_input) =
-  Array.iteri
-    (fun j lit -> match lit with Cagg _ -> ignore (inputs j) | _ -> ())
-    cr.clits
-
 (** Evaluate all rules of one nonrecursive predicate against the current
     database state; returns its full materialization.  Rule bodies fan
-    out across the domain pool (each into a private relation, ⊎-merged in
-    rule order); with one domain the tasks run inline in the same order. *)
+    out across the domain pool, each into a private relation ⊎-merged in
+    rule order. *)
 let eval_nonrecursive db ~cache pred =
   let program = Database.program db in
   let out = Relation.create (Program.arity program pred) in
@@ -78,22 +67,17 @@ let eval_nonrecursive db ~cache pred =
     ~args:(fun () ->
       [ ("pred", pred); ("tuples", string_of_int (Relation.cardinal out)) ])
     (fun () ->
-      let tasks =
-        List.map
-          (fun rule ->
-            let cr = Database.compile db rule in
-            let inputs =
-              make_inputs ~resolve:(Database.view db)
-                ~mult_for:(Database.mult_for db) ~cache ~version:"cur" cr
-            in
-            prepare_agg_inputs cr inputs;
-            fun () ->
-              let part = Relation.create (Program.arity program pred) in
-              Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add part tup c) cr;
-              part)
-          (Program.rules_for program pred)
-      in
-      Par_eval.merge ~into:out (Ivm_par.parallel_map (Array.of_list tasks)));
+      Par_eval.round
+        ~commit:(fun _ buf -> Relation.union_into ~into:out buf)
+        (List.map
+           (fun rule ->
+             let rule = Database.compile db rule in
+             let inputs =
+               make_inputs ~resolve:(Database.view db)
+                 ~mult_for:(Database.mult_for db) ~cache ~version:"cur" rule
+             in
+             { Par_eval.head = pred; rule; at = None; inputs })
+           (Program.rules_for program pred)));
   out
 
 (** Semi-naive fixpoint for one recursive unit (an SCC of mutually
@@ -114,142 +98,51 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
   Ivm_obs.Attribution.set_context
     ~stratum:(Program.stratum program (List.hd unit_preds))
     ~phase:"fixpoint";
-  let totals : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-  let deltas : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+  let totals = Hashtbl.create 4 in
   List.iter
-    (fun p ->
-      Hashtbl.replace totals p (Relation.create (Program.arity program p));
-      Hashtbl.replace deltas p (Relation.create (Program.arity program p)))
+    (fun p -> Hashtbl.replace totals p (Relation.create (Program.arity program p)))
     unit_preds;
-  let resolve_base p =
-    if in_unit p then Relation_view.concrete (Hashtbl.find totals p)
-    else Database.view db
-      p
+  let rules p = List.map (Database.compile db) (Program.rules_for program p) in
+  (* Round 0 evaluates every rule against the totals (empty for the unit's
+     predicates).  Later rounds seed each occurrence of a unit predicate
+     with its last delta: positions before the seed read the new totals,
+     positions after read the previous totals (totals ⊎ −delta). *)
+  let inputs ?(old = fun _ -> None) cr pos j =
+    let resolve q =
+      if not (in_unit q) then Database.view db q
+      else
+        match old q with
+        | Some minus when j > pos -> Relation_view.overlay (Hashtbl.find totals q) minus
+        | _ -> Relation_view.concrete (Hashtbl.find totals q)
+    in
+    make_inputs ~resolve ~mult_for:(fun _ -> Rule_eval.set_count) ~cache
+      ~version:"cur" cr j
   in
-  let mult = Rule_eval.set_count in
-  let mult_for _ = mult in
-  (* Round 0: all rules against current totals (empty for unit preds). *)
-  let candidates : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun p -> Hashtbl.replace candidates p (Relation.create (Program.arity program p)))
-    unit_preds;
-  List.iter
-    (fun p ->
-      let out = Hashtbl.find candidates p in
-      List.iter
-        (fun rule ->
-          let cr = Database.compile db rule in
-          let inputs =
-            make_inputs ~resolve:resolve_base ~mult_for ~cache ~version:"cur" cr
-          in
-          Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add out tup c) cr)
-        (Program.rules_for program p))
-    unit_preds;
-  let absorb () =
-    (* Move genuinely new tuples from candidates into deltas and totals. *)
-    let changed = ref false in
-    List.iter
-      (fun p ->
-        let total = Hashtbl.find totals p in
-        let delta = Relation.create (Program.arity program p) in
-        Relation.iter
-          (fun tup c ->
-            if c > 0 && not (Relation.mem total tup) then begin
-              Relation.add delta tup 1;
-              Relation.add total tup 1;
-              changed := true
-            end)
-          (Hashtbl.find candidates p);
-        Metrics.observe delta_h (Relation.cardinal delta);
-        Hashtbl.replace deltas p delta;
-        Relation.clear (Hashtbl.find candidates p))
-      unit_preds;
-    !changed
+  let commit p buf ~next =
+    let total = Hashtbl.find totals p in
+    Relation.iter
+      (fun tup c ->
+        if c > 0 && not (Relation.mem total tup) then begin
+          Relation.add next tup 1;
+          Relation.add total tup 1
+        end)
+      buf
   in
-  let round = ref 0 in
-  let continue_ = ref (absorb ()) in
-  while !continue_ do
-    incr round;
-    Metrics.inc rounds_c;
-    Trace.instant "seminaive.round" ~args:(fun () ->
-        ( "round", string_of_int !round )
-        :: List.map
-             (fun p ->
-               (p, string_of_int (Relation.cardinal (Hashtbl.find deltas p))))
-             unit_preds);
-    (* Delta rules: one evaluation per occurrence of a unit predicate in a
-       body, with positions before the delta reading the new totals and
-       positions after reading the previous totals (totals minus delta).
-       Totals and deltas are frozen for the round, so every (occurrence ×
-       delta chunk) is an independent read-only task: they fan out across
-       the domain pool, each emitting into a private relation ⊎-merged
-       into the candidates in fixed task order (inline, same order, with
-       one domain). *)
-    let chunks = if Ivm_par.sequential () then 1 else Par_eval.chunks_hint () in
-    let tasks = ref [] in
-    List.iter
-      (fun p ->
-        List.iter
-          (fun rule ->
-            let cr = Database.compile db rule in
-            Array.iteri
-              (fun i lit ->
-                match lit with
-                | Catom a when in_unit a.cpred ->
-                  let delta_rel = Hashtbl.find deltas a.cpred in
-                  if not (Relation.is_empty delta_rel) then begin
-                    let resolve_pos j q =
-                      if not (in_unit q) then Database.view db q
-                      else if j < i then Relation_view.concrete (Hashtbl.find totals q)
-                      else
-                        (* old totals = totals ⊎ (−delta) *)
-                        Relation_view.overlay (Hashtbl.find totals q)
-                          (Relation.negate (Hashtbl.find deltas q))
-                    in
-                    let inputs_with seed j =
-                      match cr.clits.(j) with
-                      | Catom _ when j = i ->
-                        Rule_eval.Enumerate
-                          (Relation_view.concrete seed, Rule_eval.set_count)
-                      | Catom b -> Rule_eval.Enumerate (resolve_pos j b.cpred, mult)
-                      | Cneg b -> Rule_eval.Filter_absent (resolve_pos j b.cpred)
-                      | Cagg (spec, _) ->
-                        let t =
-                          Agg_cache.grouped cache ~version:"cur" ~mult
-                            (resolve_pos j spec.gsource.cpred) spec
-                        in
-                        Rule_eval.Enumerate
-                          (Relation_view.concrete t, Rule_eval.identity_count)
-                      | Ccmp _ -> assert false
-                    in
-                    prepare_agg_inputs cr (inputs_with delta_rel);
-                    Array.iter
-                      (fun part ->
-                        tasks :=
-                          ( p,
-                            fun () ->
-                              let out =
-                                Relation.create (Program.arity program p)
-                              in
-                              Rule_eval.eval ~seed:i ~inputs:(inputs_with part)
-                                ~emit:(fun tup c -> Relation.add out tup c)
-                                cr;
-                              out )
-                          :: !tasks)
-                      (Par_eval.split delta_rel ~chunks)
-                  end
-                | _ -> ())
-              cr.clits)
-          (Program.rules_for program p))
-      unit_preds;
-    let tasks = Array.of_list (List.rev !tasks) in
-    let outs = Ivm_par.parallel_map (Array.map snd tasks) in
-    Array.iteri
-      (fun k part ->
-        Relation.union_into ~into:(Hashtbl.find candidates (fst tasks.(k))) part)
-      outs;
-    continue_ := absorb ()
-  done;
+  Par_eval.fixpoint engine ~preds:unit_preds ~commit
+    ~step:(fun _ frontier ->
+      let minus =
+        List.map (fun q -> (q, Option.map Relation.negate (frontier q))) unit_preds
+      in
+      Par_eval.seeds ~rules
+        ~inputs:(inputs ~old:(fun q -> Option.join (List.assoc_opt q minus)))
+        ~delta:(function Catom a when in_unit a.cpred -> frontier a.cpred | _ -> None)
+        unit_preds)
+    (List.concat_map
+       (fun head ->
+         List.map
+           (fun rule -> { Par_eval.head; rule; at = None; inputs = inputs rule 0 })
+           (rules head))
+       unit_preds);
   List.map (fun p -> (p, Hashtbl.find totals p)) unit_preds
 
 (** Materialize every derived predicate of the database's program from its

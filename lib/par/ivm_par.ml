@@ -1,12 +1,14 @@
 (** Multicore delta evaluation: a process-global {!Pool} of domains plus
-    the [parallel_map] primitive the maintenance algorithms fan out with.
+    the [parallel_map] primitive that [Ivm_eval.Par_eval]'s round engine
+    — and through it every evaluation and maintenance loop — fans out
+    with.
 
     The paper's delta rules are embarrassingly parallel: each rewritten
     rule [Δ(p) :- s1ν & … & Δ(si) & … & sn] (Definition 4.1) reads
     immutable old/new views and emits an independent delta, combined only
-    at the [⊎] step.  The algorithms therefore package each maintenance
-    phase as an array of read-only thunks, run them here, and ⊎-merge the
-    per-thunk results sequentially in fixed task order.  Committed view
+    at the [⊎] step.  Each round is therefore an array of read-only
+    thunks, run here, whose results are committed sequentially in fixed
+    task order.  Committed view
     states are identical whatever the domain count because [⊎] sums
     counts per tuple — commutative and associative — so neither the
     domain-count-dependent chunking nor the merge order affects the
@@ -25,8 +27,8 @@
       bench runner's [--domains] all route here.
 
     Thunks must follow the read-only discipline: shared relations and
-    caches are only read (the caches are pre-populated sequentially by
-    each algorithm's prepare step; demand-built relation indexes are
+    caches are only read (the caches are forced sequentially by
+    [Par_eval.round] before fan-out; demand-built relation indexes are
     published atomically by [Ivm_relation.Relation]), and every write
     lands in thunk-private state. *)
 

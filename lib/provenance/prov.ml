@@ -55,7 +55,6 @@ let lock = Mutex.create ()
 let enabled_flag = Atomic.make false
 let suspend_depth = Atomic.make 0
 let mode_ref = ref Add
-let rule_rewrite : (string -> string) ref = ref Fun.id
 let table : entry Tbl.t = Tbl.create 4096
 
 (* Rule strings interned so equal supports share one box and the
@@ -140,7 +139,6 @@ let with_suspended f =
   Fun.protect ~finally:(fun () -> Atomic.decr suspend_depth) f
 
 let set_mode m = mode_ref := m
-let set_rule_rewrite f = rule_rewrite := f
 
 let locked f =
   Mutex.lock lock;
@@ -225,7 +223,7 @@ let record ~pred ~rule ~head ~count ~subgoals =
   if count <> 0 && capturing () && not (pseudo pred) then
     locked (fun () ->
         Metrics.inc m_records;
-        let rule = intern_rule (!rule_rewrite rule) in
+        let rule = intern_rule rule in
         let sg =
           Array.of_list (List.filter (fun (p, _) -> not (pseudo p)) subgoals)
         in

@@ -60,11 +60,6 @@ val with_suspended : (unit -> 'a) -> 'a
 
 val set_mode : mode -> unit
 
-(** Maps the pretty-printed text of an internally rewritten rule back to
-    the source rule it derives for (DRed registers the rederivation-rule
-    mapping here).  Applied inside {!record}; the default is identity. *)
-val set_rule_rewrite : (string -> string) -> unit
-
 (** {1 Hooks (called by the evaluator and the algorithms)} *)
 
 (** [record ~pred ~rule ~head ~count ~subgoals] — one derivation of

@@ -9,8 +9,9 @@
       sets;
     - nonrecursive, duplicate semantics: Counting ≡ Recompute with
       counts (DRed and PF are set-semantics algorithms);
-    - recursive (transitive closure, both linearizations): DRed ≡ PF ≡
-      Recompute as sets (Counting is nonrecursive-only).
+    - recursive (transitive closure, both linearizations, nonlinear
+      closure, and an odd/even unit under a negated stratum): DRed ≡ PF
+      ≡ Recompute as sets (Counting is nonrecursive-only).
 
     Plus the determinism properties for the multicore path: for every
     algorithm, the exact same scenario replayed at [~domains:4] produces
@@ -87,6 +88,49 @@ let arb_shape =
     ~print:(fun s -> Printf.sprintf "seed=%d\n%s" s.seed (source_of s))
     shape_gen
 
+(** Nonlinear closure: one body reads the unit predicate twice, so a
+    delta rule seeded there reads the new view before the seed and the
+    old view after it. *)
+let nonlinear_closure =
+  {|
+    path(X, Y) :- link(X, Y).
+    path(X, Y) :- path(X, Z), path(Z, Y).
+|}
+
+(** Paths of odd and even length: a two-predicate unit whose second
+    predicate has an empty frontier in round 0, with a negated stratum
+    above it. *)
+let odd_even =
+  {|
+    odd(X, Y) :- link(X, Y).
+    odd(X, Y) :- even(X, Z), link(Z, Y).
+    even(X, Y) :- odd(X, Z), link(Z, Y).
+    only_odd(X, Y) :- odd(X, Y), not even(X, Y).
+|}
+
+let recursive_programs =
+  [
+    ("left-linear closure", Programs.transitive_closure);
+    ("right-linear closure", Programs.transitive_closure_right);
+    ("nonlinear closure", nonlinear_closure);
+    ("odd/even", odd_even);
+  ]
+
+let recursive_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, (_, src)) -> (seed, src))
+      (pair (int_range 1 1_000_000) (oneofl recursive_programs)))
+
+let print_program (seed, src) = Printf.sprintf "seed=%d\n%s" seed src
+let arb_recursive = QCheck.make ~print:print_program recursive_gen
+
+(** Nonrecursive shapes and recursive programs alike, as (seed, source). *)
+let arb_program =
+  QCheck.make ~print:print_program
+    QCheck.Gen.(
+      oneof [ map (fun s -> (s.seed, source_of s)) shape_gen; recursive_gen ])
+
 (* ------------------------------------------------------------------ *)
 (* Scenario plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -162,17 +206,8 @@ let duplicate_counted =
         ~agree:(agree_as Relation.equal_counted) s.seed)
 
 let recursive_set =
-  q ~count:60 "dred == pf == recompute (sets, recursive closure)"
-    (QCheck.make
-       ~print:(fun (seed, right) ->
-         Printf.sprintf "seed=%d linearization=%s" seed
-           (if right then "right" else "left"))
-       QCheck.Gen.(pair (int_range 1 1_000_000) bool))
-    (fun (seed, right) ->
-      let src =
-        if right then Programs.transitive_closure_right
-        else Programs.transitive_closure
-      in
+  q ~count:60 "dred == pf == recompute (sets, recursive closure)" arb_recursive
+    (fun (seed, src) ->
       lockstep ~semantics:Database.Set_semantics ~src
         ~runners:
           [
@@ -215,11 +250,6 @@ let deterministic ~semantics ~src ~maintain seed =
     (replay ~domains:1 ~semantics ~src ~maintain seed)
     (replay ~domains:4 ~semantics ~src ~maintain seed)
 
-let arb_seed =
-  QCheck.make
-    ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
-    QCheck.Gen.(int_range 1 1_000_000)
-
 let determinism_props =
   [
     q ~count:25 "counting: domains 4 == domains 1" arb_shape (fun s ->
@@ -232,28 +262,38 @@ let determinism_props =
         deterministic ~semantics:Database.Set_semantics ~src:(source_of s)
           ~maintain:(fun db c -> ignore (Dred.maintain db c))
           s.seed);
-    q ~count:20 "dred: domains 4 == domains 1 (recursive)" arb_seed
-      (deterministic ~semantics:Database.Set_semantics
-         ~src:Programs.transitive_closure
-         ~maintain:(fun db c -> ignore (Dred.maintain db c)));
-    q ~count:15 "pf: domains 4 == domains 1 (recursive)" arb_seed
-      (deterministic ~semantics:Database.Set_semantics
-         ~src:Programs.transitive_closure
-         ~maintain:(fun db c -> ignore (Pf.maintain db c)));
-    q ~count:20 "recompute: domains 4 == domains 1" arb_shape (fun s ->
-        deterministic ~semantics:Database.Set_semantics ~src:(source_of s)
+    q ~count:20 "dred: domains 4 == domains 1 (recursive)" arb_recursive
+      (fun (seed, src) ->
+        deterministic ~semantics:Database.Set_semantics ~src
+          ~maintain:(fun db c -> ignore (Dred.maintain db c))
+          seed);
+    q ~count:15 "pf: domains 4 == domains 1 (recursive)" arb_recursive
+      (fun (seed, src) ->
+        deterministic ~semantics:Database.Set_semantics ~src
+          ~maintain:(fun db c -> ignore (Pf.maintain db c))
+          seed);
+    q ~count:20 "recompute: domains 4 == domains 1" arb_program
+      (fun (seed, src) ->
+        deterministic ~semantics:Database.Set_semantics ~src
           ~maintain:(fun db c -> Recompute.maintain db c)
-          s.seed);
+          seed);
     (* Recursive counting needs acyclic data: deletion-only streams over a
        layered DAG, duplicate semantics. *)
-    q ~count:15 "recursive counting: domains 4 == domains 1" arb_seed
-      (fun seed ->
+    q ~count:15 "recursive counting: domains 4 == domains 1"
+      (QCheck.make
+         ~print:(fun (seed, nonlinear) ->
+           Printf.sprintf "seed=%d %s closure" seed
+             (if nonlinear then "nonlinear" else "linear"))
+         QCheck.Gen.(pair (int_range 1 1_000_000) bool))
+      (fun (seed, nonlinear) ->
         let run domains =
           with_domains domains (fun () ->
               let rng = Prng.create seed in
               let program =
                 Program.make
-                  (Parser.parse_rules Programs.transitive_closure)
+                  (Parser.parse_rules
+                     (if nonlinear then nonlinear_closure
+                      else Programs.transitive_closure))
               in
               let db =
                 Database.create ~semantics:Database.Duplicate_semantics

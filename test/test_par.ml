@@ -107,14 +107,14 @@ let split_merge_roundtrip () =
   let parts = Ivm_eval.Par_eval.split r ~chunks:4 in
   Alcotest.(check bool) "several parts" true (Array.length parts >= 2);
   let whole = Relation.create 2 in
-  Ivm_eval.Par_eval.merge ~into:whole parts;
+  Array.iter (fun p -> Relation.union_into ~into:whole p) parts;
   check_rel "split ∘ merge = id" r whole
 
 (* Regression: DRed rule bodies referencing predicates absent from the
-   change set.  Rederivation and insertion thunks build new views for
-   every body predicate, so [maintain] must pre-populate a delta slot per
-   program predicate — a lazy first touch inside a thunk would be an
-   unsynchronized Hashtbl mutation from multiple domains (and once was). *)
+   change set.  Rederivation and insertion tasks build new views for
+   every body predicate, so resolving a view must never insert into the
+   context — a lazy first touch inside a task would be an unsynchronized
+   Hashtbl mutation from multiple domains (and once was). *)
 let dred_unchanged_preds_parallel () =
   let src =
     {|

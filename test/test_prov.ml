@@ -217,7 +217,27 @@ let test_dred_recursive_why () =
     (Relation.mem (Vm.relation vm "path") (t2 "a" "d"));
   Alcotest.(check bool)
     "deleted path tuple keeps no supports" true
-    (Prov.supports_of ~pred:"path" (t2 "a" "d") = [])
+    (Prov.supports_of ~pred:"path" (t2 "a" "d") = []);
+  (* Rederivation rules report under the program rule they rewrite: no
+     support and no attribution row may name DRed's internal rewrite. *)
+  let rewritten rule = String.contains rule '$' in
+  Relation.iter
+    (fun tup _ ->
+      List.iter
+        (fun (s : Prov.support) ->
+          if rewritten s.rule then Alcotest.failf "support names %s" s.rule)
+        (Prov.supports_of ~pred:"path" tup))
+    (Vm.relation vm "path");
+  match Ivm_obs.Attribution.last () with
+  | None -> Alcotest.fail "no attribution recorded for the DRed batch"
+  | Some b ->
+    Alcotest.(check bool)
+      "the batch rederived" true
+      (List.exists (fun (r : Ivm_obs.Attribution.row) -> r.phase = "rederive") b.rows);
+    List.iter
+      (fun (r : Ivm_obs.Attribution.row) ->
+        if rewritten r.rule then Alcotest.failf "attribution row names %s" r.rule)
+      b.rows
 
 (* ------------------------------------------------------------------ *)
 (* Randomized properties                                                *)
