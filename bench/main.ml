@@ -190,13 +190,7 @@ let () =
         (match int_of_string_opt p with
         | Some port when port >= 0 && port < 65536 ->
           let srv =
-            Ivm_monitor.Monitor.start
-              ~config:
-                {
-                  Ivm_monitor.Monitor.default_config with
-                  before_metrics = Stats.sync;
-                }
-              ~port ()
+            Ivm_monitor.Monitor.start ~port ()
           in
           Printf.printf
             "monitoring on http://127.0.0.1:%d (/metrics /healthz /statusz \

@@ -71,10 +71,11 @@ let dred_runner =
     reason = "";
     run =
       (fun db c ->
-        let r0 = dred_rederived_c.Metrics.count
-        and o0 = dred_overdeleted_c.Metrics.count in
+        let r0 = Metrics.counter_value dred_rederived_c
+        and o0 = Metrics.counter_value dred_overdeleted_c in
         ignore (Dred.maintain db c);
-        (dred_rederived_c.Metrics.count - r0, dred_overdeleted_c.Metrics.count - o0));
+        ( Metrics.counter_value dred_rederived_c - r0,
+          Metrics.counter_value dred_overdeleted_c - o0 ));
   }
 
 let pf_runner =
@@ -371,7 +372,6 @@ let provenance_overhead () : Json.t =
 (** Build the report and write it to [out]. *)
 let run ~out () =
   Metrics.reset ();
-  Stats.reset ();
   (* Workload 1: Example 1.1/4.2 views over a random graph, mixed updates. *)
   let w1 =
     let nodes = 200 and edges = 1000 and n_batches = 25 in
@@ -412,9 +412,6 @@ let run ~out () =
   let sweep = parallel_sweep () in
   let attribution = attribution_overhead () in
   let provenance = provenance_overhead () in
-  (* Fold the evaluator's per-domain work cells into the registry before
-     dumping it. *)
-  Stats.sync ();
   let doc =
     Json.Obj
       [

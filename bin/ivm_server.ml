@@ -58,7 +58,6 @@ let run file algorithm semantics domains durable host port readers auth
               Ivm_monitor.Monitor.status = (fun () -> Server.status_json srv);
               before_metrics =
                 (fun () ->
-                  Ivm_eval.Stats.sync ();
                   (* snapshot age + per-reader epoch lag, fresh per scrape *)
                   Ivm_serve.Snap_pub.refresh_gauges (Server.publisher srv));
               explain = Some (fun q -> Vm.explain_json vm q);

@@ -116,8 +116,8 @@ let monitor_server : Ivm_monitor.Monitor.t option ref = ref None
 
 let monitor_config (vmref : Vm.t ref) =
   {
-    Ivm_monitor.Monitor.status = (fun () -> Vm.status_json !vmref);
-    before_metrics = Stats.sync;
+    Ivm_monitor.Monitor.default_config with
+    status = (fun () -> Vm.status_json !vmref);
     explain = Some (fun q -> Vm.explain_json !vmref q);
   }
 
@@ -164,10 +164,7 @@ let execute ?sql (vmref : Vm.t ref) line =
   end
   else if line = "stats" then
     Format.printf "%a@." Stats.pp_snapshot (Stats.snapshot ())
-  else if line = "metrics" then begin
-    Stats.sync ();
-    Format.printf "%a@." Ivm_obs.Metrics.pp ()
-  end
+  else if line = "metrics" then Format.printf "%a@." Ivm_obs.Metrics.pp ()
   else if line = "trace status" then begin
     if Ivm_obs.Trace.enabled () then
       Format.printf "tracing: on%s@."

@@ -129,7 +129,7 @@ let delete_overestimate ctx unit_preds =
     let stored = stored ctx p and dm = Hashtbl.find dminus p in
     Relation.iter
       (fun tup _ ->
-        Stats.add_probe ();
+        Metrics.inc Stats.probes_c;
         if Relation.mem stored tup && not (Relation.mem dm tup) then begin
           Relation.add dm tup 1;
           Relation.add next tup 1;
@@ -217,7 +217,7 @@ let rederive ctx unit_preds (dminus : (string, Relation.t) Hashtbl.t) =
     Relation.iter
       (fun tup _ ->
         Metrics.inc rederive_attempts_c;
-        Stats.add_probe ();
+        Metrics.inc Stats.probes_c;
         if Relation.mem pend_p tup && not (holds_new ctx p tup) then begin
           Relation.add (live ctx p) tup (Relation.count (stored ctx p) tup);
           Relation.remove pend_p tup;

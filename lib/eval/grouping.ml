@@ -114,7 +114,7 @@ let group_value ?(mult : mult = fun c -> c) view spec (key : Tuple.t) :
   let st = Agg.create spec.gfn in
   let binding = Array.make spec.gnslots None in
   Relation_view.probe view cols (Tuple.of_list vals) (fun tup c ->
-      Stats.add_scanned ();
+      Ivm_obs.Metrics.inc Stats.tuples_scanned_c;
       let c = mult c in
       if c > 0 then
         with_match spec binding tup (fun () ->

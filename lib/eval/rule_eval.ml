@@ -342,7 +342,7 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
       if cnt <> 0 then
         if k = nsteps then begin
           let head = Tuple.make (Array.map (expr_value binding) cr.chead) in
-          Stats.add_derivation ();
+          Ivm_obs.Metrics.inc Stats.derivations_c;
           if cap then record_support head cnt;
           emit head cnt
         end
@@ -354,9 +354,9 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
                up but only ever hand back stored tuples, so the buffer can
                be refilled for the next binding. *)
             let key = Tuple.make j.j_buf in
-            Stats.add_probe ();
+            Ivm_obs.Metrics.inc Stats.probes_c;
             Relation_view.run_probe j.j_probe key (fun tup c ->
-                Stats.add_scanned ();
+                Ivm_obs.Metrics.inc Stats.tuples_scanned_c;
                 let c = j.j_xform c in
                 if c <> 0 then begin
                   let undo = ref [] in
@@ -366,7 +366,7 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
                 end)
           | Sneg ng ->
             fill_buf binding ng.n_fill ng.n_buf;
-            Stats.add_probe ();
+            Ivm_obs.Metrics.inc Stats.probes_c;
             if not (Relation_view.holds ng.n_view (Tuple.make ng.n_buf)) then
               run (k + 1) cnt
           | Scmp (a, op, b) ->
@@ -396,13 +396,14 @@ let seed_cardinal ?seed ~(inputs : int -> subgoal_input) () =
 
     When per-rule attribution is on ({!Ivm_obs.Attribution}, the
     default), each evaluation reports its wall time, Δ-in/out and work
-    counters — measured with {!Stats.local_since} so concurrent domains'
-    work is never misattributed to this rule.  When tracing is on
+    counters — measured on this domain's own counter shards
+    ({!Stats.local_since}), so concurrent domains' work is never
+    misattributed to this rule.  When tracing is on
     ({!Ivm_obs.Trace}), each evaluation is additionally one [rule] span
     carrying the same breakdown.  With both off, this is two boolean
     checks over the bare evaluation. *)
 let eval ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
-  Stats.add_rule_application ();
+  Ivm_obs.Metrics.inc Stats.rule_applications_c;
   let traced f =
     if not (Ivm_obs.Trace.enabled ()) then f ()
     else begin

@@ -1,40 +1,3 @@
-(** Global work counters — a compatibility shim over {!Ivm_obs.Metrics}.
-
-    The paper's optimality and fragmentation claims (Theorem 4.1; the
-    PF comparison in Section 2) are about {e how many derivations} an
-    algorithm computes, not just wall-clock time.  The evaluator bumps these
-    counters so tests and benches can assert on work done.
-
-    {b Multi-domain exactness.}  The evaluator runs inside worker-domain
-    thunks under parallel fan-out ({!Ivm_par}), so a shared mutable int
-    would lose concurrent increments.  Each domain instead accumulates
-    into its own cell — domain-local storage, registered under a mutex on
-    the domain's first bump — and reads sum the cells, so no bump is ever
-    lost and the hot path never writes a shared cache line.  A read taken
-    {e while} a batch is in flight may miss another domain's most recent
-    bumps (plain [int] loads can be stale, never torn); the pool's
-    batch-completion join provides the happens-before edge, so counts
-    observed between batches — where all the harness measurements happen —
-    are exact.
-
-    The counters remain registered metrics ([ivm_derivations_total],
-    [ivm_tuples_scanned_total], [ivm_probes_total],
-    [ivm_rule_applications_total]); the registered handles mirror the cell
-    sums and are refreshed by {!sync}, which registry dumpers (the shell's
-    [metrics] command, the bench [--metrics-json] report) call before
-    reading.  Sums {b saturate} at [max_int] instead of wrapping negative.
-
-    {b Snapshot semantics.}  Counters are monotone between resets;
-    [since earlier] is the work performed after [earlier] was taken.
-    Nested {!measure} calls attribute the inner region's work to {e both}
-    regions (the outer snapshot spans the inner one) — that is the
-    intended reading, not double counting: each [measure] answers "how
-    much work happened while [f] ran".  Calling {!reset} invalidates
-    outstanding snapshots; [since] clamps at zero so a stale snapshot
-    yields zeros rather than negative garbage.  Like the registry it
-    shims, {!reset} (and {!sync}) must run at quiescence — no parallel
-    batch in flight. *)
-
 module Metrics = Ivm_obs.Metrics
 
 let derivations_c = Metrics.counter "ivm_derivations_total"
@@ -43,107 +6,15 @@ let probes_c = Metrics.counter "ivm_probes_total"
 let rule_applications_c = Metrics.counter "ivm_rule_applications_total"
 let index_builds_c = Metrics.counter "ivm_index_builds_total"
 
-(* ---------------- per-domain cells ---------------- *)
-
-type cell = {
-  mutable cell_derivations : int;
-  mutable cell_scanned : int;
-  mutable cell_probes : int;
-  mutable cell_rules : int;
-  mutable cell_index_builds : int;
-}
-
-let cells_lock = Mutex.create ()
-
-(* Cells of every domain that ever bumped a counter.  Entries of joined
-   worker domains stay (their work must not vanish from the totals);
-   pools rebuild rarely, so the list stays tiny. *)
-let cells : cell list ref = ref []
-
-let cell_key : cell Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let c =
-        { cell_derivations = 0; cell_scanned = 0; cell_probes = 0;
-          cell_rules = 0; cell_index_builds = 0 }
-      in
-      Mutex.lock cells_lock;
-      cells := c :: !cells;
-      Mutex.unlock cells_lock;
-      c)
-
-let add_derivation () =
-  let c = Domain.DLS.get cell_key in
-  c.cell_derivations <- c.cell_derivations + 1
-
-let add_scanned () =
-  let c = Domain.DLS.get cell_key in
-  c.cell_scanned <- c.cell_scanned + 1
-
-let add_probe () =
-  let c = Domain.DLS.get cell_key in
-  c.cell_probes <- c.cell_probes + 1
-
-let add_rule_application () =
-  let c = Domain.DLS.get cell_key in
-  c.cell_rules <- c.cell_rules + 1
-
-let add_index_build () =
-  let c = Domain.DLS.get cell_key in
-  c.cell_index_builds <- c.cell_index_builds + 1
-
-(* The relation layer can't depend on this library, so it exposes a hook
-   ref; installing it here makes every demand-built overlay/base index
-   count toward the work totals (and per-rule attribution). *)
-let () = Ivm_relation.Relation.on_index_build := add_index_build
-
-(** Sum one field over all cells, saturating at [max_int]. *)
-let sum_cells get =
-  Mutex.lock cells_lock;
-  let s =
-    List.fold_left
-      (fun acc c ->
-        let v = get c in
-        if acc > max_int - v then max_int else acc + v)
-      0 !cells
-  in
-  Mutex.unlock cells_lock;
-  s
-
-let derivations () = sum_cells (fun c -> c.cell_derivations)
-let tuples_scanned () = sum_cells (fun c -> c.cell_scanned)
-let probes () = sum_cells (fun c -> c.cell_probes)
-let rule_applications () = sum_cells (fun c -> c.cell_rules)
-let index_builds () = sum_cells (fun c -> c.cell_index_builds)
-
-(** Mirror the cell sums into the registered metrics so registry dumps
-    ({!Ivm_obs.Metrics.pp} / [to_json]) show current totals.  Call at
-    quiescence, right before dumping. *)
-let sync () =
-  derivations_c.Metrics.count <- derivations ();
-  tuples_scanned_c.Metrics.count <- tuples_scanned ();
-  probes_c.Metrics.count <- probes ();
-  rule_applications_c.Metrics.count <- rule_applications ();
-  index_builds_c.Metrics.count <- index_builds ()
-
-(** Reset the four work counters (only; other registered metrics keep
-    their values — use {!Ivm_obs.Metrics.reset} for everything, plus this
-    for the per-domain cells behind these four). *)
 let reset () =
-  Mutex.lock cells_lock;
-  List.iter
-    (fun c ->
-      c.cell_derivations <- 0;
-      c.cell_scanned <- 0;
-      c.cell_probes <- 0;
-      c.cell_rules <- 0;
-      c.cell_index_builds <- 0)
-    !cells;
-  Mutex.unlock cells_lock;
-  derivations_c.Metrics.count <- 0;
-  tuples_scanned_c.Metrics.count <- 0;
-  probes_c.Metrics.count <- 0;
-  rule_applications_c.Metrics.count <- 0;
-  index_builds_c.Metrics.count <- 0
+  List.iter Metrics.zero
+    [ derivations_c; tuples_scanned_c; probes_c; rule_applications_c; index_builds_c ]
+
+let derivations () = Metrics.counter_value derivations_c
+let tuples_scanned () = Metrics.counter_value tuples_scanned_c
+let probes () = Metrics.counter_value probes_c
+let rule_applications () = Metrics.counter_value rule_applications_c
+let index_builds () = Metrics.counter_value index_builds_c
 
 type snapshot = {
   snap_derivations : int;
@@ -153,65 +24,42 @@ type snapshot = {
   snap_index_builds : int;
 }
 
-let snapshot () =
+let read value =
   {
-    snap_derivations = derivations ();
-    snap_tuples_scanned = tuples_scanned ();
-    snap_probes = probes ();
-    snap_rule_applications = rule_applications ();
-    snap_index_builds = index_builds ();
+    snap_derivations = value derivations_c;
+    snap_tuples_scanned = value tuples_scanned_c;
+    snap_probes = value probes_c;
+    snap_rule_applications = value rule_applications_c;
+    snap_index_builds = value index_builds_c;
   }
 
-(** Work done since [earlier].  Each component clamps at zero: a snapshot
-    taken before a {!reset} is stale and reports no work rather than a
-    negative amount. *)
-let since earlier =
-  let d a b = max 0 (a - b) in
+(* Work read through [value] since [earlier], clamped at zero: a
+   snapshot taken before a {!reset} is stale and reports no work rather
+   than a negative amount. *)
+let d value c before =
+  let n = value c - before in
+  if n > 0 then n else 0
+
+let minus value earlier =
   {
-    snap_derivations = d (derivations ()) earlier.snap_derivations;
-    snap_tuples_scanned = d (tuples_scanned ()) earlier.snap_tuples_scanned;
-    snap_probes = d (probes ()) earlier.snap_probes;
-    snap_rule_applications = d (rule_applications ()) earlier.snap_rule_applications;
-    snap_index_builds = d (index_builds ()) earlier.snap_index_builds;
+    snap_derivations = d value derivations_c earlier.snap_derivations;
+    snap_tuples_scanned = d value tuples_scanned_c earlier.snap_tuples_scanned;
+    snap_probes = d value probes_c earlier.snap_probes;
+    snap_rule_applications =
+      d value rule_applications_c earlier.snap_rule_applications;
+    snap_index_builds = d value index_builds_c earlier.snap_index_builds;
   }
 
-(** Snapshot of the {e current domain's} cell only.  Together with
-    {!local_since} this measures exactly the work this domain performed
-    in a region — under parallel fan-out the global {!snapshot} would
-    fold in other domains' concurrent bumps, misattributing their work
-    to whichever rule this domain happens to be evaluating.  Per-rule
-    cost attribution uses this pair. *)
-let local_snapshot () =
-  let c = Domain.DLS.get cell_key in
-  {
-    snap_derivations = c.cell_derivations;
-    snap_tuples_scanned = c.cell_scanned;
-    snap_probes = c.cell_probes;
-    snap_rule_applications = c.cell_rules;
-    snap_index_builds = c.cell_index_builds;
-  }
-
-(** This domain's work since [earlier] (an earlier {!local_snapshot} on
-    the same domain); clamps at zero across {!reset}. *)
-let local_since earlier =
-  let c = Domain.DLS.get cell_key in
-  let d a b = max 0 (a - b) in
-  {
-    snap_derivations = d c.cell_derivations earlier.snap_derivations;
-    snap_tuples_scanned = d c.cell_scanned earlier.snap_tuples_scanned;
-    snap_probes = d c.cell_probes earlier.snap_probes;
-    snap_rule_applications = d c.cell_rules earlier.snap_rule_applications;
-    snap_index_builds = d c.cell_index_builds earlier.snap_index_builds;
-  }
+let snapshot () = read Metrics.counter_value
+let since earlier = minus Metrics.counter_value earlier
+let local_snapshot () = read (Metrics.local_value ())
+let local_since earlier = minus (Metrics.local_value ()) earlier
 
 let pp_snapshot ppf s =
   Format.fprintf ppf "derivations=%d scanned=%d probes=%d rules=%d idxbuilds=%d"
     s.snap_derivations s.snap_tuples_scanned s.snap_probes
     s.snap_rule_applications s.snap_index_builds
 
-(** Run [f], returning its result and the work it performed.  Nesting is
-    fine: an outer [measure] includes the work of any inner ones (see the
-    module comment). *)
 let measure f =
   let before = snapshot () in
   let x = f () in

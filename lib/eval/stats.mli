@@ -1,22 +1,14 @@
-(** Global work counters — a compatibility shim over {!Ivm_obs.Metrics}.
+(** Global work counters: five registered {!Ivm_obs.Metrics} counters.
 
     The paper's optimality and fragmentation claims (Theorem 4.1; the PF
     comparison of Section 2) concern {e how many derivations} an algorithm
     computes, not just wall-clock time.  The evaluator bumps these
-    process-global counters; reset them around the region you measure.
-
-    {b Exact under parallel evaluation}: each domain accumulates into its
-    own cell (domain-local storage) and reads sum the cells, so bumps from
-    worker-domain thunks ({!Ivm_par}) are never lost.  Counts read between
-    parallel batches — where all measurements happen — are exact; a read
-    taken mid-batch may lag other domains' most recent bumps.
-
-    The counters are registered metrics ([ivm_derivations_total],
+    counters; reset them around the region you measure.  They are the
+    registered metrics [ivm_derivations_total],
     [ivm_tuples_scanned_total], [ivm_probes_total],
-    [ivm_rule_applications_total], [ivm_index_builds_total]), visible to the shell's [metrics]
-    command and the bench [--metrics-json] report; {!sync} refreshes the
-    registered handles from the cells before a registry dump.
-    Sums saturate at [max_int] (no wrap-around).
+    [ivm_rule_applications_total] and [ivm_index_builds_total] (the last
+    bumped by [Ivm_relation.Relation] itself), so they are exact across
+    domains and every registry dump shows them as they stand.
 
     {b Snapshot semantics.}  Counters are monotone between {!reset}s.
     Nested {!measure} calls attribute inner work to both regions — each
@@ -24,17 +16,18 @@
     zero, so a snapshot taken before a [reset] yields zeros rather than
     negative values. *)
 
-(** Reset the work counters to zero.  Snapshots taken earlier become
-    stale: {!since} reports zeros for them, not negative work.  Other
-    registered metrics keep their values ({!Ivm_obs.Metrics.reset} zeroes
-    the registry but not the per-domain cells behind these four — call
-    this as well).  Run at quiescence: no parallel batch in flight. *)
-val reset : unit -> unit
+(** The registered handles; the evaluator bumps them with
+    {!Ivm_obs.Metrics.inc}. *)
 
-(** Mirror the per-domain cell sums into the registered metrics so
-    registry dumps ({!Ivm_obs.Metrics.pp} / [to_json]) show current
-    totals.  Run at quiescence, right before dumping. *)
-val sync : unit -> unit
+val derivations_c : Ivm_obs.Metrics.counter
+val tuples_scanned_c : Ivm_obs.Metrics.counter
+val probes_c : Ivm_obs.Metrics.counter
+val rule_applications_c : Ivm_obs.Metrics.counter
+val index_builds_c : Ivm_obs.Metrics.counter
+
+(** Zero the five work counters; other registered metrics keep their
+    values.  Snapshots taken earlier become stale. *)
+val reset : unit -> unit
 
 (** Tuples emitted by rule bodies — one per successful derivation. *)
 val derivations : unit -> int
@@ -48,16 +41,8 @@ val probes : unit -> int
 (** Rule (re-)evaluations started. *)
 val rule_applications : unit -> int
 
-(** Demand-built relation indexes (counted via the
-    [Ivm_relation.Relation.on_index_build] hook this module installs at
-    init). *)
+(** Demand-built relation indexes. *)
 val index_builds : unit -> int
-
-val add_derivation : unit -> unit
-val add_scanned : unit -> unit
-val add_probe : unit -> unit
-val add_rule_application : unit -> unit
-val add_index_build : unit -> unit
 
 type snapshot = {
   snap_derivations : int;
@@ -69,24 +54,21 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 
-(** Work done since [earlier]; each component clamps at zero (see the
-    module comment on resets). *)
+(** Work done since [earlier]; each component clamps at zero. *)
 val since : snapshot -> snapshot
 
-(** Snapshot of the {e current domain's} cell only — with {!local_since}
-    this measures exactly the work this domain performed in a region,
-    immune to concurrent bumps from other domains.  Per-rule cost
-    attribution ({!Ivm_obs.Attribution}) relies on this: under parallel
-    fan-out the global {!snapshot}/{!since} pair would misattribute
-    other domains' work to this rule. *)
+(** The {e current domain's} share of the counters
+    ({!Ivm_obs.Metrics.local_value}).  With {!local_since} this measures
+    exactly the work this domain performed in a region, immune to
+    concurrent bumps from other domains — what per-rule attribution
+    needs under parallel fan-out. *)
 val local_snapshot : unit -> snapshot
 
-(** This domain's work since [earlier] (an earlier {!local_snapshot}
-    taken on the same domain); clamps at zero across {!reset}. *)
+(** This domain's work since an earlier {!local_snapshot} taken on the
+    same domain; clamps at zero. *)
 val local_since : snapshot -> snapshot
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
-(** Run [f]; return its result and the work it performed.  Nesting is
-    fine: an outer [measure] includes the work of inner ones. *)
+(** Run [f]; return its result and the work it performed. *)
 val measure : (unit -> 'a) -> 'a * snapshot

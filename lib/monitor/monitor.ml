@@ -44,8 +44,7 @@ type config = {
       (** the [/statusz] document (process fields are added on top) *)
   before_metrics : unit -> unit;
       (** run before each [/metrics]/[/statusz] render — callers mirror
-          non-registry state into the registry here (e.g.
-          [Ivm_eval.Stats.sync]) *)
+          non-registry state into the registry here *)
   explain : (string -> (Json.t, string) result) option;
       (** serves [GET /why?q=fact] — the percent-decoded [q] value is
           passed verbatim; [Error] renders as a 400 *)

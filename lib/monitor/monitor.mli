@@ -25,8 +25,8 @@ type config = {
           observations — same contract as a [/metrics] scrape. *)
   before_metrics : unit -> unit;
       (** runs before each [/metrics] or [/statusz] render — mirror
-          non-registry state into the registry here (e.g.
-          [Ivm_eval.Stats.sync]) *)
+          non-registry state into the registry here (e.g. the server's
+          snapshot-age gauges) *)
   explain : (string -> (Ivm_obs.Json.t, string) result) option;
       (** serves [GET /why?q=fact]: called with the percent-decoded [q]
           value (e.g. [Ivm.View_manager.explain_json]); [Error] renders

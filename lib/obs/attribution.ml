@@ -17,9 +17,10 @@
     — stratum and phase — sequentially {e before} each parallel fan-out
     (every task of one fan-out shares that context), and [Rule_eval]
     calls {!record} once per rule evaluation from whichever domain ran
-    it.  [record] takes plain ints so the work deltas can come from
-    [Stats.local_since] (exact per-domain work; a global snapshot would
-    fold other domains' concurrent bumps into this rule).
+    it.  [record] takes plain ints so the work deltas can come from the
+    calling domain's own counter shards ([Ivm_eval.Stats.local_since] over
+    {!Metrics.local_value}; a global snapshot would fold other domains'
+    concurrent bumps into this rule).
 
     {b Wall-time semantics.}  Row wall times are per-domain and overlap
     under parallel fan-out, so their sum — {!type-batch.busy_wall_ns} —

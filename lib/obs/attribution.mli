@@ -5,9 +5,9 @@
     maintenance batch with {!batch_begin}/{!batch_end}; the algorithm
     layers publish the ambient stratum/phase {e context} sequentially
     before each parallel fan-out; [Rule_eval] calls {!record} once per
-    rule evaluation (from whichever domain ran it) with work deltas from
-    [Ivm_eval.Stats.local_since], so per-rule numbers stay exact under
-    parallel evaluation.  The finished batch backs the shell's
+    rule evaluation (from whichever domain ran it) with work deltas read
+    from that domain's own counter shards ([Ivm_eval.Stats.local_since]),
+    so per-rule numbers stay exact under parallel evaluation.  The finished batch backs the shell's
     [explain last], the monitor's [/statusz], cumulative labeled
     [/metrics] families ([ivm_rule_wall_ns_total{rule=…}] etc.), and an
     optional slow-batch JSON log line on stderr

@@ -1,49 +1,47 @@
 (** The metrics registry: named counters, gauges, and log₂-bucket
     histograms with optional labels.
 
-    Handles are cheap mutable records — registration does one hashtable
-    lookup, after which a bump is a single field write, so hot paths
-    register once and hold the handle (see [Ivm_eval.Stats]).  Registering
-    the same [(name, labels)] pair again returns the {e same} handle, so
+    Registration does one hashtable lookup and returns a handle; hot paths
+    register once and hold it (see [Ivm_eval.Stats]).  Registering the
+    same [(name, labels)] pair again returns the {e same} handle, so
     independent call sites share one time series.
+
+    {b Exact across domains.}  Counters and histograms are sharded per
+    domain: a bump does one domain-local read and one unsynchronised
+    write to the calling domain's shard — no atomic, no lock — so bumps
+    from any number of domains are never lost.  A domain allocates a
+    histogram's shard on its first observation.  Every read ({!counter_value},
+    the histogram reads, {!dump}, {!pp}, {!to_json}) merges the shards, so
+    a read taken after the bumping domains synchronised with the reader
+    (a pool batch join, [Domain.join]) is exact; a read racing a bump may
+    miss it, never tear it.  A domain's shard is folded into a retired
+    total when the domain exits, so joined domains' counts are kept.
+    {!local_value} reads the calling domain's shard alone.  Gauges are a
+    single cell with last-writer-wins semantics.
 
     Counters are {b overflow-safe}: additions saturate at [max_int] instead
     of wrapping negative.  {!reset} zeroes every registered metric but
     keeps all handles valid — snapshots taken before a reset are stale and
-    must not be subtracted across it (see [Ivm_eval.Stats.since]).
+    must not be subtracted across it (see [Ivm_eval.Stats.since]).  Like
+    {!zero}, it is exact only at quiescence: a bump racing it may survive.
 
     Histograms use base-2 log buckets: bucket 0 holds values [<= 0], bucket
     [i >= 1] holds values from [2^(i-1)] inclusive to [2^i] exclusive.
-    That fixes the memory cost (64 ints) while spanning nanosecond
-    latencies to billion-tuple sizes; {!percentile} answers with the
-    containing bucket's upper bound, i.e. within 2x of the true value.
+    That fixes the memory cost (64 ints per domain shard) while spanning
+    nanosecond latencies to billion-tuple sizes; {!percentile} answers
+    with the containing bucket's upper bound, i.e. within 2x of the true
+    value.
 
     The registry {e table} (registration, {!dump}, {!reset}, {!clear},
-    help texts) is mutex-protected and safe to use from any domain — the
-    live monitoring endpoint ([Ivm_monitor]) renders {!dump} from its
-    accept domain.  Bumps on handles stay plain field writes: a
-    concurrent reader can observe a slightly stale value, never a torn
-    one.  Producers needing exact cross-domain totals stage per-domain
-    state and fold in at quiescence ([Ivm_eval.Stats],
-    [Ivm_par.Pool]). *)
+    help texts) and the list of shards are mutex-protected and safe to
+    use from any domain — the live monitoring endpoint ([Ivm_monitor])
+    renders {!dump} from its accept domain. *)
 
 type labels = (string * string) list
 
-(** The handle records are deliberately concrete: hot paths read and
-    write the fields directly ([Ivm_eval.Stats] mirrors its per-domain
-    cell sums straight into [count]). *)
-
-type counter = { mutable count : int }
-
-type gauge = { mutable value : float }
-
-type histogram = {
-  buckets : int array;  (** 64 log₂ buckets *)
-  mutable hcount : int;
-  mutable hsum : int;
-  mutable hmin : int;
-  mutable hmax : int;
-}
+type counter
+type gauge
+type histogram
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
@@ -79,6 +77,13 @@ val observe : histogram -> int -> unit
 (* ---------------- reads ---------------- *)
 
 val counter_value : counter -> int
+
+(** [local_value ()] is the calling domain's shard, as a reader of its
+    own counts: [local_value () c] is the part of [c] this domain added
+    since the last {!reset}/{!zero}.  One domain-local read, however
+    many counters are then read through it. *)
+val local_value : unit -> counter -> int
+
 val gauge_value : gauge -> float
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> int
@@ -112,6 +117,10 @@ val dump : unit -> registered list
 
 (** Zero every registered metric; handles stay valid. *)
 val reset : unit -> unit
+
+(** Zero one counter in every domain's shard; other metrics keep their
+    values. *)
+val zero : counter -> unit
 
 (** Drop every registration and help text (tests use this for
     isolation).  Previously returned handles keep working but are no

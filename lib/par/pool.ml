@@ -26,11 +26,9 @@
 
     Observability: [ivm_par_pool_size] gauge, [ivm_par_batches_total]
     counter, and per-participant [ivm_par_tasks_total{domain=i}] counters
-    (domain 0 is the caller).  The pool's counters are pre-registered at
-    pool creation and each is bumped by exactly one domain, so they stay
-    race-free without atomics; the evaluator's work counters, bumped from
-    inside tasks by every domain, are per-domain cells merged on read
-    ([Ivm_eval.Stats]). *)
+    (domain 0 is the caller), pre-registered at pool creation.  Like every
+    registry counter they are exact whichever domains bump them
+    ({!Ivm_obs.Metrics}). *)
 
 module Metrics = Ivm_obs.Metrics
 

@@ -142,10 +142,9 @@ let clear r =
   Tbl.reset r.entries;
   Atomic.set r.indexes []
 
-(* Notified once per index actually built.  This layer cannot depend on
-   the evaluator's counters, so the observer is injected from above
-   ([Ivm_eval.Stats] installs itself at init). *)
-let on_index_build : (unit -> unit) ref = ref (fun () -> ())
+(* Bumped once per index actually built; [Ivm_eval.Stats.index_builds]
+   reads the same registered counter. *)
+let index_builds_c = Ivm_obs.Metrics.counter "ivm_index_builds_total"
 
 let build_index r cols =
   let idx = { cols; buckets = Tbl.create (max 16 (cardinal r)) } in
@@ -170,7 +169,7 @@ let get_index r cols =
       | None ->
         let idx = build_index r cols in
         Atomic.set r.indexes (idx :: Atomic.get r.indexes);
-        !on_index_build ();
+        Ivm_obs.Metrics.inc index_builds_c;
         idx
     in
     Mutex.unlock r.build_lock;

@@ -117,12 +117,6 @@ val equal_counted : t -> t -> bool
     column positions; subsequent {!add}s keep it current. *)
 val ensure_index : t -> int array -> unit
 
-(** Called once per index actually built (under the build lock).  This
-    layer has no dependency on the evaluator, so work accounting is
-    injected from above — [Ivm_eval.Stats] installs its counter here at
-    init.  Replace, don't chain, unless you save the previous value. *)
-val on_index_build : (unit -> unit) ref
-
 (** A probe access path resolved once — at plan-build time rather than per
     probe call.  Resolution classifies the column set (no columns → scan;
     the full tuple in natural order → direct main-table lookup; otherwise

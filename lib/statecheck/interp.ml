@@ -424,8 +424,8 @@ let exec (ctx : ctx) (step : Cmd.step) : unit =
     let vm_ref = ctx in
     let config =
       {
-        Monitor.status = (fun () -> Vm.status_json vm_ref.vm);
-        before_metrics = Ivm_eval.Stats.sync;
+        Monitor.default_config with
+        status = (fun () -> Vm.status_json vm_ref.vm);
         explain = Some (fun q -> Vm.explain_json vm_ref.vm q);
       }
     in

@@ -270,10 +270,8 @@ let test_attribution_batch () =
   Ivm_par.set_domains 1;
   Fun.protect ~finally:(fun () -> Ivm_par.set_domains prev_domains) @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting two_strata_src in
-  Ivm_eval.Stats.sync ();
   let stats_before = Ivm_eval.Stats.snapshot () in
   ignore (Vm.apply vm (Changes.insertions (Vm.program vm) "link" [ t2 "e" "f" ]));
-  Ivm_eval.Stats.sync ();
   let kernel = Ivm_eval.Stats.since stats_before in
   match Attribution.last () with
   | None -> Alcotest.fail "no batch recorded (attribution disabled?)"
@@ -412,8 +410,8 @@ let test_http_endpoints () =
     Monitor.start
       ~config:
         {
-          Monitor.status = (fun () -> Vm.status_json !vmref);
-          before_metrics = Ivm_eval.Stats.sync;
+          Monitor.default_config with
+          status = (fun () -> Vm.status_json !vmref);
           explain = Some (fun q -> Vm.explain_json !vmref q);
         }
       ~port:0 ()

@@ -90,6 +90,60 @@ let test_reset_keeps_handles () =
   Alcotest.(check int) "handle still live after reset" 1 (Metrics.counter_value c);
   Alcotest.(check int) "histogram handle still live" 1 (Metrics.histogram_count h)
 
+(* Bumps from concurrent domains are never lost, and a domain's counts
+   outlive it: four domains hammer one counter and one histogram, then a
+   run of short-lived domains each bump once and are joined. *)
+let test_exact_across_domains () =
+  let c = Metrics.counter "obs_test_exact" in
+  let h = Metrics.histogram "obs_test_exact_h" in
+  let per_domain = 1_000_000 and hammering = 4 and short_lived = 128 in
+  (* start together, so the bumps really overlap *)
+  let ready = Atomic.make 0 in
+  List.init hammering (fun _ ->
+      Domain.spawn (fun () ->
+          Atomic.incr ready;
+          while Atomic.get ready < hammering do
+            Domain.cpu_relax ()
+          done;
+          for _ = 1 to per_domain do
+            Metrics.inc c;
+            Metrics.observe h 2
+          done))
+  |> List.iter Domain.join;
+  for _ = 1 to short_lived do
+    Domain.join
+      (Domain.spawn (fun () ->
+           Metrics.inc c;
+           Metrics.observe h 2))
+  done;
+  let n = (hammering * per_domain) + short_lived in
+  Alcotest.(check int) "counter value" n (Metrics.counter_value c);
+  Alcotest.(check int) "histogram count" n (Metrics.histogram_count h);
+  Alcotest.(check int) "histogram sum" (2 * n) (Metrics.histogram_sum h);
+  Alcotest.(check int) "this domain's share" 0 (Metrics.local_value () c)
+
+(* [Metrics.reset] zeroes the evaluator's work counters too, in the
+   [Stats] reads and in the rendered exposition alike. *)
+let test_reset_zeroes_work () =
+  let module Vm = Ivm.View_manager in
+  let vm =
+    Vm.of_source ~algorithm:Vm.Counting
+      "hop(X, Y) :- link(X, Z), link(Z, Y).\nlink(a, b).\n"
+  in
+  ignore
+    (Vm.apply vm
+       (Changes.insertions (Vm.program vm) "link" [ Tuple.of_strs [ "b"; "c" ] ]));
+  Alcotest.(check bool) "the batch derived tuples" true (Stats.derivations () > 0);
+  Metrics.reset ();
+  Alcotest.(check int) "Stats.derivations zeroed" 0 (Stats.derivations ());
+  let sample =
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:"ivm_derivations_total " l)
+      (String.split_on_char '\n' (Ivm_monitor.Prometheus.render ()))
+  in
+  Alcotest.(check (option string)) "rendered sample zeroed"
+    (Some "ivm_derivations_total 0") sample
+
 let test_registry_json () =
   let g = Metrics.gauge ~labels:[ ("relation", "r") ] "obs_test_json_gauge" in
   Metrics.set g 42.;
@@ -243,10 +297,10 @@ let test_trace_multidomain_stress () =
 let test_stats_since_nesting () =
   Stats.reset ();
   let outer_before = Stats.snapshot () in
-  Stats.add_derivation ();
+  Metrics.inc Stats.derivations_c;
   let inner_before = Stats.snapshot () in
-  Stats.add_derivation ();
-  Stats.add_derivation ();
+  Metrics.inc Stats.derivations_c;
+  Metrics.inc Stats.derivations_c;
   let inner = Stats.since inner_before in
   let outer = Stats.since outer_before in
   Alcotest.(check int) "inner region work" 2 inner.Stats.snap_derivations;
@@ -255,11 +309,11 @@ let test_stats_since_nesting () =
 
 let test_stats_since_clamps_across_reset () =
   Stats.reset ();
-  Stats.add_probe ();
-  Stats.add_probe ();
+  Metrics.inc Stats.probes_c;
+  Metrics.inc Stats.probes_c;
   let before = Stats.snapshot () in
   Stats.reset ();
-  Stats.add_probe ();
+  Metrics.inc Stats.probes_c;
   let w = Stats.since before in
   Alcotest.(check int) "stale snapshot clamps at 0, never negative" 0
     w.Stats.snap_probes
@@ -329,6 +383,10 @@ let suite =
       test_histogram_percentiles;
     Alcotest.test_case "registry: reset keeps handles live" `Quick
       test_reset_keeps_handles;
+    Alcotest.test_case "registry: exact across domains, joined kept" `Quick
+      test_exact_across_domains;
+    Alcotest.test_case "registry: reset zeroes the work counters" `Quick
+      test_reset_zeroes_work;
     Alcotest.test_case "registry: JSON dump round-trips" `Quick
       test_registry_json;
     Alcotest.test_case "trace: disabled span is transparent" `Quick

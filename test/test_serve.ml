@@ -719,6 +719,44 @@ let outbox_overflow_drops_and_disconnects () =
       ignore (Client.apply c (pair_batch 999_999));
       Client.close c)
 
+(* Four reader domains bump the request counters and the request/stage
+   histograms concurrently; once the server has stopped (its domains
+   joined), every served request is counted exactly once. *)
+let request_metrics_exact () =
+  let was_enabled = Reqtrace.enabled () in
+  Reqtrace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Reqtrace.set_enabled was_enabled) @@ fun () ->
+  let queries = Metrics.counter ~labels:[ ("op", "query") ] "ivm_serve_requests_total" in
+  let query_ns = Metrics.histogram ~labels:[ ("op", "query") ] "ivm_serve_request_ns" in
+  let ack_ns = Metrics.histogram ~labels:[ ("stage", "ack") ] "ivm_serve_stage_ns" in
+  let q0 = Metrics.counter_value queries
+  and qn0 = Metrics.histogram_count query_ns
+  and ack0 = Metrics.histogram_count ack_ns in
+  let clients = 4 and k = 100 in
+  let vm = Vm.of_source ab_src in
+  let srv =
+    Server.start ~config:{ Server.default_config with readers = 4 } ~vm ~port:0 ()
+  in
+  (Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+   let port = Server.port srv in
+   List.init clients (fun d ->
+       Domain.spawn (fun () ->
+           let c = Client.connect ~port () in
+           for i = 1 to k do
+             ignore (Client.query c "both(X)");
+             ignore (Client.apply c (pair_batch ((d * k) + i)))
+           done;
+           Client.close c))
+   |> List.iter Domain.join);
+  Alcotest.(check int) "requests_total{op=query}" (clients * k)
+    (Metrics.counter_value queries - q0);
+  Alcotest.(check int) "request_ns{op=query} count" (clients * k)
+    (Metrics.histogram_count query_ns - qn0);
+  (* every request acks: a hello, k queries, k applies and a close each *)
+  Alcotest.(check int) "stage_ns{stage=ack} count"
+    (clients * ((2 * k) + 2))
+    (Metrics.histogram_count ack_ns - ack0)
+
 let suite =
   [
     request_roundtrip;
@@ -747,4 +785,6 @@ let suite =
       request_tracing_decomposed;
     quick "server: overflowing subscriber outbox is bounded"
       outbox_overflow_drops_and_disconnects;
+    quick "server: request metrics exact under 4 readers"
+      request_metrics_exact;
   ]
