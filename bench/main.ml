@@ -131,8 +131,34 @@ let micro_tests () =
            ignore (Recursive_counting.maintain db_rc ins_rc);
            ignore (Recursive_counting.maintain db_rc del_rc)))
   in
+  (* The wire layer every serve reply, WAL record and snapshot passes
+     through: a CRC over 64 KiB, and an [Applied] reply of about 20 KiB
+     (the size of negation_counting's) framed, CRC-checked and decoded. *)
+  let block = String.init (64 * 1024) (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  let t_crc =
+    Test.make ~name:"wire.crc32-64KiB"
+      (Staged.stage (fun () -> Ivm_wire.Crc32.digest block))
+  in
+  let applied =
+    let delta =
+      Relation.of_list 2
+        (List.init 790 (fun i ->
+             (Tuple.make [| Value.Int i; Value.Int (i * 7) |], if i land 1 = 0 then 1 else -1)))
+    in
+    Ivm_serve.Protocol.encode_response
+      (Ivm_serve.Protocol.Applied { seq = 1; deltas = [ ("hop", delta) ]; timings = [] })
+  in
+  let t_roundtrip =
+    Test.make ~name:"wire.applied-roundtrip-20KiB"
+      (Staged.stage (fun () ->
+           let frame = Ivm_wire.Frame.encode applied in
+           let payload = String.sub frame 8 (String.length frame - 8) in
+           if Ivm_wire.Crc32.digest payload <> String.get_int32_le frame 4 then
+             failwith "frame CRC";
+           Ivm_serve.Protocol.decode_response payload))
+  in
   Test.make_grouped ~name:"ivm"
-    [ t_e1; t_e1b; t_e2; t_e5; t_e6; t_e8; t_e10; t_e12 ]
+    [ t_e1; t_e1b; t_e2; t_e5; t_e6; t_e8; t_e10; t_e12; t_crc; t_roundtrip ]
 
 let run_micro () =
   let open Bechamel in

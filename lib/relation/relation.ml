@@ -298,9 +298,29 @@ let of_tuples arity l =
   List.iter (fun t -> add r t 1) l;
   r
 
+(* The entries in [Tuple.compare] order, in one array of the shared entry
+   records (no per-row pair).  Tuples can compare equal without being equal
+   (an [Int] and a [Float] past 2^53); the stable sort over the reverse of
+   [Tbl.iter] order keeps those in the order earlier releases encoded
+   them, so snapshots and frames stay byte-identical. *)
+let sorted_entries r =
+  match Tbl.to_seq_values r.entries () with
+  | Seq.Nil -> [||]
+  | Seq.Cons (e0, _) ->
+    let a = Array.make (cardinal r) e0 in
+    let i = ref (Array.length a) in
+    Tbl.iter
+      (fun _ e ->
+        decr i;
+        a.(!i) <- e)
+      r.entries;
+    Array.stable_sort (fun x y -> Tuple.compare x.etup y.etup) a;
+    a
+
+let iter_sorted f r = Array.iter (fun e -> f e.etup e.ecount) (sorted_entries r)
+
 let to_sorted_list r =
-  fold (fun t c acc -> (t, c) :: acc) r []
-  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+  Array.fold_right (fun e acc -> (e.etup, e.ecount) :: acc) (sorted_entries r) []
 
 let pp ppf r =
   let pp_entry ppf (t, c) =

@@ -148,6 +148,10 @@ val of_tuples : int -> Tuple.t list -> t
 (** Sorted [(tuple, count)] list — deterministic, for tests and printing. *)
 val to_sorted_list : t -> (Tuple.t * int) list
 
+(** [iter_sorted f r] calls [f tuple count] in {!to_sorted_list} order
+    without building the list — the wire codec's deterministic encoding. *)
+val iter_sorted : (Tuple.t -> int -> unit) -> t -> unit
+
 (** Prints as [{ab, ac 2, mn -1}] in tuple order, counts omitted when 1. *)
 val pp : Format.formatter -> t -> unit
 

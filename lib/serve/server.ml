@@ -507,9 +507,15 @@ let handle_request (t : t) r (s : session) ~(t0 : float)
     reply Bye;
     close_session t r s
 
+(* Until [hello], a peer is unauthenticated: it may declare a frame of at
+   most this many bytes, so it cannot make the reader allocate the 64 MiB
+   {!Frame.max_payload} before proving anything.  [hello] is a few dozen. *)
+let preauth_max_payload = 64 * 1024
+
 let handle_readable (t : t) r (s : session) =
   let t0 = Unix.gettimeofday () in
-  match Frame.read_fd s.fd with
+  let max_payload = if s.authed then Frame.max_payload else preauth_max_payload in
+  match Frame.read_fd ~max_payload s.fd with
   | exception Frame.Closed -> close_session t r s
   | exception Wire.Corrupt msg ->
     send t r s

@@ -41,6 +41,12 @@ type config = {
     publish_max_wait_s = 0.05; full_publish = false}] *)
 val default_config : config
 
+(** Largest frame payload (64 KiB) a session may declare before its
+    [hello] succeeds; a larger header is answered [bad_request] and the
+    session closed, before the payload is allocated
+    ([docs/PROTOCOL.md] §1).  A constant, not a config field. *)
+val preauth_max_payload : int
+
 type t
 
 (** Point-in-time counters, also exported through {!Ivm_obs.Metrics} as

@@ -56,11 +56,8 @@ let encode ~seq (db : Database.t) : string =
       Wire.put_string buf p;
       Wire.put_relation buf (Database.relation db p))
     preds;
-  let body = Buffer.contents buf in
-  let crc = Crc32.digest body in
-  let trailer = Buffer.create 4 in
-  Buffer.add_int32_le trailer crc;
-  body ^ Buffer.contents trailer
+  Buffer.add_int32_le buf (Crc32.digest (Buffer.contents buf));
+  Buffer.contents buf
 
 (* ---------------- decoding ---------------- *)
 

@@ -13,12 +13,16 @@ exception Closed
    hostile peer, not a real message; failing fast beats allocating. *)
 let max_payload = 1 lsl 26
 
-let encode (payload : string) : string =
-  let frame = Buffer.create (String.length payload + 8) in
-  Wire.put_u32 frame (String.length payload);
-  Buffer.add_int32_le frame (Crc32.digest payload);
-  Buffer.add_string frame payload;
-  Buffer.contents frame
+(* The whole frame in one block: header, then the payload blitted once. *)
+let frame_bytes (payload : string) : bytes =
+  let len = String.length payload in
+  let frame = Bytes.create (len + 8) in
+  Bytes.set_int32_le frame 0 (Int32.of_int len);
+  Bytes.set_int32_le frame 4 (Crc32.digest payload);
+  Bytes.blit_string payload 0 frame 8 len;
+  frame
+
+let encode payload = Bytes.unsafe_to_string (frame_bytes payload)
 
 let rec read_exact fd buf off len =
   if len > 0 then begin
@@ -27,26 +31,28 @@ let rec read_exact fd buf off len =
     read_exact fd buf (off + n) (len - n)
   end
 
-let read_fd fd : string =
+let read_fd ?(max_payload = max_payload) fd : string =
   let hdr = Bytes.create 8 in
   read_exact fd hdr 0 8;
   let len = Int32.to_int (Bytes.get_int32_le hdr 0) land 0xFFFFFFFF in
   if len > max_payload then
-    raise (Wire.Corrupt (Printf.sprintf "frame claims %d payload bytes" len));
+    raise
+      (Wire.Corrupt
+         (Printf.sprintf "frame claims %d payload bytes (limit %d)" len max_payload));
   let stored_crc = Bytes.get_int32_le hdr 4 in
   let payload = Bytes.create len in
   read_exact fd payload 0 len;
   let payload = Bytes.unsafe_to_string payload in
-  if Crc32.digest payload <> stored_crc then
+  let computed = Crc32.digest payload in
+  if computed <> stored_crc then
     raise
       (Wire.Corrupt
          (Printf.sprintf "frame CRC mismatch (stored %08lx, computed %08lx)"
-            stored_crc (Crc32.digest payload)));
+            stored_crc computed));
   payload
 
 let write_fd fd (payload : string) : unit =
-  let s = encode payload in
-  let b = Bytes.unsafe_of_string s in
+  let b = frame_bytes payload in
   let n = Bytes.length b in
   let off = ref 0 in
   while !off < n do

@@ -17,15 +17,19 @@ exception Closed
     peer, not a real message. *)
 val max_payload : int
 
-(** [encode payload] is the 8-byte header followed by [payload]. *)
+(** [encode payload] is the 8-byte header followed by [payload], built in
+    one allocation. *)
 val encode : string -> string
 
 (** Blocking read of exactly one frame; returns the verified payload.
+    [max_payload] (default {!max_payload}) caps the declared length: a
+    header naming more is rejected before the payload is allocated — the
+    server passes a small cap until a session has said [hello].
     @raise Closed on EOF mid-frame;
-    @raise Wire.Corrupt on an implausible length or CRC mismatch;
+    @raise Wire.Corrupt on a length above the cap or a CRC mismatch;
     @raise Unix.Unix_error as the underlying reads do (e.g. a socket
     receive timeout). *)
-val read_fd : Unix.file_descr -> string
+val read_fd : ?max_payload:int -> Unix.file_descr -> string
 
 (** Blocking write of one complete frame.  @raise Closed if the
     descriptor stops accepting bytes. *)

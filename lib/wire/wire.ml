@@ -38,11 +38,11 @@ let put_tuple buf t = Array.iter (put_value buf) (Tuple.to_array t)
 let put_relation buf r =
   put_u32 buf (Relation.arity r);
   put_u32 buf (Relation.cardinal r);
-  List.iter
-    (fun (t, c) ->
+  Relation.iter_sorted
+    (fun t c ->
       put_tuple buf t;
       put_i64 buf c)
-    (Relation.to_sorted_list r)
+    r
 
 (* ---------------- decoding ---------------- *)
 
@@ -107,6 +107,14 @@ let get_relation r =
   let arity = get_u32 r in
   if arity > 0xFFFF then corrupt r (Printf.sprintf "implausible arity %d" arity);
   let rows = get_u32 r in
+  (* The row count is untrusted and sizes the table: reject one the
+     remaining bytes cannot hold.  The smallest row is a 2-byte [Bool]
+     per column plus its 8-byte count. *)
+  let min_row = (2 * arity) + 8 in
+  if rows > remaining r / min_row then
+    corrupt r
+      (Printf.sprintf "%d rows of arity %d cannot fit in %d bytes" rows arity
+         (remaining r));
   let rel = Relation.create ~size:(max 16 rows) arity in
   for _ = 1 to rows do
     let t = get_tuple r ~arity in

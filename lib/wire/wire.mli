@@ -69,6 +69,11 @@ val get_i64 : reader -> int
 val get_string : reader -> string
 val get_value : reader -> Value.t
 val get_tuple : reader -> arity:int -> Tuple.t
+
+(** @raise Corrupt also when the declared row count cannot fit in the
+    remaining bytes (a row takes at least [2 * arity + 8]); the table is
+    sized only after that check, so a hostile header cannot force a large
+    allocation. *)
 val get_relation : reader -> Relation.t
 
 (** Fail decoding with a {!Corrupt} carrying the cursor position. *)

@@ -270,6 +270,70 @@ let truncated_frame_is_closed () =
       | _ -> Alcotest.fail "truncated frame accepted"
       | exception Frame.Closed -> ())
 
+(* A hostile or broken peer controls the 8 header bytes and how much
+   payload arrives.  Whatever it sends, [read_fd] ends in [Corrupt] or
+   [Closed] (or a verified payload, when the header was honest) and
+   allocates at most the capped declared length plus a constant. *)
+let hostile_frames_fail_bounded =
+  let cap = 64 * 1024 in
+  let gen =
+    QCheck.Gen.(
+      let declared =
+        oneof
+          [
+            int_range 0 4096;
+            int_range (cap - 8) (cap + 8);
+            int_range (cap + 1) 0xFFFFFFFF;
+            return 0xFFFFFFFF;
+          ]
+      in
+      declared >>= fun len ->
+      int_range 0 (min len 4096) >>= fun sent ->
+      int_range 0 8 >>= fun hdr ->
+      bool >>= fun honest_crc ->
+      string_size ~gen:char (return sent) >>= fun body ->
+      return (len, hdr, honest_crc, body))
+  in
+  let print (len, hdr, honest, body) =
+    Printf.sprintf "declared=%d header_bytes=%d honest_crc=%b sent=%d" len hdr
+      honest (String.length body)
+  in
+  let read (len, hdr, honest_crc, body) =
+    let frame = Bytes.create (8 + String.length body) in
+    Bytes.set_int32_le frame 0 (Int32.of_int len);
+    let crc = Ivm_wire.Crc32.digest body in
+    Bytes.set_int32_le frame 4 (if honest_crc then crc else Int32.lognot crc);
+    Bytes.blit_string body 0 frame 8 (String.length body);
+    (* a header cut short sends nothing after it *)
+    let n = if hdr < 8 then hdr else Bytes.length frame in
+    let r, w = Unix.pipe () in
+    ignore (Unix.write w frame 0 n);
+    Unix.close w;
+    Fun.protect
+      ~finally:(fun () -> Unix.close r)
+      (fun () ->
+        Util.allocated_words (fun () ->
+            match Frame.read_fd ~max_payload:cap r with
+            | p -> `Payload p
+            | exception Frame.Closed -> `Closed
+            | exception Wire.Corrupt _ -> `Corrupt))
+  in
+  q ~count:300 "frame: hostile headers and truncation fail, bounded"
+    (QCheck.make ~print gen) (fun ((len, hdr, honest_crc, body) as case) ->
+      let outcome, words = read case in
+      let expected =
+        if hdr < 8 then `Closed
+        else if len > cap then `Corrupt
+        else if String.length body < len then `Closed
+        else if honest_crc then `Payload body
+        else `Corrupt
+      in
+      let budget = float_of_int ((min len cap / 8) + 512) in
+      if outcome <> expected then QCheck.Test.fail_report "unexpected outcome";
+      if words > budget then
+        QCheck.Test.fail_reportf "allocated %.0f words (budget %.0f)" words budget;
+      true)
+
 (* ---------------- group commit ---------------- *)
 
 let fsyncs_counter = Metrics.counter "ivm_store_wal_fsyncs_total"
@@ -462,6 +526,41 @@ let handshake_gatekeeping () =
       | _ -> Alcotest.fail "unauthenticated ping not rejected");
       Unix.close fd;
       let c = Client.connect ~token:"s3cret" ~port () in
+      Client.ping c;
+      Client.close c)
+
+(* Sent before [hello]: an apply whose relation header declares 2^32 - 16
+   rows in a 21-byte payload, then a bare header declaring 1 MiB.  Each is
+   answered [bad_request] and its session closed; the one reader domain
+   survives both and serves the next client. *)
+let hostile_frames_before_hello () =
+  let config = { Server.default_config with readers = 1 } in
+  with_server ~config hop_src (fun srv _vm ->
+      let port = Server.port srv in
+      let expect_bad_request what fd =
+        (match Protocol.decode_response (Frame.read_fd fd) with
+        | Protocol.Error { code = Protocol.Bad_request; _ } -> ()
+        | _ -> Alcotest.failf "%s: no bad_request" what);
+        (match Frame.read_fd fd with
+        | _ -> Alcotest.failf "%s: session left open" what
+        | exception Frame.Closed -> ()
+        | exception Unix.Unix_error _ -> ());
+        Unix.close fd
+      in
+      let fd = raw_connect port in
+      Frame.write_fd fd (Util.hostile_apply_payload 0xFFFFFFF0);
+      expect_bad_request "hostile row count" fd;
+      let fd = raw_connect port in
+      let hdr = Bytes.make 8 '\000' in
+      Bytes.set_int32_le hdr 0 (Int32.of_int (1 lsl 20));
+      ignore (Unix.write fd hdr 0 8);
+      expect_bad_request "1 MiB frame before hello" fd;
+      (* once authenticated, frames past the pre-auth cap are read *)
+      let c = Client.connect ~port () in
+      let padded = String.make (Server.preauth_max_payload + 1) ' ' ^ "hop(a, X)" in
+      let _, rows = Client.query c padded in
+      Alcotest.(check int) "a > 64 KiB query is served after hello" 1
+        (Relation.cardinal rows);
       Client.ping c;
       Client.close c)
 
@@ -766,6 +865,7 @@ let suite =
     quick "codec: trailing bytes rejected" trailing_bytes_rejected;
     quick "frame: bit flip detected by CRC" corrupt_frame_rejected;
     quick "frame: truncation reads as Closed" truncated_frame_is_closed;
+    hostile_frames_fail_bounded;
     quick "apply_group: one fsync per group" group_commit_single_fsync;
     quick "apply_group: bad batch isolated, log stays clean"
       group_commit_isolates_bad_batch;
@@ -776,6 +876,8 @@ let suite =
     quick "server: dead subscriber does not wedge the writer"
       dead_subscriber_does_not_wedge_writer;
     quick "server: version and auth gatekeeping" handshake_gatekeeping;
+    quick "server: hostile frames before hello get bad_request"
+      hostile_frames_before_hello;
     quick "server: session and batch quotas" quotas_enforced;
     quick "server: acked batches survive kill and reopen"
       acked_batches_survive_reopen;

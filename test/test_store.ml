@@ -96,6 +96,154 @@ let wire_rejects_truncation () =
   | _ -> Alcotest.fail "truncated string decoded"
   | exception Wire.Corrupt _ -> ()
 
+(* A declared row count is untrusted: it must not size an allocation the
+   remaining bytes cannot back. *)
+let wire_rejects_hostile_row_count () =
+  List.iter
+    (fun rows ->
+      let payload = hostile_apply_payload rows in
+      let (), words =
+        allocated_words (fun () ->
+            match Ivm_serve.Protocol.decode_request payload with
+            | _ -> Alcotest.failf "%d declared rows decoded from 21 bytes" rows
+            | exception Wire.Corrupt _ -> ())
+      in
+      if words > 4096. then
+        Alcotest.failf "%d declared rows allocated %.0f words" rows words;
+      (* the codec on its own, with a body that is merely short *)
+      let buf = Buffer.create 64 in
+      Wire.put_u32 buf 2;
+      Wire.put_u32 buf rows;
+      Wire.put_value buf (Value.int 1);
+      match Wire.get_relation (Wire.reader (Buffer.contents buf)) with
+      | _ -> Alcotest.failf "%d declared rows decoded" rows
+      | exception Wire.Corrupt _ -> ())
+    [ 0xFFFFFFF0; 20_000_000 ]
+
+(* ------------------------------------------------------------------ *)
+(* Formats unchanged: CRC oracle, golden bytes, allocation guards        *)
+(* ------------------------------------------------------------------ *)
+
+(* The bytewise int32 table loop [Crc32] used before slicing-by-8, kept
+   as the oracle: every checksum in a store or frame written by the old
+   code must verify under the new one, and the other way round. *)
+let crc_oracle =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  fun crc s pos len ->
+    let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
+    for i = pos to pos + len - 1 do
+      let b = Int32.of_int (Char.code s.[i]) in
+      c :=
+        Int32.logxor
+          table.(Int32.to_int (Int32.logand (Int32.logxor !c b) 0xFFl))
+          (Int32.shift_right_logical !c 8)
+    done;
+    Int32.logxor !c 0xFFFFFFFFl
+
+let crc_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      string_size (int_range 0 300) >>= fun s ->
+      let n = String.length s in
+      int_range 0 n >>= fun pos ->
+      int_range pos n >>= fun split ->
+      int_range split n >>= fun stop -> return (s, pos, split, stop))
+  in
+  let print (s, pos, split, stop) =
+    Printf.sprintf "len=%d pos=%d split=%d stop=%d %S" (String.length s) pos
+      split stop s
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"crc32: slicing-by-8 = bytewise oracle"
+       (QCheck.make ~print gen) (fun (s, pos, split, stop) ->
+         let want = crc_oracle 0l s pos (stop - pos) in
+         let b = Bytes.of_string s in
+         Crc32.update 0l s pos (stop - pos) = want
+         && Crc32.update (Crc32.update 0l s pos (split - pos)) s split (stop - split)
+            = want
+         && Crc32.update_bytes
+              (Crc32.update_bytes 0l b pos (split - pos))
+              b split (stop - split)
+            = want
+         && crc_oracle (Crc32.update 0l s pos (split - pos)) s split (stop - split)
+            = want))
+
+(* Bytes produced before slicing-by-8 and the one-block frame builder. *)
+let golden_frame () =
+  let delta =
+    Relation.of_list 3
+      [
+        (Tuple.of_list [ Value.str "b"; Value.int (-7); Value.float 0.5 ], -1);
+        (Tuple.of_list [ Value.str "a"; Value.int 300; Value.bool true ], 2);
+      ]
+  in
+  let payload =
+    Ivm_serve.Protocol.encode_response
+      (Ivm_serve.Protocol.Applied
+         { seq = 42; deltas = [ ("hop", delta) ]; timings = [] })
+  in
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  Alcotest.(check string) "frame bytes"
+    ("5500000053af15b0842a000000000000000100000003000000686f70030000000200"
+   ^ "0000020100000061002c010000000000000301020000000000000002010000006200"
+   ^ "f9ffffffffffffff01000000000000e03fffffffffffffffff")
+    (hex (Ivm_wire.Frame.encode payload))
+
+let golden_snapshot () =
+  let db =
+    db_of_source ~semantics:Database.Duplicate_semantics
+      {|
+        link(a, b). link(a, b). link(b, c). link(c, d). link(a, d).
+        w(1, 2.5, "x y", true). w(-7, 0.125, "", false). w(3, 1.0, "z", true).
+        hop(X, Y) :- link(X, Z), link(Z, Y).
+        far(X) :- hop(X, Y), not link(X, Y).
+        named(Z, B) :- w(X, Y, Z, B).
+      |}
+  in
+  let s = Snapshot.encode ~seq:7 db in
+  Alcotest.(check int) "snapshot length" 545 (String.length s);
+  Alcotest.(check int32) "snapshot CRC trailer" 0x2388bd10l
+    (String.get_int32_le s (String.length s - 4));
+  Alcotest.(check string) "snapshot MD5" "dbd78399ec7c5bc93daf3ce8f12d1b5f"
+    (Digest.to_hex (Digest.string s))
+
+let allocation_guards () =
+  let at_most limit what f =
+    let r, words = allocated_words f in
+    ignore (Sys.opaque_identity r);
+    if words > limit then Alcotest.failf "%s allocated %.0f words (limit %.0f)" what words limit
+  in
+  let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  at_most 64. "Crc32.digest of 1 MiB" (fun () -> Crc32.digest mib);
+  let payload = String.sub mib 0 (64 * 1024) in
+  (* the frame: 8 header bytes + payload, one block with its header word *)
+  let block = float_of_int (((String.length payload + 8) / 8) + 2) in
+  at_most (block +. 64.) "Frame.encode of 64 KiB" (fun () -> Ivm_wire.Frame.encode payload);
+  let buf = Buffer.create (16 * 10_000) in
+  at_most 64. "10,000 put_i64 + put_u32" (fun () ->
+      for i = 1 to 10_000 do
+        Wire.put_i64 buf (i * -0x1234567);
+        Wire.put_u32 buf i
+      done);
+  let r = Wire.reader (Buffer.contents buf) in
+  at_most 64. "10,000 get_i64 + get_u32" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Wire.get_i64 r));
+        ignore (Sys.opaque_identity (Wire.get_u32 r))
+      done)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -354,6 +502,13 @@ let suite =
     quick "wire: values round-trip" wire_value_roundtrip;
     quick "wire: relations round-trip" wire_relation_roundtrip;
     quick "wire: truncation detected" wire_rejects_truncation;
+    quick "wire: hostile row count is Corrupt, not an allocation"
+      wire_rejects_hostile_row_count;
+    crc_matches_oracle;
+    quick "format: golden frame bytes" golden_frame;
+    quick "format: golden snapshot digest" golden_snapshot;
+    quick "wire: CRC, frame and integer codecs allocate per call, not per byte"
+      allocation_guards;
     quick "snapshot: round-trip" snapshot_roundtrip;
     quick "snapshot: duplicate semantics" snapshot_duplicate_semantics;
     quick "snapshot: aggregate indexes" snapshot_agg_indexes;

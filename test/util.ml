@@ -60,6 +60,27 @@ let rel_of_pairs s =
   in
   Relation.of_list 2 entries
 
+(** [f ()] and the words it allocated, minor plus major, measured from an
+    empty minor heap so that no promotion is counted as an allocation. *)
+let allocated_words f =
+  Gc.minor ();
+  let minor0, _, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, _, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0))
+
+(** A 21-byte [apply] request whose one relation (arity 2) declares
+    [rows] rows and carries none of them: a hostile row-count header. *)
+let hostile_apply_payload rows =
+  let empty =
+    Ivm_serve.Protocol.encode_request
+      (Ivm_serve.Protocol.Apply { changes = [ ("link", Relation.create 2) ]; trace = "" })
+  in
+  Alcotest.(check int) "apply header is 21 bytes" 21 (String.length empty);
+  let b = Bytes.of_string empty in
+  Bytes.set_int32_le b 17 (Int32.of_int rows);
+  Bytes.to_string b
+
 let check_rel ?(counted = true) msg expected actual =
   let t = if counted then relation_counted else relation_set in
   Alcotest.check t msg expected actual
