@@ -195,6 +195,9 @@ let parallel_sweep () : Json.t =
   let prev = Ivm_par.domains () in
   let results = List.map (fun d -> (d, run_with d)) [ 1; 2; 4 ] in
   Ivm_par.set_domains prev;
+  (* retire the sweep's worker domains: idle, they still join every
+     stop-the-world collection of the experiments that follow *)
+  Ivm_par.shutdown ();
   let t1, s1 = List.assoc 1 results in
   Json.Obj
     [
@@ -227,25 +230,43 @@ let parallel_sweep () : Json.t =
 (* ------------------------------------------------------------------ *)
 
 (** Time one cumulative pass of [batches] over a fresh copy of [db0]
-    with attribution forced to [enabled]; one warm-up pass, then the
-    best of three measured passes (minimum filters scheduler noise). *)
-let timed_pass db0 batches maintain enabled =
-  let prev = Ivm_obs.Attribution.enabled () in
+    with attribution forced to [enabled].  Each batch is bracketed by
+    [batch_begin]/[batch_end] as [View_manager] brackets it, so the on
+    passes pay for the whole instrument: the per-task samples, their
+    fold into the open batch, and the batch's finalization. *)
+let timed_pass db0 batches ~algorithm maintain enabled =
   Ivm_obs.Attribution.set_enabled enabled;
-  let measure () =
-    let db = Database.copy db0 in
-    let t0 = Unix.gettimeofday () in
-    List.iter (fun c -> ignore (maintain db c)) batches;
-    (Unix.gettimeofday () -. t0) *. 1e9
+  let db = Database.copy db0 in
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun c ->
+      let b0 = Unix.gettimeofday () in
+      Ivm_obs.Attribution.batch_begin ~algorithm;
+      ignore (maintain db c);
+      ignore
+        (Ivm_obs.Attribution.batch_end
+           ~total_wall_ns:(int_of_float ((Unix.gettimeofday () -. b0) *. 1e9))))
+    batches;
+  (Unix.gettimeofday () -. t0) *. 1e9
+
+let overhead_pairs = 15
+
+(** Median off and on pass times over [overhead_pairs] off/on pairs run
+    back to back after one warm-up of each, so drift in machine speed
+    lands on both sides alike. *)
+let off_on db0 batches ~algorithm maintain =
+  let prev = Ivm_obs.Attribution.enabled () in
+  let pass = timed_pass db0 batches ~algorithm maintain in
+  ignore (pass false);
+  ignore (pass true);
+  let pairs =
+    List.init overhead_pairs (fun _ ->
+        let off = pass false in
+        (off, pass true))
   in
-  ignore (measure ());
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let dt = measure () in
-    if dt < !best then best := dt
-  done;
   Ivm_obs.Attribution.set_enabled prev;
-  !best
+  let median l = percentile (Array.of_list (List.sort compare l)) 0.5 in
+  (median (List.map fst pairs), median (List.map snd pairs))
 
 (** E15: what does per-rule cost attribution cost?  The same seeded
     stream of mixed update batches is maintained with attribution off
@@ -264,8 +285,7 @@ let attribution_overhead () : Json.t =
         c)
   in
   let algo name maintain =
-    let off_ns = timed_pass db0 batches maintain false in
-    let on_ns = timed_pass db0 batches maintain true in
+    let off_ns, on_ns = off_on db0 batches ~algorithm:name maintain in
     Json.Obj
       [
         ("algorithm", Json.Str name);
@@ -282,8 +302,9 @@ let attribution_overhead () : Json.t =
           (Printf.sprintf
              "per-rule cost attribution on vs off: hop+tri_hop views, random \
               graph (%d nodes, %d edges), %d mixed batches of 3 del + 3 ins, \
-              best of 3 passes after warm-up"
-             nodes edges n_batches) );
+              each bracketed as a maintenance batch; medians of %d off/on \
+              pass pairs after warm-up"
+             nodes edges n_batches overhead_pairs) );
       ("batches", Json.int n_batches);
       ( "algorithms",
         Json.List

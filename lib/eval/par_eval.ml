@@ -18,7 +18,8 @@
       inside a task, so {!round} resolves every input of every seed once,
       sequentially, before fan-out;
     - {b commits are the only writes}; they run after all of the round's
-      tasks have finished;
+      tasks have finished, and so does the fold of each task's work
+      {!sample} into the open attribution batch, in the same task order;
     - {b no view outlives a commit}: views are resolved after the
       previous round's commits — by a seed's [inputs] inside its task,
       or by the fixpoint [step] that builds the round's seeds — and
@@ -42,6 +43,7 @@ module Relation_view = Ivm_relation.Relation_view
 module Tuple = Ivm_relation.Tuple
 module Metrics = Ivm_obs.Metrics
 module Trace = Ivm_obs.Trace
+module Attribution = Ivm_obs.Attribution
 
 (** Deterministically partition [r] into at most [chunks] disjoint parts
     by tuple hash (counts preserved).  Returns [[| r |]] unchanged when
@@ -88,10 +90,8 @@ let seeds ~rules ~inputs ~delta preds =
         (rules head))
     preds
 
-let task s at () =
-  let buf = Relation.create (Array.length s.rule.chead) in
-  let emit tup c = Relation.add buf tup c in
-  (match at with
+let run s at emit =
+  match at with
   | None -> Rule_eval.eval ~inputs:s.inputs ~emit s.rule
   | Some (pos, part) ->
     let inputs j =
@@ -99,13 +99,63 @@ let task s at () =
         Rule_eval.Enumerate (Relation_view.concrete part, Rule_eval.identity_count)
       else s.inputs j
     in
-    Rule_eval.eval ~seed:pos ~inputs ~emit s.rule);
-  buf
+    Rule_eval.eval ~seed:pos ~inputs ~emit s.rule
+
+(** What one task did: its wall time, the Δ-tuples it enumerated (the
+    chunk's cardinality), the tuples it emitted, and the work counters of
+    the domain that ran it — that domain's own shards, so concurrent
+    tasks never leak into the sample. *)
+type sample = { wall_ns : int; din : int; dout : int; work : Stats.snapshot }
+
+let measure s at buf =
+  let before = Stats.local_snapshot () and t0 = Unix.gettimeofday () in
+  let dout = ref 0 in
+  run s at (fun tup c ->
+      incr dout;
+      Relation.add buf tup c);
+  {
+    wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
+    din = (match at with None -> 0 | Some (_, part) -> Relation.cardinal part);
+    dout = !dout;
+    work = Stats.local_since before;
+  }
+
+(** Evaluate one (seed × chunk) into a private buffer.  When attribution
+    or tracing is on, the task is one [rule] span and returns its
+    {!sample}, which the span's args and the attribution fold share. *)
+let task s at () =
+  let buf = Relation.create (Array.length s.rule.chead) in
+  if not (Attribution.enabled () || Trace.enabled ()) then begin
+    run s at (Relation.add buf);
+    (buf, None)
+  end
+  else begin
+    let sample = ref None in
+    Trace.span "rule" ~cat:"rule_eval"
+      ~args:(fun () ->
+        match !sample with
+        | None -> []
+        | Some m ->
+          [
+            ("rule", s.rule.name);
+            ("derivations", string_of_int m.work.snap_derivations);
+            ("probes", string_of_int m.work.snap_probes);
+            ("scanned", string_of_int m.work.snap_tuples_scanned);
+          ])
+      (fun () -> sample := Some (measure s at buf));
+    (buf, !sample)
+  end
+
+let attribute rule m =
+  Attribution.add ~rule ~wall_ns:m.wall_ns ~din:m.din ~dout:m.dout
+    ~probes:m.work.snap_probes ~scanned:m.work.snap_tuples_scanned
+    ~derivations:m.work.snap_derivations ~index_builds:m.work.snap_index_builds
 
 (** One round: seeds with an empty delta are dropped; the rest are
     forced, split into [2 × domains] chunks (one with a single domain),
     evaluated across the pool, and their buffers committed in task
-    order. *)
+    order, each task's sample folded into the open attribution batch
+    just before its buffer. *)
 let round ~(commit : string -> Relation.t -> unit) (seeds : seed list) =
   let chunks = if Ivm_par.sequential () then 1 else 2 * Ivm_par.domains () in
   let tasks =
@@ -131,7 +181,12 @@ let round ~(commit : string -> Relation.t -> unit) (seeds : seed list) =
     |> Array.of_list
   in
   let outs = Ivm_par.parallel_map (Array.map (fun (s, at) -> task s at) tasks) in
-  Array.iteri (fun k buf -> commit (fst tasks.(k)).head buf) outs
+  Array.iteri
+    (fun k (buf, sample) ->
+      let s = fst tasks.(k) in
+      Option.iter (attribute s.rule.name) sample;
+      commit s.head buf)
+    outs
 
 (** A fixpoint engine's metric series ([ivm_fixpoint_rounds_total] and
     [ivm_fixpoint_delta_size], labelled [engine]) and, optionally, the

@@ -380,66 +380,15 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
     run 0 1
   end
 
-(** Δ-tuples seeding this evaluation: the cardinality of the seed
-    literal's input view (0 when there is no seed — full evaluation). *)
-let seed_cardinal ?seed ~(inputs : int -> subgoal_input) () =
-  match seed with
-  | None -> 0
-  | Some i -> (
-    match inputs i with
-    | Enumerate (v, _) | Filter_absent v -> Relation_view.cardinal_estimate v)
-
 (** Evaluate the body of [cr], calling [emit head_tuple count] once per
     derivation (the caller accumulates with [⊎]).  [seed], when given, is
     the body-literal index enumerated first — the delta position.  Literals
     whose input relation is empty short-circuit the whole evaluation.
 
-    When per-rule attribution is on ({!Ivm_obs.Attribution}, the
-    default), each evaluation reports its wall time, Δ-in/out and work
-    counters — measured on this domain's own counter shards
-    ({!Stats.local_since}), so concurrent domains' work is never
-    misattributed to this rule.  When tracing is on
-    ({!Ivm_obs.Trace}), each evaluation is additionally one [rule] span
-    carrying the same breakdown.  With both off, this is two boolean
-    checks over the bare evaluation. *)
+    Only the [ivm_rule_applications_total] counter is bumped here.  Per-rule
+    attribution and the [rule] trace span are taken once per task by the
+    round engine ({!Par_eval}), the one place maintenance rules run, so
+    ad-hoc queries are never measured as maintenance. *)
 let eval ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
   Ivm_obs.Metrics.inc Stats.rule_applications_c;
-  let traced f =
-    if not (Ivm_obs.Trace.enabled ()) then f ()
-    else begin
-      let before = Stats.snapshot () in
-      Ivm_obs.Trace.span "rule" ~cat:"rule_eval"
-        ~args:(fun () ->
-          let w = Stats.since before in
-          [
-            ("rule", cr.name);
-            ("derivations", string_of_int w.Stats.snap_derivations);
-            ("probes", string_of_int w.Stats.snap_probes);
-            ("scanned", string_of_int w.Stats.snap_tuples_scanned);
-          ])
-        f
-    end
-  in
-  if not (Ivm_obs.Attribution.enabled ()) then
-    traced (fun () -> eval_body ?seed ~inputs ~emit cr)
-  else begin
-    let before = Stats.local_snapshot () in
-    let din = seed_cardinal ?seed ~inputs () in
-    let dout = ref 0 in
-    let emit t c =
-      incr dout;
-      emit t c
-    in
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-        let w = Stats.local_since before in
-        Ivm_obs.Attribution.record
-          ~rule:cr.name
-          ~wall_ns ~din ~dout:!dout ~probes:w.Stats.snap_probes
-          ~scanned:w.Stats.snap_tuples_scanned
-          ~derivations:w.Stats.snap_derivations
-          ~index_builds:w.Stats.snap_index_builds)
-      (fun () -> traced (fun () -> eval_body ?seed ~inputs ~emit cr))
-  end
+  eval_body ?seed ~inputs ~emit cr

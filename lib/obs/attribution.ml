@@ -1,57 +1,20 @@
-(** Per-rule cost attribution for maintenance batches.
-
-    Aggregate counters ({!Metrics}, [Ivm_eval.Stats]) answer "how much
-    work happened"; this module answers {e which rule} did it.  Both the
-    literature on Datalog materialisation maintenance and our own bench
-    traces show batch cost concentrating in a few rules/strata, so the
-    evaluator records, per rule evaluation: wall time, Δ-tuples in/out,
-    join probes, tuples scanned, derivations, and demand-built overlay
-    indexes.  Rows aggregate per [(rule, stratum, phase)] into a bounded
-    per-batch table; the finished batch backs the shell's [explain last],
-    the monitor's [/statusz], labeled [/metrics] families, and a
-    slow-batch structured log line.
-
-    {b Lifecycle.}  [View_manager] brackets each maintenance batch with
-    {!batch_begin}/{!batch_end}.  In between, the algorithm layers
-    ([Seminaive], [Counting], [Dred], …) publish the ambient {e context}
-    — stratum and phase — sequentially {e before} each parallel fan-out
-    (every task of one fan-out shares that context), and [Rule_eval]
-    calls {!record} once per rule evaluation from whichever domain ran
-    it.  [record] takes plain ints so the work deltas can come from the
-    calling domain's own counter shards ([Ivm_eval.Stats.local_since] over
-    {!Metrics.local_value}; a global snapshot would fold other domains'
-    concurrent bumps into this rule).
-
-    {b Wall-time semantics.}  Row wall times are per-domain and overlap
-    under parallel fan-out, so their sum — {!type-batch.busy_wall_ns} —
-    can legitimately exceed the batch's elapsed
-    {!type-batch.total_wall_ns}; with one domain busy ≤ total (the
-    bracket also covers per-batch bookkeeping outside rule evaluation).
-
-    {b Cost.}  Attribution is on by default; set [IVM_ATTRIBUTION=0] (or
-    [off]/[false]/[no]) to disable, reducing {!record} to one boolean
-    load at each rule evaluation.  Measured overhead is recorded in
-    EXPERIMENTS.md E15. *)
+(* Per-rule cost attribution for maintenance batches — see the interface
+   for the lifecycle, the wall-time semantics and the cost. *)
 
 (* ---------------- enable switch ---------------- *)
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "IVM_ATTRIBUTION" with
-    | Some ("0" | "off" | "false" | "no" | "OFF" | "FALSE") -> false
-    | _ -> true)
-
+let enabled_flag = Instr.switch "IVM_ATTRIBUTION"
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 
 (* ---------------- ambient context ---------------- *)
 
-(* Set sequentially by the algorithm layer before each parallel fan-out;
-   worker domains only read it.  The pool's task handoff (mutex-guarded
-   queue) provides the happens-before edge, so a plain ref suffices. *)
+(* Set by the algorithm layer before each round, read by [add] on the
+   same, coordinating domain: both run between fan-outs, never during
+   one, so a plain ref suffices. *)
 let context : (int * string) ref = ref (0, "")
 
-(** [set_context ~stratum ~phase] tags subsequent {!record} calls.  Call
+(** [set_context ~stratum ~phase] tags subsequent {!add} calls.  Call
     from the coordinating domain only, never during a fan-out. *)
 let set_context ~stratum ~phase = context := (stratum, phase)
 
@@ -60,10 +23,10 @@ let get_context () = !context
 (* ---------------- labeled metrics ---------------- *)
 
 (* Cumulative per-rule families.  Counters are refreshed at batch_end
-   from the finalized rows (quiescent — no handle contention with
-   workers); the eval-time histogram is fed one real sample per rule
-   evaluation from [record], under the attribution lock.  Label
-   cardinality is bounded by the program's rule count plus max_rows. *)
+   from the finalized rows; the eval-time histogram is fed one real
+   sample per rule task from [add].  Both run on the coordinating
+   domain, so the handle cache needs no lock.  Label cardinality is
+   bounded by the program's rule count plus max_rows. *)
 type handles = {
   h_wall : Metrics.counter;
   h_din : Metrics.counter;
@@ -111,7 +74,7 @@ type row = {
   rule : string;
   stratum : int;
   phase : string;  (** e.g. ["delta"], ["delete"], ["rederive"], ["insert"] *)
-  mutable evals : int;  (** rule evaluations folded into this row *)
+  mutable evals : int;  (** rule tasks folded into this row *)
   mutable wall_ns : int;
   mutable din : int;  (** Δ-tuples seeding the evaluations *)
   mutable dout : int;  (** derivations emitted *)
@@ -126,12 +89,12 @@ type batch = {
   seq : int;  (** batch number since process start (1-based) *)
   total_wall_ns : int;  (** elapsed wall clock of the whole batch *)
   busy_wall_ns : int;  (** Σ row wall; may exceed total under parallelism *)
-  truncated : int;  (** evaluations folded into no row (table full) *)
+  truncated : int;  (** tasks folded into no row (table full) *)
   rows : row list;  (** wall-time descending *)
 }
 
 (* The table is bounded: a pathological program can't grow it without
-   limit.  Overflow evaluations are counted, not silently dropped. *)
+   limit.  Overflow tasks are counted, not silently dropped. *)
 let max_rows = 512
 
 type collecting = {
@@ -141,15 +104,12 @@ type collecting = {
   mutable c_truncated : int;
 }
 
-let lock = Mutex.create ()
 let batch_seq = ref 0
 let current : collecting option ref = ref None
-let history_limit = 8
-let history : batch list ref = ref []
+let history : batch Instr.Ring.t = Instr.Ring.create 8
 
 let batch_begin ~algorithm =
   if !enabled_flag then begin
-    Mutex.lock lock;
     incr batch_seq;
     current :=
       Some
@@ -158,49 +118,43 @@ let batch_begin ~algorithm =
           c_seq = !batch_seq;
           c_rows = Hashtbl.create 64;
           c_truncated = 0;
-        };
-    Mutex.unlock lock
+        }
   end
 
-(** Fold one rule evaluation into the current batch (no-op when disabled
-    or outside a batch).  Called from worker domains; serialized on an
-    internal lock — the lock is per {e rule evaluation}, not per tuple,
-    so contention stays negligible next to the join work itself. *)
-let record ~rule ~wall_ns ~din ~dout ~probes ~scanned ~derivations
-    ~index_builds =
-  if !enabled_flag then begin
-    Mutex.lock lock;
-    (match !current with
-    | None -> ()
-    | Some c -> (
-      (* one real sample per evaluation — the histogram's latency shape
-         is genuine, not a batch-end reconstruction from row means *)
-      Metrics.observe (handles_for rule).h_hist wall_ns;
-      let stratum, phase = !context in
-      let key = (rule, stratum, phase) in
-      match Hashtbl.find_opt c.c_rows key with
-      | Some r ->
-        r.evals <- r.evals + 1;
-        r.wall_ns <- r.wall_ns + wall_ns;
-        r.din <- r.din + din;
-        r.dout <- r.dout + dout;
-        r.probes <- r.probes + probes;
-        r.scanned <- r.scanned + scanned;
-        r.derivations <- r.derivations + derivations;
-        r.index_builds <- r.index_builds + index_builds
-      | None ->
-        if Hashtbl.length c.c_rows >= max_rows then
-          c.c_truncated <- c.c_truncated + 1
-        else
-          Hashtbl.replace c.c_rows key
-            { rule; stratum; phase; evals = 1; wall_ns; din; dout; probes;
-              scanned; derivations; index_builds }));
-    Mutex.unlock lock
-  end
+(** Fold one rule task's sample into the current batch (no-op when
+    disabled or outside a batch).  Called by the round engine on the
+    coordinating domain, in task order, beside the buffer commits — so
+    no lock. *)
+let add ~rule ~wall_ns ~din ~dout ~probes ~scanned ~derivations ~index_builds =
+  match !current with
+  | Some c when !enabled_flag -> (
+    (* one real sample per task — the histogram's latency shape is
+       genuine, not a batch-end reconstruction from row means *)
+    Metrics.observe (handles_for rule).h_hist wall_ns;
+    let stratum, phase = !context in
+    let key = (rule, stratum, phase) in
+    match Hashtbl.find_opt c.c_rows key with
+    | Some r ->
+      r.evals <- r.evals + 1;
+      r.wall_ns <- r.wall_ns + wall_ns;
+      r.din <- r.din + din;
+      r.dout <- r.dout + dout;
+      r.probes <- r.probes + probes;
+      r.scanned <- r.scanned + scanned;
+      r.derivations <- r.derivations + derivations;
+      r.index_builds <- r.index_builds + index_builds
+    | None ->
+      if Hashtbl.length c.c_rows >= max_rows then
+        c.c_truncated <- c.c_truncated + 1
+      else
+        Hashtbl.replace c.c_rows key
+          { rule; stratum; phase; evals = 1; wall_ns; din; dout; probes;
+            scanned; derivations; index_builds })
+  | _ -> ()
 
 (* Refresh the cumulative per-rule counters from the finalized rows —
-   O(rows), not O(evaluations); the histogram was already fed per-eval
-   in [record]. *)
+   O(rows), not O(tasks); the histogram was already fed per task in
+   [add]. *)
 let publish_metrics (rows : row list) =
   List.iter
     (fun r ->
@@ -214,11 +168,7 @@ let publish_metrics (rows : row list) =
 
 (* ---------------- slow-batch log ---------------- *)
 
-let slow_threshold_ms : float option ref =
-  ref
-    (match Sys.getenv_opt "IVM_SLOW_BATCH_MS" with
-    | Some s -> float_of_string_opt s
-    | None -> None)
+let slow_threshold_ms = Instr.threshold "IVM_SLOW_BATCH_MS"
 
 (** Override the [IVM_SLOW_BATCH_MS] threshold ([None] disables). *)
 let set_slow_threshold_ms t = slow_threshold_ms := t
@@ -250,24 +200,15 @@ let batch_json (b : batch) : Json.t =
       ("rules", Json.List (List.map row_json b.rows));
     ]
 
-let log_slow (b : batch) threshold_ms =
-  let total_ms = float_of_int b.total_wall_ns /. 1e6 in
-  if total_ms > threshold_ms then begin
-    let top = List.filteri (fun i _ -> i < 3) b.rows in
-    let line =
-      Json.Obj
-        [
-          ("event", Json.Str "slow_batch");
-          ("algorithm", Json.Str b.algorithm);
-          ("seq", Json.int b.seq);
-          ("total_ms", Json.Num total_ms);
-          ("threshold_ms", Json.Num threshold_ms);
+let log_slow (b : batch) =
+  Instr.slow_log slow_threshold_ms ~event:"slow_batch" ~total_ns:b.total_wall_ns
+    (fun timing ->
+      [ ("algorithm", Json.Str b.algorithm); ("seq", Json.int b.seq) ]
+      @ timing
+      @ [
           ("busy_ms", Json.Num (float_of_int b.busy_wall_ns /. 1e6));
-          ("top_rules", Json.List (List.map row_json top));
-        ]
-    in
-    prerr_endline (Json.to_string line)
-  end
+          ("top_rules", Json.List (List.map row_json (List.filteri (fun i _ -> i < 3) b.rows)));
+        ])
 
 (* ---------------- finalization & access ---------------- *)
 
@@ -276,63 +217,39 @@ let log_slow (b : batch) threshold_ms =
     slow-batch log line if over threshold.  Returns the finalized batch
     ([None] when attribution is off or no batch was open). *)
 let batch_end ~total_wall_ns : batch option =
-  if not !enabled_flag then None
-  else begin
-    Mutex.lock lock;
-    let finished =
-      match !current with
-      | None -> None
-      | Some c ->
-        current := None;
-        let rows = Hashtbl.fold (fun _ r acc -> r :: acc) c.c_rows [] in
-        let rows =
-          List.sort
-            (fun a b ->
-              match compare b.wall_ns a.wall_ns with
-              | 0 -> compare (a.rule, a.stratum, a.phase) (b.rule, b.stratum, b.phase)
-              | n -> n)
-            rows
-        in
-        let busy = List.fold_left (fun acc r -> acc + r.wall_ns) 0 rows in
-        let b =
-          {
-            algorithm = c.c_algorithm;
-            seq = c.c_seq;
-            total_wall_ns;
-            busy_wall_ns = busy;
-            truncated = c.c_truncated;
-            rows;
-          }
-        in
-        history := b :: (if List.length !history >= history_limit
-                         then List.filteri (fun i _ -> i < history_limit - 1) !history
-                         else !history);
-        Some b
+  match !current with
+  | Some c when !enabled_flag ->
+    current := None;
+    let rows = Hashtbl.fold (fun _ r acc -> r :: acc) c.c_rows [] in
+    let rows =
+      List.sort
+        (fun a b ->
+          match compare b.wall_ns a.wall_ns with
+          | 0 -> compare (a.rule, a.stratum, a.phase) (b.rule, b.stratum, b.phase)
+          | n -> n)
+        rows
     in
-    Mutex.unlock lock;
-    (match finished with
-    | Some b ->
-      publish_metrics b.rows;
-      (match !slow_threshold_ms with
-      | Some t -> log_slow b t
-      | None -> ())
-    | None -> ());
-    finished
-  end
+    let b =
+      {
+        algorithm = c.c_algorithm;
+        seq = c.c_seq;
+        total_wall_ns;
+        busy_wall_ns = List.fold_left (fun acc r -> acc + r.wall_ns) 0 rows;
+        truncated = c.c_truncated;
+        rows;
+      }
+    in
+    Instr.Ring.push history b;
+    publish_metrics b.rows;
+    log_slow b;
+    Some b
+  | _ -> None
 
 (** Most recently finished batch, if any. *)
-let last () : batch option =
-  Mutex.lock lock;
-  let b = match !history with [] -> None | b :: _ -> Some b in
-  Mutex.unlock lock;
-  b
+let last () : batch option = Instr.Ring.newest history
 
 (** Finished batches, newest first (bounded history). *)
-let recent () : batch list =
-  Mutex.lock lock;
-  let bs = !history in
-  Mutex.unlock lock;
-  bs
+let recent () : batch list = Instr.Ring.newest_first history
 
 (* ---------------- rendering ---------------- *)
 

@@ -3,30 +3,33 @@
     Aggregate counters answer "how much work happened"; this module
     answers {e which rule} did it.  [View_manager] brackets each
     maintenance batch with {!batch_begin}/{!batch_end}; the algorithm
-    layers publish the ambient stratum/phase {e context} sequentially
-    before each parallel fan-out; [Rule_eval] calls {!record} once per
-    rule evaluation (from whichever domain ran it) with work deltas read
-    from that domain's own counter shards ([Ivm_eval.Stats.local_since]),
-    so per-rule numbers stay exact under parallel evaluation.  The finished batch backs the shell's
-    [explain last], the monitor's [/statusz], cumulative labeled
-    [/metrics] families ([ivm_rule_wall_ns_total{rule=…}] etc.), and an
-    optional slow-batch JSON log line on stderr
-    ([IVM_SLOW_BATCH_MS]).
+    layers publish the ambient stratum/phase {e context} before each
+    round.  The round engine ([Ivm_eval.Par_eval]) is the one place that
+    runs maintenance rules: each rule task measures its own work (wall
+    time, Δ-tuples in/out, and probes/scans/derivations/index builds read
+    from the running domain's counter shards, so per-rule numbers stay
+    exact under parallel evaluation), and the coordinating domain folds
+    the samples in task order through {!add}, beside the buffer commits.
+    Ad-hoc queries do not run on the round engine and are never
+    attributed.  The finished batch backs the shell's [explain last], the
+    monitor's [/statusz], cumulative labeled [/metrics] families
+    ([ivm_rule_wall_ns_total{rule=…}] etc.), and an optional slow-batch
+    JSON log line on stderr ([IVM_SLOW_BATCH_MS]).
 
     Row wall times are per-domain and overlap under parallel fan-out, so
     {!type-batch.busy_wall_ns} (their sum) may exceed the elapsed
     {!type-batch.total_wall_ns}; with one domain, busy ≤ total.
 
     On by default; [IVM_ATTRIBUTION=0] (or [off]/[false]/[no]) disables,
-    reducing {!record} to a boolean load.  Overhead is measured in
-    EXPERIMENTS.md E15. *)
+    so tasks take no sample unless tracing is on.  Overhead is measured
+    in EXPERIMENTS.md E15. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-(** Tag subsequent {!record} calls with a stratum and phase (e.g.
+(** Tag subsequent {!add} calls with a stratum and phase (e.g.
     ["delta"], ["delete"], ["rederive"], ["insert"]).  Call from the
-    coordinating domain only, before a fan-out — never during one. *)
+    coordinating domain only, before a round — never during one. *)
 val set_context : stratum:int -> phase:string -> unit
 
 val get_context : unit -> int * string
@@ -35,7 +38,7 @@ type row = {
   rule : string;
   stratum : int;
   phase : string;
-  mutable evals : int;  (** rule evaluations folded into this row *)
+  mutable evals : int;  (** rule tasks folded into this row *)
   mutable wall_ns : int;
   mutable din : int;  (** Δ-tuples seeding the evaluations *)
   mutable dout : int;  (** tuples derived *)
@@ -50,7 +53,7 @@ type batch = {
   seq : int;  (** batch number since process start (1-based) *)
   total_wall_ns : int;  (** elapsed wall clock of the whole batch *)
   busy_wall_ns : int;  (** Σ row wall; may exceed total under parallelism *)
-  truncated : int;  (** evaluations folded into no row (table full) *)
+  truncated : int;  (** tasks folded into no row (table full) *)
   rows : row list;  (** wall-time descending *)
 }
 
@@ -62,10 +65,11 @@ val max_rows : int
     disabled). *)
 val batch_begin : algorithm:string -> unit
 
-(** Fold one rule evaluation into the current batch — a no-op when
-    disabled or outside a batch.  Safe from worker domains (internal
-    lock, taken once per rule evaluation). *)
-val record :
+(** Fold one rule task's sample into the current batch — a no-op when
+    disabled or outside a batch.  Coordinating domain only: the round
+    engine calls it in task order after the round's fan-out, so there is
+    no lock. *)
+val add :
   rule:string -> wall_ns:int -> din:int -> dout:int -> probes:int ->
   scanned:int -> derivations:int -> index_builds:int -> unit
 

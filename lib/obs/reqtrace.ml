@@ -25,11 +25,7 @@
 
 (* ---------------- enable switch ---------------- *)
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "IVM_REQTRACE" with
-    | Some ("0" | "off" | "false" | "no" | "OFF" | "FALSE") -> false
-    | _ -> true)
+let enabled_flag = Instr.switch "IVM_REQTRACE"
 
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
@@ -107,39 +103,29 @@ let timings (rq : t option) : (string * int) list =
 
 (* ---------------- metric sinks ---------------- *)
 
-(* one registry lookup per distinct stage/op, then shared handles *)
-let hist_lock = Mutex.create ()
-let stage_hists : (string, Metrics.histogram) Hashtbl.t = Hashtbl.create 16
-let op_hists : (string, Metrics.histogram) Hashtbl.t = Hashtbl.create 4
-
-let memo lock tbl make key =
-  Mutex.lock lock;
-  let h =
-    match Hashtbl.find_opt tbl key with
+(* The registry hands back the same handle for the same series, but each
+   registration is a locked registry lookup, and [finish] would make ten
+   per apply from every reader domain — measurably fewer requests served
+   (EXPERIMENTS.md E19).  So each family keeps the handles it has seen in
+   an immutable list behind an atomic: hits take no lock, and an entry
+   lost to a racing append only costs one more lookup. *)
+let family name label ~help =
+  let seen = Atomic.make [] in
+  fun v ->
+    match List.assoc_opt v (Atomic.get seen) with
     | Some h -> h
     | None ->
-      let h = make key in
-      Hashtbl.replace tbl key h;
+      let h = Metrics.histogram ~labels:[ (label, v) ] name ~help in
+      Atomic.set seen ((v, h) :: Atomic.get seen);
       h
-  in
-  Mutex.unlock lock;
-  h
 
-let stage_hist stage =
-  memo hist_lock stage_hists
-    (fun stage ->
-      Metrics.histogram
-        ~labels:[ ("stage", stage) ]
-        "ivm_serve_stage_ns"
-        ~help:"Serve-path request latency decomposed by stage, nanoseconds")
-    stage
+let stage_hist =
+  family "ivm_serve_stage_ns" "stage"
+    ~help:"Serve-path request latency decomposed by stage, nanoseconds"
 
-let op_hist op =
-  memo hist_lock op_hists
-    (fun op ->
-      Metrics.histogram ~labels:[ ("op", op) ] "ivm_serve_request_ns"
-        ~help:"End-to-end request latency (decode to ack written), nanoseconds")
-    op
+let op_hist =
+  family "ivm_serve_request_ns" "op"
+    ~help:"End-to-end request latency (decode to ack written), nanoseconds"
 
 (* ---------------- completed-request ring ---------------- *)
 
@@ -153,30 +139,12 @@ type completed = {
 }
 
 let ring_capacity = 128
-let ring_lock = Mutex.create ()
-let ring : completed list ref = ref []  (* newest first, bounded *)
-let ring_len = ref 0
-
-let push_completed c =
-  Mutex.lock ring_lock;
-  ring := c :: (if !ring_len >= ring_capacity then
-                  List.filteri (fun i _ -> i < ring_capacity - 1) !ring
-                else !ring);
-  ring_len := min ring_capacity (!ring_len + 1);
-  Mutex.unlock ring_lock
+let ring : completed Instr.Ring.t = Instr.Ring.create ring_capacity
 
 (** Completed requests, newest first (bounded to [ring_capacity]). *)
-let recent () : completed list =
-  Mutex.lock ring_lock;
-  let l = !ring in
-  Mutex.unlock ring_lock;
-  l
+let recent () : completed list = Instr.Ring.newest_first ring
 
-let reset () =
-  Mutex.lock ring_lock;
-  ring := [];
-  ring_len := 0;
-  Mutex.unlock ring_lock
+let reset () = Instr.Ring.clear ring
 
 let stage_json (c : completed) (s : stage) =
   Json.Obj
@@ -210,30 +178,17 @@ let recent_json () : Json.t =
 
 (* ---------------- slow-request log ---------------- *)
 
-let slow_threshold_ms : float option ref =
-  ref
-    (match Sys.getenv_opt "IVM_SLOW_REQUEST_MS" with
-    | Some s -> float_of_string_opt s
-    | None -> None)
+let slow_threshold_ms = Instr.threshold "IVM_SLOW_REQUEST_MS"
 
 (** Override the [IVM_SLOW_REQUEST_MS] threshold ([None] disables). *)
 let set_slow_threshold_ms t = slow_threshold_ms := t
 
-let log_slow (c : completed) threshold_ms =
-  let total_ms = float_of_int c.c_total_ns /. 1e6 in
-  if total_ms > threshold_ms then
-    prerr_endline
-      (Json.to_string
-         (Json.Obj
-            [
-              ("event", Json.Str "slow_request");
-              ("id", Json.Str c.c_id);
-              ("sid", Json.int c.c_sid);
-              ("op", Json.Str c.c_op);
-              ("total_ms", Json.Num total_ms);
-              ("threshold_ms", Json.Num threshold_ms);
-              ("stages", Json.List (List.map (stage_json c) c.c_stages));
-            ]))
+let log_slow (c : completed) =
+  Instr.slow_log slow_threshold_ms ~event:"slow_request" ~total_ns:c.c_total_ns
+    (fun timing ->
+      [ ("id", Json.Str c.c_id); ("sid", Json.int c.c_sid); ("op", Json.Str c.c_op) ]
+      @ timing
+      @ [ ("stages", Json.List (List.map (stage_json c) c.c_stages)) ])
 
 (* ---------------- completion ---------------- *)
 
@@ -271,10 +226,8 @@ let finish (rq : t option) : int option =
         c_stages = stages;
       }
     in
-    push_completed c;
-    (match !slow_threshold_ms with
-    | Some th -> log_slow c th
-    | None -> ());
+    Instr.Ring.push ring c;
+    log_slow c;
     if Trace.enabled () then begin
       let args =
         [ ("req", r.id); ("sid", string_of_int r.sid); ("op", r.op) ]

@@ -5,7 +5,8 @@
     span records a Chrome [trace_event] {e complete} event (["ph": "X"])
     with microsecond timestamp and duration, delivered to two sinks:
 
-    - an in-memory {b ring buffer} (always, bounded, oldest dropped);
+    - an in-memory {b ring buffer} ({!Instr.Ring}: always, bounded,
+      oldest dropped);
     - an optional {b JSONL writer} whose output loads directly in
       [chrome://tracing] / Perfetto: the file is a JSON array — an opening
       bracket, then one event object per line (the spec makes the closing
@@ -38,36 +39,27 @@ type event = {
 type state = {
   mutable on : bool;
   mutable t0 : float;  (** [Unix.gettimeofday] at enable-time *)
-  mutable ring : event array;
-  mutable ring_len : int;  (** events stored (≤ capacity) *)
-  mutable ring_next : int;  (** next write slot *)
+  mutable ring : event Instr.Ring.t;  (** replaced, with its drop count, at enable *)
   mutable chan : out_channel option;
   mutable path : string option;
   mutable depth : int;
-  mutable dropped : int;  (** ring evictions since enable *)
 }
 
-let dummy_event =
-  { kind = Instant; name = ""; cat = ""; ts_us = 0.; dur_us = 0.; depth = 0;
-    tid = 0; id = 0; args = [] }
-
 let self_tid () = (Domain.self () :> int)
+
+let default_capacity = 4096
 
 let state =
   {
     on = false;
     t0 = 0.;
-    ring = [||];
-    ring_len = 0;
-    ring_next = 0;
+    ring = Instr.Ring.create default_capacity;
     chan = None;
     path = None;
     depth = 0;
-    dropped = 0;
   }
 
 let enabled () = state.on
-let default_capacity = 4096
 
 (* Trace loss is itself observable: /metrics exposes how many events the
    ring evicted and how big the ring is, so a truncated /trace drain is
@@ -82,10 +74,10 @@ let capacity_gauge =
 
 (* Spans can be emitted from worker domains during parallel fan-out
    ([Ivm_par]) and from every serve-path domain (readers, writer,
-   accept); the ring cursor and file channel are shared, so event
-   emission is serialized on [record_lock].  Control operations
-   ([enable]/[disable]) take the same lock: they swap the ring array and
-   the file channel, and an emitter caught between the [state.on] check
+   accept); the file channel is shared, so event emission is serialized
+   on [record_lock] (the ring also guards itself).  Control operations
+   ([enable]/[disable]) take the same lock: they swap the ring and the
+   file channel, and an emitter caught between the [state.on] check
    and [record] must land in either the old or the new sink — never in
    a closed channel or a torn ring.  The [depth] counter stays a
    best-effort plain field: concurrent spans would interleave depths
@@ -95,18 +87,6 @@ let record_lock = Mutex.create ()
 let now_us () = (Unix.gettimeofday () -. state.t0) *. 1e6
 
 (* ---------------- sinks ---------------- *)
-
-let record_ring ev =
-  let cap = Array.length state.ring in
-  if cap > 0 then begin
-    if state.ring_len = cap then begin
-      state.dropped <- state.dropped + 1;
-      Metrics.set dropped_gauge (float_of_int state.dropped)
-    end
-    else state.ring_len <- state.ring_len + 1;
-    state.ring.(state.ring_next) <- ev;
-    state.ring_next <- (state.ring_next + 1) mod cap
-  end
 
 let event_json ev =
   let ph =
@@ -149,7 +129,9 @@ let record ev =
   (* re-check under the lock: [disable] may have closed the sinks between
      the caller's [state.on] test and here *)
   if state.on then begin
-    record_ring ev;
+    Instr.Ring.push state.ring ev;
+    let dropped = Instr.Ring.dropped state.ring in
+    if dropped > 0 then Metrics.set dropped_gauge (float_of_int dropped);
     match state.chan with
     | None -> ()
     | Some oc ->
@@ -162,15 +144,12 @@ let record ev =
 
 (* ring/channel swaps happen under [record_lock] so concurrent emitters
    (multiple domains are live whenever the server or the parallel pool
-   runs) never write into a freed ring slot or a closed channel *)
+   runs) never write into a replaced ring or a closed channel *)
 let enable_locked ?(capacity = default_capacity) ?chan ?path () =
   Mutex.lock record_lock;
   state.t0 <- Unix.gettimeofday ();
-  state.ring <- Array.make capacity dummy_event;
-  state.ring_len <- 0;
-  state.ring_next <- 0;
+  state.ring <- Instr.Ring.create capacity;
   state.depth <- 0;
-  state.dropped <- 0;
   state.chan <- chan;
   state.path <- path;
   state.on <- true;
@@ -205,35 +184,16 @@ let disable () =
   written
 
 let file_path () = state.path
-let dropped () = state.dropped
-
-(* Readers race worker-domain emission, so snapshots take [record_lock]. *)
-let ring_snapshot () =
-  let cap = Array.length state.ring in
-  if cap = 0 || state.ring_len = 0 then []
-  else begin
-    let start = (state.ring_next - state.ring_len + cap) mod cap in
-    List.init state.ring_len (fun i -> state.ring.((start + i) mod cap))
-  end
+let dropped () = Instr.Ring.dropped state.ring
 
 (** Ring contents, oldest first. *)
-let ring_events () : event list =
-  Mutex.lock record_lock;
-  let evs = ring_snapshot () in
-  Mutex.unlock record_lock;
-  evs
+let ring_events () : event list = Instr.Ring.oldest_first state.ring
 
 (** Ring contents oldest first, emptying the ring atomically — consumed
     by the monitor's [/trace] endpoint so repeated drains see disjoint
     event batches.  [dropped] accounting is untouched (it counts ring
     evictions, not drains). *)
-let drain () : event list =
-  Mutex.lock record_lock;
-  let evs = ring_snapshot () in
-  state.ring_len <- 0;
-  state.ring_next <- 0;
-  Mutex.unlock record_lock;
-  evs
+let drain () : event list = Instr.Ring.drain state.ring
 
 (** Events as a Chrome [trace_event] JSON array (the same object shape
     the file sink writes line by line). *)

@@ -61,8 +61,7 @@ let table : entry Tbl.t = Tbl.create 4096
    membership test can start with a pointer compare. *)
 let interned_rules : (string, string) Hashtbl.t = Hashtbl.create 64
 let seq = ref 0
-let ring : batch_info list ref = ref []
-let ring_cap = 64
+let ring : batch_info Ivm_obs.Instr.Ring.t = Ivm_obs.Instr.Ring.create 64
 let max_events = 16
 let last_truncate_reason : string option ref = ref None
 
@@ -152,7 +151,7 @@ let reset_store () =
   n_subgoals := 0;
   n_events := 0;
   seq := 0;
-  ring := [];
+  Ivm_obs.Instr.Ring.clear ring;
   last_truncate_reason := None;
   sync_gauges ()
 
@@ -268,9 +267,7 @@ let batch_begin ~algorithm =
   if capturing () then
     locked (fun () ->
         incr seq;
-        ring := { seq = !seq; algorithm } :: !ring;
-        if List.length !ring > ring_cap then
-          ring := List.filteri (fun i _ -> i < ring_cap) !ring)
+        Ivm_obs.Instr.Ring.push ring { seq = !seq; algorithm })
 
 let current_batch () = !seq
 
@@ -361,7 +358,7 @@ let lineage_of ~pred tup =
               events = e.events;
             })
 
-let batches () = !ring
+let batches () = Ivm_obs.Instr.Ring.newest_first ring
 let supports_stored () = !n_supports
 let tuples_tracked () = !n_entries
 

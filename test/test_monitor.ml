@@ -4,13 +4,14 @@
     (escaping round-trips, header/sample structure, histogram
     bucket/sum/count consistency against the registry's own
     accounting), unit tests of the attribution table's batch invariants
-    (per-stratum wall sums vs the recorded totals, sequentially at one
-    domain), and an HTTP smoke test against a live server on an
+    (per-stratum wall sums vs the recorded totals; row and traced-span
+    work partitioning the kernel counters at one and four domains), and an HTTP smoke test against a live server on an
     ephemeral port — real sockets, real requests. *)
 
 module Metrics = Ivm_obs.Metrics
 module Json = Ivm_obs.Json
 module Attribution = Ivm_obs.Attribution
+module Trace = Ivm_obs.Trace
 module Prometheus = Ivm_monitor.Prometheus
 module Monitor = Ivm_monitor.Monitor
 module Vm = Ivm.View_manager
@@ -262,17 +263,38 @@ let two_strata_src =
 
 let t2 a b = Tuple.of_list [ Value.Str a; Value.Str b ]
 
-(** One counting batch at one domain: rows present, busy = Σ row walls,
-    busy ≤ total (no overlap without parallelism), per-stratum sums
-    partition busy, and the slowest rule heads the list. *)
-let test_attribution_batch () =
+(* Several new edges, so at more than one domain the round engine splits
+   the deltas into chunks that run concurrently. *)
+let new_links = [ t2 "e" "f"; t2 "f" "g"; t2 "g" "h"; t2 "a" "c"; t2 "b" "d"; t2 "c" "e" ]
+
+let span_arg (e : Trace.event) k =
+  match List.assoc_opt k e.Trace.args with Some v -> int_of_string v | None -> 0
+
+(** One counting batch at [domains] domains: rows present, busy = Σ row
+    walls, busy ≤ total at one domain (no overlap without parallelism),
+    per-stratum sums partition busy, the slowest rule heads the list,
+    and both the rows' and the traced [rule] spans' probes and scans
+    partition the kernel counters of the batch. *)
+let test_attribution_batch domains () =
   let prev_domains = Ivm_par.domains () in
-  Ivm_par.set_domains 1;
+  Ivm_par.set_domains domains;
   Fun.protect ~finally:(fun () -> Ivm_par.set_domains prev_domains) @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting two_strata_src in
+  Trace.enable ~capacity:4096 ();
   let stats_before = Ivm_eval.Stats.snapshot () in
-  ignore (Vm.apply vm (Changes.insertions (Vm.program vm) "link" [ t2 "e" "f" ]));
+  ignore (Vm.apply vm (Changes.insertions (Vm.program vm) "link" new_links));
   let kernel = Ivm_eval.Stats.since stats_before in
+  ignore (Trace.disable ());
+  let rule_spans =
+    List.filter (fun (e : Trace.event) -> e.Trace.name = "rule") (Trace.ring_events ())
+  in
+  Alcotest.(check int) "no trace event dropped" 0 (Trace.dropped ());
+  Alcotest.(check int) "span probes partition kernel probes"
+    kernel.Ivm_eval.Stats.snap_probes
+    (List.fold_left (fun a e -> a + span_arg e "probes") 0 rule_spans);
+  Alcotest.(check int) "span scans partition kernel scans"
+    kernel.Ivm_eval.Stats.snap_tuples_scanned
+    (List.fold_left (fun a e -> a + span_arg e "scanned") 0 rule_spans);
   match Attribution.last () with
   | None -> Alcotest.fail "no batch recorded (attribution disabled?)"
   | Some b ->
@@ -283,8 +305,12 @@ let test_attribution_batch () =
       List.fold_left (fun a r -> a + r.Attribution.wall_ns) 0 b.Attribution.rows
     in
     Alcotest.(check int) "busy = sum of row walls" busy b.Attribution.busy_wall_ns;
-    Alcotest.(check bool) "busy <= total at one domain" true
-      (b.Attribution.busy_wall_ns <= b.Attribution.total_wall_ns);
+    if domains = 1 then
+      Alcotest.(check bool) "busy <= total at one domain" true
+        (b.Attribution.busy_wall_ns <= b.Attribution.total_wall_ns);
+    Alcotest.(check int) "one span per attributed task"
+      (List.length rule_spans)
+      (List.fold_left (fun a r -> a + r.Attribution.evals) 0 b.Attribution.rows);
     (* per-stratum sums partition busy and stay within total *)
     let strata = Hashtbl.create 4 in
     List.iter
@@ -335,6 +361,27 @@ let test_attribution_batch () =
           true
           (r.Attribution.dout <= r.Attribution.scanned))
       b.Attribution.rows
+
+(** Ad-hoc queries are not maintenance: run inside an open batch, they
+    add no attribution row and register no [ivm_rule_*] series. *)
+let test_queries_not_attributed () =
+  let vm = Vm.of_source ~algorithm:Vm.Counting two_strata_src in
+  let rule_series () =
+    List.length
+      (List.filter
+         (fun (r : Metrics.registered) -> starts_with ~prefix:"ivm_rule_" r.Metrics.name)
+         (Metrics.dump ()))
+  in
+  let series_before = rule_series () in
+  Attribution.batch_begin ~algorithm:"counting";
+  for i = 1 to 50 do
+    ignore (Ivm_eval.Query.run_text (Vm.database vm) (Printf.sprintf "hop(n%d, X)" i))
+  done;
+  match Attribution.batch_end ~total_wall_ns:1 with
+  | None -> Alcotest.fail "no batch recorded (attribution disabled?)"
+  | Some b ->
+    Alcotest.(check int) "no attribution row" 0 (List.length b.Attribution.rows);
+    Alcotest.(check int) "no new ivm_rule_* series" series_before (rule_series ())
 
 let test_attribution_disabled () =
   Attribution.set_enabled false;
@@ -472,7 +519,11 @@ let suite =
     q ~count:100 "prometheus: histogram buckets consistent with registry"
       observations_arb prop_histogram_consistency;
     Alcotest.test_case "attribution: batch invariants at one domain" `Quick
-      test_attribution_batch;
+      (test_attribution_batch 1);
+    Alcotest.test_case "attribution: batch invariants at four domains" `Quick
+      (test_attribution_batch 4);
+    Alcotest.test_case "attribution: queries are not maintenance" `Quick
+      test_queries_not_attributed;
     Alcotest.test_case "attribution: disabled records nothing" `Quick
       test_attribution_disabled;
     Alcotest.test_case "attribution: json + explain table" `Quick

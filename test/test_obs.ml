@@ -250,7 +250,24 @@ let test_ring_wraps () =
   Alcotest.(check (list string)) "ring keeps newest, oldest first"
     [ "7"; "8"; "9"; "10" ]
     (List.map (fun e -> e.Trace.name) (Trace.ring_events ()));
-  Alcotest.(check int) "drops counted" 6 (Trace.dropped ())
+  Alcotest.(check int) "drops counted" 6 (Trace.dropped ());
+  (* the newest-first reads the batch, request and provenance histories
+     use, on the same wrapped ring *)
+  let r = Ivm_obs.Instr.Ring.create 4 in
+  Alcotest.(check (option int)) "empty ring has no newest" None
+    (Ivm_obs.Instr.Ring.newest r);
+  for i = 1 to 10 do
+    Ivm_obs.Instr.Ring.push r i
+  done;
+  Alcotest.(check (list int)) "newest first" [ 10; 9; 8; 7 ]
+    (Ivm_obs.Instr.Ring.newest_first r);
+  Alcotest.(check (option int)) "newest" (Some 10) (Ivm_obs.Instr.Ring.newest r);
+  Alcotest.(check (list int)) "drain oldest first" [ 7; 8; 9; 10 ]
+    (Ivm_obs.Instr.Ring.drain r);
+  Ivm_obs.Instr.Ring.push r 11;
+  Alcotest.(check (list int)) "drained ring refills" [ 11 ]
+    (Ivm_obs.Instr.Ring.oldest_first r);
+  Alcotest.(check int) "drain keeps the drop count" 6 (Ivm_obs.Instr.Ring.dropped r)
 
 (* The serve path emits from reader and writer domains while the monitor
    drains [/trace] and tests toggle tracing — control (enable/disable)
