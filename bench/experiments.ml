@@ -266,44 +266,45 @@ let e5 () =
      change's impact is bounded (§7); §1's inertia caveat applies when it is not";
   let rows = ref [] in
   let ok = ref true in
-  let run_case label db0 rng ks ~expect_win =
-    List.iter
-      (fun k ->
-        let changes = Update_gen.deletions rng db0 "link" k in
-        let impact =
-          let db = Database.copy db0 in
-          let report = Dred.maintain db changes in
-          List.fold_left
-            (fun acc (_, d) -> acc + Relation.cardinal d)
-            0 report.Dred.view_deltas
-        in
-        let t_dred =
-          median_time ~repeat:3
-            ~setup:(fun () -> Database.copy db0)
-            (fun db -> ignore (Dred.maintain db changes))
-        in
-        let t_re =
-          median_time ~repeat:3
-            ~setup:(fun () -> Database.copy db0)
-            (fun db -> Recompute.maintain db changes)
-        in
-        if expect_win && k <= 5 && t_dred >= t_re then ok := false;
-        rows :=
-          [
-            label; fmt_int k; fmt_int impact; fmt_time t_dred; fmt_time t_re;
-            fmt_ratio (t_re /. t_dred);
-          ]
-          :: !rows)
-      ks
+  (* One row: DRed and recomputation on copies of [db0]; the overestimate
+     and the put-backs come from DRed's report.  Returns DRed's time, the
+     recomputation's, and the overdeleted and rederived counts. *)
+  let row label db0 changes ~k ~expect_win =
+    let impact, overdeleted, rederived =
+      let report = Dred.maintain (Database.copy db0) changes in
+      let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 in
+      ( List.fold_left
+          (fun acc (_, d) -> acc + Relation.cardinal d)
+          0 report.Dred.view_deltas,
+        sum report.Dred.overdeleted,
+        sum report.Dred.rederived )
+    in
+    let t_dred =
+      median_time ~repeat:3
+        ~setup:(fun () -> Database.copy db0)
+        (fun db -> ignore (Dred.maintain db changes))
+    in
+    let t_re =
+      median_time ~repeat:3
+        ~setup:(fun () -> Database.copy db0)
+        (fun db -> Recompute.maintain db changes)
+    in
+    if expect_win && t_dred >= t_re then ok := false;
+    rows :=
+      [
+        label; fmt_int k; fmt_int impact; fmt_int overdeleted; fmt_int rederived;
+        fmt_time t_dred; fmt_time t_re; fmt_ratio (t_re /. t_dred);
+      ]
+      :: !rows;
+    (t_dred, t_re, overdeleted, rederived)
   in
   (* Controlled impact: a deep layered DAG; edges deleted from the last
      inter-layer band invalidate few paths, edges from the first band
      invalidate many — §1's heuristic of inertia made measurable. *)
-  let mk_dag () =
+  let db_dag, _ =
     layered_db ~src:Programs.transitive_closure ~seed:31 ~layers:14 ~width:12
       ~out_degree:2 ()
   in
-  let db_dag, _ = mk_dag () in
   warm db_dag `Dred;
   let band_edges db ~layer ~width =
     Relation.fold
@@ -321,49 +322,48 @@ let e5 () =
       (fun (k, expect_win) ->
         let victims = take k (band_edges db_dag ~layer ~width:12) in
         let changes = Changes.deletions (Database.program db_dag) "link" victims in
-        let impact =
-          let db = Database.copy db_dag in
-          let report = Dred.maintain db changes in
-          List.fold_left
-            (fun acc (_, d) -> acc + Relation.cardinal d)
-            0 report.Dred.view_deltas
-        in
-        let t_dred =
-          median_time ~repeat:3
-            ~setup:(fun () -> Database.copy db_dag)
-            (fun db -> ignore (Dred.maintain db changes))
-        in
-        let t_re =
-          median_time ~repeat:3
-            ~setup:(fun () -> Database.copy db_dag)
-            (fun db -> Recompute.maintain db changes)
-        in
-        if expect_win && t_dred >= t_re then ok := false;
-        rows :=
-          [
-            label; fmt_int k; fmt_int impact; fmt_time t_dred; fmt_time t_re;
-            fmt_ratio (t_re /. t_dred);
-          ]
-          :: !rows)
+        ignore (row label db_dag changes ~k ~expect_win))
       ks
   in
   run_band "leaf band (bounded impact)" ~layer:12
     [ (1, true); (4, true); (16, false) ];
   run_band "root band (wide impact)" ~layer:0 [ (4, false) ];
-  (* worst case, reported but not claimed: a dense strongly connected graph,
-     where one deletion's overestimate covers almost the whole view *)
-  let db_dense, rng_dense =
-    graph_db ~src:Programs.transitive_closure ~seed:35 ~nodes:100 ~edges:200 ()
+  (* DRed's worst case, reported but not claimed: a graph strongly
+     connected by construction — a 100-node ring plus 100 seeded chords —
+     where one deletion's overestimate is the whole view and the chords
+     let rederivation put nearly all of it back. *)
+  let nodes = 100 in
+  let rng_sc = Prng.create 35 in
+  let chords =
+    List.init nodes (fun _ -> (Prng.int rng_sc nodes, Prng.int rng_sc nodes))
+    |> List.filter (fun (a, b) -> a <> b)
   in
-  warm db_dense `Dred;
-  run_case "dense cyclic 100/200 (worst case)" db_dense rng_dense [ 1 ]
-    ~expect_win:false;
+  let db_sc =
+    let db =
+      Database.create (Program.make (Parser.parse_rules Programs.transitive_closure))
+    in
+    Database.load db "link"
+      (Graph_gen.tuples (List.sort_uniq compare (Graph_gen.cycle nodes @ chords)));
+    Seminaive.evaluate db;
+    db
+  in
+  warm db_sc `Dred;
+  let view = Relation.cardinal (Database.relation db_sc "path") in
+  let t_dred, t_re, overdeleted, rederived =
+    row "strongly connected ring + chords (worst case)" db_sc
+      (Update_gen.deletions rng_sc db_sc "link" 1)
+      ~k:1 ~expect_win:false
+  in
   print_table
-    [ "graph"; "|Δ⁻|"; "|Δpath|"; "DRed"; "recompute"; "speedup" ]
+    [ "graph"; "|Δ⁻|"; "|Δpath|"; "overdeleted"; "rederived"; "DRed"; "recompute";
+      "speedup" ]
     (List.rev !rows);
   verdict !ok
-    "DRed wins when deletions have bounded impact; on a dense SCC the \
-     overestimate approaches the full view and recomputation wins (§1's caveat)"
+    (Printf.sprintf
+       "DRed wins when deletions have bounded impact; on the strongly connected \
+        graph one deletion overdeletes %d of %d path tuples and rederives %d, \
+        and DRed takes %.2fx recomputation's time"
+       overdeleted view rederived (t_dred /. t_re))
 
 (* =================================================================== *)
 (* E6 — DRed vs PF: fragmentation costs an order of magnitude (§2)      *)

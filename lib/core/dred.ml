@@ -174,13 +174,17 @@ let rederive_rule (r : Ast.rule) : Ast.rule =
   }
 
 (** Step 2 for one unit: puts rederivable tuples back (their hidden counts
-    are restored in the live deltas), semi-naively.  Round 0 checks every
-    overdeleted tuple for support in the new database; later rounds
-    re-check only candidates joinable with the previous round's putbacks
-    (a rederived tuple can support further rederivations within a
-    recursive unit).  Rederivation rules are compiled under their source
-    rule's name, so provenance and attribution name the program's rules.
-    Returns per-predicate putback counts. *)
+    are restored in the live deltas), semi-naively.  Round 0 enumerates
+    every overdeleted tuple and checks it for support in the new database;
+    later rounds re-check only candidates joinable with the previous
+    round's putbacks (a rederived tuple can support further rederivations
+    within a recursive unit).  There the marker is a membership-only
+    subgoal ({!Rule_eval.Filter_present}): the join runs from the
+    putbacks through the rule's other subgoals and tests each head against
+    the pending set, rather than enumerating pending candidates by the one
+    column the putback binds.  Rederivation rules are compiled under their
+    source rule's name, so provenance and attribution name the program's
+    rules.  Returns per-predicate putback counts. *)
 let rederive ctx unit_preds (dminus : (string, Relation.t) Hashtbl.t) =
   let program = Database.program ctx.Delta.db in
   (* pend = δ⁻ tuples not yet put back *)
@@ -205,11 +209,11 @@ let rederive ctx unit_preds (dminus : (string, Relation.t) Hashtbl.t) =
   let rules p =
     if Relation.is_empty (Hashtbl.find pend p) then [] else List.assoc p rederive_rules
   in
-  (* position 0 is the marker: the head's still-pending candidates *)
+  (* position 0 is the marker: the head's still-pending candidates, a
+     filter except in round 0, where it is the seed *)
   let inputs (cr : Compile.t) _ j =
     if j = 0 then
-      Rule_eval.Enumerate
-        (Relation_view.concrete (Hashtbl.find pend cr.head_pred), Rule_eval.set_count)
+      Rule_eval.Filter_present (Relation_view.concrete (Hashtbl.find pend cr.head_pred))
     else Delta.inputs ctx cr (fun _ -> Delta.New) j
   in
   let commit p buf ~next =

@@ -15,8 +15,11 @@
     Join order: the seed literal first (deltas are the most restrictive
     input, as Section 6.1 notes), then remaining enumerable literals
     greedily by number of bound argument positions (ties to the smaller
-    relation); negation filters, comparisons and equality binders run as
-    soon as their variables are bound.
+    relation); membership filters (negated subgoals and [Filter_present]
+    subgoals), comparisons and equality binders run as soon as their
+    variables are bound.  A membership filter is never a join driver,
+    however small its view: it is one hash lookup per binding, where
+    enumerating it would bind its variables from the wrong side.
 
     Probes are {e compiled}: which argument positions are bound when a
     literal executes is fully determined at plan-build time (boundness only
@@ -44,6 +47,10 @@ type subgoal_input =
   | Filter_absent of Relation_view.t
       (** negated subgoal in a non-delta position: succeeds, with count 1,
           when the bound tuple does {e not} hold in the view *)
+  | Filter_present of Relation_view.t
+      (** membership-only positive subgoal: succeeds, with count 1, when
+          the bound tuple holds in the view; placed once its variables are
+          bound, never enumerated *)
 
 exception Plan_error of string
 
@@ -125,9 +132,11 @@ type cjoin = {
   j_xform : count_xform;
 }
 
-(* A compiled negation filter: every column is bound when it runs, so the
-   fill spec covers the whole tuple. *)
+(* A compiled membership filter — [Filter_absent] when [n_present] is
+   false, [Filter_present] when true: every column is bound when it runs,
+   so the fill spec covers the whole tuple. *)
 type cneg = {
+  n_present : bool;
   n_view : Relation_view.t;
   n_fill : filler array;
   n_buf : Value.t array;
@@ -177,9 +186,14 @@ let compile_join bound (args : cterm array) view xform =
     j_xform = xform;
   }
 
-let compile_neg (args : cterm array) view =
+let compile_neg ~present (args : cterm array) view =
   let fill = Array.map (function Cconst v -> Fconst v | Cvar s -> Fslot s) args in
-  { n_view = view; n_fill = fill; n_buf = Array.make (Array.length fill) buf_dummy }
+  {
+    n_present = present;
+    n_view = view;
+    n_fill = fill;
+    n_buf = Array.make (Array.length fill) buf_dummy;
+  }
 
 let build_plan ?seed ~(inputs : int -> subgoal_input) (cr : Compile.t) : step list =
   let n = Array.length cr.clits in
@@ -197,7 +211,9 @@ let build_plan ?seed ~(inputs : int -> subgoal_input) (cr : Compile.t) : step li
     (match inputs i with
     | Enumerate (view, xform) -> push (Sjoin (compile_join bound args view xform))
     | Filter_absent _ ->
-      raise (Plan_error "cannot enumerate a negated subgoal without a delta"));
+      raise (Plan_error "cannot enumerate a negated subgoal without a delta")
+    | Filter_present _ ->
+      raise (Plan_error "cannot enumerate a membership-only subgoal"));
     bind_args args
   in
   (* Place every filter / binder whose prerequisites are met. *)
@@ -222,13 +238,15 @@ let build_plan ?seed ~(inputs : int -> subgoal_input) (cr : Compile.t) : step li
             placed.(i) <- true;
             push (Scmp (a, op, b));
             progress := true
-          | Cneg a when all_bound (cterm_slots a.cargs) -> (
+          | Catom a | Cneg a -> (
             match inputs i with
-            | Filter_absent view ->
+            | (Filter_absent view | Filter_present view) as input
+              when all_bound (cterm_slots a.cargs) ->
+              let present = match input with Filter_present _ -> true | _ -> false in
               placed.(i) <- true;
-              push (Sneg (compile_neg a.cargs view));
+              push (Sneg (compile_neg ~present a.cargs view));
               progress := true
-            | Enumerate _ -> ())
+            | _ -> ())
           | _ -> ())
       cr.clits;
     if !progress then settle ()
@@ -241,8 +259,8 @@ let build_plan ?seed ~(inputs : int -> subgoal_input) (cr : Compile.t) : step li
     (not placed.(i))
     &&
     match cr.clits.(i) with
-    | Catom _ | Cagg _ -> true
-    | Cneg _ -> ( match inputs i with Enumerate _ -> true | Filter_absent _ -> false)
+    | Catom _ | Cagg _ | Cneg _ -> (
+      match inputs i with Enumerate _ -> true | Filter_absent _ | Filter_present _ -> false)
     | Ccmp _ -> false
   in
   let boundness i =
@@ -257,7 +275,7 @@ let build_plan ?seed ~(inputs : int -> subgoal_input) (cr : Compile.t) : step li
   let size i =
     match inputs i with
     | Enumerate (view, _) -> Relation_view.cardinal_estimate view
-    | Filter_absent _ -> max_int
+    | Filter_absent _ | Filter_present _ -> max_int
   in
   let rec joins () =
     let best = ref None in
@@ -302,8 +320,23 @@ let fill_buf binding (fill : filler array) (buf : Value.t array) =
       (match fill.(p) with Fconst v -> v | Fslot s -> slot_value binding s)
   done
 
+(* Each position's input is asked for once per evaluation: the planner
+   consults it repeatedly (filter placement, ranking, placement), and a
+   caller's [inputs] may build a fresh view on every call. *)
+let memo_inputs n (inputs : int -> subgoal_input) =
+  let memo = Array.make n None in
+  fun i ->
+    match memo.(i) with
+    | Some x -> x
+    | None ->
+      let x = inputs i in
+      memo.(i) <- Some x;
+      x
+
 let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : unit =
-  (* Short-circuit: an empty enumerable input means no derivations. *)
+  let inputs = memo_inputs (Array.length cr.clits) inputs in
+  (* Short-circuit: an empty enumerable or membership-only input means no
+     derivations. *)
   let empty_input = ref false in
   Array.iteri
     (fun i lit ->
@@ -311,7 +344,7 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
       | Ccmp _ -> ()
       | Catom _ | Cagg _ | Cneg _ -> (
         match inputs i with
-        | Enumerate (view, _) ->
+        | Enumerate (view, _) | Filter_present view ->
           if Relation_view.cardinal_estimate view = 0 then empty_input := true
         | Filter_absent _ -> ()))
     cr.clits;
@@ -367,7 +400,7 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
           | Sneg ng ->
             fill_buf binding ng.n_fill ng.n_buf;
             Ivm_obs.Metrics.inc Stats.probes_c;
-            if not (Relation_view.holds ng.n_view (Tuple.make ng.n_buf)) then
+            if Relation_view.holds ng.n_view (Tuple.make ng.n_buf) = ng.n_present then
               run (k + 1) cnt
           | Scmp (a, op, b) ->
             if cmp_holds op (expr_value binding a) (expr_value binding b) then

@@ -14,9 +14,10 @@
 
     Join order: seed first (the delta is the most restrictive input,
     Section 6.1), then enumerable literals greedily by bound argument
-    positions (ties to the smaller relation); negation filters,
-    comparisons and equality binders run as soon as their variables are
-    bound. *)
+    positions (ties to the smaller relation); membership filters
+    ([Filter_absent], [Filter_present]), comparisons and equality binders
+    run as soon as their variables are bound.  A membership filter is
+    never a join driver, even when its view is the smallest input. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple
@@ -36,6 +37,12 @@ type subgoal_input =
   | Filter_absent of Relation_view.t
       (** negated subgoal in a non-delta position: succeeds, with count 1,
           when the bound tuple does not hold in the view *)
+  | Filter_present of Relation_view.t
+      (** membership-only positive subgoal: succeeds, with count 1, when
+          the bound tuple holds in the view.  Placed as soon as its
+          variables are bound and never enumerated (a seed at its
+          position is enumerated as usual); an empty view short-circuits
+          the evaluation *)
 
 exception Plan_error of string
 
@@ -57,8 +64,9 @@ val unwind : Value.t option array -> int list -> unit
     per derivation (the caller accumulates with [⊎]).  [seed] is the body
     literal enumerated first — the delta position.  Empty enumerable
     inputs short-circuit the evaluation.
-    @raise Plan_error when a literal cannot be planned (unsafe rule or a
-    negated literal without input). *)
+    @raise Plan_error when a literal cannot be planned (unsafe rule, or a
+    [Filter_absent] / [Filter_present] literal whose variables no other
+    literal binds). *)
 val eval :
   ?seed:int ->
   inputs:(int -> subgoal_input) ->

@@ -191,6 +191,11 @@ let encode_request (req : request) : string =
   | Subscribe pred -> Wire.put_string buf pred);
   Buffer.contents buf
 
+let answer_size ~columns rows =
+  1 + 4
+  + List.fold_left (fun acc c -> acc + Wire.string_size c) 0 columns
+  + Wire.relation_size rows
+
 let encode_response (resp : response) : string =
   let buf = Buffer.create 64 in
   Wire.put_u8 buf (opcode_of_response resp);

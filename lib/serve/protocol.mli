@@ -81,6 +81,10 @@ val encode_request : request -> string
 
 val encode_response : response -> string
 
+(** The length of an [Answer]'s {!encode_response} payload, computed
+    without encoding it. *)
+val answer_size : columns:string list -> Relation.t -> int
+
 (** Decode a verified frame payload.
     @raise Ivm_wire.Wire.Corrupt on a bad opcode, truncated body, or
     trailing bytes. *)

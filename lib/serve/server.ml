@@ -289,19 +289,39 @@ let close_session (t : t) r (s : session) =
     Metrics.set sessions_g (float_of_int (Atomic.get t.live_sessions))
   end
 
+(* An answer whose encoded payload would exceed {!Frame.max_payload}
+   would reach the client as a frame its reader rejects as corrupt; it is
+   replaced, before anything is encoded, by a typed error, and the
+   session continues. *)
+let cap_answer (resp : Protocol.response) =
+  match resp with
+  | Protocol.Answer { columns; rows } ->
+    let size = Protocol.answer_size ~columns rows in
+    if size <= Frame.max_payload then resp
+    else
+      Protocol.Error
+        {
+          code = Query_failed;
+          message =
+            Printf.sprintf "answer is %d bytes encoded, above the %d-byte frame limit"
+              size Frame.max_payload;
+        }
+  | _ -> resp
+
 (** Write one response on the owning reader's domain.  Any failure —
     EPIPE, a send timeout on a stalled client, a closed fd — drops the
     session; it must never propagate into the reader loop. *)
 let send (t : t) r (s : session) (resp : Protocol.response) =
-  if s.alive then begin
-    (match resp with
-    | Protocol.Error _ ->
-      Atomic.incr t.protocol_errors;
-      Metrics.inc errors_c
-    | _ -> ());
-    try Frame.write_fd s.fd (Protocol.encode_response resp)
+  if s.alive then
+    try
+      let resp = cap_answer resp in
+      (match resp with
+      | Protocol.Error _ ->
+        Atomic.incr t.protocol_errors;
+        Metrics.inc errors_c
+      | _ -> ());
+      Frame.write_fd s.fd (Protocol.encode_response resp)
     with _ -> close_session t r s
-  end
 
 (* fold one finished request into the session's aggregates (owning
    reader only; [status_json] reads these racily, like everything else

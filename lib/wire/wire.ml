@@ -44,6 +44,19 @@ let put_relation buf r =
       put_i64 buf c)
     r
 
+(* Byte counts of the encodings above, computed without encoding. *)
+let string_size s = 4 + String.length s
+
+let value_size = function
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s -> 1 + string_size s
+  | Value.Bool _ -> 2
+
+let relation_size r =
+  Relation.fold
+    (fun t _ acc -> Array.fold_left (fun acc v -> acc + value_size v) (acc + 8) (Tuple.to_array t))
+    r 8
+
 (* ---------------- decoding ---------------- *)
 
 type reader = { src : string; mutable pos : int }

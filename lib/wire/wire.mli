@@ -50,6 +50,12 @@ val put_tuple : Buffer.t -> Tuple.t -> unit
     order, so equal relations encode to equal bytes. *)
 val put_relation : Buffer.t -> Relation.t -> unit
 
+(** The number of bytes {!put_string} and {!put_relation} append,
+    computed without encoding. *)
+val string_size : string -> int
+
+val relation_size : Relation.t -> int
+
 (** {2 Decoding} *)
 
 type reader

@@ -153,6 +153,83 @@ let wide_tuples () =
   Alcotest.(check bool) "projection" true
     (Relation.mem (rel db "proj") (Tuple.of_ints [ 1; 6 ]))
 
+(* ------------------------------------------------------------------ *)
+(* Membership-only subgoals (Rule_eval.Filter_present)                  *)
+(* ------------------------------------------------------------------ *)
+
+module Rule_eval = Ivm_eval.Rule_eval
+module Stats = Ivm_eval.Stats
+
+let str_rel arity rows = Relation.of_tuples arity (List.map Tuple.of_strs rows)
+
+(* Evaluate [rule] over [rels], one relation per body position, passing
+   position [filter] as [Filter_present] when [present] and as
+   [Enumerate] with the set clamp otherwise; returns the emitted relation
+   and the probes spent. *)
+let eval_with ?seed rule rels ~filter present =
+  let cr = Ivm_eval.Compile.compile (Ivm_datalog.Parser.parse_rule rule) in
+  let out = Relation.create (Array.length cr.chead) in
+  let inputs j =
+    let v = Relation_view.concrete (List.nth rels j) in
+    if j <> filter then Rule_eval.Enumerate (v, Rule_eval.identity_count)
+    else if present then Rule_eval.Filter_present v
+    else Rule_eval.Enumerate (v, Rule_eval.set_count)
+  in
+  let (), work =
+    Stats.measure (fun () ->
+        Rule_eval.eval ?seed ~inputs ~emit:(fun t c -> Relation.add out t c) cr)
+  in
+  (out, work.Stats.snap_probes)
+
+(* A seeded delta rule shaped like DRed's frontier rederivation: the
+   seed binds X and Z, so [p] (the smaller input, bound on X) and [link]
+   (bound on Z) tie on boundness and the tie goes to [p].  As a filter,
+   [p] is probed once per [link] match instead. *)
+let filter_present_matches_enumerate () =
+  let rule = "r(X, Y) :- p(X, Y), d(X, Z), link(Z, Y)." in
+  let p = str_rel 2 [ [ "a"; "y1" ]; [ "a"; "y3" ]; [ "a"; "y4" ]; [ "a"; "y5" ]; [ "b"; "y2" ] ] in
+  let d = str_rel 2 [ [ "a"; "z" ]; [ "b"; "z" ] ] in
+  let link =
+    str_rel 2
+      ([ [ "z"; "y1" ]; [ "z"; "y2" ] ]
+      @ List.init 10 (fun i -> [ "w"; Printf.sprintf "v%d" i ]))
+  in
+  let rels = [ p; d; link ] in
+  let enum_out, enum_probes = eval_with ~seed:1 rule rels ~filter:0 false in
+  let filt_out, filt_probes = eval_with ~seed:1 rule rels ~filter:0 true in
+  check_rel "same derivations" enum_out filt_out;
+  check_rel ~counted:false "expected heads" (str_rel 2 [ [ "a"; "y1" ]; [ "b"; "y2" ] ])
+    filt_out;
+  Alcotest.(check bool)
+    (Printf.sprintf "filter probes %d <= enumerate probes %d" filt_probes enum_probes)
+    true (filt_probes <= enum_probes);
+  (* seed d: 1 probe; per binding, link by Z: 2 probes; each of the 4
+     link matches one membership test *)
+  Alcotest.(check int) "filter plan probes" (1 + 2 + 4) filt_probes
+
+(* Unseeded, the filter's one-row view is the smallest input, yet the
+   plan drives from [link] and tests each match against it. *)
+let filter_present_never_drives () =
+  let rule = "r(X, Y) :- p(X, Y), link(X, Y)." in
+  let p = str_rel 2 [ [ "a"; "b" ] ] in
+  let link = str_rel 2 [ [ "a"; "b" ]; [ "a"; "c" ]; [ "b"; "c" ]; [ "c"; "d" ] ] in
+  let enum_out, enum_probes = eval_with rule [ p; link ] ~filter:0 false in
+  let filt_out, filt_probes = eval_with rule [ p; link ] ~filter:0 true in
+  check_rel "same derivations" enum_out filt_out;
+  Alcotest.(check int) "enumerate drives from the smaller p" (1 + 1) enum_probes;
+  Alcotest.(check int) "filter: one scan of link, one test per row" (1 + 4) filt_probes;
+  (* an empty filter view short-circuits like an empty enumerable one *)
+  let empty_out, empty_probes = eval_with rule [ Relation.create 2; link ] ~filter:0 true in
+  Alcotest.(check int) "empty filter: nothing emitted" 0 (Relation.cardinal empty_out);
+  Alcotest.(check int) "empty filter: no probe" 0 empty_probes
+
+let filter_present_unbindable () =
+  let rule = "r(X) :- p(X, Y), q(X)." in
+  let rels = [ str_rel 2 [ [ "a"; "b" ] ]; str_rel 1 [ [ "a" ] ] ] in
+  match eval_with rule rels ~filter:0 true with
+  | _ -> Alcotest.fail "expected Plan_error: Y is bound by no literal"
+  | exception Rule_eval.Plan_error _ -> ()
+
 let suite =
   [
     quick "self joins and repeated variables" self_join_repeated_vars;
@@ -166,4 +243,8 @@ let suite =
     quick "negation over an empty relation" negation_of_empty;
     quick "duplicate rules accumulate counts" duplicate_rules_accumulate;
     quick "wide tuples and projections" wide_tuples;
+    quick "Filter_present emits what Enumerate emits, probing no more"
+      filter_present_matches_enumerate;
+    quick "Filter_present is never the join driver" filter_present_never_drives;
+    quick "unbindable Filter_present raises Plan_error" filter_present_unbindable;
   ]

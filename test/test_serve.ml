@@ -167,6 +167,14 @@ let response_roundtrip =
   q "codec: responses round-trip" response_arb (fun resp ->
       eq_response resp (Protocol.decode_response (Protocol.encode_response resp)))
 
+let answer_size_exact =
+  q "codec: answer_size is the encoded answer's length"
+    (QCheck.make
+       QCheck.Gen.(pair (list_size (int_range 0 3) token_gen) (relation_gen ~arity:2)))
+    (fun (columns, rows) ->
+      Protocol.answer_size ~columns rows
+      = String.length (Protocol.encode_response (Protocol.Answer { columns; rows })))
+
 let frame_roundtrip =
   q "codec: framed messages survive the fd layer" request_arb (fun req ->
       let r, w = Unix.pipe () in
@@ -856,11 +864,36 @@ let request_metrics_exact () =
     (clients * ((2 * k) + 2))
     (Metrics.histogram_count ack_ns - ack0)
 
+(* An answer over the 64 MiB frame cap: six distinct 1 MiB strings
+   crossed with themselves are 36 rows of two values, about 72 MiB
+   encoded.  The client gets a typed [query_failed] naming the size and
+   the limit instead of a frame it would reject as corrupt, and the
+   session stays usable. *)
+let oversized_answer_refused () =
+  with_server "big(X) :- blob(X).\n" (fun srv _vm ->
+      let c = Client.connect ~port:(Server.port srv) () in
+      let blob i = Value.str (String.make (1 lsl 20) (Char.chr (Char.code 'a' + i))) in
+      ignore
+        (Client.apply c
+           [ ("blob", Relation.of_list 1 (List.init 6 (fun i -> (Tuple.of_list [ blob i ], 1)))) ]);
+      (match Client.query c "big(A), big(B)" with
+      | _ -> Alcotest.fail "an answer above the frame cap was sent"
+      | exception Client.Server_error (Protocol.Query_failed, msg) ->
+        Alcotest.(check bool)
+          ("message names the limit: " ^ msg)
+          true
+          (contains msg (string_of_int Ivm_wire.Frame.max_payload)));
+      Client.ping c;
+      let _, rows = Client.query c "big(A)" in
+      Alcotest.(check int) "session still answers" 6 (Relation.cardinal rows);
+      Client.close c)
+
 let suite =
   [
     request_roundtrip;
     response_roundtrip;
     frame_roundtrip;
+    answer_size_exact;
     quick "codec: trace context is v1 wire compatible" trace_context_wire_compat;
     quick "codec: trailing bytes rejected" trailing_bytes_rejected;
     quick "frame: bit flip detected by CRC" corrupt_frame_rejected;
@@ -870,6 +903,7 @@ let suite =
     quick "apply_group: bad batch isolated, log stays clean"
       group_commit_isolates_bad_batch;
     quick "server: hello/ping/query/apply/status" basic_session;
+    quick "server: answer above the frame cap is a typed error" oversized_answer_refused;
     quick "server: concurrent readers see atomic batches" snapshot_consistency;
     quick "server: subscriber receives per-batch deltas"
       subscriber_receives_deltas;
