@@ -805,6 +805,62 @@ let e12 () =
     "counts maintained incrementally on acyclic data; divergence detected on cycles"
 
 (* =================================================================== *)
+(* E13 — multicore delta evaluation (ivm_par)                           *)
+(* =================================================================== *)
+
+let e13 () =
+  print_header "E13: multicore delta evaluation — 1, 2 and 4 domains"
+    "parallel fan-out of the delta rules changes no view state (fixed-order \
+     ⊎-merge); speedup needs as many hardware cores as domains";
+  let nodes = 400 and edges = 2500 in
+  let db0, rng = graph_db ~src:Programs.hop_tri_hop ~seed:29 ~nodes ~edges () in
+  let batches =
+    cumulative_batches db0 ~track:track_counting ~n:12 (fun db ->
+        Update_gen.mixed rng db "link" ~nodes ~dels:6 ~ins:6)
+  in
+  let tasks d =
+    List.init d (fun i ->
+        Ivm_obs.Metrics.counter_value
+          (Ivm_obs.Metrics.counter
+             ~labels:[ ("domain", string_of_int i) ]
+             "ivm_par_tasks_total"))
+  in
+  let run_with d =
+    Ivm_par.set_domains d;
+    let db = Database.copy db0 in
+    let before = tasks d in
+    let t, () =
+      timed (fun () -> List.iter (fun c -> ignore (Counting.maintain db c)) batches)
+    in
+    (t, List.map2 ( - ) (tasks d) before, Database.canonical_digest db)
+  in
+  let prev = Ivm_par.domains () in
+  let results = List.map (fun d -> (d, run_with d)) [ 1; 2; 4 ] in
+  Ivm_par.set_domains prev;
+  (* retire the sweep's worker domains: idle, they still join every
+     stop-the-world collection of the experiments that follow *)
+  Ivm_par.shutdown ();
+  let t1, _, digest1 = List.assoc 1 results in
+  let identical = ref true in
+  print_table
+    [ "domains"; "time"; "speedup vs 1"; "tasks per participant";
+      "state identical to 1 domain" ]
+    (List.map
+       (fun (d, (t, per, digest)) ->
+         let same = String.equal digest digest1 in
+         if not same then identical := false;
+         [
+           fmt_int d; fmt_time t; Printf.sprintf "%.2fx" (t1 /. t);
+           (if d = 1 then "inline" else String.concat "/" (List.map fmt_int per));
+           (if d = 1 then "—" else if same then "yes" else "no");
+         ])
+       results);
+  Printf.printf "\n  hardware: %d cores available\n"
+    (Domain.recommended_domain_count ());
+  verdict !identical
+    "every domain count leaves a state digest identical to 1 domain's"
+
+(* =================================================================== *)
 (* X1 — the paper's worked example, end to end (Ex 4.1/4.2/5.1)         *)
 (* =================================================================== *)
 
@@ -957,10 +1013,121 @@ let e14 () =
      relations"
 
 (* =================================================================== *)
+(* E15 / E17 — what the optional instruments cost                        *)
+(* =================================================================== *)
+
+(* hop+tri_hop over a random graph, 40 cumulative mixed batches of 3
+   deletions + 3 insertions, maintained by each algorithm below *)
+let overhead_workload ~seed =
+  let nodes = 200 and edges = 1000 in
+  let db0, rng = graph_db ~src:Programs.hop_tri_hop ~seed ~nodes ~edges () in
+  ( db0,
+    cumulative_batches db0 ~track:track_counting ~n:40 (fun db ->
+        Update_gen.mixed rng db "link" ~nodes ~dels:3 ~ins:3) )
+
+let overhead_algorithms =
+  [ ("counting", track_counting); ("dred", track_dred) ]
+
+let overhead_headers =
+  [ "algorithm"; "off (median)"; "on (median)"; "overhead (median)";
+    "[Q1..Q3]" ]
+
+let overhead_cells name (off, on, (med, q1, q3)) =
+  [ name; fmt_time off; fmt_time on; fmt_pct med;
+    Printf.sprintf "[%+.1f..%+.1f]" q1 q3 ]
+
+let e15 () =
+  print_header "E15: per-rule cost attribution overhead, off vs on"
+    "attribution (on by default) costs at most 10% of maintenance time";
+  let module A = Ivm_obs.Attribution in
+  let db0, batches = overhead_workload ~seed:31 in
+  let prev = A.enabled () in
+  (* each batch is bracketed as View_manager brackets it, so the on
+     passes pay for the whole instrument: the per-task samples, their
+     fold into the open batch, and the batch's finalization *)
+  let rows =
+    List.map
+      (fun (algorithm, maintain) ->
+        let pass enabled =
+          A.set_enabled enabled;
+          let db = Database.copy db0 in
+          fst
+            (timed (fun () ->
+                 List.iter
+                   (fun c ->
+                     let b0 = Unix.gettimeofday () in
+                     A.batch_begin ~algorithm;
+                     maintain db c;
+                     ignore
+                       (A.batch_end
+                          ~total_wall_ns:
+                            (int_of_float ((Unix.gettimeofday () -. b0) *. 1e9))))
+                   batches))
+        in
+        (algorithm, off_on pass))
+      overhead_algorithms
+  in
+  A.set_enabled prev;
+  print_table overhead_headers
+    (List.map (fun (name, r) -> overhead_cells name r) rows);
+  verdict
+    (List.for_all (fun (_, (_, _, (med, _, _))) -> med <= 10.) rows)
+    "median paired overhead at most 10% for Counting and DRed"
+
+let e17 () =
+  print_header "E17: derivation-provenance capture overhead, off vs on"
+    "capture is opt-in and observational: on, it records every gained or \
+     lost support; off or on, the maintained views are the same";
+  let module Prov = Ivm_prov.Prov in
+  let db0, batches = overhead_workload ~seed:37 in
+  let rows =
+    List.map
+      (fun (name, maintain) ->
+        let digests = [| ""; "" |] in
+        let pass enabled =
+          let db = Database.copy db0 in
+          if enabled then begin
+            Prov.reset ();
+            Prov.set_enabled true;
+            Prov.set_mode Prov.Add;
+            (* bootstrapping the support store for the initial
+               materialization is setup, not per-batch cost *)
+            Seminaive.replay_derivations db
+          end;
+          let t, () =
+            timed (fun () ->
+                List.iter
+                  (fun c ->
+                    if enabled then Prov.batch_begin ~algorithm:"bench";
+                    maintain db c)
+                  batches)
+          in
+          Prov.set_enabled false;
+          let i = Bool.to_int enabled in
+          if digests.(i) = "" then digests.(i) <- Database.canonical_digest db;
+          t
+        in
+        let r = off_on pass in
+        (name, r, String.equal digests.(0) digests.(1)))
+      overhead_algorithms
+  in
+  Prov.reset ();
+  print_table
+    (overhead_headers @ [ "state off = on" ])
+    (List.map
+       (fun (name, r, same) ->
+         overhead_cells name r @ [ (if same then "yes" else "no") ])
+       rows);
+  verdict
+    (List.for_all (fun (_, _, same) -> same) rows)
+    "capture on leaves every final state digest identical to capture off"
+
+(* =================================================================== *)
 
 let all : (string * (unit -> unit)) list =
   [
     ("x1", x1); ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e11", e11); ("e12", e12); ("e14", e14);
+    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
+    ("e17", e17);
   ]

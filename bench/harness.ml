@@ -49,6 +49,20 @@ let layered_db ?(semantics = Database.Set_semantics) ~src ~seed ~layers ~width
   Seminaive.evaluate db;
   (db, rng)
 
+(** A cumulative batch stream: each batch is drawn against the state its
+    predecessors left behind (tracked on a private copy), so a measured
+    pass can apply the whole stream to a fresh copy of [db0] and every
+    deletion stays valid. *)
+let cumulative_batches db0 ~track ~n gen =
+  let tracker = Database.copy db0 in
+  List.init n (fun _ ->
+      let c = gen tracker in
+      track tracker c;
+      c)
+
+let track_counting db c = ignore (Ivm.Counting.maintain db c)
+let track_dred db c = ignore (Ivm.Dred.maintain db c)
+
 (** Warm a database's demand-built indexes by flipping a synthetic edge
     (insert then delete — net zero) through the given maintenance
     algorithm, so copies taken afterwards carry every index the timed
@@ -92,6 +106,47 @@ let median_time ?(repeat = 5) ~setup op =
   in
   let sorted = List.sort compare samples in
   List.nth sorted (repeat / 2)
+
+(** Nearest-rank percentile of an ascending array: the [ceil(p·n)]-th
+    smallest sample ([0.] on an empty array). *)
+let percentile sorted p =
+  match Array.length sorted with
+  | 0 -> 0.
+  | n ->
+    let rank = int_of_float (ceil (p *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let sorted_of l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a
+
+(** Paired off/on timing of an optional instrument.  [pass enabled] times
+    one pass with the instrument off or on.  After one warm-up of each,
+    15 pairs run back to back, even pairs off first and odd pairs on
+    first, so neither side always pays for the other's warm caches and
+    drift in machine speed lands on both alike.  Returns the median off
+    and on pass times and the per-pair overhead in percent as
+    [(median, q1, q3)]. *)
+let off_on pass =
+  ignore (pass false);
+  ignore (pass true);
+  let samples =
+    List.init 15 (fun i ->
+        if i mod 2 = 0 then
+          let off = pass false in
+          (off, pass true)
+        else
+          let on = pass true in
+          (pass false, on))
+  in
+  let median l = percentile (sorted_of l) 0.5 in
+  let pct =
+    sorted_of (List.map (fun (off, on) -> (on -. off) /. off *. 100.) samples)
+  in
+  ( median (List.map fst samples),
+    median (List.map snd samples),
+    (percentile pct 0.5, percentile pct 0.25, percentile pct 0.75) )
 
 (** Run [op] on a fresh state and report (seconds, derivations). *)
 let time_and_work ~setup op =
@@ -154,6 +209,8 @@ let fmt_time s =
   else Printf.sprintf "%.3f s" s
 
 let fmt_ratio r = Printf.sprintf "%.1fx" r
+
+let fmt_pct p = Printf.sprintf "%+.1f%%" p
 
 let fmt_int = string_of_int
 

@@ -3,8 +3,10 @@
      dune exec bench/main.exe                 # all experiments + micro suite
      dune exec bench/main.exe -- e1 e6        # selected experiments
      dune exec bench/main.exe -- micro        # Bechamel micro suite only
-     dune exec bench/main.exe -- --metrics-json out.json
-                                              # machine-readable metrics report
+     dune exec bench/main.exe -- --csv out e13 e15
+                                              # tables also as out/e13.csv, ...
+     dune exec bench/main.exe -- --regress out.json --baseline BENCH_5.json
+                                              # kernel regression gate
 
    Each experiment prints the table EXPERIMENTS.md records; the micro suite
    gives one Bechamel measurement per experiment's headline operation. *)
@@ -233,39 +235,17 @@ let () =
     go [] args
   in
   (match args with
-  | "--metrics-json" :: out :: _ ->
-    Metrics_report.run ~out ();
-    exit 0
   | "--regress" :: out :: rest ->
-    (* --regress OUT [--baseline FILE] [--tolerance R]; R defaults to
-       0.25 (IVM_REGRESS_TOLERANCE overrides the default). *)
-    let baseline = ref None and tolerance = ref None in
-    let rec opts = function
-      | "--baseline" :: f :: rest ->
-        baseline := Some f;
-        opts rest
-      | "--tolerance" :: r :: rest ->
-        (match float_of_string_opt r with
-        | Some r when r >= 0. -> tolerance := Some r
-        | _ ->
-          Printf.eprintf "--tolerance expects a non-negative float, got %s\n" r;
-          exit 1);
-        opts rest
+    (* --regress OUT [--baseline FILE] *)
+    let baseline =
+      match rest with
+      | [] -> None
+      | [ "--baseline"; f ] -> Some f
       | x :: _ ->
         Printf.eprintf "unknown --regress option %s\n" x;
         exit 1
-      | [] -> ()
     in
-    opts rest;
-    let tolerance =
-      match !tolerance with
-      | Some t -> t
-      | None -> (
-        match Sys.getenv_opt "IVM_REGRESS_TOLERANCE" with
-        | Some s -> (match float_of_string_opt s with Some t -> t | None -> 0.25)
-        | None -> 0.25)
-    in
-    Regress.run ~out ?baseline:!baseline ~tolerance ();
+    Regress.run ~out ?baseline ();
     exit 0
   | _ -> ());
   let args =

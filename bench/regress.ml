@@ -18,14 +18,12 @@
 
     With [--baseline FILE] the run is additionally a gate: the state
     digests must match the baseline exactly, and words/op and the work
-    counters — all exactly reproducible — must not regress beyond the
-    tolerance (default 25%, [--tolerance R] or [IVM_REGRESS_TOLERANCE]
-    to override).  Wall time is gated too, but as a backstop: it is
+    counters — all exactly reproducible — must not regress beyond
+    {!tolerance} (25%).  Wall time is gated too, but as a backstop: it is
     normalized by a {!calibrate} ratio recorded in both reports (so a
     throttled host or different CI hardware doesn't trip it) and allowed
-    a wider tolerance (max of the numeric tolerance and 50%,
-    [IVM_REGRESS_TIME_TOLERANCE] to override) because even a min-of-5
-    swings tens of percent between runs on shared machines.  Exit code 1
+    the wider {!time_tolerance} (50%) because even a min-of-5 swings tens
+    of percent between runs on shared machines.  Exit code 1
     on any violation — CI runs this against the committed [BENCH_5.json]. *)
 
 open Harness
@@ -48,19 +46,6 @@ type workload = {
   batches : Changes.t list;
 }
 
-(* Generate a cumulative batch stream: each batch is drawn against the
-   state its predecessors left behind (tracked on a private copy), so a
-   measured pass can apply the whole stream to a fresh copy of [db0] and
-   every deletion stays valid. *)
-let cumulative_batches db0 ~track ~n gen =
-  let tracker = Database.copy db0 in
-  List.init n (fun _ ->
-      let c = gen tracker in
-      track tracker c;
-      c)
-
-let track_counting tracker c = ignore (Counting.maintain tracker c)
-let track_dred tracker c = ignore (Dred.maintain tracker c)
 
 (** Mixed costed-edge batch for the 3-column [link(S, D, C)] relation of
     the aggregation workload: [dels] stored tuples out, [ins] fresh
@@ -452,7 +437,14 @@ let fmt_words w =
   else if w >= 1e3 then Printf.sprintf "%.1fkw" (w /. 1e3)
   else Printf.sprintf "%.0fw" w
 
-let run ~out ?baseline ?(tolerance = 0.25) () =
+(** Allowed drift of the exactly reproducible metrics: words/op and the
+    probe/scan/derivation counters. *)
+let tolerance = 0.25
+
+(** Allowed drift of calibrated wall time, the nondeterministic backstop. *)
+let time_tolerance = 0.5
+
+let run ~out ?baseline () =
   (* One domain: minor-word and counter measurements are exact and
      deterministic only without parallel fan-out. *)
   let prev_domains = Ivm_par.domains () in
@@ -543,21 +535,12 @@ let run ~out ?baseline ?(tolerance = 0.25) () =
             "\ncalibration: fixed reference loop took %.2fx the baseline's \
              time on this machine (time gates normalized by that ratio)\n"
             time_scale;
-        let time_tol =
-          let default = Float.max tolerance 0.5 in
-          match Sys.getenv_opt "IVM_REGRESS_TIME_TOLERANCE" with
-          | Some s ->
-            (match float_of_string_opt s with
-            | Some t when t >= 0. -> t
-            | _ -> default)
-          | None -> default
-        in
         let verdicts =
           List.concat_map
             (fun (w, samples) ->
               List.concat_map
-                (check_against_baseline ~tol:tolerance ~time_tol ~time_scale
-                   base w)
+                (check_against_baseline ~tol:tolerance ~time_tol:time_tolerance
+                   ~time_scale base w)
                 samples)
             results
         in

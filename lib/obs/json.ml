@@ -1,9 +1,10 @@
 (** Minimal JSON: an emitter and a small recursive-descent parser.
 
-    Just enough for the Chrome [trace_event] writer ({!Trace}) and the
-    bench harness's [--metrics-json] report — no external dependency.
-    Numbers are floats on parse (ints print without a fractional part when
-    exact); strings are escaped per RFC 8259. *)
+    Just enough for the Chrome [trace_event] writer ({!Trace}), the bench
+    reports ([--regress], [serve_load --json]), and the monitor's JSON
+    endpoints — no external dependency.  Numbers are floats on parse
+    (ints print without a fractional part when exact); strings are
+    escaped per RFC 8259. *)
 
 type t =
   | Null

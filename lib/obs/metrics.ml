@@ -348,33 +348,3 @@ let pp ppf () =
     (fun r ->
       Format.fprintf ppf "%s = %a@." (key r.name r.labels) pp_value r.metric)
     (dump ())
-
-(** The registry as JSON (used by the bench [--metrics-json] report). *)
-let to_json () : Json.t =
-  Json.List
-    (List.map
-       (fun r ->
-         let value =
-           match r.metric with
-           | Counter c ->
-             [ ("type", Json.Str "counter"); ("value", Json.int (counter_value c)) ]
-           | Gauge g -> [ ("type", Json.Str "gauge"); ("value", Json.Num g.value) ]
-           | Histogram h ->
-             let m = merged h in
-             [
-               ("type", Json.Str "histogram");
-               ("count", Json.int m.hcount);
-               ("sum", Json.int m.hsum);
-               ("min", Json.int (min_of m));
-               ("p50", Json.int (percentile_of m 0.5));
-               ("p90", Json.int (percentile_of m 0.9));
-               ("p99", Json.int (percentile_of m 0.99));
-               ("max", Json.int (max_of m));
-             ]
-         in
-         Json.Obj
-           (("name", Json.Str r.name)
-           :: ("labels",
-               Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) r.labels))
-           :: value))
-       (dump ()))

@@ -11,7 +11,7 @@
     write to the calling domain's shard — no atomic, no lock — so bumps
     from any number of domains are never lost.  A domain allocates a
     histogram's shard on its first observation.  Every read ({!counter_value},
-    the histogram reads, {!dump}, {!pp}, {!to_json}) merges the shards, so
+    the histogram reads, {!dump}, {!pp}) merges the shards, so
     a read taken after the bumping domains synchronised with the reader
     (a pool batch join, [Domain.join]) is exact; a read racing a bump may
     miss it, never tear it.  A domain's shard is folded into a retired
@@ -129,6 +129,3 @@ val clear : unit -> unit
 
 (** One metric per line, [name{labels} = value]. *)
 val pp : Format.formatter -> unit -> unit
-
-(** The registry as JSON (used by the bench [--metrics-json] report). *)
-val to_json : unit -> Json.t

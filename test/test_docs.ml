@@ -358,6 +358,88 @@ let test_client_table_matches_help () =
      same order)"
     from_help from_readme
 
+(* ---------------- the experiment index (EXPERIMENTS.md) ---------------- *)
+
+let bench_exe () =
+  locate
+    [ Filename.concat (Filename.concat ".." "bench") "main.exe";
+      "_build/default/bench/main.exe" ]
+
+(* The ids the bench knows, from the "known:" line it prints when asked
+   for an id it does not know. *)
+let bench_known_ids () =
+  let cmd = Filename.quote_command (bench_exe ()) [ "no-such-experiment" ] in
+  let out, inp, err = Unix.open_process_full cmd (Unix.environment ()) in
+  let lines = In_channel.input_lines err in
+  ignore (In_channel.input_all out);
+  ignore (Unix.close_process_full (out, inp, err));
+  match
+    List.find_map
+      (fun l ->
+        if String.starts_with ~prefix:"known: " l then
+          Some (String.sub l 7 (String.length l - 7))
+        else None)
+      lines
+  with
+  | Some ids -> List.filter (( <> ) "") (String.split_on_char ' ' ids)
+  | None -> Alcotest.fail "bench/main.exe printed no \"known:\" line"
+
+let index_heading = "## Experiment index"
+
+(* (id, command) of every row of the index table: its first two
+   backtick-quoted cells. *)
+let experiment_index () =
+  let lines =
+    read_lines (locate [ Filename.concat ".." "EXPERIMENTS.md"; "EXPERIMENTS.md" ])
+  in
+  let rec find = function
+    | [] -> Alcotest.failf "EXPERIMENTS.md has no %S section" index_heading
+    | l :: rest -> if String.trim l = index_heading then rest else find rest
+  in
+  let rec rows acc = function
+    | [] -> List.rev acc
+    | l :: _ when String.length l > 0 && l.[0] = '#' -> List.rev acc
+    | l :: rest ->
+      rows (match row_cells l with Some row -> row :: acc | None -> acc) rest
+  in
+  rows [] (find lines)
+
+let test_experiment_index_tracks_bench () =
+  let index = experiment_index () in
+  let has_sub needle text =
+    let nl = String.length needle and tl = String.length text in
+    let rec at i = i + nl <= tl && (String.sub text i nl = needle || at (i + 1)) in
+    at 0
+  in
+  let bench_rows =
+    List.filter
+      (fun (_, cmd) ->
+        String.starts_with ~prefix:"dune exec bench/main.exe" cmd
+        && not (has_sub "--regress" cmd))
+      index
+  in
+  (* each bench row's command runs the experiment it names *)
+  List.iter
+    (fun (id, cmd) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "command of %s ends with its id" id)
+        true
+        (String.ends_with ~suffix:(" " ^ id) cmd))
+    bench_rows;
+  Alcotest.(check (list string))
+    "EXPERIMENTS.md index rows run by bench/main.exe = the ids it knows"
+    (List.sort compare (bench_known_ids ()))
+    (List.sort compare (List.map fst bench_rows));
+  List.iter
+    (fun (what, needle) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "EXPERIMENTS.md index has a %s row" what)
+        true
+        (List.exists (fun (_, cmd) -> has_sub needle cmd) index))
+    [ ("--regress", "bench/main.exe -- --regress");
+      ("serve_load", "bench/serve_load.exe");
+      ("perfbench", "perfbench/run.py") ]
+
 let suite =
   [
     Alcotest.test_case "shell command table tracks help" `Quick
@@ -378,4 +460,6 @@ let suite =
       test_monitor_commands_documented;
     Alcotest.test_case "persistence spec present and specific" `Quick
       test_readme_mentions_docs;
+    Alcotest.test_case "experiment index tracks bench ids" `Quick
+      test_experiment_index_tracks_bench;
   ]

@@ -144,23 +144,6 @@ let test_reset_zeroes_work () =
   Alcotest.(check (option string)) "rendered sample zeroed"
     (Some "ivm_derivations_total 0") sample
 
-let test_registry_json () =
-  let g = Metrics.gauge ~labels:[ ("relation", "r") ] "obs_test_json_gauge" in
-  Metrics.set g 42.;
-  let json = Metrics.to_json () in
-  (* round-trip through the emitter and parser *)
-  let parsed = Json.of_string (Json.to_string json) in
-  match parsed with
-  | Json.List entries ->
-    let found =
-      List.exists
-        (fun e ->
-          str "name" e = Some "obs_test_json_gauge" && num "value" e = Some 42.)
-        entries
-    in
-    Alcotest.(check bool) "gauge present with value in JSON dump" true found
-  | _ -> Alcotest.fail "registry JSON is not a list"
-
 (* ------------------------------------------------------------------ *)
 (* Tracer                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -404,8 +387,6 @@ let suite =
       test_exact_across_domains;
     Alcotest.test_case "registry: reset zeroes the work counters" `Quick
       test_reset_zeroes_work;
-    Alcotest.test_case "registry: JSON dump round-trips" `Quick
-      test_registry_json;
     Alcotest.test_case "trace: disabled span is transparent" `Quick
       test_span_disabled_passthrough;
     Alcotest.test_case "trace: spans nest by depth and timestamp" `Quick
