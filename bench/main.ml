@@ -135,21 +135,26 @@ let micro_tests () =
   in
   (* The wire layer every serve reply, WAL record and snapshot passes
      through: a CRC over 64 KiB, and an [Applied] reply of about 20 KiB
-     (the size of negation_counting's) framed, CRC-checked and decoded. *)
+     (the size of negation_counting's) encoded and framed as the server
+     sends it, then framed, CRC-checked and decoded. *)
   let block = String.init (64 * 1024) (fun i -> Char.chr ((i * 7919) land 0xff)) in
   let t_crc =
     Test.make ~name:"wire.crc32-64KiB"
       (Staged.stage (fun () -> Ivm_wire.Crc32.digest block))
   in
-  let applied =
+  let applied_reply =
     let delta =
       Relation.of_list 2
         (List.init 790 (fun i ->
              (Tuple.make [| Value.Int i; Value.Int (i * 7) |], if i land 1 = 0 then 1 else -1)))
     in
-    Ivm_serve.Protocol.encode_response
-      (Ivm_serve.Protocol.Applied { seq = 1; deltas = [ ("hop", delta) ]; timings = [] })
+    Ivm_serve.Protocol.Applied { seq = 1; deltas = [ ("hop", delta) ]; timings = [] }
   in
+  let t_encode =
+    Test.make ~name:"wire.applied-encode-20KiB"
+      (Staged.stage (fun () -> Ivm_serve.Protocol.response_frame applied_reply))
+  in
+  let applied = Ivm_serve.Protocol.encode_response applied_reply in
   let t_roundtrip =
     Test.make ~name:"wire.applied-roundtrip-20KiB"
       (Staged.stage (fun () ->
@@ -160,7 +165,7 @@ let micro_tests () =
            Ivm_serve.Protocol.decode_response payload))
   in
   Test.make_grouped ~name:"ivm"
-    [ t_e1; t_e1b; t_e2; t_e5; t_e6; t_e8; t_e10; t_e12; t_crc; t_roundtrip ]
+    [ t_e1; t_e1b; t_e2; t_e5; t_e6; t_e8; t_e10; t_e12; t_crc; t_encode; t_roundtrip ]
 
 let run_micro () =
   let open Bechamel in

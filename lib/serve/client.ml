@@ -20,7 +20,7 @@ let read_response c : Protocol.response =
   Protocol.decode_response (Frame.read_fd c.fd)
 
 let send_request c (req : Protocol.request) =
-  Frame.write_fd c.fd (Protocol.encode_request req)
+  Frame.send c.fd (Protocol.request_frame req)
 
 (** Wait for the reply to the call in flight, buffering delta pushes. *)
 let rec await c (expect : Protocol.response -> 'a option) : 'a =

@@ -4,6 +4,7 @@
    the spec's opcode table against [opcodes] below. *)
 
 module Wire = Ivm_wire.Wire
+module Frame = Ivm_wire.Frame
 module Relation = Ivm_relation.Relation
 
 let magic = "IVMSRV01"
@@ -136,13 +137,9 @@ let opcode_of_response = function
 
 (* ---------------- encoding ---------------- *)
 
-let put_changes buf (changes : changes) =
-  Wire.put_u32 buf (List.length changes);
-  List.iter
-    (fun (pred, delta) ->
-      Wire.put_string buf pred;
-      Wire.put_relation buf delta)
-    changes
+(* Every message is sized first, then written once into an exact-size
+   block: the payload alone for [encode_*], the whole frame for
+   [*_frame] (what the server and client put on the socket). *)
 
 (* The trace-context extension (docs/PROTOCOL.md §9): an {e optional
    trailing} string on query/apply.  Decoders reject trailing bytes, so
@@ -151,17 +148,22 @@ let put_changes buf (changes : changes) =
    it is never sent it (the empty context encodes as {e absence}, and
    [Applied] timings are emitted only when the request carried a
    context). *)
-let put_trace buf trace = if trace <> "" then Wire.put_string buf trace
+let trace_size trace = if trace = "" then 0 else Wire.string_size trace
+let put_trace w trace = if trace <> "" then Wire.put_string w trace
 
 let get_trace r = if Wire.remaining r > 0 then Wire.get_string r else ""
 
-let put_timings buf (timings : (string * int) list) =
+let timings_size (timings : (string * int) list) =
+  if timings = [] then 0
+  else List.fold_left (fun acc (stage, _) -> acc + Wire.string_size stage + 8) 4 timings
+
+let put_timings w (timings : (string * int) list) =
   if timings <> [] then begin
-    Wire.put_u32 buf (List.length timings);
+    Wire.put_u32 w (List.length timings);
     List.iter
       (fun (stage, ns) ->
-        Wire.put_string buf stage;
-        Wire.put_i64 buf ns)
+        Wire.put_string w stage;
+        Wire.put_i64 w ns)
       timings
   end
 
@@ -173,63 +175,83 @@ let get_timings r =
         (stage, ns))
   else []
 
-let encode_request (req : request) : string =
-  let buf = Buffer.create 64 in
-  Wire.put_u8 buf (opcode_of_request req);
-  (match req with
+let request_size (req : request) =
+  1
+  +
+  match req with
+  | Hello { token; _ } -> String.length magic + 4 + Wire.string_size token
+  | Ping | Status | Close -> 0
+  | Query { body; trace } -> Wire.string_size body + trace_size trace
+  | Apply { changes; trace } -> Wire.changes_size changes + trace_size trace
+  | Subscribe pred -> Wire.string_size pred
+
+let put_request w (req : request) =
+  Wire.put_u8 w (opcode_of_request req);
+  match req with
   | Hello { version; token } ->
-    Buffer.add_string buf magic;
-    Wire.put_u32 buf version;
-    Wire.put_string buf token
+    Wire.put_raw w magic;
+    Wire.put_u32 w version;
+    Wire.put_string w token
   | Ping | Status | Close -> ()
   | Query { body; trace } ->
-    Wire.put_string buf body;
-    put_trace buf trace
+    Wire.put_string w body;
+    put_trace w trace
   | Apply { changes; trace } ->
-    put_changes buf changes;
-    put_trace buf trace
-  | Subscribe pred -> Wire.put_string buf pred);
-  Buffer.contents buf
+    Wire.put_changes w changes;
+    put_trace w trace
+  | Subscribe pred -> Wire.put_string w pred
 
 let answer_size ~columns rows =
   1 + 4
   + List.fold_left (fun acc c -> acc + Wire.string_size c) 0 columns
   + Wire.relation_size rows
 
-let encode_response (resp : response) : string =
-  let buf = Buffer.create 64 in
-  Wire.put_u8 buf (opcode_of_response resp);
-  (match resp with
+let response_size (resp : response) =
+  match resp with
+  | Hello_ok _ -> 1 + 4 + 8
+  | Pong | Bye -> 1
+  | Answer { columns; rows } -> answer_size ~columns rows
+  | Applied { deltas; timings; _ } ->
+    1 + 8 + Wire.changes_size deltas + timings_size timings
+  | Sub_ok s | Status_reply s -> 1 + Wire.string_size s
+  | Delta { pred; delta; _ } ->
+    1 + 8 + Wire.string_size pred + Wire.relation_size delta
+  | Error { message; _ } -> 1 + 1 + Wire.string_size message
+
+let put_response w (resp : response) =
+  Wire.put_u8 w (opcode_of_response resp);
+  match resp with
   | Hello_ok { version; seq } ->
-    Wire.put_u32 buf version;
-    Wire.put_i64 buf seq
+    Wire.put_u32 w version;
+    Wire.put_i64 w seq
   | Pong | Bye -> ()
   | Answer { columns; rows } ->
-    Wire.put_u32 buf (List.length columns);
-    List.iter (Wire.put_string buf) columns;
-    Wire.put_relation buf rows
+    Wire.put_u32 w (List.length columns);
+    List.iter (Wire.put_string w) columns;
+    Wire.put_relation w rows
   | Applied { seq; deltas; timings } ->
-    Wire.put_i64 buf seq;
-    put_changes buf deltas;
-    put_timings buf timings
-  | Sub_ok pred -> Wire.put_string buf pred
-  | Status_reply json -> Wire.put_string buf json
+    Wire.put_i64 w seq;
+    Wire.put_changes w deltas;
+    put_timings w timings
+  | Sub_ok s | Status_reply s -> Wire.put_string w s
   | Delta { seq; pred; delta } ->
-    Wire.put_i64 buf seq;
-    Wire.put_string buf pred;
-    Wire.put_relation buf delta
+    Wire.put_i64 w seq;
+    Wire.put_string w pred;
+    Wire.put_relation w delta
   | Error { code; message } ->
-    Wire.put_u8 buf (error_code_int code);
-    Wire.put_string buf message);
-  Buffer.contents buf
+    Wire.put_u8 w (error_code_int code);
+    Wire.put_string w message
+
+let encode_request req =
+  Bytes.unsafe_to_string (Wire.block (request_size req) (fun w -> put_request w req))
+
+let encode_response resp =
+  Bytes.unsafe_to_string (Wire.block (response_size resp) (fun w -> put_response w resp))
+
+let request_frame req = Frame.build (request_size req) (fun w -> put_request w req)
+let response_frame resp = Frame.build (response_size resp) (fun w -> put_response w resp)
 
 (* ---------------- decoding ---------------- *)
-
-let get_changes r : changes =
-  List.init (Wire.get_u32 r) (fun _ ->
-      let pred = Wire.get_string r in
-      let delta = Wire.get_relation r in
-      (pred, delta))
 
 let get_magic r =
   let m =
@@ -261,7 +283,7 @@ let decode_request (payload : string) : request =
     Query { body; trace = get_trace r }
   end
   else if op = op_apply then begin
-    let changes = get_changes r in
+    let changes = Wire.get_changes r in
     Apply { changes; trace = get_trace r }
   end
   else if op = op_subscribe then Subscribe (Wire.get_string r)
@@ -287,7 +309,7 @@ let decode_response (payload : string) : response =
   end
   else if op = op_applied then begin
     let seq = Wire.get_i64 r in
-    let deltas = get_changes r in
+    let deltas = Wire.get_changes r in
     Applied { seq; deltas; timings = get_timings r }
   end
   else if op = op_sub_ok then Sub_ok (Wire.get_string r)

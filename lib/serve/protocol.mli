@@ -75,11 +75,20 @@ val opcodes : (int * string) list
 val opcode_of_request : request -> int
 val opcode_of_response : response -> int
 
-(** Encode to a frame payload (the caller wraps it in
-    {!Ivm_wire.Frame}). *)
+(** Encode to a frame payload, sized first and written once into an
+    exact-size block. *)
 val encode_request : request -> string
 
 val encode_response : response -> string
+
+(** The complete frame ({!Ivm_wire.Frame.build}) of a message: header,
+    payload and CRC in one exact-size block, ready for
+    {!Ivm_wire.Frame.send}.  Byte-identical to
+    [Frame.encode (encode_request req)] without the intermediate
+    payload string. *)
+val request_frame : request -> string
+
+val response_frame : response -> string
 
 (** The length of an [Answer]'s {!encode_response} payload, computed
     without encoding it. *)

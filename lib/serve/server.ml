@@ -320,7 +320,7 @@ let send (t : t) r (s : session) (resp : Protocol.response) =
         Atomic.incr t.protocol_errors;
         Metrics.inc errors_c
       | _ -> ());
-      Frame.write_fd s.fd (Protocol.encode_response resp)
+      Frame.send s.fd (Protocol.response_frame resp)
     with _ -> close_session t r s
 
 (* fold one finished request into the session's aggregates (owning
@@ -750,8 +750,8 @@ let accept_loop (t : t) =
           (* quota: refuse before a session exists; this fd was never
              shared, so writing here cannot race a reader *)
           (try
-             Frame.write_fd fd
-               (Protocol.encode_response
+             Frame.send fd
+               (Protocol.response_frame
                   (Protocol.Error
                      {
                        code = Protocol.Quota_exceeded;

@@ -10,6 +10,17 @@
    maintenance algorithms' commit sites via [Changes.collector]), then
    publish it atomically.  Publish cost drops to O(|Δ| · indexes).
 
+   Pending changes are shared, not copied.  A buffer lags the live
+   database by the groups committed since it was last patched — the
+   spare by two: the group it missed while published and the one just
+   committed.  Each buffer keeps those groups' collected change sets as
+   a list; the same set sits in both lists, and neither the list nor
+   the rotation ever copies, merges or mutates it.  Rotation patches the
+   sets oldest first.  That order is required: with no ⊎ merge across
+   groups, a tuple inserted by group N and deleted by group N+1 is
+   patched in and then out, and newest first would try to delete a tuple
+   the buffer does not yet hold.
+
    Reader safety is epoch pinning.  A global epoch counter is bumped at
    every publish; each reader domain owns one pin cell.  To use a
    snapshot a reader stores the current epoch in its cell and only then
@@ -46,9 +57,10 @@ let idle = max_int
 
 type buffer = {
   mutable db : Database.t;
-  pending : (string, Relation.t) Hashtbl.t;
-      (** net changes committed to the live database since this buffer
-          last equaled it; ⊎-merged per group, applied on rotation *)
+  mutable pending : Changes.t list;
+      (** the collected change sets of the groups committed since this
+          buffer last equaled the live database, newest first; shared
+          with the other buffer, never mutated *)
   mutable dirty : bool;
       (** an untracked commit happened since this buffer last equaled
           the live database — [pending] is not a faithful replay and the
@@ -100,7 +112,9 @@ let full_copies_c reason =
 
 let patched_tuples_h =
   Metrics.histogram "ivm_serve_publish_patch_tuples"
-    ~help:"Net tuples patched into the spare snapshot per incremental publish"
+    ~help:
+      "Net tuples patched into the spare snapshot per incremental publish, \
+       summed over the groups the spare lags"
 
 let snapshot_age_g =
   Metrics.gauge "ivm_serve_snapshot_age_seconds"
@@ -122,7 +136,7 @@ let stage_h stage =
 let shadow_of live =
   {
     db = Database.copy ~with_indexes:false live;
-    pending = Hashtbl.create 8;
+    pending = [];
     dirty = false;
     retired_at = 0;
   }
@@ -179,30 +193,27 @@ let epoch (t : t) : int = Atomic.get t.epoch
 
 let mark_dirty (buf : buffer) =
   buf.dirty <- true;
-  (* a dirty buffer's pending set is useless — drop it rather than keep
-     merging into it until the full copy clears it *)
-  Hashtbl.reset buf.pending
+  (* a dirty buffer's pending list is useless — drop it rather than keep
+     growing it until the full copy clears it *)
+  buf.pending <- []
 
-let merge_pending (buf : buffer) (delta : Changes.t) =
-  if not buf.dirty then
-    List.iter
-      (fun (pred, d) ->
-        match Hashtbl.find_opt buf.pending pred with
-        | Some acc -> Relation.union_into ~into:acc d
-        | None ->
-          Hashtbl.replace buf.pending pred (Relation.copy ~with_indexes:false d))
-      delta
+let add_pending (buf : buffer) (delta : Changes.t) =
+  if not buf.dirty then buf.pending <- delta :: buf.pending
 
 let pending_tuples (buf : buffer) =
-  Hashtbl.fold (fun _ r acc -> acc + Relation.cardinal r) buf.pending 0
+  List.fold_left (fun acc delta -> acc + Changes.total_tuples delta) 0 buf.pending
 
+(* Oldest group first — the order the header explains. *)
 let apply_pending (buf : buffer) =
-  Hashtbl.iter
-    (fun pred acc ->
-      let stored = Database.relation buf.db pred in
-      Relation.iter (fun tup c -> Relation.patch stored tup c) acc)
-    buf.pending;
-  Hashtbl.reset buf.pending
+  List.iter
+    (fun delta ->
+      List.iter
+        (fun (pred, d) ->
+          let stored = Database.relation buf.db pred in
+          Relation.iter (fun tup c -> Relation.patch stored tup c) d)
+        delta)
+    (List.rev buf.pending);
+  buf.pending <- []
 
 let unpinned (t : t) (buf : buffer) =
   Array.for_all (fun cell -> Atomic.get cell >= buf.retired_at) t.readers
@@ -227,9 +238,9 @@ let wait_unpinned (t : t) (buf : buffer) : bool =
 (** Publish the live database's state after a group commit.  Writer
     domain only.  [track], when complete and nothing moved out-of-band
     since the last publish, carries the group's exact net changes: both
-    shadows absorb them and the spare is patched in place — otherwise
-    both shadows are marked dirty and a fresh full copy is published.
-    Returns the mode actually used. *)
+    shadows queue the collected set and the spare is patched in place —
+    otherwise both shadows are marked dirty and a fresh full copy is
+    published.  Returns the mode actually used. *)
 let publish ?track (t : t) : mode =
   let live = Vm.database t.vm in
   let version = Vm.state_version t.vm in
@@ -245,8 +256,8 @@ let publish ?track (t : t) : mode =
   in
   (match tracked with
   | Some delta ->
-    merge_pending t.front delta;
-    merge_pending t.spare delta
+    add_pending t.front delta;
+    add_pending t.spare delta
   | None ->
     mark_dirty t.front;
     mark_dirty t.spare);

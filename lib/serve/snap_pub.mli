@@ -8,6 +8,13 @@
     in: O(|Δ| · indexes) instead of the old O(|DB| + index rebuild)
     [Database.copy] per group.
 
+    Each shadow's pending changes are a list of the collected change
+    sets of the groups it lags, shared between the two shadows and never
+    copied, merged or mutated.  Rotation patches them oldest first: with
+    no ⊎ merge across groups, a tuple one group inserts and the next
+    deletes is patched in and out again, and only commit order keeps
+    every intermediate count non-negative.
+
     Reader safety is {e epoch pinning}: a reader stores the current
     epoch in its pin cell, {e then} fetches the published database; the
     writer patches a retired buffer only once every cell is idle or at
@@ -62,7 +69,9 @@ val epoch : t -> int
     domain only).  With a complete [track] collector and no out-of-band
     mutation since the last publish, the spare is patched in place and
     swapped in ([Incremental]); otherwise a fresh full copy is published
-    ([Full_copy]).  Observes [publish.rotate_wait] / [publish.patch]
+    ([Full_copy]).  The publisher keeps [Changes.collected track] until
+    both shadows have patched it, so [track] must record nothing more
+    once published.  Observes [publish.rotate_wait] / [publish.patch]
     under [ivm_serve_stage_ns] and the publish-mode counters. *)
 val publish : ?track:Changes.collector -> t -> mode
 

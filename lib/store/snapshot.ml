@@ -24,40 +24,53 @@ let snapshots_c = Metrics.counter "ivm_store_snapshots_total"
 let stored_preds program =
   List.sort String.compare (Program.base_preds program @ Program.derived_preds program)
 
+(* Sized first, then written once into one exact-size block; the CRC
+   trailer is computed over the block in place. *)
 let encode ~seq (db : Database.t) : string =
   let program = Database.program db in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Wire.put_u32 buf version;
-  Wire.put_u8 buf
-    (match Database.semantics db with
-    | Database.Set_semantics -> 0
-    | Database.Duplicate_semantics -> 1);
-  Wire.put_i64 buf seq;
-  Wire.put_string buf
-    (Format.asprintf "%a" Pretty.pp_program (Program.rules program));
+  let program_src = Format.asprintf "%a" Pretty.pp_program (Program.rules program) in
   let base = List.sort String.compare (Program.base_preds program) in
-  Wire.put_u32 buf (List.length base);
-  List.iter
-    (fun p ->
-      Wire.put_string buf p;
-      Wire.put_u32 buf (Program.arity program p))
-    base;
   let distinct = Database.distinct_views db in
-  Wire.put_u32 buf (List.length distinct);
-  List.iter (Wire.put_string buf) distinct;
   let agg_sigs = Database.agg_signatures db in
-  Wire.put_u32 buf (List.length agg_sigs);
-  List.iter (Wire.put_string buf) agg_sigs;
-  let preds = stored_preds program in
-  Wire.put_u32 buf (List.length preds);
-  List.iter
-    (fun p ->
-      Wire.put_string buf p;
-      Wire.put_relation buf (Database.relation db p))
-    preds;
-  Buffer.add_int32_le buf (Crc32.digest (Buffer.contents buf));
-  Buffer.contents buf
+  let rels = List.map (fun p -> (p, Database.relation db p)) (stored_preds program) in
+  let names_size names =
+    List.fold_left (fun acc s -> acc + Wire.string_size s) 4 names
+  in
+  let size =
+    String.length magic + 4 + 1 + 8
+    + Wire.string_size program_src
+    + List.fold_left (fun acc p -> acc + Wire.string_size p + 4) 4 base
+    + names_size distinct + names_size agg_sigs
+    + Wire.changes_size rels
+    + 4
+  in
+  let put_names w names =
+    Wire.put_u32 w (List.length names);
+    List.iter (Wire.put_string w) names
+  in
+  let b =
+    Wire.block size (fun w ->
+        Wire.put_raw w magic;
+        Wire.put_u32 w version;
+        Wire.put_u8 w
+          (match Database.semantics db with
+          | Database.Set_semantics -> 0
+          | Database.Duplicate_semantics -> 1);
+        Wire.put_i64 w seq;
+        Wire.put_string w program_src;
+        Wire.put_u32 w (List.length base);
+        List.iter
+          (fun p ->
+            Wire.put_string w p;
+            Wire.put_u32 w (Program.arity program p))
+          base;
+        put_names w distinct;
+        put_names w agg_sigs;
+        Wire.put_changes w rels;
+        Wire.put_u32 w 0 (* the CRC trailer, filled in below *))
+  in
+  Bytes.set_int32_le b (size - 4) (Crc32.update_bytes 0l b 0 (size - 4));
+  Bytes.unsafe_to_string b
 
 (* ---------------- decoding ---------------- *)
 

@@ -19,26 +19,17 @@ let wal_bytes_g = Metrics.gauge "ivm_store_wal_bytes"
 
 (* ---------------- payload codec ---------------- *)
 
-let encode_payload ~seq (changes : changes) : string =
-  let buf = Buffer.create 256 in
-  Wire.put_i64 buf seq;
-  Wire.put_u32 buf (List.length changes);
-  List.iter
-    (fun (pred, delta) ->
-      Wire.put_string buf pred;
-      Wire.put_relation buf delta)
-    changes;
-  Buffer.contents buf
+(* A record is the batch's sequence number and its changes, framed;
+   sized first and written once, frame header included. *)
+let record_frame ~seq (changes : changes) : string =
+  Frame.build (8 + Wire.changes_size changes) (fun w ->
+      Wire.put_i64 w seq;
+      Wire.put_changes w changes)
 
 let decode_payload (s : string) : int * changes =
   let r = Wire.reader s in
   let seq = Wire.get_i64 r in
-  let changes =
-    List.init (Wire.get_u32 r) (fun _ ->
-        let pred = Wire.get_string r in
-        let delta = Wire.get_relation r in
-        (pred, delta))
-  in
+  let changes = Wire.get_changes r in
   if Wire.remaining r <> 0 then
     Wire.corrupt r (Printf.sprintf "%d trailing bytes in record" (Wire.remaining r));
   (seq, changes)
@@ -121,9 +112,7 @@ let open_append ~path : t * tail =
   let oc = open_raw path in
   if fresh then begin
     Out_channel.output_string oc magic;
-    let b = Buffer.create 4 in
-    Wire.put_u32 b version;
-    Out_channel.output_string oc (Buffer.contents b);
+    Out_channel.output_bytes oc (Wire.block 4 (fun w -> Wire.put_u32 w version));
     fsync_oc oc;
     Fsutil.fsync_dir (Filename.dirname path)
   end;
@@ -144,8 +133,7 @@ let sync t =
    acknowledge or publish them (ARCHITECTURE.md invariant 11). *)
 let append ?(sync = true) t ~seq (changes : changes) : unit =
   Trace.span "store.append" (fun () ->
-      let payload = encode_payload ~seq changes in
-      let frame = Frame.encode payload in
+      let frame = record_frame ~seq changes in
       Out_channel.output_string t.oc frame;
       if sync then (
         fsync_oc t.oc;

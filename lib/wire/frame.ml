@@ -4,7 +4,7 @@
    frame := u32 payload-length L | u32 CRC-32(payload) | L payload bytes
 
    One implementation so the two consumers cannot drift: [Wal.append]
-   writes [encode] output to the log, [Ivm_serve] writes it to sockets
+   writes [build] output to the log, [Ivm_serve] writes it to sockets
    and reads it back with [read_fd]. *)
 
 exception Closed
@@ -13,16 +13,19 @@ exception Closed
    hostile peer, not a real message; failing fast beats allocating. *)
 let max_payload = 1 lsl 26
 
-(* The whole frame in one block: header, then the payload blitted once. *)
-let frame_bytes (payload : string) : bytes =
-  let len = String.length payload in
-  let frame = Bytes.create (len + 8) in
-  Bytes.set_int32_le frame 0 (Int32.of_int len);
-  Bytes.set_int32_le frame 4 (Crc32.digest payload);
-  Bytes.blit_string payload 0 frame 8 len;
-  frame
+(* The whole frame in one block: the payload is written in place after
+   a placeholder header, whose length and CRC are then filled in. *)
+let build size fill =
+  let frame =
+    Wire.block (size + 8) (fun w ->
+        Wire.put_u32 w size;
+        Wire.put_u32 w 0;
+        fill w)
+  in
+  Bytes.set_int32_le frame 4 (Crc32.update_bytes 0l frame 8 size);
+  Bytes.unsafe_to_string frame
 
-let encode payload = Bytes.unsafe_to_string (frame_bytes payload)
+let encode payload = build (String.length payload) (fun w -> Wire.put_raw w payload)
 
 let rec read_exact fd buf off len =
   if len > 0 then begin
@@ -51,12 +54,11 @@ let read_fd ?(max_payload = max_payload) fd : string =
             stored_crc computed));
   payload
 
-let write_fd fd (payload : string) : unit =
-  let b = frame_bytes payload in
-  let n = Bytes.length b in
+let send fd (frame : string) : unit =
+  let n = String.length frame in
   let off = ref 0 in
   while !off < n do
-    let w = Unix.write fd b !off (n - !off) in
+    let w = Unix.write_substring fd frame !off (n - !off) in
     if w <= 0 then raise Closed;
     off := !off + w
   done

@@ -4,9 +4,9 @@
     A frame is [u32] payload length, [u32] CRC-32 of the payload, then
     the payload bytes (all little-endian, no padding); see
     [docs/PERSISTENCE.md] §4 and [docs/PROTOCOL.md] §2.  The WAL appends
-    {!encode} output to a file; the serve protocol writes it to sockets
-    and reads it back with {!read_fd} — one implementation, so the two
-    formats cannot drift. *)
+    {!build} output to a file; the serve protocol writes it to sockets
+    with {!send} and reads it back with {!read_fd} — one
+    implementation, so the two formats cannot drift. *)
 
 (** The peer closed the descriptor mid-frame (EOF before the declared
     length arrived). *)
@@ -17,8 +17,15 @@ exception Closed
     peer, not a real message. *)
 val max_payload : int
 
-(** [encode payload] is the 8-byte header followed by [payload], built in
-    one allocation. *)
+(** [build size fill] is the frame of the [size]-byte payload that
+    [fill] writes: one exact-size block, the payload written in place
+    after the 8-byte header, the CRC computed over it where it lies.
+    @raise Invalid_argument if [fill] writes more or fewer than [size]
+    bytes ({!Wire.block}). *)
+val build : int -> (Wire.writer -> unit) -> string
+
+(** [encode payload] frames an already-encoded payload: the 8-byte
+    header followed by [payload], built in one allocation. *)
 val encode : string -> string
 
 (** Blocking read of exactly one frame; returns the verified payload.
@@ -31,6 +38,7 @@ val encode : string -> string
     receive timeout). *)
 val read_fd : ?max_payload:int -> Unix.file_descr -> string
 
-(** Blocking write of one complete frame.  @raise Closed if the
-    descriptor stops accepting bytes. *)
-val write_fd : Unix.file_descr -> string -> unit
+(** Blocking write of one complete frame, as {!build} or {!encode}
+    return it, straight from the frame's own bytes.  @raise Closed if
+    the descriptor stops accepting bytes. *)
+val send : Unix.file_descr -> string -> unit

@@ -9,42 +9,9 @@ exception Corrupt of string
    their own version handshakes. *)
 let version = 1
 
-(* ---------------- encoding ---------------- *)
+(* ---------------- sizing ---------------- *)
 
-let put_u8 buf n = Buffer.add_uint8 buf (n land 0xff)
-let put_u32 buf n = Buffer.add_int32_le buf (Int32.of_int n)
-let put_i64 buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let put_string buf s =
-  put_u32 buf (String.length s);
-  Buffer.add_string buf s
-
-let put_value buf = function
-  | Value.Int n ->
-    put_u8 buf 0;
-    put_i64 buf n
-  | Value.Float f ->
-    put_u8 buf 1;
-    Buffer.add_int64_le buf (Int64.bits_of_float f)
-  | Value.Str s ->
-    put_u8 buf 2;
-    put_string buf s
-  | Value.Bool b ->
-    put_u8 buf 3;
-    put_u8 buf (if b then 1 else 0)
-
-let put_tuple buf t = Array.iter (put_value buf) (Tuple.to_array t)
-
-let put_relation buf r =
-  put_u32 buf (Relation.arity r);
-  put_u32 buf (Relation.cardinal r);
-  Relation.iter_sorted
-    (fun t c ->
-      put_tuple buf t;
-      put_i64 buf c)
-    r
-
-(* Byte counts of the encodings above, computed without encoding. *)
+(* Byte counts of the encodings below, computed without encoding. *)
 let string_size s = 4 + String.length s
 
 let value_size = function
@@ -56,6 +23,79 @@ let relation_size r =
   Relation.fold
     (fun t _ acc -> Array.fold_left (fun acc v -> acc + value_size v) (acc + 8) (Tuple.to_array t))
     r 8
+
+let changes_size changes =
+  List.fold_left
+    (fun acc (pred, delta) -> acc + string_size pred + relation_size delta)
+    4 changes
+
+(* ---------------- encoding ---------------- *)
+
+(* One exact-size block, filled front to back.  The [Bytes.set_*] and
+   [blit] bounds checks stop a write pass that outruns its size pass;
+   [block] catches one that falls short. *)
+type writer = { buf : bytes; mutable off : int }
+
+let block n fill =
+  let w = { buf = Bytes.create n; off = 0 } in
+  fill w;
+  if w.off <> n then
+    invalid_arg (Printf.sprintf "Wire.block: sized %d bytes, wrote %d" n w.off);
+  w.buf
+
+let put_u8 w n =
+  Bytes.set_uint8 w.buf w.off (n land 0xff);
+  w.off <- w.off + 1
+
+let put_u32 w n =
+  Bytes.set_int32_le w.buf w.off (Int32.of_int n);
+  w.off <- w.off + 4
+
+let put_i64 w n =
+  Bytes.set_int64_le w.buf w.off (Int64.of_int n);
+  w.off <- w.off + 8
+
+let put_raw w s =
+  Bytes.blit_string s 0 w.buf w.off (String.length s);
+  w.off <- w.off + String.length s
+
+let put_string w s =
+  put_u32 w (String.length s);
+  put_raw w s
+
+let put_value w = function
+  | Value.Int n ->
+    put_u8 w 0;
+    put_i64 w n
+  | Value.Float f ->
+    put_u8 w 1;
+    Bytes.set_int64_le w.buf w.off (Int64.bits_of_float f);
+    w.off <- w.off + 8
+  | Value.Str s ->
+    put_u8 w 2;
+    put_string w s
+  | Value.Bool b ->
+    put_u8 w 3;
+    put_u8 w (if b then 1 else 0)
+
+let put_tuple w t = Array.iter (put_value w) (Tuple.to_array t)
+
+let put_relation w r =
+  put_u32 w (Relation.arity r);
+  put_u32 w (Relation.cardinal r);
+  Relation.iter_sorted
+    (fun t c ->
+      put_tuple w t;
+      put_i64 w c)
+    r
+
+let put_changes w changes =
+  put_u32 w (List.length changes);
+  List.iter
+    (fun (pred, delta) ->
+      put_string w pred;
+      put_relation w delta)
+    changes
 
 (* ---------------- decoding ---------------- *)
 
@@ -135,3 +175,9 @@ let get_relation r =
     Relation.add rel t c
   done;
   rel
+
+let get_changes r =
+  List.init (get_u32 r) (fun _ ->
+      let pred = get_string r in
+      let delta = get_relation r in
+      (pred, delta))

@@ -8,8 +8,12 @@
     are a compatibility contract: changing any encoding requires bumping
     {!version} and the containing artifact's own version.
 
-    Encoders append to a [Buffer.t]; decoders read from a [string] through
-    a mutable cursor and raise {!Corrupt} (never [Invalid_argument] or an
+    Encoding is two passes over one exact-size block: the caller sizes
+    the message with the [*_size] functions, {!block} allocates exactly
+    that many bytes, and the [put_*] functions fill them in order.  A
+    size pass and a write pass that disagree raise rather than produce a
+    short or overlong artifact.  Decoders read from a [string] through a
+    mutable cursor and raise {!Corrupt} (never [Invalid_argument] or an
     out-of-bounds crash) on malformed input, so callers can treat any
     decoding failure as a damaged artifact. *)
 
@@ -26,35 +30,57 @@ exception Corrupt of string
     readers reject generations they do not know. *)
 val version : int
 
+(** {2 Sizing}
+
+    The number of bytes the matching [put_*] below writes, computed
+    without encoding. *)
+
+val string_size : string -> int
+val value_size : Value.t -> int
+val relation_size : Relation.t -> int
+val changes_size : (string * Relation.t) list -> int
+
 (** {2 Encoding} *)
 
-val put_u8 : Buffer.t -> int -> unit
-val put_u32 : Buffer.t -> int -> unit
+(** A write cursor over one exact-size block. *)
+type writer
+
+(** [block n fill] allocates exactly [n] bytes, runs [fill] on a writer
+    at offset 0 and returns the filled block.
+    @raise Invalid_argument if [fill] writes more or fewer than [n]
+    bytes: the size pass and the write pass disagree. *)
+val block : int -> (writer -> unit) -> bytes
+
+val put_u8 : writer -> int -> unit
+val put_u32 : writer -> int -> unit
 
 (** 64-bit two's-complement; accepts any OCaml [int]. *)
-val put_i64 : Buffer.t -> int -> unit
+val put_i64 : writer -> int -> unit
+
+(** The bytes as they are, no length prefix (a magic string, a payload
+    being framed). *)
+val put_raw : writer -> string -> unit
 
 (** [u32] byte length, then the raw bytes. *)
-val put_string : Buffer.t -> string -> unit
+val put_string : writer -> string -> unit
 
 (** One tagged value: tag byte [0]=Int, [1]=Float (IEEE-754 bits),
     [2]=Str, [3]=Bool. *)
-val put_value : Buffer.t -> Value.t -> unit
+val put_value : writer -> Value.t -> unit
 
 (** The values in order, no length prefix (the container knows the
     arity). *)
-val put_tuple : Buffer.t -> Tuple.t -> unit
+val put_tuple : writer -> Tuple.t -> unit
 
 (** Arity ([u32]), row count ([u32]), then per row the tuple followed by
     its signed count ([i64]).  Rows are written in {!Relation.to_sorted_list}
     order, so equal relations encode to equal bytes. *)
-val put_relation : Buffer.t -> Relation.t -> unit
+val put_relation : writer -> Relation.t -> unit
 
-(** The number of bytes {!put_string} and {!put_relation} append,
-    computed without encoding. *)
-val string_size : string -> int
-
-val relation_size : Relation.t -> int
+(** A change batch, as a WAL record body and the [apply]/[applied]
+    messages carry it: entry count ([u32]), then per entry the predicate
+    name and its delta relation. *)
+val put_changes : writer -> (string * Relation.t) list -> unit
 
 (** {2 Decoding} *)
 
@@ -81,6 +107,9 @@ val get_tuple : reader -> arity:int -> Tuple.t
     sized only after that check, so a hostile header cannot force a large
     allocation. *)
 val get_relation : reader -> Relation.t
+
+(** Inverse of {!put_changes}. *)
+val get_changes : reader -> (string * Relation.t) list
 
 (** Fail decoding with a {!Corrupt} carrying the cursor position. *)
 val corrupt : reader -> string -> 'a

@@ -600,10 +600,12 @@ let wire_roundtrip_prop =
            (list_size (int_range 0 15)
               (map Tuple.of_list (list_repeat 3 value_gen)))))
     (fun r ->
-      let buf = Buffer.create 256 in
-      Ivm_wire.Wire.put_relation buf r;
+      let encoded =
+        Ivm_wire.Wire.block (Ivm_wire.Wire.relation_size r) (fun w ->
+            Ivm_wire.Wire.put_relation w r)
+      in
       let decoded =
-        Ivm_wire.Wire.get_relation (Ivm_wire.Wire.reader (Buffer.contents buf))
+        Ivm_wire.Wire.get_relation (Ivm_wire.Wire.reader (Bytes.to_string encoded))
       in
       let interned = ref true in
       Relation.iter

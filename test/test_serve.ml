@@ -183,7 +183,7 @@ let frame_roundtrip =
           (try Unix.close r with Unix.Unix_error _ -> ());
           try Unix.close w with Unix.Unix_error _ -> ())
         (fun () ->
-          Frame.write_fd w (Protocol.encode_request req);
+          Frame.send w (Protocol.request_frame req);
           eq_request req (Protocol.decode_request (Frame.read_fd r))))
 
 (* ---------------- trace context: v1 wire compatibility ---------------- *)
@@ -194,17 +194,15 @@ let frame_roundtrip =
    timings. *)
 let trace_context_wire_compat () =
   let wire_string s =
-    let buf = Buffer.create 16 in
-    Wire.put_string buf s;
-    Buffer.contents buf
+    let len = Bytes.create 4 in
+    Bytes.set_int32_le len 0 (Int32.of_int (String.length s));
+    Bytes.to_string len ^ s
   in
   (* hand-built v1 query frame: opcode byte + body, nothing after *)
   let legacy_query =
-    let buf = Buffer.create 16 in
-    Wire.put_u8 buf
-      (Protocol.opcode_of_request (Protocol.Query { body = ""; trace = "" }));
-    Wire.put_string buf "p(X)";
-    Buffer.contents buf
+    String.make 1
+      (Char.chr (Protocol.opcode_of_request (Protocol.Query { body = ""; trace = "" })))
+    ^ wire_string "p(X)"
   in
   (match Protocol.decode_request legacy_query with
   | Protocol.Query { body = "p(X)"; trace = "" } -> ()
@@ -496,11 +494,11 @@ let dead_subscriber_does_not_wedge_writer () =
       let port = Server.port srv in
       (* a subscriber that vanishes without a Close *)
       let fd = raw_connect port in
-      Frame.write_fd fd
-        (Protocol.encode_request
+      Frame.send fd
+        (Protocol.request_frame
            (Protocol.Hello { version = Protocol.version; token = "" }));
       ignore (Frame.read_fd fd);
-      Frame.write_fd fd (Protocol.encode_request (Protocol.Subscribe "both"));
+      Frame.send fd (Protocol.request_frame (Protocol.Subscribe "both"));
       ignore (Frame.read_fd fd);
       Unix.close fd;
       (* the writer must keep committing and acking for everyone else *)
@@ -520,15 +518,15 @@ let handshake_gatekeeping () =
       | exception Client.Server_error (Protocol.Auth_failed, _) -> ());
       (* wrong protocol version, right token *)
       let fd = raw_connect port in
-      Frame.write_fd fd
-        (Protocol.encode_request (Protocol.Hello { version = 99; token = "s3cret" }));
+      Frame.send fd
+        (Protocol.request_frame (Protocol.Hello { version = 99; token = "s3cret" }));
       (match Protocol.decode_response (Frame.read_fd fd) with
       | Protocol.Error { code = Protocol.Bad_version; _ } -> ()
       | _ -> Alcotest.fail "version 99 not rejected");
       Unix.close fd;
       (* no handshake at all *)
       let fd = raw_connect port in
-      Frame.write_fd fd (Protocol.encode_request Protocol.Ping);
+      Frame.send fd (Protocol.request_frame Protocol.Ping);
       (match Protocol.decode_response (Frame.read_fd fd) with
       | Protocol.Error { code = Protocol.Bad_request; _ } -> ()
       | _ -> Alcotest.fail "unauthenticated ping not rejected");
@@ -556,7 +554,7 @@ let hostile_frames_before_hello () =
         Unix.close fd
       in
       let fd = raw_connect port in
-      Frame.write_fd fd (Util.hostile_apply_payload 0xFFFFFFF0);
+      Frame.send fd (Frame.encode (Util.hostile_apply_payload 0xFFFFFFF0));
       expect_bad_request "hostile row count" fd;
       let fd = raw_connect port in
       let hdr = Bytes.make 8 '\000' in
@@ -780,11 +778,11 @@ let outbox_overflow_drops_and_disconnects () =
       let sub = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt_int sub Unix.SO_RCVBUF 1;
       Unix.connect sub (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Frame.write_fd sub
-        (Protocol.encode_request
+      Frame.send sub
+        (Protocol.request_frame
            (Protocol.Hello { version = Protocol.version; token = "" }));
       ignore (Frame.read_fd sub);
-      Frame.write_fd sub (Protocol.encode_request (Protocol.Subscribe "both"));
+      Frame.send sub (Protocol.request_frame (Protocol.Subscribe "both"));
       ignore (Frame.read_fd sub);
       let before = Metrics.counter_value dropped in
       (* bulky tuples so deltas overrun the socket buffers quickly *)
@@ -888,6 +886,131 @@ let oversized_answer_refused () =
       Alcotest.(check int) "session still answers" 6 (Relation.cardinal rows);
       Client.close c)
 
+(* ---------------- golden frame bytes ---------------- *)
+
+(* A frame of every request and response constructor, byte for byte:
+   the format is a compatibility contract (docs/PROTOCOL.md), so any
+   change to the writers must reproduce these bytes.  Each frame must
+   come out the same through [*_frame] and through [Frame.encode] of the
+   payload. *)
+let golden_message_frames () =
+  let pairs =
+    Relation.of_list 2
+      [
+        (Tuple.of_list [ Value.str "a"; Value.int 1 ], 2);
+        (Tuple.of_list [ Value.str "b"; Value.int (-3) ], -1);
+      ]
+  and mixed =
+    Relation.of_list 3
+      [
+        (Tuple.of_list [ Value.str "x y"; Value.float 2.5; Value.bool true ], 1);
+        (Tuple.of_list [ Value.str ""; Value.float (-0.125); Value.bool false ], 3);
+      ]
+  in
+  let hex s =
+    String.concat ""
+      (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+  in
+  let check name frame payload want =
+    Alcotest.(check string) (name ^ " frame") want (hex frame);
+    Alcotest.(check string) (name ^ " framed payload") want (hex (Frame.encode payload))
+  in
+  List.iter
+    (fun (name, req, want) ->
+      check name (Protocol.request_frame req) (Protocol.encode_request req) want)
+    [
+      ( "hello",
+        Protocol.Hello { version = 1; token = "s3cret" },
+        "17000000c0d3c4880149564d53525630310100000006000000733363726574" );
+      ( "ping",
+        Protocol.Ping,
+        "01000000a18e0c3c02" );
+      ( "query",
+        Protocol.Query { body = "hop(a, X)"; trace = "" },
+        "0e00000084d783850309000000686f7028612c205829" );
+      ( "query_traced",
+        Protocol.Query { body = "hop(a, X)"; trace = "00-ab-01" },
+        ("1a000000fc8c60040309000000686f7028612c2058290800000030302d61622d"
+          ^ "3031") );
+      ( "apply",
+        Protocol.Apply { changes = [ ("link", pairs) ]; trace = "" },
+        ("43000000bd3e566f0401000000040000006c696e6b0200000002000000020100"
+          ^ "000061000100000000000000020000000000000002010000006200fdffffffff"
+          ^ "ffffffffffffffffffffff") );
+      ( "apply_traced",
+        Protocol.Apply { changes = [ ("link", pairs); ("w", mixed) ]; trace = "t1" },
+        ("8900000075e09d1d0402000000040000006c696e6b0200000002000000020100"
+          ^ "000061000100000000000000020000000000000002010000006200fdffffffff"
+          ^ "ffffffffffffffffffffff010000007703000000020000000200000000010000"
+          ^ "00000000c0bf0300030000000000000002030000007820790100000000000004"
+          ^ "4003010100000000000000020000007431") );
+      ( "subscribe",
+        Protocol.Subscribe "hop",
+        "080000005c578ee80503000000686f70" );
+      ( "status",
+        Protocol.Status,
+        "01000000b84a613b06" );
+      ( "close",
+        Protocol.Close,
+        "010000002e7a664c07" );
+    ];
+  List.iter
+    (fun (name, resp, want) ->
+      check name (Protocol.response_frame resp) (Protocol.encode_response resp) want)
+    [
+      ( "hello_ok",
+        Protocol.Hello_ok { version = 1; seq = 42 },
+        "0d000000e1889b8181010000002a00000000000000" );
+      ( "pong",
+        Protocol.Pong,
+        "01000000810db4d182" );
+      ( "answer_mixed",
+        Protocol.Answer { columns = [ "S"; "F"; "B" ]; rows = mixed },
+        ("4f0000006a962f46830300000001000000530100000046010000004203000000"
+          ^ "02000000020000000001000000000000c0bf0300030000000000000002030000"
+          ^ "0078207901000000000000044003010100000000000000") );
+      ( "answer_empty",
+        Protocol.Answer { columns = [ "X"; "Y" ]; rows = Relation.create 2 },
+        "1700000006acc39b8302000000010000005801000000590200000000000000" );
+      ( "applied",
+        Protocol.Applied { seq = 9; deltas = [ ("hop", pairs) ]; timings = [] },
+        ("4a00000047591ce88409000000000000000100000003000000686f7002000000"
+          ^ "0200000002010000006100010000000000000002000000000000000201000000"
+          ^ "6200fdffffffffffffffffffffffffffffff") );
+      ( "applied_timed",
+        Protocol.Applied
+          {
+            seq = 9;
+            deltas = [ ("hop", pairs); ("w", mixed) ];
+            timings = [ ("maintain", 1234); ("fsync", 56789) ];
+          },
+        ("b3000000a61e1ed38409000000000000000200000003000000686f7002000000"
+          ^ "0200000002010000006100010000000000000002000000000000000201000000"
+          ^ "6200fdffffffffffffffffffffffffffffff0100000077030000000200000002"
+          ^ "0000000001000000000000c0bf03000300000000000000020300000078207901"
+          ^ "00000000000004400301010000000000000002000000080000006d61696e7461"
+          ^ "696ed204000000000000050000006673796e63d5dd000000000000") );
+      ( "sub_ok",
+        Protocol.Sub_ok "hop",
+        "0800000086d2b5bb8503000000686f70" );
+      ( "status_reply",
+        Protocol.Status_reply "{\"ok\":true}",
+        "10000000c78770f1860b0000007b226f6b223a747275657d" );
+      ( "bye",
+        Protocol.Bye,
+        "010000000ef9dea187" );
+      ( "delta",
+        Protocol.Delta { seq = 3; pred = "hop"; delta = pairs },
+        ("460000006e38641188030000000000000003000000686f700200000002000000"
+          ^ "020100000061000100000000000000020000000000000002010000006200fdff"
+          ^ "ffffffffffffffffffffffffffff") );
+      ( "error",
+        Protocol.Error
+          { code = Protocol.Quota_exceeded; message = "session limit 2 reached" },
+        ("1d0000007cd95aa87f061700000073657373696f6e206c696d69742032207265"
+          ^ "6163686564") );
+    ]
+
 let suite =
   [
     request_roundtrip;
@@ -896,6 +1019,7 @@ let suite =
     answer_size_exact;
     quick "codec: trace context is v1 wire compatible" trace_context_wire_compat;
     quick "codec: trailing bytes rejected" trailing_bytes_rejected;
+    quick "format: golden request and response frames" golden_message_frames;
     quick "frame: bit flip detected by CRC" corrupt_frame_rejected;
     quick "frame: truncation reads as Closed" truncated_frame_is_closed;
     hostile_frames_fail_bounded;

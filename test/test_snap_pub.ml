@@ -232,6 +232,49 @@ let test_stalled_reader_fallback () =
     (Database.canonical_digest (Vm.database vm))
     (Database.canonical_digest (Snap_pub.current pub))
 
+(* ---------------- pending order and immutability ---------------- *)
+
+(* Group N inserts a tuple and group N+1 deletes it, while the spare
+   lags both.  The two collected sets reach the spare unmerged, so it
+   must patch them in commit order (newest first would delete a tuple it
+   does not yet hold), and patching must leave the shared sets as they
+   were. *)
+let test_pending_order () =
+  let vm = Vm.of_source ~algorithm:Vm.Counting seed_src in
+  let link (x, y) c =
+    Changes.of_list (Vm.program vm) [ ("link", [ (Tuple.of_ints [ x; y ], c) ]) ]
+  in
+  ignore (Vm.apply vm (link (2, 3) 1));
+  let pub = Snap_pub.create ~readers:1 vm in
+  let group changes =
+    let track = Changes.collector () in
+    (match Vm.apply_group ~track vm [ changes ] with
+    | [ Ok _ ] -> ()
+    | _ -> Alcotest.fail "apply_group failed");
+    let set = Changes.collected track in
+    let before = List.map (fun (p, r) -> (p, Relation.to_sorted_list r)) set in
+    Alcotest.(check string) "group publishes incrementally" "incremental"
+      (Snap_pub.mode_name (Snap_pub.publish ~track pub));
+    (set, before)
+  in
+  let inserted = group (link (1, 2) 1) in
+  let deleted = group (link (1, 2) (-1)) in
+  Alcotest.(check string) "published equals live"
+    (Database.canonical_digest (Vm.database vm))
+    (Database.canonical_digest (Snap_pub.current pub));
+  List.iter
+    (fun (what, (set, before)) ->
+      Alcotest.(check int) (what ^ ": link and hop changed") 2 (List.length set);
+      List.iter2
+        (fun (p, r) (p', rows) ->
+          Alcotest.(check string) (what ^ ": same predicate") p' p;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s set unchanged by both patches" what p)
+            true
+            (Relation.to_sorted_list r = rows))
+        set before)
+    [ ("insert group", inserted); ("delete group", deleted) ]
+
 let suite =
   [
     Alcotest.test_case "Relation.patch guards negative counts" `Quick
@@ -242,4 +285,6 @@ let suite =
       test_publish_equivalence;
     Alcotest.test_case "stalled reader triggers counted full-copy fallback"
       `Quick test_stalled_reader_fallback;
+    Alcotest.test_case "lagging spare patches shared sets oldest first"
+      `Quick test_pending_order;
   ]

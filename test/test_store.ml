@@ -68,9 +68,10 @@ let wire_value_roundtrip () =
       Value.str ""; Value.str "with \"escapes\"\n\000";
       Value.bool true; Value.bool false ]
   in
-  let buf = Buffer.create 64 in
-  List.iter (Wire.put_value buf) values;
-  let r = Wire.reader (Buffer.contents buf) in
+  let size = List.fold_left (fun acc v -> acc + Wire.value_size v) 0 values in
+  let r =
+    Wire.reader (Bytes.to_string (Wire.block size (fun w -> List.iter (Wire.put_value w) values)))
+  in
   List.iter
     (fun v ->
       let v' = Wire.get_value r in
@@ -82,15 +83,17 @@ let wire_value_roundtrip () =
 
 let wire_relation_roundtrip () =
   let rel = rel_of_pairs "ab; ac 3; bc 2" in
-  let buf = Buffer.create 64 in
-  Wire.put_relation buf rel;
-  let r = Wire.reader (Buffer.contents buf) in
+  let r =
+    Wire.reader
+      (Bytes.to_string (Wire.block (Wire.relation_size rel) (fun w -> Wire.put_relation w rel)))
+  in
   check_rel "relation round-trips with counts" rel (Wire.get_relation r)
 
 let wire_rejects_truncation () =
-  let buf = Buffer.create 64 in
-  Wire.put_string buf "hello world";
-  let s = Buffer.contents buf in
+  let s =
+    Bytes.to_string
+      (Wire.block (Wire.string_size "hello world") (fun w -> Wire.put_string w "hello world"))
+  in
   let r = Wire.reader (String.sub s 0 (String.length s - 3)) in
   match Wire.get_string r with
   | _ -> Alcotest.fail "truncated string decoded"
@@ -111,11 +114,13 @@ let wire_rejects_hostile_row_count () =
       if words > 4096. then
         Alcotest.failf "%d declared rows allocated %.0f words" rows words;
       (* the codec on its own, with a body that is merely short *)
-      let buf = Buffer.create 64 in
-      Wire.put_u32 buf 2;
-      Wire.put_u32 buf rows;
-      Wire.put_value buf (Value.int 1);
-      match Wire.get_relation (Wire.reader (Buffer.contents buf)) with
+      let body =
+        Wire.block (8 + Wire.value_size (Value.int 1)) (fun w ->
+            Wire.put_u32 w 2;
+            Wire.put_u32 w rows;
+            Wire.put_value w (Value.int 1))
+      in
+      match Wire.get_relation (Wire.reader (Bytes.to_string body)) with
       | _ -> Alcotest.failf "%d declared rows decoded" rows
       | exception Wire.Corrupt _ -> ())
     [ 0xFFFFFFF0; 20_000_000 ]
@@ -201,6 +206,60 @@ let golden_frame () =
    ^ "f9ffffffffffffff01000000000000e03fffffffffffffffff")
     (hex (Ivm_wire.Frame.encode payload))
 
+(* One WAL record frame, byte for byte: stores written by any earlier
+   build must replay, so a change to the writers must reproduce it. *)
+let golden_wal_record () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "wal.log" in
+      let pairs =
+        Relation.of_list 2
+          [
+            (Tuple.of_list [ Value.str "a"; Value.int 1 ], 2);
+            (Tuple.of_list [ Value.str "b"; Value.int (-3) ], -1);
+          ]
+      and mixed =
+        Relation.of_list 3
+          [
+            (Tuple.of_list [ Value.str "x y"; Value.float 2.5; Value.bool true ], 1);
+            (Tuple.of_list [ Value.str ""; Value.float (-0.125); Value.bool false ], 3);
+          ]
+      in
+      let w, _ = Wal.open_append ~path in
+      Wal.append ~sync:false w ~seq:5 [ ("link", pairs); ("w", mixed) ];
+      Wal.close w;
+      let s = In_channel.with_open_bin path In_channel.input_all in
+      let record = String.sub s Wal.header_size (String.length s - Wal.header_size) in
+      Alcotest.(check string) "record frame bytes"
+        ("8a0000006280c6eb050000000000000002000000040000006c696e6b02000000"
+         ^ "0200000002010000006100010000000000000002000000000000000201000000"
+         ^ "6200fdffffffffffffffffffffffffffffff0100000077030000000200000002"
+         ^ "0000000001000000000000c0bf03000300000000000000020300000078207901"
+         ^ "000000000000044003010100000000000000")
+        (String.concat ""
+           (List.map
+              (fun c -> Printf.sprintf "%02x" (Char.code c))
+              (List.of_seq (String.to_seq record)))))
+
+(* A size pass and a write pass that disagree must raise, not leave a
+   short block or write past it. *)
+let writer_checks_size () =
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "block written short" (fun () -> Wire.block 5 (fun w -> Wire.put_u32 w 1));
+  raises "block written past its end" (fun () -> Wire.block 3 (fun w -> Wire.put_u32 w 1));
+  raises "frame payload written short" (fun () ->
+      Ivm_wire.Frame.build 9 (fun w -> Wire.put_i64 w 1));
+  raises "frame payload written long" (fun () ->
+      Ivm_wire.Frame.build 7 (fun w -> Wire.put_i64 w 1));
+  Alcotest.(check int) "an exact fill is the block" 12
+    (Bytes.length
+       (Wire.block 12 (fun w ->
+            Wire.put_i64 w 1;
+            Wire.put_u32 w 2)))
+
 let golden_snapshot () =
   let db =
     db_of_source ~semantics:Database.Duplicate_semantics
@@ -231,13 +290,15 @@ let allocation_guards () =
   (* the frame: 8 header bytes + payload, one block with its header word *)
   let block = float_of_int (((String.length payload + 8) / 8) + 2) in
   at_most (block +. 64.) "Frame.encode of 64 KiB" (fun () -> Ivm_wire.Frame.encode payload);
-  let buf = Buffer.create (16 * 10_000) in
-  at_most 64. "10,000 put_i64 + put_u32" (fun () ->
-      for i = 1 to 10_000 do
-        Wire.put_i64 buf (i * -0x1234567);
-        Wire.put_u32 buf i
-      done);
-  let r = Wire.reader (Buffer.contents buf) in
+  let ints =
+    Wire.block (12 * 10_000) (fun w ->
+        at_most 64. "10,000 put_i64 + put_u32" (fun () ->
+            for i = 1 to 10_000 do
+              Wire.put_i64 w (i * -0x1234567);
+              Wire.put_u32 w i
+            done))
+  in
+  let r = Wire.reader (Bytes.to_string ints) in
   at_most 64. "10,000 get_i64 + get_u32" (fun () ->
       for _ = 1 to 10_000 do
         ignore (Sys.opaque_identity (Wire.get_i64 r));
@@ -506,6 +567,8 @@ let suite =
       wire_rejects_hostile_row_count;
     crc_matches_oracle;
     quick "format: golden frame bytes" golden_frame;
+    quick "format: golden WAL record frame" golden_wal_record;
+    quick "wire: a block's size and write passes must agree" writer_checks_size;
     quick "format: golden snapshot digest" golden_snapshot;
     quick "wire: CRC, frame and integer codecs allocate per call, not per byte"
       allocation_guards;
