@@ -934,34 +934,45 @@ let rec rm_rf path =
   | _ -> Sys.remove path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
+(* A one-edge swap on a layered DAG (node ℓ·width + s): a random stored
+   edge out, a fresh edge between two adjacent layers in, so the graph
+   stays acyclic — the shape of perfbench's closure_dred applies. *)
+let layered_swap rng db ~layers ~width =
+  let stored = Database.relation db "link" in
+  let rec fresh () =
+    let l = Prng.int rng (layers - 1) in
+    let e =
+      Graph_gen.edge_tuple
+        ((l * width) + Prng.int rng width, ((l + 1) * width) + Prng.int rng width)
+    in
+    if Relation.mem stored e then fresh () else e
+  in
+  Changes.merge
+    (Update_gen.deletions rng db "link" 1)
+    (Changes.insertions (Database.program db) "link" [ fresh () ])
+
 let e14 () =
   print_header
     "E14: durable views — snapshot size, log cost, recovery vs recompute"
     "restart = snapshot load + replay-Δ through the maintenance path; \
      \"too wasteful to recompute from scratch\" applies to recovery too";
-  let batches = 16 in
   let rows = ref [] in
-  let ok = ref true in
+  let beats_cold = ref true and net_wins = ref true in
   List.iter
-    (fun (edges, nodes) ->
+    (fun (views, src, graph, batches, step) ->
       let dir =
         Filename.concat
           (Filename.get_temp_dir_name ())
-          (Printf.sprintf "ivm_bench_e14_%d_%d" (Unix.getpid ()) edges)
+          (Printf.sprintf "ivm_bench_e14_%d_%d" (Unix.getpid ()) (List.length !rows))
       in
       rm_rf dir;
       let rng = Prng.create 41 in
-      let tuples = Graph_gen.tuples (Graph_gen.random rng ~nodes ~edges) in
+      let tuples = Graph_gen.tuples (graph rng) in
       let vm =
-        Vm.create ~durable:dir
-          ~facts:[ ("link", tuples) ]
-          (Parser.parse_rules Programs.hop_tri_hop)
+        Vm.create ~durable:dir ~facts:[ ("link", tuples) ] (Parser.parse_rules src)
       in
       for _ = 1 to batches do
-        let changes =
-          Update_gen.mixed rng (Vm.database vm) "link" ~nodes ~dels:2 ~ins:3
-        in
-        ignore (Vm.apply vm changes)
+        ignore (Vm.apply vm (step rng (Vm.database vm)))
       done;
       let st = Option.get (Vm.store_status vm) in
       let final_base =
@@ -969,6 +980,7 @@ let e14 () =
           (fun t _ acc -> t :: acc)
           (Vm.relation vm "link") []
       in
+      let net = Vm.resolve vm = Vm.Dred in
       Vm.close_store vm;
       (* recovery: verify + load the snapshot (zero re-evaluation), then
          replay the [batches]-record log tail incrementally *)
@@ -979,38 +991,63 @@ let e14 () =
             let vm2, _ = Vm.open_durable dir in
             Vm.close_store vm2)
       in
+      (* the same tail applied record by record to the loaded snapshot *)
+      let t_per_record =
+        median_time ~repeat:3
+          ~setup:(fun () -> ())
+          (fun () ->
+            let db, store, recovery = Store.open_ ~dir in
+            Store.close store;
+            let vm2 = Vm.of_database db in
+            List.iter (fun c -> ignore (Vm.apply vm2 c)) recovery.Store.replayed)
+      in
       (* cold start: same final base relation, every view re-derived *)
       let t_cold =
         median_time ~repeat:3
           ~setup:(fun () -> ())
           (fun () ->
-            ignore
-              (Vm.create
-                 ~facts:[ ("link", final_base) ]
-                 (Parser.parse_rules Programs.hop_tri_hop)))
+            ignore (Vm.create ~facts:[ ("link", final_base) ] (Parser.parse_rules src)))
       in
       let log_per_batch = (st.Store.wal_bytes - Ivm_store.Wal.header_size) / batches in
       (* write amplification avoided: the naive durable design snapshots
          after every batch; the WAL writes [log_per_batch] instead *)
       let amp = float_of_int st.Store.snapshot_bytes /. float_of_int log_per_batch in
-      if t_recover >= t_cold then ok := false;
+      (* a net replay is judged against per-record replay: on the closure
+         a cold recompute of the small final graph is cheaper still *)
+      if net then (if t_recover >= t_per_record then net_wins := false)
+      else if t_recover >= t_cold then beats_cold := false;
       rows :=
         [
-          fmt_int edges; fmt_bytes st.Store.snapshot_bytes;
-          fmt_bytes log_per_batch; fmt_ratio amp; fmt_time t_recover;
-          fmt_time t_cold; fmt_ratio (t_cold /. t_recover);
+          views; fmt_int (List.length tuples); fmt_int batches;
+          fmt_bytes st.Store.snapshot_bytes; fmt_bytes log_per_batch; fmt_ratio amp;
+          (if net then "net" else "per record"); fmt_time t_recover;
+          fmt_time t_per_record; fmt_time t_cold; fmt_ratio (t_cold /. t_recover);
         ]
         :: !rows;
       rm_rf dir)
-    [ (2000, 400); (8000, 1600) ];
+    (let mixed ~nodes rng db = Update_gen.mixed rng db "link" ~nodes ~dels:2 ~ins:3 in
+     [
+       ( "hop+tri_hop", Programs.hop_tri_hop,
+         (fun rng -> Graph_gen.random rng ~nodes:400 ~edges:2000),
+         16, mixed ~nodes:400 );
+       ( "hop+tri_hop", Programs.hop_tri_hop,
+         (fun rng -> Graph_gen.random rng ~nodes:1600 ~edges:8000),
+         16, mixed ~nodes:1600 );
+       ( "closure", Programs.transitive_closure,
+         (fun rng -> Graph_gen.layered_dag rng ~layers:10 ~width:40 ~out_degree:2),
+         64, layered_swap ~layers:10 ~width:40 );
+     ]);
   print_table
-    [ "|E|"; "snapshot"; "log B/batch"; "vs snap/batch"; "recover (load+replay)";
-      "cold recompute"; "speedup" ]
+    [ "views"; "|E|"; "batches"; "snapshot"; "log B/batch"; "vs snap/batch"; "replay";
+      "recover (load+replay)"; "per-record replay"; "cold recompute"; "speedup" ]
     (List.rev !rows);
-  verdict !ok
+  verdict !beats_cold
     "per-batch logging writes a fraction of a snapshot, and recovery \
      (snapshot + 16-batch replay) beats re-deriving the views from the base \
-     relations"
+     relations";
+  verdict !net_wins
+    "DRed replays the closure's 64-swap tail as one net batch, faster than \
+     record by record"
 
 (* =================================================================== *)
 (* E15 / E17 — what the optional instruments cost                        *)

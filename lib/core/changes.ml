@@ -51,54 +51,6 @@ let is_empty (t : t) = List.for_all (fun (_, r) -> Relation.is_empty r) t
 let total_tuples (t : t) =
   List.fold_left (fun acc (_, r) -> acc + Relation.cardinal r) 0 t
 
-(** Validate a change set against the database and normalize it for the
-    database's semantics:
-
-    - every changed predicate must be a base relation of the program;
-    - deletions must not exceed stored multiplicities (the paper's standing
-      assumption [Γ− ⊆ E], Lemma 4.1);
-    - under set semantics, inserting an already-present tuple and deleting
-      with multiplicity collapse to ±1 transitions (re-inserting a present
-      tuple is dropped).
-
-    Returns the normalized change set.
-    @raise Invalid_changes on violations. *)
-let normalize_base (db : Database.t) (t : t) : t =
-  let program = Database.program db in
-  (* Collapse duplicate entries for the same predicate with [⊎] first. *)
-  let t = merge t [] in
-  List.filter_map
-    (fun (pred, delta) ->
-      if not (Program.mem_pred program pred) then fail "unknown relation %s" pred;
-      if Program.is_derived program pred then
-        fail "%s is a derived relation: apply changes to base relations only"
-          pred;
-      if Relation.arity delta <> Program.arity program pred then
-        fail "arity mismatch in changes for %s" pred;
-      let stored = Database.relation db pred in
-      let out = Relation.create (Relation.arity delta) in
-      Relation.iter
-        (fun tup c ->
-          let have = Relation.count stored tup in
-          match Database.semantics db with
-          | Database.Duplicate_semantics ->
-            if have + c < 0 then
-              fail "deleting %d copies of %s%s but only %d stored" (-c) pred
-                (Tuple.to_string tup) have;
-            Relation.add out tup c
-          | Database.Set_semantics ->
-            if c > 0 && have = 0 then Relation.add out tup 1
-            else if c < 0 then begin
-              if have = 0 then
-                fail "deleting %s%s which is not in the database" pred
-                  (Tuple.to_string tup);
-              Relation.add out tup (-1)
-            end)
-        delta;
-      if Relation.is_empty out then None else Some (pred, out))
-    t
-  |> List.sort (fun (p, _) (q, _) -> String.compare p q)
-
 (* ---------------- net-change collectors ---------------- *)
 
 (* A collector accumulates the net stored-count changes a maintenance run
@@ -136,6 +88,64 @@ let is_complete col = not col.incomplete
 let collected col : t =
   Hashtbl.fold (fun p r acc -> if Relation.is_empty r then acc else (p, r) :: acc)
     col.net []
+  |> List.sort (fun (p, _) (q, _) -> String.compare p q)
+
+(** Validate a change set against the database and normalize it for the
+    database's semantics:
+
+    - every changed predicate must be a base relation of the program;
+    - deletions must not exceed stored multiplicities (the paper's standing
+      assumption [Γ− ⊆ E], Lemma 4.1);
+    - under set semantics, inserting an already-present tuple and deleting
+      with multiplicity collapse to ±1 transitions (re-inserting a present
+      tuple is dropped).
+
+    [pending], when given, is an overlay of net counts not yet applied to
+    [db] (a log tail being folded into one batch): every check then runs
+    against the stored count plus the pending one, the state the earlier
+    batches leave.  The overlay is only read; the caller folds the result
+    into it.
+
+    Returns the normalized change set.
+    @raise Invalid_changes on violations. *)
+let normalize_base ?pending (db : Database.t) (t : t) : t =
+  let program = Database.program db in
+  (* Collapse duplicate entries for the same predicate with [⊎] first. *)
+  let t = merge t [] in
+  List.filter_map
+    (fun (pred, delta) ->
+      if not (Program.mem_pred program pred) then fail "unknown relation %s" pred;
+      if Program.is_derived program pred then
+        fail "%s is a derived relation: apply changes to base relations only"
+          pred;
+      if Relation.arity delta <> Program.arity program pred then
+        fail "arity mismatch in changes for %s" pred;
+      let stored = Database.relation db pred in
+      let overlay = Option.bind pending (fun col -> Hashtbl.find_opt col.net pred) in
+      let out = Relation.create (Relation.arity delta) in
+      Relation.iter
+        (fun tup c ->
+          let have =
+            Relation.count stored tup
+            + match overlay with None -> 0 | Some r -> Relation.count r tup
+          in
+          match Database.semantics db with
+          | Database.Duplicate_semantics ->
+            if have + c < 0 then
+              fail "deleting %d copies of %s%s but only %d stored" (-c) pred
+                (Tuple.to_string tup) have;
+            Relation.add out tup c
+          | Database.Set_semantics ->
+            if c > 0 && have = 0 then Relation.add out tup 1
+            else if c < 0 then begin
+              if have = 0 then
+                fail "deleting %s%s which is not in the database" pred
+                  (Tuple.to_string tup);
+              Relation.add out tup (-1)
+            end)
+        delta;
+      if Relation.is_empty out then None else Some (pred, out))
+    t
   |> List.sort (fun (p, _) (q, _) -> String.compare p q)
 
 let pp ppf (t : t) =

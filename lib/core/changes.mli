@@ -33,15 +33,6 @@ val is_empty : t -> bool
 (** Total number of distinct changed tuples. *)
 val total_tuples : t -> int
 
-(** Validate against the database and normalize for its semantics:
-    changed predicates must be base relations; deletions must not exceed
-    stored multiplicities (the standing assumption of Lemma 4.1); under
-    set semantics insert/delete collapse to ±1 transitions and re-inserts
-    of present tuples are dropped.  Duplicate entries for one predicate
-    are merged first.
-    @raise Invalid_changes on violations. *)
-val normalize_base : Database.t -> t -> t
-
 (** {2 Net-change collectors}
 
     A collector accumulates the net stored-count changes a maintenance run
@@ -71,6 +62,24 @@ val is_complete : collector -> bool
 (** The accumulated net change set, sorted by predicate, empty deltas
     dropped.  Only meaningful when {!is_complete}. *)
 val collected : collector -> t
+
+(** {2 Validation} *)
+
+(** Validate against the database and normalize for its semantics:
+    changed predicates must be base relations; deletions must not exceed
+    stored multiplicities (the standing assumption of Lemma 4.1); under
+    set semantics insert/delete collapse to ±1 transitions and re-inserts
+    of present tuples are dropped.  Duplicate entries for one predicate
+    are merged first.
+
+    [pending] is a collector of net base counts not yet applied to the
+    database: each check then sees the stored count plus the pending
+    one, the state earlier batches leave.  Folding every normalized batch
+    of a sequence into [pending] ({!record}) validates each batch against
+    its prefix and leaves the sequence's net change set in {!collected}
+    (durable recovery's net replay).  [pending] is only read here.
+    @raise Invalid_changes on violations. *)
+val normalize_base : ?pending:collector -> Database.t -> t -> t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -272,19 +272,59 @@ let of_database ?(algorithm = Auto) (db : Database.t) : t =
     state_version = Atomic.make 0;
   }
 
+(** Replay a recovered log tail; [Some n] when it was maintained as one
+    net batch of [n] tuples.  DRed and recomputation fold the tail: a
+    DRed batch costs the region it over-deletes and rederives, not |Δ|,
+    and consecutive records over-delete overlapping regions, so one pass
+    rederives each region once (Section 7 takes any mix of insertions
+    and deletions).  Each record is still validated against the state
+    the records before it leave (the loaded counts plus the pending net
+    overlay), so an invalid record fails with the same [Invalid_changes]
+    as per-record replay, before anything is maintained.  Counting and
+    recursive counting cost O(|Δ|) per batch and replay record by
+    record: merged, the Counting tail of EXPERIMENTS.md E24 derived less
+    but ran slower. *)
+let replay (t : t) (records : Changes.t list) : int option =
+  match resolve t with
+  | Dred | Recompute ->
+    let pending = Changes.collector () in
+    List.iter
+      (fun record ->
+        List.iter
+          (fun (pred, delta) -> Relation.iter (Changes.record pending pred) delta)
+          (Changes.normalize_base ~pending t.db record))
+      records;
+    let net = Changes.collected pending in
+    if records <> [] then ignore (maintain_batch t net);
+    Some (Changes.total_tuples net)
+  | Counting | Recursive_counting | Auto ->
+    List.iter (fun c -> ignore (maintain_batch t c)) records;
+    None
+
 (** Open an existing durable store: load the snapshot (no re-evaluation),
-    replay the surviving log tail through the normal maintenance path,
-    and attach the store so subsequent batches are logged. *)
+    replay the surviving log tail ({!replay}), and attach the store so
+    subsequent batches are logged.  If replay raises, the store is closed
+    before the exception propagates. *)
 let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
   let db, store, recovery = Ivm_store.Store.open_ ~dir in
   let t = of_database ?algorithm db in
+  let records = recovery.Ivm_store.Store.replayed in
+  let net = ref None in
   (* the store handle is attached only after replay, so replayed batches
      are not appended to the log a second time *)
-  Trace.span "store.replay"
-    ~args:(fun () ->
-      [ ("records", string_of_int (List.length recovery.Ivm_store.Store.replayed)) ])
-    (fun () ->
-      List.iter (fun c -> ignore (apply t c)) recovery.Ivm_store.Store.replayed);
+  (try
+     Trace.span "store.replay"
+       ~args:(fun () ->
+         ("records", string_of_int (List.length records))
+         ::
+         (match !net with
+         | Some n -> [ ("mode", "net"); ("net_tuples", string_of_int n) ]
+         | None -> [ ("mode", "per_record") ]))
+       (fun () -> net := replay t records)
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Ivm_store.Store.close store;
+     Printexc.raise_with_backtrace e bt);
   t.store <- Some store;
   (t, recovery)
 

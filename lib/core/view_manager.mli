@@ -139,10 +139,15 @@ val state_version : t -> int
 
 (** Open an existing store directory: load the snapshot with zero
     re-evaluation, replay the surviving log tail through the normal
-    maintenance path, attach the log for subsequent batches.  The returned
-    {!Ivm_store.Store.recovery} says what was replayed, skipped, or
-    dropped (torn/corrupt tail bytes).
-    @raise Ivm_store.Store.Corrupt on an unrecoverable snapshot/log. *)
+    maintenance path, attach the log for subsequent batches.  Under DRed
+    and Recompute the tail is maintained as one net batch; Counting and
+    recursive counting replay it record by record.  Either way every
+    record is validated against the state the records before it leave.
+    The returned {!Ivm_store.Store.recovery} says what was replayed,
+    skipped, or dropped (torn/corrupt tail bytes).
+    @raise Ivm_store.Store.Corrupt on an unrecoverable snapshot/log.
+    @raise Changes.Invalid_changes if a record fails validation; the log
+    is closed first and the store's files are left as they were. *)
 val open_durable : ?algorithm:algorithm -> string -> t * Ivm_store.Store.recovery
 
 (** Turn an in-memory manager durable: snapshot its current state into the

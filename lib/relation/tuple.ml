@@ -16,20 +16,21 @@ let arity t = Array.length t.vals
 let get t i = t.vals.(i)
 let hash t = t.hash
 
+(* Top level, not a local closure over the two arrays: [compare] runs on
+   every hash-table hit ([equal]) and every sort comparison, and a local
+   recursive function would allocate its closure on each call. *)
+let rec compare_from va vb i =
+  if i >= Array.length va then 0
+  else
+    let c = Value.compare va.(i) vb.(i) in
+    if c <> 0 then c else compare_from va vb (i + 1)
+
 let compare a b =
   if a == b then 0
   else
     let va = a.vals and vb = b.vals in
     let la = Array.length va and lb = Array.length vb in
-    if la <> lb then Int.compare la lb
-    else
-      let rec go i =
-        if i >= la then 0
-        else
-          let c = Value.compare va.(i) vb.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
+    if la <> lb then Int.compare la lb else compare_from va vb 0
 
 (* The cached hashes give a constant-time negative before any column is
    compared — the common case in hash-table bucket collisions. *)
