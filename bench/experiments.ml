@@ -10,7 +10,7 @@ module Recursive_counting = Ivm.Recursive_counting
 module Rule_changes = Ivm.Rule_changes
 module Vm = Ivm.View_manager
 module Store = Ivm_store.Store
-module Recompute = Ivm_baselines.Recompute
+module Recompute = Ivm.Recompute
 module Pf = Ivm_baselines.Pf
 module Rule_eval = Ivm_eval.Rule_eval
 module Relation_view = Ivm_relation.Relation_view

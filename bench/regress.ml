@@ -31,7 +31,7 @@ module Json = Ivm_obs.Json
 module Counting = Ivm.Counting
 module Dred = Ivm.Dred
 module Pf = Ivm_baselines.Pf
-module Recompute = Ivm_baselines.Recompute
+module Recompute = Ivm.Recompute
 module Update_gen = Ivm_workload.Update_gen
 
 (* ------------------------------------------------------------------ *)

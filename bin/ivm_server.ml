@@ -20,22 +20,28 @@ let run file algorithm semantics domains durable host port readers auth
     max_sessions max_batch_tuples monitor =
   if domains > 0 then Ivm_par.set_domains domains;
   let vm =
-    match durable with
-    | Some dir when Ivm_store.Store.exists dir ->
-      (match file with
-      | Some _ ->
-        Format.eprintf "note: %s is an existing store; program file ignored@." dir
-      | None -> ());
-      let vm, recovery = Vm.open_durable ~algorithm dir in
-      Format.printf "recovered %s: %a@." dir Ivm_store.Store.pp_recovery recovery;
-      vm
-    | _ ->
-      let src =
-        match file with
-        | Some path -> In_channel.with_open_text path In_channel.input_all
-        | None -> ""
-      in
-      Vm.of_source ~semantics ~algorithm ?durable src
+    (* an algorithm outside the contract is refused before anything is
+       written: no store directory, no log record *)
+    try
+      match durable with
+      | Some dir when Ivm_store.Store.exists dir ->
+        (match file with
+        | Some _ ->
+          Format.eprintf "note: %s is an existing store; program file ignored@." dir
+        | None -> ());
+        let vm, recovery = Vm.open_durable ~algorithm dir in
+        Format.printf "recovered %s: %a@." dir Ivm_store.Store.pp_recovery recovery;
+        vm
+      | _ ->
+        let src =
+          match file with
+          | Some path -> In_channel.with_open_text path In_channel.input_all
+          | None -> ""
+        in
+        Vm.of_source ~semantics ~algorithm ?durable src
+    with Invalid_argument msg ->
+      Format.eprintf "error: %s@." msg;
+      exit 2
   in
   let config =
     {

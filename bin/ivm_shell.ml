@@ -457,7 +457,6 @@ let protect ?sql vm line =
   | Parser.Parse_error msg | Ivm_datalog.Lexer.Lex_error msg ->
     Format.printf "parse error: %s@." msg
   | Changes.Invalid_changes msg -> Format.printf "invalid change: %s@." msg
-  | Ivm.Counting.Recursive_program msg -> Format.printf "error: %s@." msg
   | Ivm.Rule_changes.Unknown_rule msg -> Format.printf "no such rule: %s@." msg
   | Program.Program_error msg -> Format.printf "program error: %s@." msg
   | Ivm_datalog.Safety.Unsafe msg -> Format.printf "unsafe rule: %s@." msg
@@ -575,25 +574,31 @@ let run file sql semantics algorithm verbose domains durable monitor commands =
   if sql && durable <> None then
     prerr_endline "warning: --durable is ignored with --sql";
   let session, vm =
-    match durable with
-    | Some dir when (not sql) && Ivm_store.Store.exists dir ->
-      (match file with
-      | Some _ ->
-        Format.eprintf "note: %s is an existing store; program file ignored@." dir
-      | None -> ());
-      let vm, recovery = Vm.open_durable ~algorithm dir in
-      Format.printf "recovered %s: %a@." dir Ivm_store.Store.pp_recovery recovery;
-      (None, vm)
-    | _ ->
-      let durable = if sql then None else durable in
-      (match file with
-      | Some path ->
-        let src = In_channel.with_open_text path In_channel.input_all in
-        if sql then
-          let session = Ivm_sql.Sql_session.of_script ~semantics ~algorithm src in
-          (Some session, Ivm_sql.Sql_session.manager session)
-        else (None, Vm.of_source ~semantics ~algorithm ?durable src)
-      | None -> (None, Vm.of_source ~semantics ~algorithm ?durable ""))
+    (* an algorithm outside the contract is refused before anything is
+       written *)
+    try
+      match durable with
+      | Some dir when (not sql) && Ivm_store.Store.exists dir ->
+        (match file with
+        | Some _ ->
+          Format.eprintf "note: %s is an existing store; program file ignored@." dir
+        | None -> ());
+        let vm, recovery = Vm.open_durable ~algorithm dir in
+        Format.printf "recovered %s: %a@." dir Ivm_store.Store.pp_recovery recovery;
+        (None, vm)
+      | _ ->
+        let durable = if sql then None else durable in
+        (match file with
+        | Some path ->
+          let src = In_channel.with_open_text path In_channel.input_all in
+          if sql then
+            let session = Ivm_sql.Sql_session.of_script ~semantics ~algorithm src in
+            (Some session, Ivm_sql.Sql_session.manager session)
+          else (None, Vm.of_source ~semantics ~algorithm ?durable src)
+        | None -> (None, Vm.of_source ~semantics ~algorithm ?durable ""))
+    with Invalid_argument msg ->
+      Format.eprintf "error: %s@." msg;
+      exit 2
   in
   let vm = ref vm in
   (match monitor with Some port -> start_monitor vm port | None -> ());

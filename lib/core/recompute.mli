@@ -1,0 +1,15 @@
+(** Full recomputation — the baseline the paper's introduction argues
+    against ("recomputing the view from scratch is too wasteful in most
+    cases", §1), except past the inertia crossover (bench E9).  The
+    manager's [Recompute] algorithm and every test's reference run this
+    one implementation. *)
+
+module Database = Ivm_eval.Database
+
+(** Materialize every view from the base relations (recursive programs
+    under duplicate semantics go through {!Recursive_counting.evaluate}). *)
+val evaluate : Database.t -> unit
+
+(** Apply the base changes, invalidating aggregate indexes over the
+    changed relations, then rebuild every view with {!evaluate}. *)
+val maintain : Database.t -> Changes.t -> unit

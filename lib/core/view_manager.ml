@@ -1,24 +1,8 @@
 (** The library's front door: a materialized-view database plus an
-    incremental maintenance policy.
-
-    A manager owns a {!Ivm_eval.Database} (program + stored relations with
-    counts) and routes every change batch through one of the paper's
-    algorithms:
-
-    - [Counting] — Algorithm 4.1; nonrecursive programs, set or duplicate
-      semantics (Sections 4–6);
-    - [Dred] — Delete/Rederive; any stratified program, set semantics
-      (Section 7);
-    - [Recursive_counting] — the [GKM92] extension: derivation counts
-      through recursion, duplicate semantics, diverges on cyclic data
-      (Section 8);
-    - [Recompute] — the from-scratch baseline the paper argues against
-      ("recomputing the view from scratch is too wasteful in most cases",
-      Section 1);
-    - [Auto] — counting when the program is nonrecursive, DRed otherwise:
-      the paper's own recommendation ("we are proposing the counting
-      algorithm for nonrecursive views, and the DRed algorithm for
-      recursive views").
+    incremental maintenance policy.  The interface tables the algorithm
+    contract on [algorithm] — which of the paper's algorithms maintains
+    which programs, and how every entry point refuses the rest; the five
+    functions under "The algorithm contract" below implement it.
 
     Rule insertions/deletions (Section 7's view redefinition) go through
     {!Rule_changes} with the same policy. *)
@@ -36,9 +20,6 @@ module Trace = Ivm_obs.Trace
 
 type algorithm = Counting | Dred | Recursive_counting | Recompute | Auto
 
-let recompute_batches_c =
-  Metrics.counter ~labels:[ ("algorithm", "recompute") ] "ivm_maintain_batches_total"
-
 let algorithm_name = function
   | Counting -> "counting"
   | Dred -> "dred"
@@ -53,6 +34,97 @@ let algorithm_of_string = function
   | "recompute" -> Some Recompute
   | "auto" -> Some Auto
   | _ -> None
+
+let semantics_name = function
+  | Database.Set_semantics -> "set"
+  | Database.Duplicate_semantics -> "duplicate"
+
+(* ------------------------------------------------------------------ *)
+(* The algorithm contract                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* These five functions, with [algorithm_name] and [algorithm_of_string],
+   are the only code that matches on an [algorithm]: every entry point
+   makes each per-algorithm decision through them. *)
+
+(** What [algorithm] means for [program]: [Auto] is the paper's
+    recommendation, counting when nonrecursive and DRed otherwise. *)
+let resolve algorithm program =
+  match algorithm with
+  | Auto -> if Program.nonrecursive program then Counting else Dred
+  | a -> a
+
+(** Whether [algorithm] can maintain [program] under [semantics];
+    [Error] says what the resolved algorithm lacks. *)
+let supports algorithm program semantics : (unit, string) result =
+  match resolve algorithm program with
+  | Counting when not (Program.nonrecursive program) ->
+    Error
+      "counting maintains nonrecursive programs only (use dred, \
+       recursive-counting or recompute)"
+  | Dred when semantics = Database.Duplicate_semantics ->
+    Error "dred maintains set semantics only (use recursive-counting or recompute)"
+  | Recursive_counting when semantics = Database.Set_semantics ->
+    Error "recursive-counting maintains duplicate semantics only (use dred or recompute)"
+  | Counting | Dred | Recursive_counting | Recompute | Auto -> Ok ()
+
+(** Whether stored counts are exact derivation counts.  The set
+    maintainers (DRed, recomputation) keep the tuple sets exact but let
+    the counts go stale. *)
+let counted algorithm program =
+  match resolve algorithm program with
+  | Counting | Recursive_counting -> true
+  | Dred | Recompute | Auto -> false
+
+(** Materialize every view of [db] from its base relations. *)
+let evaluate algorithm db =
+  match resolve algorithm (Database.program db) with
+  | Recursive_counting -> Recursive_counting.evaluate db
+  | Recompute -> Recompute.evaluate db
+  | Counting | Dred | Auto -> Seminaive.evaluate db
+
+(** Maintain [db] through one batch and return the per-view deltas.
+    [Auto] is resolved against [db] itself: during a rule change that is
+    the rebuilt database, whose program may have just turned recursive.
+    [track] accumulates every applied stored-count difference at the
+    incremental algorithms' commit sites; recomputation rewrites
+    relations wholesale, so it marks [track] incomplete instead and the
+    snapshot publisher falls back to a full copy. *)
+let maintain ?track algorithm db changes : (string * Relation.t) list =
+  let record = Option.map Changes.record track in
+  match resolve algorithm (Database.program db) with
+  | Counting -> (
+    let report = Counting.maintain ?record db changes in
+    match Database.semantics db with
+    | Database.Set_semantics -> report.Counting.propagated_deltas
+    | Database.Duplicate_semantics -> report.Counting.view_deltas)
+  | Dred -> (Dred.maintain ?record db changes).Dred.view_deltas
+  | Recursive_counting -> Recursive_counting.maintain ?record db changes
+  | Recompute | Auto ->
+    Option.iter Changes.mark_incomplete track;
+    (* A recompute invalidates every stored support wholesale; the
+       evaluator's capture hook then re-records each current derivation.
+       (No lineage transitions: recompute overwrites relations without a
+       commit loop.) *)
+    if Ivm_prov.Prov.capturing () then
+      Ivm_prov.Prov.truncate_supports ~reason:"recompute";
+    Recompute.maintain db changes;
+    []
+
+(** Refuse an unsupported combination; every entry point that installs
+    an algorithm or changes the program calls this before changing
+    anything. *)
+let require algorithm program semantics =
+  match supports algorithm program semantics with
+  | Ok () -> ()
+  | Error why ->
+    invalid_arg
+      (Printf.sprintf "View_manager: %s refused under %s semantics: %s"
+         (algorithm_name algorithm) (semantics_name semantics) why)
+
+(* ------------------------------------------------------------------ *)
+(* The manager                                                          *)
+(* ------------------------------------------------------------------ *)
 
 type t = {
   mutable db : Database.t;
@@ -70,25 +142,13 @@ type t = {
 }
 
 let algorithm t = t.algorithm
+let database t = t.db
+let program t = Database.program t.db
+let relation t pred = Database.relation t.db pred
+let semantics t = Database.semantics t.db
 
-let resolve t =
-  match t.algorithm with
-  | Auto ->
-    if Program.nonrecursive (Database.program t.db) then Counting else Dred
-  | a -> a
-
-(** Re-evaluate everything from scratch after applying the base changes —
-    the baseline. *)
-let recompute_maintain (db : Database.t) (changes : Changes.t) : unit =
-  Metrics.inc recompute_batches_c;
-  Trace.span "recompute.maintain" (fun () ->
-      List.iter
-        (fun (pred, delta) ->
-          Database.invalidate_agg_indexes db pred;
-          let stored = Database.relation db pred in
-          Relation.iter (fun tup c -> Relation.add stored tup c) delta)
-        (Changes.normalize_base db changes);
-      Seminaive.evaluate db)
+(* from here on, [resolve] is the manager's own resolution *)
+let resolve t = resolve t.algorithm (program t)
 
 (** Apply one batch of base-relation changes with the configured
     algorithm.  Returns the set transitions per derived predicate.
@@ -112,23 +172,7 @@ let last_batch_g =
 
 let maintain_batch ?track (t : t) (changes : Changes.t) :
     (string * Relation.t) list =
-  let resolved = resolve t in
-  let name = algorithm_name resolved in
-  (* Net-change tracking for the snapshot publisher: the incremental
-     algorithms record every applied per-tuple stored-count difference at
-     their commit site; recomputation rewrites relations wholesale, so
-     the collector is marked incomplete and the publisher falls back to a
-     full copy for this group. *)
-  let record =
-    match track with
-    | None -> None
-    | Some col -> (
-      match resolved with
-      | Counting | Dred | Recursive_counting -> Some (Changes.record col)
-      | Recompute | Auto ->
-        Changes.mark_incomplete col;
-        None)
-  in
+  let name = algorithm_name (resolve t) in
   let t0 = Unix.gettimeofday () in
   Ivm_obs.Attribution.batch_begin ~algorithm:name;
   if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.batch_begin ~algorithm:name;
@@ -144,28 +188,7 @@ let maintain_batch ?track (t : t) (changes : Changes.t) :
     Fun.protect ~finally:finish (fun () ->
         Trace.span "maintain_batch"
           ~args:(fun () -> [ ("algorithm", name) ])
-          (fun () ->
-            match resolved with
-            | Counting ->
-              let report = Counting.maintain ?record t.db changes in
-              (match Database.semantics t.db with
-              | Database.Set_semantics -> report.Counting.propagated_deltas
-              | Database.Duplicate_semantics -> report.Counting.view_deltas)
-            | Dred ->
-              let report = Dred.maintain ?record t.db changes in
-              report.Dred.view_deltas
-            | Recursive_counting ->
-              Recursive_counting.maintain ?record t.db changes
-            | Recompute | Auto ->
-              (* A recompute invalidates every stored support wholesale;
-                 [Seminaive.evaluate] then re-records each current
-                 derivation through the evaluator's capture hook.  (No
-                 lineage transitions: recompute overwrites relations
-                 without a commit loop.) *)
-              if Ivm_prov.Prov.capturing () then
-                Ivm_prov.Prov.truncate_supports ~reason:"recompute";
-              recompute_maintain t.db changes;
-              []))
+          (fun () -> maintain ?track t.algorithm t.db changes))
   in
   Database.observe_gauges t.db;
   deltas
@@ -273,20 +296,23 @@ let of_database ?(algorithm = Auto) (db : Database.t) : t =
   }
 
 (** Replay a recovered log tail; [Some n] when it was maintained as one
-    net batch of [n] tuples.  DRed and recomputation fold the tail: a
-    DRed batch costs the region it over-deletes and rederives, not |Δ|,
-    and consecutive records over-delete overlapping regions, so one pass
-    rederives each region once (Section 7 takes any mix of insertions
-    and deletions).  Each record is still validated against the state
-    the records before it leave (the loaded counts plus the pending net
-    overlay), so an invalid record fails with the same [Invalid_changes]
-    as per-record replay, before anything is maintained.  Counting and
-    recursive counting cost O(|Δ|) per batch and replay record by
-    record: merged, the Counting tail of EXPERIMENTS.md E24 derived less
-    but ran slower. *)
+    net batch of [n] tuples.  The set maintainers (DRed, recomputation)
+    fold the tail: a DRed batch costs the region it over-deletes and
+    rederives, not |Δ|, and consecutive records over-delete overlapping
+    regions, so one pass rederives each region once (Section 7 takes any
+    mix of insertions and deletions).  Each record is still validated
+    against the state the records before it leave (the loaded counts plus
+    the pending net overlay), so an invalid record fails with the same
+    [Invalid_changes] as per-record replay, before anything is
+    maintained.  The counting algorithms cost O(|Δ|) per batch and replay
+    record by record: merged, the Counting tail of EXPERIMENTS.md E24
+    derived less but ran slower. *)
 let replay (t : t) (records : Changes.t list) : int option =
-  match resolve t with
-  | Dred | Recompute ->
+  if counted t.algorithm (program t) then begin
+    List.iter (fun c -> ignore (maintain_batch t c)) records;
+    None
+  end
+  else begin
     let pending = Changes.collector () in
     List.iter
       (fun record ->
@@ -297,34 +323,37 @@ let replay (t : t) (records : Changes.t list) : int option =
     let net = Changes.collected pending in
     if records <> [] then ignore (maintain_batch t net);
     Some (Changes.total_tuples net)
-  | Counting | Recursive_counting | Auto ->
-    List.iter (fun c -> ignore (maintain_batch t c)) records;
-    None
+  end
 
 (** Open an existing durable store: load the snapshot (no re-evaluation),
-    replay the surviving log tail ({!replay}), and attach the store so
-    subsequent batches are logged.  If replay raises, the store is closed
-    before the exception propagates. *)
+    refuse an unsupported algorithm, replay the surviving log tail
+    ({!replay}), and attach the store so subsequent batches are logged.
+    If the refusal or the replay raises, the store is closed before the
+    exception propagates. *)
 let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
   let db, store, recovery = Ivm_store.Store.open_ ~dir in
-  let t = of_database ?algorithm db in
   let records = recovery.Ivm_store.Store.replayed in
   let net = ref None in
   (* the store handle is attached only after replay, so replayed batches
      are not appended to the log a second time *)
-  (try
-     Trace.span "store.replay"
-       ~args:(fun () ->
-         ("records", string_of_int (List.length records))
-         ::
-         (match !net with
-         | Some n -> [ ("mode", "net"); ("net_tuples", string_of_int n) ]
-         | None -> [ ("mode", "per_record") ]))
-       (fun () -> net := replay t records)
-   with e ->
-     let bt = Printexc.get_raw_backtrace () in
-     Ivm_store.Store.close store;
-     Printexc.raise_with_backtrace e bt);
+  let t =
+    try
+      let t = of_database ?algorithm db in
+      require t.algorithm (program t) (semantics t);
+      Trace.span "store.replay"
+        ~args:(fun () ->
+          ("records", string_of_int (List.length records))
+          ::
+          (match !net with
+          | Some n -> [ ("mode", "net"); ("net_tuples", string_of_int n) ]
+          | None -> [ ("mode", "per_record") ]))
+        (fun () -> net := replay t records);
+      t
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Ivm_store.Store.close store;
+      Printexc.raise_with_backtrace e bt
+  in
   t.store <- Some store;
   (t, recovery)
 
@@ -355,21 +384,12 @@ let create ?(semantics = Database.Set_semantics) ?(algorithm = Auto)
   | Some dir when Ivm_store.Store.exists dir -> fst (open_durable ~algorithm dir)
   | _ ->
     let program = Program.make ~extra_base rules in
+    require algorithm program semantics;
     let db = Database.create ~semantics program in
     List.iter (fun v -> Database.mark_distinct db v) distinct;
     List.iter (fun (pred, tuples) -> Database.load db pred tuples) facts;
-    let t =
-      {
-        db;
-        algorithm;
-        incremental_aggregates = false;
-        store = None;
-        state_version = Atomic.make 0;
-      }
-    in
-    (match resolve t with
-    | Recursive_counting -> Recursive_counting.evaluate db
-    | Counting | Dred | Recompute | Auto -> Seminaive.evaluate db);
+    evaluate algorithm db;
+    let t = of_database ~algorithm db in
     (match durable with Some dir -> make_durable t ~dir | None -> ());
     t
 
@@ -380,11 +400,6 @@ let of_source ?semantics ?algorithm ?extra_base ?distinct ?domains ?durable
   let facts = List.map (fun (p, vals) -> (p, [ Tuple.of_list vals ])) facts in
   create ?semantics ?algorithm ?extra_base ?distinct ?domains ?durable ~facts
     rules
-
-let database t = t.db
-let program t = Database.program t.db
-let relation t pred = Database.relation t.db pred
-let semantics t = Database.semantics t.db
 
 (** Fold the log into a fresh snapshot of the current state and reset it.
     @raise Invalid_argument on a non-durable manager. *)
@@ -430,24 +445,6 @@ let delete t pred tuples =
 let update t pred ~old_tuple ~new_tuple =
   apply t (Changes.update (program t) pred ~old_tuple ~new_tuple)
 
-let maintainer t : Rule_changes.maintainer =
- fun db changes ->
-  (* resolve [Auto] against the database being maintained, not [t.db]:
-     during a rule change the maintainer runs on the rebuilt database
-     (whose program may have just turned recursive, or stopped being so)
-     while [t.db] still holds the old one *)
-  let resolved =
-    match t.algorithm with
-    | Auto ->
-      if Program.nonrecursive (Database.program db) then Counting else Dred
-    | a -> a
-  in
-  match resolved with
-  | Counting -> ignore (Counting.maintain db changes)
-  | Dred -> ignore (Dred.maintain db changes)
-  | Recursive_counting -> ignore (Recursive_counting.maintain db changes)
-  | Recompute | Auto -> recompute_maintain db changes
-
 let register_agg_indexes (t : t) : unit =
   List.iter
     (fun rule ->
@@ -480,57 +477,50 @@ let refresh_provenance (t : t) ~reason : unit =
     Seminaive.replay_derivations t.db
   end
 
-let counted_algorithm = function
-  | Counting | Recursive_counting -> true
-  | Dred | Recompute | Auto -> false
+(* Moving into a count-bearing resolution from a set maintainer — an
+   explicit switch, or a rule change that flips what [Auto] means —
+   inherits derivation counts the set maintainer let go stale: re-derive
+   every view from scratch (which drops aggregate indexes over the
+   rewritten views; re-register them).  Returns whether it re-derived. *)
+let rederive (t : t) ~prev : bool =
+  let stale = counted t.algorithm (program t) && resolve t <> prev in
+  if stale then Ivm_prov.Prov.with_suspended (fun () -> evaluate t.algorithm t.db);
+  if t.incremental_aggregates then register_agg_indexes t;
+  stale
 
-(* A rule change can flip what [Auto] resolves to.  Flipping {e into} a
-   count-bearing resolution (the program stopped being recursive, so Auto
-   now means counting) inherits derivation counts a set maintainer let go
-   stale — re-derive from scratch, exactly as [set_algorithm] does for an
-   explicit switch. *)
-let rederive_if_counts_went_live (t : t) ~prev : unit =
-  let now = resolve t in
-  if counted_algorithm now && not (counted_algorithm prev) then
-    Ivm_prov.Prov.with_suspended (fun () ->
-        match now with
-        | Recursive_counting -> Recursive_counting.evaluate t.db
-        | Counting | Dred | Recompute | Auto -> Seminaive.evaluate t.db)
-
-(** Add a rule to the program, incrementally maintaining all views
-    (Section 7, view redefinition). *)
-let add_rule (t : t) (rule : Ast.rule) : unit =
+(* Section 7's view redefinition: [change] rebuilds the database and
+   maintains every view through the guard flip with the configured
+   algorithm. *)
+let change_rule (t : t) change (rule : Ast.rule) : unit =
   let prev = resolve t in
   t.db <-
     Ivm_prov.Prov.with_suspended (fun () ->
-        Rule_changes.add_rule t.db ~maintain:(maintainer t) rule);
-  (* rebuilding the program produced a fresh database: re-register *)
-  if t.incremental_aggregates then register_agg_indexes t;
-  rederive_if_counts_went_live t ~prev;
+        change t.db ~maintain:(fun db c -> ignore (maintain t.algorithm db c)) rule);
+  ignore (rederive t ~prev);
   refresh_provenance t ~reason:"rule-change";
   resnapshot t
+
+(** Add a rule to the program, incrementally maintaining all views
+    (Section 7, view redefinition).  Refused up front when the algorithm
+    cannot maintain the extended program. *)
+let add_rule (t : t) (rule : Ast.rule) : unit =
+  require t.algorithm (Program.make (Program.rules (program t) @ [ rule ])) (semantics t);
+  change_rule t Rule_changes.add_rule rule
 
 let add_rule_text (t : t) (src : string) : unit = add_rule t (Parser.parse_rule src)
 
 (** Remove a rule (matched structurally), incrementally maintaining all
-    views. *)
+    views.  Removal cannot make a supported program unsupported: it never
+    creates recursion. *)
 let remove_rule (t : t) (rule : Ast.rule) : unit =
-  let prev = resolve t in
-  t.db <-
-    Ivm_prov.Prov.with_suspended (fun () ->
-        Rule_changes.remove_rule t.db ~maintain:(maintainer t) rule);
-  if t.incremental_aggregates then register_agg_indexes t;
-  rederive_if_counts_went_live t ~prev;
-  refresh_provenance t ~reason:"rule-change";
-  resnapshot t
+  change_rule t Rule_changes.remove_rule rule
 
 let remove_rule_text (t : t) (src : string) : unit =
   remove_rule t (Parser.parse_rule src)
 
 (** Switch the maintenance algorithm in place.
 
-    Counting maintains nonrecursive programs only — asking for it on a
-    recursive program is rejected eagerly rather than at the next batch.
+    An unsupported combination is refused before anything changes.
     Switching {e to} a count-bearing algorithm (counting / recursive
     counting) from a set-maintaining one (DRed, recomputation) re-derives
     every view from scratch first: the set maintainers keep the stored
@@ -541,29 +531,10 @@ let remove_rule_text (t : t) (src : string) : unit =
     was appended under the algorithm the snapshot was taken under. *)
 let set_algorithm (t : t) (algorithm : algorithm) : unit =
   if algorithm <> t.algorithm then begin
+    require algorithm (program t) (semantics t);
     let prev = resolve t in
-    let target =
-      match algorithm with
-      | Auto -> if Program.nonrecursive (program t) then Counting else Dred
-      | a -> a
-    in
-    if target = Counting && not (Program.nonrecursive (program t)) then
-      invalid_arg
-        "View_manager.set_algorithm: counting maintains nonrecursive \
-         programs only (use dred, recursive-counting or recompute)";
     t.algorithm <- algorithm;
-    let counted = function
-      | Counting | Recursive_counting -> true
-      | Dred | Recompute | Auto -> false
-    in
-    if counted target && target <> prev then begin
-      Ivm_prov.Prov.with_suspended (fun () ->
-          match target with
-          | Recursive_counting -> Recursive_counting.evaluate t.db
-          | Counting | Dred | Recompute | Auto -> Seminaive.evaluate t.db);
-      if t.incremental_aggregates then register_agg_indexes t;
-      refresh_provenance t ~reason:"algorithm-switch"
-    end;
+    if rederive t ~prev then refresh_provenance t ~reason:"algorithm-switch";
     resnapshot t
   end
 
@@ -573,15 +544,8 @@ let set_algorithm (t : t) (algorithm : algorithm) : unit =
 let audit (t : t) : (unit, string) result =
   let fresh = Database.copy t.db in
   (* The audit copy's evaluation must not pollute the provenance store. *)
-  Ivm_prov.Prov.with_suspended (fun () ->
-      match resolve t with
-      | Recursive_counting -> Recursive_counting.evaluate fresh
-      | Counting | Dred | Recompute | Auto -> Seminaive.evaluate fresh);
-  let compare_counts =
-    match resolve t with
-    | Counting | Recursive_counting -> true
-    | Dred | Recompute | Auto -> false
-  in
+  Ivm_prov.Prov.with_suspended (fun () -> evaluate t.algorithm fresh);
+  let compare_counts = counted t.algorithm (program t) in
   let bad =
     List.filter_map
       (fun p ->
@@ -735,11 +699,7 @@ let status_json (t : t) : Ivm_obs.Json.t =
   Json.Obj
     [
       ("algorithm", Json.Str (algorithm_name (resolve t)));
-      ( "semantics",
-        Json.Str
-          (match semantics t with
-          | Database.Set_semantics -> "set"
-          | Database.Duplicate_semantics -> "duplicate") );
+      ("semantics", Json.Str (semantics_name (semantics t)));
       ("domains", Json.int (Ivm_par.domains ()));
       ("views", Json.Obj views);
       ("base_relations", Json.Obj bases);

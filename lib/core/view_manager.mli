@@ -12,14 +12,30 @@ module Ast = Ivm_datalog.Ast
 module Program = Ivm_datalog.Program
 module Database = Ivm_eval.Database
 
+(** The algorithm contract — which algorithm maintains which programs
+    (Sections 4, 7 and 8):
+
+    {v
+    algorithm            program        semantics
+    Counting             nonrecursive   set or duplicate
+    Dred                 any            set
+    Recursive_counting   any            duplicate (diverges, detected, on cyclic data)
+    Recompute            any            any
+    Auto                 counting if nonrecursive, else DRed (as above)
+    v}
+
+    {!create}, {!of_source}, {!open_durable}, {!set_algorithm} and
+    {!add_rule} refuse a combination outside this table with
+    [Invalid_argument] naming it, before anything changes: the relations,
+    the algorithm, {!state_version}, the log and the store files stay as
+    they were.  {!remove_rule} never leaves the table (removal creates no
+    recursion); {!of_database} wraps without checking. *)
 type algorithm =
-  | Counting  (** Algorithm 4.1; nonrecursive programs, either semantics *)
-  | Dred  (** Section 7; any stratified program, set semantics *)
-  | Recursive_counting
-      (** [GKM92]: counts through recursion, duplicate semantics; diverges
-          (detected) on cyclic data *)
+  | Counting  (** Algorithm 4.1 *)
+  | Dred  (** Delete/Rederive *)
+  | Recursive_counting  (** [GKM92]: counts through recursion *)
   | Recompute  (** the from-scratch baseline *)
-  | Auto  (** counting if nonrecursive, else DRed *)
+  | Auto  (** the paper's recommendation *)
 
 val algorithm_name : algorithm -> string
 val algorithm_of_string : string -> algorithm option
@@ -34,7 +50,8 @@ type t
     changed it).  [durable] names a store directory: if it already holds a
     store, the on-disk state wins — it is reopened through {!open_durable}
     and the given rules/facts are ignored; otherwise the fresh manager is
-    snapshotted into it and subsequent batches are write-ahead logged. *)
+    snapshotted into it and subsequent batches are write-ahead logged.
+    @raise Invalid_argument outside the {!algorithm} contract. *)
 val create :
   ?semantics:Database.semantics ->
   ?algorithm:algorithm ->
@@ -70,8 +87,8 @@ val algorithm : t -> algorithm
 (** The algorithm [Auto] resolves to on the current program. *)
 val resolve : t -> algorithm
 
-(** Switch the maintenance algorithm in place.  Counting requires a
-    nonrecursive program (@raise Invalid_argument otherwise).  Switching
+(** Switch the maintenance algorithm in place (@raise Invalid_argument
+    outside the {!algorithm} contract, nothing changed).  Switching
     to a count-bearing algorithm (counting / recursive counting) from a
     set-maintaining one (DRed, recompute) first re-derives every view
     from scratch — the set maintainers leave stored derivation counts
@@ -146,8 +163,10 @@ val state_version : t -> int
     The returned {!Ivm_store.Store.recovery} says what was replayed,
     skipped, or dropped (torn/corrupt tail bytes).
     @raise Ivm_store.Store.Corrupt on an unrecoverable snapshot/log.
-    @raise Changes.Invalid_changes if a record fails validation; the log
-    is closed first and the store's files are left as they were. *)
+    @raise Invalid_argument outside the {!algorithm} contract, and
+    @raise Changes.Invalid_changes if a record fails validation; either
+    way the log is closed first and the store's files are left as they
+    were. *)
 val open_durable : ?algorithm:algorithm -> string -> t * Ivm_store.Store.recovery
 
 (** Turn an in-memory manager durable: snapshot its current state into the
@@ -185,7 +204,8 @@ val update :
 val enable_incremental_aggregates : t -> unit
 
 (** Add a rule to the program, incrementally maintaining all views
-    (Section 7's view redefinition). *)
+    (Section 7's view redefinition).  @raise Invalid_argument when the
+    algorithm cannot maintain the extended program, nothing changed. *)
 val add_rule : t -> Ast.rule -> unit
 
 val add_rule_text : t -> string -> unit

@@ -243,7 +243,9 @@ let sim_exec (s : sim) (step : Cmd.step) : unit =
       Model.log_record m ~wal_end:(Model.wal_end m + min_record_bytes)
   | Cmd.Add_rule r -> Model.add_rule m r
   | Cmd.Del_rule r -> Model.remove_rule m r
-  | Cmd.Algorithm a -> Model.set_algorithm m a
+  | Cmd.Algorithm a ->
+    (* a switch outside the contract is refused and changes nothing *)
+    if Interp.algorithm_ok m a ~rules:m.Model.rules then Model.set_algorithm m a
   | Cmd.Open -> ignore (Model.open_store m)
   | Cmd.Close -> Model.close m
   | Cmd.Compact -> Model.resnapshot m

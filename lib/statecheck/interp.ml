@@ -115,6 +115,9 @@ let check ctx ~(after : Cmd.step) : unit =
           "after %s: view %s diverged\n  real:  %s\n  model: %s" after_s pred
           (tuple_list_str real) (tuple_list_str want))
     (Model.head_preds m);
+  if Vm.algorithm ctx.vm <> m.Model.algorithm then
+    fail ctx "after %s: algorithm %s, model has %s" after_s
+      (Vm.algorithm_name (Vm.algorithm ctx.vm)) (Vm.algorithm_name m.Model.algorithm);
   (* status_json sanity: round-trips and names the resolved algorithm *)
   let status =
     try Json.of_string (Json.to_string (Vm.status_json ctx.vm))
@@ -164,8 +167,8 @@ let defined_ok rules =
 let algorithm_ok (m : Model.t) (a : Vm.algorithm) ~(rules : Ast.rule list) =
   let recursive = Naive.recursive rules in
   if recursive && m.Model.duplicate then
-    (* recursive duplicate semantics is outside every algorithm's
-       contract (the evaluator itself refuses it) *)
+    (* the model never enters recursive duplicate semantics: over the
+       generator's cyclic data, counting through recursion diverges *)
     false
   else
     match a with
@@ -200,8 +203,7 @@ let precondition_pure (m : Model.t) ~(prov_on : bool) ~(monitored : bool)
     && List.length rules' > 0
     && defined_ok rules'
     && algorithm_ok m m.Model.algorithm ~rules:rules'
-  | Cmd.Algorithm a ->
-    a <> m.Model.algorithm && algorithm_ok m a ~rules:m.Model.rules
+  | Cmd.Algorithm a -> a <> m.Model.algorithm
   | Cmd.Audit -> true
   | Cmd.Query (p, arity) ->
     List.exists
@@ -311,9 +313,14 @@ let exec (ctx : ctx) (step : Cmd.step) : unit =
   | Cmd.Del_rule r ->
     Vm.remove_rule ctx.vm r;
     Model.remove_rule m r
-  | Cmd.Algorithm a ->
+  | Cmd.Algorithm a when algorithm_ok m a ~rules:m.Model.rules ->
     Vm.set_algorithm ctx.vm a;
     Model.set_algorithm m a
+  | Cmd.Algorithm a -> (
+    (* outside the contract: refused, and neither side changes *)
+    match Vm.set_algorithm ctx.vm a with
+    | () -> fail ctx "algorithm %s accepted outside the contract" (Vm.algorithm_name a)
+    | exception Invalid_argument _ -> ())
   | Cmd.Audit -> (
     match Vm.audit ctx.vm with
     | Ok () -> ()

@@ -180,7 +180,7 @@ let recompute_invalidates () =
           | _ -> ())
         rule.Ivm_datalog.Ast.body)
     (Program.rules (Database.program db));
-  Ivm_baselines.Recompute.maintain db
+  Ivm.Recompute.maintain db
     (Changes.insertions (Database.program db) "link" [ tup3 "q" "r" 2 ]);
   (* indexes dropped; counting falls back to the probe path and stays exact *)
   ignore

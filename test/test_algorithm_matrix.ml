@@ -8,7 +8,7 @@ module Changes = Ivm.Changes
 module Counting = Ivm.Counting
 module Dred = Ivm.Dred
 module Rc = Ivm.Recursive_counting
-module Recompute = Ivm_baselines.Recompute
+module Recompute = Ivm.Recompute
 module Prng = Ivm_workload.Prng
 module Graph_gen = Ivm_workload.Graph_gen
 module Update_gen = Ivm_workload.Update_gen

@@ -3,7 +3,7 @@
 open Util
 module Changes = Ivm.Changes
 module Counting = Ivm.Counting
-module Recompute = Ivm_baselines.Recompute
+module Recompute = Ivm.Recompute
 module Pf = Ivm_baselines.Pf
 module Blakeley = Ivm_baselines.Blakeley
 module Stats = Ivm_eval.Stats

@@ -25,7 +25,7 @@ module Counting = Ivm.Counting
 module Dred = Ivm.Dred
 module Rc = Ivm.Recursive_counting
 module Pf = Ivm_baselines.Pf
-module Recompute = Ivm_baselines.Recompute
+module Recompute = Ivm.Recompute
 module Prng = Ivm_workload.Prng
 module Graph_gen = Ivm_workload.Graph_gen
 module Update_gen = Ivm_workload.Update_gen

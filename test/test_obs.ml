@@ -12,7 +12,7 @@ module Json = Ivm_obs.Json
 module Stats = Ivm_eval.Stats
 module Changes = Ivm.Changes
 module Counting = Ivm.Counting
-module Recompute = Ivm_baselines.Recompute
+module Recompute = Ivm.Recompute
 
 let q ?(count = 50) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)

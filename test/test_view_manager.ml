@@ -100,6 +100,127 @@ let empty_program () =
   let vm = Vm.of_source "" in
   Alcotest.(check (result unit string)) "empty audit" (Ok ()) (Vm.audit vm)
 
+(* ------------------------------------------------------------------ *)
+(* The algorithm contract: refusals change nothing                      *)
+(* ------------------------------------------------------------------ *)
+
+module Store = Ivm_store.Store
+
+let base_rule = "path(X, Y) :- link(X, Y)."
+let recursive_rule = "path(X, Y) :- path(X, Z), link(Z, Y)."
+
+(* Every combination outside the contract.  [rules]'s last rule makes the
+   program recursive; [by_rule] rows are supported without it, so adding
+   it is refused too. *)
+let unsupported =
+  [
+    ("counting on a recursive program", Database.Set_semantics, Vm.Counting,
+     [ base_rule; recursive_rule ], true);
+    ("dred under duplicate semantics", Database.Duplicate_semantics, Vm.Dred,
+     [ "hop(X, Y) :- link(X, Z), link(Z, Y)." ], false);
+    ("auto on a recursive program under duplicate semantics",
+     Database.Duplicate_semantics, Vm.Auto, [ base_rule; recursive_rule ], true);
+    ("recursive-counting under set semantics", Database.Set_semantics,
+     Vm.Recursive_counting, [ "hop(X, Y) :- link(X, Z), link(Z, Y)." ], false);
+  ]
+
+let facts = "link(a, b). link(b, c). link(b, c)."
+
+(* Everything a refusal must leave as it was. *)
+let observe vm dir =
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f ->
+           (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  in
+  ( Database.canonical_digest (Vm.database vm),
+    Vm.algorithm_name (Vm.algorithm vm),
+    Vm.state_version vm,
+    (Option.get (Vm.store_status vm)).Store.wal_records,
+    files )
+
+let refused name algorithm f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+    let prefix = Printf.sprintf "View_manager: %s refused" (Vm.algorithm_name algorithm) in
+    if not (String.starts_with ~prefix msg) then
+      Alcotest.failf "%s: message %S does not start %S" name msg prefix
+
+(* A durable manager over [rules] under [algorithm], one batch logged. *)
+let durable_manager ~dir ~semantics ~algorithm rules =
+  let vm =
+    Vm.of_source ~semantics ~algorithm ~durable:dir
+      (String.concat "\n" rules ^ "\n" ^ facts)
+  in
+  ignore (Vm.insert vm "link" [ Tuple.of_strs [ "c"; "d" ] ]);
+  vm
+
+let refusals_change_nothing () =
+  List.iter
+    (fun (name, semantics, algorithm, rules, by_rule) ->
+      Test_store.with_dir (fun root ->
+          let dir = Filename.concat root "store" in
+          let src = String.concat "\n" rules ^ "\n" ^ facts in
+          (* create: nothing materialized, no store directory *)
+          refused ("create: " ^ name) algorithm (fun () ->
+              Vm.of_source ~semantics ~algorithm ~durable:dir src);
+          if Sys.file_exists dir then Alcotest.failf "create: %s: left %s" name dir;
+          (* set_algorithm, from recomputation (which supports everything) *)
+          let vm = durable_manager ~dir ~semantics ~algorithm:Vm.Recompute rules in
+          let before = observe vm dir in
+          refused ("set_algorithm: " ^ name) algorithm (fun () ->
+              Vm.set_algorithm vm algorithm);
+          if observe vm dir <> before then
+            Alcotest.failf "set_algorithm: %s: state changed" name;
+          Vm.close_store vm;
+          (* open_durable on the store that manager left; reopening it
+             under recomputation then finds everything as it was *)
+          refused ("open_durable: " ^ name) algorithm (fun () ->
+              Vm.open_durable ~algorithm dir);
+          let vm, _ = Vm.open_durable ~algorithm:Vm.Recompute dir in
+          if observe vm dir <> before then
+            Alcotest.failf "open_durable: %s: state changed" name;
+          Vm.close_store vm;
+          (* add_rule, when the new rule is what leaves the contract *)
+          if by_rule then begin
+            let dir = Filename.concat root "prefix" in
+            let prefix = List.filteri (fun i _ -> i < List.length rules - 1) rules in
+            let vm = durable_manager ~dir ~semantics ~algorithm prefix in
+            let before = observe vm dir in
+            refused ("add_rule: " ^ name) algorithm (fun () ->
+                Vm.add_rule_text vm (List.nth rules (List.length rules - 1)));
+            if observe vm dir <> before then
+              Alcotest.failf "add_rule: %s: state changed" name;
+            Vm.close_store vm
+          end))
+    unsupported
+
+(* Recomputation maintains a recursive program under duplicate semantics
+   through counting's evaluator: the same multiset as recursive counting,
+   whether created with it or switched to it. *)
+let recompute_recursive_duplicates () =
+  let make algorithm =
+    Vm.of_source ~semantics:Database.Duplicate_semantics ~algorithm
+      (String.concat "\n" [ base_rule; recursive_rule; facts ])
+  in
+  let reference = make Vm.Recursive_counting in
+  let created = make Vm.Recompute in
+  let switched = make Vm.Recursive_counting in
+  Vm.set_algorithm switched Vm.Recompute;
+  let step f =
+    List.iter (fun vm -> ignore (f vm)) [ reference; created; switched ];
+    List.iter
+      (fun (name, vm) ->
+        Alcotest.(check (result unit string)) (name ^ ": audit") (Ok ()) (Vm.audit vm);
+        Alcotest.check relation_counted (name ^ ": path") (Vm.relation reference "path")
+          (Vm.relation vm "path"))
+      [ ("created", created); ("switched", switched) ]
+  in
+  step (fun vm -> Vm.insert vm "link" [ Tuple.of_strs [ "c"; "d" ] ]);
+  Alcotest.(check int) "six paths" 6 (Relation.cardinal (Vm.relation created "path"));
+  step (fun vm -> Vm.delete vm "link" [ Tuple.of_strs [ "a"; "b" ] ])
+
 let suite =
   [
     quick "auto resolves per the paper's recommendation" auto_resolution;
@@ -110,4 +231,7 @@ let suite =
     quick "recompute mode" recompute_mode_works;
     quick "extra base relations" extra_base_relations;
     quick "empty program" empty_program;
+    quick "unsupported combinations refused, nothing changed" refusals_change_nothing;
+    quick "recompute: recursive program, duplicate semantics"
+      recompute_recursive_duplicates;
   ]
