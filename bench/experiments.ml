@@ -15,6 +15,8 @@ module Pf = Ivm_baselines.Pf
 module Rule_eval = Ivm_eval.Rule_eval
 module Relation_view = Ivm_relation.Relation_view
 module Compile = Ivm_eval.Compile
+module Delta = Ivm.Delta
+module Metrics = Ivm_obs.Metrics
 
 (* =================================================================== *)
 (* E1 — counting vs recomputation (§1, §4)                              *)
@@ -551,6 +553,49 @@ let e8 () =
 (* E9 — the heuristic of inertia has a crossover (§1)                   *)
 (* =================================================================== *)
 
+(* The re-evaluate branch alone: every unit re-evaluated from its
+   finished inputs, as Auto does above its threshold. *)
+let reevaluate_all maintainer db changes =
+  let ctx = Delta.create db in
+  List.iter
+    (fun (pred, delta) -> Delta.set_delta ctx pred ~full:delta)
+    (Changes.normalize_base db changes);
+  List.iter
+    (Delta.reevaluate ctx maintainer)
+    (Program.recursive_units (Database.program db));
+  ignore (Delta.commit ctx)
+
+(* What Auto's cost rule chose while [f] ran: the ivm_auto_choice_total
+   counters it moved, as "incremental", "reevaluate" or
+   "n incremental + m reevaluate" over several unit decisions. *)
+let auto_choices f =
+  let counters =
+    List.map
+      (fun c ->
+        ( Delta.choice_name c,
+          Metrics.counter ~labels:[ ("choice", Delta.choice_name c) ]
+            "ivm_auto_choice_total" ))
+      Delta.[ Incremental; Reevaluate ]
+  in
+  let before = List.map (fun (_, c) -> Metrics.counter_value c) counters in
+  f ();
+  let moved =
+    List.map2 (fun (name, c) b -> (name, Metrics.counter_value c - b)) counters before
+    |> List.filter (fun (_, n) -> n > 0)
+  in
+  match moved with
+  | [ (name, 1) ] -> name
+  | moved ->
+    String.concat " + " (List.map (fun (name, n) -> Printf.sprintf "%d %s" n name) moved)
+
+(* What Auto chooses for [changes] on a copy of [db]. *)
+let auto_choice db changes =
+  let db = Database.copy db in
+  auto_choices (fun () ->
+      if Program.nonrecursive (Database.program db) then
+        ignore (Counting.maintain ~auto:true db changes)
+      else ignore (Dred.maintain ~auto:true db changes))
+
 let e9 () =
   print_header "E9: the crossover of the heuristic of inertia"
     "\"if an entire base relation is deleted, it may be cheaper to recompute the view\" (§1)";
@@ -561,34 +606,42 @@ let e9 () =
   in
   let n = List.length all_edges in
   let rows = ref [] in
-  let crossover = ref None in
+  let crossover = ref None and auto_close = ref true in
   List.iter
     (fun percent ->
       let k = max 1 (n * percent / 100) in
       let victims = Prng.sample rng k all_edges in
       let changes = Changes.deletions (Database.program db0) "link" victims in
-      let t_inc =
-        median_time ~repeat:3
-          ~setup:(fun () -> Database.copy db0)
-          (fun db -> ignore (Counting.maintain db changes))
-      in
-      let t_re =
-        median_time ~repeat:3
-          ~setup:(fun () -> Database.copy db0)
-          (fun db -> Recompute.maintain db changes)
+      let t_inc, t_re, t_view, t_auto =
+        match
+          interleaved_medians
+            ~setup:(fun () -> Database.copy db0)
+            [
+              (fun db -> ignore (Counting.maintain db changes));
+              (fun db -> Recompute.maintain db changes);
+              (fun db -> reevaluate_all Delta.Counting db changes);
+              (fun db -> ignore (Counting.maintain ~auto:true db changes));
+            ]
+        with
+        | [ a; b; c; d ] -> (a, b, c, d)
+        | _ -> assert false
       in
       if t_inc > t_re && !crossover = None then crossover := Some percent;
+      if t_auto > 1.2 *. Float.min t_inc t_view then auto_close := false;
       rows :=
         [
           Printf.sprintf "%d%%" percent; fmt_time t_inc; fmt_time t_re;
           (if t_inc < t_re then "incremental" else "recompute");
+          fmt_time t_view; fmt_time t_auto; auto_choice db0 changes;
+          fmt_ratio (t_auto /. Float.min t_inc t_view);
         ]
         :: !rows)
-    [ 1; 5; 20; 50; 80; 100 ];
+    [ 1; 5; 10; 20; 30; 40; 50; 80; 100 ];
   print_table
-    [ "deleted fraction"; "counting"; "recompute"; "winner" ]
+    [ "deleted fraction"; "counting"; "recompute"; "winner"; "re-evaluate hop";
+      "auto"; "auto chose"; "auto / cheaper of counting, re-evaluate" ]
     (List.rev !rows);
-  match !crossover with
+  (match !crossover with
   | Some p ->
     verdict true
       (Printf.sprintf
@@ -596,7 +649,10 @@ let e9 () =
          p)
   | None ->
     verdict true
-      "incremental won everywhere up to 100% on this workload (inertia very strong)"
+      "incremental won everywhere up to 100% on this workload (inertia very strong)");
+  verdict !auto_close
+    "Auto is within 20% of the cheaper of counting and re-evaluating the \
+     view on every row"
 
 (* =================================================================== *)
 (* E10 — negation views maintained incrementally (§6.1, Ex 6.1)         *)
@@ -934,22 +990,25 @@ let rec rm_rf path =
   | _ -> Sys.remove path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* A one-edge swap on a layered DAG (node ℓ·width + s): a random stored
-   edge out, a fresh edge between two adjacent layers in, so the graph
-   stays acyclic — the shape of perfbench's closure_dred applies. *)
-let layered_swap rng db ~layers ~width =
+(* [k] edge swaps on a layered DAG (node ℓ·width + s): [k] random stored
+   edges out, [k] distinct fresh edges between adjacent layers in, so the
+   graph stays acyclic — one swap is the shape of perfbench's
+   closure_dred applies. *)
+let layered_swap ~k rng db ~layers ~width =
   let stored = Database.relation db "link" in
+  let picked = Relation.create (Relation.arity stored) in
   let rec fresh () =
     let l = Prng.int rng (layers - 1) in
     let e =
       Graph_gen.edge_tuple
         ((l * width) + Prng.int rng width, ((l + 1) * width) + Prng.int rng width)
     in
-    if Relation.mem stored e then fresh () else e
+    if Relation.mem stored e || Relation.mem picked e then fresh ()
+    else (Relation.add picked e 1; e)
   in
   Changes.merge
-    (Update_gen.deletions rng db "link" 1)
-    (Changes.insertions (Database.program db) "link" [ fresh () ])
+    (Update_gen.deletions rng db "link" k)
+    (Changes.insertions (Database.program db) "link" (List.init k (fun _ -> fresh ())))
 
 let e14 () =
   print_header
@@ -982,8 +1041,10 @@ let e14 () =
       in
       let net = Vm.resolve vm = Vm.Dred in
       Vm.close_store vm;
+      (* the choices Auto's cost rule makes during one recovery *)
+      let chose = auto_choices (fun () -> Vm.close_store (fst (Vm.open_durable dir))) in
       (* recovery: verify + load the snapshot (zero re-evaluation), then
-         replay the [batches]-record log tail incrementally *)
+         replay the [batches]-record log tail through maintenance *)
       let t_recover =
         median_time ~repeat:3
           ~setup:(fun () -> ())
@@ -1013,14 +1074,17 @@ let e14 () =
          after every batch; the WAL writes [log_per_batch] instead *)
       let amp = float_of_int st.Store.snapshot_bytes /. float_of_int log_per_batch in
       (* a net replay is judged against per-record replay: on the closure
-         a cold recompute of the small final graph is cheaper still *)
-      if net then (if t_recover >= t_per_record then net_wins := false)
+         a cold recompute of the small final graph is cheaper still, and
+         Auto's cost rule re-evaluates the net batch rather than run
+         DRed's phases over it *)
+      if net then (
+        if t_recover >= t_per_record || chose <> "reevaluate" then net_wins := false)
       else if t_recover >= t_cold then beats_cold := false;
       rows :=
         [
           views; fmt_int (List.length tuples); fmt_int batches;
           fmt_bytes st.Store.snapshot_bytes; fmt_bytes log_per_batch; fmt_ratio amp;
-          (if net then "net" else "per record"); fmt_time t_recover;
+          (if net then "net" else "per record"); chose; fmt_time t_recover;
           fmt_time t_per_record; fmt_time t_cold; fmt_ratio (t_cold /. t_recover);
         ]
         :: !rows;
@@ -1035,19 +1099,68 @@ let e14 () =
          16, mixed ~nodes:1600 );
        ( "closure", Programs.transitive_closure,
          (fun rng -> Graph_gen.layered_dag rng ~layers:10 ~width:40 ~out_degree:2),
-         64, layered_swap ~layers:10 ~width:40 );
+         64, layered_swap ~k:1 ~layers:10 ~width:40 );
      ]);
   print_table
     [ "views"; "|E|"; "batches"; "snapshot"; "log B/batch"; "vs snap/batch"; "replay";
-      "recover (load+replay)"; "per-record replay"; "cold recompute"; "speedup" ]
+      "auto chose"; "recover (load+replay)"; "per-record replay"; "cold recompute"; "speedup" ]
     (List.rev !rows);
   verdict !beats_cold
     "per-batch logging writes a fraction of a snapshot, and recovery \
      (snapshot + 16-batch replay) beats re-deriving the views from the base \
      relations";
   verdict !net_wins
-    "DRed replays the closure's 64-swap tail as one net batch, faster than \
-     record by record"
+    "the closure's 64-swap tail replays as one net batch, which Auto's cost \
+     rule re-evaluates, faster than record by record"
+
+(* =================================================================== *)
+(* E25 — Auto's cost rule on DRed: incremental or re-evaluate (§1, §7)  *)
+(* =================================================================== *)
+
+let e25 () =
+  print_header "E25: Auto's cost rule on a closure — DRed or re-evaluate"
+    "incremental maintenance is a heuristic (§1): DRed's cost is its \
+     over-deleted region, so past a swapped share re-evaluating the unit wins";
+  let layers = 10 and width = 40 in
+  let db0, rng =
+    layered_db ~src:Programs.transitive_closure ~seed:43 ~layers ~width
+      ~out_degree:2 ()
+  in
+  warm db0 `Dred;
+  let n = Relation.cardinal (Database.relation db0 "link") in
+  let rows = ref [] and auto_close = ref true in
+  List.iter
+    (fun permille ->
+      let k = max 1 (n * permille / 1000) in
+      let changes = layered_swap ~k rng db0 ~layers ~width in
+      let t_dred, t_re, t_auto =
+        match
+          interleaved_medians
+            ~setup:(fun () -> Database.copy db0)
+            [
+              (fun db -> ignore (Dred.maintain db changes));
+              (fun db -> reevaluate_all Delta.Dred db changes);
+              (fun db -> ignore (Dred.maintain ~auto:true db changes));
+            ]
+        with
+        | [ a; b; c ] -> (a, b, c)
+        | _ -> assert false
+      in
+      if t_auto > 1.2 *. Float.min t_dred t_re then auto_close := false;
+      rows :=
+        [
+          Printf.sprintf "%.1f%%" (float_of_int permille /. 10.); fmt_int k;
+          Printf.sprintf "%.3f" (float_of_int (2 * k) /. float_of_int n);
+          fmt_time t_dred; fmt_time t_re; fmt_time t_auto; auto_choice db0 changes;
+          fmt_ratio (t_auto /. Float.min t_dred t_re);
+        ]
+        :: !rows)
+    [ 1; 5; 10; 20; 30; 40; 50; 70; 100; 200; 350 ];
+  print_table
+    [ "swapped"; "edges"; "input ratio"; "dred"; "re-evaluate"; "auto"; "auto chose";
+      "auto / cheaper" ]
+    (List.rev !rows);
+  verdict !auto_close "Auto is within 20% of the cheaper side on every row"
 
 (* =================================================================== *)
 (* E15 / E17 — what the optional instruments cost                        *)
@@ -1166,5 +1279,5 @@ let all : (string * (unit -> unit)) list =
     ("x1", x1); ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e17", e17);
+    ("e17", e17); ("e25", e25);
   ]

@@ -107,6 +107,24 @@ let median_time ?(repeat = 5) ~setup op =
   let sorted = List.sort compare samples in
   List.nth sorted (repeat / 2)
 
+(** Median wall-clock seconds of each of [ops], timed interleaved: each
+    of [repeat] rounds runs every op once, in order, on a fresh state
+    from [setup] with the heap settled by a full major collection first,
+    so a slow phase of the host or a collection owed by the previous run
+    lands on no one op. *)
+let interleaved_medians ?(repeat = 7) ~setup ops =
+  let samples = Array.make (List.length ops) [] in
+  for _ = 1 to repeat do
+    List.iteri
+      (fun i op ->
+        let st = setup () in
+        Gc.full_major ();
+        samples.(i) <- fst (timed (fun () -> op st)) :: samples.(i))
+      ops
+  done;
+  Array.to_list
+    (Array.map (fun l -> List.nth (List.sort compare l) (repeat / 2)) samples)
+
 (** Nearest-rank percentile of an ascending array: the [ceil(p·n)]-th
     smallest sample ([0.] on an empty array). *)
 let percentile sorted p =

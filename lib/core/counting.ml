@@ -52,11 +52,14 @@ type report = {
 let changed_views report = List.map fst report.view_deltas
 
 (** Apply [changes] (base-relation deltas) to [db], incrementally updating
-    every materialized view.  Returns what changed.
+    every materialized view.  Returns what changed.  With [~auto:true]
+    ([View_manager]'s [Auto]) each affected view first asks
+    {!Delta.choose} whether re-evaluating it is cheaper.
     @raise Recursive_program when the program has recursive views — use
     {!Dred} there (Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?record (db : Database.t) (changes : Changes.t) : report =
+let maintain ?(auto = false) ?record (db : Database.t) (changes : Changes.t) :
+    report =
   let program = Database.program db in
   (match
      List.find_opt (fun p -> Program.recursive program p) (Program.derived_preds program)
@@ -98,16 +101,22 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
           if List.mem p affected then begin
             Ivm_obs.Attribution.set_context
               ~stratum:(Program.stratum program p) ~phase:"delta";
+            let choice, ratio = Delta.choose ctx Delta.Counting ~auto [ p ] in
             Trace.span "counting.view"
               ~args:(fun () ->
                 [
                   ("view", p);
                   ("stratum", string_of_int (Program.stratum program p));
+                  ("choice", Delta.choice_name choice);
+                  ("input_ratio", Printf.sprintf "%.4f" ratio);
                   ("delta", string_of_int (Relation.cardinal (Delta.full_delta ctx p)));
                   ( "propagated",
                     string_of_int (Relation.cardinal (Delta.propagated_delta ctx p)) );
                 ])
-              (fun () -> Delta.set_delta ctx p ~full:(Delta.derive ctx p));
+              (fun () ->
+                match choice with
+                | Delta.Reevaluate -> Delta.reevaluate ctx Delta.Counting [ p ]
+                | Delta.Incremental -> Delta.set_delta ctx p ~full:(Delta.derive ctx p));
             let out = Delta.full_delta ctx p in
             Metrics.observe delta_h (Relation.cardinal out);
             Log.debug (fun m ->

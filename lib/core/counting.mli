@@ -38,11 +38,16 @@ val changed_views : report -> string list
     materialized view; commits to the stored relations and returns what
     changed.  [?record pred tup c] observes every applied per-tuple
     stored-count difference at commit time (the snapshot publisher's
-    net-change feed).
+    net-change feed).  With [~auto:true] ([View_manager]'s [Auto];
+    default [false]) each affected view applies {!Delta.choose} first
+    and, when its input delta is large, is re-evaluated
+    ({!Delta.reevaluate}) instead: the same [Δ(P)], fresh counts minus
+    stored.
     @raise Recursive_program when the program has recursive views — use
     {!Dred} (Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)
 val maintain :
+  ?auto:bool ->
   ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
   Database.t ->
   Changes.t ->

@@ -10,7 +10,11 @@
     - {!rule_seeds} wires the delta rules of Definition 4.1 for
       {!Ivm_eval.Par_eval.round}: positions before the delta read new
       views, the delta position enumerates the change, positions after
-      read old views. *)
+      read old views;
+    - {!choose} is [Auto]'s cost rule and {!reevaluate} its other branch:
+      a unit whose input delta is large is re-evaluated from its
+      finished inputs instead of maintained (the paper's §1 heuristic of
+      inertia, per unit). *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple
@@ -22,6 +26,8 @@ module Compile = Ivm_eval.Compile
 module Rule_eval = Ivm_eval.Rule_eval
 module Grouping = Ivm_eval.Grouping
 module Par_eval = Ivm_eval.Par_eval
+module Seminaive = Ivm_eval.Seminaive
+module Metrics = Ivm_obs.Metrics
 
 type version = Old | New
 
@@ -68,19 +74,23 @@ let has_delta ctx pred =
   | Some r -> not (Relation.is_empty r)
   | None -> false
 
+(** Only [pred]'s set transitions propagate: set semantics, or a
+    DISTINCT view. *)
+let set_propagation ctx pred =
+  Database.semantics ctx.db = Database.Set_semantics || Database.is_distinct ctx.db pred
+
 (** [set_delta ctx pred ~full] records [pred]'s delta for this round and
-    derives the propagated version per the database's semantics. *)
-let set_delta ctx pred ~full =
+    derives the propagated version per the database's semantics, unless
+    the caller passes it as [?propagated]. *)
+let set_delta ?propagated ctx pred ~full =
   Hashtbl.replace ctx.full pred full;
-  let stored = Database.relation ctx.db pred in
-  let set_propagation =
-    Database.semantics ctx.db = Database.Set_semantics
-    || Database.is_distinct ctx.db pred
-  in
   let prop =
-    if not set_propagation then full
-    else
+    match propagated with
+    | Some prop -> prop
+    | None when not (set_propagation ctx pred) -> full
+    | None ->
       (* set(Pν) − set(P): only sign transitions propagate. *)
+      let stored = Database.relation ctx.db pred in
       let out = Relation.create (Relation.arity full) in
       Relation.iter
         (fun tup c ->
@@ -252,3 +262,156 @@ let commit ?record ctx : (string * Relation.t) list =
   in
   Database.refresh_agg_indexes ctx.db transitions;
   List.sort (fun (p, _) (q, _) -> String.compare p q) !applied
+
+(* ------------------------------------------------------------------ *)
+(* Auto's cost rule: re-evaluate a unit whose input delta is large      *)
+(* ------------------------------------------------------------------ *)
+
+type maintainer = Counting | Dred
+
+(** The input ratio at and above which [Auto] re-evaluates a unit.  Both
+    constants come from EXPERIMENTS.md's sweeps, each side timed
+    interleaved on fresh copies of one warmed state (median of 5–7), and
+    each sits between the last row the incremental branch won and the
+    first it lost, in every run made.
+
+    - DRed, 0.07: DRed's cost is the region it over-deletes and
+      rederives, not |Δ| (Hu, Motik & Horrocks, arXiv:1711.03987), and
+      that region soon outgrows a re-evaluation of the unit.  On E25's
+      closure sweep (10 × 40 layered DAG, 709 [link] tuples), in two
+      runs, DRed won at ratio 0.059 (21 edges swapped: 45.9 and 36.4 ms
+      against 51.4 and 43.7 ms re-evaluating) and lost at 0.079 (28
+      edges: 71.6 and 57.5 ms against 52.7 and 43.4 ms).  A live one-edge
+      swap on perfbench's [closure_dred] is 2/720 = 0.003; its
+      300-record recovery tail nets 0.67–0.69.
+    - Counting, 0.35: Counting costs O(|Δ|) per view, and a re-evaluated
+      view still pays for its whole delta (a diff against the stored
+      view and a per-tuple commit), so the crossover comes late.  On E9
+      ([hop] over 3,927 [link] tuples, a share deleted), in three runs,
+      Counting won at 30% deleted (30–49 ms against 37–63 ms
+      re-evaluating) and lost at 40% (47–58 ms against 41–55 ms).
+      [negation_counting]'s live batches and log records are 8/8,000 =
+      0.001. *)
+let threshold = function Counting -> 0.35 | Dred -> 0.07
+
+type choice = Incremental | Reevaluate
+
+let choice_name = function Incremental -> "incremental" | Reevaluate -> "reevaluate"
+
+let choices_c =
+  List.map
+    (fun c ->
+      (c, Metrics.counter ~labels:[ ("choice", choice_name c) ] "ivm_auto_choice_total"))
+    [ Incremental; Reevaluate ]
+
+(** The predicates the unit's rule bodies read outside the unit (a
+    GROUPBY subgoal reads its source). *)
+let unit_inputs ctx unit_preds =
+  let program = Database.program ctx.db in
+  List.concat_map
+    (fun p ->
+      List.concat_map
+        (fun r ->
+          List.filter_map Compile.lit_pred
+            (Array.to_list (Database.compile ctx.db r).Compile.clits))
+        (Program.rules_for program p))
+    unit_preds
+  |> List.filter (fun q -> not (List.mem q unit_preds))
+  |> List.sort_uniq String.compare
+
+(** Net size of the unit's input deltas (base changes and the
+    propagated deltas of lower units) over the stored size of those
+    inputs. *)
+let input_ratio ctx unit_preds =
+  let changed, stored =
+    List.fold_left
+      (fun (changed, stored) q ->
+        ( changed + Relation.cardinal (propagated_delta ctx q),
+          stored + Relation.cardinal (Database.relation ctx.db q) ))
+      (0, 0) (unit_inputs ctx unit_preds)
+  in
+  float_of_int changed /. float_of_int (max 1 stored)
+
+(** [Auto]'s choice for one unit, made before maintaining it: re-evaluate
+    when the input ratio reaches the maintainer's {!threshold}.  With
+    [~auto:false] (the explicit algorithms) the choice is always
+    [Incremental].  Under provenance capture the rule declines: the
+    support store keeps a bounded subset of each tuple's derivations,
+    chosen by the order the incremental phases enumerate them, and
+    re-recording a unit's supports could keep a different subset, so
+    [why]/[explain] would differ from what the incremental branch
+    leaves.  Returns the choice and the ratio; under [Auto] the choice
+    counts in [ivm_auto_choice_total{choice}]. *)
+let choose ctx maintainer ~auto unit_preds =
+  let ratio = input_ratio ctx unit_preds in
+  let choice =
+    if auto && ratio >= threshold maintainer && not (Ivm_prov.Prov.capturing ())
+    then Reevaluate
+    else Incremental
+  in
+  if auto then Metrics.inc (List.assoc choice choices_c);
+  (choice, ratio)
+
+(** Re-evaluate a unit from its finished inputs and install its delta:
+    the evaluator of the initial materialization ({!Seminaive}) run over
+    the unit's rules into fresh relations, every relation outside the
+    unit read at [New].  The delta installed with {!set_delta} is
+    - under Counting, fresh counts minus stored counts: Theorem 4.1's
+      [Δ(P)], since Counting's stored counts are exact;
+    - under DRed, −stored for each tuple that is gone and +1 for each
+      new tuple, survivors untouched: exactly what the three phases
+      commit.  In a nonrecursive unit rederivation puts back every
+      overdeleted tuple still derivable, so no survivor moves; in a
+      recursive unit every stored count is 1 (semi-naive evaluation
+      stores sets, and DRed's −stored/+stored/+1 keeps them there).
+    The batch then commits through {!commit} like any other. *)
+let reevaluate ctx maintainer unit_preds =
+  let program = Database.program ctx.db in
+  let cache = Seminaive.Agg_cache.create () in
+  (* each changed input is materialized once: the evaluation probes it
+     many times, and an overlay pays for its delta on every probe *)
+  let inputs =
+    List.map
+      (fun q ->
+        ( q,
+          match new_view ctx q with
+          | Relation_view.Overlay _ as v -> Relation_view.concrete (Relation_view.force v)
+          | v -> v ))
+      (unit_inputs ctx unit_preds)
+  in
+  let resolve q = List.assoc q inputs in
+  let fresh =
+    match unit_preds with
+    | [ p ] when not (Program.recursive program p) ->
+      [ (p, Seminaive.eval_nonrecursive ~resolve ctx.db ~cache p) ]
+    | _ -> Seminaive.eval_recursive_unit ~resolve ctx.db ~cache unit_preds
+  in
+  List.iter
+    (fun (p, fresh) ->
+      let stored = Database.relation ctx.db p in
+      let full = Relation.create (Relation.arity stored) in
+      (* the propagated delta is built in the same two passes: every
+         stored count is positive, and a tuple new to [p] had none *)
+      let sets = set_propagation ctx p in
+      let prop = if sets then Relation.create (Relation.arity stored) else full in
+      Relation.iter
+        (fun tup c ->
+          let c' =
+            match maintainer with
+            | Counting -> Relation.count fresh tup
+            | Dred -> if Relation.mem fresh tup then c else 0
+          in
+          if c' <> c then begin
+            Relation.add full tup (c' - c);
+            if sets && c' <= 0 then Relation.add prop tup (-1)
+          end)
+        stored;
+      Relation.iter
+        (fun tup c ->
+          if not (Relation.mem stored tup) then begin
+            Relation.add full tup (match maintainer with Counting -> c | Dred -> 1);
+            if sets then Relation.add prop tup 1
+          end)
+        fresh;
+      set_delta ctx p ~full ~propagated:prop)
+    fresh

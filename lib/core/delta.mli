@@ -38,8 +38,9 @@ val propagated_delta : ctx -> string -> Relation.t
 
 (** Record a predicate's delta for this round; derives the propagated
     version from the database's semantics against the (uncommitted)
-    stored relation. *)
-val set_delta : ctx -> string -> full:Relation.t -> unit
+    stored relation, unless the caller already built it and passes it as
+    [?propagated]. *)
+val set_delta : ?propagated:Relation.t -> ctx -> string -> full:Relation.t -> unit
 
 (** Install an empty delta for each predicate of a recursive unit; the
     unit's maintenance grows it in place between rounds (Recursive
@@ -86,3 +87,39 @@ val commit :
   ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
   ctx ->
   (string * Relation.t) list
+
+(** {2 Auto's cost rule}
+
+    Under [Auto], each maintenance unit (an SCC under DRed, one view
+    under Counting) chooses, before it is maintained, between the
+    paper's incremental phases and re-evaluating the unit from its
+    finished inputs (the paper's §1: "if an entire base relation is
+    deleted, it may be cheaper to recompute the view"). *)
+
+type maintainer = Counting | Dred
+
+(** The input ratio at and above which [Auto] re-evaluates a unit of
+    this maintainer; the derivation of each constant is on its
+    definition. *)
+val threshold : maintainer -> float
+
+type choice = Incremental | Reevaluate
+
+val choice_name : choice -> string
+
+(** [choose ctx maintainer ~auto unit_preds]: [Reevaluate] iff [auto],
+    the unit's input ratio — the net size of its input deltas (base
+    changes plus lower units' propagated deltas) over the stored size of
+    those inputs — reaches {!threshold}, and provenance capture is off
+    (re-recording a unit's bounded supports could differ from what the
+    incremental branch leaves, so the rule declines).  Returns the ratio
+    too; under [auto] the choice counts in
+    [ivm_auto_choice_total{choice}]. *)
+val choose : ctx -> maintainer -> auto:bool -> string list -> choice * float
+
+(** Re-evaluate the unit into fresh relations, reading every other
+    relation at [New], and install its delta with {!set_delta}: fresh
+    minus stored counts under Counting; under DRed −stored for tuples
+    gone and +1 for tuples new, survivors untouched (what DRed's phases
+    commit). *)
+val reevaluate : ctx -> maintainer -> string list -> unit

@@ -264,11 +264,55 @@ let insert_new ctx unit_preds =
 
 (* ------------------------------------------------------------------ *)
 
+(** The paper's three phases for one unit; returns the per-predicate
+    overestimate and putback sizes. *)
+let three_phases ctx ~stratum unit_name unit_preds =
+  (* each phase retags the ambient attribution context before its
+     fan-outs *)
+  let phase name f =
+    Ivm_obs.Attribution.set_context ~stratum ~phase:name;
+    (* Delete-phase emissions enumerate lost derivations — their supports
+       are removed regardless of sign; rederivation and insertion
+       emissions add supports. *)
+    if Ivm_prov.Prov.capturing () then
+      Ivm_prov.Prov.set_mode
+        (if String.equal name "delete" then Ivm_prov.Prov.Remove
+         else Ivm_prov.Prov.Add);
+    Trace.span ("dred." ^ name) ~args:(fun () -> [ ("unit", unit_name) ]) f
+  in
+  Delta.open_unit ctx unit_preds;
+  let dminus = phase "delete" (fun () -> delete_overestimate ctx unit_preds) in
+  let unit_overdeleted =
+    List.fold_left
+      (fun acc p -> acc + Relation.cardinal (Hashtbl.find dminus p))
+      0 unit_preds
+  in
+  Metrics.add overdeleted_c unit_overdeleted;
+  Metrics.observe overestimate_h unit_overdeleted;
+  let putbacks = phase "rederive" (fun () -> rederive ctx unit_preds dminus) in
+  phase "insert" (fun () -> insert_new ctx unit_preds);
+  List.iter (fun p -> Delta.set_delta ctx p ~full:(live ctx p)) unit_preds;
+  let unit_rederived =
+    List.fold_left (fun acc p -> acc + Hashtbl.find putbacks p) 0 unit_preds
+  in
+  Metrics.add rederived_c unit_rederived;
+  Log.debug (fun m ->
+      m "unit {%s}: overdeleted %d, rederived %d" unit_name unit_overdeleted
+        unit_rederived);
+  List.map
+    (fun p -> (p, Relation.cardinal (Hashtbl.find dminus p), Hashtbl.find putbacks p))
+    unit_preds
+
 (** Apply [changes] (base-relation deltas with ±1 counts) to [db],
     maintaining all views with DRed.  Set semantics only (Section 7).
+    With [~auto:true] ([View_manager]'s [Auto]) each unit first asks
+    {!Delta.choose} whether re-evaluating it is cheaper; a re-evaluated
+    unit skips the three phases and adds nothing to the overestimate
+    metrics.
     @raise Duplicate_semantics_unsupported under duplicate semantics;
     @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?record (db : Database.t) (changes : Changes.t) : report =
+let maintain ?(auto = false) ?record (db : Database.t) (changes : Changes.t) :
+    report =
   if Database.semantics db = Database.Duplicate_semantics then
     raise Duplicate_semantics_unsupported;
   Metrics.inc batches_c;
@@ -284,64 +328,28 @@ let maintain ?record (db : Database.t) (changes : Changes.t) : report =
       List.iter
         (fun unit_preds ->
           let unit_name = String.concat "," unit_preds in
-          Delta.open_unit ctx unit_preds;
-          (* a unit's predicates share a stratum; each phase retags the
-             ambient attribution context before its fan-outs *)
+          (* a unit's predicates share a stratum *)
           let stratum = Program.stratum program (List.hd unit_preds) in
-          let phase name =
-            Ivm_obs.Attribution.set_context ~stratum ~phase:name;
-            (* Delete-phase emissions enumerate lost derivations — their
-               supports are removed regardless of sign; rederivation and
-               insertion emissions add supports. *)
-            if Ivm_prov.Prov.capturing () then
-              Ivm_prov.Prov.set_mode
-                (if String.equal name "delete" then Ivm_prov.Prov.Remove
-                 else Ivm_prov.Prov.Add)
-          in
+          let choice, ratio = Delta.choose ctx Delta.Dred ~auto unit_preds in
           Trace.span "dred.unit"
-            ~args:(fun () -> [ ("unit", unit_name) ])
+            ~args:(fun () ->
+              [
+                ("unit", unit_name);
+                ("choice", Delta.choice_name choice);
+                ("input_ratio", Printf.sprintf "%.4f" ratio);
+              ])
             (fun () ->
-              let dminus =
-                Trace.span "dred.delete"
+              match choice with
+              | Delta.Reevaluate ->
+                Trace.span "dred.reevaluate"
                   ~args:(fun () -> [ ("unit", unit_name) ])
-                  (fun () ->
-                    phase "delete";
-                    delete_overestimate ctx unit_preds)
-              in
-              let unit_overdeleted =
-                List.fold_left
-                  (fun acc p -> acc + Relation.cardinal (Hashtbl.find dminus p))
-                  0 unit_preds
-              in
-              Metrics.add overdeleted_c unit_overdeleted;
-              Metrics.observe overestimate_h unit_overdeleted;
-              let putbacks =
-                Trace.span "dred.rederive"
-                  ~args:(fun () -> [ ("unit", unit_name) ])
-                  (fun () ->
-                    phase "rederive";
-                    rederive ctx unit_preds dminus)
-              in
-              Trace.span "dred.insert"
-                ~args:(fun () -> [ ("unit", unit_name) ])
-                (fun () ->
-                  phase "insert";
-                  insert_new ctx unit_preds);
-              List.iter (fun p -> Delta.set_delta ctx p ~full:(live ctx p)) unit_preds;
-              let unit_rederived =
-                List.fold_left (fun acc p -> acc + Hashtbl.find putbacks p) 0 unit_preds
-              in
-              Metrics.add rederived_c unit_rederived;
-              Log.debug (fun m ->
-                  m "unit {%s}: overdeleted %d, rederived %d" unit_name
-                    unit_overdeleted unit_rederived);
-              List.iter
-                (fun p ->
-                  let d = Relation.cardinal (Hashtbl.find dminus p) in
-                  if d > 0 then overdeleted := (p, d) :: !overdeleted;
-                  let pb = Hashtbl.find putbacks p in
-                  if pb > 0 then rederived := (p, pb) :: !rederived)
-                unit_preds))
+                  (fun () -> Delta.reevaluate ctx Delta.Dred unit_preds)
+              | Delta.Incremental ->
+                List.iter
+                  (fun (p, d, pb) ->
+                    if d > 0 then overdeleted := (p, d) :: !overdeleted;
+                    if pb > 0 then rederived := (p, pb) :: !rederived)
+                  (three_phases ctx ~stratum unit_name unit_preds)))
         (Program.recursive_units program));
   ignore (Delta.commit ?record ctx);
   {

@@ -39,10 +39,15 @@ type report = {
     negative: within its unit, an overdeleted tuple's delta is set to
     −stored once, gets +stored back on putback, and gets +1 only while
     the tuple does not hold.
+    With [~auto:true] ([View_manager]'s [Auto]; default [false]) each
+    unit applies {!Delta.choose} first and, when its input delta is
+    large, is re-evaluated ({!Delta.reevaluate}) instead: same stored
+    counts, none of the three phases.
     @raise Duplicate_semantics_unsupported under duplicate semantics
     (DRed is a set-semantics algorithm, Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)
 val maintain :
+  ?auto:bool ->
   ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
   Database.t ->
   Changes.t ->

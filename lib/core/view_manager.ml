@@ -86,19 +86,24 @@ let evaluate algorithm db =
 (** Maintain [db] through one batch and return the per-view deltas.
     [Auto] is resolved against [db] itself: during a rule change that is
     the rebuilt database, whose program may have just turned recursive.
-    [track] accumulates every applied stored-count difference at the
-    incremental algorithms' commit sites; recomputation rewrites
+    Only [Auto] enables the cost rule ({!Delta.choose}): each unit whose
+    input delta is large is re-evaluated instead of maintained, live and
+    in recovery alike; explicit [Counting] and [Dred] run the paper's
+    algorithms unchanged.  [track] accumulates every applied stored-count
+    difference at the incremental algorithms' commit sites (a
+    re-evaluated unit commits there too); recomputation rewrites
     relations wholesale, so it marks [track] incomplete instead and the
     snapshot publisher falls back to a full copy. *)
 let maintain ?track algorithm db changes : (string * Relation.t) list =
   let record = Option.map Changes.record track in
+  let auto = algorithm = Auto in
   match resolve algorithm (Database.program db) with
   | Counting -> (
-    let report = Counting.maintain ?record db changes in
+    let report = Counting.maintain ~auto ?record db changes in
     match Database.semantics db with
     | Database.Set_semantics -> report.Counting.propagated_deltas
     | Database.Duplicate_semantics -> report.Counting.view_deltas)
-  | Dred -> (Dred.maintain ?record db changes).Dred.view_deltas
+  | Dred -> (Dred.maintain ~auto ?record db changes).Dred.view_deltas
   | Recursive_counting -> Recursive_counting.maintain ?record db changes
   | Recompute | Auto ->
     Option.iter Changes.mark_incomplete track;

@@ -21,8 +21,16 @@ module Database = Ivm_eval.Database
     Dred                 any            set
     Recursive_counting   any            duplicate (diverges, detected, on cyclic data)
     Recompute            any            any
-    Auto                 counting if nonrecursive, else DRed (as above)
+    Auto                 counting if nonrecursive, else DRed (as above);
+                         per unit, re-evaluated when its input delta is large
     v}
+
+    [Auto] is the only entry that enables {!Delta.choose}, the per-unit
+    cost rule: a unit (an SCC under DRed, one view under Counting) whose
+    net input delta reaches a constant share of its stored inputs is
+    re-evaluated from its finished inputs instead of maintained, live and
+    in recovery alike, with the same stored counts.  Explicit [Counting]
+    and [Dred] run the paper's algorithms unchanged.
 
     {!create}, {!of_source}, {!open_durable}, {!set_algorithm} and
     {!add_rule} refuse a combination outside this table with
@@ -35,7 +43,7 @@ type algorithm =
   | Dred  (** Delete/Rederive *)
   | Recursive_counting  (** [GKM92]: counts through recursion *)
   | Recompute  (** the from-scratch baseline *)
-  | Auto  (** the paper's recommendation *)
+  | Auto  (** the paper's recommendation, with a per-unit cost rule *)
 
 val algorithm_name : algorithm -> string
 val algorithm_of_string : string -> algorithm option

@@ -55,10 +55,10 @@ let make_inputs ~(resolve : string -> Relation_view.t)
   | Ccmp _ -> assert false
 
 (** Evaluate all rules of one nonrecursive predicate against the current
-    database state; returns its full materialization.  Rule bodies fan
-    out across the domain pool, each into a private relation ⊎-merged in
-    rule order. *)
-let eval_nonrecursive db ~cache pred =
+    database state, or against the relations [resolve] returns; returns
+    its full materialization.  Rule bodies fan out across the domain
+    pool, each into a private relation ⊎-merged in rule order. *)
+let eval_nonrecursive ?resolve db ~cache pred =
   let program = Database.program db in
   let out = Relation.create (Program.arity program pred) in
   Ivm_obs.Attribution.set_context ~stratum:(Program.stratum program pred)
@@ -73,7 +73,8 @@ let eval_nonrecursive db ~cache pred =
            (fun rule ->
              let rule = Database.compile db rule in
              let inputs =
-               make_inputs ~resolve:(Database.view db)
+               make_inputs
+                 ~resolve:(Option.value resolve ~default:(Database.view db))
                  ~mult_for:(Database.mult_for db) ~cache ~version:"cur" rule
              in
              { Par_eval.head = pred; rule; at = None; inputs })
@@ -82,8 +83,9 @@ let eval_nonrecursive db ~cache pred =
 
 (** Semi-naive fixpoint for one recursive unit (an SCC of mutually
     recursive predicates), set semantics.  Relations outside the unit are
-    read from the database (their strata are already materialized). *)
-let eval_recursive_unit db ~cache (unit_preds : string list) :
+    read from the database (their strata are already materialized), or
+    through [resolve]. *)
+let eval_recursive_unit ?resolve db ~cache (unit_preds : string list) :
     (string * Relation.t) list =
   let program = Database.program db in
   if Database.semantics db = Database.Duplicate_semantics then
@@ -94,6 +96,7 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
              not terminate on recursive views (Section 8); use set semantics"
             (List.hd unit_preds)));
   let in_unit p = List.mem p unit_preds in
+  let outside = Option.value resolve ~default:(Database.view db) in
   (* one context for the whole unit: its predicates share a stratum *)
   Ivm_obs.Attribution.set_context
     ~stratum:(Program.stratum program (List.hd unit_preds))
@@ -109,7 +112,7 @@ let eval_recursive_unit db ~cache (unit_preds : string list) :
      positions after read the previous totals (totals ⊎ −delta). *)
   let inputs ?(old = fun _ -> None) cr pos j =
     let resolve q =
-      if not (in_unit q) then Database.view db q
+      if not (in_unit q) then outside q
       else
         match old q with
         | Some minus when j > pos -> Relation_view.overlay (Hashtbl.find totals q) minus

@@ -43,13 +43,17 @@ val make_inputs :
   Rule_eval.subgoal_input
 
 (** Evaluate all rules of one nonrecursive predicate against the current
-    database state; returns its materialization. *)
-val eval_nonrecursive : Database.t -> cache:Agg_cache.t -> string -> Relation.t
+    database state, or against the relations [resolve] returns; returns
+    its materialization. *)
+val eval_nonrecursive :
+  ?resolve:(string -> Relation_view.t) ->
+  Database.t -> cache:Agg_cache.t -> string -> Relation.t
 
 (** Semi-naive fixpoint for one recursive unit (set semantics); relations
-    outside the unit are read from the database.
+    outside the unit are read from the database, or through [resolve].
     @raise Recursive_duplicates under duplicate semantics. *)
 val eval_recursive_unit :
+  ?resolve:(string -> Relation_view.t) ->
   Database.t -> cache:Agg_cache.t -> string list -> (string * Relation.t) list
 
 (** Materialize every derived predicate from the base relations

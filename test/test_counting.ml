@@ -62,6 +62,48 @@ let example_5_1 () =
   check_rel ~counted:false "tri_hop after" (rel_of_pairs "ah; ag")
     (rel db "tri_hop")
 
+(* Examples 4.2 and 5.1 under Auto's cost rule: Δ(link) changes half of
+   link, so both views are re-evaluated instead of maintained, and the
+   installed deltas are still the paper's, count for count.  Each
+   counting.view span names the choice and the input ratio it was made
+   on: 3/6 for hop; for tri_hop, Δ(hop) and Δ(link) over hop and link
+   (7/9 with duplicates, where all of Δ(hop) propagates; 6/9 under set
+   semantics, where (ac −1) does not). *)
+let examples_reevaluated () =
+  let module Trace = Ivm_obs.Trace in
+  List.iter
+    (fun (semantics, hop, tri_hop, tri_ratio) ->
+      let db = db_of_source ~semantics example_4_2_source in
+      Trace.enable ~capacity:1024 ();
+      let report =
+        Fun.protect
+          ~finally:(fun () -> ignore (Trace.disable ()))
+          (fun () -> Counting.maintain ~auto:true db (example_4_2_changes db))
+      in
+      check_rel "Δhop" (rel_of_pairs hop) (find_propagated report "hop");
+      check_rel "Δtri_hop" (rel_of_pairs tri_hop) (find_delta report "tri_hop");
+      let views =
+        List.filter_map
+          (fun (e : Trace.event) ->
+            if e.name = "counting.view" then
+              Some
+                (List.filter
+                   (fun (k, _) -> List.mem k [ "view"; "choice"; "input_ratio" ])
+                   e.args)
+            else None)
+          (Trace.drain ())
+      in
+      Alcotest.(check (list (list (pair string string)))) "counting.view spans"
+        [
+          [ ("view", "hop"); ("choice", "reevaluate"); ("input_ratio", "0.5000") ];
+          [ ("view", "tri_hop"); ("choice", "reevaluate"); ("input_ratio", tri_ratio) ];
+        ]
+        views)
+    [
+      (Database.Duplicate_semantics, "ac -1; af; ag; dg", "ah -1; ag", "0.7778");
+      (Database.Set_semantics, "af; ag; dg", "ag", "0.6667");
+    ]
+
 (* Example 1.1: deleting link(a,b) removes hop(a,e) but keeps hop(a,c). *)
 let example_1_1_deletion () =
   let db =
@@ -292,4 +334,5 @@ let suite =
                (tup3 "f" "c" 3, 1);
              ] );
          ]);
+    quick "examples 4.2 and 5.1 re-evaluated under Auto" examples_reevaluated;
   ]

@@ -11,7 +11,12 @@
       counts (DRed and PF are set-semantics algorithms);
     - recursive (transitive closure, both linearizations, nonlinear
       closure, and an odd/even unit under a negated stratum): DRed ≡ PF
-      ≡ Recompute as sets (Counting is nonrecursive-only).
+      ≡ Recompute as sets (Counting is nonrecursive-only);
+    - [Auto] ≡ the algorithm it resolves to, explicitly, count for
+      count, with every case taking both branches of Auto's cost rule
+      (a one-change batch stays incremental, a half-swap re-evaluates):
+      random programs under set semantics, Counting under duplicate
+      semantics, and negation and GROUPBY views over a closure.
 
     Plus the determinism properties for the multicore path: for every
     algorithm, the exact same scenario replayed at [~domains:4] produces
@@ -26,6 +31,7 @@ module Dred = Ivm.Dred
 module Rc = Ivm.Recursive_counting
 module Pf = Ivm_baselines.Pf
 module Recompute = Ivm.Recompute
+module Vm = Ivm.View_manager
 module Prng = Ivm_workload.Prng
 module Graph_gen = Ivm_workload.Graph_gen
 module Update_gen = Ivm_workload.Update_gen
@@ -218,6 +224,85 @@ let recursive_set =
         ~agree:(agree_as Relation.equal_sets) seed)
 
 (* ------------------------------------------------------------------ *)
+(* Auto's cost rule: both branches equal the explicit algorithm         *)
+(* ------------------------------------------------------------------ *)
+
+(** Example 6.1's negation view next to a negation over a closure, and a
+    GROUPBY view over the same closure: DRed units of every kind in one
+    recursive program. *)
+let mixed_recursive =
+  [
+    ( "negation over a closure",
+      Programs.only_tri_hop
+      ^ {|
+    path(X, Y) :- link(X, Y).
+    path(X, Y) :- path(X, Z), link(Z, Y).
+    far(X, Y) :- path(X, Y), not hop(X, Y).
+|} );
+    ( "GROUPBY over a closure",
+      Programs.transitive_closure
+      ^ {|
+    reach(X, N) :- groupby(path(X, Y), [X], N = count()).
+    hub(X) :- reach(X, N), N > 3.
+|} );
+  ]
+
+(** Drive [Auto] and the algorithm it resolves to, explicitly, in
+    lockstep over [steps] pairs of batches: a small one (one [link]
+    change) and a large one (half of [link] swapped for fresh edges).
+    The first unit above [link] reads [link] alone, so the small batch
+    keeps it incremental (ratio 1/25, under both thresholds) and the
+    large one re-evaluates it (ratio ≥ 1): both branches run, and after
+    every batch the two managers must agree count for count. *)
+let auto_matches_explicit ~semantics ~src seed =
+  let rng = Prng.create seed in
+  let graph = Graph_gen.tuples (Graph_gen.random rng ~nodes ~edges) in
+  let auto = Vm.of_database (build ~semantics ~src graph) in
+  let explicit =
+    Vm.of_database ~algorithm:(Vm.resolve auto) (build ~semantics ~src graph)
+  in
+  let took choice changes =
+    let before = choice_total choice in
+    ignore (Vm.apply auto changes);
+    ignore (Vm.apply explicit changes);
+    choice_total choice > before
+    && agree_as Relation.equal_counted
+         [ ("auto", Vm.database auto); ("explicit", Vm.database explicit) ]
+  in
+  List.for_all
+    (fun () ->
+      let db = Vm.database auto in
+      let small =
+        if Prng.int rng 2 = 0 then Update_gen.deletions rng db "link" 1
+        else Update_gen.edge_insertions rng db "link" ~nodes 1
+      in
+      let small_ok = took "incremental" small in
+      let half = (Relation.cardinal (Database.relation db "link") + 1) / 2 in
+      let large =
+        Changes.merge
+          (Update_gen.deletions rng db "link" half)
+          (Update_gen.edge_insertions rng db "link" ~nodes half)
+      in
+      small_ok && took "reevaluate" large)
+    (List.init steps (fun _ -> ()))
+
+let auto_props =
+  [
+    q ~count:60 "auto == explicit, both branches (sets, random programs)"
+      arb_program (fun (seed, src) ->
+        auto_matches_explicit ~semantics:Database.Set_semantics ~src seed);
+    q ~count:30 "auto == counting, both branches (duplicate semantics)" arb_shape
+      (fun s ->
+        auto_matches_explicit ~semantics:Database.Duplicate_semantics
+          ~src:(source_of s) s.seed);
+    q ~count:30 "auto == dred, both branches (negation and GROUPBY over a closure)"
+      (QCheck.make ~print:print_program
+         QCheck.Gen.(pair (int_range 1 1_000_000) (map snd (oneofl mixed_recursive))))
+      (fun (seed, src) ->
+        auto_matches_explicit ~semantics:Database.Set_semantics ~src seed);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Determinism: domains 4 ≡ domains 1, canonically dumped               *)
 (* ------------------------------------------------------------------ *)
 
@@ -315,4 +400,4 @@ let determinism_props =
   ]
 
 let suite =
-  [ four_way_set; duplicate_counted; recursive_set ] @ determinism_props
+  [ four_way_set; duplicate_counted; recursive_set ] @ determinism_props @ auto_props

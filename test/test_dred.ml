@@ -354,6 +354,69 @@ let rederive_work_guard () =
   run ~domains:1 ~attempts:1673;
   run ~domains:4 ~attempts:1774
 
+(* Auto's cost rule, observed: each unit decision increments
+   ivm_auto_choice_total{choice} and tags its span with [choice] and
+   [input_ratio]; a re-evaluated unit adds nothing to DRed's overestimate
+   metrics, which describe the three phases.  On a 20-edge chain one
+   [link] change (ratio 1/20) stays incremental; replacing every edge
+   (38/19) re-evaluates. *)
+let auto_choice_observed () =
+  let module Metrics = Ivm_obs.Metrics in
+  let module Trace = Ivm_obs.Trace in
+  let module Vm = Ivm.View_manager in
+  let counters =
+    [
+      Metrics.counter ~labels:[ ("choice", "incremental") ] "ivm_auto_choice_total";
+      Metrics.counter ~labels:[ ("choice", "reevaluate") ] "ivm_auto_choice_total";
+      Metrics.counter "ivm_dred_overdeleted_total";
+      Metrics.counter "ivm_dred_rederived_total";
+    ]
+  in
+  let overestimates = Metrics.histogram "ivm_dred_overestimate_size" in
+  let chain = List.init 20 (fun i -> Tuple.of_ints [ i; i + 1 ]) in
+  let vm =
+    Vm.create ~facts:[ ("link", chain) ]
+      (Parser.parse_rules Ivm_workload.Programs.transitive_closure)
+  in
+  let batch changes =
+    let before = List.map Metrics.counter_value counters in
+    let observed = Metrics.histogram_count overestimates in
+    Trace.enable ~capacity:4096 ();
+    Fun.protect
+      ~finally:(fun () -> ignore (Trace.disable ()))
+      (fun () -> ignore (Vm.apply vm (Changes.of_list (Vm.program vm) [ ("link", changes) ])));
+    let units =
+      List.filter_map
+        (fun (e : Trace.event) -> if e.name = "dred.unit" then Some e.args else None)
+        (Trace.drain ())
+    in
+    ( List.map2 (fun c b -> Metrics.counter_value c - b) counters before,
+      Metrics.histogram_count overestimates - observed,
+      units )
+  in
+  (* deleting link(10,11) cuts 110 paths: DRed overdeletes them *)
+  let moved, observed, units = batch [ (Tuple.of_ints [ 10; 11 ], -1) ] in
+  Alcotest.(check (list int)) "one change: incremental, 110 overdeleted, none put back"
+    [ 1; 0; 110; 0 ] moved;
+  Alcotest.(check int) "one overestimate observed" 1 observed;
+  Alcotest.(check (list (list (pair string string)))) "the unit span"
+    [ [ ("unit", "path"); ("choice", "incremental"); ("input_ratio", "0.0500") ] ]
+    units;
+  let swapped =
+    List.filter_map
+      (fun t -> if Tuple.equal t (Tuple.of_ints [ 10; 11 ]) then None else Some (t, -1))
+      chain
+    @ List.init 19 (fun i -> (Tuple.of_ints [ i + 1; i ], 1))
+  in
+  let moved, observed, units = batch swapped in
+  Alcotest.(check (list int)) "a full swap: re-evaluated, no overestimate counted"
+    [ 0; 1; 0; 0 ] moved;
+  Alcotest.(check int) "no overestimate observed" 0 observed;
+  Alcotest.(check (list (list (pair string string)))) "the re-evaluated unit's span"
+    [ [ ("unit", "path"); ("choice", "reevaluate"); ("input_ratio", "2.0000") ] ]
+    units;
+  Alcotest.(check (result unit string)) "audit" (Ok ()) (Vm.audit vm)
+
 let suite =
   [
     quick "rederivation puts alternative derivations back" rederivation_happens;
@@ -370,4 +433,6 @@ let suite =
     quick "insertion bridges components" insertion_bridges;
     quick "rejects duplicate semantics" rejects_duplicates;
     quick "rederive work stays within 3 probes per put-back" rederive_work_guard;
+    quick "auto: choice counted and traced, re-evaluation not overdeleted"
+      auto_choice_observed;
   ]

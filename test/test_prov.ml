@@ -239,6 +239,53 @@ let test_dred_recursive_why () =
         if rewritten r.rule then Alcotest.failf "attribution row names %s" r.rule)
       b.rows
 
+(* Auto's cost rule declines while capture is on: re-recording a
+   re-evaluated unit's bounded supports could keep another subset than
+   the incremental phases leave.  A batch swapping half of [link] (far
+   above the DRed threshold) therefore runs DRed's phases under Auto,
+   and every [explain] of every [path] tuple — supports and lineage —
+   equals explicit DRed's.  With capture off the same batch
+   re-evaluates. *)
+let test_auto_declines_under_capture () =
+  let src =
+    Programs.transitive_closure
+    ^ "\nlink(a, b). link(b, c). link(c, d). link(d, e). link(a, c). link(b, d)."
+  in
+  let swap vm =
+    Changes.of_list (Vm.program vm)
+      [
+        ( "link",
+          [ (t2 "a" "b", -1); (t2 "c" "d", -1); (t2 "a" "c", -1); (t2 "e" "a", 1);
+            (t2 "c" "e", 1); (t2 "d" "b", 1) ] );
+      ]
+  in
+  let run ~capture algorithm =
+    Prov.reset ();
+    Prov.set_enabled capture;
+    Fun.protect ~finally:(fun () -> Prov.set_enabled false) @@ fun () ->
+    let vm = Vm.of_source ~algorithm src in
+    if capture then Vm.enable_provenance vm;
+    let before = List.map choice_total [ "incremental"; "reevaluate" ] in
+    ignore (Vm.apply vm (swap vm));
+    let moved = List.map2 (fun c b -> choice_total c - b) [ "incremental"; "reevaluate" ] before in
+    let explain =
+      Relation.fold
+        (fun tup _ acc ->
+          match Vm.explain_json vm (Pq.fact_to_string "path" tup) with
+          | Ok doc -> Json.to_string doc :: acc
+          | Error e -> Alcotest.fail e)
+        (Vm.relation vm "path") []
+      |> List.sort compare
+    in
+    (moved, explain)
+  in
+  let auto_moved, auto_explain = run ~capture:true Vm.Auto in
+  let _, dred_explain = run ~capture:true Vm.Dred in
+  Alcotest.(check (list int)) "capture on: Auto keeps DRed's phases" [ 1; 0 ] auto_moved;
+  Alcotest.(check (list string)) "explain equals explicit DRed's" dred_explain auto_explain;
+  Alcotest.(check (list int)) "capture off: the same batch re-evaluates" [ 0; 1 ]
+    (fst (run ~capture:false Vm.Auto))
+
 (* ------------------------------------------------------------------ *)
 (* Randomized properties                                                *)
 (* ------------------------------------------------------------------ *)
@@ -466,3 +513,7 @@ let suite =
       test_dred_recursive_why;
   ]
   @ property_tests
+  @ [
+      Alcotest.test_case "auto: the cost rule declines under capture" `Quick
+        test_auto_declines_under_capture;
+    ]

@@ -65,8 +65,8 @@ type op =
 type scenario = { duplicate : bool; algo : Vm.algorithm; ops : op list }
 
 let algo_pool duplicate =
-  if duplicate then [ Vm.Counting; Vm.Recursive_counting; Vm.Recompute ]
-  else [ Vm.Counting; Vm.Dred; Vm.Recompute ]
+  if duplicate then [ Vm.Counting; Vm.Recursive_counting; Vm.Recompute; Vm.Auto ]
+  else [ Vm.Counting; Vm.Dred; Vm.Recompute; Vm.Auto ]
 
 let gen_scenario =
   let open Q.Gen in
@@ -232,6 +232,44 @@ let test_stalled_reader_fallback () =
     (Database.canonical_digest (Vm.database vm))
     (Database.canonical_digest (Snap_pub.current pub))
 
+(* ---------------- a re-evaluated batch still patches ---------------- *)
+
+(* A live batch that swaps half of [link] takes Auto's re-evaluate
+   branch, under Counting (hop) and under DRed (a closure).  The
+   re-evaluated unit commits its delta through the same recording commit
+   as the incremental phases, so the collector stays complete: the
+   publisher patches, copies nothing, and publishes the live state. *)
+let test_reevaluated_batch_patches () =
+  List.iter
+    (fun (what, src) ->
+      let edges = List.init 12 (fun i -> (i, ((i * 5) + 1) mod 12)) in
+      let vm = Vm.of_source src in
+      let tuples c xs = List.map (fun (x, y) -> (Tuple.of_ints [ x; y ], c)) xs in
+      ignore (Vm.apply vm (Changes.of_list (Vm.program vm) [ ("link", tuples 1 edges) ]));
+      let pub = Snap_pub.create ~readers:1 vm in
+      let gone = List.filteri (fun i _ -> i mod 2 = 0) edges in
+      let fresh = List.init 6 (fun i -> (i, (i + 7) mod 12)) in
+      let changes =
+        Changes.of_list (Vm.program vm) [ ("link", tuples (-1) gone @ tuples 1 fresh) ]
+      in
+      let track = Changes.collector () in
+      let before = Util.choice_total "reevaluate" in
+      (match Vm.apply_group ~track vm [ changes ] with
+      | [ Ok _ ] -> ()
+      | _ -> Alcotest.fail "apply_group failed");
+      Alcotest.(check int) (what ^ ": one unit re-evaluated") 1
+        (Util.choice_total "reevaluate" - before);
+      Alcotest.(check string) (what ^ ": published by patching") "incremental"
+        (Snap_pub.mode_name (Snap_pub.publish ~track pub));
+      Alcotest.(check int) (what ^ ": no full copy") 0 (Snap_pub.stats pub).Snap_pub.full_copies;
+      Alcotest.(check string) (what ^ ": published equals live")
+        (Database.canonical_digest (Vm.database vm))
+        (Database.canonical_digest (Snap_pub.current pub)))
+    [
+      ("counting", seed_src);
+      ("dred", "path(X,Y) :- link(X,Y). path(X,Y) :- path(X,Z), link(Z,Y).");
+    ]
+
 (* ---------------- pending order and immutability ---------------- *)
 
 (* Group N inserts a tuple and group N+1 deletes it, while the spare
@@ -287,4 +325,6 @@ let suite =
       `Quick test_stalled_reader_fallback;
     Alcotest.test_case "lagging spare patches shared sets oldest first"
       `Quick test_pending_order;
+    Alcotest.test_case "a re-evaluated batch patches, no full copy" `Quick
+      test_reevaluated_batch_patches;
   ]

@@ -673,24 +673,29 @@ let inverse (changes : Changes.t) : Changes.t =
   List.map (fun (p, r) -> (p, Relation.negate r)) changes
 
 (* Coalesced recovery = per-record replay of the same log through [apply]
-   on a manager loaded from the same snapshot, for DRed and Recompute
-   over the differential suite's random stratified programs.  The log
-   mixes random batches with insert/delete pairs that cancel across
+   on a manager loaded from the same snapshot, for DRed, Recompute and
+   Auto over the differential suite's random stratified programs.  The
+   log mixes random batches with insert/delete pairs that cancel across
    records (an inverse that a later batch made invalid is refused by
-   [apply] and never logged).  Recompute re-derives every count, so its
-   dumps must match count for count.  DRed keeps tuple sets exact but
-   not derivation counts (see [View_manager.set_algorithm]): its counts
-   depend on where batch boundaries fall, so it is compared as sets, the
-   contract its audit checks.  CI runs the whole suite at IVM_DOMAINS 1
-   and 4. *)
+   [apply] and never logged); a long tail adds 24 more random batches,
+   so a recursive program's net tail crosses Auto's DRed threshold and
+   Auto re-evaluates where DRed runs its phases.  Recompute re-derives
+   every count, so its dumps must match count for count.  DRed keeps
+   tuple sets exact but not derivation counts (see
+   [View_manager.set_algorithm]): its counts depend on where batch
+   boundaries fall, so it is compared as sets, the contract its audit
+   checks; so is Auto, which resolves to DRed on a recursive program and
+   to Counting, replayed record by record, on a nonrecursive one.  CI
+   runs the whole suite at IVM_DOMAINS 1 and 4. *)
 let net_replay_equals_per_record =
-  let algorithms = [ Vm.Dred; Vm.Recompute ] in
-  q "net replay = per-record replay (DRed, Recompute; random programs)"
-    (QCheck.pair Test_differential.arb_program
+  let algorithms = [ Vm.Dred; Vm.Recompute; Vm.Auto ] in
+  q "net replay = per-record replay (DRed, Recompute, Auto; random programs, long tails)"
+    (QCheck.triple Test_differential.arb_program
        (QCheck.make
           ~print:(fun a -> Vm.algorithm_name a)
-          (QCheck.Gen.oneofl algorithms)))
-    (fun ((seed, src), algorithm) ->
+          (QCheck.Gen.oneofl algorithms))
+       (QCheck.make ~print:(Printf.sprintf "long tail: %b") QCheck.Gen.bool))
+    (fun ((seed, src), algorithm, long_tail) ->
       with_dir (fun dir ->
           let rng = Prng.create seed in
           let nodes = 8 in
@@ -712,8 +717,9 @@ let net_replay_equals_per_record =
           apply fresh;
           apply (random ());
           apply (inverse fresh);
+          if long_tail then for _ = 1 to 24 do apply (random ()) done;
           Vm.close_store vm;
-          let name = Vm.algorithm_name algorithm in
+          let name = Vm.algorithm_name (Vm.resolve vm) in
           let (recovered, recovery), counts =
             counting_batches [ name ] (fun () -> Vm.open_durable ~algorithm dir)
           in
@@ -727,7 +733,60 @@ let net_replay_equals_per_record =
             && (algorithm <> Vm.Recompute
                || String.equal (canonical_dump a) (canonical_dump b))
           in
-          recovery.Store.replayed <> [] && counts = [ 1 ] && same))
+          let batches =
+            if name = "counting" then List.length recovery.Store.replayed else 1
+          in
+          recovery.Store.replayed <> [] && counts = [ batches ] && same))
+
+(* perfbench's closure_dred tail in small: a closure over a layered DAG
+   (6 layers of 8 nodes, two successors each) takes 80 live one-edge
+   swaps, each under Auto's DRed threshold (2/96 = 0.02), so each runs
+   DRed's phases.  Recovery folds them into one net batch far above it:
+   exactly one unit decision, and it re-evaluates [path].  The recovered
+   views pass the audit and equal per-record replay of the same log
+   through explicit DRed, as sets (the contract DRed's audit checks). *)
+let closure_tail_reevaluated () =
+  with_dir (fun dir ->
+      let layers = 6 and width = 8 in
+      let rng = Prng.create 7 in
+      let vm =
+        Vm.create ~durable:dir
+          ~facts:
+            [ ("link", Graph_gen.tuples (Graph_gen.layered_dag rng ~layers ~width ~out_degree:2)) ]
+          (Parser.parse_rules Programs.transitive_closure)
+      in
+      let swap () =
+        let db = Vm.database vm in
+        let stored = Database.relation db "link" in
+        let rec fresh () =
+          let l = Prng.int rng (layers - 1) in
+          let e =
+            Graph_gen.edge_tuple
+              ((l * width) + Prng.int rng width, ((l + 1) * width) + Prng.int rng width)
+          in
+          if Relation.mem stored e then fresh () else e
+        in
+        Changes.merge
+          (Update_gen.deletions rng db "link" 1)
+          (Changes.insertions (Vm.program vm) "link" [ fresh () ])
+      in
+      let incremental = choice_total "incremental" in
+      for _ = 1 to 80 do ignore (Vm.apply vm (swap ())) done;
+      Alcotest.(check int) "every live swap ran DRed's phases" 80
+        (choice_total "incremental" - incremental);
+      Vm.close_store vm;
+      let before = List.map choice_total [ "incremental"; "reevaluate" ] in
+      let recovered, recovery = Vm.open_durable dir in
+      Vm.close_store recovered;
+      Alcotest.(check (list int)) "recovery re-evaluated exactly one unit" [ 0; 1 ]
+        (List.map2 (fun c b -> choice_total c - b) [ "incremental"; "reevaluate" ] before);
+      Alcotest.(check (result unit string)) "audit" (Ok ()) (Vm.audit recovered);
+      let db, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
+      let oracle = Vm.of_database ~algorithm:Vm.Dred db in
+      List.iter (fun c -> ignore (Vm.apply oracle c)) recovery.Store.replayed;
+      Alcotest.(check int) "the whole tail replayed" 80 (List.length recovery.Store.replayed);
+      Alcotest.(check bool) "equals per-record replay as sets" true
+        (Database.agree (Vm.database oracle) (Vm.database recovered)))
 
 let suite =
   [
@@ -761,4 +820,6 @@ let suite =
     quick "manager: DRed replays a tail once, Counting once per record"
       replay_batches_per_algorithm;
     net_replay_equals_per_record;
+    quick "manager: a long closure tail recovers through one re-evaluated unit"
+      closure_tail_reevaluated;
   ]

@@ -108,3 +108,10 @@ let canonical_dump (db : Database.t) : string =
        (List.sort String.compare (Program.derived_preds program)))
 
 let quick name f = Alcotest.test_case name `Quick f
+
+(** Decisions of Auto's cost rule so far with this [choice]
+    (["incremental"] or ["reevaluate"]): the
+    [ivm_auto_choice_total{choice}] counter. *)
+let choice_total choice =
+  Ivm_obs.Metrics.counter_value
+    (Ivm_obs.Metrics.counter ~labels:[ ("choice", choice) ] "ivm_auto_choice_total")
