@@ -174,7 +174,7 @@ let () =
   let deadline = Unix.gettimeofday () +. !seconds in
   (* --hold-snapshot: an out-of-band holder pins the published snapshot
      on the server's spare cell for MS at a time, forcing the writer
-     through its bounded rotate wait and into full-copy fallbacks *)
+     through its bounded waits and into counted full-copy fallbacks *)
   let holder_stop = Atomic.make false in
   let holder =
     if !hold_ms <= 0 then None
@@ -232,7 +232,8 @@ let () =
     | n -> float_of_int (Metrics.histogram_sum h) /. float_of_int n
   in
   let bench_stages =
-    Reqtrace.apply_stages @ [ "publish.rotate_wait"; "publish.patch" ]
+    Reqtrace.apply_stages
+    @ [ "publish.rotate_wait"; "publish.patch"; "publish.live_drain" ]
   in
   if Reqtrace.enabled () then begin
     Printf.printf

@@ -441,6 +441,8 @@ let resnapshot (t : t) : unit =
     maintenance. *)
 let state_version (t : t) : int = Atomic.get t.state_version
 
+let fork_database (t : t) : unit = t.db <- Database.copy ~with_indexes:true t.db
+
 let insert t pred tuples =
   apply t (Changes.insertions (program t) pred tuples)
 

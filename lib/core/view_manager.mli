@@ -152,6 +152,14 @@ val apply_group :
     Monotonic; the snapshot publisher compares it across groups. *)
 val state_version : t -> int
 
+(** Move the manager onto an equal deep copy of its database, indexes
+    included ([Database.copy ~with_indexes:true]), and leave the old
+    database untouched for whoever still holds it.  The snapshot
+    publisher calls it when a reader still pins the live database after
+    a publish.  Stored counts do not change, so {!state_version}, the
+    algorithm and the store stay as they were. *)
+val fork_database : t -> unit
+
 (** {1 Durability}
 
     A durable manager pairs the in-memory database with an

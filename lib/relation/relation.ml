@@ -298,29 +298,38 @@ let of_tuples arity l =
   List.iter (fun t -> add r t 1) l;
   r
 
-(* The entries in [Tuple.compare] order, in one array of the shared entry
-   records (no per-row pair).  Tuples can compare equal without being equal
-   (an [Int] and a [Float] past 2^53); the stable sort over the reverse of
-   [Tbl.iter] order keeps those in the order earlier releases encoded
-   them, so snapshots and frames stay byte-identical. *)
-let sorted_entries r =
-  match Tbl.to_seq_values r.entries () with
-  | Seq.Nil -> [||]
-  | Seq.Cons (e0, _) ->
-    let a = Array.make (cardinal r) e0 in
-    let i = ref (Array.length a) in
-    Tbl.iter
-      (fun _ e ->
-        decr i;
-        a.(!i) <- e)
-      r.entries;
-    Array.stable_sort (fun x y -> Tuple.compare x.etup y.etup) a;
-    a
+(* The entries in [Tuple.compare] order, as the entry array and the
+   sorted positions into it (no per-row pair).  Tuples can compare equal
+   without being equal (an [Int] and a [Float] past 2^53); the stable
+   sort over the reverse of [Tbl.iter] order keeps those in the order
+   earlier releases encoded them, so snapshots and frames stay
+   byte-identical.  Nothing here may seed an array of more than 256
+   words with a young entry — [Array.make] then forces a minor
+   collection, and a fresh relation's entries are young — so the array
+   is filled from [filler] (old after the first minor collection), and
+   the sort permutes positions, not entries, since [Array.stable_sort]
+   seeds its merge buffer with the array's first element. *)
+let filler = { etup = Tuple.of_list []; ecount = 0 }
 
-let iter_sorted f r = Array.iter (fun e -> f e.etup e.ecount) (sorted_entries r)
+let sorted_entries r =
+  let a = Array.make (cardinal r) filler in
+  let i = ref (Array.length a) in
+  Tbl.iter
+    (fun _ e ->
+      decr i;
+      a.(!i) <- e)
+    r.entries;
+  let pos = Array.init (Array.length a) Fun.id in
+  Array.stable_sort (fun x y -> Tuple.compare a.(x).etup a.(y).etup) pos;
+  (a, pos)
+
+let iter_sorted f r =
+  let a, pos = sorted_entries r in
+  Array.iter (fun p -> f a.(p).etup a.(p).ecount) pos
 
 let to_sorted_list r =
-  Array.fold_right (fun e acc -> (e.etup, e.ecount) :: acc) (sorted_entries r) []
+  let a, pos = sorted_entries r in
+  Array.fold_right (fun p acc -> (a.(p).etup, a.(p).ecount) :: acc) pos []
 
 let pp ppf r =
   let pp_entry ppf (t, c) =

@@ -124,8 +124,8 @@ type t = {
   port : int;
   wake_addr : Unix.sockaddr;
   pub : Snap_pub.t;
-      (** double-buffered snapshot publisher: readers pin per-query,
-          the writer patches/rotates per group commit *)
+      (** left-right snapshot publisher: readers pin per-query, the
+          writer patches the shadow once per group commit *)
   published_seq : int Atomic.t;
   stopped : bool Atomic.t;
   pool : reader array;
@@ -673,9 +673,10 @@ let writer_loop (t : t) =
       in
       (* fsync'd → publish the new snapshot, then ack and fan out; until
          here no reader could see any batch of this group (invariant 11).
-         Incremental: patch the spare shadow with the group's net deltas
-         and rotate; full-copy fallback when the group was untracked or
-         a stalled reader pins the spare. *)
+         Incremental: readers move to the live database while the
+         shadow is patched with the group's net deltas and swapped back;
+         full-copy fallback when the group was untracked or a stalled
+         reader pins either database. *)
       let t_pub0 = Unix.gettimeofday () in
       let track = if t.config.full_publish then None else Some track in
       ignore (Snap_pub.publish ?track t.pub : Snap_pub.mode);

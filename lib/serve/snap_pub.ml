@@ -4,47 +4,47 @@
    whole database after every group commit — O(|DB| + index rebuild)
    per group, measured as the dominant share of durable apply latency
    (EXPERIMENTS.md E19).  This module applies the paper's own
-   counting-delta discipline to publication itself: keep two shadow
-   databases in rotation and, instead of copying, {e patch} the spare
-   with the group's net tuple-count changes (surfaced from the
-   maintenance algorithms' commit sites via [Changes.collector]), then
-   publish it atomically.  Publish cost drops to O(|Δ| · indexes).
+   counting-delta discipline to publication itself: one index-free
+   shadow of the live database is {e patched} with each group's net
+   tuple-count changes (surfaced from the maintenance algorithms' commit
+   sites via [Changes.collector]) instead of copied.  Publish cost drops
+   to O(|Δ| · indexes).
 
-   Pending changes are shared, not copied.  A buffer lags the live
-   database by the groups committed since it was last patched — the
-   spare by two: the group it missed while published and the one just
-   committed.  Each buffer keeps those groups' collected change sets as
-   a list; the same set sits in both lists, and neither the list nor
-   the rotation ever copies, merges or mutates it.  Rotation patches the
-   sets oldest first.  That order is required: with no ⊎ merge across
-   groups, a tuple inserted by group N and deleted by group N+1 is
-   patched in and then out, and newest first would try to delete a tuple
-   the buffer does not yet hold.
+   Left-right publication.  Readers need a database nobody is writing,
+   and there are two: the shadow, and the live database while it is at
+   rest — after a group's fsync, before the next group's maintenance.  A
+   publish
+   1. swaps the live database in (it already holds the group);
+   2. waits, bounded, until no reader pins the shadow;
+   3. patches the shadow once with the group's collected set;
+   4. swaps the shadow back in;
+   5. waits, bounded, until no reader pins the live database,
+   so each group is written twice — by maintenance and into the shadow —
+   and readers see the live database only between the fsync and the
+   shadow's catch-up, never during maintenance.
 
-   Reader safety is epoch pinning.  A global epoch counter is bumped at
-   every publish; each reader domain owns one pin cell.  To use a
-   snapshot a reader stores the current epoch in its cell and only then
-   fetches [published]; when done it parks the cell at [idle]
-   (= max_int).  A buffer retired at epoch [E] may be patched again only
-   once every cell holds a value ≥ [E]: a cell pinned below [E] can hold
-   a reference to the retired buffer, a cell at or above [E] pinned
-   after the swap and can only have fetched a newer one.  (The pin is
-   written before the fetch and both are OCaml SC atomics, so a pin
-   observed ≥ E really did happen after the publish that made [E]
-   current — there is no window where a reader fetches the old buffer
-   yet advertises a new epoch.)
+   Reader safety is exact pinning.  Every swap publishes a fresh slot
+   [{seq; db}] numbered one past the last.  A reader stores the slot's
+   [seq] in its own pin cell, then re-reads the published slot and uses
+   [db] only if the slot is still the same one; otherwise it pins again.
+   A database swapped out at slot [s] is therefore free once no cell
+   holds [s]: a reader that loaded slot [s] but pinned it after the
+   writer looked fails its re-read, because the writer swapped before it
+   looked (pin, swap and both reads are OCaml SC atomics).
 
-   The writer's rotate wait is bounded: if a pinned reader does not
-   drain within [max_wait_s] the writer abandons the pinned buffer to
-   the GC and publishes a {e fresh} full copy instead — the stalled
-   reader keeps its snapshot unmutated forever (invariant 13: a
-   published snapshot is never mutated while any reader's epoch pins
-   it), and the writer never blocks on a client (the PR 4/PR 8
-   discipline).  Fallback also covers every commit the delta feed
-   cannot describe: recompute batches, rule changes / algorithm
-   switches ([View_manager.state_version]), a replaced database
-   identity, and databases with registered aggregate indexes (their
-   accumulator state is not tuple-count-patchable). *)
+   Neither wait mutates what a reader holds (invariant 13: a published
+   snapshot is never mutated while pinned), and neither blocks the
+   writer on a client for more than [max_wait_s].  A reader still on the
+   shadow: the writer leaves it to the reader and the GC and copies the
+   live database afresh instead of patching.  A reader still on the live
+   database: maintenance moves to an equal copy
+   ([View_manager.fork_database]) and the old database stays the
+   reader's.  Both count as [stalled_reader] full copies.  A full copy
+   also covers every commit the delta feed cannot describe: recompute
+   batches, rule changes / algorithm switches
+   ([View_manager.state_version]), a replaced database identity, and
+   databases with registered aggregate indexes (their accumulator state
+   is not tuple-count-patchable). *)
 
 module Vm = Ivm.View_manager
 module Changes = Ivm.Changes
@@ -55,19 +55,12 @@ module Metrics = Ivm_obs.Metrics
 
 let idle = max_int
 
-type buffer = {
-  mutable db : Database.t;
-  mutable pending : Changes.t list;
-      (** the collected change sets of the groups committed since this
-          buffer last equaled the live database, newest first; shared
-          with the other buffer, never mutated *)
-  mutable dirty : bool;
-      (** an untracked commit happened since this buffer last equaled
-          the live database — [pending] is not a faithful replay and the
-          next rotation must full-copy *)
-  mutable retired_at : int;
-      (** epoch at which this buffer stopped being the published one *)
-}
+(* One swap: the database readers fetch, and its sequence number.
+   Publish [p] swaps at [2p + 1] (live) and [2p + 2] (shadow); the
+   initial shadow is slot 2, so [(seq + 1) / 2] is the publish epoch. *)
+type slot = { seq : int; db : Database.t }
+
+let epoch_of seq = (seq + 1) / 2
 
 type mode = Incremental | Full_copy
 
@@ -78,12 +71,12 @@ let mode_name = function
 type t = {
   vm : Vm.t;
   max_wait_s : float;
-  epoch : int Atomic.t;
-  published : Database.t Atomic.t;
-  readers : int Atomic.t array;  (** per-reader pin cells, [idle] when unpinned *)
+  published : slot Atomic.t;
+      (** between publishes, always the shadow's slot *)
+  readers : int Atomic.t array;
+      (** per-reader pin cells: the pinned slot's [seq], [idle] when
+          unpinned *)
   (* writer-domain state *)
-  mutable front : buffer;  (** currently published *)
-  mutable spare : buffer;  (** patched and swapped in at the next publish *)
   mutable last_db : Database.t;
       (** physical identity of the live database at the last publish —
           a rule change replaces it wholesale *)
@@ -113,8 +106,8 @@ let full_copies_c reason =
 let patched_tuples_h =
   Metrics.histogram "ivm_serve_publish_patch_tuples"
     ~help:
-      "Net tuples patched into the spare snapshot per incremental publish, \
-       summed over the groups the spare lags"
+      "Net tuples patched into the shadow snapshot per incremental publish \
+       (one group's collected set)"
 
 let snapshot_age_g =
   Metrics.gauge "ivm_serve_snapshot_age_seconds"
@@ -133,14 +126,6 @@ let stage_h stage =
 
 (* ---------------- construction ---------------- *)
 
-let shadow_of live =
-  {
-    db = Database.copy ~with_indexes:false live;
-    pending = [];
-    dirty = false;
-    retired_at = 0;
-  }
-
 let create ?(max_wait_s = 0.05) ~readers (vm : Vm.t) : t =
   if readers < 1 then invalid_arg "Snap_pub.create: readers must be >= 1";
   (* pre-register every label combination so the families export at 0
@@ -150,15 +135,11 @@ let create ?(max_wait_s = 0.05) ~readers (vm : Vm.t) : t =
   ignore (full_copies_c "untracked");
   ignore (full_copies_c "stalled_reader");
   let live = Vm.database vm in
-  let front = shadow_of live and spare = shadow_of live in
   {
     vm;
     max_wait_s;
-    epoch = Atomic.make 1;
-    published = Atomic.make front.db;
+    published = Atomic.make { seq = 2; db = Database.copy ~with_indexes:false live };
     readers = Array.init readers (fun _ -> Atomic.make idle);
-    front;
-    spare;
     last_db = live;
     last_state_version = Vm.state_version vm;
     last_publish_at = Unix.gettimeofday ();
@@ -173,74 +154,67 @@ let create ?(max_wait_s = 0.05) ~readers (vm : Vm.t) : t =
 
 let acquire (t : t) ~reader : Database.t =
   let cell = t.readers.(reader) in
-  (* pin BEFORE fetching: the writer treats a cell below a buffer's
-     retirement epoch as "may still hold it", so the unsafe interleaving
-     (fetch old buffer, then advertise a fresh epoch) cannot be
-     expressed *)
-  Atomic.set cell (Atomic.get t.epoch);
-  Atomic.get t.published
+  let rec pin () =
+    let slot = Atomic.get t.published in
+    Atomic.set cell slot.seq;
+    (* still published after the pin is visible: the writer has not
+       looked for this slot's pins yet, so it will see this one *)
+    if Atomic.get t.published == slot then slot.db else pin ()
+  in
+  pin ()
 
 let release (t : t) ~reader : unit = Atomic.set t.readers.(reader) idle
 
 (** The published snapshot without pinning — safe only where no publish
     can run concurrently (the writer domain itself, single-domain
     tests).  Readers must use {!acquire}/{!release}. *)
-let current (t : t) : Database.t = Atomic.get t.published
+let current (t : t) : Database.t = (Atomic.get t.published).db
 
-let epoch (t : t) : int = Atomic.get t.epoch
+let epoch (t : t) : int = epoch_of (Atomic.get t.published).seq
 
 (* ---------------- writer side ---------------- *)
 
-let mark_dirty (buf : buffer) =
-  buf.dirty <- true;
-  (* a dirty buffer's pending list is useless — drop it rather than keep
-     growing it until the full copy clears it *)
-  buf.pending <- []
+let swap (t : t) (db : Database.t) : int =
+  let seq = (Atomic.get t.published).seq + 1 in
+  Atomic.set t.published { seq; db };
+  seq
 
-let add_pending (buf : buffer) (delta : Changes.t) =
-  if not buf.dirty then buf.pending <- delta :: buf.pending
+let drained (t : t) seq = Array.for_all (fun cell -> Atomic.get cell <> seq) t.readers
 
-let pending_tuples (buf : buffer) =
-  List.fold_left (fun acc delta -> acc + Changes.total_tuples delta) 0 buf.pending
+(* Spin (with short naps) until no cell pins slot [seq], or the deadline
+   passes. *)
+let wait_drained (t : t) seq : bool =
+  drained t seq
+  ||
+  let deadline = Unix.gettimeofday () +. t.max_wait_s in
+  let rec go spins =
+    if drained t seq then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      if spins > 200 then Unix.sleepf 0.0002 else Domain.cpu_relax ();
+      go (spins + 1)
+    end
+  in
+  go 0
 
-(* Oldest group first — the order the header explains. *)
-let apply_pending (buf : buffer) =
+(* Observe the sub-stage that began at [t0]; returns its end. *)
+let stage (name : string) (t0 : float) : float =
+  let t1 = Unix.gettimeofday () in
+  Metrics.observe (stage_h name) (int_of_float ((t1 -. t0) *. 1e9));
+  t1
+
+let patch (db : Database.t) (delta : Changes.t) =
   List.iter
-    (fun delta ->
-      List.iter
-        (fun (pred, d) ->
-          let stored = Database.relation buf.db pred in
-          Relation.iter (fun tup c -> Relation.patch stored tup c) d)
-        delta)
-    (List.rev buf.pending);
-  buf.pending <- []
-
-let unpinned (t : t) (buf : buffer) =
-  Array.for_all (fun cell -> Atomic.get cell >= buf.retired_at) t.readers
-
-(* Spin (with short naps) until every reader has drained past the
-   buffer's retirement epoch, or the deadline passes. *)
-let wait_unpinned (t : t) (buf : buffer) : bool =
-  if unpinned t buf then true
-  else begin
-    let deadline = Unix.gettimeofday () +. t.max_wait_s in
-    let rec go spins =
-      if unpinned t buf then true
-      else if Unix.gettimeofday () > deadline then false
-      else begin
-        if spins > 200 then Unix.sleepf 0.0002 else Domain.cpu_relax ();
-        go (spins + 1)
-      end
-    in
-    go 0
-  end
+    (fun (pred, d) ->
+      let stored = Database.relation db pred in
+      Relation.iter (fun tup c -> Relation.patch stored tup c) d)
+    delta
 
 (** Publish the live database's state after a group commit.  Writer
     domain only.  [track], when complete and nothing moved out-of-band
-    since the last publish, carries the group's exact net changes: both
-    shadows queue the collected set and the spare is patched in place —
-    otherwise both shadows are marked dirty and a fresh full copy is
-    published.  Returns the mode actually used. *)
+    since the last publish, carries the group's exact net changes and the
+    shadow is patched with them; otherwise the shadow is replaced by a
+    fresh copy.  Returns the mode actually used. *)
 let publish ?track (t : t) : mode =
   let live = Vm.database t.vm in
   let version = Vm.state_version t.vm in
@@ -254,55 +228,44 @@ let publish ?track (t : t) : mode =
       Some (Changes.collected col)
     | _ -> None
   in
-  (match tracked with
-  | Some delta ->
-    add_pending t.front delta;
-    add_pending t.spare delta
-  | None ->
-    mark_dirty t.front;
-    mark_dirty t.spare);
-  let w0 = Unix.gettimeofday () in
-  let spare_free = wait_unpinned t t.spare in
-  let w1 = Unix.gettimeofday () in
-  Metrics.observe (stage_h "publish.rotate_wait")
-    (int_of_float ((w1 -. w0) *. 1e9));
-  let mode, fresh_front =
-    if spare_free && not t.spare.dirty then begin
-      let n = pending_tuples t.spare in
-      apply_pending t.spare;
-      let w2 = Unix.gettimeofday () in
-      Metrics.observe (stage_h "publish.patch")
-        (int_of_float ((w2 -. w1) *. 1e9));
-      Metrics.observe patched_tuples_h n;
-      (Incremental, t.spare)
-    end
-    else begin
-      (* Untracked commit, or a stalled reader still pins the spare: give
-         the spare up to the GC (never mutate a buffer a reader may hold
-         — invariant 13) and copy the live database afresh.  The copy
-         equals the live state, so the new buffer starts clean. *)
-      let reason = if spare_free then "untracked" else "stalled_reader" in
-      Metrics.inc (full_copies_c reason);
-      if spare_free then t.full_untracked <- t.full_untracked + 1
-      else t.full_stalled <- t.full_stalled + 1;
-      (Full_copy, shadow_of live)
-    end
+  let shadow = Atomic.get t.published in
+  let t0 = Unix.gettimeofday () in
+  let live_seq = swap t live in
+  let shadow_free = wait_drained t shadow.seq in
+  let t1 = stage "publish.rotate_wait" t0 in
+  let next =
+    match tracked with
+    | Some delta when shadow_free ->
+      patch shadow.db delta;
+      ignore (stage "publish.patch" t1 : float);
+      Metrics.observe patched_tuples_h (Changes.total_tuples delta);
+      shadow.db
+    | _ ->
+      (* untracked, or a stalled reader still holds the shadow: leave it
+         be and copy the live state afresh *)
+      Database.copy ~with_indexes:false live
   in
-  (* swap: make the new buffer fetchable first, then bump the epoch —
-     a pin at the new epoch can only have fetched the new buffer, so the
-     outgoing front is exactly "retired at the new epoch" *)
-  let outgoing = t.front in
-  Atomic.set t.published fresh_front.db;
-  let e' = 1 + Atomic.fetch_and_add t.epoch 1 in
-  outgoing.retired_at <- e';
-  t.front <- fresh_front;
-  t.spare <- outgoing;
-  t.last_db <- live;
+  ignore (swap t next : int);
+  let t2 = Unix.gettimeofday () in
+  let live_free = wait_drained t live_seq in
+  ignore (stage "publish.live_drain" t2 : float);
+  (* a reader still holds the live database: it keeps it, unmutated, and
+     the next group is maintained on an equal copy *)
+  if not live_free then Vm.fork_database t.vm;
+  let stalled = not (shadow_free && live_free) in
+  let mode = if Option.is_some tracked && not stalled then Incremental else Full_copy in
+  (match mode with
+  | Incremental -> t.incremental <- t.incremental + 1
+  | Full_copy ->
+    (* one count per publish; a stall outranks an untracked commit *)
+    Metrics.inc (full_copies_c (if stalled then "stalled_reader" else "untracked"));
+    if stalled then t.full_stalled <- t.full_stalled + 1
+    else t.full_untracked <- t.full_untracked + 1);
+  t.last_db <- Vm.database t.vm;
   t.last_state_version <- version;
   t.last_publish_at <- Unix.gettimeofday ();
   t.last_mode <- mode;
   t.publishes <- t.publishes + 1;
-  if mode = Incremental then t.incremental <- t.incremental + 1;
   Metrics.inc (publish_mode_c mode);
   Metrics.set snapshot_age_g 0.;
   mode
@@ -311,7 +274,7 @@ let publish ?track (t : t) : mode =
 
 let reader_lag (t : t) i =
   let pinned = Atomic.get t.readers.(i) in
-  if pinned = idle then 0 else max 0 (Atomic.get t.epoch - pinned)
+  if pinned = idle then 0 else max 0 (epoch t - epoch_of pinned)
 
 (** Refresh the snapshot-age and per-reader epoch-lag gauges (called
     from the monitor's before-scrape hook and after each publish). *)
@@ -354,7 +317,7 @@ let status_json (t : t) : Json.t =
   in
   Json.Obj
     [
-      ("epoch", Json.int (Atomic.get t.epoch));
+      ("epoch", Json.int (epoch t));
       ("mode", Json.Str (mode_name t.last_mode));
       ("publishes", Json.int t.publishes);
       ("incremental", Json.int t.incremental);

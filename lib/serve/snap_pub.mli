@@ -1,28 +1,27 @@
-(** Incremental snapshot publication — epoch-pinned double buffering
-    (ARCHITECTURE.md §18).
+(** Incremental snapshot publication — left-right over the live
+    database and one shadow (ARCHITECTURE.md §18).
 
-    Two shadow databases rotate behind an atomically published pointer.
-    After each group commit the writer patches the spare shadow with the
-    group's {e net tuple-count changes} (surfaced from the maintenance
-    algorithms' commit sites via {!Ivm.Changes.collector}) and swaps it
-    in: O(|Δ| · indexes) instead of the old O(|DB| + index rebuild)
+    One index-free shadow of the live database sits behind an atomically
+    published pointer.  After each group commit the writer swaps the
+    live database in (it is at rest until the next group), patches the
+    shadow with the group's {e net tuple-count changes} (surfaced from
+    the maintenance algorithms' commit sites via
+    {!Ivm.Changes.collector}) and swaps the shadow back in: each group is
+    written once by maintenance and once into the shadow, O(|Δ| ·
+    indexes), instead of the old O(|DB| + index rebuild)
     [Database.copy] per group.
 
-    Each shadow's pending changes are a list of the collected change
-    sets of the groups it lags, shared between the two shadows and never
-    copied, merged or mutated.  Rotation patches them oldest first: with
-    no ⊎ merge across groups, a tuple one group inserts and the next
-    deletes is patched in and out again, and only commit order keeps
-    every intermediate count non-negative.
-
-    Reader safety is {e epoch pinning}: a reader stores the current
-    epoch in its pin cell, {e then} fetches the published database; the
-    writer patches a retired buffer only once every cell is idle or at
-    an epoch ≥ the buffer's retirement epoch.  The rotate wait is
-    bounded — a stalled reader makes the writer abandon the pinned
-    buffer and publish a fresh full copy instead, so a published
-    snapshot is {e never} mutated while any reader's epoch pins it
-    (invariant 13) and no client can wedge the writer.
+    Reader safety is {e exact pinning}: a reader stores the published
+    slot's sequence number in its pin cell and uses the slot only if it
+    is still published after the pin; the writer mutates a database
+    swapped out at slot [s] only once no cell holds [s].  Both waits — for
+    the shadow before the patch, for the live database before the next
+    group — are bounded: a reader still on the shadow makes the writer
+    copy the live database afresh instead of patching; a reader still on
+    the live database keeps it, and maintenance moves to an equal copy
+    ({!Ivm.View_manager.fork_database}).  A published snapshot is
+    {e never} mutated while any reader pins it (invariant 13) and no
+    client can wedge the writer.
 
     Commits the delta feed cannot describe — recompute batches, rule
     changes / algorithm switches ({!Ivm.View_manager.state_version}), a
@@ -43,17 +42,17 @@ type mode = Incremental | Full_copy
     [ivm_serve_publish_total]. *)
 val mode_name : mode -> string
 
-(** [create ~readers vm] seeds both shadows from the manager's current
-    database ([~with_indexes:false] copies).  [readers] is the number of
+(** [create ~readers vm] seeds the shadow from the manager's current
+    database (a [~with_indexes:false] copy).  [readers] is the number of
     pin cells — one per reader domain, addressed by index.
-    [max_wait_s] (default 0.05) bounds the writer's rotate wait before
-    it gives up on a pinned spare and full-copies. *)
+    [max_wait_s] (default 0.05) bounds each of the writer's two waits
+    for pinned readers before it gives up and copies instead. *)
 val create : ?max_wait_s:float -> readers:int -> Vm.t -> t
 
-(** [acquire t ~reader] pins reader [reader]'s cell at the current epoch
-    and returns the published snapshot.  The snapshot is guaranteed
-    unmutated until the matching {!release}.  Pin windows should span
-    only the query evaluation, never socket writes. *)
+(** [acquire t ~reader] pins reader [reader]'s cell on the published
+    slot and returns its snapshot.  The snapshot is guaranteed unmutated
+    until the matching {!release}.  Pin windows should span only the
+    query evaluation, never socket writes. *)
 val acquire : t -> reader:int -> Database.t
 
 val release : t -> reader:int -> unit
@@ -67,12 +66,13 @@ val epoch : t -> int
 
 (** Publish the live database's state after a group commit (writer
     domain only).  With a complete [track] collector and no out-of-band
-    mutation since the last publish, the spare is patched in place and
-    swapped in ([Incremental]); otherwise a fresh full copy is published
-    ([Full_copy]).  The publisher keeps [Changes.collected track] until
-    both shadows have patched it, so [track] must record nothing more
-    once published.  Observes [publish.rotate_wait] / [publish.patch]
-    under [ivm_serve_stage_ns] and the publish-mode counters. *)
+    mutation since the last publish, the shadow is patched once with
+    [Changes.collected track] ([Incremental]); otherwise it is replaced
+    by a fresh copy ([Full_copy]), as it is when a stalled reader forces
+    a copy of either database.  Readers see the live database only
+    during the call.  Observes [publish.rotate_wait] / [publish.patch] /
+    [publish.live_drain] under [ivm_serve_stage_ns] and the publish-mode
+    counters. *)
 val publish : ?track:Changes.collector -> t -> mode
 
 (** Epochs reader [i]'s pin trails the current epoch; 0 when idle. *)

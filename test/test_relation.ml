@@ -158,6 +158,48 @@ let view_collapse () =
   | Relation_view.Concrete _ -> ()
   | Relation_view.Overlay _ -> Alcotest.fail "empty delta should collapse"
 
+(* ---------------- sorted entries ---------------- *)
+
+(* The sorted order is [Array.stable_sort]'s over the reverse of the
+   table's iteration order, even for tuples that compare equal without
+   being equal (an [Int] and a [Float] around 2^53) — the order frames
+   and snapshots have always been encoded in. *)
+let sorted_matches_stable_sort () =
+  let big = 1 lsl 53 in
+  let pool =
+    [| Value.int big; Value.int (big + 1); Value.int (big - 1);
+       Value.float (float_of_int big); Value.float (float_of_int big +. 2.);
+       Value.int 3; Value.float 3.5; Value.str "x" |]
+  in
+  let st = Random.State.make [| 23 |] in
+  for _ = 1 to 50 do
+    let r = Relation.create 2 in
+    for _ = 1 to 1 + Random.State.int st 600 do
+      let v () = pool.(Random.State.int st (Array.length pool)) in
+      Relation.add r (Tuple.of_list [ v (); v () ]) 1
+    done;
+    let want = Array.of_list (Relation.fold (fun t c acc -> (t, c) :: acc) r []) in
+    Array.stable_sort (fun (x, _) (y, _) -> Tuple.compare x y) want;
+    Alcotest.(check bool) "same order as Array.stable_sort" true
+      (Array.to_list want = Relation.to_sorted_list r)
+  done
+
+(* A relation built just now holds young entries.  Sorting one of more
+   than 256 rows must not force a minor collection (neither the entry
+   array nor the merge buffer may be seeded with a young entry). *)
+let sorted_forces_no_minor () =
+  Gc.minor ();
+  let r = Relation.create 2 in
+  for i = 0 to 1999 do
+    Relation.add r (Tuple.of_ints [ i * 7919 mod 2000; i ]) 1
+  done;
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let rows = ref 0 in
+  Relation.iter_sorted (fun _ _ -> incr rows) r;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "all rows" 2000 !rows;
+  Alcotest.(check int) "no minor collection" 0 (after - before)
+
 let suite =
   [
     quick "value compare/equal/hash" value_compare;
@@ -174,4 +216,6 @@ let suite =
     quick "overlay view semantics" view_overlay;
     quick "overlay view probing" view_overlay_probe;
     quick "overlay collapses when delta empty" view_collapse;
+    quick "sorted entries: Array.stable_sort order" sorted_matches_stable_sort;
+    quick "sorted entries: no forced minor collection" sorted_forces_no_minor;
   ]

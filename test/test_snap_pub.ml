@@ -1,13 +1,15 @@
 (** The incremental snapshot publisher (lib/serve/snap_pub).
 
-    The load-bearing property: an incrementally patched published
-    snapshot is indistinguishable from a fresh [Database.copy] — same
-    canonical digest after every publish, across generated traces of
-    batch applies, rule changes and algorithm switches, under all four
-    maintenance algorithms.  Plus directed tests for the stalled-reader
-    full-copy fallback (invariant 13: a pinned snapshot is never
-    mutated) and the [Relation.patch] / index-free copy primitives the
-    publisher is built on. *)
+    The load-bearing property: the shadow a publish leaves published is
+    indistinguishable from a fresh [Database.copy] — same canonical
+    digest after every publish, across generated traces of batch
+    applies, rule changes and algorithm switches, under all four
+    maintenance algorithms — and a reader domain querying while the
+    writer commits only ever sees acknowledged states, in order.  Plus
+    directed tests for the two stalled-reader fallbacks (invariant 13: a
+    pinned snapshot is never mutated — neither the shadow nor the live
+    database a reader still holds) and the [Relation.patch] / index-free
+    copy primitives the publisher is built on. *)
 
 module Tuple = Ivm_relation.Tuple
 module Relation = Ivm_relation.Relation
@@ -118,10 +120,15 @@ let run_scenario (s : scenario) : bool =
   let counts : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   let has_extra = ref false in
   let check_pub what =
-    let got = Database.canonical_digest (Snap_pub.current pub) in
+    (* a publish leaves the shadow published; were it the live database,
+       the digests below would agree without testing anything *)
+    let shadow = Snap_pub.current pub in
+    if shadow == Vm.database vm then
+      Q.Test.fail_reportf "after %s: the live database is still published" what;
+    let got = Database.canonical_digest shadow in
     let want = Database.canonical_digest (Database.copy (Vm.database vm)) in
     if got <> want then
-      Q.Test.fail_reportf "after %s: published %s, fresh copy %s" what got want
+      Q.Test.fail_reportf "after %s: shadow %s, fresh copy %s" what got want
   in
   List.iter
     (fun op ->
@@ -168,28 +175,154 @@ let run_scenario (s : scenario) : bool =
   let st = Snap_pub.stats pub in
   st.Snap_pub.publishes = st.Snap_pub.incremental + st.Snap_pub.full_copies
 
-let test_publish_equivalence () =
-  let cell =
-    Q.Test.make_cell ~count:220 ~name:"snap_pub publish equivalence"
-      (Q.make ~print:print_scenario gen_scenario)
-      run_scenario
-  in
+(* Run a fixed-seed qcheck property, failing the Alcotest case with the
+   counterexample. *)
+let check_property ~count ~name ~print gen prop =
+  let cell = Q.Test.make_cell ~count ~name (Q.make ~print gen) prop in
   match
     Q.TestResult.get_state
       (Q.Test.check_cell ~rand:(Random.State.make [| 0xD1CE |]) cell)
   with
   | Q.TestResult.Success -> ()
   | Q.TestResult.Failed { instances = c :: _ } ->
-    Alcotest.failf "publish equivalence failed on %s\n%s"
-      (print_scenario c.Q.TestResult.instance)
+    Alcotest.failf "%s failed on %s\n%s" name
+      (print c.Q.TestResult.instance)
       (String.concat "\n" c.Q.TestResult.msg_l)
   | Q.TestResult.Failed { instances = [] } ->
-    Alcotest.fail "publish equivalence failed without a counterexample"
+    Alcotest.failf "%s failed without a counterexample" name
   | Q.TestResult.Failed_other { msg } -> Alcotest.fail msg
   | Q.TestResult.Error { exn; instance; _ } ->
-    Alcotest.failf "publish equivalence raised %s on %s"
-      (Printexc.to_string exn)
-      (print_scenario instance.Q.TestResult.instance)
+    Alcotest.failf "%s raised %s on %s" name (Printexc.to_string exn)
+      (print instance.Q.TestResult.instance)
+
+let test_publish_equivalence () =
+  check_property ~count:220 ~name:"snap_pub publish equivalence"
+    ~print:print_scenario gen_scenario run_scenario
+
+(* ---------------- a reader domain against the writer ---------------- *)
+
+(* Groups of [link] toggles under set semantics: each pair in a group is
+   inserted if absent and deleted if present, so every batch is valid
+   and the model is a plain edge set with hop = link ∘ link. *)
+type reader_scenario = { r_algo : Vm.algorithm; groups : (int * int) list list }
+
+let gen_reader_scenario =
+  let open Q.Gen in
+  oneofl [ Vm.Counting; Vm.Dred; Vm.Recompute; Vm.Auto ] >>= fun r_algo ->
+  let pair = pair (int_range 0 5) (int_range 0 5) in
+  list_size (int_range 4 16) (list_size (int_range 1 6) pair >|= List.sort_uniq compare)
+  >|= fun groups -> { r_algo; groups }
+
+let print_reader_scenario s =
+  Printf.sprintf "{algo=%s; [%s]}" (Vm.algorithm_name s.r_algo)
+    (String.concat " "
+       (List.map
+          (fun g ->
+            String.concat ";" (List.map (fun (x, y) -> Printf.sprintf "(%d,%d)" x y) g))
+          s.groups))
+
+type answer = (int * int) list * (int * int) list  (** link rows, hop rows *)
+
+(* The model's answer after each acknowledged prefix of the groups
+   (index 0: nothing applied), and each group as signed link changes. *)
+let model (groups : (int * int) list list) : answer array * (Tuple.t * int) list list =
+  let links = Hashtbl.create 16 in
+  let answer () : answer =
+    let ls = List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) links []) in
+    let hop =
+      List.concat_map
+        (fun (x, z) -> List.filter_map (fun (z', y) -> if z = z' then Some (x, y) else None) ls)
+        ls
+    in
+    (ls, List.sort_uniq compare hop)
+  in
+  let a0 = answer () in
+  let steps =
+    List.map
+      (fun g ->
+        let changes =
+          List.map
+            (fun e ->
+              let c = if Hashtbl.mem links e then -1 else 1 in
+              if c > 0 then Hashtbl.replace links e () else Hashtbl.remove links e;
+              (Tuple.of_ints [ fst e; snd e ], c))
+            g
+        in
+        (answer (), changes))
+      groups
+  in
+  (Array.of_list (a0 :: List.map fst steps), List.map snd steps)
+
+let answer_of (db : Database.t) : answer =
+  let int_at t i = match Tuple.get t i with Ivm_relation.Value.Int n -> n | _ -> -1 in
+  let rows q =
+    Relation.fold
+      (fun t c acc -> if c > 0 then (int_at t 0, int_at t 1) :: acc else acc)
+      (Query.run_text db q).Query.rows []
+    |> List.sort_uniq compare
+  in
+  (rows "link(X, Y)", rows "hop(X, Y)")
+
+(* The writer applies and publishes every group; a reader domain queries
+   in a loop meanwhile.  Each answer must be the model's at a prefix
+   already committed when the query finished, at or after the prefix of
+   the answer before it. *)
+let run_reader_scenario (s : reader_scenario) : bool =
+  let vm = Vm.of_source ~algorithm:s.r_algo seed_src in
+  let pub = Snap_pub.create ~readers:1 vm in
+  let expected, groups = model s.groups in
+  let committed = Atomic.make 0 and finished = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let rec loop last answers =
+          let stop = Atomic.get finished in
+          let db = Snap_pub.acquire pub ~reader:0 in
+          let a =
+            Fun.protect
+              ~finally:(fun () -> Snap_pub.release pub ~reader:0)
+              (fun () -> answer_of db)
+          in
+          let hi = Atomic.get committed in
+          let rec find j =
+            if j > hi then None else if expected.(j) = a then Some j else find (j + 1)
+          in
+          match find last with
+          | None ->
+            Error (Printf.sprintf "answer %d matches no prefix in [%d, %d]" answers last hi)
+          | Some j -> if stop then Ok (answers + 1) else loop j (answers + 1)
+        in
+        loop 0 0)
+  in
+  let write () =
+    List.iteri
+      (fun k entries ->
+        let track = Changes.collector () in
+        let changes = Changes.of_list (Vm.program vm) [ ("link", entries) ] in
+        (match Vm.apply_group ~track vm [ changes ] with
+        | [ Ok _ ] -> ()
+        | _ -> failwith "apply_group failed");
+        Atomic.set committed (k + 1);
+        ignore (Snap_pub.publish ~track pub : Snap_pub.mode))
+      groups
+  in
+  let wrote = Result.map_error Printexc.to_string (try Ok (write ()) with e -> Error e) in
+  Atomic.set finished true;
+  match (wrote, Domain.join reader) with
+  | Error msg, _ | _, Error msg -> Q.Test.fail_reportf "%s" msg
+  | Ok (), Ok answers -> answers > 0
+
+let test_reader_domain () =
+  let domains0 = Ivm_par.domains () in
+  Fun.protect
+    ~finally:(fun () -> Ivm_par.set_domains domains0)
+    (fun () ->
+      List.iter
+        (fun domains ->
+          Ivm_par.set_domains domains;
+          check_property ~count:40
+            ~name:(Printf.sprintf "reader domain sees committed prefixes (%d domains)" domains)
+            ~print:print_reader_scenario gen_reader_scenario run_reader_scenario)
+        [ 1; 4 ])
 
 (* ---------------- stalled reader: bounded wait, fallback ------------ *)
 
@@ -207,17 +340,17 @@ let test_stalled_reader_fallback () =
     | _ -> Alcotest.fail "apply_group failed");
     Snap_pub.publish ~track pub
   in
-  (* a reader pins the initial snapshot and never releases *)
+  (* a reader pins the initial shadow and never releases *)
   let pinned = Snap_pub.acquire pub ~reader:0 in
   let d0 = Database.canonical_digest pinned in
+  (* the shadow is pinned: the first publish must give up after
+     max_wait_s and copy the live database instead of patching it *)
   let m1 = apply [ (1, 2) ] in
-  Alcotest.(check string) "first publish patches the free spare"
-    "incremental" (Snap_pub.mode_name m1);
-  (* the retired buffer is now pinned by reader 0: the next publish must
-     give up after max_wait_s and full-copy instead of mutating it *)
+  Alcotest.(check string) "first publish falls back" "full_fallback"
+    (Snap_pub.mode_name m1);
   let m2 = apply [ (2, 3) ] in
-  Alcotest.(check string) "second publish falls back" "full_fallback"
-    (Snap_pub.mode_name m2);
+  Alcotest.(check string) "second publish patches the fresh shadow"
+    "incremental" (Snap_pub.mode_name m2);
   let st = Snap_pub.stats pub in
   Alcotest.(check bool) "stalled fallback counted" true
     (st.Snap_pub.full_stalled >= 1);
@@ -231,6 +364,87 @@ let test_stalled_reader_fallback () =
   Alcotest.(check string) "published tracks live after release"
     (Database.canonical_digest (Vm.database vm))
     (Database.canonical_digest (Snap_pub.current pub))
+
+(* ---------------- stalled reader on the live database ---------------- *)
+
+(* A reader that fetched the live database during a publish still holds
+   it when the publish ends.  The writer waits max_wait_s, then moves
+   maintenance to an equal copy; the held database never changes again.
+   To catch the live database deterministically, the test pins the
+   shadow on cell 0, so the publish waits in its step 2 with the live
+   database published; a holder domain pins that on cell 1 and only then
+   lets the shadow go. *)
+let test_live_pin_forks () =
+  let max_wait_s = 0.3 in
+  let vm = Vm.of_source ~algorithm:Vm.Counting seed_src in
+  let pub = Snap_pub.create ~max_wait_s ~readers:2 vm in
+  let group i =
+    let changes =
+      Changes.of_list (Vm.program vm) [ ("link", [ (Tuple.of_ints [ i; i + 1 ], 1) ]) ]
+    in
+    let track = Changes.collector () in
+    (match Vm.apply_group ~track vm [ changes ] with
+    | [ Ok _ ] -> ()
+    | _ -> Alcotest.fail "apply_group failed");
+    Snap_pub.publish ~track pub
+  in
+  ignore (group 0 : Snap_pub.mode);
+  let live = Vm.database vm in
+  ignore (Snap_pub.acquire pub ~reader:0 : Database.t);
+  let go = Atomic.make false and let_go = Atomic.make false in
+  let holder =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do Domain.cpu_relax () done;
+        let deadline = Unix.gettimeofday () +. (10. *. max_wait_s) in
+        let rec grab () =
+          let db = Snap_pub.acquire pub ~reader:1 in
+          if db == live then Some db
+          else begin
+            Snap_pub.release pub ~reader:1;
+            if Unix.gettimeofday () > deadline then None
+            else begin
+              Domain.cpu_relax ();
+              grab ()
+            end
+          end
+        in
+        let held = grab () in
+        Snap_pub.release pub ~reader:0;
+        Option.map
+          (fun db ->
+            let d0 = Database.canonical_digest db in
+            while not (Atomic.get let_go) do Unix.sleepf 0.001 done;
+            let d1 = Database.canonical_digest db in
+            Snap_pub.release pub ~reader:1;
+            (d0, d1))
+          held)
+  in
+  Atomic.set go true;
+  let t0 = Unix.gettimeofday () in
+  let m = group 1 in
+  let took = Unix.gettimeofday () -. t0 in
+  let state1 = Database.canonical_digest (Snap_pub.current pub) in
+  let st = Snap_pub.stats pub in
+  let modes = List.init 20 (fun i -> Snap_pub.mode_name (group (i + 2))) in
+  Atomic.set let_go true;
+  match Domain.join holder with
+  | None -> Alcotest.fail "the holder never saw the live database published"
+  | Some (d0, d1) ->
+    Alcotest.(check bool) "the writer waited max_wait_s" true (took >= max_wait_s);
+    Alcotest.(check bool) "the writer forked off the held database" true
+      (Vm.database vm != live);
+    Alcotest.(check string) "the fork is a counted fallback" "full_fallback"
+      (Snap_pub.mode_name m);
+    Alcotest.(check int) "counted as a stalled reader" 1 st.Snap_pub.full_stalled;
+    Alcotest.(check string) "the held database holds group 1" state1 d0;
+    Alcotest.(check string) "held database unchanged over 20 more groups" d0 d1;
+    Alcotest.(check (list string)) "the 20 groups after patch the shadow"
+      (List.init 20 (fun _ -> "incremental"))
+      modes;
+    Alcotest.(check bool) "audit ok" true (Vm.audit vm = Ok ());
+    Alcotest.(check string) "published equals live"
+      (Database.canonical_digest (Vm.database vm))
+      (Database.canonical_digest (Snap_pub.current pub))
 
 (* ---------------- a re-evaluated batch still patches ---------------- *)
 
@@ -270,14 +484,13 @@ let test_reevaluated_batch_patches () =
       ("dred", "path(X,Y) :- link(X,Y). path(X,Y) :- path(X,Z), link(Z,Y).");
     ]
 
-(* ---------------- pending order and immutability ---------------- *)
+(* ---------------- the collected sets stay the collector's ----------- *)
 
-(* Group N inserts a tuple and group N+1 deletes it, while the spare
-   lags both.  The two collected sets reach the spare unmerged, so it
-   must patch them in commit order (newest first would delete a tuple it
-   does not yet hold), and patching must leave the shared sets as they
-   were. *)
-let test_pending_order () =
+(* Group N inserts a tuple and group N+1 deletes it.  The shadow is
+   patched with each group's collected set in turn and must end equal to
+   the live database, and patching must leave both sets as they were:
+   they belong to the collector, and the publisher never copies them. *)
+let test_sets_untouched () =
   let vm = Vm.of_source ~algorithm:Vm.Counting seed_src in
   let link (x, y) c =
     Changes.of_list (Vm.program vm) [ ("link", [ (Tuple.of_ints [ x; y ], c) ]) ]
@@ -307,7 +520,7 @@ let test_pending_order () =
         (fun (p, r) (p', rows) ->
           Alcotest.(check string) (what ^ ": same predicate") p' p;
           Alcotest.(check bool)
-            (Printf.sprintf "%s: %s set unchanged by both patches" what p)
+            (Printf.sprintf "%s: %s set unchanged by the patch" what p)
             true
             (Relation.to_sorted_list r = rows))
         set before)
@@ -323,8 +536,12 @@ let suite =
       test_publish_equivalence;
     Alcotest.test_case "stalled reader triggers counted full-copy fallback"
       `Quick test_stalled_reader_fallback;
-    Alcotest.test_case "lagging spare patches shared sets oldest first"
-      `Quick test_pending_order;
+    Alcotest.test_case "reader pinned on the live database forks the writer"
+      `Quick test_live_pin_forks;
+    Alcotest.test_case "reader domain sees only committed prefixes, in order"
+      `Quick test_reader_domain;
+    Alcotest.test_case "patching leaves each group's set unchanged" `Quick
+      test_sets_untouched;
     Alcotest.test_case "a re-evaluated batch patches, no full copy" `Quick
       test_reevaluated_batch_patches;
   ]
