@@ -167,6 +167,54 @@ let micro_tests () =
   Test.make_grouped ~name:"ivm"
     [ t_e1; t_e1b; t_e2; t_e5; t_e6; t_e8; t_e10; t_e12; t_crc; t_encode; t_roundtrip ]
 
+let kernel_tests () =
+  let open Bechamel in
+  (* The relation kernel under every layer above: lookups that hit,
+     lookups that miss, fresh tuples added and removed again, and a full
+     [iter], on a binary relation of 2^17 tuples grown by [add] the way a
+     live database grows.  The probe keys are fresh tuples equal to the
+     stored ones (as a delta's are); a run takes the next 1,024 of them,
+     so it does not stay on cache-warm buckets and lasts long enough for
+     a clean estimate. *)
+  let n = 1 lsl 17 in
+  let pair i j = Tuple.make [| Value.Int i; Value.Int j |] in
+  let kernel = Relation.create 2 in
+  for i = 0 to n - 1 do
+    Relation.add kernel (pair i (i * 7)) 1
+  done;
+  let hits = Array.init n (fun i -> pair i (i * 7)) in
+  let misses = Array.init n (fun i -> pair i ((i * 7) + 1)) in
+  let batch keys f =
+    let next = ref 0 in
+    Staged.stage (fun () ->
+        for i = !next to !next + 1023 do
+          f keys.(i)
+        done;
+        next := (!next + 1024) land (n - 1))
+  in
+  let t_count_hit =
+    Test.make ~name:"relation.count-hit-x1024@128k"
+      (batch hits (fun t -> ignore (Relation.count kernel t : int)))
+  in
+  let t_count_miss =
+    Test.make ~name:"relation.count-miss-x1024@128k"
+      (batch misses (fun t -> ignore (Relation.count kernel t : int)))
+  in
+  let t_add =
+    Test.make ~name:"relation.add-fresh+remove-x1024@128k"
+      (batch misses (fun t ->
+           Relation.add kernel t 1;
+           Relation.add kernel t (-1)))
+  in
+  let t_iter =
+    Test.make ~name:"relation.iter@128k"
+      (Staged.stage (fun () ->
+           let s = ref 0 in
+           Relation.iter (fun _ c -> s := !s + c) kernel;
+           !s))
+  in
+  Test.make_grouped ~name:"ivm" [ t_count_hit; t_count_miss; t_add; t_iter ]
+
 let run_micro () =
   let open Bechamel in
   let open Toolkit in
@@ -176,12 +224,10 @@ let run_micro () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
+  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None in
+  let rows_of ~stabilize tests =
+    let raw = Benchmark.all (cfg ~stabilize ()) instances tests in
+    let results = Analyze.all ols Instance.monotonic_clock raw in
     Hashtbl.fold
       (fun name ols_result acc ->
         let est =
@@ -194,6 +240,14 @@ let run_micro () =
         in
         (name, est, r2) :: acc)
       results []
+  in
+  (* The kernel rows skip Bechamel's [Gc.compact] before each sample: on a
+     heap holding 2^17 tuples the compactions use up the quota, and the
+     allocating row is left too few samples for a fit. *)
+  let suite = rows_of ~stabilize:true (micro_tests ()) in
+  let kernel = rows_of ~stabilize:false (kernel_tests ()) in
+  let rows =
+    suite @ kernel
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
   print_table

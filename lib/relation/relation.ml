@@ -1,17 +1,39 @@
 module Tbl = Hashtbl.Make (Tuple)
 
-(* One stored tuple with its live derivation count.  The entry is shared
-   between the main table and every secondary-index bucket, so a probe
-   reads the count straight off the bucket — no second [counts] lookup —
-   and an in-place count change ([add] on an existing tuple) touches no
-   index at all. *)
-type entry = { etup : Tuple.t; mutable ecount : int }
+(* One stored tuple with its live derivation count, and the main table's
+   hash-chain node for it: the tuple's cached hash sits beside the link,
+   so a lookup compares hashes without touching a non-matching tuple, and
+   there is no cons cell per tuple and no option per lookup.  The entry is
+   shared between the main table and every secondary-index bucket, so a
+   probe reads the count straight off the bucket — no second lookup — and
+   an in-place count change ([add] on an existing tuple) touches no index
+   at all. *)
+type entry = {
+  etup : Tuple.t;
+  ehash : int;
+  mutable ecount : int;
+  mutable enext : entry;
+}
+
+(* The one "no entry" value: it ends every chain, fills empty buckets and
+   is what a failed lookup returns (count 0).  It is never written. *)
+let rec empty = { etup = Tuple.of_list []; ehash = 0; ecount = 0; enext = empty }
 
 (* An index maps the projection of a tuple on [cols] to the bucket of
    entries having that projection. *)
 type index = { cols : int array; buckets : entry Tbl.t Tbl.t }
 
-(* [indexes] is demand-built on first probe, which can happen from several
+(* The main table is laid out exactly as [Hashtbl.Make (Tuple)] would lay
+   it out — bucket [hash land (len - 1)], initial length
+   [power_2_above 16 size], head insertion, doubling once [size > 2 × len]
+   by an in-place resize that keeps chain order, [clear] back to the
+   initial length — so [iter], [fold], [copy], [build_index] and
+   [sorted_entries] visit tuples in the order earlier releases did, and
+   snapshots, frames and digests stay byte-identical.  A resize relinks
+   chains in place, so an [iter]/[fold] callback must not insert into the
+   relation being traversed (removing and count changes are fine).
+
+   [indexes] is demand-built on first probe, which can happen from several
    domains at once during parallel delta evaluation (relations are
    read-only there, but probing builds indexes).  The list is published
    through an [Atomic.t] — an index is fully built before it becomes
@@ -20,24 +42,59 @@ type index = { cols : int array; buckets : entry Tbl.t Tbl.t }
    remains single-domain, like the rest of the store. *)
 type t = {
   arity : int;
-  entries : entry Tbl.t;
+  mutable size : int;
+  mutable data : entry array;
+  initial : int;
   indexes : index list Atomic.t;
   build_lock : Mutex.t;
 }
 
+let rec power_2_above x n =
+  if x >= n || x * 2 > Sys.max_array_length then x else power_2_above (x * 2) n
+
 let create ?(size = 64) arity =
-  { arity; entries = Tbl.create size; indexes = Atomic.make [];
-    build_lock = Mutex.create () }
+  let initial = power_2_above 16 size in
+  { arity; size = 0; data = Array.make initial empty; initial;
+    indexes = Atomic.make []; build_lock = Mutex.create () }
 let arity r = r.arity
-let cardinal r = Tbl.length r.entries
+let cardinal r = r.size
+
+(* The entry holding [t], or [empty]. *)
+let rec find_in e h t =
+  if e == empty || (e.ehash = h && Tuple.compare e.etup t = 0) then e
+  else find_in e.enext h t
+
+let lookup r t =
+  let h = Tuple.hash t in
+  find_in r.data.(h land (Array.length r.data - 1)) h t
+
+(* Chain walks read the next link before calling [f], like
+   [Hashtbl.iter], so [f] may remove the entry it is given. *)
+let rec iter_chain f e =
+  if e != empty then begin
+    let next = e.enext in
+    f e;
+    iter_chain f next
+  end
+
+let iter_entries f r = Array.iter (iter_chain f) r.data
+
+let rec fold_chain f e acc =
+  if e == empty then acc
+  else
+    let next = e.enext in
+    fold_chain f next (f e.etup e.ecount acc)
+
+let iter f r = iter_entries (fun e -> f e.etup e.ecount) r
+let fold f r init = Array.fold_left (fun acc e -> fold_chain f e acc) init r.data
 
 (** Number of demand-built secondary indexes currently attached (for the
     observability gauges — see {!Ivm_eval.Database.observe_gauges}). *)
 let index_count r = List.length (Atomic.get r.indexes)
-let total_count r = Tbl.fold (fun _ e acc -> acc + e.ecount) r.entries 0
-let is_empty r = Tbl.length r.entries = 0
-let count r t = match Tbl.find_opt r.entries t with Some e -> e.ecount | None -> 0
-let mem r t = Tbl.mem r.entries t
+let total_count r = fold (fun _ c acc -> acc + c) r 0
+let is_empty r = r.size = 0
+let count r t = (lookup r t).ecount
+let mem r t = lookup r t != empty
 
 let cols_equal (a : int array) (b : int array) =
   a == b
@@ -72,30 +129,62 @@ let check_arity r t =
       (Printf.sprintf "Relation: arity mismatch (expected %d, got %d in %s)"
          r.arity (Tuple.arity t) (Tuple.to_string t))
 
-let insert_entry r e =
-  Tbl.replace r.entries e.etup e;
+(* [Hashtbl]'s resize: double the bucket array and append each chain's
+   entries, in order, to the tails of their new buckets. *)
+let resize r =
+  let n = Array.length r.data * 2 in
+  let data = Array.make n empty and tails = Array.make n empty in
+  Array.iter
+    (iter_chain (fun e ->
+         let j = e.ehash land (n - 1) in
+         if tails.(j) == empty then data.(j) <- e else tails.(j).enext <- e;
+         tails.(j) <- e))
+    r.data;
+  Array.iter (fun e -> if e != empty then e.enext <- empty) tails;
+  r.data <- data
+
+(* Head insertion of a fresh entry for [t], absent from [r]. *)
+let link r t c =
+  let h = Tuple.hash t and d = r.data in
+  let i = h land (Array.length d - 1) in
+  let e = { etup = t; ehash = h; ecount = c; enext = d.(i) } in
+  d.(i) <- e;
+  r.size <- r.size + 1;
+  if r.size > Array.length d lsl 1 then resize r;
+  e
+
+let insert_entry r t c =
+  let e = link r t c in
   List.iter (fun idx -> index_insert idx e) (Atomic.get r.indexes)
 
-let remove_entry r t =
-  Tbl.remove r.entries t;
-  List.iter (fun idx -> index_remove idx t) (Atomic.get r.indexes)
+let rec unlink d i e prev x =
+  if x == e then (if prev == empty then d.(i) <- e.enext else prev.enext <- e.enext)
+  else unlink d i e x x.enext
+
+let remove_entry r e =
+  let d = r.data in
+  let i = e.ehash land (Array.length d - 1) in
+  unlink d i e empty d.(i);
+  r.size <- r.size - 1;
+  List.iter (fun idx -> index_remove idx e.etup) (Atomic.get r.indexes)
 
 let set_count r t c =
   check_arity r t;
-  match Tbl.find_opt r.entries t with
-  | Some e -> if c = 0 then remove_entry r t else e.ecount <- c
-  | None -> if c <> 0 then insert_entry r { etup = t; ecount = c }
+  let e = lookup r t in
+  if e == empty then (if c <> 0 then insert_entry r t c)
+  else if c = 0 then remove_entry r e
+  else e.ecount <- c
 
 (* The ⊎ hot path: one lookup, and an in-place count bump when the tuple
    stays resident (no index maintenance, no re-hash). *)
 let add r t c =
   if c <> 0 then begin
     check_arity r t;
-    match Tbl.find_opt r.entries t with
-    | Some e ->
+    let e = lookup r t in
+    if e == empty then insert_entry r t c
+    else
       let c' = e.ecount + c in
-      if c' = 0 then remove_entry r t else e.ecount <- c'
-    | None -> insert_entry r { etup = t; ecount = c }
+      if c' = 0 then remove_entry r e else e.ecount <- c'
   end
 
 let remove r t = set_count r t 0
@@ -111,24 +200,16 @@ let remove r t = set_count r t 0
 let patch r t c =
   if c <> 0 then begin
     check_arity r t;
-    match Tbl.find_opt r.entries t with
-    | Some e ->
-      let c' = e.ecount + c in
-      if c' < 0 then
-        invalid_arg
-          (Printf.sprintf "Relation.patch: count would go negative (%d%+d) for %s"
-             e.ecount c (Tuple.to_string t));
-      if c' = 0 then remove_entry r t else e.ecount <- c'
-    | None ->
-      if c < 0 then
-        invalid_arg
-          (Printf.sprintf "Relation.patch: count would go negative (0%+d) for %s"
-             c (Tuple.to_string t));
-      insert_entry r { etup = t; ecount = c }
+    let e = lookup r t in
+    let c' = e.ecount + c in
+    if c' < 0 then
+      invalid_arg
+        (Printf.sprintf "Relation.patch: count would go negative (%d%+d) for %s"
+           e.ecount c (Tuple.to_string t));
+    if e == empty then insert_entry r t c
+    else if c' = 0 then remove_entry r e
+    else e.ecount <- c'
   end
-
-let iter f r = Tbl.iter (fun _ e -> f e.etup e.ecount) r.entries
-let fold f r init = Tbl.fold (fun _ e acc -> f e.etup e.ecount acc) r.entries init
 
 exception Found
 
@@ -139,7 +220,9 @@ let exists f r =
   with Found -> true
 
 let clear r =
-  Tbl.reset r.entries;
+  if Array.length r.data <> r.initial then r.data <- Array.make r.initial empty
+  else if r.size > 0 then Array.fill r.data 0 r.initial empty;
+  r.size <- 0;
   Atomic.set r.indexes []
 
 (* Bumped once per index actually built; [Ivm_eval.Stats.index_builds]
@@ -148,7 +231,7 @@ let index_builds_c = Ivm_obs.Metrics.counter "ivm_index_builds_total"
 
 let build_index r cols =
   let idx = { cols; buckets = Tbl.create (max 16 (cardinal r)) } in
-  Tbl.iter (fun _ e -> index_insert idx e) r.entries;
+  iter_entries (index_insert idx) r;
   idx
 
 let find_index r cols =
@@ -186,9 +269,7 @@ let copy ?(with_indexes = true) r =
      probe rebuilds on demand under [build_lock] like any cold
      relation. *)
   let out = create ~size:(cardinal r) r.arity in
-  Tbl.iter
-    (fun t e -> Tbl.replace out.entries t { etup = e.etup; ecount = e.ecount })
-    r.entries;
+  iter_entries (fun e -> ignore (link out e.etup e.ecount : entry)) r;
   if with_indexes then
     Atomic.set out.indexes
       (List.map (fun idx -> build_index out idx.cols) (Atomic.get r.indexes));
@@ -277,10 +358,9 @@ let probe_handle r cols =
 let probe_via h key f =
   match h.hkind with
   | Kscan -> iter f h.hrel
-  | Kdirect -> (
-    match Tbl.find_opt h.hrel.entries key with
-    | Some e -> f e.etup e.ecount
-    | None -> ())
+  | Kdirect ->
+    let e = lookup h.hrel key in
+    if e != empty then f e.etup e.ecount
   | Kindex idx -> (
     match Tbl.find_opt idx.buckets key with
     | None -> ()
@@ -301,24 +381,22 @@ let of_tuples arity l =
 (* The entries in [Tuple.compare] order, as the entry array and the
    sorted positions into it (no per-row pair).  Tuples can compare equal
    without being equal (an [Int] and a [Float] past 2^53); the stable
-   sort over the reverse of [Tbl.iter] order keeps those in the order
+   sort over the reverse of [iter] order keeps those in the order
    earlier releases encoded them, so snapshots and frames stay
    byte-identical.  Nothing here may seed an array of more than 256
    words with a young entry — [Array.make] then forces a minor
    collection, and a fresh relation's entries are young — so the array
-   is filled from [filler] (old after the first minor collection), and
+   is filled from [empty] (old after the first minor collection), and
    the sort permutes positions, not entries, since [Array.stable_sort]
    seeds its merge buffer with the array's first element. *)
-let filler = { etup = Tuple.of_list []; ecount = 0 }
-
 let sorted_entries r =
-  let a = Array.make (cardinal r) filler in
+  let a = Array.make (cardinal r) empty in
   let i = ref (Array.length a) in
-  Tbl.iter
-    (fun _ e ->
+  iter_entries
+    (fun e ->
       decr i;
       a.(!i) <- e)
-    r.entries;
+    r;
   let pos = Array.init (Array.length a) Fun.id in
   Array.stable_sort (fun x y -> Tuple.compare a.(x).etup a.(y).etup) pos;
   (a, pos)

@@ -247,16 +247,31 @@ let mixed_recursive =
 |} );
   ]
 
+(** [k] distinct edges over [nodes], none of them [avoid]ed. *)
+let distinct_edges rng ~avoid k =
+  let rec draw k acc =
+    if k = 0 then acc
+    else
+      let a = Prng.int rng nodes and b = Prng.int rng nodes in
+      let t = Tuple.make [| Value.Int a; Value.Int b |] in
+      if a = b || avoid t || List.exists (Tuple.equal t) acc then draw k acc
+      else draw (k - 1) (t :: acc)
+  in
+  draw k []
+
 (** Drive [Auto] and the algorithm it resolves to, explicitly, in
     lockstep over [steps] pairs of batches: a small one (one [link]
-    change) and a large one (half of [link] swapped for fresh edges).
-    The first unit above [link] reads [link] alone, so the small batch
-    keeps it incremental (ratio 1/25, under both thresholds) and the
-    large one re-evaluates it (ratio ≥ 1): both branches run, and after
-    every batch the two managers must agree count for count. *)
+    change) and a large one (half of [link] swapped for as many fresh,
+    distinct edges, so |link| does not move).  [link] starts with
+    [edges] distinct edges and only the small batches move its size, by
+    one each, so the first unit above [link], which reads [link] alone,
+    sees a ratio of at most 1/23 on a small batch (under both
+    thresholds: it stays incremental) and at least 1 on a large one (it
+    re-evaluates): both branches run, and after every batch the two
+    managers must agree count for count. *)
 let auto_matches_explicit ~semantics ~src seed =
   let rng = Prng.create seed in
-  let graph = Graph_gen.tuples (Graph_gen.random rng ~nodes ~edges) in
+  let graph = distinct_edges rng ~avoid:(fun _ -> false) edges in
   let auto = Vm.of_database (build ~semantics ~src graph) in
   let explicit =
     Vm.of_database ~algorithm:(Vm.resolve auto) (build ~semantics ~src graph)
@@ -277,11 +292,13 @@ let auto_matches_explicit ~semantics ~src seed =
         else Update_gen.edge_insertions rng db "link" ~nodes 1
       in
       let small_ok = took "incremental" small in
-      let half = (Relation.cardinal (Database.relation db "link") + 1) / 2 in
+      let link = Database.relation db "link" in
+      let half = (Relation.cardinal link + 1) / 2 in
       let large =
         Changes.merge
           (Update_gen.deletions rng db "link" half)
-          (Update_gen.edge_insertions rng db "link" ~nodes half)
+          (Changes.insertions (Database.program db) "link"
+             (distinct_edges rng ~avoid:(Relation.mem link) half))
       in
       small_ok && took "reevaluate" large)
     (List.init steps (fun _ -> ()))

@@ -200,6 +200,131 @@ let sorted_forces_no_minor () =
   Alcotest.(check int) "all rows" 2000 !rows;
   Alcotest.(check int) "no minor collection" 0 (after - before)
 
+(* ---------------- table layout ---------------- *)
+
+(* The main table must keep [Hashtbl.Make (Tuple)]'s layout, so a
+   relation and a reference table of mutable counts — the structure
+   earlier releases stored — driven through the same operations visit
+   the same stored tuples, with the same counts, in the same order.
+   Keys are drawn fresh or re-used from earlier operations, each column
+   re-used as an [Int] or as the [Float] that ties with it under
+   [Tuple.compare], so a lookup can name a stored tuple by an equal but
+   different key.  A case grows past 1,024 tuples (four resizes from
+   the default 64 buckets), then is copied into a fresh relation,
+   cleared and driven on. *)
+module Ref_tbl = Hashtbl.Make (Tuple)
+
+type layout_op = Add | Set | Remove | Patch | Union | Copy
+
+let layout_op_gen =
+  QCheck.Gen.(
+    quad
+      (frequencyl [ (70, Add); (8, Set); (8, Remove); (8, Patch); (4, Union); (1, Copy) ])
+      (int_bound 1_000_000) bool (int_range (-3) 3))
+
+let layout_case_gen =
+  QCheck.Gen.(
+    pair (list_size (int_range 2500 3500) layout_op_gen)
+      (list_size (int_range 0 300) layout_op_gen))
+
+let ref_add m t c =
+  match Ref_tbl.find_opt m t with
+  | Some n -> if !n + c = 0 then Ref_tbl.remove m t else n := !n + c
+  | None -> if c <> 0 then Ref_tbl.add m t (ref c)
+
+let ref_copy m =
+  let m' = Ref_tbl.create (Ref_tbl.length m) in
+  Ref_tbl.iter (fun t n -> Ref_tbl.replace m' t (ref !n)) m;
+  m'
+
+let same_layout r m =
+  let entries = Relation.fold (fun t c acc -> (Tuple.to_array t, c) :: acc) r [] in
+  let want = Ref_tbl.fold (fun t n acc -> (Tuple.to_array t, !n) :: acc) m [] in
+  let visited = ref 0 and sentinel = ref false in
+  Relation.iter
+    (fun t c ->
+      incr visited;
+      if Tuple.arity t <> 2 || c = 0 then sentinel := true)
+    r;
+  entries = want
+  && Relation.cardinal r = Ref_tbl.length m
+  && !visited = Relation.cardinal r
+  && not !sentinel
+
+let same_sorted r m =
+  let want =
+    List.stable_sort (fun (x, _) (y, _) -> Tuple.compare x y)
+      (Ref_tbl.fold (fun t n acc -> (t, !n) :: acc) m [])
+  in
+  let arrays = List.map (fun (t, c) -> (Tuple.to_array t, c)) in
+  arrays (Relation.to_sorted_list r) = arrays want
+
+let same_layout_as_hashtbl (ops, tail) =
+  let r = ref (Relation.create 2) and m = ref (Ref_tbl.create 64) in
+  let keys = Hashtbl.create 4096 and peak = ref 0 and ok = ref true in
+  let twin = function Value.Int i -> Value.float (float_of_int i) | v -> v in
+  (* [sel] picks a fresh key (mostly, for an [Add]) or an earlier one
+     (mostly, otherwise); [tie] re-uses it with tying float columns *)
+  let key op sel tie =
+    let fresh = if op = Add then sel land 3 <> 0 else sel land 3 = 0 in
+    let n = Hashtbl.length keys in
+    if n = 0 || fresh then (
+      let t = Tuple.of_ints [ sel / 4 mod 300; sel / 1200 mod 300 ] in
+      Hashtbl.add keys n t;
+      t)
+    else
+      let t = Hashtbl.find keys (sel / 4 mod n) in
+      if tie then Tuple.map twin t else t
+  in
+  let step (op, sel, tie, c) =
+    let t = key op sel tie in
+    (match op with
+    | Add ->
+      Relation.add !r t c;
+      ref_add !m t c
+    | Set ->
+      Relation.set_count !r t c;
+      ref_add !m t
+        (c - match Ref_tbl.find_opt !m t with Some n -> !n | None -> 0)
+    | Remove ->
+      Relation.remove !r t;
+      Ref_tbl.remove !m t
+    | Patch -> (
+      let before = match Ref_tbl.find_opt !m t with Some n -> !n | None -> 0 in
+      let refused = c <> 0 && before + c < 0 in
+      match Relation.patch !r t c with
+      | () ->
+        if refused then ok := false;
+        ref_add !m t c
+      | exception Invalid_argument _ -> if not refused then ok := false)
+    | Union ->
+      let l = List.init (1 + (sel mod 20)) (fun i -> (key Add (sel + (i * 5)) tie, c + i - 9)) in
+      let other = Relation.of_list 2 l and m_other = Ref_tbl.create (List.length l) in
+      List.iter (fun (t, c) -> ref_add m_other t c) l;
+      Relation.union_into ~into:!r other;
+      Ref_tbl.iter (fun t n -> ref_add !m t !n) m_other
+    | Copy ->
+      r := Relation.copy !r;
+      m := ref_copy !m);
+    peak := max !peak (Relation.cardinal !r);
+    ok := !ok && Relation.cardinal !r = Ref_tbl.length !m;
+    if op = Copy || sel mod 128 = 0 then ok := !ok && same_layout !r !m
+  in
+  List.iter step ops;
+  ok := !ok && same_layout !r !m && same_sorted !r !m && !peak > 1024;
+  (* regrow from the default size (a copy starts at its own size), so
+     [clear] has a grown table to take back to the initial length *)
+  let grown = Relation.create 2 and grown_m = Ref_tbl.create 64 in
+  Relation.union_into ~into:grown !r;
+  Ref_tbl.iter (fun t n -> ref_add grown_m t !n) !m;
+  r := grown;
+  m := grown_m;
+  ok := !ok && same_layout !r !m;
+  Relation.clear !r;
+  Ref_tbl.reset !m;
+  List.iter step tail;
+  !ok && same_layout !r !m && same_sorted !r !m
+
 let suite =
   [
     quick "value compare/equal/hash" value_compare;
@@ -218,4 +343,8 @@ let suite =
     quick "overlay collapses when delta empty" view_collapse;
     quick "sorted entries: Array.stable_sort order" sorted_matches_stable_sort;
     quick "sorted entries: no forced minor collection" sorted_forces_no_minor;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:20
+         ~name:"main table keeps Hashtbl.Make (Tuple)'s layout"
+         (QCheck.make layout_case_gen) same_layout_as_hashtbl);
   ]
