@@ -555,13 +555,13 @@ let e8 () =
 
 (* The re-evaluate branch alone: every unit re-evaluated from its
    finished inputs, as Auto does above its threshold. *)
-let reevaluate_all maintainer db changes =
+let reevaluate_all db changes =
   let ctx = Delta.create db in
   List.iter
     (fun (pred, delta) -> Delta.set_delta ctx pred ~full:delta)
     (Changes.normalize_base db changes);
   List.iter
-    (Delta.reevaluate ctx maintainer)
+    (Delta.reevaluate ctx)
     (Program.recursive_units (Database.program db));
   ignore (Delta.commit ctx)
 
@@ -588,13 +588,13 @@ let auto_choices f =
   | moved ->
     String.concat " + " (List.map (fun (name, n) -> Printf.sprintf "%d %s" n name) moved)
 
-(* What Auto chooses for [changes] on a copy of [db]. *)
+(* What Auto chooses for [changes] on a copy of [db] (with one-step
+   counts when recursive: Auto runs counted DRed there). *)
 let auto_choice db changes =
-  let db = Database.copy db in
   auto_choices (fun () ->
       if Program.nonrecursive (Database.program db) then
-        ignore (Counting.maintain ~auto:true db changes)
-      else ignore (Dred.maintain ~auto:true db changes))
+        ignore (Counting.maintain ~auto:true (Database.copy db) changes)
+      else ignore (Dred.maintain ~mode:Dred.Auto (counted_copy db) changes))
 
 let e9 () =
   print_header "E9: the crossover of the heuristic of inertia"
@@ -619,7 +619,7 @@ let e9 () =
             [
               (fun db -> ignore (Counting.maintain db changes));
               (fun db -> Recompute.maintain db changes);
-              (fun db -> reevaluate_all Delta.Counting db changes);
+              (fun db -> reevaluate_all db changes);
               (fun db -> ignore (Counting.maintain ~auto:true db changes));
             ]
         with
@@ -1039,7 +1039,7 @@ let e14 () =
           (fun t _ acc -> t :: acc)
           (Vm.relation vm "link") []
       in
-      let net = Vm.resolve vm = Vm.Dred in
+      let net = List.mem (Vm.resolve vm) [ Vm.Dred; Vm.Dred_counted ] in
       Vm.close_store vm;
       (* the choices Auto's cost rule makes during one recovery *)
       let chose = auto_choices (fun () -> Vm.close_store (fst (Vm.open_durable dir))) in
@@ -1127,40 +1127,154 @@ let e25 () =
       ~out_degree:2 ()
   in
   warm db0 `Dred;
+  (* Auto's maintainer, counted DRed, starts from one-step counts *)
+  let db0c = counted_copy db0 in
+  warm db0c `Dred_counted;
   let n = Relation.cardinal (Database.relation db0 "link") in
   let rows = ref [] and auto_close = ref true in
   List.iter
     (fun permille ->
       let k = max 1 (n * permille / 1000) in
       let changes = layered_swap ~k rng db0 ~layers ~width in
-      let t_dred, t_re, t_auto =
+      let t_dred, t_counted, t_re, t_auto =
         match
           interleaved_medians
-            ~setup:(fun () -> Database.copy db0)
+            ~setup:(fun () -> (Database.copy db0, Database.copy db0c))
             [
-              (fun db -> ignore (Dred.maintain db changes));
-              (fun db -> reevaluate_all Delta.Dred db changes);
-              (fun db -> ignore (Dred.maintain ~auto:true db changes));
+              (fun (db, _) -> ignore (Dred.maintain db changes));
+              (fun (_, db) -> ignore (Dred.maintain ~mode:Dred.Counted db changes));
+              (fun (_, db) -> reevaluate_all db changes);
+              (fun (_, db) -> ignore (Dred.maintain ~mode:Dred.Auto db changes));
             ]
         with
-        | [ a; b; c ] -> (a, b, c)
+        | [ a; b; c; d ] -> (a, b, c, d)
         | _ -> assert false
       in
-      if t_auto > 1.2 *. Float.min t_dred t_re then auto_close := false;
+      let cheaper = Float.min t_counted t_re in
+      if t_auto > 1.2 *. cheaper then auto_close := false;
       rows :=
         [
           Printf.sprintf "%.1f%%" (float_of_int permille /. 10.); fmt_int k;
           Printf.sprintf "%.3f" (float_of_int (2 * k) /. float_of_int n);
-          fmt_time t_dred; fmt_time t_re; fmt_time t_auto; auto_choice db0 changes;
-          fmt_ratio (t_auto /. Float.min t_dred t_re);
+          fmt_time t_dred; fmt_time t_counted; fmt_time t_re; fmt_time t_auto;
+          auto_choice db0 changes; fmt_ratio (t_auto /. cheaper);
         ]
         :: !rows)
     [ 1; 5; 10; 20; 30; 40; 50; 70; 100; 200; 350 ];
   print_table
-    [ "swapped"; "edges"; "input ratio"; "dred"; "re-evaluate"; "auto"; "auto chose";
-      "auto / cheaper" ]
+    [ "swapped"; "edges"; "input ratio"; "dred"; "dred-counted"; "re-evaluate"; "auto";
+      "auto chose"; "auto / cheaper" ]
     (List.rev !rows);
-  verdict !auto_close "Auto is within 20% of the cheaper side on every row"
+  verdict !auto_close
+    "Auto (counted DRed or re-evaluate) is within 20% of the cheaper side on every row"
+
+(* =================================================================== *)
+(* E28 — counted DRed: one-step counts replace the backward rederive     *)
+(* =================================================================== *)
+
+(* DRed and counted DRed in lockstep over one seeded stream, per batch:
+   the overestimate, the put-backs, the evaluator's probes and
+   derivations, the stored-count changes a commit records (what the
+   snapshot publisher patches) against the set transitions, and the
+   median wall time. *)
+let e28 () =
+  print_header "E28: counted DRed — rederivation as a filter over one-step counts"
+    "with one-step derivation counts the rederive step evaluates no rule \
+     (Hu, Motik & Horrocks): the same overestimate, fewer probes, more \
+     count changes to commit";
+  let rows = ref [] and ok = ref true in
+  let run label db0 ~batches next =
+    let dbs =
+      [ ("dred", Database.copy db0, Dred.Paper); ("dred-counted", counted_copy db0, Dred.Counted) ]
+    in
+    let sums = Hashtbl.create 4 and times = Hashtbl.create 4 in
+    let add key n = Hashtbl.replace sums key (n + Option.value ~default:0 (Hashtbl.find_opt sums key)) in
+    for _ = 1 to batches do
+      let changes = next (match dbs with (_, db, _) :: _ -> db | [] -> assert false) in
+      List.iter
+        (fun (name, db, mode) ->
+          let recorded = ref 0 in
+          let before = Stats.snapshot () in
+          let t, report =
+            timed (fun () ->
+                Dred.maintain ~mode ~record:(fun _ _ _ -> incr recorded) db changes)
+          in
+          let work = Stats.since before in
+          let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 in
+          add (name, "overdeleted") (sum report.Dred.overdeleted);
+          add (name, "rederived") (sum report.Dred.rederived);
+          add (name, "probes") work.Stats.snap_probes;
+          add (name, "derivations") work.Stats.snap_derivations;
+          add (name, "recorded") (!recorded - Changes.total_tuples report.Dred.base_deltas);
+          add (name, "transitions")
+            (List.fold_left (fun acc (_, d) -> acc + Relation.cardinal d) 0 report.Dred.view_deltas);
+          Hashtbl.replace times name (t :: Option.value ~default:[] (Hashtbl.find_opt times name)))
+        dbs
+    done;
+    let per name key =
+      float_of_int (Hashtbl.find sums (name, key)) /. float_of_int batches
+    in
+    let median name =
+      let l = List.sort compare (Hashtbl.find times name) in
+      List.nth l (List.length l / 2)
+    in
+    (match dbs with
+    | [ (_, a, _); (_, b, _) ] -> if not (Database.agree a b) then ok := false
+    | _ -> ());
+    if per "dred-counted" "overdeleted" <> per "dred" "overdeleted"
+       || per "dred-counted" "probes" >= per "dred" "probes"
+    then ok := false;
+    List.iter
+      (fun (name, _, _) ->
+        rows :=
+          [
+            label; name;
+            Printf.sprintf "%.1f" (per name "overdeleted");
+            Printf.sprintf "%.1f" (per name "rederived");
+            Printf.sprintf "%.0f" (per name "probes");
+            Printf.sprintf "%.0f" (per name "derivations");
+            Printf.sprintf "%.1f" (per name "transitions");
+            Printf.sprintf "%.1f" (per name "recorded");
+            fmt_time (median name);
+          ]
+          :: !rows)
+      dbs
+  in
+  (* perfbench's closure_dred shape: one-edge swaps on a 10 × 40 DAG *)
+  let layers = 10 and width = 40 in
+  let db_dag, rng =
+    layered_db ~src:Programs.transitive_closure ~seed:43 ~layers ~width ~out_degree:2 ()
+  in
+  warm db_dag `Dred;
+  run "closure, 10×40 DAG, 1-edge swaps" db_dag ~batches:200 (fun db ->
+      layered_swap ~k:1 rng db ~layers ~width);
+  (* E5's worst case: a 100-node ring plus 100 chords, one deletion and
+     one insertion per batch, where the overestimate is the whole view *)
+  let nodes = 100 in
+  let rng_sc = Prng.create 35 in
+  let db_sc =
+    let chords =
+      List.init nodes (fun _ -> (Prng.int rng_sc nodes, Prng.int rng_sc nodes))
+      |> List.filter (fun (a, b) -> a <> b)
+    in
+    let db =
+      Database.create (Program.make (Parser.parse_rules Programs.transitive_closure))
+    in
+    Database.load db "link"
+      (Graph_gen.tuples (List.sort_uniq compare (Graph_gen.cycle nodes @ chords)));
+    Seminaive.evaluate db;
+    db
+  in
+  warm db_sc `Dred;
+  run "ring + chords (strongly connected)" db_sc ~batches:10 (fun db ->
+      Update_gen.mixed rng_sc db "link" ~nodes ~dels:1 ~ins:1);
+  print_table
+    [ "graph"; "algorithm"; "overdeleted"; "put back"; "probes"; "derivations";
+      "set transitions"; "count changes"; "median time" ]
+    (List.rev !rows);
+  verdict !ok
+    "counted DRed overdeletes exactly what DRed does, with fewer probes, \
+     and leaves the same sets"
 
 (* =================================================================== *)
 (* E15 / E17 — what the optional instruments cost                        *)
@@ -1279,5 +1393,5 @@ let all : (string * (unit -> unit)) list =
     ("x1", x1); ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e17", e17); ("e25", e25);
+    ("e17", e17); ("e25", e25); ("e28", e28);
   ]

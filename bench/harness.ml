@@ -63,6 +63,13 @@ let cumulative_batches db0 ~track ~n gen =
 let track_counting db c = ignore (Ivm.Counting.maintain db c)
 let track_dred db c = ignore (Ivm.Dred.maintain db c)
 
+(** A copy of [db] re-materialized with one-step derivation counts in its
+    recursive units, the stored state counted DRed maintains. *)
+let counted_copy db =
+  let db = Database.copy db in
+  Seminaive.evaluate ~counts:true db;
+  db
+
 (** Warm a database's demand-built indexes by flipping a synthetic edge
     (insert then delete — net zero) through the given maintenance
     algorithm, so copies taken afterwards carry every index the timed
@@ -81,6 +88,7 @@ let warm db algorithm =
     match algorithm with
     | `Counting -> ignore (Ivm.Counting.maintain db c)
     | `Dred -> ignore (Ivm.Dred.maintain db c)
+    | `Dred_counted -> ignore (Ivm.Dred.maintain ~mode:Ivm.Dred.Counted db c)
     | `Recursive_counting -> ignore (Ivm.Recursive_counting.maintain db c)
   in
   maintain ins;

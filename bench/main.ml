@@ -74,6 +74,14 @@ let micro_tests () =
            ignore (Dred.maintain db_tc ins_tc);
            ignore (Dred.maintain db_tc del_tc)))
   in
+  (* E5/E28: counted DRed on the same shape, from one-step counts *)
+  let db_tcc = counted_copy db_tc in
+  let t_e5c =
+    Test.make ~name:"e5.dred-counted-flip-edge(tc-dag)"
+      (Staged.stage (fun () ->
+           ignore (Dred.maintain ~mode:Dred.Counted db_tcc ins_tc);
+           ignore (Dred.maintain ~mode:Dred.Counted db_tcc del_tc)))
+  in
   (* E6: PF on the same shape *)
   let db_pf, _ =
     layered_db ~src:Programs.transitive_closure ~seed:7 ~layers:10 ~width:8
@@ -165,7 +173,8 @@ let micro_tests () =
            Ivm_serve.Protocol.decode_response payload))
   in
   Test.make_grouped ~name:"ivm"
-    [ t_e1; t_e1b; t_e2; t_e5; t_e6; t_e8; t_e10; t_e12; t_crc; t_encode; t_roundtrip ]
+    [ t_e1; t_e1b; t_e2; t_e5; t_e5c; t_e6; t_e8; t_e10; t_e12; t_crc; t_encode;
+      t_roundtrip ]
 
 let kernel_tests () =
   let open Bechamel in
@@ -224,9 +233,16 @@ let run_micro () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None in
-  let rows_of ~stabilize tests =
-    let raw = Benchmark.all (cfg ~stabilize ()) instances tests in
+  (* No row runs Bechamel's per-sample stabilization: it compacts the
+     whole heap, every micro database included, up to ten times before
+     each sample, and that used up the quota — a maintenance row was left
+     4–5 samples of 1–5 runs, too few for a fit (r² down to −95).  Without
+     it each gets about a hundred. *)
+  let cfg =
+    Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0) ~kde:None ~stabilize:false ()
+  in
+  let rows_of tests =
+    let raw = Benchmark.all cfg instances tests in
     let results = Analyze.all ols Instance.monotonic_clock raw in
     Hashtbl.fold
       (fun name ols_result acc ->
@@ -241,11 +257,8 @@ let run_micro () =
         (name, est, r2) :: acc)
       results []
   in
-  (* The kernel rows skip Bechamel's [Gc.compact] before each sample: on a
-     heap holding 2^17 tuples the compactions use up the quota, and the
-     allocating row is left too few samples for a fit. *)
-  let suite = rows_of ~stabilize:true (micro_tests ()) in
-  let kernel = rows_of ~stabilize:false (kernel_tests ()) in
+  let suite = rows_of (micro_tests ()) in
+  let kernel = rows_of (kernel_tests ()) in
   let rows =
     suite @ kernel
     |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)

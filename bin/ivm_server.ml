@@ -102,6 +102,7 @@ let algorithm_arg =
   let enum_conv =
     Arg.enum
       [ ("auto", Vm.Auto); ("counting", Vm.Counting); ("dred", Vm.Dred);
+        ("dred-counted", Vm.Dred_counted);
         ("recursive-counting", Vm.Recursive_counting);
         ("recompute", Vm.Recompute) ]
   in
@@ -109,8 +110,11 @@ let algorithm_arg =
     value
     & opt enum_conv Vm.Auto
     & info [ "a"; "algorithm" ] ~docv:"ALGO"
-        ~doc:"Maintenance algorithm: $(b,auto), $(b,counting), $(b,dred), \
-              $(b,recursive-counting) or $(b,recompute).")
+        ~doc:"Maintenance algorithm: $(b,auto) (counting on a nonrecursive \
+              program, else $(b,dred-counted)), $(b,counting), $(b,dred), \
+              $(b,dred-counted) (DRed over one-step derivation counts: no \
+              backward rederivation), $(b,recursive-counting) or \
+              $(b,recompute).")
 
 let semantics_arg =
   let enum_conv =

@@ -46,8 +46,8 @@ let help_text =
   \  addrule RULE     add a rule incrementally\n\
   \  delrule RULE     remove a rule incrementally\n\
   \  algorithm NAME   switch the maintenance algorithm in place: counting,\n\
-  \                   dred, recursive-counting, recompute or auto (counts\n\
-  \                   are re-derived when the target needs them)\n\
+  \                   dred, dred-counted, recursive-counting, recompute or\n\
+  \                   auto (counts are re-derived when the target needs them)\n\
   \  audit            check views against recomputation\n\
   \  stats            evaluator work counters\n\
   \  metrics          dump the full metrics registry\n\
@@ -374,8 +374,8 @@ let execute ?sql (vmref : Vm.t ref) line =
         (Vm.algorithm_name (Vm.resolve vm))
     | None ->
       Format.printf
-        "unknown algorithm %s (counting, dred, recursive-counting, recompute, \
-         auto)@."
+        "unknown algorithm %s (counting, dred, dred-counted, recursive-counting, \
+         recompute, auto)@."
         name
   end
   else if line = "close" then begin
@@ -514,6 +514,7 @@ let algorithm_arg =
   let enum_conv =
     Arg.enum
       [ ("auto", Vm.Auto); ("counting", Vm.Counting); ("dred", Vm.Dred);
+        ("dred-counted", Vm.Dred_counted);
         ("recursive-counting", Vm.Recursive_counting);
         ("recompute", Vm.Recompute) ]
   in
@@ -521,8 +522,11 @@ let algorithm_arg =
     value
     & opt enum_conv Vm.Auto
     & info [ "a"; "algorithm" ] ~docv:"ALGO"
-        ~doc:"Maintenance algorithm: $(b,auto), $(b,counting), $(b,dred), \
-              $(b,recursive-counting) or $(b,recompute).")
+        ~doc:"Maintenance algorithm: $(b,auto) (counting on a nonrecursive \
+              program, else $(b,dred-counted)), $(b,counting), $(b,dred), \
+              $(b,dred-counted) (DRed over one-step derivation counts: no \
+              backward rederivation), $(b,recursive-counting) or \
+              $(b,recompute).")
 
 let verbose_flag =
   Arg.(

@@ -115,7 +115,7 @@ let maintain ?(auto = false) ?record (db : Database.t) (changes : Changes.t) :
                 ])
               (fun () ->
                 match choice with
-                | Delta.Reevaluate -> Delta.reevaluate ctx Delta.Counting [ p ]
+                | Delta.Reevaluate -> Delta.reevaluate ctx [ p ]
                 | Delta.Incremental -> Delta.set_delta ctx p ~full:(Delta.derive ctx p));
             let out = Delta.full_delta ctx p in
             Metrics.observe delta_h (Relation.cardinal out);

@@ -29,7 +29,7 @@ module Par_eval = Ivm_eval.Par_eval
 module Seminaive = Ivm_eval.Seminaive
 module Metrics = Ivm_obs.Metrics
 
-type version = Old | New
+type version = Old | Mid | New
 
 type ctx = {
   db : Database.t;
@@ -44,6 +44,7 @@ type ctx = {
   neg_deltas : (string, Relation.t) Hashtbl.t;  (** Definition 6.1 cache *)
   agg_deltas : (string, Relation.t) Hashtbl.t;  (** Algorithm 6.1 cache *)
   grouped : (string, Relation.t) Hashtbl.t;  (** old/new grouped relations *)
+  mids : (string, Relation.t) Hashtbl.t;  (** overlays of the [Mid] version *)
 }
 
 let create (db : Database.t) : ctx =
@@ -54,6 +55,7 @@ let create (db : Database.t) : ctx =
     neg_deltas = Hashtbl.create 8;
     agg_deltas = Hashtbl.create 8;
     grouped = Hashtbl.create 8;
+    mids = Hashtbl.create 8;
   }
 
 let empty_rel ctx pred =
@@ -116,7 +118,10 @@ let new_view ctx pred =
   | None -> Database.view ctx.db pred
 
 let view ctx version pred =
-  match version with Old -> old_view ctx pred | New -> new_view ctx pred
+  match version with
+  | Old -> old_view ctx pred
+  | New -> new_view ctx pred
+  | Mid -> assert false (* [inputs] builds the Mid overlays itself *)
 
 (** Definition 6.1.  [Δ(¬Q)] holds [t] with count +1 when [t] was deleted
     outright from [Q] (so [¬q(t)] became true) and with −1 when [t] was
@@ -142,7 +147,10 @@ let neg_delta ctx pred =
 (** The grouped relation [T] of [spec] over the old or new version of its
     source, cached per spec signature. *)
 let grouped ctx version (spec : Compile.agg_spec) =
-  let tag = (match version with Old -> "old|" | New -> "new|") ^ spec.gsignature in
+  let tag =
+    (match version with Old -> "old|" | New -> "new|" | Mid -> assert false)
+    ^ spec.gsignature
+  in
   match Hashtbl.find_opt ctx.grouped tag with
   | Some r -> r
   | None ->
@@ -183,17 +191,50 @@ let seed_relation ctx (lit : Compile.clit) =
   | Compile.Cagg (spec, _) -> agg_delta ctx spec
   | Compile.Ccmp _ -> assert false
 
+(** The [Mid] overlay of [base] keyed [key], its delta built once per
+    batch. *)
+let mid ctx key base delta =
+  Relation_view.overlay base
+    (match Hashtbl.find_opt ctx.mids key with
+    | Some r -> r
+    | None ->
+      let r = delta () in
+      Hashtbl.replace ctx.mids key r;
+      r)
+
 (** Subgoal input of body position [j] of [cr], read at version
-    [version j]. *)
+    [version j].  [Mid] holds what is true both before and after the
+    batch: a positive atom's stored tuples less its deletions, a negated
+    atom absent from both versions, a grouped relation's old tuples less
+    the groups that changed. *)
 let inputs ctx (cr : Compile.t) (version : int -> version) j =
-  match cr.clits.(j) with
-  | Compile.Catom a ->
-    Rule_eval.Enumerate (view ctx (version j) a.cpred, Database.mult_for ctx.db a.cpred)
-  | Compile.Cneg a -> Rule_eval.Filter_absent (view ctx (version j) a.cpred)
-  | Compile.Cagg (spec, _) ->
+  match (cr.clits.(j), version j) with
+  | Compile.Catom a, Mid ->
+    let stored = Database.relation ctx.db a.cpred in
     Rule_eval.Enumerate
-      (Relation_view.concrete (grouped ctx (version j) spec), Rule_eval.identity_count)
-  | Compile.Ccmp _ -> assert false
+      ( mid ctx ("-" ^ a.cpred) stored (fun () ->
+            let out = empty_rel ctx a.cpred in
+            Relation.iter
+              (fun tup c -> if c < 0 then Relation.add out tup (-Relation.count stored tup))
+              (propagated_delta ctx a.cpred);
+            out),
+        Database.mult_for ctx.db a.cpred )
+  | Compile.Catom a, v ->
+    Rule_eval.Enumerate (view ctx v a.cpred, Database.mult_for ctx.db a.cpred)
+  | Compile.Cneg a, Mid ->
+    Rule_eval.Filter_absent
+      (mid ctx ("+" ^ a.cpred) (Database.relation ctx.db a.cpred) (fun () ->
+           Relation.positive_part (propagated_delta ctx a.cpred)))
+  | Compile.Cneg a, v -> Rule_eval.Filter_absent (view ctx v a.cpred)
+  | Compile.Cagg (spec, _), Mid ->
+    Rule_eval.Enumerate
+      ( mid ctx ("g" ^ spec.gsignature) (grouped ctx Old spec) (fun () ->
+            Relation.negate (Relation.negative_part (agg_delta ctx spec))),
+        Rule_eval.identity_count )
+  | Compile.Cagg (spec, _), v ->
+    Rule_eval.Enumerate
+      (Relation_view.concrete (grouped ctx v spec), Rule_eval.identity_count)
+  | Compile.Ccmp _, _ -> assert false
 
 (** The delta rules of Definition 4.1 (extended to negation per
     Section 6.1 cases 1–3 and to aggregation per Section 6.2) for every
@@ -283,7 +324,10 @@ type maintainer = Counting | Dred
       against 51.4 and 43.7 ms re-evaluating) and lost at 0.079 (28
       edges: 71.6 and 57.5 ms against 52.7 and 43.4 ms).  A live one-edge
       swap on perfbench's [closure_dred] is 2/720 = 0.003; its
-      300-record recovery tail nets 0.67–0.69.
+      300-record recovery tail nets 0.67–0.69.  Counted DRed, the DRed
+      [Auto] runs, shares the constant: it over-deletes the same region
+      and only drops the backward rederivation join (E25's
+      [dred-counted] column).
     - Counting, 0.35: Counting costs O(|Δ|) per view, and a re-evaluated
       view still pays for its whole delta (a diff against the stored
       view and a per-tuple commit), so the crossover comes late.  On E9
@@ -355,17 +399,12 @@ let choose ctx maintainer ~auto unit_preds =
 (** Re-evaluate a unit from its finished inputs and install its delta:
     the evaluator of the initial materialization ({!Seminaive}) run over
     the unit's rules into fresh relations, every relation outside the
-    unit read at [New].  The delta installed with {!set_delta} is
-    - under Counting, fresh counts minus stored counts: Theorem 4.1's
-      [Δ(P)], since Counting's stored counts are exact;
-    - under DRed, −stored for each tuple that is gone and +1 for each
-      new tuple, survivors untouched: exactly what the three phases
-      commit.  In a nonrecursive unit rederivation puts back every
-      overdeleted tuple still derivable, so no survivor moves; in a
-      recursive unit every stored count is 1 (semi-naive evaluation
-      stores sets, and DRed's −stored/+stored/+1 keeps them there).
-    The batch then commits through {!commit} like any other. *)
-let reevaluate ctx maintainer unit_preds =
+    unit read at [New], a recursive unit with one-step counts.  The delta
+    installed with {!set_delta} is fresh counts minus stored counts:
+    Theorem 4.1's [Δ(P)], since the stored counts of Counting and of
+    counted DRed, the two maintainers [Auto] runs, are exact.  The batch
+    then commits through {!commit} like any other. *)
+let reevaluate ctx unit_preds =
   let program = Database.program ctx.db in
   let cache = Seminaive.Agg_cache.create () in
   (* each changed input is materialized once: the evaluation probes it
@@ -384,7 +423,7 @@ let reevaluate ctx maintainer unit_preds =
     match unit_preds with
     | [ p ] when not (Program.recursive program p) ->
       [ (p, Seminaive.eval_nonrecursive ~resolve ctx.db ~cache p) ]
-    | _ -> Seminaive.eval_recursive_unit ~resolve ctx.db ~cache unit_preds
+    | _ -> Seminaive.eval_recursive_unit ~resolve ~counts:true ctx.db ~cache unit_preds
   in
   List.iter
     (fun (p, fresh) ->
@@ -396,11 +435,7 @@ let reevaluate ctx maintainer unit_preds =
       let prop = if sets then Relation.create (Relation.arity stored) else full in
       Relation.iter
         (fun tup c ->
-          let c' =
-            match maintainer with
-            | Counting -> Relation.count fresh tup
-            | Dred -> if Relation.mem fresh tup then c else 0
-          in
+          let c' = Relation.count fresh tup in
           if c' <> c then begin
             Relation.add full tup (c' - c);
             if sets && c' <= 0 then Relation.add prop tup (-1)
@@ -409,7 +444,7 @@ let reevaluate ctx maintainer unit_preds =
       Relation.iter
         (fun tup c ->
           if not (Relation.mem stored tup) then begin
-            Relation.add full tup (match maintainer with Counting -> c | Dred -> 1);
+            Relation.add full tup c;
             if sets then Relation.add prop tup 1
           end)
         fresh;

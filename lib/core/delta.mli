@@ -11,7 +11,11 @@ module Database = Ivm_eval.Database
 module Compile = Ivm_eval.Compile
 module Rule_eval = Ivm_eval.Rule_eval
 
-type version = Old | New
+(** Which database a body position reads: before the batch, after it,
+    or [Mid], what holds both before and after (the old relations less
+    the batch's deletions).  Counted DRed's exact delta rules read [Mid]
+    where a lost or a new derivation must be enumerated once. *)
+type version = Old | Mid | New
 
 type ctx = {
   db : Database.t;
@@ -26,6 +30,7 @@ type ctx = {
   neg_deltas : (string, Relation.t) Hashtbl.t;  (** Definition 6.1 cache *)
   agg_deltas : (string, Relation.t) Hashtbl.t;  (** Algorithm 6.1 cache *)
   grouped : (string, Relation.t) Hashtbl.t;  (** old/new grouped relations *)
+  mids : (string, Relation.t) Hashtbl.t;  (** overlays of the [Mid] version *)
 }
 
 val create : Database.t -> ctx
@@ -63,8 +68,9 @@ val seed_relation : ctx -> Compile.clit -> Relation.t
 
 (** Subgoal input of body position [j] of a rule, read at version
     [version j] (GROUPBY literals read the grouped relation [T] over that
-    version of the source, cached per spec); never called on a comparison
-    literal. *)
+    version of the source, cached per spec; at [Mid] the old [T] less its
+    changed groups, and a negated atom at [Mid] fails on a tuple true in
+    either version); never called on a comparison literal. *)
 val inputs : ctx -> Compile.t -> (int -> version) -> int -> Rule_eval.subgoal_input
 
 (** The delta rules of every rule of a predicate, as round seeds
@@ -118,8 +124,8 @@ val choice_name : choice -> string
 val choose : ctx -> maintainer -> auto:bool -> string list -> choice * float
 
 (** Re-evaluate the unit into fresh relations, reading every other
-    relation at [New], and install its delta with {!set_delta}: fresh
-    minus stored counts under Counting; under DRed −stored for tuples
-    gone and +1 for tuples new, survivors untouched (what DRed's phases
-    commit). *)
-val reevaluate : ctx -> maintainer -> string list -> unit
+    relation at [New] (a recursive unit with one-step counts), and
+    install fresh minus stored counts as its delta with {!set_delta}:
+    exact under Counting and counted DRed, the maintainers [Auto]
+    runs. *)
+val reevaluate : ctx -> string list -> unit

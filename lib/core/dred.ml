@@ -29,7 +29,19 @@
 
     Each phase is a {!Ivm_eval.Par_eval.fixpoint} over the unit's
     predicates, reading and writing the maintenance context Counting
-    uses ({!Delta.ctx}); the batch commits through {!Delta.commit}. *)
+    uses ({!Delta.ctx}); the batch commits through {!Delta.commit}.
+
+    {b Counted DRed} ([~mode:Counted]) combines DRed with Counting, after
+    Hu, Motik & Horrocks (arXiv:1711.03987): every stored tuple holds its
+    one-step derivation count (Section 5.1's clamp applied inside the
+    unit, as {!Ivm_eval.Seminaive.evaluate} [~counts:true] stores it).
+    The delete phase enumerates each lost derivation exactly once, in the
+    round its first premise leaves (Definition 4.1's split across the
+    rounds), and decrements its head.  Rederivation evaluates no rule: it
+    puts back every overdeleted tuple whose count stayed positive — that
+    count is its derivations over what survived the delete phase.  The
+    insert phase, seeded by the put-backs and the insertions, counts each
+    new derivation once, forward through the same frontier rounds. *)
 
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
@@ -48,8 +60,10 @@ module Stats = Ivm_eval.Stats
 module Par_eval = Ivm_eval.Par_eval
 module Pretty = Ivm_datalog.Pretty
 
-let batches_c =
-  Metrics.counter ~labels:[ ("algorithm", "dred") ] "ivm_maintain_batches_total"
+let batches_c counted =
+  Metrics.counter
+    ~labels:[ ("algorithm", if counted then "dred-counted" else "dred") ]
+    "ivm_maintain_batches_total"
 
 (** The paper's DRed inefficiency metrics (Section 7 / bench E5–E6):
     tuples deleted by the step-1 overestimate, candidate support checks
@@ -263,10 +277,147 @@ let insert_new ctx unit_preds =
     (phase_seeds ctx unit_preds ~inputs ~part:Relation.positive_part)
 
 (* ------------------------------------------------------------------ *)
+(* Counted DRed                                                         *)
+(* ------------------------------------------------------------------ *)
 
-(** The paper's three phases for one unit; returns the per-predicate
+(* Beside the live delta (membership, as above), counted DRed keeps per
+   unit predicate its one-step count delta, which becomes the unit's
+   full delta at the end, and [lag]: the live delta one round behind,
+   what a unit position after the seed reads.  Within a round, a delta
+   rule seeded at position i reads the unit after this round's change
+   before i and before it after i, so each derivation is enumerated once,
+   at the last of its premises that changed this round. *)
+type counted = {
+  counts : (string, Relation.t) Hashtbl.t;
+  lag : (string, Relation.t) Hashtbl.t;
+  mutable behind : string -> Relation.t option;
+      (** the frontier [lag] has not caught up with *)
+}
+
+(** Bring [lag] up to the live delta on the tuples it is behind on. *)
+let catch_up ctx u unit_preds =
+  List.iter
+    (fun p ->
+      let lag = Hashtbl.find u.lag p and live = live ctx p in
+      Option.iter
+        (Relation.iter (fun tup _ -> Relation.set_count lag tup (Relation.count live tup)))
+        (u.behind p))
+    unit_preds;
+  u.behind <- (fun _ -> None)
+
+(** A counted phase's inputs for a rule seeded at [i]: a unit position
+    reads the live delta before [i] and [lag] after it, a position
+    outside the unit [before] or [after]. *)
+let counted_inputs ctx u unit_preds ~before ~after (cr : Compile.t) i j =
+  match cr.clits.(j) with
+  | Compile.Catom a when List.mem a.cpred unit_preds ->
+    let view =
+      if j < i then Delta.new_view ctx a.cpred
+      else Relation_view.overlay (stored ctx a.cpred) (Hashtbl.find u.lag a.cpred)
+    in
+    Rule_eval.Enumerate (view, Rule_eval.set_count)
+  | _ -> Delta.inputs ctx cr (fun j -> if j < i then before else after) j
+
+(** One counted phase: round 0 from [init], then the unit's frontier
+    rounds, [lag] catching up before each; outside the unit they read
+    [later] on both sides, since all of that change lies in round 0. *)
+let counted_fixpoint ctx u unit_preds ~commit ~later init =
+  Par_eval.fixpoint engine ~preds:unit_preds ~commit
+    ~step:(fun _ frontier ->
+      catch_up ctx u unit_preds;
+      u.behind <- frontier;
+      frontier_seeds ~rules:(rules ctx)
+        ~inputs:(counted_inputs ctx u unit_preds ~before:later ~after:later)
+        unit_preds frontier)
+    init;
+  catch_up ctx u unit_preds
+
+(** The three counted phases for one unit; returns the per-predicate
     overestimate and putback sizes. *)
-let three_phases ctx ~stratum unit_name unit_preds =
+let counted_phases ctx ~phase unit_preds =
+  let per_pred () =
+    let h = Hashtbl.create 4 in
+    List.iter
+      (fun p -> Hashtbl.replace h p (Relation.create (Relation.arity (live ctx p))))
+      unit_preds;
+    h
+  in
+  let u = { counts = per_pred (); lag = per_pred (); behind = (fun _ -> None) } in
+  let dminus = per_pred () and putbacks = per_pred () in
+  (* Delete: each lost derivation once — before the seed what survives
+     this round, after it what held before it. *)
+  phase "delete" (fun () ->
+      (* the head of a lost derivation is stored: it held before *)
+      let commit p buf ~next =
+        let stored = stored ctx p and live = live ctx p and dm = Hashtbl.find dminus p in
+        let counts = Hashtbl.find u.counts p in
+        Relation.iter
+          (fun tup c ->
+            Metrics.inc Stats.probes_c;
+            Relation.add counts tup (-c);
+            if not (Relation.mem dm tup) then begin
+              Relation.add dm tup 1;
+              Relation.add next tup 1;
+              Relation.add live tup (-Relation.count stored tup)
+            end)
+          buf
+      in
+      counted_fixpoint ctx u unit_preds ~commit ~later:Delta.Mid
+        (phase_seeds ctx unit_preds
+           ~inputs:(counted_inputs ctx u unit_preds ~before:Delta.Mid ~after:Delta.Old)
+           ~part:Relation.negative_part));
+  (* Rederive: a filter — an overdeleted tuple whose count stayed
+     positive has a derivation over what survived. *)
+  phase "rederive" (fun () ->
+      List.iter
+        (fun p ->
+          let stored = stored ctx p and counts = Hashtbl.find u.counts p in
+          let live = live ctx p and putbacks = Hashtbl.find putbacks p in
+          Relation.iter
+            (fun tup _ ->
+              Metrics.inc rederive_attempts_c;
+              let s = Relation.count stored tup in
+              if s + Relation.count counts tup > 0 then begin
+                Relation.add live tup s;
+                Relation.add putbacks tup 1
+              end)
+            (Hashtbl.find dminus p))
+        unit_preds);
+  (* Insert: each new derivation once, seeded by the insertions and the
+     put-backs ([lag] still hides the put-backs in round 0). *)
+  phase "insert" (fun () ->
+      u.behind <- Hashtbl.find_opt putbacks;
+      let commit p buf ~next =
+        let stored = stored ctx p and live = live ctx p and counts = Hashtbl.find u.counts p in
+        Relation.iter
+          (fun tup c ->
+            Relation.add counts tup c;
+            if Relation.count stored tup + Relation.count live tup <= 0 then begin
+              Relation.add live tup 1;
+              Relation.add next tup 1
+            end)
+          buf
+      in
+      let inputs = counted_inputs ctx u unit_preds ~before:Delta.New ~after:Delta.Mid in
+      counted_fixpoint ctx u unit_preds ~commit ~later:Delta.New
+        (Par_eval.seeds ~rules:(rules ctx) ~inputs unit_preds ~delta:(function
+          | Compile.Catom a when List.mem a.cpred unit_preds ->
+            Some (Hashtbl.find putbacks a.cpred)
+          | Compile.Ccmp _ -> None
+          | lit -> Some (Relation.positive_part (Delta.seed_relation ctx lit)))));
+  List.iter (fun p -> Delta.set_delta ctx p ~full:(Hashtbl.find u.counts p)) unit_preds;
+  List.map
+    (fun p ->
+      ( p,
+        Relation.cardinal (Hashtbl.find dminus p),
+        Relation.cardinal (Hashtbl.find putbacks p) ))
+    unit_preds
+
+(* ------------------------------------------------------------------ *)
+
+(** The three phases for one unit, the paper's or counted DRed's;
+    returns the per-predicate overestimate and putback sizes. *)
+let three_phases ctx ~counted ~stratum unit_name unit_preds =
   (* each phase retags the ambient attribution context before its
      fan-outs *)
   let phase name f =
@@ -281,41 +432,44 @@ let three_phases ctx ~stratum unit_name unit_preds =
     Trace.span ("dred." ^ name) ~args:(fun () -> [ ("unit", unit_name) ]) f
   in
   Delta.open_unit ctx unit_preds;
-  let dminus = phase "delete" (fun () -> delete_overestimate ctx unit_preds) in
-  let unit_overdeleted =
-    List.fold_left
-      (fun acc p -> acc + Relation.cardinal (Hashtbl.find dminus p))
-      0 unit_preds
+  let sizes =
+    if counted then counted_phases ctx ~phase unit_preds
+    else begin
+      let dminus = phase "delete" (fun () -> delete_overestimate ctx unit_preds) in
+      let putbacks = phase "rederive" (fun () -> rederive ctx unit_preds dminus) in
+      phase "insert" (fun () -> insert_new ctx unit_preds);
+      List.iter (fun p -> Delta.set_delta ctx p ~full:(live ctx p)) unit_preds;
+      List.map
+        (fun p -> (p, Relation.cardinal (Hashtbl.find dminus p), Hashtbl.find putbacks p))
+        unit_preds
+    end
   in
+  let sum f = List.fold_left (fun acc x -> acc + f x) 0 sizes in
+  let unit_overdeleted = sum (fun (_, d, _) -> d)
+  and unit_rederived = sum (fun (_, _, pb) -> pb) in
   Metrics.add overdeleted_c unit_overdeleted;
   Metrics.observe overestimate_h unit_overdeleted;
-  let putbacks = phase "rederive" (fun () -> rederive ctx unit_preds dminus) in
-  phase "insert" (fun () -> insert_new ctx unit_preds);
-  List.iter (fun p -> Delta.set_delta ctx p ~full:(live ctx p)) unit_preds;
-  let unit_rederived =
-    List.fold_left (fun acc p -> acc + Hashtbl.find putbacks p) 0 unit_preds
-  in
   Metrics.add rederived_c unit_rederived;
   Log.debug (fun m ->
       m "unit {%s}: overdeleted %d, rederived %d" unit_name unit_overdeleted
         unit_rederived);
-  List.map
-    (fun p -> (p, Relation.cardinal (Hashtbl.find dminus p), Hashtbl.find putbacks p))
-    unit_preds
+  sizes
+
+type mode = Paper | Counted | Auto
 
 (** Apply [changes] (base-relation deltas with ±1 counts) to [db],
-    maintaining all views with DRed.  Set semantics only (Section 7).
-    With [~auto:true] ([View_manager]'s [Auto]) each unit first asks
-    {!Delta.choose} whether re-evaluating it is cheaper; a re-evaluated
-    unit skips the three phases and adds nothing to the overestimate
-    metrics.
+    maintaining all views with DRed ([Paper]) or counted DRed.  Set
+    semantics only (Section 7).  Under [Auto] ([View_manager]'s [Auto])
+    each unit first asks {!Delta.choose} whether re-evaluating it is
+    cheaper; a re-evaluated unit skips the three phases, installs
+    one-step counts and adds nothing to the overestimate metrics.
     @raise Duplicate_semantics_unsupported under duplicate semantics;
     @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?(auto = false) ?record (db : Database.t) (changes : Changes.t) :
-    report =
+let maintain ?(mode = Paper) ?record (db : Database.t) (changes : Changes.t) : report =
+  let counted = mode <> Paper and auto = mode = Auto in
   if Database.semantics db = Database.Duplicate_semantics then
     raise Duplicate_semantics_unsupported;
-  Metrics.inc batches_c;
+  Metrics.inc (batches_c counted);
   let program = Database.program db in
   let normalized = Changes.normalize_base db changes in
   let ctx = Delta.create db in
@@ -343,13 +497,13 @@ let maintain ?(auto = false) ?record (db : Database.t) (changes : Changes.t) :
               | Delta.Reevaluate ->
                 Trace.span "dred.reevaluate"
                   ~args:(fun () -> [ ("unit", unit_name) ])
-                  (fun () -> Delta.reevaluate ctx Delta.Dred unit_preds)
+                  (fun () -> Delta.reevaluate ctx unit_preds)
               | Delta.Incremental ->
                 List.iter
                   (fun (p, d, pb) ->
                     if d > 0 then overdeleted := (p, d) :: !overdeleted;
                     if pb > 0 then rederived := (p, pb) :: !rederived)
-                  (three_phases ctx ~stratum unit_name unit_preds)))
+                  (three_phases ctx ~counted ~stratum unit_name unit_preds)))
         (Program.recursive_units program));
   ignore (Delta.commit ?record ctx);
   {

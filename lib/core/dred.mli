@@ -16,7 +16,17 @@
       relations.
 
     Theorem 7.1: the result contains a tuple iff it has a derivation in
-    the updated database. *)
+    the updated database.
+
+    {b Counted DRed} (Hu, Motik & Horrocks, arXiv:1711.03987) keeps each
+    stored tuple's one-step derivation count — the rule instantiations
+    whose body holds, lower strata counted once — and drops the backward
+    step: the delete phase decrements the head of each lost derivation
+    exactly once, rederivation puts back every overdeleted tuple whose
+    count stayed positive without evaluating a rule, and the insert phase
+    counts each new derivation once, seeded by the put-backs and the
+    insertions.  It overdeletes the same tuples as DRed and leaves the
+    same sets, with exact counts. *)
 
 module Relation = Ivm_relation.Relation
 module Database = Ivm_eval.Database
@@ -33,21 +43,30 @@ type report = {
       (** per predicate: tuples put back in step 2 *)
 }
 
-(** Apply base-relation changes with DRed; commits to the stored relations
+(** Which DRed {!maintain} runs. *)
+type mode =
+  | Paper  (** the paper's three phases; recursive views keep count 1 *)
+  | Counted
+      (** counted DRed: one-step derivation counts, which must be exact
+          on entry ({!Ivm_eval.Seminaive.evaluate} [~counts:true]
+          materializes them) *)
+  | Auto
+      (** counted DRed, each unit first applying {!Delta.choose}
+          ([View_manager]'s [Auto]): a unit whose input delta is large is
+          re-evaluated ({!Delta.reevaluate}) instead, with the same
+          one-step counts and none of the three phases *)
+
+(** Apply base-relation changes with DRed ([mode], default [Paper]); commits to the stored relations
     through {!Delta.commit}.  [?record pred tup c] observes every applied
     per-tuple stored-count difference at commit time.  No count can go
     negative: within its unit, an overdeleted tuple's delta is set to
     −stored once, gets +stored back on putback, and gets +1 only while
     the tuple does not hold.
-    With [~auto:true] ([View_manager]'s [Auto]; default [false]) each
-    unit applies {!Delta.choose} first and, when its input delta is
-    large, is re-evaluated ({!Delta.reevaluate}) instead: same stored
-    counts, none of the three phases.
     @raise Duplicate_semantics_unsupported under duplicate semantics
     (DRed is a set-semantics algorithm, Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)
 val maintain :
-  ?auto:bool ->
+  ?mode:mode ->
   ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
   Database.t ->
   Changes.t ->

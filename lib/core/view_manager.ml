@@ -1,7 +1,7 @@
 (** The library's front door: a materialized-view database plus an
     incremental maintenance policy.  The interface tables the algorithm
     contract on [algorithm] — which of the paper's algorithms maintains
-    which programs, and how every entry point refuses the rest; the five
+    which programs, and how every entry point refuses the rest; the six
     functions under "The algorithm contract" below implement it.
 
     Rule insertions/deletions (Section 7's view redefinition) go through
@@ -18,11 +18,12 @@ module Seminaive = Ivm_eval.Seminaive
 module Metrics = Ivm_obs.Metrics
 module Trace = Ivm_obs.Trace
 
-type algorithm = Counting | Dred | Recursive_counting | Recompute | Auto
+type algorithm = Counting | Dred | Dred_counted | Recursive_counting | Recompute | Auto
 
 let algorithm_name = function
   | Counting -> "counting"
   | Dred -> "dred"
+  | Dred_counted -> "dred-counted"
   | Recursive_counting -> "recursive-counting"
   | Recompute -> "recompute"
   | Auto -> "auto"
@@ -30,6 +31,7 @@ let algorithm_name = function
 let algorithm_of_string = function
   | "counting" -> Some Counting
   | "dred" -> Some Dred
+  | "dred-counted" -> Some Dred_counted
   | "recursive-counting" -> Some Recursive_counting
   | "recompute" -> Some Recompute
   | "auto" -> Some Auto
@@ -43,15 +45,17 @@ let semantics_name = function
 (* The algorithm contract                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* These five functions, with [algorithm_name] and [algorithm_of_string],
+(* These six functions, with [algorithm_name] and [algorithm_of_string],
    are the only code that matches on an [algorithm]: every entry point
    makes each per-algorithm decision through them. *)
 
 (** What [algorithm] means for [program]: [Auto] is the paper's
-    recommendation, counting when nonrecursive and DRed otherwise. *)
+    recommendation, counting when nonrecursive and DRed otherwise — the
+    counted DRed, which keeps DRed's sets without its backward
+    rederivation. *)
 let resolve algorithm program =
   match algorithm with
-  | Auto -> if Program.nonrecursive program then Counting else Dred
+  | Auto -> if Program.nonrecursive program then Counting else Dred_counted
   | a -> a
 
 (** Whether [algorithm] can maintain [program] under [semantics];
@@ -62,25 +66,42 @@ let supports algorithm program semantics : (unit, string) result =
     Error
       "counting maintains nonrecursive programs only (use dred, \
        recursive-counting or recompute)"
-  | Dred when semantics = Database.Duplicate_semantics ->
-    Error "dred maintains set semantics only (use recursive-counting or recompute)"
+  | (Dred | Dred_counted) as a when semantics = Database.Duplicate_semantics ->
+    Error
+      (algorithm_name a
+     ^ " maintains set semantics only (use recursive-counting or recompute)")
   | Recursive_counting when semantics = Database.Set_semantics ->
     Error "recursive-counting maintains duplicate semantics only (use dred or recompute)"
-  | Counting | Dred | Recursive_counting | Recompute | Auto -> Ok ()
+  | Counting | Dred | Dred_counted | Recursive_counting | Recompute | Auto -> Ok ()
 
-(** Whether stored counts are exact derivation counts.  The set
+(** What [algorithm] keeps as [program]'s stored counts: the set
     maintainers (DRed, recomputation) keep the tuple sets exact but let
-    the counts go stale. *)
-let counted algorithm program =
+    the counts go stale; counted DRed keeps one-step counts through
+    recursion, which are counting's derivation counts on a nonrecursive
+    program. *)
+let stored_counts algorithm program : Ivm_store.Snapshot.counts =
   match resolve algorithm program with
-  | Counting | Recursive_counting -> true
-  | Dred | Recompute | Auto -> false
+  | Counting | Recursive_counting -> Derivation
+  | Dred_counted -> if Program.nonrecursive program then Derivation else One_step
+  | Dred | Recompute | Auto -> Stale
+
+(** Whether stored counts are exact derivation counts. *)
+let counted algorithm program = stored_counts algorithm program <> Stale
+
+(** Whether a log tail replays as one net batch: a DRed batch, counted or
+    not, costs the region it over-deletes, not |Δ|, and recomputation
+    costs the whole program; the counting algorithms cost O(|Δ|). *)
+let replays_net algorithm program =
+  match resolve algorithm program with
+  | Dred | Dred_counted | Recompute -> true
+  | Counting | Recursive_counting | Auto -> false
 
 (** Materialize every view of [db] from its base relations. *)
 let evaluate algorithm db =
   match resolve algorithm (Database.program db) with
   | Recursive_counting -> Recursive_counting.evaluate db
   | Recompute -> Recompute.evaluate db
+  | Dred_counted -> Seminaive.evaluate ~counts:true db
   | Counting | Dred | Auto -> Seminaive.evaluate db
 
 (** Maintain [db] through one batch and return the per-view deltas.
@@ -88,9 +109,9 @@ let evaluate algorithm db =
     the rebuilt database, whose program may have just turned recursive.
     Only [Auto] enables the cost rule ({!Delta.choose}): each unit whose
     input delta is large is re-evaluated instead of maintained, live and
-    in recovery alike; explicit [Counting] and [Dred] run the paper's
-    algorithms unchanged.  [track] accumulates every applied stored-count
-    difference at the incremental algorithms' commit sites (a
+    in recovery alike; explicit [Counting], [Dred] and [Dred_counted]
+    run their algorithms unchanged.  [track] accumulates every applied
+    stored-count difference at the incremental algorithms' commit sites (a
     re-evaluated unit commits there too); recomputation rewrites
     relations wholesale, so it marks [track] incomplete instead and the
     snapshot publisher falls back to a full copy. *)
@@ -103,7 +124,10 @@ let maintain ?track algorithm db changes : (string * Relation.t) list =
     match Database.semantics db with
     | Database.Set_semantics -> report.Counting.propagated_deltas
     | Database.Duplicate_semantics -> report.Counting.view_deltas)
-  | Dred -> (Dred.maintain ~auto ?record db changes).Dred.view_deltas
+  | Dred -> (Dred.maintain ?record db changes).Dred.view_deltas
+  | Dred_counted ->
+    let mode = if auto then Dred.Auto else Dred.Counted in
+    (Dred.maintain ~mode ?record db changes).Dred.view_deltas
   | Recursive_counting -> Recursive_counting.maintain ?record db changes
   | Recompute | Auto ->
     Option.iter Changes.mark_incomplete track;
@@ -289,8 +313,10 @@ let apply_group ?hooks ?track (t : t) (batches : Changes.t list) :
   results
 
 (** Wrap an already-materialized database (e.g. one loaded from a
-    snapshot) without re-evaluating anything.  The incremental-aggregates
-    flag is inferred from the registered indexes. *)
+    snapshot) without re-evaluating anything: its stored counts must be
+    the ones [algorithm] keeps ({!stored_counts}).  The
+    incremental-aggregates flag is inferred from the registered
+    indexes. *)
 let of_database ?(algorithm = Auto) (db : Database.t) : t =
   {
     db;
@@ -300,20 +326,46 @@ let of_database ?(algorithm = Auto) (db : Database.t) : t =
     state_version = Atomic.make 0;
   }
 
+let register_agg_indexes (t : t) : unit =
+  List.iter
+    (fun rule ->
+      List.iter
+        (fun lit ->
+          match lit with
+          | Ast.Lagg agg ->
+            ignore
+              (Database.register_agg_index t.db
+                 (Ivm_eval.Compile.compile_agg_spec agg))
+          | Ast.Lpos _ | Ast.Lneg _ | Ast.Lcmp _ -> ())
+        rule.Ast.body)
+    (Program.rules (Database.program t.db))
+
+(* Moving into a count-bearing resolution from another — an explicit
+   switch, a rule change that flips what [Auto] means, or a snapshot
+   whose mark differs — inherits counts that are stale or of another
+   kind: with [~stale] and a count-bearing resolution, re-derive
+   every view from scratch (which drops aggregate indexes over the
+   rewritten views; re-register them).  Returns whether it re-derived. *)
+let rederive (t : t) ~stale : bool =
+  let stale = stale && counted t.algorithm (program t) in
+  if stale then Ivm_prov.Prov.with_suspended (fun () -> evaluate t.algorithm t.db);
+  if t.incremental_aggregates then register_agg_indexes t;
+  stale
+
 (** Replay a recovered log tail; [Some n] when it was maintained as one
-    net batch of [n] tuples.  The set maintainers (DRed, recomputation)
-    fold the tail: a DRed batch costs the region it over-deletes and
-    rederives, not |Δ|, and consecutive records over-delete overlapping
-    regions, so one pass rederives each region once (Section 7 takes any
-    mix of insertions and deletions).  Each record is still validated
-    against the state the records before it leave (the loaded counts plus
+    net batch of [n] tuples.  DRed (counted or not) and recomputation
+    fold the tail ({!replays_net}): a DRed batch costs the region it
+    over-deletes, not |Δ|, and consecutive records over-delete
+    overlapping regions, so one pass handles each region once (Section 7
+    takes any mix of insertions and deletions).  Each record is still
+    validated against the state the records before it leave (the loaded counts plus
     the pending net overlay), so an invalid record fails with the same
     [Invalid_changes] as per-record replay, before anything is
     maintained.  The counting algorithms cost O(|Δ|) per batch and replay
     record by record: merged, the Counting tail of EXPERIMENTS.md E24
     derived less but ran slower. *)
 let replay (t : t) (records : Changes.t list) : int option =
-  if counted t.algorithm (program t) then begin
+  if not (replays_net t.algorithm (program t)) then begin
     List.iter (fun c -> ignore (maintain_batch t c)) records;
     None
   end
@@ -330,11 +382,18 @@ let replay (t : t) (records : Changes.t list) : int option =
     Some (Changes.total_tuples net)
   end
 
+(** The mark a snapshot of [t] carries ({!Ivm_store.Snapshot.counts}). *)
+let snapshot_counts (t : t) = stored_counts t.algorithm (program t)
+
 (** Open an existing durable store: load the snapshot (no re-evaluation),
-    refuse an unsupported algorithm, replay the surviving log tail
-    ({!replay}), and attach the store so subsequent batches are logged.
-    If the refusal or the replay raises, the store is closed before the
-    exception propagates. *)
+    refuse an unsupported algorithm, re-derive the views when the
+    resolution keeps exact counts and the snapshot's mark is not the one
+    it writes (as {!set_algorithm} does) — a snapshot written before the
+    mark existed reads [Derivation], so counted DRed re-derives every
+    recursive one — replay the surviving log tail ({!replay}), and
+    attach the store so subsequent batches are logged.  If the refusal or
+    the replay raises, the store is closed before the exception
+    propagates. *)
 let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
   let db, store, recovery = Ivm_store.Store.open_ ~dir in
   let records = recovery.Ivm_store.Store.replayed in
@@ -345,6 +404,8 @@ let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
     try
       let t = of_database ?algorithm db in
       require t.algorithm (program t) (semantics t);
+      if recovery.Ivm_store.Store.counts <> snapshot_counts t then
+        ignore (rederive t ~stale:true);
       Trace.span "store.replay"
         ~args:(fun () ->
           ("records", string_of_int (List.length records))
@@ -370,7 +431,8 @@ let make_durable (t : t) ~(dir : string) : unit =
     invalid_arg
       (Printf.sprintf "View_manager.make_durable: already durable in %s"
          (Ivm_store.Store.dir s))
-  | None -> t.store <- Some (Ivm_store.Store.initialize ~dir t.db)
+  | None ->
+    t.store <- Some (Ivm_store.Store.initialize ~counts:(snapshot_counts t) ~dir t.db)
 
 (** Create a manager from rules and initial base facts; materializes all
     views eagerly.  [domains], when given, sets the process-global domain
@@ -411,7 +473,7 @@ let of_source ?semantics ?algorithm ?extra_base ?distinct ?domains ?durable
 let compact (t : t) : unit =
   match t.store with
   | None -> invalid_arg "View_manager.compact: manager is not durable"
-  | Some s -> Ivm_store.Store.compact s t.db
+  | Some s -> Ivm_store.Store.compact ~counts:(snapshot_counts t) s t.db
 
 let store_status (t : t) : Ivm_store.Store.status option =
   Option.map Ivm_store.Store.status t.store
@@ -433,7 +495,7 @@ let close_store (t : t) : unit =
    version is bumped here — the snapshot publisher watches it. *)
 let resnapshot (t : t) : unit =
   Atomic.incr t.state_version;
-  match t.store with Some s -> Ivm_store.Store.compact s t.db | None -> ()
+  if t.store <> None then compact t
 
 (** Out-of-band mutation counter (rule changes, algorithm switches,
     aggregate enablement).  Monotonic; a change between two reads means
@@ -451,20 +513,6 @@ let delete t pred tuples =
 
 let update t pred ~old_tuple ~new_tuple =
   apply t (Changes.update (program t) pred ~old_tuple ~new_tuple)
-
-let register_agg_indexes (t : t) : unit =
-  List.iter
-    (fun rule ->
-      List.iter
-        (fun lit ->
-          match lit with
-          | Ast.Lagg agg ->
-            ignore
-              (Database.register_agg_index t.db
-                 (Ivm_eval.Compile.compile_agg_spec agg))
-          | Ast.Lpos _ | Ast.Lneg _ | Ast.Lcmp _ -> ())
-        rule.Ast.body)
-    (Program.rules (Database.program t.db))
 
 (** Opt every GROUPBY subgoal of the program into persistent incremental
     aggregation ([DAJ91] accumulators; see {!Ivm_eval.Agg_index}):
@@ -484,17 +532,6 @@ let refresh_provenance (t : t) ~reason : unit =
     Seminaive.replay_derivations t.db
   end
 
-(* Moving into a count-bearing resolution from a set maintainer — an
-   explicit switch, or a rule change that flips what [Auto] means —
-   inherits derivation counts the set maintainer let go stale: re-derive
-   every view from scratch (which drops aggregate indexes over the
-   rewritten views; re-register them).  Returns whether it re-derived. *)
-let rederive (t : t) ~prev : bool =
-  let stale = counted t.algorithm (program t) && resolve t <> prev in
-  if stale then Ivm_prov.Prov.with_suspended (fun () -> evaluate t.algorithm t.db);
-  if t.incremental_aggregates then register_agg_indexes t;
-  stale
-
 (* Section 7's view redefinition: [change] rebuilds the database and
    maintains every view through the guard flip with the configured
    algorithm. *)
@@ -503,7 +540,7 @@ let change_rule (t : t) change (rule : Ast.rule) : unit =
   t.db <-
     Ivm_prov.Prov.with_suspended (fun () ->
         change t.db ~maintain:(fun db c -> ignore (maintain t.algorithm db c)) rule);
-  ignore (rederive t ~prev);
+  ignore (rederive t ~stale:(resolve t <> prev));
   refresh_provenance t ~reason:"rule-change";
   resnapshot t
 
@@ -541,7 +578,8 @@ let set_algorithm (t : t) (algorithm : algorithm) : unit =
     require algorithm (program t) (semantics t);
     let prev = resolve t in
     t.algorithm <- algorithm;
-    if rederive t ~prev then refresh_provenance t ~reason:"algorithm-switch";
+    if rederive t ~stale:(resolve t <> prev) then
+      refresh_provenance t ~reason:"algorithm-switch";
     resnapshot t
   end
 

@@ -16,21 +16,30 @@ module Database = Ivm_eval.Database
     (Sections 4, 7 and 8):
 
     {v
-    algorithm            program        semantics
-    Counting             nonrecursive   set or duplicate
-    Dred                 any            set
-    Recursive_counting   any            duplicate (diverges, detected, on cyclic data)
-    Recompute            any            any
-    Auto                 counting if nonrecursive, else DRed (as above);
+    algorithm            program        semantics   stored counts
+    Counting             nonrecursive   set or dup  exact
+    Dred                 any            set         stale (sets exact)
+    Dred_counted         any            set         exact (one-step)
+    Recursive_counting   any            duplicate   exact (diverges, detected,
+                                                    on cyclic data)
+    Recompute            any            any         stale (sets exact)
+    Auto                 counting if nonrecursive, else counted DRed (as above);
                          per unit, re-evaluated when its input delta is large
     v}
+
+    [Dred_counted] is DRed combined with counting (Hu, Motik & Horrocks,
+    arXiv:1711.03987): every stored tuple holds its one-step derivation
+    count, so rederivation is a filter over the overdeleted tuples and
+    evaluates no rule ({!Dred.maintain} [~mode:Counted]).  A log tail
+    replays as one net batch under DRed, counted or not, and
+    recomputation; record by record under the counting algorithms.
 
     [Auto] is the only entry that enables {!Delta.choose}, the per-unit
     cost rule: a unit (an SCC under DRed, one view under Counting) whose
     net input delta reaches a constant share of its stored inputs is
     re-evaluated from its finished inputs instead of maintained, live and
-    in recovery alike, with the same stored counts.  Explicit [Counting]
-    and [Dred] run the paper's algorithms unchanged.
+    in recovery alike, with the same stored counts.  Explicit [Counting],
+    [Dred] and [Dred_counted] run their algorithms unchanged.
 
     {!create}, {!of_source}, {!open_durable}, {!set_algorithm} and
     {!add_rule} refuse a combination outside this table with
@@ -41,6 +50,7 @@ module Database = Ivm_eval.Database
 type algorithm =
   | Counting  (** Algorithm 4.1 *)
   | Dred  (** Delete/Rederive *)
+  | Dred_counted  (** Delete/Rederive over one-step derivation counts *)
   | Recursive_counting  (** [GKM92]: counts through recursion *)
   | Recompute  (** the from-scratch baseline *)
   | Auto  (** the paper's recommendation, with a per-unit cost rule *)
@@ -83,7 +93,10 @@ val of_source :
   t
 
 (** Wrap an already-materialized database (e.g. one loaded from a
-    snapshot) without re-evaluating anything. *)
+    snapshot) without re-evaluating anything.  Its counts must be the
+    ones [algorithm]'s resolution keeps: under counted DRed ([Auto] on a
+    recursive program) {!Ivm_eval.Seminaive.evaluate} [~counts:true]'s,
+    else maintenance can drop tuples that still have a derivation. *)
 val of_database : ?algorithm:algorithm -> Database.t -> t
 
 val database : t -> Database.t
@@ -97,10 +110,10 @@ val resolve : t -> algorithm
 
 (** Switch the maintenance algorithm in place (@raise Invalid_argument
     outside the {!algorithm} contract, nothing changed).  Switching
-    to a count-bearing algorithm (counting / recursive counting) from a
-    set-maintaining one (DRed, recompute) first re-derives every view
-    from scratch — the set maintainers leave stored derivation counts
-    stale.  Not WAL-logged: on a durable manager the switch folds the log
+    to a count-bearing algorithm (counting, counted DRed, recursive
+    counting) from a set-maintaining one (DRed, recompute) first
+    re-derives every view from scratch — the set maintainers leave stored
+    derivation counts stale.  Not WAL-logged: on a durable manager the switch folds the log
     into a fresh snapshot, like rule changes. *)
 val set_algorithm : t -> algorithm -> unit
 
@@ -172,8 +185,12 @@ val fork_database : t -> unit
 
 (** Open an existing store directory: load the snapshot with zero
     re-evaluation, replay the surviving log tail through the normal
-    maintenance path, attach the log for subsequent batches.  Under DRed
-    and Recompute the tail is maintained as one net batch; Counting and
+    maintenance path, attach the log for subsequent batches.  Opened
+    under a count-bearing resolution whose snapshots carry another
+    counts mark ({!Ivm_store.Snapshot.counts}) than the loaded one — a
+    set maintainer's, or an older recursive image with count 1 under
+    counted DRed — the views are re-derived before the replay.  Under DRed (counted or not) and
+    Recompute the tail is maintained as one net batch; Counting and
     recursive counting replay it record by record.  Either way every
     record is validated against the state the records before it leave.
     The returned {!Ivm_store.Store.recovery} says what was replayed,

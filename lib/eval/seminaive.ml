@@ -5,9 +5,14 @@
     Counts: a nonrecursive predicate stores its derivation counts (under
     set semantics these are counts relative to lower strata counted once —
     Section 5.1; under duplicate semantics full multiplicities).  Recursive
-    predicates are materialized with set semantics and count 1 per tuple —
-    the paper's counting algorithm is proposed for nonrecursive views only,
-    and duplicate semantics on recursion may not terminate (Section 8). *)
+    predicates are materialized with set semantics — the paper's counting
+    algorithm is proposed for nonrecursive views only, and duplicate
+    semantics on recursion may not terminate (Section 8) — with count 1
+    per tuple, or with [~counts:true] with their one-step derivation
+    counts (Section 5.1's clamp applied inside the unit: the rule
+    instantiations whose body holds), which counted DRed maintains.  The
+    semi-naive split enumerates each instantiation exactly once, so the
+    counts cost no extra pass. *)
 
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
@@ -84,8 +89,9 @@ let eval_nonrecursive ?resolve db ~cache pred =
 (** Semi-naive fixpoint for one recursive unit (an SCC of mutually
     recursive predicates), set semantics.  Relations outside the unit are
     read from the database (their strata are already materialized), or
-    through [resolve]. *)
-let eval_recursive_unit ?resolve db ~cache (unit_preds : string list) :
+    through [resolve].  With [~counts:true] each tuple's count is its
+    number of one-step derivations, else 1. *)
+let eval_recursive_unit ?resolve ?(counts = false) db ~cache (unit_preds : string list) :
     (string * Relation.t) list =
   let program = Database.program db in
   if Database.semantics db = Database.Duplicate_semantics then
@@ -127,15 +133,21 @@ let eval_recursive_unit ?resolve db ~cache (unit_preds : string list) :
       (fun tup c ->
         if c > 0 && not (Relation.mem total tup) then begin
           Relation.add next tup 1;
-          Relation.add total tup 1
-        end)
+          Relation.add total tup (if counts then c else 1)
+        end
+        else if counts && c > 0 then Relation.add total tup c)
       buf
+  in
+  (* the previous totals hide the whole count of each frontier tuple *)
+  let hide q frontier =
+    let total = Hashtbl.find totals q in
+    let minus = Relation.create (Relation.arity frontier) in
+    Relation.iter (fun tup _ -> Relation.add minus tup (-Relation.count total tup)) frontier;
+    minus
   in
   Par_eval.fixpoint engine ~preds:unit_preds ~commit
     ~step:(fun _ frontier ->
-      let minus =
-        List.map (fun q -> (q, Option.map Relation.negate (frontier q))) unit_preds
-      in
+      let minus = List.map (fun q -> (q, Option.map (hide q) (frontier q))) unit_preds in
       Par_eval.seeds ~rules
         ~inputs:(inputs ~old:(fun q -> Option.join (List.assoc_opt q minus)))
         ~delta:(function Catom a when in_unit a.cpred -> frontier a.cpred | _ -> None)
@@ -150,7 +162,7 @@ let eval_recursive_unit ?resolve db ~cache (unit_preds : string list) :
 
 (** Materialize every derived predicate of the database's program from its
     base relations (overwrites previous materializations). *)
-let evaluate (db : Database.t) : unit =
+let evaluate ?counts (db : Database.t) : unit =
   Trace.span "seminaive.evaluate" (fun () ->
       (* A from-scratch materialization enumerates every derivation of
          every derived tuple exactly once (round-0 rules plus the
@@ -169,7 +181,7 @@ let evaluate (db : Database.t) : unit =
               (fun (p, rel) -> Database.set_relation db p rel)
               (Trace.span "seminaive.fixpoint"
                  ~args:(fun () -> [ ("unit", String.concat "," unit_preds) ])
-                 (fun () -> eval_recursive_unit db ~cache unit_preds)))
+                 (fun () -> eval_recursive_unit ?counts db ~cache unit_preds)))
         (Program.recursive_units program))
 
 (** Re-enumerate every current derivation of every derived predicate —

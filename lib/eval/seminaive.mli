@@ -5,9 +5,12 @@
 
     Nonrecursive predicates store derivation counts (full multiplicities
     under duplicate semantics, the Section 5.1 convention under set
-    semantics); recursive predicates are materialized as sets with count 1
-    — duplicate counting through recursion may not terminate (Section 8,
-    see [Ivm.Recursive_counting] for the [GKM92] extension). *)
+    semantics); recursive predicates are materialized as sets —
+    duplicate counting through recursion may not terminate (Section 8,
+    see [Ivm.Recursive_counting] for the [GKM92] extension) — with count
+    1, or with [~counts:true] with each tuple's one-step derivation count:
+    the rule instantiations whose body holds, lower strata counted once
+    (Section 5.1's clamp applied inside the unit). *)
 
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
@@ -51,14 +54,17 @@ val eval_nonrecursive :
 
 (** Semi-naive fixpoint for one recursive unit (set semantics); relations
     outside the unit are read from the database, or through [resolve].
+    Counts are 1, or one-step derivation counts with [~counts:true].
     @raise Recursive_duplicates under duplicate semantics. *)
 val eval_recursive_unit :
   ?resolve:(string -> Relation_view.t) ->
+  ?counts:bool ->
   Database.t -> cache:Agg_cache.t -> string list -> (string * Relation.t) list
 
 (** Materialize every derived predicate from the base relations
-    (overwrites previous materializations). *)
-val evaluate : Database.t -> unit
+    (overwrites previous materializations); [~counts] as for
+    {!eval_recursive_unit}. *)
+val evaluate : ?counts:bool -> Database.t -> unit
 
 (** Re-enumerate every current derivation once — each rule evaluated
     against the stored relations with emissions discarded — so that,

@@ -48,7 +48,7 @@ let min_record_bytes = 20
 
 let initial_algorithms ~duplicate : Vm.algorithm list =
   if duplicate then [ Vm.Counting; Vm.Recursive_counting; Vm.Recompute; Vm.Auto ]
-  else [ Vm.Counting; Vm.Dred; Vm.Recompute; Vm.Auto ]
+  else [ Vm.Counting; Vm.Dred; Vm.Dred_counted; Vm.Recompute; Vm.Auto ]
 
 (* ------------------------------------------------------------------ *)
 (* State-aware step generation                                          *)
@@ -134,7 +134,10 @@ let candidates st (s : sim) : (int * Cmd.step) list =
       (fun a ->
         Interp.precondition_pure m ~prov_on:s.prov_on ~monitored:s.monitored
           (Cmd.Algorithm a))
-      [ Vm.Counting; Vm.Dred; Vm.Recursive_counting; Vm.Recompute; Vm.Auto ]
+      [
+        Vm.Counting; Vm.Dred; Vm.Dred_counted; Vm.Recursive_counting; Vm.Recompute;
+        Vm.Auto;
+      ]
   in
   let algorithm =
     match switchable with

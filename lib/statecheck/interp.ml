@@ -174,7 +174,7 @@ let algorithm_ok (m : Model.t) (a : Vm.algorithm) ~(rules : Ast.rule list) =
     match a with
     | Vm.Counting -> not recursive
     | Vm.Recursive_counting -> m.Model.duplicate && not recursive
-    | Vm.Dred -> not m.Model.duplicate
+    | Vm.Dred | Vm.Dred_counted -> not m.Model.duplicate
     | Vm.Recompute | Vm.Auto -> true
 
 let arity_of_rule (r : Ast.rule) = List.length r.Ast.head.Ast.args

@@ -66,7 +66,7 @@ let create ~duplicate ~algorithm ~rules () =
 
 let resolve (t : t) : Vm.algorithm =
   match t.algorithm with
-  | Vm.Auto -> if Naive.recursive t.rules then Vm.Dred else Vm.Counting
+  | Vm.Auto -> if Naive.recursive t.rules then Vm.Dred_counted else Vm.Counting
   | a -> a
 
 let head_preds (t : t) = Naive.head_preds t.rules

@@ -26,7 +26,9 @@ let stored_preds program =
 
 (* Sized first, then written once into one exact-size block; the CRC
    trailer is computed over the block in place. *)
-let encode ~seq (db : Database.t) : string =
+type counts = Derivation | Stale | One_step
+
+let encode ~counts ~seq (db : Database.t) : string =
   let program = Database.program db in
   let program_src = Format.asprintf "%a" Pretty.pp_program (Program.rules program) in
   let base = List.sort String.compare (Program.base_preds program) in
@@ -53,9 +55,10 @@ let encode ~seq (db : Database.t) : string =
         Wire.put_raw w magic;
         Wire.put_u32 w version;
         Wire.put_u8 w
-          (match Database.semantics db with
-          | Database.Set_semantics -> 0
-          | Database.Duplicate_semantics -> 1);
+          ((match Database.semantics db with
+           | Database.Set_semantics -> 0
+           | Database.Duplicate_semantics -> 1)
+          lor match counts with Derivation -> 0 | Stale -> 2 | One_step -> 4);
         Wire.put_i64 w seq;
         Wire.put_string w program_src;
         Wire.put_u32 w (List.length base);
@@ -76,7 +79,7 @@ let encode ~seq (db : Database.t) : string =
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt ("snapshot: " ^ s))) fmt
 
-let decode (s : string) : Database.t * int =
+let decode (s : string) : Database.t * int * counts =
   let n = String.length s in
   if n < String.length magic + 4 + 4 then corrupt "file too short (%d bytes)" n;
   if String.sub s 0 (String.length magic) <> magic then corrupt "bad magic";
@@ -88,11 +91,16 @@ let decode (s : string) : Database.t * int =
   try
     let v = Wire.get_u32 r in
     if v <> version then corrupt "unsupported version %d (expected %d)" v version;
+    let flags = Wire.get_u8 r in
+    let counts =
+      match flags lsr 1 with
+      | 0 -> Derivation
+      | 1 -> Stale
+      | 2 -> One_step
+      | _ -> corrupt "bad semantics byte %d" flags
+    in
     let semantics =
-      match Wire.get_u8 r with
-      | 0 -> Database.Set_semantics
-      | 1 -> Database.Duplicate_semantics
-      | b -> corrupt "bad semantics byte %d" b
+      if flags land 1 = 0 then Database.Set_semantics else Database.Duplicate_semantics
     in
     let seq = Wire.get_i64 r in
     let program_src = Wire.get_string r in
@@ -131,7 +139,7 @@ let decode (s : string) : Database.t * int =
             | Ast.Lpos _ | Ast.Lneg _ | Ast.Lcmp _ -> ())
           rule.Ast.body)
       (Program.rules program);
-    (db, seq)
+    (db, seq, counts)
   with
   | Corrupt _ as e -> raise e
   | Wire.Corrupt msg -> corrupt "payload: %s" msg
@@ -140,9 +148,9 @@ let decode (s : string) : Database.t * int =
 
 (* ---------------- files ---------------- *)
 
-let save ~path ~seq (db : Database.t) : int =
+let save ~counts ~path ~seq (db : Database.t) : int =
   Trace.span "store.snapshot_save" (fun () ->
-      let data = encode ~seq db in
+      let data = encode ~counts ~seq db in
       let tmp = path ^ ".tmp" in
       Out_channel.with_open_gen
         [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
@@ -156,5 +164,4 @@ let save ~path ~seq (db : Database.t) : int =
       Metrics.add bytes_written_c (String.length data);
       String.length data)
 
-let load ~path : Database.t * int =
-  decode (In_channel.with_open_bin path In_channel.input_all)
+let load ~path = decode (In_channel.with_open_bin path In_channel.input_all)

@@ -23,16 +23,26 @@ exception Corrupt of string
 val magic : string
 val version : int
 
+(** What the stored derivation counts are, as the maintainer that wrote
+    the image kept them: bits 1–2 of the semantics byte, so an image with
+    [Derivation] counts keeps the bytes it had before the mark existed. *)
+type counts =
+  | Derivation
+      (** counting's and recursive counting's; in an image written before
+          the mark existed, count 1 in a set-semantics recursive view *)
+  | Stale  (** written by a set maintainer (DRed, recomputation): sets exact, counts not *)
+  | One_step  (** counted DRed's one-step derivation counts in every view *)
+
 (** Encode to bytes (including magic, version and CRC trailer). *)
-val encode : seq:int -> Ivm_eval.Database.t -> string
+val encode : counts:counts -> seq:int -> Ivm_eval.Database.t -> string
 
 (** Decode and verify; the returned database is fully materialized.
     @raise Corrupt on a bad magic, version, CRC or structure. *)
-val decode : string -> Ivm_eval.Database.t * int
+val decode : string -> Ivm_eval.Database.t * int * counts
 
-(** [save ~path ~seq db] — atomic write-fsync-rename.
+(** [save ~counts ~path ~seq db] — atomic write-fsync-rename.
     Returns the encoded size in bytes. *)
-val save : path:string -> seq:int -> Ivm_eval.Database.t -> int
+val save : counts:counts -> path:string -> seq:int -> Ivm_eval.Database.t -> int
 
 (** @raise Corrupt as {!decode}; @raise Sys_error if unreadable. *)
-val load : path:string -> Ivm_eval.Database.t * int
+val load : path:string -> Ivm_eval.Database.t * int * counts

@@ -19,6 +19,7 @@ type recovery = {
   skipped_records : int;
   truncated_bytes : int;
   damage : string option;
+  counts : Snapshot.counts;
 }
 
 type status = {
@@ -40,11 +41,11 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let initialize ~dir (db : Database.t) : t =
+let initialize ~counts ~dir (db : Database.t) : t =
   if exists dir then
     invalid_arg (Printf.sprintf "Store.initialize: %s is already a store" dir);
   mkdir_p dir;
-  let snapshot_bytes = Snapshot.save ~path:(snapshot_file dir) ~seq:0 db in
+  let snapshot_bytes = Snapshot.save ~counts ~path:(snapshot_file dir) ~seq:0 db in
   (* A stale log without a snapshot means a half-deleted store; start clean. *)
   if Sys.file_exists (wal_file dir) then Sys.remove (wal_file dir);
   let wal, _tail = Wal.open_append ~path:(wal_file dir) in
@@ -55,13 +56,13 @@ let open_ ~dir : Database.t * t * recovery =
   if not (Sys.file_exists snap_path) then
     raise (Corrupt (Printf.sprintf "%s: no snapshot (not a store?)" dir));
   match
-    let db, snapshot_seq = Snapshot.load ~path:snap_path in
+    let db, snapshot_seq, counts = Snapshot.load ~path:snap_path in
     let wal, tail = Wal.open_append ~path:(wal_file dir) in
-    (db, snapshot_seq, wal, tail)
+    (db, snapshot_seq, counts, wal, tail)
   with
   | exception Snapshot.Corrupt msg -> raise (Corrupt msg)
   | exception Wal.Corrupt msg -> raise (Corrupt msg)
-  | db, snapshot_seq, wal, tail ->
+  | db, snapshot_seq, counts, wal, tail ->
     (* A crash between snapshot rename and log reset leaves records the
        snapshot already covers; skip them by sequence number. *)
     let skipped, live =
@@ -88,6 +89,7 @@ let open_ ~dir : Database.t * t * recovery =
         skipped_records = List.length skipped;
         truncated_bytes = tail.Wal.dropped_bytes;
         damage = tail.Wal.damage;
+        counts;
       }
     in
     (db, t, recovery)
@@ -98,8 +100,9 @@ let append ?sync:(s = true) t (changes : changes) : unit =
 
 let sync t = Wal.sync t.wal
 
-let compact t (db : Database.t) : unit =
-  t.snap_bytes <- Snapshot.save ~path:(snapshot_file t.sdir) ~seq:t.last_seq db;
+let compact ~counts t (db : Database.t) : unit =
+  t.snap_bytes <-
+    Snapshot.save ~counts ~path:(snapshot_file t.sdir) ~seq:t.last_seq db;
   Wal.reset t.wal;
   t.snap_seq <- t.last_seq
 

@@ -36,6 +36,7 @@ type recovery = {
   skipped_records : int;  (** records the snapshot already covered *)
   truncated_bytes : int;  (** torn/corrupt tail bytes dropped *)
   damage : string option;  (** what stopped the log scan, if anything *)
+  counts : Snapshot.counts;  (** what the snapshot's stored counts are *)
 }
 
 type status = {
@@ -54,8 +55,9 @@ val wal_file : string -> string
 val exists : string -> bool
 
 (** Create [dir] (and parents) if needed, snapshot [db] into it, open an
-    empty log.  @raise Invalid_argument if [dir] is already a store. *)
-val initialize : dir:string -> Ivm_eval.Database.t -> t
+    empty log; [counts] marks the snapshot ({!Snapshot.counts}).
+    @raise Invalid_argument if [dir] is already a store. *)
+val initialize : counts:Snapshot.counts -> dir:string -> Ivm_eval.Database.t -> t
 
 (** Open an existing store: load + verify the snapshot, truncate any
     damaged log tail, and return the materialized database plus the
@@ -75,8 +77,9 @@ val append : ?sync:bool -> t -> changes -> unit
 val sync : t -> unit
 
 (** Fold the log into a fresh snapshot of [db] (which must reflect every
-    appended batch) and reset the log. *)
-val compact : t -> Ivm_eval.Database.t -> unit
+    appended batch) and reset the log; [counts] marks the snapshot
+    ({!Snapshot.counts}). *)
+val compact : counts:Snapshot.counts -> t -> Ivm_eval.Database.t -> unit
 
 val status : t -> status
 val dir : t -> string

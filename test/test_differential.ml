@@ -10,13 +10,17 @@
     - nonrecursive, duplicate semantics: Counting ≡ Recompute with
       counts (DRed and PF are set-semantics algorithms);
     - recursive (transitive closure, both linearizations, nonlinear
-      closure, and an odd/even unit under a negated stratum): DRed ≡ PF
-      ≡ Recompute as sets (Counting is nonrecursive-only);
+      closure, and an odd/even unit under a negated stratum, over random
+      and strongly connected graphs): counted DRed ≡ DRed ≡ PF ≡
+      Recompute as sets (Counting is nonrecursive-only), and counted
+      DRed's stored counts equal a fresh one-step-counted evaluation
+      after every batch, on nonrecursive programs too;
     - [Auto] ≡ the algorithm it resolves to, explicitly, count for
       count, with every case taking both branches of Auto's cost rule
       (a one-change batch stays incremental, a half-swap re-evaluates):
-      random programs under set semantics, Counting under duplicate
-      semantics, and negation and GROUPBY views over a closure.
+      random programs under set semantics (counted DRed on the recursive
+      ones), Counting under duplicate semantics, and negation and GROUPBY
+      views over a closure (counted DRed).
 
     Plus the determinism properties for the multicore path: for every
     algorithm, the exact same scenario replayed at [~domains:4] produces
@@ -131,6 +135,15 @@ let recursive_gen =
 let print_program (seed, src) = Printf.sprintf "seed=%d\n%s" seed src
 let arb_recursive = QCheck.make ~print:print_program recursive_gen
 
+(** A recursive program over a random graph, or over a strongly
+    connected one (a ring through every node plus random chords). *)
+let arb_recursive_graph =
+  QCheck.make
+    ~print:(fun ((seed, src), ring) ->
+      Printf.sprintf "%s%s" (print_program (seed, src))
+        (if ring then "(ring + chords)" else "(random graph)"))
+    QCheck.Gen.(pair recursive_gen bool)
+
 (** Nonrecursive shapes and recursive programs alike, as (seed, source). *)
 let arb_program =
   QCheck.make ~print:print_program
@@ -145,21 +158,42 @@ let nodes = 10
 let edges = 25
 let steps = 3
 
-let build ~semantics ~src graph =
+(** Materialize [src] over [graph]; [~counts:true] stores one-step
+    derivation counts in recursive units, as counted DRed needs. *)
+let build ?counts ~semantics ~src graph =
   let program = Program.make (Parser.parse_rules src) in
   let db = Database.create ~semantics program in
   Database.load db "link" graph;
-  Seminaive.evaluate db;
+  Seminaive.evaluate ?counts db;
   db
+
+let random_graph rng = Graph_gen.tuples (Graph_gen.random rng ~nodes ~edges)
+
+(** Every node on one ring, plus random chords: one strongly connected
+    component, where every deletion over-deletes around cycles. *)
+let ring_graph rng =
+  Graph_gen.tuples
+    (List.sort_uniq compare
+       (Graph_gen.cycle nodes @ Graph_gen.random rng ~nodes ~edges:(edges - nodes)))
+
+(** A counted-DRed runner: its database is materialized with one-step
+    counts. *)
+let dred_counted = ("dred-counted", fun db c -> ignore (Dred.maintain ~mode:Dred.Counted db c))
 
 (** Drive the [runners] (name × maintain) in lockstep over one random
     stream: every batch is generated against the first database — all
     databases hold the same base state, so the deletions are valid for
-    each — then applied to all of them; [agree] checks the final states. *)
-let lockstep ~semantics ~src ~runners ~agree seed =
+    each — then applied to all of them; [agree] checks the final states.
+    A runner named ["dred-counted"] starts from one-step counts. *)
+let lockstep ?(graph = random_graph) ~semantics ~src ~runners ~agree seed =
   let rng = Prng.create seed in
-  let graph = Graph_gen.tuples (Graph_gen.random rng ~nodes ~edges) in
-  let dbs = List.map (fun (name, run) -> (name, build ~semantics ~src graph, run)) runners in
+  let graph = graph rng in
+  let dbs =
+    List.map
+      (fun (name, run) ->
+        (name, build ~counts:(name = fst dred_counted) ~semantics ~src graph, run))
+      runners
+  in
   let first = match dbs with (_, db, _) :: _ -> db | [] -> assert false in
   for _ = 1 to steps do
     let changes =
@@ -223,6 +257,48 @@ let recursive_set =
           ]
         ~agree:(agree_as Relation.equal_sets) seed)
 
+let counted_recursive_set =
+  q ~count:80
+    "dred-counted == dred == pf == recompute (sets, recursive shapes, cyclic graphs)"
+    arb_recursive_graph (fun ((seed, src), ring) ->
+      lockstep
+        ~graph:(if ring then ring_graph else random_graph)
+        ~semantics:Database.Set_semantics ~src
+        ~runners:
+          [
+            dred_counted;
+            ("dred", fun db c -> ignore (Dred.maintain db c));
+            ("pf", fun db c -> ignore (Pf.maintain db c));
+            ("recompute", fun db c -> Recompute.maintain db c);
+          ]
+        ~agree:(agree_as Relation.equal_sets) seed)
+
+(** Counted DRed's stored counts after every batch equal those of a
+    fresh evaluation with one-step counts — the audit a count-bearing
+    manager runs. *)
+let counts_exact ~graph ~src seed =
+  let rng = Prng.create seed in
+  let db = build ~counts:true ~semantics:Database.Set_semantics ~src (graph rng) in
+  List.for_all
+    (fun () ->
+      let changes =
+        Update_gen.mixed rng db "link" ~nodes ~dels:(Prng.int rng 5) ~ins:(Prng.int rng 5)
+      in
+      ignore (Dred.maintain ~mode:Dred.Counted db changes);
+      let fresh = Database.copy db in
+      Seminaive.evaluate ~counts:true fresh;
+      agree_as Relation.equal_counted [ ("maintained", db); ("fresh", fresh) ])
+    (List.init (2 * steps) (fun _ -> ()))
+
+let counted_audit =
+  [
+    q ~count:80 "dred-counted: counts equal a fresh counted evaluation (recursive)"
+      arb_recursive_graph (fun ((seed, src), ring) ->
+        counts_exact ~graph:(if ring then ring_graph else random_graph) ~src seed);
+    q ~count:60 "dred-counted: counts equal a fresh counted evaluation (random programs)"
+      arb_program (fun (seed, src) -> counts_exact ~graph:random_graph ~src seed);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Auto's cost rule: both branches equal the explicit algorithm         *)
 (* ------------------------------------------------------------------ *)
@@ -272,10 +348,10 @@ let distinct_edges rng ~avoid k =
 let auto_matches_explicit ~semantics ~src seed =
   let rng = Prng.create seed in
   let graph = distinct_edges rng ~avoid:(fun _ -> false) edges in
-  let auto = Vm.of_database (build ~semantics ~src graph) in
-  let explicit =
-    Vm.of_database ~algorithm:(Vm.resolve auto) (build ~semantics ~src graph)
-  in
+  (* one-step counts: [Auto] resolves a recursive program to counted DRed *)
+  let build () = build ~counts:true ~semantics ~src graph in
+  let auto = Vm.of_database (build ()) in
+  let explicit = Vm.of_database ~algorithm:(Vm.resolve auto) (build ()) in
   let took choice changes =
     let before = choice_total choice in
     ignore (Vm.apply auto changes);
@@ -312,6 +388,7 @@ let auto_props =
       (fun s ->
         auto_matches_explicit ~semantics:Database.Duplicate_semantics
           ~src:(source_of s) s.seed);
+    (* recursive: Auto resolves to counted DRed *)
     q ~count:30 "auto == dred, both branches (negation and GROUPBY over a closure)"
       (QCheck.make ~print:print_program
          QCheck.Gen.(pair (int_range 1 1_000_000) (map snd (oneofl mixed_recursive))))
@@ -333,11 +410,11 @@ let with_domains d f =
     [seed], and update batches are generated from the database's own base
     state (identical across replays), so the two runs see identical
     inputs; byte-equal dumps mean the domain count is unobservable. *)
-let replay ~domains ~semantics ~src ~maintain seed =
+let replay ?counts ~domains ~semantics ~src ~maintain seed =
   with_domains domains (fun () ->
       let rng = Prng.create seed in
       let graph = Graph_gen.tuples (Graph_gen.random rng ~nodes ~edges) in
-      let db = build ~semantics ~src graph in
+      let db = build ?counts ~semantics ~src graph in
       for _ = 1 to steps do
         let changes =
           Update_gen.mixed rng db "link" ~nodes
@@ -347,10 +424,10 @@ let replay ~domains ~semantics ~src ~maintain seed =
       done;
       canonical_dump db)
 
-let deterministic ~semantics ~src ~maintain seed =
+let deterministic ?counts ~semantics ~src ~maintain seed =
   String.equal
-    (replay ~domains:1 ~semantics ~src ~maintain seed)
-    (replay ~domains:4 ~semantics ~src ~maintain seed)
+    (replay ?counts ~domains:1 ~semantics ~src ~maintain seed)
+    (replay ?counts ~domains:4 ~semantics ~src ~maintain seed)
 
 let determinism_props =
   [
@@ -414,7 +491,17 @@ let determinism_props =
               canonical_dump db)
         in
         String.equal (run 1) (run 4));
+    q ~count:20 "dred-counted: domains 4 == domains 1 (recursive)" arb_recursive
+      (fun (seed, src) ->
+        deterministic ~counts:true ~semantics:Database.Set_semantics ~src
+          ~maintain:(snd dred_counted) seed);
+    q ~count:20 "dred-counted: domains 4 == domains 1 (nonrecursive)" arb_shape
+      (fun s ->
+        deterministic ~counts:true ~semantics:Database.Set_semantics
+          ~src:(source_of s) ~maintain:(snd dred_counted) s.seed);
   ]
 
 let suite =
-  [ four_way_set; duplicate_counted; recursive_set ] @ determinism_props @ auto_props
+  [ four_way_set; duplicate_counted; recursive_set ]
+  @ determinism_props @ auto_props
+  @ (counted_recursive_set :: counted_audit)

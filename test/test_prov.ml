@@ -242,10 +242,10 @@ let test_dred_recursive_why () =
 (* Auto's cost rule declines while capture is on: re-recording a
    re-evaluated unit's bounded supports could keep another subset than
    the incremental phases leave.  A batch swapping half of [link] (far
-   above the DRed threshold) therefore runs DRed's phases under Auto,
-   and every [explain] of every [path] tuple — supports and lineage —
-   equals explicit DRed's.  With capture off the same batch
-   re-evaluates. *)
+   above the DRed threshold) therefore runs counted DRed's phases under
+   Auto, and every [explain] of every [path] tuple — supports, lineage
+   and one-step count — equals explicit counted DRed's.  With capture
+   off the same batch re-evaluates. *)
 let test_auto_declines_under_capture () =
   let src =
     Programs.transitive_closure
@@ -280,9 +280,11 @@ let test_auto_declines_under_capture () =
     (moved, explain)
   in
   let auto_moved, auto_explain = run ~capture:true Vm.Auto in
-  let _, dred_explain = run ~capture:true Vm.Dred in
-  Alcotest.(check (list int)) "capture on: Auto keeps DRed's phases" [ 1; 0 ] auto_moved;
-  Alcotest.(check (list string)) "explain equals explicit DRed's" dred_explain auto_explain;
+  let _, dred_explain = run ~capture:true Vm.Dred_counted in
+  Alcotest.(check (list int)) "capture on: Auto keeps counted DRed's phases" [ 1; 0 ]
+    auto_moved;
+  Alcotest.(check (list string)) "explain equals explicit counted DRed's" dred_explain
+    auto_explain;
   Alcotest.(check (list int)) "capture off: the same batch re-evaluates" [ 0; 1 ]
     (fst (run ~capture:false Vm.Auto))
 

@@ -272,7 +272,7 @@ let golden_snapshot () =
         named(Z, B) :- w(X, Y, Z, B).
       |}
   in
-  let s = Snapshot.encode ~seq:7 db in
+  let s = Snapshot.encode ~counts:Snapshot.Derivation ~seq:7 db in
   Alcotest.(check int) "snapshot length" 545 (String.length s);
   Alcotest.(check int32) "snapshot CRC trailer" 0x2388bd10l
     (String.get_int32_le s (String.length s - 4));
@@ -320,12 +320,17 @@ let snapshot_source =
 
 let snapshot_roundtrip () =
   let db = db_of_source snapshot_source in
-  let s = Snapshot.encode ~seq:7 db in
-  let db2, seq = Snapshot.decode s in
-  Alcotest.(check int) "sequence survives" 7 seq;
-  Alcotest.(check bool) "state survives" true (Database.agree db db2);
-  (* the snapshot is byte-stable: same state, same bytes *)
-  Alcotest.(check string) "deterministic encoding" s (Snapshot.encode ~seq:7 db2)
+  List.iter
+    (fun counts ->
+      let s = Snapshot.encode ~counts ~seq:7 db in
+      let db2, seq, counts2 = Snapshot.decode s in
+      Alcotest.(check int) "sequence survives" 7 seq;
+      Alcotest.(check bool) "counts mark survives" true (counts2 = counts);
+      Alcotest.(check bool) "state survives" true (Database.agree db db2);
+      (* the snapshot is byte-stable: same state, same bytes *)
+      Alcotest.(check string) "deterministic encoding" s
+        (Snapshot.encode ~counts ~seq:7 db2))
+    [ Snapshot.Derivation; Snapshot.Stale; Snapshot.One_step ]
 
 let snapshot_duplicate_semantics () =
   let db =
@@ -335,7 +340,7 @@ let snapshot_duplicate_semantics () =
         hop(X, Y) :- link(X, Z), link(Z, Y).
       |}
   in
-  let db2, _ = Snapshot.decode (Snapshot.encode ~seq:0 db) in
+  let db2, _, _ = Snapshot.decode (Snapshot.encode ~counts:Snapshot.Derivation ~seq:0 db) in
   Alcotest.(check bool) "duplicate counts survive" true (Database.agree db db2);
   check_rel "hop multiplicity 2" (rel_of_pairs "ac 2")
     (Database.relation db2 "hop")
@@ -354,7 +359,7 @@ let snapshot_agg_indexes () =
           | _ -> ())
         rule.Ast.body)
     (Program.rules (Database.program db));
-  let db2, _ = Snapshot.decode (Snapshot.encode ~seq:0 db) in
+  let db2, _, _ = Snapshot.decode (Snapshot.encode ~counts:Snapshot.Derivation ~seq:0 db) in
   Alcotest.(check (list string))
     "registered aggregate indexes survive the round-trip"
     (Database.agg_signatures db) (Database.agg_signatures db2)
@@ -363,7 +368,7 @@ let snapshot_detects_corruption () =
   with_dir (fun dir ->
       let db = db_of_source snapshot_source in
       let path = Filename.concat dir "snap" in
-      ignore (Snapshot.save ~path ~seq:1 db);
+      ignore (Snapshot.save ~counts:Snapshot.Derivation ~path ~seq:1 db);
       let bytes = In_channel.with_open_bin path In_channel.input_all in
       let broken = Bytes.of_string bytes in
       let mid = Bytes.length broken / 2 in
@@ -381,9 +386,9 @@ let snapshot_detects_corruption () =
 let initialize_twice_refused () =
   with_dir (fun dir ->
       let db = db_of_source snapshot_source in
-      let s = Store.initialize ~dir db in
+      let s = Store.initialize ~counts:Snapshot.Derivation ~dir db in
       Store.close s;
-      match Store.initialize ~dir db with
+      match Store.initialize ~counts:Snapshot.Derivation ~dir db with
       | _ -> Alcotest.fail "re-initialize over an existing store"
       | exception Invalid_argument _ -> ())
 
@@ -403,7 +408,7 @@ let compaction_crash_skips_covered_records () =
       ignore (Vm.delete vm "link" (pairs "ad"));
       let db = Vm.database vm in
       (* the first half of compaction, then "crash" before the log reset *)
-      ignore (Snapshot.save ~path:(Store.snapshot_file dir) ~seq:2 db);
+      ignore (Snapshot.save ~counts:Snapshot.Derivation ~path:(Store.snapshot_file dir) ~seq:2 db);
       Vm.close_store vm;
       let vm2, recovery = Vm.open_durable dir in
       Alcotest.(check int) "both records skipped" 2 recovery.Store.skipped_records;
@@ -557,6 +562,87 @@ let compact_then_reopen () =
       Alcotest.(check bool) "state agrees" true
         (Database.agree (Vm.database vm) (Vm.database vm2));
       Vm.close_store vm2)
+
+(* The two-route diamond 1→{2,3}→4, and a 20-edge chain elsewhere that
+   keeps each one-link batch under Auto's thresholds, so every deletion
+   below is maintained incrementally, not re-evaluated. *)
+let diamond_link (a, b) = Tuple.make [| Value.Int a; Value.Int b |]
+
+let diamond_facts =
+  let chain = List.init 20 (fun i -> (100 + i, 101 + i)) in
+  [ ("link", List.map diamond_link ([ (1, 2); (2, 4); (1, 3); (3, 4) ] @ chain)) ]
+
+let mark_name = function
+  | Snapshot.Derivation -> "derivation"
+  | Snapshot.Stale -> "stale"
+  | Snapshot.One_step -> "one-step"
+
+let check_mark what expected actual =
+  Alcotest.(check string) what (mark_name expected) (mark_name actual)
+
+(* A set maintainer lets derivation counts go stale, so its snapshots are
+   marked; reopened under a count-bearing resolution, the views are
+   re-derived before the tail replays.  [program] runs over the diamond
+   under explicit DRed with a store: hop(1,4) has two derivations, and
+   after deleting link(1,2) DRed leaves it with a stale count of 2;
+   path(1,4) has two derivations too, but DRed stores the closure as a
+   set, with count 1.  The store is compacted and reopened under the
+   default Auto — counting for hop, counted DRed for path — and one more
+   link is deleted.  Trusting the stale counts, hop(1,4) would survive
+   the loss of its last derivation and path(1,4) would fall with its
+   first; the audit compares counts.  Auto's own snapshot then carries
+   [auto_mark] and reopens without a re-derivation. *)
+let stale_counts_rederived ~view ~before ~after ~present ~auto_mark program () =
+  with_dir (fun dir ->
+      let vm =
+        Vm.create ~algorithm:Vm.Dred ~durable:dir ~facts:diamond_facts
+          (Parser.parse_rules program)
+      in
+      ignore (Vm.delete vm "link" (List.map diamond_link before));
+      Vm.compact vm;
+      let bytes = In_channel.with_open_bin (Store.snapshot_file dir) In_channel.input_all in
+      Alcotest.(check int) "a DRed snapshot's mark bits" 2 (Char.code bytes.[12] land 6);
+      Vm.close_store vm;
+      let reopened, recovery = Vm.open_durable dir in
+      check_mark "recovery reports the mark" Snapshot.Stale recovery.Store.counts;
+      ignore (Vm.delete reopened "link" (List.map diamond_link after));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s(1,4) present" view)
+        present
+        (Relation.mem (Vm.relation reopened view) (diamond_link (1, 4)));
+      Alcotest.(check (result unit string)) "audit, with counts" (Ok ()) (Vm.audit reopened);
+      Vm.compact reopened;
+      Vm.close_store reopened;
+      let again, recovery = Vm.open_durable dir in
+      Vm.close_store again;
+      check_mark "Auto's snapshot" auto_mark recovery.Store.counts)
+
+(* A snapshot written before the mark existed reads as derivation counts.
+   The default Auto then resolved a recursive program to DRed, which
+   stores the closure as a set with count 1: such an image, written here
+   as that default wrote it, must be re-derived under counted DRed, where
+   path(1,4)'s two derivations give it count 2 and deleting link(1,2)
+   leaves it standing. *)
+let unmarked_recursive_snapshot_rederived () =
+  with_dir (fun dir ->
+      let program = Program.make (Parser.parse_rules Programs.transitive_closure) in
+      let db = Database.create ~semantics:Database.Set_semantics program in
+      List.iter (fun (p, tuples) -> Database.load db p tuples) diamond_facts;
+      Seminaive.evaluate db;
+      Alcotest.(check int) "the image holds path(1,4) with count 1" 1
+        (Relation.count (Database.relation db "path") (diamond_link (1, 4)));
+      Store.close (Store.initialize ~counts:Snapshot.Derivation ~dir db);
+      let vm, recovery = Vm.open_durable dir in
+      check_mark "an unmarked image" Snapshot.Derivation recovery.Store.counts;
+      Alcotest.(check string) "Auto resolves to counted DRed" "dred-counted"
+        (Vm.algorithm_name (Vm.resolve vm));
+      Alcotest.(check int) "re-derived: path(1,4) has two derivations" 2
+        (Relation.count (Vm.relation vm "path") (diamond_link (1, 4)));
+      ignore (Vm.delete vm "link" [ diamond_link (1, 2) ]);
+      Alcotest.(check bool) "path(1,4) present" true
+        (Relation.mem (Vm.relation vm "path") (diamond_link (1, 4)));
+      Alcotest.(check (result unit string)) "audit, with counts" (Ok ()) (Vm.audit vm);
+      Vm.close_store vm)
 
 (* ------------------------------------------------------------------ *)
 (* Log-tail replay: net under DRed/Recompute, per record under Counting  *)
@@ -724,7 +810,7 @@ let net_replay_equals_per_record =
             counting_batches [ name ] (fun () -> Vm.open_durable ~algorithm dir)
           in
           Vm.close_store recovered;
-          let db, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
+          let db, _, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
           let oracle = Vm.of_database ~algorithm db in
           List.iter (fun c -> ignore (Vm.apply oracle c)) recovery.Store.replayed;
           let a = Vm.database oracle and b = Vm.database recovered in
@@ -781,7 +867,7 @@ let closure_tail_reevaluated () =
       Alcotest.(check (list int)) "recovery re-evaluated exactly one unit" [ 0; 1 ]
         (List.map2 (fun c b -> choice_total c - b) [ "incremental"; "reevaluate" ] before);
       Alcotest.(check (result unit string)) "audit" (Ok ()) (Vm.audit recovered);
-      let db, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
+      let db, _, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
       let oracle = Vm.of_database ~algorithm:Vm.Dred db in
       List.iter (fun c -> ignore (Vm.apply oracle c)) recovery.Store.replayed;
       Alcotest.(check int) "the whole tail replayed" 80 (List.length recovery.Store.replayed);
@@ -813,6 +899,15 @@ let suite =
       compaction_crash_skips_covered_records;
     quick "manager: rule change survives reopen" reopen_after_rule_change;
     quick "manager: compact then reopen" compact_then_reopen;
+    quick "manager: a DRed snapshot's stale counts are re-derived under counting"
+      (stale_counts_rederived ~view:"hop" ~before:[ (1, 2) ] ~after:[ (1, 3) ]
+         ~present:false ~auto_mark:Snapshot.Derivation
+         "hop(X, Y) :- link(X, Z), link(Z, Y).");
+    quick "manager: a DRed snapshot's stale counts are re-derived under counted DRed"
+      (stale_counts_rederived ~view:"path" ~before:[] ~after:[ (1, 2) ] ~present:true
+         ~auto_mark:Snapshot.One_step Programs.transitive_closure);
+    quick "manager: an unmarked recursive snapshot is re-derived under counted DRed"
+      unmarked_recursive_snapshot_rederived;
     crash_recovery_prop;
     corruption_recovery_prop;
     quick "manager: an invalid replayed record fails against its prefix, closing the log"

@@ -20,7 +20,7 @@ let auto_resolution () =
   let vm = Vm.of_source ~algorithm:Vm.Auto hop_source in
   Alcotest.(check bool) "nonrecursive → counting" true (Vm.resolve vm = Vm.Counting);
   let vm = Vm.of_source ~algorithm:Vm.Auto tc_source in
-  Alcotest.(check bool) "recursive → dred" true (Vm.resolve vm = Vm.Dred)
+  Alcotest.(check bool) "recursive → dred-counted" true (Vm.resolve vm = Vm.Dred_counted)
 
 let algorithm_names () =
   List.iter
@@ -28,7 +28,10 @@ let algorithm_names () =
       Alcotest.(check bool)
         (Vm.algorithm_name a) true
         (Vm.algorithm_of_string (Vm.algorithm_name a) = Some a))
-    [ Vm.Counting; Vm.Dred; Vm.Recursive_counting; Vm.Recompute; Vm.Auto ];
+    [
+      Vm.Counting; Vm.Dred; Vm.Dred_counted; Vm.Recursive_counting; Vm.Recompute;
+      Vm.Auto;
+    ];
   Alcotest.(check bool) "unknown" true (Vm.algorithm_of_string "nope" = None)
 
 let all_algorithms_agree () =
@@ -52,6 +55,7 @@ let all_algorithms_agree () =
           (Relation.to_string reference))
     [
       ("dred", Vm.Dred, Database.Set_semantics);
+      ("dred-counted", Vm.Dred_counted, Database.Set_semantics);
       ("auto", Vm.Auto, Database.Set_semantics);
       ("recursive-counting", Vm.Recursive_counting, Database.Duplicate_semantics);
     ]
@@ -118,6 +122,8 @@ let unsupported =
      [ base_rule; recursive_rule ], true);
     ("dred under duplicate semantics", Database.Duplicate_semantics, Vm.Dred,
      [ "hop(X, Y) :- link(X, Z), link(Z, Y)." ], false);
+    ("dred-counted under duplicate semantics", Database.Duplicate_semantics,
+     Vm.Dred_counted, [ "hop(X, Y) :- link(X, Z), link(Z, Y)." ], false);
     ("auto on a recursive program under duplicate semantics",
      Database.Duplicate_semantics, Vm.Auto, [ base_rule; recursive_rule ], true);
     ("recursive-counting under set semantics", Database.Set_semantics,
