@@ -1193,19 +1193,17 @@ let e28 () =
       let changes = next (match dbs with (_, db, _) :: _ -> db | [] -> assert false) in
       List.iter
         (fun (name, db, mode) ->
-          let recorded = ref 0 in
+          let track = Changes.collector () in
           let before = Stats.snapshot () in
-          let t, report =
-            timed (fun () ->
-                Dred.maintain ~mode ~record:(fun _ _ _ -> incr recorded) db changes)
-          in
+          let t, report = timed (fun () -> Dred.maintain ~mode ~track db changes) in
+          let recorded = Changes.total_tuples (Changes.collected track) in
           let work = Stats.since before in
           let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 in
           add (name, "overdeleted") (sum report.Dred.overdeleted);
           add (name, "rederived") (sum report.Dred.rederived);
           add (name, "probes") work.Stats.snap_probes;
           add (name, "derivations") work.Stats.snap_derivations;
-          add (name, "recorded") (!recorded - Changes.total_tuples report.Dred.base_deltas);
+          add (name, "recorded") (recorded - Changes.total_tuples report.Dred.base_deltas);
           add (name, "transitions")
             (List.fold_left (fun acc (_, d) -> acc + Relation.cardinal d) 0 report.Dred.view_deltas);
           Hashtbl.replace times name (t :: Option.value ~default:[] (Hashtbl.find_opt times name)))

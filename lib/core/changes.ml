@@ -55,38 +55,39 @@ let total_tuples (t : t) =
 
 (* A collector accumulates the net stored-count changes a maintenance run
    actually commits — base and derived predicates alike — as a change set.
-   The maintenance algorithms call [record] from their commit sites with
-   the per-tuple applied difference (new stored count − old), so the
-   collected set is exact by construction: replaying it with ⊎ onto any
-   count-identical database yields the post-maintenance database.  A run
-   that mutates stored state without per-tuple deltas (recomputation,
-   rederivation) marks the collector incomplete instead, and consumers
-   (the snapshot publisher) fall back to a full copy. *)
+   The maintenance algorithms hand it each relation they commit, whole
+   ([absorb]), so the collected set is exact by construction.  A
+   predicate's first relation is adopted; a later one merges into a
+   private copy made then ([owned]), since the adopted relation was
+   returned to the committer's caller.  A run that mutates stored state
+   without per-relation deltas (recomputation, rederivation) marks the
+   collector incomplete instead. *)
+type net = { mutable rel : Relation.t; mutable owned : bool }
+
 type collector = {
-  net : (string, Relation.t) Hashtbl.t;
+  net : (string, net) Hashtbl.t;
   mutable incomplete : bool;
 }
 
 let collector () = { net = Hashtbl.create 8; incomplete = false }
 
-let record col pred tup c =
-  if c <> 0 then begin
-    let r =
-      match Hashtbl.find_opt col.net pred with
-      | Some r -> r
-      | None ->
-        let r = Relation.create (Tuple.arity tup) in
-        Hashtbl.replace col.net pred r;
-        r
-    in
-    Relation.add r tup c
-  end
+let absorb col pred r =
+  if not (Relation.is_empty r) then
+    match Hashtbl.find_opt col.net pred with
+    | None -> Hashtbl.replace col.net pred { rel = r; owned = false }
+    | Some n ->
+      if not n.owned then begin
+        n.rel <- Relation.copy ~with_indexes:false n.rel;
+        n.owned <- true
+      end;
+      Relation.union_into ~into:n.rel r
 
 let mark_incomplete col = col.incomplete <- true
 let is_complete col = not col.incomplete
 
 let collected col : t =
-  Hashtbl.fold (fun p r acc -> if Relation.is_empty r then acc else (p, r) :: acc)
+  Hashtbl.fold
+    (fun p n acc -> if Relation.is_empty n.rel then acc else (p, n.rel) :: acc)
     col.net []
   |> List.sort (fun (p, _) (q, _) -> String.compare p q)
 
@@ -121,7 +122,10 @@ let normalize_base ?pending (db : Database.t) (t : t) : t =
       if Relation.arity delta <> Program.arity program pred then
         fail "arity mismatch in changes for %s" pred;
       let stored = Database.relation db pred in
-      let overlay = Option.bind pending (fun col -> Hashtbl.find_opt col.net pred) in
+      let overlay =
+        Option.bind pending (fun col ->
+            Option.map (fun n -> n.rel) (Hashtbl.find_opt col.net pred))
+      in
       let out = Relation.create (Relation.arity delta) in
       Relation.iter
         (fun tup c ->

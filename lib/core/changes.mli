@@ -37,30 +37,35 @@ val total_tuples : t -> int
 
     A collector accumulates the net stored-count changes a maintenance run
     actually commits — base {e and} derived predicates — as a change set.
-    Algorithms call {!record} from their commit sites with the per-tuple
-    applied difference (new stored count − old), making the collected set
-    exact by construction: replaying it with [⊎] onto any count-identical
-    database reproduces the post-maintenance database.  A run that
-    rewrites stored state wholesale (recomputation, rederivation) calls
-    {!mark_incomplete}; consumers such as the snapshot publisher then fall
-    back to a full copy. *)
+    Algorithms hand it, with {!absorb}, each relation they commit, whole
+    (every count in it is the applied difference, new stored count − old),
+    making the collected set exact by construction: replaying it with [⊎]
+    onto any count-identical database reproduces the post-maintenance
+    database.  A run that rewrites stored state wholesale (recomputation,
+    rederivation) calls {!mark_incomplete}; consumers such as the snapshot
+    publisher then fall back to a full copy. *)
 
 type collector
 
 val collector : unit -> collector
 
-(** [record col pred tup c] folds an applied count difference [c] into the
-    collector ([c = 0] is a no-op). *)
-val record : collector -> string -> Tuple.t -> int -> unit
+(** [absorb col pred r] folds the committed delta [r] of [pred] into the
+    collector with [⊎].  A predicate's first relation is adopted, not
+    copied; a later one merges copy-on-write, into a private copy of the
+    adopted relation made then.  So no relation handed to [absorb] is
+    ever mutated: a delta returned for one batch of a group is unchanged
+    by the next.  The caller must not mutate [r] afterwards. *)
+val absorb : collector -> string -> Relation.t -> unit
 
-(** The run mutated stored state outside per-tuple recording; {!collected}
-    is no longer a faithful replay. *)
+(** The run mutated stored state outside per-relation tracking;
+    {!collected} is no longer a faithful replay. *)
 val mark_incomplete : collector -> unit
 
 val is_complete : collector -> bool
 
 (** The accumulated net change set, sorted by predicate, empty deltas
-    dropped.  Only meaningful when {!is_complete}. *)
+    dropped.  Only meaningful when {!is_complete}; the relations may be
+    ones handed to {!absorb} — do not mutate them. *)
 val collected : collector -> t
 
 (** {2 Validation} *)
@@ -75,7 +80,7 @@ val collected : collector -> t
     [pending] is a collector of net base counts not yet applied to the
     database: each check then sees the stored count plus the pending
     one, the state earlier batches leave.  Folding every normalized batch
-    of a sequence into [pending] ({!record}) validates each batch against
+    of a sequence into [pending] ({!absorb}) validates each batch against
     its prefix and leaves the sequence's net change set in {!collected}
     (durable recovery's net replay).  [pending] is only read here.
     @raise Invalid_changes on violations. *)

@@ -58,7 +58,7 @@ let changed_views report = List.map fst report.view_deltas
     @raise Recursive_program when the program has recursive views — use
     {!Dred} there (Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?(auto = false) ?record (db : Database.t) (changes : Changes.t) :
+let maintain ?(auto = false) ?track (db : Database.t) (changes : Changes.t) :
     report =
   let program = Database.program db in
   (match
@@ -136,5 +136,5 @@ let maintain ?(auto = false) ?record (db : Database.t) (changes : Changes.t) :
       in
       let view_deltas = collect ctx.Delta.full in
       let propagated_deltas = collect ctx.Delta.propagated in
-      ignore (Delta.commit ?record ctx);
+      ignore (Delta.commit ?track ctx);
       { base_deltas = normalized; view_deltas; propagated_deltas })

@@ -36,9 +36,8 @@ val changed_views : report -> string list
 
 (** Apply base-relation changes to [db], incrementally updating every
     materialized view; commits to the stored relations and returns what
-    changed.  [?record pred tup c] observes every applied per-tuple
-    stored-count difference at commit time (the snapshot publisher's
-    net-change feed).  With [~auto:true] ([View_manager]'s [Auto];
+    changed.  [?track] is handed every committed delta whole, at commit
+    time ({!Changes.absorb}: the snapshot publisher's net-change feed).  With [~auto:true] ([View_manager]'s [Auto];
     default [false]) each affected view applies {!Delta.choose} first
     and, when its input delta is large, is re-evaluated
     ({!Delta.reevaluate}) instead: the same [Δ(P)], fresh counts minus
@@ -48,7 +47,7 @@ val changed_views : report -> string list
     @raise Changes.Invalid_changes on malformed change sets. *)
 val maintain :
   ?auto:bool ->
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
+  ?track:Changes.collector ->
   Database.t ->
   Changes.t ->
   report

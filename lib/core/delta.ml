@@ -263,13 +263,14 @@ let derive ctx pred =
       | Some into -> Relation.union_into ~into buf);
   match !out with Some r -> r | None -> empty_rel ctx pred
 
-(** Commit all accumulated full deltas into the stored relations.  Returns
-    the sorted non-empty (pred, full delta) list.  [?record] observes
-    every applied per-tuple difference (exactly [c], since this commit
-    refuses to clamp) — the snapshot publisher's net-change feed.
+(** Commit all accumulated full deltas into the stored relations, one
+    lookup per tuple ({!Relation.patch_count}).  Returns the sorted
+    non-empty (pred, full delta) list.  [?track] is handed each committed
+    delta whole — every count in it is the applied difference, since this
+    commit refuses to clamp — the snapshot publisher's net-change feed.
     @raise Invalid_argument if a committed count would go negative — the
     caller violated Lemma 4.1's precondition. *)
-let commit ?record ctx : (string * Relation.t) list =
+let commit ?track ctx : (string * Relation.t) list =
   let applied = ref [] in
   let cap = Ivm_prov.Prov.capturing () in
   Hashtbl.iter
@@ -278,22 +279,20 @@ let commit ?record ctx : (string * Relation.t) list =
         let stored = Database.relation ctx.db pred in
         Relation.iter
           (fun tup c ->
-            let before = Relation.count stored tup in
-            let c' = before + c in
-            if c' < 0 then
-              invalid_arg
-                (Printf.sprintf
-                   "maintenance drove count of %s%s negative (%d); deletions \
-                    must be a subset of the database"
-                   pred (Tuple.to_string tup) c');
+            let before =
+              try Relation.patch_count stored tup c
+              with Invalid_argument msg ->
+                invalid_arg
+                  (msg ^ " in " ^ pred ^ "; deletions must be a subset of the database")
+            in
             if cap then
+              let c' = before + c in
               if before <= 0 && c' > 0 then
                 Ivm_prov.Prov.on_transition ~pred tup `Derived
               else if before > 0 && c' <= 0 then
-                Ivm_prov.Prov.on_transition ~pred tup `Deleted;
-            (match record with Some f -> f pred tup c | None -> ());
-            Relation.set_count stored tup c')
+                Ivm_prov.Prov.on_transition ~pred tup `Deleted)
           delta;
+        Option.iter (fun col -> Changes.absorb col pred delta) track;
         applied := (pred, delta) :: !applied
       end)
     ctx.full;

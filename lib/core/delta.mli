@@ -83,16 +83,13 @@ val rule_seeds : ctx -> string -> Ivm_eval.Par_eval.seed list
     {!Ivm_eval.Par_eval.round}. *)
 val derive : ctx -> string -> Relation.t
 
-(** Commit all accumulated deltas into the stored relations; returns the
-    non-empty (predicate, delta) pairs, sorted.  [?record pred tup c]
-    observes every applied per-tuple stored-count difference (the
-    snapshot publisher's net-change feed).
+(** Commit all accumulated deltas into the stored relations, one lookup
+    per tuple; returns the non-empty (predicate, delta) pairs, sorted.
+    [?track] is handed each committed delta whole ({!Changes.absorb}):
+    the snapshot publisher's net-change feed.
     @raise Invalid_argument if a count would go negative (the caller
     violated Lemma 4.1's precondition). *)
-val commit :
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
-  ctx ->
-  (string * Relation.t) list
+val commit : ?track:Changes.collector -> ctx -> (string * Relation.t) list
 
 (** {2 Auto's cost rule}
 

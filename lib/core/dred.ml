@@ -465,7 +465,7 @@ type mode = Paper | Counted | Auto
     one-step counts and adds nothing to the overestimate metrics.
     @raise Duplicate_semantics_unsupported under duplicate semantics;
     @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?(mode = Paper) ?record (db : Database.t) (changes : Changes.t) : report =
+let maintain ?(mode = Paper) ?track (db : Database.t) (changes : Changes.t) : report =
   let counted = mode <> Paper and auto = mode = Auto in
   if Database.semantics db = Database.Duplicate_semantics then
     raise Duplicate_semantics_unsupported;
@@ -505,7 +505,7 @@ let maintain ?(mode = Paper) ?record (db : Database.t) (changes : Changes.t) : r
                     if pb > 0 then rederived := (p, pb) :: !rederived)
                   (three_phases ctx ~counted ~stratum unit_name unit_preds)))
         (Program.recursive_units program));
-  ignore (Delta.commit ?record ctx);
+  ignore (Delta.commit ?track ctx);
   {
     base_deltas = normalized;
     view_deltas =

@@ -57,8 +57,8 @@ type mode =
           one-step counts and none of the three phases *)
 
 (** Apply base-relation changes with DRed ([mode], default [Paper]); commits to the stored relations
-    through {!Delta.commit}.  [?record pred tup c] observes every applied
-    per-tuple stored-count difference at commit time.  No count can go
+    through {!Delta.commit}.  [?track] is handed every committed delta
+    whole, at commit time ({!Changes.absorb}).  No count can go
     negative: within its unit, an overdeleted tuple's delta is set to
     −stored once, gets +stored back on putback, and gets +1 only while
     the tuple does not hold.
@@ -67,7 +67,7 @@ type mode =
     @raise Changes.Invalid_changes on malformed change sets. *)
 val maintain :
   ?mode:mode ->
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
+  ?track:Changes.collector ->
   Database.t ->
   Changes.t ->
   report

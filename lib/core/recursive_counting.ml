@@ -98,7 +98,7 @@ let fix_unit ~max_rounds (ctx : Delta.ctx) unit_preds =
 (** Incrementally maintain all views — recursive ones included — with full
     derivation counts.  @raise Divergence when counts cannot converge;
     @raise Invalid_argument under set semantics (use {!Dred}). *)
-let maintain ?(max_rounds = default_max_rounds) ?record (db : Database.t)
+let maintain ?(max_rounds = default_max_rounds) ?track (db : Database.t)
     (changes : Changes.t) : (string * Relation.t) list =
   if Database.semantics db = Database.Set_semantics then
     invalid_arg
@@ -129,7 +129,7 @@ let maintain ?(max_rounds = default_max_rounds) ?record (db : Database.t)
               ~args:(fun () -> [ ("unit", String.concat "," unit_preds) ])
               (fun () -> fix_unit ~max_rounds ctx unit_preds))
         (Program.recursive_units program);
-      Delta.commit ?record ctx)
+      Delta.commit ?track ctx)
 
 (** Materialize a database whose program may be recursive with full
     derivation counts: equivalent to maintaining from an empty database

@@ -17,13 +17,13 @@ val default_max_rounds : int
 
 (** Incrementally maintain all views — recursive ones included — with
     exact derivation counts; commits and returns the applied view deltas.
-    [?record pred tup c] observes every applied per-tuple stored-count
-    difference at commit time (the snapshot publisher's net-change feed).
+    [?track] is handed every committed delta whole, at commit time
+    ({!Changes.absorb}: the snapshot publisher's net-change feed).
     @raise Divergence when counts cannot converge within [max_rounds];
     @raise Invalid_argument under set semantics (use {!Dred}). *)
 val maintain :
   ?max_rounds:int ->
-  ?record:(string -> Ivm_relation.Tuple.t -> int -> unit) ->
+  ?track:Changes.collector ->
   Database.t ->
   Changes.t ->
   (string * Relation.t) list

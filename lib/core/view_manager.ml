@@ -110,25 +110,24 @@ let evaluate algorithm db =
     Only [Auto] enables the cost rule ({!Delta.choose}): each unit whose
     input delta is large is re-evaluated instead of maintained, live and
     in recovery alike; explicit [Counting], [Dred] and [Dred_counted]
-    run their algorithms unchanged.  [track] accumulates every applied
-    stored-count difference at the incremental algorithms' commit sites (a
-    re-evaluated unit commits there too); recomputation rewrites
-    relations wholesale, so it marks [track] incomplete instead and the
-    snapshot publisher falls back to a full copy. *)
+    run their algorithms unchanged.  [track] is handed every delta the
+    incremental algorithms commit, whole (a re-evaluated unit commits
+    there too); recomputation rewrites relations wholesale, so it marks
+    [track] incomplete instead and the snapshot publisher falls back to
+    a full copy. *)
 let maintain ?track algorithm db changes : (string * Relation.t) list =
-  let record = Option.map Changes.record track in
   let auto = algorithm = Auto in
   match resolve algorithm (Database.program db) with
   | Counting -> (
-    let report = Counting.maintain ~auto ?record db changes in
+    let report = Counting.maintain ~auto ?track db changes in
     match Database.semantics db with
     | Database.Set_semantics -> report.Counting.propagated_deltas
     | Database.Duplicate_semantics -> report.Counting.view_deltas)
-  | Dred -> (Dred.maintain ?record db changes).Dred.view_deltas
+  | Dred -> (Dred.maintain ?track db changes).Dred.view_deltas
   | Dred_counted ->
     let mode = if auto then Dred.Auto else Dred.Counted in
-    (Dred.maintain ~mode ?record db changes).Dred.view_deltas
-  | Recursive_counting -> Recursive_counting.maintain ?record db changes
+    (Dred.maintain ~mode ?track db changes).Dred.view_deltas
+  | Recursive_counting -> Recursive_counting.maintain ?track db changes
   | Recompute | Auto ->
     Option.iter Changes.mark_incomplete track;
     (* A recompute invalidates every stored support wholesale; the
@@ -374,7 +373,7 @@ let replay (t : t) (records : Changes.t list) : int option =
     List.iter
       (fun record ->
         List.iter
-          (fun (pred, delta) -> Relation.iter (Changes.record pending pred) delta)
+          (fun (pred, delta) -> Changes.absorb pending pred delta)
           (Changes.normalize_base ~pending t.db record))
       records;
     let net = Changes.collected pending in

@@ -151,8 +151,8 @@ type group_hooks = {
     [hooks], when given, receives per-batch and group stage timings (a
     stage that raises reports nothing, so an [Error] slot's chain simply
     ends where the batch failed).  [track], when given, accumulates the
-    group's exact net stored-count changes — base and derived — via the
-    algorithms' commit-site recording ({!Changes.record}); a batch
+    group's exact net stored-count changes — base and derived — from the
+    deltas the algorithms commit ({!Changes.absorb}); a batch
     maintained by recomputation marks the collector incomplete instead
     (the snapshot publisher then falls back to a full copy). *)
 val apply_group :

@@ -40,23 +40,13 @@ let group_tuple key v = Tuple.append key v
 (* Fold the matching (key, aggregated value, multiplicity) triples of a
    delta or view. *)
 let iter_contributions spec mult ~iter f =
-  let binding = Array.make spec.Compile.gnslots None in
+  let binding = Rule_eval.binding spec.Compile.gnslots
+  and ops = Rule_eval.compile_match ~bound:(fun _ -> false) spec.Compile.gsource.Compile.cargs in
   iter (fun tup c ->
       let c = mult c in
-      if c <> 0 then
-        let undo = ref [] in
-        if Rule_eval.match_pattern binding spec.Compile.gsource.Compile.cargs tup undo
-        then begin
-          let key =
-            Tuple.make
-              (Array.map
-                 (fun s ->
-                   match binding.(s) with Some v -> v | None -> assert false)
-                 spec.Compile.ggroup)
-          in
-          f key (Rule_eval.expr_value binding spec.Compile.garg) c
-        end;
-        Rule_eval.unwind binding !undo)
+      if c <> 0 && Rule_eval.matches binding ops tup then
+        let key = Tuple.make (Array.map (fun s -> binding.(s)) spec.Compile.ggroup) in
+        f key (Rule_eval.expr_value binding spec.Compile.garg) c)
 
 (** Build from the current source relation. *)
 let build ?(mult = fun c -> c) (view : Relation_view.t) (spec : Compile.agg_spec) : t

@@ -19,46 +19,38 @@ open Compile
     contributes [c] times to SUM/COUNT/AVG; under set semantics once. *)
 type mult = int -> int
 
-(* Match a source tuple against the spec pattern; call [k binding] on
-   success.  The binding covers the spec's local slots. *)
-let with_match spec binding tup k =
-  let undo = ref [] in
-  if Rule_eval.match_pattern binding spec.gsource.cargs tup undo then k ();
-  Rule_eval.unwind binding !undo
+(* The spec's pattern, compiled for matching against source tuples
+   with every local slot unbound: each match binds them all afresh. *)
+let source_match spec = Rule_eval.compile_match ~bound:(fun _ -> false) spec.gsource.cargs
 
 (* Group keys are boxed tuples so every table keyed by them shares the
    cached-hash fast path with the storage layer. *)
 module Tbl = Hashtbl.Make (Tuple)
 
-let key_of_binding spec binding =
-  Tuple.make
-    (Array.map
-       (fun s ->
-         match binding.(s) with
-         | Some v -> v
-         | None -> assert false (* group vars occur in the pattern: always bound *))
-       spec.ggroup)
+(* group vars occur in the pattern: always bound after a match *)
+let key_of_binding spec (binding : Value.t array) =
+  Tuple.make (Array.map (fun s -> binding.(s)) spec.ggroup)
 
 (** The grouped relation [T] of [spec] over [view], in full. *)
 let compute ?(mult : mult = fun c -> c) (view : Relation_view.t) (spec : agg_spec) :
     Relation.t =
-  let binding = Array.make spec.gnslots None in
+  let binding = Rule_eval.binding spec.gnslots and ops = source_match spec in
   let states : Agg.state Tbl.t = Tbl.create 64 in
   Relation_view.iter
     (fun tup c ->
       let c = mult c in
-      if c > 0 then
-        with_match spec binding tup (fun () ->
-            let key = key_of_binding spec binding in
-            let st =
-              match Tbl.find_opt states key with
-              | Some st -> st
-              | None ->
-                let st = Agg.create spec.gfn in
-                Tbl.add states key st;
-                st
-            in
-            Agg.update st (Rule_eval.expr_value binding spec.garg) c))
+      if c > 0 && Rule_eval.matches binding ops tup then begin
+        let key = key_of_binding spec binding in
+        let st =
+          match Tbl.find_opt states key with
+          | Some st -> st
+          | None ->
+            let st = Agg.create spec.gfn in
+            Tbl.add states key st;
+            st
+        in
+        Agg.update st (Rule_eval.expr_value binding spec.garg) c
+      end)
     view;
   let out = Relation.create (spec_arity spec) in
   Tbl.iter
@@ -112,24 +104,23 @@ let group_value ?(mult : mult = fun c -> c) view spec (key : Tuple.t) :
   let cols = Array.of_list (List.map fst paired)
   and vals = List.map snd paired in
   let st = Agg.create spec.gfn in
-  let binding = Array.make spec.gnslots None in
+  let binding = Rule_eval.binding spec.gnslots and ops = source_match spec in
   Relation_view.probe view cols (Tuple.of_list vals) (fun tup c ->
       Ivm_obs.Metrics.inc Stats.tuples_scanned_c;
       let c = mult c in
-      if c > 0 then
-        with_match spec binding tup (fun () ->
-            if Tuple.equal (key_of_binding spec binding) key then
-              Agg.update st (Rule_eval.expr_value binding spec.garg) c));
+      if c > 0 && Rule_eval.matches binding ops tup
+         && Tuple.equal (key_of_binding spec binding) key
+      then Agg.update st (Rule_eval.expr_value binding spec.garg) c);
   Agg.value st
 
 (** Distinct group keys occurring in [delta_u] (insertions or deletions). *)
 let affected_keys (delta_u : Relation.t) (spec : agg_spec) : Tuple.t list =
-  let binding = Array.make spec.gnslots None in
+  let binding = Rule_eval.binding spec.gnslots and ops = source_match spec in
   let keys : unit Tbl.t = Tbl.create 16 in
   Relation.iter
     (fun tup _c ->
-      with_match spec binding tup (fun () ->
-          Tbl.replace keys (key_of_binding spec binding) ()))
+      if Rule_eval.matches binding ops tup then
+        Tbl.replace keys (key_of_binding spec binding) ())
     delta_u;
   Tbl.fold (fun k () acc -> k :: acc) keys []
 

@@ -55,15 +55,20 @@ type subgoal_input =
 exception Plan_error of string
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation over a binding                                 *)
+(* Bindings and expression evaluation                                   *)
 (* ------------------------------------------------------------------ *)
 
-let term_value binding = function
+(* A binding is a plain value array; [unbound], a box no tuple or
+   constant shares, marks a slot nothing has bound yet. *)
+let unbound = Value.Str (String.make 1 '\000')
+
+let binding nslots = Array.make nslots unbound
+
+let term_value (binding : Value.t array) = function
   | Cconst c -> c
-  | Cvar s -> (
-    match binding.(s) with
-    | Some v -> v
-    | None -> raise (Plan_error "unbound variable in expression"))
+  | Cvar s ->
+    let v = binding.(s) in
+    if v == unbound then raise (Plan_error "unbound variable in expression") else v
 
 let rec expr_value binding = function
   | Xterm t -> term_value binding t
@@ -84,32 +89,42 @@ let cmp_holds op a b =
   | Ge -> c >= 0
 
 (* ------------------------------------------------------------------ *)
-(* Pattern matching of atom argument vectors against tuples             *)
+(* Compiled matching of atom argument vectors against tuples            *)
 (* ------------------------------------------------------------------ *)
 
-(** [match_pattern binding args tup undo] unifies [tup] with [args],
-    extending [binding] in place.  Returns [true] on success, pushing newly
-    bound slots onto [undo]; on failure the binding may be partially
-    extended — the caller must still unwind [undo]. *)
-let match_pattern binding (args : cterm array) (tup : Tuple.t) undo =
-  let vals = Tuple.to_array tup in
-  let ok = ref true in
-  let i = ref 0 in
-  let n = Array.length args in
-  while !ok && !i < n do
-    (match args.(!i) with
-    | Cconst c -> if not (Value.equal c vals.(!i)) then ok := false
-    | Cvar s -> (
-      match binding.(s) with
-      | Some v -> if not (Value.equal v vals.(!i)) then ok := false
-      | None ->
-        binding.(s) <- Some vals.(!i);
-        undo := s :: !undo));
-    incr i
-  done;
-  !ok
+(* One column of a compiled match.  Which slots are bound when a pattern
+   is matched is known when it is compiled (boundness only grows along a
+   plan), so each column is a constant check, a check against a slot
+   bound earlier, or the binding of its slot — the first occurrence of a
+   variable unbound so far. *)
+type mop = Mconst of int * Value.t | Mslot of int * slot | Mbind of int * slot
 
-let unwind binding undo = List.iter (fun s -> binding.(s) <- None) undo
+let compile_match ~(bound : slot -> bool) (args : cterm array) : mop array =
+  let seen = ref [] in
+  (* [Array.mapi] applies in index order, so [seen] is the prefix's *)
+  Array.mapi
+    (fun i -> function
+      | Cconst v -> Mconst (i, v)
+      | Cvar s when bound s || List.mem s !seen -> Mslot (i, s)
+      | Cvar s ->
+        seen := s :: !seen;
+        Mbind (i, s))
+    args
+
+(* Top level, so a match allocates nothing.  A failed match may leave
+   some of its slots bound: nothing reads them before the next match of
+   the same pattern rebinds them. *)
+let rec match_from (binding : Value.t array) (ops : mop array) (vals : Value.t array) i =
+  i >= Array.length ops
+  || (match ops.(i) with
+     | Mconst (p, v) -> Value.equal v vals.(p)
+     | Mslot (p, s) -> Value.equal binding.(s) vals.(p)
+     | Mbind (p, s) ->
+       binding.(s) <- vals.(p);
+       true)
+     && match_from binding ops vals (i + 1)
+
+let matches binding ops (tup : Tuple.t) = match_from binding ops tup.vals 0
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                                *)
@@ -120,12 +135,12 @@ type filler = Fconst of Value.t | Fslot of slot
 
 (* One join step, probe-compiled: [j_fill.(p)] fills [j_buf.(p)] for the
    bound column [p] of the key; [j_probe] is the access path resolved at
-   plan-build time.  The key tuple handed to [run_probe] wraps [j_buf]
-   transiently — probes never retain the key (they hand back stored
-   tuples), so the buffer is refilled for the next binding without
-   reallocating. *)
+   plan-build time; [j_match] checks and binds each probed tuple.  The
+   key tuple handed to the probe wraps [j_buf] transiently — probes
+   never retain the key (they hand back stored tuples), so the buffer is
+   refilled for the next binding without reallocating. *)
 type cjoin = {
-  j_args : cterm array;
+  j_match : mop array;
   j_probe : Relation_view.prepared;
   j_fill : filler array;
   j_buf : Value.t array;
@@ -179,7 +194,7 @@ let compile_join bound (args : cterm array) view xform =
   let cols = Array.of_list (List.map fst !fills) in
   let fill = Array.of_list (List.map snd !fills) in
   {
-    j_args = args;
+    j_match = compile_match ~bound:(fun s -> bound.(s)) args;
     j_probe = Relation_view.prepare_probe view cols;
     j_fill = fill;
     j_buf = Array.make (Array.length fill) buf_dummy;
@@ -309,15 +324,9 @@ let build_plan ?seed ~(inputs : int -> subgoal_input) (cr : Compile.t) : step li
 (* Execution                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let slot_value binding s =
-  match binding.(s) with
-  | Some v -> v
-  | None -> raise (Plan_error "unbound slot at execution")
-
-let fill_buf binding (fill : filler array) (buf : Value.t array) =
+let fill_buf (binding : Value.t array) (fill : filler array) (buf : Value.t array) =
   for p = 0 to Array.length fill - 1 do
-    buf.(p) <-
-      (match fill.(p) with Fconst v -> v | Fslot s -> slot_value binding s)
+    buf.(p) <- (match fill.(p) with Fconst v -> v | Fslot s -> binding.(s))
   done
 
 (* Each position's input is asked for once per evaluation: the planner
@@ -350,7 +359,7 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
     cr.clits;
   if not !empty_input then begin
     let plan = Array.of_list (build_plan ?seed ~inputs cr) in
-    let binding = Array.make cr.nslots None in
+    let binding = binding cr.nslots in
     let nsteps = Array.length plan in
     (* Provenance capture, hoisted to one load per evaluation: when off,
        the emission path below pays a single boolean test. *)
@@ -360,21 +369,29 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
       for j = Array.length cr.clits - 1 downto 0 do
         match cr.clits.(j) with
         | Catom a ->
-          let vals =
-            Array.map
-              (function Cconst v -> v | Cvar s -> slot_value binding s)
-              a.cargs
-          in
+          let vals = Array.map (function Cconst v -> v | Cvar s -> binding.(s)) a.cargs in
           subs := (a.cpred, Tuple.make vals) :: !subs
         | Cneg _ | Cagg _ | Ccmp _ -> ()
       done;
       Ivm_prov.Prov.record ~pred:cr.head_pred ~rule:cr.name ~head ~count:cnt
         ~subgoals:!subs
     in
+    let head () =
+      let vals = Array.make (Array.length cr.chead) unbound in
+      for i = 0 to Array.length vals - 1 do
+        vals.(i) <- expr_value binding cr.chead.(i)
+      done;
+      Tuple.make vals
+    in
+    (* [counts.(k)] is the derivation count entering step [k], and
+       [probes.(k)] step [k]'s probe with its per-tuple continuation, both
+       built once per evaluation: a probe allocates no closure. *)
+    let counts = Array.make (nsteps + 1) 0 in
+    let probes = Array.make nsteps (fun (_ : Tuple.t) -> ()) in
     let rec run k cnt =
       if cnt <> 0 then
         if k = nsteps then begin
-          let head = Tuple.make (Array.map (expr_value binding) cr.chead) in
+          let head = head () in
           Ivm_obs.Metrics.inc Stats.derivations_c;
           if cap then record_support head cnt;
           emit head cnt
@@ -383,20 +400,12 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
           match plan.(k) with
           | Sjoin j ->
             fill_buf binding j.j_fill j.j_buf;
+            counts.(k) <- cnt;
+            Ivm_obs.Metrics.inc Stats.probes_c;
             (* Transient key over the reusable buffer: probes look the key
                up but only ever hand back stored tuples, so the buffer can
                be refilled for the next binding. *)
-            let key = Tuple.make j.j_buf in
-            Ivm_obs.Metrics.inc Stats.probes_c;
-            Relation_view.run_probe j.j_probe key (fun tup c ->
-                Ivm_obs.Metrics.inc Stats.tuples_scanned_c;
-                let c = j.j_xform c in
-                if c <> 0 then begin
-                  let undo = ref [] in
-                  if match_pattern binding j.j_args tup undo then
-                    run (k + 1) (cnt * c);
-                  unwind binding !undo
-                end)
+            probes.(k) (Tuple.make j.j_buf)
           | Sneg ng ->
             fill_buf binding ng.n_fill ng.n_buf;
             Ivm_obs.Metrics.inc Stats.probes_c;
@@ -406,10 +415,20 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
             if cmp_holds op (expr_value binding a) (expr_value binding b) then
               run (k + 1) cnt
           | Sbind (s, e) ->
-            binding.(s) <- Some (expr_value binding e);
-            run (k + 1) cnt;
-            binding.(s) <- None
+            binding.(s) <- expr_value binding e;
+            run (k + 1) cnt
     in
+    Array.iteri
+      (fun k step ->
+        match step with
+        | Sjoin j ->
+          probes.(k) <-
+            Relation_view.prober j.j_probe (fun tup c ->
+                Ivm_obs.Metrics.inc Stats.tuples_scanned_c;
+                let c = j.j_xform c in
+                if c <> 0 && matches binding j.j_match tup then run (k + 1) (counts.(k) * c))
+        | Sneg _ | Scmp _ | Sbind _ -> ())
+      plan;
     run 0 1
   end
 

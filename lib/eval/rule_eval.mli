@@ -46,19 +46,33 @@ type subgoal_input =
 
 exception Plan_error of string
 
+(** {2 Bindings}
+
+    A binding is a plain [Value.t array] indexed by slot; a box no tuple
+    or constant shares marks a slot not yet bound. *)
+
+(** [binding n]: [n] unbound slots. *)
+val binding : int -> Value.t array
+
 (** Value of a compiled expression under a binding.
     @raise Plan_error on an unbound variable. *)
-val expr_value : Value.t option array -> Compile.cexpr -> Value.t
+val expr_value : Value.t array -> Compile.cexpr -> Value.t
 
 val cmp_holds : Ivm_datalog.Ast.cmp_op -> Value.t -> Value.t -> bool
 
-(** Unify a tuple against an argument pattern, extending [binding] in
-    place; newly bound slots are pushed on [undo].  On [false] the caller
-    must still {!unwind}. *)
-val match_pattern :
-  Value.t option array -> Compile.cterm array -> Tuple.t -> int list ref -> bool
+(** One column of a compiled match: check it against a constant, check
+    it against a slot already bound, or bind its slot. *)
+type mop = Mconst of int * Value.t | Mslot of int * Compile.slot | Mbind of int * Compile.slot
 
-val unwind : Value.t option array -> int list -> unit
+(** [compile_match ~bound args] compiles the pattern [args] for matching
+    when exactly the slots satisfying [bound] are bound: the first
+    occurrence of any other variable binds it, later ones check it. *)
+val compile_match : bound:(Compile.slot -> bool) -> Compile.cterm array -> mop array
+
+(** [matches binding ops tup] runs the compiled match, binding slots in
+    place; it allocates nothing.  A failed match may leave some of its
+    slots bound; matching the same pattern again rebinds them. *)
+val matches : Value.t array -> mop array -> Tuple.t -> bool
 
 (** Evaluate the body of a compiled rule, calling [emit head count] once
     per derivation (the caller accumulates with [⊎]).  [seed] is the body

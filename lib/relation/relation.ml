@@ -1,5 +1,3 @@
-module Tbl = Hashtbl.Make (Tuple)
-
 (* One stored tuple with its live derivation count, and the main table's
    hash-chain node for it: the tuple's cached hash sits beside the link,
    so a lookup compares hashes without touching a non-matching tuple, and
@@ -19,9 +17,40 @@ type entry = {
    is what a failed lookup returns (count 0).  It is never written. *)
 let rec empty = { etup = Tuple.of_list []; ehash = 0; ecount = 0; enext = empty }
 
-(* An index maps the projection of a tuple on [cols] to the bucket of
-   entries having that projection. *)
-type index = { cols : int array; buckets : entry Tbl.t Tbl.t }
+(* One member of an index group: an entry's chain node in the group. *)
+type member = { ment : entry; mutable mnext : member }
+
+let rec no_member = { ment = empty; mnext = no_member }
+
+(* The entries of one index that share a projection on its columns.  A
+   group lays its members out exactly as the [Hashtbl.Make (Tuple)]
+   bucket table it replaces did — 16 buckets at first, bucket
+   [ehash land (len - 1)], head insertion, an order-keeping doubling once
+   [size > 2 × len], first-match removal — so a probe enumerates the
+   group in the order earlier releases did.  [gkey] is the tuple that
+   created the group (its projection is the key, compared column by
+   column) and [ghash] is [Tuple.hash] of that projection, so a group is
+   found from a stored tuple or a probe key without building one.  An
+   emptied group is unlinked; re-created, it starts at 16 buckets. *)
+type group = {
+  gkey : Tuple.t;
+  ghash : int;
+  mutable gsize : int;
+  mutable gdata : member array;
+  mutable gnext : group;
+}
+
+let rec no_group =
+  { gkey = Tuple.of_list []; ghash = 0; gsize = 0; gdata = [||]; gnext = no_group }
+
+(* An index chains its groups by projection hash, in a table that
+   doubles once [ngroups > 2 × len]. *)
+type index = {
+  cols : int array;
+  kpos : int array;  (** [0, 1, …]: where a probe key holds each column *)
+  mutable ngroups : int;
+  mutable groups : group array;
+}
 
 (* The main table is laid out exactly as [Hashtbl.Make (Tuple)] would lay
    it out — bucket [hash land (len - 1)], initial length
@@ -85,7 +114,14 @@ let rec fold_chain f e acc =
     let next = e.enext in
     fold_chain f next (f e.etup e.ecount acc)
 
-let iter f r = iter_entries (fun e -> f e.etup e.ecount) r
+let rec iter_tuples f e =
+  if e != empty then begin
+    let next = e.enext in
+    f e.etup e.ecount;
+    iter_tuples f next
+  end
+
+let iter f r = Array.iter (iter_tuples f) r.data
 let fold f r init = Array.fold_left (fun acc e -> fold_chain f e acc) init r.data
 
 (** Number of demand-built secondary indexes currently attached (for the
@@ -103,45 +139,93 @@ let cols_equal (a : int array) (b : int array) =
       let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
       go 0)
 
-let index_insert idx e =
-  let key = Tuple.project idx.cols e.etup in
-  let bucket =
-    match Tbl.find_opt idx.buckets key with
-    | Some b -> b
-    | None ->
-      let b = Tbl.create 4 in
-      Tbl.add idx.buckets key b;
-      b
-  in
-  Tbl.replace bucket e.etup e
+(* A group's key is [vals] read at [at]: a stored tuple's columns
+   ([at = cols]) or a probe key's ([at = kpos], its positions). *)
+let rec key_is cols (k : Value.t array) at (vals : Value.t array) i =
+  i >= Array.length cols
+  || (Value.equal k.(cols.(i)) vals.(at.(i)) && key_is cols k at vals (i + 1))
 
-let index_remove idx t =
-  let key = Tuple.project idx.cols t in
-  match Tbl.find_opt idx.buckets key with
-  | None -> ()
-  | Some b ->
-    Tbl.remove b t;
-    if Tbl.length b = 0 then Tbl.remove idx.buckets key
+let rec find_group cols h at vals g =
+  if g == no_group || (g.ghash = h && key_is cols g.gkey.vals at vals 0) then g
+  else find_group cols h at vals g.gnext
+
+(* [Hashtbl]'s resize, for member and group chains alike: double the
+   bucket array and append each chain's nodes, in order, to the tails of
+   their new buckets. *)
+let relink data ~none ~hash ~next ~set_next =
+  let n = Array.length data * 2 in
+  let out = Array.make n none and tails = Array.make n none in
+  let rec walk x =
+    if x != none then begin
+      let nx = next x and j = hash x land (n - 1) in
+      if tails.(j) == none then out.(j) <- x else set_next tails.(j) x;
+      tails.(j) <- x;
+      walk nx
+    end
+  in
+  Array.iter walk data;
+  Array.iter (fun x -> if x != none then set_next x none) tails;
+  out
+
+let index_insert idx e =
+  let h = Tuple.hash_cols idx.cols e.etup and d = idx.groups in
+  let i = h land (Array.length d - 1) in
+  let g = find_group idx.cols h idx.cols e.etup.vals d.(i) in
+  let g =
+    if g != no_group then g
+    else begin
+      let g =
+        { gkey = e.etup; ghash = h; gsize = 0; gdata = Array.make 16 no_member; gnext = d.(i) }
+      in
+      d.(i) <- g;
+      idx.ngroups <- idx.ngroups + 1;
+      if idx.ngroups > Array.length d lsl 1 then
+        idx.groups <-
+          relink d ~none:no_group ~hash:(fun g -> g.ghash) ~next:(fun g -> g.gnext)
+            ~set_next:(fun g x -> g.gnext <- x);
+      g
+    end
+  in
+  let gd = g.gdata in
+  let j = e.ehash land (Array.length gd - 1) in
+  gd.(j) <- { ment = e; mnext = gd.(j) };
+  g.gsize <- g.gsize + 1;
+  if g.gsize > Array.length gd lsl 1 then
+    g.gdata <-
+      relink gd ~none:no_member ~hash:(fun m -> m.ment.ehash) ~next:(fun m -> m.mnext)
+        ~set_next:(fun m x -> m.mnext <- x)
+
+(* First-match removal of [e]'s member from chain [j] of [gd]. *)
+let rec unlink_member gd j e prev m =
+  if m == no_member then false
+  else if m.ment != e then unlink_member gd j e m m.mnext
+  else begin
+    if prev == no_member then gd.(j) <- m.mnext else prev.mnext <- m.mnext;
+    true
+  end
+
+let rec unlink_group d i g prev x =
+  if x == g then (if prev == no_group then d.(i) <- g.gnext else prev.gnext <- g.gnext)
+  else unlink_group d i g x x.gnext
+
+let index_remove idx e =
+  let h = Tuple.hash_cols idx.cols e.etup and d = idx.groups in
+  let i = h land (Array.length d - 1) in
+  let g = find_group idx.cols h idx.cols e.etup.vals d.(i) in
+  let gd = g.gdata and j = e.ehash land (Array.length g.gdata - 1) in
+  if g != no_group && unlink_member gd j e no_member gd.(j) then begin
+    g.gsize <- g.gsize - 1;
+    if g.gsize = 0 then begin
+      unlink_group d i g no_group d.(i);
+      idx.ngroups <- idx.ngroups - 1
+    end
+  end
 
 let check_arity r t =
   if Tuple.arity t <> r.arity then
     invalid_arg
       (Printf.sprintf "Relation: arity mismatch (expected %d, got %d in %s)"
          r.arity (Tuple.arity t) (Tuple.to_string t))
-
-(* [Hashtbl]'s resize: double the bucket array and append each chain's
-   entries, in order, to the tails of their new buckets. *)
-let resize r =
-  let n = Array.length r.data * 2 in
-  let data = Array.make n empty and tails = Array.make n empty in
-  Array.iter
-    (iter_chain (fun e ->
-         let j = e.ehash land (n - 1) in
-         if tails.(j) == empty then data.(j) <- e else tails.(j).enext <- e;
-         tails.(j) <- e))
-    r.data;
-  Array.iter (fun e -> if e != empty then e.enext <- empty) tails;
-  r.data <- data
 
 (* Head insertion of a fresh entry for [t], absent from [r]. *)
 let link r t c =
@@ -150,12 +234,22 @@ let link r t c =
   let e = { etup = t; ehash = h; ecount = c; enext = d.(i) } in
   d.(i) <- e;
   r.size <- r.size + 1;
-  if r.size > Array.length d lsl 1 then resize r;
+  if r.size > Array.length d lsl 1 then
+    r.data <-
+      relink d ~none:empty ~hash:(fun e -> e.ehash) ~next:(fun e -> e.enext)
+        ~set_next:(fun e x -> e.enext <- x);
   e
+
+(* [f idx e] for every attached index, with no closure per tuple. *)
+let rec each_index f e = function
+  | [] -> ()
+  | idx :: rest ->
+    f idx e;
+    each_index f e rest
 
 let insert_entry r t c =
   let e = link r t c in
-  List.iter (fun idx -> index_insert idx e) (Atomic.get r.indexes)
+  each_index index_insert e (Atomic.get r.indexes)
 
 let rec unlink d i e prev x =
   if x == e then (if prev == empty then d.(i) <- e.enext else prev.enext <- e.enext)
@@ -166,7 +260,7 @@ let remove_entry r e =
   let i = e.ehash land (Array.length d - 1) in
   unlink d i e empty d.(i);
   r.size <- r.size - 1;
-  List.iter (fun idx -> index_remove idx e.etup) (Atomic.get r.indexes)
+  each_index index_remove e (Atomic.get r.indexes)
 
 let set_count r t c =
   check_arity r t;
@@ -197,19 +291,24 @@ let remove r t = set_count r t 0
    committed to the live database, so a negative here means the publisher
    and the live store have diverged and the snapshot can no longer be
    trusted. *)
-let patch r t c =
-  if c <> 0 then begin
+let patch_count r t c =
+  if c = 0 then count r t
+  else begin
     check_arity r t;
     let e = lookup r t in
-    let c' = e.ecount + c in
+    let before = e.ecount in
+    let c' = before + c in
     if c' < 0 then
       invalid_arg
         (Printf.sprintf "Relation.patch: count would go negative (%d%+d) for %s"
-           e.ecount c (Tuple.to_string t));
+           before c (Tuple.to_string t));
     if e == empty then insert_entry r t c
     else if c' = 0 then remove_entry r e
-    else e.ecount <- c'
+    else e.ecount <- c';
+    before
   end
+
+let patch r t c = ignore (patch_count r t c : int)
 
 exception Found
 
@@ -230,7 +329,10 @@ let clear r =
 let index_builds_c = Ivm_obs.Metrics.counter "ivm_index_builds_total"
 
 let build_index r cols =
-  let idx = { cols; buckets = Tbl.create (max 16 (cardinal r)) } in
+  let idx =
+    { cols; kpos = Array.init (Array.length cols) Fun.id; ngroups = 0;
+      groups = Array.make (power_2_above 16 (cardinal r)) no_group }
+  in
   iter_entries (index_insert idx) r;
   idx
 
@@ -355,16 +457,26 @@ let probe_handle r cols =
   else if natural_full r cols then { hrel = r; hkind = Kdirect }
   else { hrel = r; hkind = Kindex (get_index r cols) }
 
+(* Like [iter_chain], the next link is read before [f] runs. *)
+let rec iter_members f m =
+  if m != no_member then begin
+    let next = m.mnext in
+    f m.ment.etup m.ment.ecount;
+    iter_members f next
+  end
+
 let probe_via h key f =
   match h.hkind with
   | Kscan -> iter f h.hrel
   | Kdirect ->
     let e = lookup h.hrel key in
     if e != empty then f e.etup e.ecount
-  | Kindex idx -> (
-    match Tbl.find_opt idx.buckets key with
-    | None -> ()
-    | Some bucket -> Tbl.iter (fun _ e -> f e.etup e.ecount) bucket)
+  | Kindex idx ->
+    let h = Tuple.hash key and d = idx.groups in
+    let gd = (find_group idx.cols h idx.kpos key.vals d.(h land (Array.length d - 1))).gdata in
+    for i = 0 to Array.length gd - 1 do
+      iter_members f gd.(i)
+    done
 
 let probe r cols key f = probe_via (probe_handle r cols) key f
 

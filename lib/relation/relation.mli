@@ -62,6 +62,10 @@ val set_count : t -> Tuple.t -> int -> unit
     count. *)
 val patch : t -> Tuple.t -> int -> unit
 
+(** [patch_count r t c] is [patch r t c], returning [t]'s count before:
+    one lookup for a commit that must also see the transition. *)
+val patch_count : t -> Tuple.t -> int -> int
+
 (** [remove r t] deletes the tuple outright, whatever its count. *)
 val remove : t -> Tuple.t -> unit
 

@@ -52,17 +52,19 @@ let prepare_probe v cols =
         hbase = Relation.probe_handle base cols;
         hdelta = Relation.probe_handle delta cols }
 
-let run_probe p key f =
+let prober p f =
   match p with
-  | Pconcrete h -> Relation.probe_via h key f
+  | Pconcrete h -> fun key -> Relation.probe_via h key f
   | Poverlay { base; delta; hbase; hdelta } ->
-    Relation.probe_via hbase key (fun t c ->
-        let c = c + Relation.count delta t in
-        if c <> 0 then f t c);
-    Relation.probe_via hdelta key (fun t c ->
-        if not (Relation.mem base t) && c <> 0 then f t c)
+    let on_base t c =
+      let c = c + Relation.count delta t in
+      if c <> 0 then f t c
+    and on_delta t c = if not (Relation.mem base t) && c <> 0 then f t c in
+    fun key ->
+      Relation.probe_via hbase key on_base;
+      Relation.probe_via hdelta key on_delta
 
-let probe v cols key f = run_probe (prepare_probe v cols) key f
+let probe v cols key f = prober (prepare_probe v cols) f key
 
 let cardinal_estimate = function
   | Concrete r -> Relation.cardinal r

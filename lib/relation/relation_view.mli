@@ -38,13 +38,15 @@ type prepared
 
 val prepare_probe : t -> int array -> prepared
 
-(** [run_probe p key f] reports each visible tuple matching [key] exactly
-    once with its effective count.  [f] receives stored tuples, never
-    [key], so [key]'s buffer may be reused across calls. *)
-val run_probe : prepared -> Tuple.t -> (Tuple.t -> int -> unit) -> unit
+(** [prober p f] is the probe that reports each visible tuple matching
+    its key exactly once, with its effective count, to [f]; built once
+    and applied per key, it allocates no closure per call.  [f] receives
+    stored tuples, never the key, so the key's buffer may be reused
+    across calls. *)
+val prober : prepared -> (Tuple.t -> int -> unit) -> Tuple.t -> unit
 
 (** Index-assisted scan of tuples matching [key] on [cols] — the one-shot
-    [run_probe (prepare_probe v cols)]; each visible tuple reported once. *)
+    [prober (prepare_probe v cols)]; each visible tuple reported once. *)
 val probe : t -> int array -> Tuple.t -> (Tuple.t -> int -> unit) -> unit
 
 (** Distinct visible tuples (exact for [Concrete], an upper bound for

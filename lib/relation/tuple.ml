@@ -12,6 +12,14 @@ let hash_vals vals =
 
 let make vals = { vals; hash = hash_vals vals }
 
+(* [hash_vals] of the projection on [cols], without building it. *)
+let hash_cols cols t =
+  let h = ref (Array.length cols) in
+  for i = 0 to Array.length cols - 1 do
+    h := (!h * 31) + Value.hash t.vals.(cols.(i))
+  done;
+  !h land max_int
+
 let arity t = Array.length t.vals
 let get t i = t.vals.(i)
 let hash t = t.hash

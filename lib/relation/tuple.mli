@@ -27,6 +27,10 @@ val equal : t -> t -> bool
 (** The hash cached at construction. *)
 val hash : t -> int
 
+(** [hash_cols cols t] is [hash (project cols t)], computed without
+    building the projection. *)
+val hash_cols : int array -> t -> int
+
 val of_list : Value.t list -> t
 val to_list : t -> Value.t list
 

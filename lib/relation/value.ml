@@ -24,7 +24,7 @@ let compare a b =
   | Float x, Int y -> Float.compare x (float_of_int y)
   | _ -> Int.compare (kind_rank a) (kind_rank b)
 
-(* The equality hot path: [match_pattern] compares a bound value against
+(* The equality hot path: a compiled match compares a bound value against
    every scanned tuple's column.  Physical equality first — interned
    strings ({!str}) and values copied out of stored tuples share boxes, so
    the fallback structural walk runs only on genuinely distinct values or

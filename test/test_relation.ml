@@ -325,6 +325,172 @@ let same_layout_as_hashtbl (ops, tail) =
   List.iter step tail;
   !ok && same_layout !r !m && same_sorted !r !m
 
+(* ---------------- index layout ---------------- *)
+
+(* Every secondary-index group must keep the layout of the
+   [Hashtbl.Make (Tuple)] bucket it replaced, so a probe enumerates a
+   group in the order earlier releases did.  A relation indexed on
+   [|0|], [|1|] and [|1;0|] runs beside a reference of that structure —
+   a main [Ref_tbl] plus, per index, a table from projection to a table
+   of the group's tuples — through random adds, sets, removes, patches,
+   unions and copies.  Half the fresh tuples share column 0, so that
+   group passes two doublings (more than 64 members); keys re-use
+   earlier tuples as the [Float]s that tie with their [Int]s; every
+   group is probed, by its key and by its tied twin, and so are the
+   keys of groups that have emptied.  Then the big group is emptied and
+   re-created, and the relation cleared and re-indexed. *)
+let index_cols = [ [| 0 |]; [| 1 |]; [| 1; 0 |] ]
+
+type ref_rel = { m : int ref Ref_tbl.t; ixs : (int array * unit Ref_tbl.t Ref_tbl.t) list }
+
+let ref_rel n = { m = Ref_tbl.create n; ixs = List.map (fun c -> (c, Ref_tbl.create 16)) index_cols }
+
+let ref_link rr t =
+  List.iter
+    (fun (cols, ix) ->
+      let key = Tuple.project cols t in
+      match Ref_tbl.find_opt ix key with
+      | Some g -> Ref_tbl.replace g t ()
+      | None ->
+        let g = Ref_tbl.create 4 in
+        Ref_tbl.add ix key g;
+        Ref_tbl.replace g t ())
+    rr.ixs
+
+let ref_unlink rr t =
+  List.iter
+    (fun (cols, ix) ->
+      let key = Tuple.project cols t in
+      match Ref_tbl.find_opt ix key with
+      | None -> ()
+      | Some g ->
+        Ref_tbl.remove g t;
+        if Ref_tbl.length g = 0 then Ref_tbl.remove ix key)
+    rr.ixs
+
+let ref_set rr t c =
+  match Ref_tbl.find_opt rr.m t with
+  | Some _ when c = 0 ->
+    Ref_tbl.remove rr.m t;
+    ref_unlink rr t
+  | Some n -> n := c
+  | None when c = 0 -> ()
+  | None ->
+    Ref_tbl.add rr.m t (ref c);
+    ref_link rr t
+
+let ref_count rr t = match Ref_tbl.find_opt rr.m t with Some n -> !n | None -> 0
+
+(* A copy, as [Relation.copy] makes it: the main table refilled in
+   iteration order, then each index rebuilt in the copy's order. *)
+let ref_rel_copy rr =
+  let out = ref_rel (Ref_tbl.length rr.m) in
+  Ref_tbl.iter (fun t n -> Ref_tbl.replace out.m t (ref !n)) rr.m;
+  Ref_tbl.iter (fun t _ -> ref_link out t) out.m;
+  out
+
+let twin = function Value.Int i -> Value.float (float_of_int i) | v -> v
+
+let same_probes r rr pool =
+  let ok = ref (Relation.index_count r = List.length index_cols) in
+  List.iter
+    (fun (cols, ix) ->
+      let keys = Ref_tbl.create 256 in
+      List.iter (fun t -> Ref_tbl.replace keys (Tuple.project cols t) ()) pool;
+      Ref_tbl.iter (fun key _ -> Ref_tbl.replace keys key ()) ix;
+      Ref_tbl.iter
+        (fun key () ->
+          let want =
+            match Ref_tbl.find_opt ix key with
+            | None -> []
+            | Some g ->
+              Ref_tbl.fold (fun t () acc -> (Tuple.to_array t, ref_count rr t) :: acc) g []
+          in
+          List.iter
+            (fun key ->
+              let got = ref [] in
+              Relation.probe r cols key (fun t c -> got := (Tuple.to_array t, c) :: !got);
+              ok := !ok && !got = want)
+            [ key; Tuple.map twin key ])
+        keys)
+    rr.ixs;
+  !ok
+
+let index_layout_as_nested_hashtbl (ops, tail) =
+  let r = Relation.create 2 and rr = ref (ref_rel 64) in
+  List.iter (Relation.ensure_index r) index_cols;
+  let r = ref r and pool = ref [] and n_pool = ref 0 and ok = ref true in
+  let key op sel tie =
+    let fresh = if op = Add then sel land 3 <> 0 else sel land 3 = 0 in
+    if !n_pool = 0 || fresh then begin
+      let a = if sel land 4 = 0 then 7 else sel / 8 mod 40 in
+      let t = Tuple.of_ints [ a; sel / 320 mod 600 ] in
+      pool := t :: !pool;
+      incr n_pool;
+      t
+    end
+    else
+      let t = List.nth !pool (sel / 4 mod !n_pool) in
+      if tie then Tuple.map twin t else t
+  in
+  let step (op, sel, tie, c) =
+    let t = key op sel tie in
+    (match op with
+    | Add ->
+      Relation.add !r t c;
+      ref_set !rr t (ref_count !rr t + c)
+    | Set ->
+      Relation.set_count !r t c;
+      ref_set !rr t c
+    | Remove ->
+      Relation.remove !r t;
+      ref_set !rr t 0
+    | Patch -> (
+      let before = ref_count !rr t in
+      match Relation.patch !r t c with
+      | () -> ref_set !rr t (before + c)
+      | exception Invalid_argument _ -> if c = 0 || before + c >= 0 then ok := false)
+    | Union ->
+      let l = List.init (1 + (sel mod 20)) (fun i -> (key Add (sel + (i * 5)) tie, c + i - 9)) in
+      Relation.union_into ~into:!r (Relation.of_list 2 l);
+      (* applied in the other relation's order, as [union_into] does *)
+      let other = Ref_tbl.create (List.length l) in
+      List.iter (fun (t, c) -> ref_add other t c) l;
+      Ref_tbl.iter (fun t n -> ref_set !rr t (ref_count !rr t + !n)) other
+    | Copy ->
+      r := Relation.copy !r;
+      rr := ref_rel_copy !rr);
+    if op = Copy || sel mod 256 = 0 then ok := !ok && same_probes !r !rr !pool
+  in
+  List.iter step ops;
+  ok := !ok && same_probes !r !rr !pool;
+  (* the big group: past two doublings, then emptied and re-created *)
+  let seven = Tuple.of_ints [ 7 ] and members = ref [] in
+  Relation.probe !r [| 0 |] seven (fun t _ -> members := t :: !members);
+  ok := !ok && List.length !members > 64;
+  List.iter
+    (fun t ->
+      Relation.remove !r t;
+      ref_set !rr t 0)
+    !members;
+  Relation.probe !r [| 0 |] seven (fun _ _ -> ok := false);
+  ok := !ok && same_probes !r !rr !pool;
+  List.iteri
+    (fun i t ->
+      if i mod 3 = 0 then begin
+        Relation.add !r t 2;
+        ref_set !rr t 2
+      end)
+    !members;
+  ok := !ok && same_probes !r !rr !pool;
+  Relation.clear !r;
+  Ref_tbl.reset !rr.m;
+  rr := { !rr with ixs = (ref_rel 0).ixs };
+  ok := !ok && Relation.index_count !r = 0;
+  List.iter (Relation.ensure_index !r) index_cols;
+  List.iter step tail;
+  !ok && same_probes !r !rr !pool
+
 let suite =
   [
     quick "value compare/equal/hash" value_compare;
@@ -347,4 +513,8 @@ let suite =
       (QCheck.Test.make ~count:20
          ~name:"main table keeps Hashtbl.Make (Tuple)'s layout"
          (QCheck.make layout_case_gen) same_layout_as_hashtbl);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:20
+         ~name:"indexes keep nested Hashtbl.Make (Tuple)'s probe order"
+         (QCheck.make layout_case_gen) index_layout_as_nested_hashtbl);
   ]

@@ -526,6 +526,56 @@ let test_sets_untouched () =
         set before)
     [ ("insert group", inserted); ("delete group", deleted) ]
 
+(* ---------------- collector: whole relations, copy-on-write -------- *)
+
+(* A two-batch group whose batches both change [hop] (batch 2 restores
+   the [link] batch 1 deletes, so part of [hop] nets out).  The
+   collector adopts batch 1's committed [hop] delta and must copy it
+   before merging batch 2's: batch 1's returned deltas must equal what
+   batch 1 returns on its own, and the collected set must be the ⊎ of
+   both commits — stored counts after the group less those before it,
+   tuple by tuple. *)
+let test_collector_two_batches () =
+  List.iter
+    (fun (label, semantics, algorithm) ->
+      let src = "hop(X,Y) :- link(X,Z), link(Z,Y). link(1,2). link(2,3). link(3,4)." in
+      let vm = Vm.of_source ~semantics ~algorithm src
+      and alone = Vm.of_source ~semantics ~algorithm src in
+      let batch xs =
+        Changes.of_list (Vm.program vm)
+          [ ("link", List.map (fun (x, y, c) -> (Tuple.of_ints [ x; y ], c)) xs) ]
+      in
+      let b1 = batch [ (0, 1, 1); (2, 3, -1) ] and b2 = batch [ (4, 5, 1); (2, 3, 1) ] in
+      let preds = Ivm_datalog.Program.(base_preds (Vm.program vm) @ derived_preds (Vm.program vm)) in
+      let before = List.map (fun p -> (p, Relation.copy (Vm.relation vm p))) preds in
+      let track = Changes.collector () in
+      let d1, d2 =
+        match Vm.apply_group ~track vm [ b1; b2 ] with
+        | [ Ok d1; Ok d2 ] -> (d1, d2)
+        | _ -> Alcotest.fail "apply_group failed"
+      in
+      let rows d = List.map (fun (p, r) -> (p, Relation.to_sorted_list r)) d in
+      Alcotest.(check bool) (label ^ ": both batches change hop") true
+        (List.mem_assoc "hop" d1 && List.mem_assoc "hop" d2);
+      Alcotest.(check bool) (label ^ ": batch 1's deltas unchanged by batch 2") true
+        (rows d1 = rows (Vm.apply alone b1));
+      let commits =
+        List.filter_map
+          (fun (p, old) ->
+            let net = Relation.create (Relation.arity old) in
+            Relation.iter (fun t c -> Relation.add net t c) (Vm.relation vm p);
+            Relation.iter (fun t c -> Relation.add net t (-c)) old;
+            if Relation.is_empty net then None else Some (p, net))
+          before
+        |> List.sort (fun (p, _) (q, _) -> String.compare p q)
+      in
+      Alcotest.(check bool) (label ^ ": collected = ⊎ of both commits") true
+        (rows (Changes.collected track) = rows commits))
+    [
+      ("counting, duplicates", Database.Duplicate_semantics, Vm.Counting);
+      ("dred-counted", Database.Set_semantics, Vm.Dred_counted);
+    ]
+
 let suite =
   [
     Alcotest.test_case "Relation.patch guards negative counts" `Quick
@@ -544,4 +594,6 @@ let suite =
       test_sets_untouched;
     Alcotest.test_case "a re-evaluated batch patches, no full copy" `Quick
       test_reevaluated_batch_patches;
+    Alcotest.test_case "a two-batch group collects the ⊎ of its commits" `Quick
+      test_collector_two_batches;
   ]
