@@ -178,7 +178,7 @@ let e3 () =
       let changed =
         List.fold_left
           (fun acc (_, d) -> acc + Relation.fold (fun _ c a -> a + abs c) d 0)
-          0 report.Counting.view_deltas
+          0 report.Delta.view_deltas
       in
       let ratio = float_of_int derivs /. float_of_int (max 1 changed) in
       if ratio > 2.5 then tight := false;
@@ -235,8 +235,8 @@ let e4 () =
         let cascaded =
           List.length
             (match Database.semantics db with
-            | Database.Set_semantics -> report.Counting.propagated_deltas
-            | Database.Duplicate_semantics -> report.Counting.view_deltas)
+            | Database.Set_semantics -> report.Delta.propagated_deltas
+            | Database.Duplicate_semantics -> report.Delta.view_deltas)
         in
         (Stats.derivations (), cascaded)
       in
@@ -277,9 +277,9 @@ let e5 () =
       let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 in
       ( List.fold_left
           (fun acc (_, d) -> acc + Relation.cardinal d)
-          0 report.Dred.view_deltas,
-        sum report.Dred.overdeleted,
-        sum report.Dred.rederived )
+          0 report.Delta.propagated_deltas,
+        sum report.Delta.overdeleted,
+        sum report.Delta.rederived )
     in
     let t_dred =
       median_time ~repeat:3
@@ -563,7 +563,7 @@ let reevaluate_all db changes =
   List.iter
     (Delta.reevaluate ctx)
     (Program.recursive_units (Database.program db));
-  ignore (Delta.commit ctx)
+  Delta.commit ctx
 
 (* What Auto's cost rule chose while [f] ran: the ivm_auto_choice_total
    counters it moved, as "incremental", "reevaluate" or
@@ -588,13 +588,22 @@ let auto_choices f =
   | moved ->
     String.concat " + " (List.map (fun (name, n) -> Printf.sprintf "%d %s" n name) moved)
 
+(* Auto's path: the driver with the cost rule, over what Auto resolves
+   to — Counting on a nonrecursive program, counted DRed otherwise. *)
+let auto_maintain db changes =
+  let alg =
+    if Program.nonrecursive (Database.program db) then Counting.algorithm
+    else Dred.algorithm Dred.Counted
+  in
+  ignore (Delta.maintain ~auto:true alg db changes)
+
 (* What Auto chooses for [changes] on a copy of [db] (with one-step
    counts when recursive: Auto runs counted DRed there). *)
 let auto_choice db changes =
   auto_choices (fun () ->
       if Program.nonrecursive (Database.program db) then
-        ignore (Counting.maintain ~auto:true (Database.copy db) changes)
-      else ignore (Dred.maintain ~mode:Dred.Auto (counted_copy db) changes))
+        auto_maintain (Database.copy db) changes
+      else auto_maintain (counted_copy db) changes)
 
 let e9 () =
   print_header "E9: the crossover of the heuristic of inertia"
@@ -620,7 +629,7 @@ let e9 () =
               (fun db -> ignore (Counting.maintain db changes));
               (fun db -> Recompute.maintain db changes);
               (fun db -> reevaluate_all db changes);
-              (fun db -> ignore (Counting.maintain ~auto:true db changes));
+              (fun db -> auto_maintain db changes);
             ]
         with
         | [ a; b; c; d ] -> (a, b, c, d)
@@ -961,7 +970,7 @@ let x1 () =
   Printf.printf "    Δ(link)  = {ab -1, df, af}\n";
   List.iter
     (fun (p, d) -> Printf.printf "    Δ(%s) = %s\n" p (Relation.to_string d))
-    report.Counting.view_deltas;
+    report.Delta.view_deltas;
   Printf.printf "    hopν     = %s   (paper: {ac, af, ag, dg, dh, bh})\n"
     (Relation.to_string (Database.relation db "hop"));
   Printf.printf "    tri_hopν = %s   (paper: {ah, ag})\n"
@@ -972,7 +981,7 @@ let x1 () =
   List.iter
     (fun (p, d) ->
       Printf.printf "    propagated Δ(%s) = %s\n" p (Relation.to_string d))
-    report.Counting.propagated_deltas;
+    report.Delta.propagated_deltas;
   Printf.printf
     "    (paper: Δ(hop) = {af, ag, dg} — the tuple ac·-1 does not cascade,\n\
     \     so (ah -1) is never derived for tri_hop)\n";
@@ -1144,7 +1153,7 @@ let e25 () =
               (fun (db, _) -> ignore (Dred.maintain db changes));
               (fun (_, db) -> ignore (Dred.maintain ~mode:Dred.Counted db changes));
               (fun (_, db) -> reevaluate_all db changes);
-              (fun (_, db) -> ignore (Dred.maintain ~mode:Dred.Auto db changes));
+              (fun (_, db) -> auto_maintain db changes);
             ]
         with
         | [ a; b; c; d ] -> (a, b, c, d)
@@ -1199,13 +1208,15 @@ let e28 () =
           let recorded = Changes.total_tuples (Changes.collected track) in
           let work = Stats.since before in
           let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 in
-          add (name, "overdeleted") (sum report.Dred.overdeleted);
-          add (name, "rederived") (sum report.Dred.rederived);
+          add (name, "overdeleted") (sum report.Delta.overdeleted);
+          add (name, "rederived") (sum report.Delta.rederived);
           add (name, "probes") work.Stats.snap_probes;
           add (name, "derivations") work.Stats.snap_derivations;
-          add (name, "recorded") (recorded - Changes.total_tuples report.Dred.base_deltas);
+          add (name, "recorded") (recorded - Changes.total_tuples report.Delta.base_deltas);
           add (name, "transitions")
-            (List.fold_left (fun acc (_, d) -> acc + Relation.cardinal d) 0 report.Dred.view_deltas);
+            (List.fold_left
+               (fun acc (_, d) -> acc + Relation.cardinal d)
+               0 report.Delta.propagated_deltas);
           Hashtbl.replace times name (t :: Option.value ~default:[] (Hashtbl.find_opt times name)))
         dbs
     done;
@@ -1273,6 +1284,108 @@ let e28 () =
   verdict !ok
     "counted DRed overdeletes exactly what DRed does, with fewer probes, \
      and leaves the same sets"
+
+(* =================================================================== *)
+(* E30 — Auto per unit: Counting's delta rules beside counted DRed       *)
+(* =================================================================== *)
+
+(* A closure with a negation over [hop] and a GROUPBY count over the
+   closure, all over [link]: three nonrecursive units around one SCC. *)
+let mixed_strata =
+  Programs.transitive_closure
+  ^ {|
+    hop(X, Y) :- link(X, Z), link(Z, Y).
+    far(X, Y) :- path(X, Y), not hop(X, Y).
+    reach(X, N) :- groupby(path(X, Y), [X], N = count()).
+|}
+
+(* Auto as the driver runs it now — Counting's delta rules on each
+   nonrecursive unit, counted DRed on the SCC — against counted DRed's
+   phases on every unit, both under the cost rule, on swaps of a growing
+   share of [link]: work counters of one run, interleaved median times,
+   the choices ivm_auto_choice_total counted, and the steps each ran
+   (counting.view and dred.unit spans). *)
+let e30 () =
+  print_header "E30: Auto per unit — Counting's delta rules on nonrecursive units"
+    "counting for nonrecursive views, DRed for recursive ones (§1, §7), \
+     chosen per unit rather than per program";
+  let layers = 10 and width = 40 in
+  let db0, rng =
+    layered_db ~src:mixed_strata ~seed:43 ~layers ~width ~out_degree:2 ()
+  in
+  let db0 = counted_copy db0 in
+  warm db0 `Dred_counted;
+  let per_unit = Dred.algorithm Dred.Counted in
+  let every_unit =
+    { per_unit with Delta.step = (fun ~recursive:_ -> per_unit.step ~recursive:true) }
+  in
+  let run alg db changes = ignore (Delta.maintain ~auto:true alg db changes) in
+  let n = Relation.cardinal (Database.relation db0 "link") in
+  let rows = ref [] and same = ref true in
+  let observe alg changes =
+    let db = Database.copy db0 in
+    let before = Stats.snapshot () in
+    Ivm_obs.Trace.enable ~capacity:4096 ();
+    let chose = auto_choices (fun () -> run alg db changes) in
+    let spans = Ivm_obs.Trace.drain () in
+    ignore (Ivm_obs.Trace.disable ());
+    let work = Stats.since before in
+    let count name =
+      List.length (List.filter (fun (e : Ivm_obs.Trace.event) -> e.name = name) spans)
+    in
+    let reevaluated =
+      List.filter_map
+        (fun (e : Ivm_obs.Trace.event) ->
+          match (List.assoc_opt "choice" e.args, e.args) with
+          | Some "reevaluate", (_, unit) :: _ -> Some unit
+          | _ -> None)
+        spans
+    in
+    ( db, work, chose,
+      Printf.sprintf "%d Δ-rules + %d phases" (count "counting.view")
+        (count "dred.unit"),
+      String.concat " " (List.sort compare reevaluated) )
+  in
+  List.iter
+    (fun k ->
+      let changes = layered_swap ~k rng db0 ~layers ~width in
+      let db_e, w_e, chose_e, steps_e, re_e = observe every_unit changes in
+      let db_u, w_u, chose_u, steps_u, re_u = observe per_unit changes in
+      if
+        not
+          (List.for_all
+             (fun p ->
+               Relation.equal_counted (Database.relation db_e p)
+                 (Database.relation db_u p))
+             (Program.derived_preds (Database.program db0)))
+      then same := false;
+      let t_e, t_u =
+        match
+          interleaved_medians
+            ~setup:(fun () -> Database.copy db0)
+            [ (fun db -> run every_unit db changes); (fun db -> run per_unit db changes) ]
+        with
+        | [ a; b ] -> (a, b)
+        | _ -> assert false
+      in
+      let row name (w : Stats.snapshot) t chose steps re =
+        [
+          fmt_int k; Printf.sprintf "%.3f" (float_of_int (2 * k) /. float_of_int n); name;
+          fmt_int w.Stats.snap_probes; fmt_int w.Stats.snap_derivations; fmt_time t;
+          chose; steps; re;
+        ]
+      in
+      rows :=
+        row "per unit" w_u t_u chose_u steps_u re_u
+        :: row "every unit" w_e t_e chose_e steps_e re_e
+        :: !rows)
+    [ 1; 5; 20; 40; 100 ];
+  print_table
+    [ "edges swapped"; "link ratio"; "Auto's step"; "probes"; "derivations";
+      "median time"; "auto chose"; "steps run"; "re-evaluated" ]
+    (List.rev !rows);
+  verdict !same
+    "per-unit Auto leaves the same counts as counted DRed on every unit, on every row"
 
 (* =================================================================== *)
 (* E15 / E17 — what the optional instruments cost                        *)
@@ -1391,5 +1504,5 @@ let all : (string * (unit -> unit)) list =
     ("x1", x1); ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e17", e17); ("e25", e25); ("e28", e28);
+    ("e17", e17); ("e25", e25); ("e28", e28); ("e30", e30);
   ]

@@ -50,6 +50,6 @@ let check_spj (program : Program.t) : unit =
 (** Maintain an SPJ view database; behaviour and counts are identical to
     the counting algorithm on this restricted class.
     @raise Not_spj when the program falls outside [BLT86]'s domain. *)
-let maintain (db : Database.t) (changes : Changes.t) : Counting.report =
+let maintain (db : Database.t) (changes : Changes.t) : Ivm.Delta.report =
   check_spj (Database.program db);
   Counting.maintain db changes

@@ -16,4 +16,4 @@ val check_spj : Program.t -> unit
 
 (** @raise Not_spj outside the SPJ class; otherwise exactly
     {!Counting.maintain}. *)
-val maintain : Database.t -> Changes.t -> Counting.report
+val maintain : Database.t -> Changes.t -> Ivm.Delta.report

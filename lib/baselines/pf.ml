@@ -75,10 +75,10 @@ let maintain ?(granularity = Per_tuple) (db : Database.t) (changes : Changes.t) 
         passes = acc.passes + 1;
         overdeleted =
           acc.overdeleted
-          + List.fold_left (fun s (_, n) -> s + n) 0 report.Dred.overdeleted;
+          + List.fold_left (fun s (_, n) -> s + n) 0 report.Ivm.Delta.overdeleted;
         rederived =
           acc.rederived
-          + List.fold_left (fun s (_, n) -> s + n) 0 report.Dred.rederived;
+          + List.fold_left (fun s (_, n) -> s + n) 0 report.Ivm.Delta.rederived;
       })
     { passes = 0; overdeleted = 0; rederived = 0 }
     batches

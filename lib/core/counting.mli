@@ -15,39 +15,19 @@
     statement (2) propagates only [set(Pν) − set(P)] upward, so a deletion
     that leaves alternative derivations cascades nowhere (Example 5.1). *)
 
-module Relation = Ivm_relation.Relation
 module Database = Ivm_eval.Database
 
 exception Recursive_program of string
 
-type report = {
-  base_deltas : (string * Relation.t) list;
-      (** normalized base changes that were applied *)
-  view_deltas : (string * Relation.t) list;
-      (** per derived predicate: the full count delta [Δ(P)] *)
-  propagated_deltas : (string * Relation.t) list;
-      (** per derived predicate: the delta visible to dependent views —
-          the ±1 set transition under set semantics, [Δ(P)] itself under
-          duplicate semantics *)
-}
-
-(** Names of the views that changed. *)
-val changed_views : report -> string list
+(** Counting as the driver runs it: {!Delta.Derive} on every unit. *)
+val algorithm : Delta.algorithm
 
 (** Apply base-relation changes to [db], incrementally updating every
-    materialized view; commits to the stored relations and returns what
-    changed.  [?track] is handed every committed delta whole, at commit
-    time ({!Changes.absorb}: the snapshot publisher's net-change feed).  With [~auto:true] ([View_manager]'s [Auto];
-    default [false]) each affected view applies {!Delta.choose} first
-    and, when its input delta is large, is re-evaluated
-    ({!Delta.reevaluate}) instead: the same [Δ(P)], fresh counts minus
-    stored.
+    materialized view: one {!Delta.maintain} call, which commits to the
+    stored relations and returns what changed.  [?track] is handed every
+    committed delta whole, at commit time ({!Changes.absorb}: the
+    snapshot publisher's net-change feed).
     @raise Recursive_program when the program has recursive views — use
     {!Dred} (Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)
-val maintain :
-  ?auto:bool ->
-  ?track:Changes.collector ->
-  Database.t ->
-  Changes.t ->
-  report
+val maintain : ?track:Changes.collector -> Database.t -> Changes.t -> Delta.report

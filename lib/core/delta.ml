@@ -1,4 +1,5 @@
-(** Delta-rule machinery shared by Counting, Recursive counting and DRed:
+(** Delta-rule machinery shared by Counting, Recursive counting and DRed,
+    and the one driver that runs them:
 
     - the maintenance {!ctx} tracks, per predicate, the full count delta
       accumulated this round; "old" views read the stored relations, "new"
@@ -14,7 +15,9 @@
     - {!choose} is [Auto]'s cost rule and {!reevaluate} its other branch:
       a unit whose input delta is large is re-evaluated from its
       finished inputs instead of maintained (the paper's §1 heuristic of
-      inertia, per unit). *)
+      inertia, per unit);
+    - {!maintain} is the one batch loop: normalize, seed the base deltas,
+      one {!step} per unit in dependency order, {!commit}. *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple
@@ -28,6 +31,7 @@ module Grouping = Ivm_eval.Grouping
 module Par_eval = Ivm_eval.Par_eval
 module Seminaive = Ivm_eval.Seminaive
 module Metrics = Ivm_obs.Metrics
+module Trace = Ivm_obs.Trace
 
 type version = Old | Mid | New
 
@@ -264,14 +268,13 @@ let derive ctx pred =
   match !out with Some r -> r | None -> empty_rel ctx pred
 
 (** Commit all accumulated full deltas into the stored relations, one
-    lookup per tuple ({!Relation.patch_count}).  Returns the sorted
-    non-empty (pred, full delta) list.  [?track] is handed each committed
-    delta whole — every count in it is the applied difference, since this
-    commit refuses to clamp — the snapshot publisher's net-change feed.
+    lookup per tuple ({!Relation.patch_count}).  [?track] is handed each
+    committed delta whole — every count in it is the applied difference,
+    since this commit refuses to clamp — the snapshot publisher's
+    net-change feed.
     @raise Invalid_argument if a committed count would go negative — the
     caller violated Lemma 4.1's precondition. *)
-let commit ?track ctx : (string * Relation.t) list =
-  let applied = ref [] in
+let commit ?track ctx =
   let cap = Ivm_prov.Prov.capturing () in
   Hashtbl.iter
     (fun pred delta ->
@@ -292,22 +295,25 @@ let commit ?track ctx : (string * Relation.t) list =
               else if before > 0 && c' <= 0 then
                 Ivm_prov.Prov.on_transition ~pred tup `Deleted)
           delta;
-        Option.iter (fun col -> Changes.absorb col pred delta) track;
-        applied := (pred, delta) :: !applied
+        Option.iter (fun col -> Changes.absorb col pred delta) track
       end)
     ctx.full;
   (* Registered aggregate indexes consume the propagated regime. *)
   let transitions =
     Hashtbl.fold (fun pred delta acc -> (pred, delta) :: acc) ctx.propagated []
   in
-  Database.refresh_agg_indexes ctx.db transitions;
-  List.sort (fun (p, _) (q, _) -> String.compare p q) !applied
+  Database.refresh_agg_indexes ctx.db transitions
 
 (* ------------------------------------------------------------------ *)
 (* Auto's cost rule: re-evaluate a unit whose input delta is large      *)
 (* ------------------------------------------------------------------ *)
 
-type maintainer = Counting | Dred
+(** A unit's maintenance step ({!maintain} runs one per unit); the cost
+    rule's threshold depends on it. *)
+type step =
+  | Derive
+  | Phases of (ctx -> string list -> (string * int * int) list)
+  | Fixpoint of (ctx -> string list -> unit)
 
 (** The input ratio at and above which [Auto] re-evaluates a unit.  Both
     constants come from EXPERIMENTS.md's sweeps, each side timed
@@ -315,7 +321,7 @@ type maintainer = Counting | Dred
     each sits between the last row the incremental branch won and the
     first it lost, in every run made.
 
-    - DRed, 0.07: DRed's cost is the region it over-deletes and
+    - DRed's phases, 0.07: DRed's cost is the region it over-deletes and
       rederives, not |Δ| (Hu, Motik & Horrocks, arXiv:1711.03987), and
       that region soon outgrows a re-evaluation of the unit.  On E25's
       closure sweep (10 × 40 layered DAG, 709 [link] tuples), in two
@@ -327,15 +333,15 @@ type maintainer = Counting | Dred
       [Auto] runs, shares the constant: it over-deletes the same region
       and only drops the backward rederivation join (E25's
       [dred-counted] column).
-    - Counting, 0.35: Counting costs O(|Δ|) per view, and a re-evaluated
-      view still pays for its whole delta (a diff against the stored
-      view and a per-tuple commit), so the crossover comes late.  On E9
-      ([hop] over 3,927 [link] tuples, a share deleted), in three runs,
-      Counting won at 30% deleted (30–49 ms against 37–63 ms
+    - Counting's delta rules, 0.35: Counting costs O(|Δ|) per view, and a
+      re-evaluated view still pays for its whole delta (a diff against
+      the stored view and a per-tuple commit), so the crossover comes
+      late.  On E9 ([hop] over 3,927 [link] tuples, a share deleted), in
+      three runs, Counting won at 30% deleted (30–49 ms against 37–63 ms
       re-evaluating) and lost at 40% (47–58 ms against 41–55 ms).
       [negation_counting]'s live batches and log records are 8/8,000 =
       0.001. *)
-let threshold = function Counting -> 0.35 | Dred -> 0.07
+let threshold = function Derive -> 0.35 | Phases _ | Fixpoint _ -> 0.07
 
 type choice = Incremental | Reevaluate
 
@@ -375,20 +381,20 @@ let input_ratio ctx unit_preds =
   in
   float_of_int changed /. float_of_int (max 1 stored)
 
-(** [Auto]'s choice for one unit, made before maintaining it: re-evaluate
-    when the input ratio reaches the maintainer's {!threshold}.  With
-    [~auto:false] (the explicit algorithms) the choice is always
-    [Incremental].  Under provenance capture the rule declines: the
-    support store keeps a bounded subset of each tuple's derivations,
-    chosen by the order the incremental phases enumerate them, and
-    re-recording a unit's supports could keep a different subset, so
-    [why]/[explain] would differ from what the incremental branch
-    leaves.  Returns the choice and the ratio; under [Auto] the choice
-    counts in [ivm_auto_choice_total{choice}]. *)
-let choose ctx maintainer ~auto unit_preds =
+(** [Auto]'s choice for one unit, made before maintaining it with
+    [step]: re-evaluate when the input ratio reaches the step's
+    {!threshold}.  With [~auto:false] (the explicit algorithms) the
+    choice is always [Incremental].  Under provenance capture the rule
+    declines: the support store keeps a bounded subset of each tuple's
+    derivations, chosen by the order the incremental phases enumerate
+    them, and re-recording a unit's supports could keep a different
+    subset, so [why]/[explain] would differ from what the incremental
+    branch leaves.  Returns the choice and the ratio; under [Auto] the
+    choice counts in [ivm_auto_choice_total{choice}]. *)
+let choose ctx step ~auto unit_preds =
   let ratio = input_ratio ctx unit_preds in
   let choice =
-    if auto && ratio >= threshold maintainer && not (Ivm_prov.Prov.capturing ())
+    if auto && ratio >= threshold step && not (Ivm_prov.Prov.capturing ())
     then Reevaluate
     else Incremental
   in
@@ -400,9 +406,9 @@ let choose ctx maintainer ~auto unit_preds =
     the unit's rules into fresh relations, every relation outside the
     unit read at [New], a recursive unit with one-step counts.  The delta
     installed with {!set_delta} is fresh counts minus stored counts:
-    Theorem 4.1's [Δ(P)], since the stored counts of Counting and of
-    counted DRed, the two maintainers [Auto] runs, are exact.  The batch
-    then commits through {!commit} like any other. *)
+    Theorem 4.1's [Δ(P)], since the stored counts of Counting's delta
+    rules and of counted DRed, the two steps [Auto] runs, are exact.  The
+    batch then commits through {!commit} like any other. *)
 let reevaluate ctx unit_preds =
   let program = Database.program ctx.db in
   let cache = Seminaive.Agg_cache.create () in
@@ -449,3 +455,126 @@ let reevaluate ctx unit_preds =
         fresh;
       set_delta ctx p ~full ~propagated:prop)
     fresh
+
+(* ------------------------------------------------------------------ *)
+(* The driver: one batch loop, one step per unit                        *)
+(* ------------------------------------------------------------------ *)
+
+type algorithm = {
+  batches : Metrics.counter;
+  span : string;
+  step : recursive:bool -> step;
+}
+
+type report = {
+  base_deltas : (string * Relation.t) list;
+  view_deltas : (string * Relation.t) list;
+  propagated_deltas : (string * Relation.t) list;
+  overdeleted : (string * int) list;
+  rederived : (string * int) list;
+}
+
+let changed_views report = List.map fst report.view_deltas
+
+(** Per maintained view per batch: |Δ(P)| (Theorem 4.1 says this is
+    exactly the number of changed view tuples — the optimality metric). *)
+let delta_h = Metrics.histogram "ivm_counting_delta_size"
+
+(** The step of one unit under [alg], [Auto]'s choice made first.  A
+    [Derive] unit no changed base relation reaches is skipped. *)
+let maintain_unit ctx alg ~auto ~affected ~sizes unit_preds =
+  let program = Database.program ctx.db in
+  let p = List.hd unit_preds and unit_name = String.concat "," unit_preds in
+  let stratum = Program.stratum program p in
+  match alg.step ~recursive:(Program.recursive program p) with
+  | Derive when not (List.mem p affected) -> ()
+  | step -> (
+    Ivm_obs.Attribution.set_context ~stratum ~phase:"delta";
+    match step with
+    | Derive ->
+      let choice, ratio = choose ctx Derive ~auto unit_preds in
+      Trace.span "counting.view"
+        ~args:(fun () ->
+          [
+            ("view", p);
+            ("stratum", string_of_int stratum);
+            ("choice", choice_name choice);
+            ("input_ratio", Printf.sprintf "%.4f" ratio);
+            ("delta", string_of_int (Relation.cardinal (full_delta ctx p)));
+            ( "propagated",
+              string_of_int (Relation.cardinal (propagated_delta ctx p)) );
+          ])
+        (fun () ->
+          match choice with
+          | Reevaluate -> reevaluate ctx unit_preds
+          | Incremental -> set_delta ctx p ~full:(derive ctx p));
+      Metrics.observe delta_h (Relation.cardinal (full_delta ctx p))
+    | Phases phases as step ->
+      let choice, ratio = choose ctx step ~auto unit_preds in
+      Trace.span "dred.unit"
+        ~args:(fun () ->
+          [
+            ("unit", unit_name);
+            ("choice", choice_name choice);
+            ("input_ratio", Printf.sprintf "%.4f" ratio);
+          ])
+        (fun () ->
+          match choice with
+          | Reevaluate ->
+            Trace.span "dred.reevaluate"
+              ~args:(fun () -> [ ("unit", unit_name) ])
+              (fun () -> reevaluate ctx unit_preds)
+          | Incremental -> sizes := phases ctx unit_preds @ !sizes)
+    | Fixpoint fix ->
+      Trace.span "rc.fixpoint"
+        ~args:(fun () -> [ ("unit", unit_name) ])
+        (fun () -> fix ctx unit_preds))
+
+(** The one batch loop of every incremental algorithm: normalize the
+    batch, open the context with the base deltas, run each unit's step in
+    dependency order, commit, report. *)
+let maintain ?track ?(auto = false) alg (db : Database.t) (changes : Changes.t) : report =
+  Metrics.inc alg.batches;
+  (* Delta rules enumerate each gained (+) / lost (−) derivation exactly
+     once (Definition 4.1's partition), so sign-driven support capture
+     stays exact; DRed's phases set their own mode. *)
+  if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
+  let program = Database.program db in
+  let normalized = Changes.normalize_base db changes in
+  (* only views transitively depending on a changed base relation can
+     change *)
+  let affected = Program.affected_views program ~changed:(List.map fst normalized) in
+  let ctx = create db in
+  List.iter (fun (pred, delta) -> set_delta ctx pred ~full:delta) normalized;
+  let sizes = ref [] in
+  Trace.span alg.span
+    ~args:(fun () ->
+      [
+        ("affected_views", string_of_int (List.length affected));
+        ("base_tuples", string_of_int (Changes.total_tuples normalized));
+      ])
+    (fun () ->
+      List.iter
+        (maintain_unit ctx alg ~auto ~affected ~sizes)
+        (Program.recursive_units program));
+  let collect table =
+    List.filter_map
+      (fun p ->
+        match Hashtbl.find_opt table p with
+        | Some r when not (Relation.is_empty r) -> Some (p, r)
+        | _ -> None)
+      (Program.derived_preds program)
+  in
+  let view_deltas = collect ctx.full and propagated_deltas = collect ctx.propagated in
+  commit ?track ctx;
+  let sized f =
+    List.sort compare
+      (List.filter_map (fun s -> match f s with _, 0 -> None | ps -> Some ps) !sizes)
+  in
+  {
+    base_deltas = normalized;
+    view_deltas;
+    propagated_deltas;
+    overdeleted = sized (fun (p, d, _) -> (p, d));
+    rederived = sized (fun (p, _, pb) -> (p, pb));
+  }

@@ -1,9 +1,10 @@
-(** Delta-rule machinery shared by Counting, Recursive counting and DRed:
-    the per-batch maintenance context, Definition
-    6.1's [Δ(¬Q)], Algorithm 6.1's [Δ(T)], and the wiring of one delta
-    rule of Definition 4.1 (positions before the delta read new views, the
-    delta position enumerates the change, positions after read old
-    views). *)
+(** Delta-rule machinery shared by Counting, Recursive counting and DRed,
+    and the one driver that runs them: the per-batch maintenance context,
+    Definition 6.1's [Δ(¬Q)], Algorithm 6.1's [Δ(T)], the wiring of one
+    delta rule of Definition 4.1 (positions before the delta read new
+    views, the delta position enumerates the change, positions after
+    read old views), and the batch loop with [Auto]'s per-unit cost
+    rule. *)
 
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
@@ -37,9 +38,6 @@ val create : Database.t -> ctx
 
 (** The accumulated full delta of a predicate (empty if unchanged). *)
 val full_delta : ctx -> string -> Relation.t
-
-(** The delta enumerated at delta positions. *)
-val propagated_delta : ctx -> string -> Relation.t
 
 (** Record a predicate's delta for this round; derives the propagated
     version from the database's semantics against the (uncommitted)
@@ -79,50 +77,86 @@ val inputs : ctx -> Compile.t -> (int -> version) -> int -> Rule_eval.subgoal_in
     positions after it old views. *)
 val rule_seeds : ctx -> string -> Ivm_eval.Par_eval.seed list
 
-(** [Δ(pred)]: the predicate's delta rules evaluated in one
-    {!Ivm_eval.Par_eval.round}. *)
-val derive : ctx -> string -> Relation.t
-
 (** Commit all accumulated deltas into the stored relations, one lookup
-    per tuple; returns the non-empty (predicate, delta) pairs, sorted.
-    [?track] is handed each committed delta whole ({!Changes.absorb}):
+    per tuple.  [?track] is handed each committed delta whole ({!Changes.absorb}):
     the snapshot publisher's net-change feed.
     @raise Invalid_argument if a count would go negative (the caller
     violated Lemma 4.1's precondition). *)
-val commit : ?track:Changes.collector -> ctx -> (string * Relation.t) list
+val commit : ?track:Changes.collector -> ctx -> unit
 
-(** {2 Auto's cost rule}
+(** {2 The driver}
 
-    Under [Auto], each maintenance unit (an SCC under DRed, one view
-    under Counting) chooses, before it is maintained, between the
-    paper's incremental phases and re-evaluating the unit from its
-    finished inputs (the paper's §1: "if an entire base relation is
-    deleted, it may be cheaper to recompute the view"). *)
+    One batch loop serves every incremental algorithm: it normalizes the
+    batch, opens a {!ctx} with the base deltas, runs one {!step} per
+    maintenance unit ({!Ivm_datalog.Program.recursive_units}, in
+    dependency order), commits through {!commit} and returns one
+    {!report}.  The step depends only on the unit and the algorithm:
+    Counting's delta rules on a nonrecursive unit under every count-exact
+    algorithm, DRed's phases (the paper's on every unit under explicit
+    DRed, counted DRed's on an SCC) or recursive counting's fixpoint on
+    an SCC. *)
 
-type maintainer = Counting | Dred
+(** How the driver maintains one unit. *)
+type step =
+  | Derive
+      (** Counting's delta rules, evaluated in one
+          {!Ivm_eval.Par_eval.round} (a nonrecursive unit only); a unit no
+          changed base relation reaches is skipped *)
+  | Phases of (ctx -> string list -> (string * int * int) list)
+      (** DRed's three phases, paper or counted, returning per predicate
+          the overestimate and put-back sizes *)
+  | Fixpoint of (ctx -> string list -> unit)
+      (** recursive counting's fixpoint of delta rounds *)
 
-(** The input ratio at and above which [Auto] re-evaluates a unit of
-    this maintainer; the derivation of each constant is on its
-    definition. *)
-val threshold : maintainer -> float
+(** An incremental algorithm, as the driver runs it. *)
+type algorithm = {
+  batches : Ivm_obs.Metrics.counter;  (** its [ivm_maintain_batches_total] *)
+  span : string;  (** the batch's span *)
+  step : recursive:bool -> step;  (** the step of a (non)recursive unit *)
+}
 
+type report = {
+  base_deltas : (string * Relation.t) list;
+      (** the normalized base changes that were applied *)
+  view_deltas : (string * Relation.t) list;
+      (** per derived predicate, in name order: the full count delta [Δ(P)] *)
+  propagated_deltas : (string * Relation.t) list;
+      (** per derived predicate, in name order: the delta dependent views
+          see — the ±1 set transition under set semantics, else [Δ(P)] *)
+  overdeleted : (string * int) list;  (** DRed's overestimate sizes, if not 0 *)
+  rederived : (string * int) list;  (** DRed's put-backs, if not 0 *)
+}
+
+(** Names of the views that changed. *)
+val changed_views : report -> string list
+
+(** Apply [changes] to [db] with [alg]: one step per unit, one commit.
+    With [~auto:true] ([View_manager]'s [Auto]; default [false]) each
+    [Derive] or [Phases] unit whose input ratio — the net size of its
+    input deltas (base changes plus lower units' propagated deltas) over
+    the stored size of those inputs — reaches its step's threshold is
+    re-evaluated ({!reevaluate}) instead: the same [Δ(P)].  The rule
+    declines while provenance capture is on; each decision counts in
+    [ivm_auto_choice_total{choice}].  [?track] is handed every committed
+    delta whole ({!Changes.absorb}).
+    @raise Changes.Invalid_changes on malformed change sets. *)
+val maintain :
+  ?track:Changes.collector ->
+  ?auto:bool ->
+  algorithm ->
+  Database.t ->
+  Changes.t ->
+  report
+
+(** Whether [Auto] maintained a unit through its step or re-evaluated
+    it ([ivm_auto_choice_total]'s [choice] label). *)
 type choice = Incremental | Reevaluate
 
 val choice_name : choice -> string
 
-(** [choose ctx maintainer ~auto unit_preds]: [Reevaluate] iff [auto],
-    the unit's input ratio — the net size of its input deltas (base
-    changes plus lower units' propagated deltas) over the stored size of
-    those inputs — reaches {!threshold}, and provenance capture is off
-    (re-recording a unit's bounded supports could differ from what the
-    incremental branch leaves, so the rule declines).  Returns the ratio
-    too; under [auto] the choice counts in
-    [ivm_auto_choice_total{choice}]. *)
-val choose : ctx -> maintainer -> auto:bool -> string list -> choice * float
-
 (** Re-evaluate the unit into fresh relations, reading every other
     relation at [New] (a recursive unit with one-step counts), and
     install fresh minus stored counts as its delta with {!set_delta}:
-    exact under Counting and counted DRed, the maintainers [Auto]
+    exact under Counting's delta rules and counted DRed, the steps [Auto]
     runs. *)
 val reevaluate : ctx -> string list -> unit

@@ -29,9 +29,11 @@
 
     Each phase is a {!Ivm_eval.Par_eval.fixpoint} over the unit's
     predicates, reading and writing the maintenance context Counting
-    uses ({!Delta.ctx}); the batch commits through {!Delta.commit}.
+    uses ({!Delta.ctx}); {!Delta.maintain} runs the phases as a unit's
+    step and commits the batch.
 
-    {b Counted DRed} ([~mode:Counted]) combines DRed with Counting, after
+    {b Counted DRed} ([~mode:Counted]) combines DRed with Counting on each
+    SCC (a nonrecursive unit runs Counting's delta rules), after
     Hu, Motik & Horrocks (arXiv:1711.03987): every stored tuple holds its
     one-step derivation count (Section 5.1's clamp applied inside the
     unit, as {!Ivm_eval.Seminaive.evaluate} [~counts:true] stores it).
@@ -60,11 +62,6 @@ module Stats = Ivm_eval.Stats
 module Par_eval = Ivm_eval.Par_eval
 module Pretty = Ivm_datalog.Pretty
 
-let batches_c counted =
-  Metrics.counter
-    ~labels:[ ("algorithm", if counted then "dred-counted" else "dred") ]
-    "ivm_maintain_batches_total"
-
 (** The paper's DRed inefficiency metrics (Section 7 / bench E5–E6):
     tuples deleted by the step-1 overestimate, candidate support checks
     performed in step 2, and overdeleted tuples actually put back
@@ -80,16 +77,6 @@ let overestimate_h = Metrics.histogram "ivm_dred_overestimate_size"
 let engine = Par_eval.engine "dred"
 
 exception Duplicate_semantics_unsupported
-
-type report = {
-  base_deltas : (string * Relation.t) list;
-  view_deltas : (string * Relation.t) list;
-      (** per derived predicate: ±1 set transitions actually applied *)
-  overdeleted : (string * int) list;
-      (** per predicate: size of the step-1 overestimate (for the
-          fragmentation benches) *)
-  rederived : (string * int) list;  (** per predicate: tuples put back in step 2 *)
-}
 
 (* DRed works in the shared maintenance context ({!Delta.ctx}) under set
    semantics.  A unit predicate's [full] delta is its live count delta,
@@ -417,7 +404,12 @@ let counted_phases ctx ~phase unit_preds =
 
 (** The three phases for one unit, the paper's or counted DRed's;
     returns the per-predicate overestimate and putback sizes. *)
-let three_phases ctx ~counted ~stratum unit_name unit_preds =
+let three_phases ~counted ctx unit_preds =
+  let unit_name = String.concat "," unit_preds in
+  (* a unit's predicates share a stratum *)
+  let stratum =
+    Program.stratum (Database.program ctx.Delta.db) (List.hd unit_preds)
+  in
   (* each phase retags the ambient attribution context before its
      fan-outs *)
   let phase name f =
@@ -455,65 +447,39 @@ let three_phases ctx ~counted ~stratum unit_name unit_preds =
         unit_rederived);
   sizes
 
-type mode = Paper | Counted | Auto
+type mode = Paper | Counted
+
+let batches_c label =
+  Metrics.counter ~labels:[ ("algorithm", label) ] "ivm_maintain_batches_total"
+
+(** The paper's phases on every unit. *)
+let paper =
+  {
+    Delta.batches = batches_c "dred";
+    span = "dred.maintain";
+    step = (fun ~recursive:_ -> Delta.Phases (three_phases ~counted:false));
+  }
+
+(** Counted DRed's phases on an SCC, Counting's delta rules on a
+    nonrecursive unit. *)
+let counted =
+  {
+    Delta.batches = batches_c "dred-counted";
+    span = "dred.maintain";
+    step =
+      (fun ~recursive ->
+        if recursive then Delta.Phases (three_phases ~counted:true) else Delta.Derive);
+  }
+
+let algorithm = function Paper -> paper | Counted -> counted
 
 (** Apply [changes] (base-relation deltas with ±1 counts) to [db],
     maintaining all views with DRed ([Paper]) or counted DRed.  Set
-    semantics only (Section 7).  Under [Auto] ([View_manager]'s [Auto])
-    each unit first asks {!Delta.choose} whether re-evaluating it is
-    cheaper; a re-evaluated unit skips the three phases, installs
-    one-step counts and adds nothing to the overestimate metrics.
+    semantics only (Section 7).
     @raise Duplicate_semantics_unsupported under duplicate semantics;
     @raise Changes.Invalid_changes on malformed change sets. *)
-let maintain ?(mode = Paper) ?track (db : Database.t) (changes : Changes.t) : report =
-  let counted = mode <> Paper and auto = mode = Auto in
+let maintain ?(mode = Paper) ?track (db : Database.t) (changes : Changes.t) :
+    Delta.report =
   if Database.semantics db = Database.Duplicate_semantics then
     raise Duplicate_semantics_unsupported;
-  Metrics.inc (batches_c counted);
-  let program = Database.program db in
-  let normalized = Changes.normalize_base db changes in
-  let ctx = Delta.create db in
-  List.iter (fun (pred, delta) -> Delta.set_delta ctx pred ~full:delta) normalized;
-  let overdeleted = ref [] and rederived = ref [] in
-  Trace.span "dred.maintain"
-    ~args:(fun () ->
-      [ ("base_tuples", string_of_int (Changes.total_tuples normalized)) ])
-    (fun () ->
-      List.iter
-        (fun unit_preds ->
-          let unit_name = String.concat "," unit_preds in
-          (* a unit's predicates share a stratum *)
-          let stratum = Program.stratum program (List.hd unit_preds) in
-          let choice, ratio = Delta.choose ctx Delta.Dred ~auto unit_preds in
-          Trace.span "dred.unit"
-            ~args:(fun () ->
-              [
-                ("unit", unit_name);
-                ("choice", Delta.choice_name choice);
-                ("input_ratio", Printf.sprintf "%.4f" ratio);
-              ])
-            (fun () ->
-              match choice with
-              | Delta.Reevaluate ->
-                Trace.span "dred.reevaluate"
-                  ~args:(fun () -> [ ("unit", unit_name) ])
-                  (fun () -> Delta.reevaluate ctx unit_preds)
-              | Delta.Incremental ->
-                List.iter
-                  (fun (p, d, pb) ->
-                    if d > 0 then overdeleted := (p, d) :: !overdeleted;
-                    if pb > 0 then rederived := (p, pb) :: !rederived)
-                  (three_phases ctx ~counted ~stratum unit_name unit_preds)))
-        (Program.recursive_units program));
-  ignore (Delta.commit ?track ctx);
-  {
-    base_deltas = normalized;
-    view_deltas =
-      List.filter_map
-        (fun p ->
-          let d = Delta.propagated_delta ctx p in
-          if Relation.is_empty d then None else Some (p, d))
-        (List.sort String.compare (Program.derived_preds program));
-    overdeleted = List.sort compare !overdeleted;
-    rederived = List.sort compare !rederived;
-  }
+  Delta.maintain ?track (algorithm mode) db changes

@@ -26,42 +26,35 @@
     count stayed positive without evaluating a rule, and the insert phase
     counts each new derivation once, seeded by the put-backs and the
     insertions.  It overdeletes the same tuples as DRed and leaves the
-    same sets, with exact counts. *)
+    same sets, with exact counts.  It runs on SCCs only: a nonrecursive
+    unit's one-step counts are Counting's (lower strata counted once), so
+    there Counting's delta rules maintain them, overdeleting nothing. *)
 
-module Relation = Ivm_relation.Relation
 module Database = Ivm_eval.Database
 
 exception Duplicate_semantics_unsupported
 
-type report = {
-  base_deltas : (string * Relation.t) list;
-  view_deltas : (string * Relation.t) list;
-      (** per derived predicate: ±1 set transitions actually applied *)
-  overdeleted : (string * int) list;
-      (** per predicate: size of the step-1 overestimate *)
-  rederived : (string * int) list;
-      (** per predicate: tuples put back in step 2 *)
-}
-
 (** Which DRed {!maintain} runs. *)
 type mode =
-  | Paper  (** the paper's three phases; recursive views keep count 1 *)
+  | Paper  (** the paper's three phases on every unit; recursive views keep count 1 *)
   | Counted
-      (** counted DRed: one-step derivation counts, which must be exact
-          on entry ({!Ivm_eval.Seminaive.evaluate} [~counts:true]
+      (** counted DRed on each SCC and Counting's delta rules on each
+          nonrecursive unit: one-step derivation counts, which must be
+          exact on entry ({!Ivm_eval.Seminaive.evaluate} [~counts:true]
           materializes them) *)
-  | Auto
-      (** counted DRed, each unit first applying {!Delta.choose}
-          ([View_manager]'s [Auto]): a unit whose input delta is large is
-          re-evaluated ({!Delta.reevaluate}) instead, with the same
-          one-step counts and none of the three phases *)
 
-(** Apply base-relation changes with DRed ([mode], default [Paper]); commits to the stored relations
-    through {!Delta.commit}.  [?track] is handed every committed delta
-    whole, at commit time ({!Changes.absorb}).  No count can go
-    negative: within its unit, an overdeleted tuple's delta is set to
-    −stored once, gets +stored back on putback, and gets +1 only while
-    the tuple does not hold.
+(** A mode as the driver runs it: {!Delta.Phases} on every unit under
+    [Paper]; under [Counted] on an SCC, with {!Delta.Derive} on a
+    nonrecursive unit. *)
+val algorithm : mode -> Delta.algorithm
+
+(** Apply base-relation changes with DRed ([mode], default [Paper]): one
+    {!Delta.maintain} call, which commits to the stored relations and
+    reports the overestimate and put-back sizes beside the deltas.
+    [?track] is handed every committed delta whole, at commit time
+    ({!Changes.absorb}).  No count can go negative: within its unit, an
+    overdeleted tuple's delta is set to −stored once, gets +stored back
+    on putback, and gets +1 only while the tuple does not hold.
     @raise Duplicate_semantics_unsupported under duplicate semantics
     (DRed is a set-semantics algorithm, Section 7);
     @raise Changes.Invalid_changes on malformed change sets. *)
@@ -70,4 +63,4 @@ val maintain :
   ?track:Changes.collector ->
   Database.t ->
   Changes.t ->
-  report
+  Delta.report

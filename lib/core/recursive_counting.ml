@@ -25,7 +25,6 @@ module Rule_eval = Ivm_eval.Rule_eval
 
 module Par_eval = Ivm_eval.Par_eval
 module Metrics = Ivm_obs.Metrics
-module Trace = Ivm_obs.Trace
 
 exception Divergence of string
 
@@ -95,41 +94,27 @@ let fix_unit ~max_rounds (ctx : Delta.ctx) unit_preds =
   (* Register final deltas (and their set transitions) with the context. *)
   List.iter (fun p -> Delta.set_delta ctx p ~full:(acc p)) unit_preds
 
+(** Recursive counting as the driver runs it: Counting's delta rules on
+    a nonrecursive unit, {!fix_unit} on an SCC. *)
+let algorithm ?(max_rounds = default_max_rounds) () =
+  {
+    Delta.batches = batches_c;
+    span = "recursive_counting.maintain";
+    step =
+      (fun ~recursive ->
+        if recursive then Delta.Fixpoint (fix_unit ~max_rounds) else Delta.Derive);
+  }
+
 (** Incrementally maintain all views — recursive ones included — with full
     derivation counts.  @raise Divergence when counts cannot converge;
     @raise Invalid_argument under set semantics (use {!Dred}). *)
-let maintain ?(max_rounds = default_max_rounds) ?track (db : Database.t)
-    (changes : Changes.t) : (string * Relation.t) list =
+let maintain ?max_rounds ?track (db : Database.t) (changes : Changes.t) :
+    Delta.report =
   if Database.semantics db = Database.Set_semantics then
     invalid_arg
       "Recursive_counting.maintain: derivation counting through recursion \
        needs duplicate semantics; use Dred for set semantics";
-  Metrics.inc batches_c;
-  (* As in [Counting.maintain]: the per-round delta partition enumerates
-     each gained/lost derivation once, so sign-driven capture is exact. *)
-  if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
-  let program = Database.program db in
-  let normalized = Changes.normalize_base db changes in
-  Trace.span "recursive_counting.maintain"
-    ~args:(fun () ->
-      [ ("base_tuples", string_of_int (Changes.total_tuples normalized)) ])
-    (fun () ->
-      let ctx = Delta.create db in
-      List.iter (fun (pred, delta) -> Delta.set_delta ctx pred ~full:delta) normalized;
-      List.iter
-        (fun unit_preds ->
-          Ivm_obs.Attribution.set_context
-            ~stratum:(Program.stratum program (List.hd unit_preds))
-            ~phase:"delta";
-          match unit_preds with
-          | [ p ] when not (Program.recursive program p) ->
-            Delta.set_delta ctx p ~full:(Delta.derive ctx p)
-          | unit_preds ->
-            Trace.span "rc.fixpoint"
-              ~args:(fun () -> [ ("unit", String.concat "," unit_preds) ])
-              (fun () -> fix_unit ~max_rounds ctx unit_preds))
-        (Program.recursive_units program);
-      Delta.commit ?track ctx)
+  Delta.maintain ?track (algorithm ?max_rounds ()) db changes
 
 (** Materialize a database whose program may be recursive with full
     derivation counts: equivalent to maintaining from an empty database

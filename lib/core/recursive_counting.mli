@@ -8,17 +8,22 @@
     capped and {!Divergence} raised — "counting may not terminate on some
     views" (Section 8).  Duplicate semantics only. *)
 
-module Relation = Ivm_relation.Relation
 module Database = Ivm_eval.Database
 
 exception Divergence of string
 
 val default_max_rounds : int
 
+(** Recursive counting as the driver runs it: Counting's delta rules
+    ({!Delta.Derive}) on a nonrecursive unit, a fixpoint of delta rounds
+    ({!Delta.Fixpoint}) on an SCC, capped at [max_rounds]. *)
+val algorithm : ?max_rounds:int -> unit -> Delta.algorithm
+
 (** Incrementally maintain all views — recursive ones included — with
-    exact derivation counts; commits and returns the applied view deltas.
-    [?track] is handed every committed delta whole, at commit time
-    ({!Changes.absorb}: the snapshot publisher's net-change feed).
+    exact derivation counts: one {!Delta.maintain} call, which commits and
+    reports what changed.  [?track] is handed every committed delta
+    whole, at commit time ({!Changes.absorb}: the snapshot publisher's
+    net-change feed).
     @raise Divergence when counts cannot converge within [max_rounds];
     @raise Invalid_argument under set semantics (use {!Dred}). *)
 val maintain :
@@ -26,7 +31,7 @@ val maintain :
   ?track:Changes.collector ->
   Database.t ->
   Changes.t ->
-  (string * Relation.t) list
+  Delta.report
 
 (** Materialize a (possibly recursive) program with derivation counts:
     equivalent to maintaining from an empty database with every base fact

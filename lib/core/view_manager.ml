@@ -104,30 +104,28 @@ let evaluate algorithm db =
   | Dred_counted -> Seminaive.evaluate ~counts:true db
   | Counting | Dred | Auto -> Seminaive.evaluate db
 
-(** Maintain [db] through one batch and return the per-view deltas.
-    [Auto] is resolved against [db] itself: during a rule change that is
-    the rebuilt database, whose program may have just turned recursive.
-    Only [Auto] enables the cost rule ({!Delta.choose}): each unit whose
-    input delta is large is re-evaluated instead of maintained, live and
-    in recovery alike; explicit [Counting], [Dred] and [Dred_counted]
-    run their algorithms unchanged.  [track] is handed every delta the
-    incremental algorithms commit, whole (a re-evaluated unit commits
-    there too); recomputation rewrites relations wholesale, so it marks
-    [track] incomplete instead and the snapshot publisher falls back to
-    a full copy. *)
+(** Maintain [db] through one batch and return the per-view deltas: one
+    {!Delta.maintain} call, or recomputation.  [Auto] is resolved
+    against [db] itself: during a rule change that is the rebuilt
+    database, whose program may have just turned recursive.  Only [Auto]
+    enables the cost rule: each unit whose input delta is large is
+    re-evaluated instead of maintained, live and in recovery alike.
+    [track] is handed every delta the incremental algorithms commit,
+    whole (a re-evaluated unit commits there too); recomputation
+    rewrites relations wholesale, so it marks [track] incomplete instead
+    and the snapshot publisher falls back to a full copy. *)
 let maintain ?track algorithm db changes : (string * Relation.t) list =
-  let auto = algorithm = Auto in
-  match resolve algorithm (Database.program db) with
-  | Counting -> (
-    let report = Counting.maintain ~auto ?track db changes in
+  let incremental alg =
+    let report = Delta.maintain ?track ~auto:(algorithm = Auto) alg db changes in
     match Database.semantics db with
-    | Database.Set_semantics -> report.Counting.propagated_deltas
-    | Database.Duplicate_semantics -> report.Counting.view_deltas)
-  | Dred -> (Dred.maintain ?track db changes).Dred.view_deltas
-  | Dred_counted ->
-    let mode = if auto then Dred.Auto else Dred.Counted in
-    (Dred.maintain ~mode ?track db changes).Dred.view_deltas
-  | Recursive_counting -> Recursive_counting.maintain ?track db changes
+    | Database.Set_semantics -> report.Delta.propagated_deltas
+    | Database.Duplicate_semantics -> report.Delta.view_deltas
+  in
+  match resolve algorithm (Database.program db) with
+  | Counting -> incremental Counting.algorithm
+  | Dred -> incremental (Dred.algorithm Paper)
+  | Dred_counted -> incremental (Dred.algorithm Counted)
+  | Recursive_counting -> incremental (Recursive_counting.algorithm ())
   | Recompute | Auto ->
     Option.iter Changes.mark_incomplete track;
     (* A recompute invalidates every stored support wholesale; the

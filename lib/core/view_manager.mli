@@ -27,19 +27,24 @@ module Database = Ivm_eval.Database
                          per unit, re-evaluated when its input delta is large
     v}
 
-    [Dred_counted] is DRed combined with counting (Hu, Motik & Horrocks,
-    arXiv:1711.03987): every stored tuple holds its one-step derivation
-    count, so rederivation is a filter over the overdeleted tuples and
-    evaluates no rule ({!Dred.maintain} [~mode:Counted]).  A log tail
-    replays as one net batch under DRed, counted or not, and
-    recomputation; record by record under the counting algorithms.
+    Every incremental algorithm runs through one driver,
+    {!Delta.maintain}, one step per maintenance unit: Counting's delta
+    rules on a nonrecursive unit under every count-exact algorithm, DRed's
+    phases or recursive counting's fixpoint on an SCC, and the paper's
+    three phases on every unit under explicit [Dred].  [Dred_counted] is
+    DRed combined with counting (Hu, Motik & Horrocks, arXiv:1711.03987)
+    on each SCC: every stored tuple holds its one-step derivation count,
+    so rederivation is a filter over the overdeleted tuples and evaluates
+    no rule ({!Dred.maintain} [~mode:Counted]).  A log tail replays as
+    one net batch under DRed, counted or not, and recomputation; record
+    by record under the counting algorithms.
 
-    [Auto] is the only entry that enables {!Delta.choose}, the per-unit
-    cost rule: a unit (an SCC under DRed, one view under Counting) whose
-    net input delta reaches a constant share of its stored inputs is
-    re-evaluated from its finished inputs instead of maintained, live and
-    in recovery alike, with the same stored counts.  Explicit [Counting],
-    [Dred] and [Dred_counted] run their algorithms unchanged.
+    [Auto] is the only entry that enables the driver's per-unit cost
+    rule: a unit whose net input delta reaches a constant share of its
+    stored inputs (a share per step) is re-evaluated from its finished
+    inputs instead of maintained, live and in recovery alike, with the
+    same stored counts.  Explicit [Counting], [Dred] and [Dred_counted]
+    run their steps unchanged.
 
     {!create}, {!of_source}, {!open_durable}, {!set_algorithm} and
     {!add_rule} refuse a combination outside this table with
@@ -118,8 +123,9 @@ val resolve : t -> algorithm
 val set_algorithm : t -> algorithm -> unit
 
 (** Apply one batch of base-relation changes.  Returns the per-view deltas
-    (set transitions under set semantics / DRed, count deltas under
-    duplicate semantics); empty for [Recompute].  On a durable manager the
+    of the derived predicates, in name order (set transitions under set
+    semantics, count deltas under duplicate semantics); empty for
+    [Recompute].  On a durable manager the
     normalized batch is appended to the write-ahead log and fsync'd before
     maintenance runs (see {!Ivm_store.Store}). *)
 val apply : t -> Changes.t -> (string * Relation.t) list

@@ -61,7 +61,7 @@ let query_stages = [ "decode"; "query"; "ack" ]
 let next_rid = Atomic.make 1
 let next_flow = Atomic.make 1
 
-let start ?id ~sid ~op () : t option =
+let start ?id ~started ~sid ~op () : t option =
   if not !enabled_flag then None
   else
     let id =
@@ -74,7 +74,7 @@ let start ?id ~sid ~op () : t option =
         id;
         sid;
         op;
-        started = Unix.gettimeofday ();
+        started;
         flow_id = Atomic.fetch_and_add next_flow 1;
         stages = [];
         finished = false;

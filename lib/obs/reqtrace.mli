@@ -48,10 +48,12 @@ val apply_stages : string list
 (** The query-path chain: [decode], [query], [ack]. *)
 val query_stages : string list
 
-(** Open a request record; [None] when tracing is disabled.  [id] is the
+(** Open a request record that began at [started] ([Unix.gettimeofday]
+    seconds: the frame's arrival, so the end-to-end total covers decode
+    to ack written); [None] when tracing is disabled.  [id] is the
     client-proposed trace context (ignored when empty — a fresh server
     id [r-<n>] is assigned). *)
-val start : ?id:string -> sid:int -> op:string -> unit -> t option
+val start : ?id:string -> started:float -> sid:int -> op:string -> unit -> t option
 
 val id : t -> string
 

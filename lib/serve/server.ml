@@ -424,7 +424,7 @@ let handle_request (t : t) r (s : session) ~(t0 : float)
   let rq =
     Reqtrace.start
       ?id:(if trace_ctx = "" then None else Some trace_ctx)
-      ~sid:s.sid ~op:(op_name req) ()
+      ~started:t0 ~sid:s.sid ~op:(op_name req) ()
   in
   Reqtrace.add_stage rq "decode" ~t0 ~t1:(Unix.gettimeofday ());
   let reply resp = send_traced t r s rq ~t0:(Unix.gettimeofday ()) resp in

@@ -122,15 +122,71 @@ let unaffected_views_skipped () =
     Counting.maintain db
       (Changes.insertions (Database.program db) "noise" [ Tuple.of_strs [ "x"; "y" ] ])
   in
-  Alcotest.(check int) "no view deltas" 0 (List.length report.Counting.view_deltas);
+  Alcotest.(check int) "no view deltas" 0 (List.length report.Ivm.Delta.view_deltas);
   Alcotest.(check int) "no rule applications" 0 (Ivm_eval.Stats.rule_applications ());
   Alcotest.(check bool)
     "noise stored" true
     (Relation.mem (rel db "noise") (Tuple.of_strs [ "x"; "y" ]))
+
+(* What [View_manager.apply] returns names derived predicates only, each
+   once, in name order, under every supported (algorithm, semantics)
+   pair, on a nonrecursive and on a recursive program: the base
+   relations' own deltas are not in it. *)
+let apply_lists_derived_in_order () =
+  let module Vm = Ivm.View_manager in
+  let recursive =
+    {|
+      path(X, Y) :- link(X, Y).
+      path(X, Y) :- path(X, Z), link(Z, Y).
+      hop(X, Y) :- link(X, Z), link(Z, Y).
+      far(X, Y) :- path(X, Y), not hop(X, Y).
+    |}
+  in
+  let facts =
+    [ ("link", List.map Tuple.of_strs [ [ "a"; "b" ]; [ "b"; "c" ]; [ "c"; "d" ] ]) ]
+  in
+  List.iter
+    (fun (source, semantics, algorithm) ->
+      match
+        Vm.create ~semantics ~algorithm ~facts (Parser.parse_rules source)
+      with
+      | exception Invalid_argument _ -> () (* outside the contract *)
+      | vm ->
+        let changes =
+          Changes.of_list (Vm.program vm)
+            [
+              ( "link",
+                [ (Tuple.of_strs [ "d"; "e" ], 1); (Tuple.of_strs [ "a"; "b" ], -1) ] );
+            ]
+        in
+        let preds = List.map fst (Vm.apply vm changes) in
+        let name = Vm.algorithm_name algorithm in
+        let derived = Program.derived_preds (Vm.program vm) in
+        List.iter
+          (fun p ->
+            if not (List.mem p derived) then
+              Alcotest.failf "%s returned %s, not a derived predicate" name p)
+          preds;
+        Alcotest.(check (list string))
+          (name ^ ": in name order, each once")
+          (List.sort_uniq String.compare preds) preds;
+        if algorithm <> Vm.Recompute && preds = [] then
+          Alcotest.failf "%s returned no view delta" name)
+    (List.concat_map
+       (fun source ->
+         List.concat_map
+           (fun semantics ->
+             List.map
+               (fun a -> (source, semantics, a))
+               Vm.[ Counting; Dred; Dred_counted; Recursive_counting; Recompute; Auto ])
+           [ Database.Set_semantics; Database.Duplicate_semantics ])
+       [ src; recursive ])
 
 let suite =
   [
     quick "all algorithms agree on nonrecursive programs" matrix_nonrecursive;
     quick "counting == recursive counting on counts" counting_equals_rc_counts;
     quick "unaffected views are skipped entirely" unaffected_views_skipped;
+    quick "apply lists derived predicates only, in name order"
+      apply_lists_derived_in_order;
   ]

@@ -131,7 +131,7 @@ let blakeley_spj () =
   let report = Blakeley.maintain db changes in
   Alcotest.(check bool)
     "hop delta computed" true
-    (List.mem_assoc "hop" report.Counting.view_deltas)
+    (List.mem_assoc "hop" report.Ivm.Delta.view_deltas)
 
 (* Blakeley rejects views over views, unions, negation and aggregation. *)
 let blakeley_rejections () =

@@ -6,12 +6,12 @@ module Changes = Ivm.Changes
 module Counting = Ivm.Counting
 
 let find_delta report pred =
-  match List.assoc_opt pred report.Counting.view_deltas with
+  match List.assoc_opt pred report.Ivm.Delta.view_deltas with
   | Some r -> r
   | None -> Relation.create 2
 
 let find_propagated report pred =
-  match List.assoc_opt pred report.Counting.propagated_deltas with
+  match List.assoc_opt pred report.Ivm.Delta.propagated_deltas with
   | Some r -> r
   | None -> Relation.create 2
 
@@ -78,7 +78,8 @@ let examples_reevaluated () =
       let report =
         Fun.protect
           ~finally:(fun () -> ignore (Trace.disable ()))
-          (fun () -> Counting.maintain ~auto:true db (example_4_2_changes db))
+          (fun () ->
+            Ivm.Delta.maintain ~auto:true Counting.algorithm db (example_4_2_changes db))
       in
       check_rel "Δhop" (rel_of_pairs hop) (find_propagated report "hop");
       check_rel "Δtri_hop" (rel_of_pairs tri_hop) (find_delta report "tri_hop");

@@ -118,12 +118,25 @@ let odd_even =
     only_odd(X, Y) :- odd(X, Y), not even(X, Y).
 |}
 
+(** A closure, a negation over [hop] and a GROUPBY count over the
+    closure, all over [link]: nonrecursive units above and beside an SCC,
+    where [Auto] runs Counting's delta rules on the former and counted
+    DRed on the latter. *)
+let mixed_strata =
+  Programs.transitive_closure
+  ^ {|
+    hop(X, Y) :- link(X, Z), link(Z, Y).
+    far(X, Y) :- path(X, Y), not hop(X, Y).
+    reach(X, N) :- groupby(path(X, Y), [X], N = count()).
+|}
+
 let recursive_programs =
   [
     ("left-linear closure", Programs.transitive_closure);
     ("right-linear closure", Programs.transitive_closure_right);
     ("nonlinear closure", nonlinear_closure);
     ("odd/even", odd_even);
+    ("mixed strata", mixed_strata);
   ]
 
 let recursive_gen =
@@ -180,18 +193,28 @@ let ring_graph rng =
     counts. *)
 let dred_counted = ("dred-counted", fun db c -> ignore (Dred.maintain ~mode:Dred.Counted db c))
 
+(** [Auto] through the manager's path, from one-step counts like counted
+    DRed: Counting's delta rules on nonrecursive units, counted DRed on
+    SCCs. *)
+let auto = ("auto", fun db c -> ignore (Vm.apply (Vm.of_database db) c))
+
 (** Drive the [runners] (name × maintain) in lockstep over one random
     stream: every batch is generated against the first database — all
     databases hold the same base state, so the deletions are valid for
     each — then applied to all of them; [agree] checks the final states.
-    A runner named ["dred-counted"] starts from one-step counts. *)
+    The ["dred-counted"] and ["auto"] runners start from one-step
+    counts. *)
 let lockstep ?(graph = random_graph) ~semantics ~src ~runners ~agree seed =
   let rng = Prng.create seed in
   let graph = graph rng in
   let dbs =
     List.map
       (fun (name, run) ->
-        (name, build ~counts:(name = fst dred_counted) ~semantics ~src graph, run))
+        ( name,
+          build
+            ~counts:(List.mem name [ fst dred_counted; fst auto ])
+            ~semantics ~src graph,
+          run ))
       runners
   in
   let first = match dbs with (_, db, _) :: _ -> db | [] -> assert false in
@@ -273,10 +296,10 @@ let counted_recursive_set =
           ]
         ~agree:(agree_as Relation.equal_sets) seed)
 
-(** Counted DRed's stored counts after every batch equal those of a
-    fresh evaluation with one-step counts — the audit a count-bearing
-    manager runs. *)
-let counts_exact ~graph ~src seed =
+(** A counted runner's stored counts (counted DRed's by default) after
+    every batch equal those of a fresh evaluation with one-step counts —
+    the audit a count-bearing manager runs. *)
+let counts_exact ?(runner = dred_counted) ~graph ~src seed =
   let rng = Prng.create seed in
   let db = build ~counts:true ~semantics:Database.Set_semantics ~src (graph rng) in
   List.for_all
@@ -284,7 +307,7 @@ let counts_exact ~graph ~src seed =
       let changes =
         Update_gen.mixed rng db "link" ~nodes ~dels:(Prng.int rng 5) ~ins:(Prng.int rng 5)
       in
-      ignore (Dred.maintain ~mode:Dred.Counted db changes);
+      snd runner db changes;
       let fresh = Database.copy db in
       Seminaive.evaluate ~counts:true fresh;
       agree_as Relation.equal_counted [ ("maintained", db); ("fresh", fresh) ])
@@ -501,7 +524,26 @@ let determinism_props =
           ~src:(source_of s) ~maintain:(snd dred_counted) s.seed);
   ]
 
+(** [Auto] on recursive programs, the mixed strata among them: its
+    counts stay one-step exact and its sets equal recomputation's. *)
+let auto_recursive =
+  [
+    q ~count:40 "auto: counts equal a fresh counted evaluation (recursive)"
+      arb_recursive_graph (fun ((seed, src), ring) ->
+        counts_exact ~runner:auto
+          ~graph:(if ring then ring_graph else random_graph)
+          ~src seed);
+    q ~count:40 "auto == recompute (sets, recursive shapes, cyclic graphs)"
+      arb_recursive_graph (fun ((seed, src), ring) ->
+        lockstep
+          ~graph:(if ring then ring_graph else random_graph)
+          ~semantics:Database.Set_semantics ~src
+          ~runners:[ auto; ("recompute", fun db c -> Recompute.maintain db c) ]
+          ~agree:(agree_as Relation.equal_sets) seed);
+  ]
+
 let suite =
   [ four_way_set; duplicate_counted; recursive_set ]
   @ determinism_props @ auto_props
   @ (counted_recursive_set :: counted_audit)
+  @ auto_recursive

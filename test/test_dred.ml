@@ -53,8 +53,8 @@ let rederivation_happens () =
     (Relation.mem (rel db "path") (Tuple.of_strs [ "b"; "d" ]));
   (* The overestimate contained more than the real deletions and some
      tuples were rederived. *)
-  let over = List.assoc "path" report.Dred.overdeleted in
-  let reder = List.assoc "path" report.Dred.rederived in
+  let over = List.assoc "path" report.Ivm.Delta.overdeleted in
+  let reder = List.assoc "path" report.Ivm.Delta.rederived in
   Alcotest.(check bool) "overestimate non-trivial" true (over > 2);
   Alcotest.(check bool) "some tuples rederived" true (reder >= 2)
 

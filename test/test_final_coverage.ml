@@ -73,9 +73,9 @@ let dred_report_on_insertions () =
     Dred.maintain db
       (Changes.insertions (Database.program db) "link" [ Tuple.of_strs [ "b"; "c" ] ])
   in
-  Alcotest.(check int) "nothing overdeleted" 0 (List.length report.Dred.overdeleted);
-  Alcotest.(check int) "nothing rederived" 0 (List.length report.Dred.rederived);
-  match report.Dred.view_deltas with
+  Alcotest.(check int) "nothing overdeleted" 0 (List.length report.Ivm.Delta.overdeleted);
+  Alcotest.(check int) "nothing rederived" 0 (List.length report.Ivm.Delta.rederived);
+  match report.Ivm.Delta.view_deltas with
   | [ ("path", d) ] -> check_rel "Δpath" (rel_of_pairs "bc; ac") d
   | _ -> Alcotest.fail "expected one path delta"
 
@@ -120,11 +120,11 @@ let counting_report_base_deltas () =
     Ivm.Counting.maintain db
       (Changes.insertions (Database.program db) "link" [ Tuple.of_strs [ "b"; "c" ] ])
   in
-  (match report.Ivm.Counting.base_deltas with
+  (match report.Ivm.Delta.base_deltas with
   | [ ("link", d) ] -> Alcotest.(check int) "one base tuple" 1 (Relation.cardinal d)
   | _ -> Alcotest.fail "expected link base delta");
   Alcotest.(check (list string)) "changed views" [ "hop" ]
-    (Ivm.Counting.changed_views report)
+    (Ivm.Delta.changed_views report)
 
 let suite =
   [

@@ -175,7 +175,7 @@ let insert_delete_same_batch () =
       (Changes.deletions p "link" [ Tuple.of_strs [ "x"; "y" ] ])
   in
   let report = Ivm.Counting.maintain db changes in
-  Alcotest.(check int) "no view deltas" 0 (List.length report.Ivm.Counting.view_deltas)
+  Alcotest.(check int) "no view deltas" 0 (List.length report.Ivm.Delta.view_deltas)
 
 let empty_change_set () =
   let db = db_of_source {|
@@ -183,7 +183,7 @@ let empty_change_set () =
     link(a,b).
   |} in
   let report = Ivm.Counting.maintain db [] in
-  Alcotest.(check int) "nothing" 0 (List.length report.Ivm.Counting.view_deltas)
+  Alcotest.(check int) "nothing" 0 (List.length report.Ivm.Delta.view_deltas)
 
 (* ---------------- DRed across stacked recursive units ---------------- *)
 

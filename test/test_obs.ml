@@ -371,6 +371,27 @@ let test_recompute_dominates edges =
 
 (* ------------------------------------------------------------------ *)
 
+(* A request's total runs from [started], the frame's arrival: a decode
+   stage timed from there lies inside it, so the stages (disjoint, in
+   order) never sum past the total.  The times are whole seconds plus
+   powers of two, exact in floating point. *)
+let test_reqtrace_total_covers_decode () =
+  let module Reqtrace = Ivm_obs.Reqtrace in
+  let was_enabled = Reqtrace.enabled () in
+  Reqtrace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Reqtrace.set_enabled was_enabled) @@ fun () ->
+  let t0 = Float.round (Unix.gettimeofday ()) -. 1.0 in
+  let rq = Reqtrace.start ~started:t0 ~sid:0 ~op:"apply" () in
+  let mid = t0 +. ldexp 1.0 (-10) and last = t0 +. ldexp 1.0 (-9) in
+  Reqtrace.add_stage rq "decode" ~t0 ~t1:mid;
+  Reqtrace.add_stage rq "ack" ~t0:mid ~t1:last;
+  let total = Option.get (Reqtrace.finish rq) in
+  let sum =
+    List.fold_left (fun acc (_, ns) -> acc + ns) 0 (Reqtrace.timings rq)
+  in
+  Alcotest.(check int) "two stages of 2^-10 s" (2 * 976_562) sum;
+  Alcotest.(check bool) "total >= sum of stages" true (total >= sum)
+
 let suite =
   [
     Alcotest.test_case "registry: label order canonicalized" `Quick
@@ -403,6 +424,8 @@ let suite =
       test_stats_since_nesting;
     Alcotest.test_case "stats: since clamps across reset" `Quick
       test_stats_since_clamps_across_reset;
+    Alcotest.test_case "reqtrace: total covers a decode begun before start" `Quick
+      test_reqtrace_total_covers_decode;
     q ~count:100 "recompute work strictly dominates counting (Ex 1.1)"
       domination_gen test_recompute_dominates;
   ]
