@@ -13,15 +13,17 @@ module Metrics = Ivm_obs.Metrics
 let batches_c =
   Metrics.counter ~labels:[ ("algorithm", "recompute") ] "ivm_maintain_batches_total"
 
-(** Materialize every view from the base relations: semi-naive
-    evaluation, except for recursive programs under duplicate semantics,
-    whose multiset only counting through recursion computes (Section 8). *)
+(** Materialize every view from the base relations with exact counts:
+    semi-naive evaluation with one-step derivation counts through
+    recursion (no extra pass), except for recursive programs under
+    duplicate semantics, whose multiset only counting through recursion
+    computes (Section 8). *)
 let evaluate (db : Database.t) : unit =
   if
     Database.semantics db = Database.Duplicate_semantics
     && not (Program.nonrecursive (Database.program db))
   then Recursive_counting.evaluate db
-  else Seminaive.evaluate db
+  else Seminaive.evaluate ~counts:true db
 
 (** Apply the base changes, then rebuild every view with {!evaluate}. *)
 let maintain (db : Database.t) (changes : Changes.t) : unit =

@@ -6,8 +6,10 @@
 
 module Database = Ivm_eval.Database
 
-(** Materialize every view from the base relations (recursive programs
-    under duplicate semantics go through {!Recursive_counting.evaluate}). *)
+(** Materialize every view from the base relations with exact counts:
+    one-step derivation counts through recursion under set semantics
+    ({!Ivm_eval.Seminaive.evaluate} [~counts:true]); recursive programs
+    under duplicate semantics go through {!Recursive_counting.evaluate}. *)
 val evaluate : Database.t -> unit
 
 (** Apply the base changes, invalidating aggregate indexes over the

@@ -1,7 +1,7 @@
 (** The library's front door: a materialized-view database plus an
     incremental maintenance policy.  The interface tables the algorithm
     contract on [algorithm] — which of the paper's algorithms maintains
-    which programs, and how every entry point refuses the rest; the six
+    which programs, and how every entry point refuses the rest; the five
     functions under "The algorithm contract" below implement it.
 
     Rule insertions/deletions (Section 7's view redefinition) go through
@@ -45,7 +45,7 @@ let semantics_name = function
 (* The algorithm contract                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* These six functions, with [algorithm_name] and [algorithm_of_string],
+(* These five functions, with [algorithm_name] and [algorithm_of_string],
    are the only code that matches on an [algorithm]: every entry point
    makes each per-algorithm decision through them. *)
 
@@ -74,19 +74,12 @@ let supports algorithm program semantics : (unit, string) result =
     Error "recursive-counting maintains duplicate semantics only (use dred or recompute)"
   | Counting | Dred | Dred_counted | Recursive_counting | Recompute | Auto -> Ok ()
 
-(** What [algorithm] keeps as [program]'s stored counts: the set
-    maintainers (DRed, recomputation) keep the tuple sets exact but let
-    the counts go stale; counted DRed keeps one-step counts through
-    recursion, which are counting's derivation counts on a nonrecursive
-    program. *)
-let stored_counts algorithm program : Ivm_store.Snapshot.counts =
-  match resolve algorithm program with
-  | Counting | Recursive_counting -> Derivation
-  | Dred_counted -> if Program.nonrecursive program then Derivation else One_step
-  | Dred | Recompute | Auto -> Stale
-
-(** Whether stored counts are exact derivation counts. *)
-let counted algorithm program = stored_counts algorithm program <> Stale
+(** Whether [algorithm] keeps [program]'s stored counts exact: every
+    resolution does but explicit DRed, which keeps the tuple sets exact
+    and lets the counts go stale.  Through recursion the exact counts are
+    one-step derivation counts, which are counting's derivation counts on
+    a nonrecursive program. *)
+let counted algorithm program = resolve algorithm program <> Dred
 
 (** Whether a log tail replays as one net batch: a DRed batch, counted or
     not, costs the region it over-deletes, not |Δ|, and recomputation
@@ -96,13 +89,14 @@ let replays_net algorithm program =
   | Dred | Dred_counted | Recompute -> true
   | Counting | Recursive_counting | Auto -> false
 
-(** Materialize every view of [db] from its base relations. *)
+(** Materialize every view of [db] from its base relations: with exact
+    counts, except under explicit DRed, which stores a recursive view as
+    a set with count 1 (the paper's reference). *)
 let evaluate algorithm db =
   match resolve algorithm (Database.program db) with
+  | Dred -> Seminaive.evaluate db
   | Recursive_counting -> Recursive_counting.evaluate db
-  | Recompute -> Recompute.evaluate db
-  | Dred_counted -> Seminaive.evaluate ~counts:true db
-  | Counting | Dred | Auto -> Seminaive.evaluate db
+  | Counting | Dred_counted | Recompute | Auto -> Recompute.evaluate db
 
 (** Maintain [db] through one batch and return the per-view deltas: one
     {!Delta.maintain} call, or recomputation.  [Auto] is resolved
@@ -311,7 +305,7 @@ let apply_group ?hooks ?track (t : t) (batches : Changes.t list) :
 
 (** Wrap an already-materialized database (e.g. one loaded from a
     snapshot) without re-evaluating anything: its stored counts must be
-    the ones [algorithm] keeps ({!stored_counts}).  The
+    exact unless [algorithm] resolves to explicit DRed ({!counted}).  The
     incremental-aggregates flag is inferred from the registered
     indexes. *)
 let of_database ?(algorithm = Auto) (db : Database.t) : t =
@@ -337,12 +331,11 @@ let register_agg_indexes (t : t) : unit =
         rule.Ast.body)
     (Program.rules (Database.program t.db))
 
-(* Moving into a count-bearing resolution from another — an explicit
-   switch, a rule change that flips what [Auto] means, or a snapshot
-   whose mark differs — inherits counts that are stale or of another
-   kind: with [~stale] and a count-bearing resolution, re-derive
-   every view from scratch (which drops aggregate indexes over the
-   rewritten views; re-register them).  Returns whether it re-derived. *)
+(* Moving into a count-exact resolution from explicit DRed — an explicit
+   switch, or a snapshot not marked exact — inherits stale counts: with
+   [~stale] and a count-exact resolution, re-derive every view from
+   scratch (which drops aggregate indexes over the rewritten views;
+   re-register them).  Returns whether it re-derived. *)
 let rederive (t : t) ~stale : bool =
   let stale = stale && counted t.algorithm (program t) in
   if stale then Ivm_prov.Prov.with_suspended (fun () -> evaluate t.algorithm t.db);
@@ -379,18 +372,13 @@ let replay (t : t) (records : Changes.t list) : int option =
     Some (Changes.total_tuples net)
   end
 
-(** The mark a snapshot of [t] carries ({!Ivm_store.Snapshot.counts}). *)
-let snapshot_counts (t : t) = stored_counts t.algorithm (program t)
-
 (** Open an existing durable store: load the snapshot (no re-evaluation),
     refuse an unsupported algorithm, re-derive the views when the
-    resolution keeps exact counts and the snapshot's mark is not the one
-    it writes (as {!set_algorithm} does) — a snapshot written before the
-    mark existed reads [Derivation], so counted DRed re-derives every
-    recursive one — replay the surviving log tail ({!replay}), and
-    attach the store so subsequent batches are logged.  If the refusal or
-    the replay raises, the store is closed before the exception
-    propagates. *)
+    resolution keeps exact counts and the snapshot is not marked [Exact]
+    (written under explicit DRed, or before the mark existed), replay the
+    surviving log tail ({!replay}), and attach the store so subsequent
+    batches are logged.  If the refusal or the replay raises, the store
+    is closed before the exception propagates. *)
 let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
   let db, store, recovery = Ivm_store.Store.open_ ~dir in
   let records = recovery.Ivm_store.Store.replayed in
@@ -401,7 +389,7 @@ let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
     try
       let t = of_database ?algorithm db in
       require t.algorithm (program t) (semantics t);
-      if recovery.Ivm_store.Store.counts <> snapshot_counts t then
+      if recovery.Ivm_store.Store.counts <> Some Ivm_store.Snapshot.Exact then
         ignore (rederive t ~stale:true);
       Trace.span "store.replay"
         ~args:(fun () ->
@@ -429,7 +417,8 @@ let make_durable (t : t) ~(dir : string) : unit =
       (Printf.sprintf "View_manager.make_durable: already durable in %s"
          (Ivm_store.Store.dir s))
   | None ->
-    t.store <- Some (Ivm_store.Store.initialize ~counts:(snapshot_counts t) ~dir t.db)
+    let counts = if counted t.algorithm (program t) then Ivm_store.Snapshot.Exact else Stale in
+    t.store <- Some (Ivm_store.Store.initialize ~counts ~dir t.db)
 
 (** Create a manager from rules and initial base facts; materializes all
     views eagerly.  [domains], when given, sets the process-global domain
@@ -470,7 +459,9 @@ let of_source ?semantics ?algorithm ?extra_base ?distinct ?domains ?durable
 let compact (t : t) : unit =
   match t.store with
   | None -> invalid_arg "View_manager.compact: manager is not durable"
-  | Some s -> Ivm_store.Store.compact ~counts:(snapshot_counts t) s t.db
+  | Some s ->
+    let counts = if counted t.algorithm (program t) then Ivm_store.Snapshot.Exact else Stale in
+    Ivm_store.Store.compact ~counts s t.db
 
 let store_status (t : t) : Ivm_store.Store.status option =
   Option.map Ivm_store.Store.status t.store
@@ -531,13 +522,15 @@ let refresh_provenance (t : t) ~reason : unit =
 
 (* Section 7's view redefinition: [change] rebuilds the database and
    maintains every view through the guard flip with the configured
-   algorithm. *)
+   algorithm.  A change can flip what [Auto] resolves to only between two
+   count-exact steps (Counting and counted DRed), so the maintained
+   counts stay exact and nothing is re-derived; the rebuilt database
+   carries no aggregate indexes, so they are re-registered. *)
 let change_rule (t : t) change (rule : Ast.rule) : unit =
-  let prev = resolve t in
   t.db <-
     Ivm_prov.Prov.with_suspended (fun () ->
         change t.db ~maintain:(fun db c -> ignore (maintain t.algorithm db c)) rule);
-  ignore (rederive t ~stale:(resolve t <> prev));
+  if t.incremental_aggregates then register_agg_indexes t;
   refresh_provenance t ~reason:"rule-change";
   resnapshot t
 
@@ -562,27 +555,26 @@ let remove_rule_text (t : t) (src : string) : unit =
 (** Switch the maintenance algorithm in place.
 
     An unsupported combination is refused before anything changes.
-    Switching {e to} a count-bearing algorithm (counting / recursive
-    counting) from a set-maintaining one (DRed, recomputation) re-derives
-    every view from scratch first: the set maintainers keep the stored
-    tuple {e sets} exact but let the derivation counts go stale, and the
-    counting algorithms' deltas are only correct against true counts.
+    Leaving explicit DRed re-derives every view from scratch first: DRed
+    keeps the stored tuple {e sets} exact but lets the derivation counts
+    go stale, and every other algorithm keeps exact counts, which the
+    counting algorithms' deltas need.
     Like rule changes, a switch is not WAL-logged: on a durable manager it
     folds the log into a fresh snapshot, so every record in any log tail
     was appended under the algorithm the snapshot was taken under. *)
 let set_algorithm (t : t) (algorithm : algorithm) : unit =
   if algorithm <> t.algorithm then begin
     require algorithm (program t) (semantics t);
-    let prev = resolve t in
+    let leaves_dred = t.algorithm = Dred in
     t.algorithm <- algorithm;
-    if rederive t ~stale:(resolve t <> prev) then
+    if rederive t ~stale:leaves_dred then
       refresh_provenance t ~reason:"algorithm-switch";
     resnapshot t
   end
 
 (** Audit: recompute every view from scratch and compare with the
     maintained materializations.  [Ok ()] when they agree (counts included
-    under count-bearing configurations, sets under DRed). *)
+    under every resolution but explicit DRed, sets under it). *)
 let audit (t : t) : (unit, string) result =
   let fresh = Database.copy t.db in
   (* The audit copy's evaluation must not pollute the provenance store. *)

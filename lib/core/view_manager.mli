@@ -4,7 +4,8 @@
     A manager owns a {!Ivm_eval.Database} (program + stored relations with
     derivation counts) and routes every change batch through one of the
     paper's algorithms; [Auto] follows the paper's own recommendation —
-    counting for nonrecursive programs, DRed otherwise (Section 1). *)
+    counting for nonrecursive programs, DRed otherwise (Section 1) — with
+    counted DRed as its DRed. *)
 
 module Tuple = Ivm_relation.Tuple
 module Relation = Ivm_relation.Relation
@@ -22,7 +23,7 @@ module Database = Ivm_eval.Database
     Dred_counted         any            set         exact (one-step)
     Recursive_counting   any            duplicate   exact (diverges, detected,
                                                     on cyclic data)
-    Recompute            any            any         stale (sets exact)
+    Recompute            any            any         exact (one-step)
     Auto                 counting if nonrecursive, else counted DRed (as above);
                          per unit, re-evaluated when its input delta is large
     v}
@@ -51,7 +52,11 @@ module Database = Ivm_eval.Database
     [Invalid_argument] naming it, before anything changes: the relations,
     the algorithm, {!state_version}, the log and the store files stay as
     they were.  {!remove_rule} never leaves the table (removal creates no
-    recursion); {!of_database} wraps without checking. *)
+    recursion); {!of_database} wraps without checking.
+
+    Every algorithm but explicit [Dred] keeps exact counts, so only
+    leaving [Dred] — by {!set_algorithm}, or by reopening one of its
+    snapshots or a version-1 one — re-derives the views. *)
 type algorithm =
   | Counting  (** Algorithm 4.1 *)
   | Dred  (** Delete/Rederive *)
@@ -98,10 +103,11 @@ val of_source :
   t
 
 (** Wrap an already-materialized database (e.g. one loaded from a
-    snapshot) without re-evaluating anything.  Its counts must be the
-    ones [algorithm]'s resolution keeps: under counted DRed ([Auto] on a
-    recursive program) {!Ivm_eval.Seminaive.evaluate} [~counts:true]'s,
-    else maintenance can drop tuples that still have a derivation. *)
+    snapshot) without re-evaluating anything.  Unless [algorithm]
+    resolves to explicit [Dred], its counts must be exact — through
+    recursion {!Ivm_eval.Seminaive.evaluate} [~counts:true]'s one-step
+    counts, as {!Recompute.evaluate} stores them — else maintenance can
+    drop tuples that still have a derivation.  Not checked. *)
 val of_database : ?algorithm:algorithm -> Database.t -> t
 
 val database : t -> Database.t
@@ -114,12 +120,11 @@ val algorithm : t -> algorithm
 val resolve : t -> algorithm
 
 (** Switch the maintenance algorithm in place (@raise Invalid_argument
-    outside the {!algorithm} contract, nothing changed).  Switching
-    to a count-bearing algorithm (counting, counted DRed, recursive
-    counting) from a set-maintaining one (DRed, recompute) first
-    re-derives every view from scratch — the set maintainers leave stored
-    derivation counts stale.  Not WAL-logged: on a durable manager the switch folds the log
-    into a fresh snapshot, like rule changes. *)
+    outside the {!algorithm} contract, nothing changed).  Leaving
+    explicit [Dred] first re-derives every view from scratch: DRed
+    leaves stored derivation counts stale, and every other algorithm
+    keeps them exact.  Not WAL-logged: on a durable manager the switch
+    folds the log into a fresh snapshot, like rule changes. *)
 val set_algorithm : t -> algorithm -> unit
 
 (** Apply one batch of base-relation changes.  Returns the per-view deltas
@@ -192,10 +197,11 @@ val fork_database : t -> unit
 (** Open an existing store directory: load the snapshot with zero
     re-evaluation, replay the surviving log tail through the normal
     maintenance path, attach the log for subsequent batches.  Opened
-    under a count-bearing resolution whose snapshots carry another
-    counts mark ({!Ivm_store.Snapshot.counts}) than the loaded one — a
-    set maintainer's, or an older recursive image with count 1 under
-    counted DRed — the views are re-derived before the replay.  Under DRed (counted or not) and
+    under any resolution but explicit [Dred], a snapshot not marked
+    [Exact] ({!Ivm_store.Snapshot.counts}) — one written under explicit
+    DRed, or an unmarked version-1 image — has its views re-derived
+    before the replay; a snapshot the manager wrote itself under a
+    count-exact resolution re-derives nothing.  Under DRed (counted or not) and
     Recompute the tail is maintained as one net batch; Counting and
     recursive counting replay it record by record.  Either way every
     record is validated against the state the records before it leave.
@@ -256,8 +262,8 @@ val remove_rule : t -> Ast.rule -> unit
 val remove_rule_text : t -> string -> unit
 
 (** Recompute every view from scratch and compare with the maintained
-    materializations: [Ok ()] when they agree (with counts under
-    count-bearing configurations, as sets under DRed/Recompute). *)
+    materializations: [Ok ()] when they agree (with counts under every
+    algorithm but explicit [Dred], as sets under it). *)
 val audit : t -> (unit, string) result
 
 val pp : Format.formatter -> t -> unit

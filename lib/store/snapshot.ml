@@ -12,7 +12,7 @@ module Trace = Ivm_obs.Trace
 exception Corrupt of string
 
 let magic = "IVMSNAP1"
-let version = 1
+let version = 2
 
 let bytes_written_c = Metrics.counter "ivm_store_bytes_written_total"
 let snapshots_c = Metrics.counter "ivm_store_snapshots_total"
@@ -26,7 +26,7 @@ let stored_preds program =
 
 (* Sized first, then written once into one exact-size block; the CRC
    trailer is computed over the block in place. *)
-type counts = Derivation | Stale | One_step
+type counts = Exact | Stale
 
 let encode ~counts ~seq (db : Database.t) : string =
   let program = Database.program db in
@@ -58,7 +58,7 @@ let encode ~counts ~seq (db : Database.t) : string =
           ((match Database.semantics db with
            | Database.Set_semantics -> 0
            | Database.Duplicate_semantics -> 1)
-          lor match counts with Derivation -> 0 | Stale -> 2 | One_step -> 4);
+          lor match counts with Exact -> 0 | Stale -> 2);
         Wire.put_i64 w seq;
         Wire.put_string w program_src;
         Wire.put_u32 w (List.length base);
@@ -79,7 +79,7 @@ let encode ~counts ~seq (db : Database.t) : string =
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt ("snapshot: " ^ s))) fmt
 
-let decode (s : string) : Database.t * int * counts =
+let decode (s : string) : Database.t * int * counts option =
   let n = String.length s in
   if n < String.length magic + 4 + 4 then corrupt "file too short (%d bytes)" n;
   if String.sub s 0 (String.length magic) <> magic then corrupt "bad magic";
@@ -90,15 +90,11 @@ let decode (s : string) : Database.t * int * counts =
   let r = Wire.reader ~pos:(String.length magic) (String.sub s 0 (n - 4)) in
   try
     let v = Wire.get_u32 r in
-    if v <> version then corrupt "unsupported version %d (expected %d)" v version;
+    if v <> 1 && v <> version then corrupt "unsupported version %d (expected %d)" v version;
     let flags = Wire.get_u8 r in
-    let counts =
-      match flags lsr 1 with
-      | 0 -> Derivation
-      | 1 -> Stale
-      | 2 -> One_step
-      | _ -> corrupt "bad semantics byte %d" flags
-    in
+    (* a version-1 image is unmarked, whatever its bits 1-2 held *)
+    if flags lsr (if v = 1 then 3 else 2) <> 0 then corrupt "bad semantics byte %d" flags;
+    let counts = if v = 1 then None else if flags land 2 = 0 then Some Exact else Some Stale in
     let semantics =
       if flags land 1 = 0 then Database.Set_semantics else Database.Duplicate_semantics
     in

@@ -10,7 +10,9 @@
 
     The byte format (magic ["IVMSNAP1"], version [u32], payload, trailing
     CRC-32 over everything before it) is specified field-by-field in
-    [docs/PERSISTENCE.md].  Writing is atomic: the bytes go to a temporary
+    [docs/PERSISTENCE.md].  Version 2 writes the {!counts} mark; a
+    version-1 image, written before the mark existed, decodes as
+    unmarked ([None]).  Writing is atomic: the bytes go to a temporary
     file in the same directory, are fsync'd, and renamed over the
     destination, so a crash mid-save leaves the previous snapshot intact.
 
@@ -23,26 +25,23 @@ exception Corrupt of string
 val magic : string
 val version : int
 
-(** What the stored derivation counts are, as the maintainer that wrote
-    the image kept them: bits 1–2 of the semantics byte, so an image with
-    [Derivation] counts keeps the bytes it had before the mark existed. *)
+(** What the stored counts are, as the maintainer that wrote the image
+    kept them: bit 1 of the semantics byte. *)
 type counts =
-  | Derivation
-      (** counting's and recursive counting's; in an image written before
-          the mark existed, count 1 in a set-semantics recursive view *)
-  | Stale  (** written by a set maintainer (DRed, recomputation): sets exact, counts not *)
-  | One_step  (** counted DRed's one-step derivation counts in every view *)
+  | Exact  (** exact derivation counts (one-step through recursion) in every view *)
+  | Stale  (** written under explicit DRed: sets exact, counts not *)
 
 (** Encode to bytes (including magic, version and CRC trailer). *)
 val encode : counts:counts -> seq:int -> Ivm_eval.Database.t -> string
 
-(** Decode and verify; the returned database is fully materialized.
+(** Decode and verify; the returned database is fully materialized, with
+    the image's mark ([None] for version 1).
     @raise Corrupt on a bad magic, version, CRC or structure. *)
-val decode : string -> Ivm_eval.Database.t * int * counts
+val decode : string -> Ivm_eval.Database.t * int * counts option
 
 (** [save ~counts ~path ~seq db] — atomic write-fsync-rename.
     Returns the encoded size in bytes. *)
 val save : counts:counts -> path:string -> seq:int -> Ivm_eval.Database.t -> int
 
 (** @raise Corrupt as {!decode}; @raise Sys_error if unreadable. *)
-val load : path:string -> Ivm_eval.Database.t * int * counts
+val load : path:string -> Ivm_eval.Database.t * int * counts option

@@ -19,7 +19,7 @@ type recovery = {
   skipped_records : int;
   truncated_bytes : int;
   damage : string option;
-  counts : Snapshot.counts;
+  counts : Snapshot.counts option;
 }
 
 type status = {

@@ -36,7 +36,8 @@ type recovery = {
   skipped_records : int;  (** records the snapshot already covered *)
   truncated_bytes : int;  (** torn/corrupt tail bytes dropped *)
   damage : string option;  (** what stopped the log scan, if anything *)
-  counts : Snapshot.counts;  (** what the snapshot's stored counts are *)
+  counts : Snapshot.counts option;
+      (** what the snapshot's stored counts are; [None] for a version-1 image *)
 }
 
 type status = {

@@ -261,6 +261,28 @@ let writer_checks_size () =
             Wire.put_i64 w 1;
             Wire.put_u32 w 2)))
 
+(** Snapshot [image] with its version set and its semantics byte mapped
+    by [flags], the CRC trailer recomputed. *)
+let with_header ~version ~flags (image : string) : string =
+  let b = Bytes.of_string image in
+  let n = Bytes.length b in
+  Bytes.set_int32_le b 8 (Int32.of_int version);
+  Bytes.set_uint8 b 12 (flags (Bytes.get_uint8 b 12));
+  Bytes.set_int32_le b (n - 4) (Crc32.update_bytes 0l b 0 (n - 4));
+  Bytes.unsafe_to_string b
+
+(** [image] rewritten as a version-1 snapshot, as it was written before
+    the counts mark existed: bits 1-2 of the semantics byte cleared. *)
+let as_version_1 = with_header ~version:1 ~flags:(fun f -> f land lnot 6)
+
+(** Rewrite the snapshot file at [path] with {!as_version_1}. *)
+let rewrite_as_version_1 path =
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (as_version_1 image))
+
+(* The version-2 golden, and the version-1 golden kept as a decode
+   fixture: the same state written before the counts mark existed must
+   still load, unmarked and unchanged. *)
 let golden_snapshot () =
   let db =
     db_of_source ~semantics:Database.Duplicate_semantics
@@ -272,12 +294,21 @@ let golden_snapshot () =
         named(Z, B) :- w(X, Y, Z, B).
       |}
   in
-  let s = Snapshot.encode ~counts:Snapshot.Derivation ~seq:7 db in
+  let s = Snapshot.encode ~counts:Snapshot.Exact ~seq:7 db in
   Alcotest.(check int) "snapshot length" 545 (String.length s);
-  Alcotest.(check int32) "snapshot CRC trailer" 0x2388bd10l
+  Alcotest.(check int32) "snapshot CRC trailer" 0x076ab42al
     (String.get_int32_le s (String.length s - 4));
-  Alcotest.(check string) "snapshot MD5" "dbd78399ec7c5bc93daf3ce8f12d1b5f"
-    (Digest.to_hex (Digest.string s))
+  Alcotest.(check string) "snapshot MD5" "92cbf2edd9f0f62b648960d370c74901"
+    (Digest.to_hex (Digest.string s));
+  let v1 = as_version_1 s in
+  Alcotest.(check int32) "version-1 CRC trailer" 0x2388bd10l
+    (String.get_int32_le v1 (String.length v1 - 4));
+  Alcotest.(check string) "version-1 MD5" "dbd78399ec7c5bc93daf3ce8f12d1b5f"
+    (Digest.to_hex (Digest.string v1));
+  let db1, seq, counts = Snapshot.decode v1 in
+  Alcotest.(check int) "version-1 sequence" 7 seq;
+  Alcotest.(check bool) "a version-1 image is unmarked" true (counts = None);
+  Alcotest.(check bool) "version-1 state unchanged" true (Database.agree db db1)
 
 let allocation_guards () =
   let at_most limit what f =
@@ -325,12 +356,23 @@ let snapshot_roundtrip () =
       let s = Snapshot.encode ~counts ~seq:7 db in
       let db2, seq, counts2 = Snapshot.decode s in
       Alcotest.(check int) "sequence survives" 7 seq;
-      Alcotest.(check bool) "counts mark survives" true (counts2 = counts);
+      Alcotest.(check bool) "counts mark survives" true (counts2 = Some counts);
       Alcotest.(check bool) "state survives" true (Database.agree db db2);
       (* the snapshot is byte-stable: same state, same bytes *)
       Alcotest.(check string) "deterministic encoding" s
         (Snapshot.encode ~counts ~seq:7 db2))
-    [ Snapshot.Derivation; Snapshot.Stale; Snapshot.One_step ]
+    [ Snapshot.Exact; Snapshot.Stale ]
+
+(* Version 2 has one mark bit and refuses bit 2; version 1 reads as
+   unmarked whatever its bits 1-2 hold. *)
+let snapshot_mark_bits () =
+  let s = Snapshot.encode ~counts:Snapshot.Stale ~seq:7 (db_of_source snapshot_source) in
+  Alcotest.(check int) "the stale bit" 2 (Char.code s.[12]);
+  (match Snapshot.decode (with_header ~version:2 ~flags:(fun f -> f lor 4) s) with
+  | _ -> Alcotest.fail "a version-2 image with bit 2 set decoded"
+  | exception Snapshot.Corrupt _ -> ());
+  let _, _, counts = Snapshot.decode (with_header ~version:1 ~flags:(fun f -> f lor 6) s) in
+  Alcotest.(check bool) "version 1, bits 1-2 set: unmarked" true (counts = None)
 
 let snapshot_duplicate_semantics () =
   let db =
@@ -340,7 +382,7 @@ let snapshot_duplicate_semantics () =
         hop(X, Y) :- link(X, Z), link(Z, Y).
       |}
   in
-  let db2, _, _ = Snapshot.decode (Snapshot.encode ~counts:Snapshot.Derivation ~seq:0 db) in
+  let db2, _, _ = Snapshot.decode (Snapshot.encode ~counts:Snapshot.Exact ~seq:0 db) in
   Alcotest.(check bool) "duplicate counts survive" true (Database.agree db db2);
   check_rel "hop multiplicity 2" (rel_of_pairs "ac 2")
     (Database.relation db2 "hop")
@@ -359,16 +401,25 @@ let snapshot_agg_indexes () =
           | _ -> ())
         rule.Ast.body)
     (Program.rules (Database.program db));
-  let db2, _, _ = Snapshot.decode (Snapshot.encode ~counts:Snapshot.Derivation ~seq:0 db) in
+  let db2, _, _ = Snapshot.decode (Snapshot.encode ~counts:Snapshot.Exact ~seq:0 db) in
   Alcotest.(check (list string))
     "registered aggregate indexes survive the round-trip"
     (Database.agg_signatures db) (Database.agg_signatures db2)
+
+(* A directory fsync swallows only EINVAL (a filesystem that cannot sync
+   a directory); a missing directory is an error. *)
+let fsync_dir_reports_errors () =
+  with_dir (fun dir ->
+      Ivm_store.Fsutil.fsync_dir dir;
+      match Ivm_store.Fsutil.fsync_dir (Filename.concat dir "missing") with
+      | () -> Alcotest.fail "fsync of a missing directory succeeded"
+      | exception Unix.Unix_error _ -> ())
 
 let snapshot_detects_corruption () =
   with_dir (fun dir ->
       let db = db_of_source snapshot_source in
       let path = Filename.concat dir "snap" in
-      ignore (Snapshot.save ~counts:Snapshot.Derivation ~path ~seq:1 db);
+      ignore (Snapshot.save ~counts:Snapshot.Exact ~path ~seq:1 db);
       let bytes = In_channel.with_open_bin path In_channel.input_all in
       let broken = Bytes.of_string bytes in
       let mid = Bytes.length broken / 2 in
@@ -386,9 +437,9 @@ let snapshot_detects_corruption () =
 let initialize_twice_refused () =
   with_dir (fun dir ->
       let db = db_of_source snapshot_source in
-      let s = Store.initialize ~counts:Snapshot.Derivation ~dir db in
+      let s = Store.initialize ~counts:Snapshot.Exact ~dir db in
       Store.close s;
-      match Store.initialize ~counts:Snapshot.Derivation ~dir db with
+      match Store.initialize ~counts:Snapshot.Exact ~dir db with
       | _ -> Alcotest.fail "re-initialize over an existing store"
       | exception Invalid_argument _ -> ())
 
@@ -408,7 +459,7 @@ let compaction_crash_skips_covered_records () =
       ignore (Vm.delete vm "link" (pairs "ad"));
       let db = Vm.database vm in
       (* the first half of compaction, then "crash" before the log reset *)
-      ignore (Snapshot.save ~counts:Snapshot.Derivation ~path:(Store.snapshot_file dir) ~seq:2 db);
+      ignore (Snapshot.save ~counts:Snapshot.Exact ~path:(Store.snapshot_file dir) ~seq:2 db);
       Vm.close_store vm;
       let vm2, recovery = Vm.open_durable dir in
       Alcotest.(check int) "both records skipped" 2 recovery.Store.skipped_records;
@@ -572,16 +623,15 @@ let diamond_facts =
   let chain = List.init 20 (fun i -> (100 + i, 101 + i)) in
   [ ("link", List.map diamond_link ([ (1, 2); (2, 4); (1, 3); (3, 4) ] @ chain)) ]
 
-let mark_name = function
-  | Snapshot.Derivation -> "derivation"
-  | Snapshot.Stale -> "stale"
-  | Snapshot.One_step -> "one-step"
+let mark_name = function Snapshot.Exact -> "exact" | Snapshot.Stale -> "stale"
 
+(* [None]: an unmarked (version-1) image *)
 let check_mark what expected actual =
-  Alcotest.(check string) what (mark_name expected) (mark_name actual)
+  Alcotest.(check (option string)) what
+    (Option.map mark_name expected) (Option.map mark_name actual)
 
-(* A set maintainer lets derivation counts go stale, so its snapshots are
-   marked; reopened under a count-bearing resolution, the views are
+(* Explicit DRed lets derivation counts go stale, so its snapshots are
+   marked; reopened under a count-exact resolution, the views are
    re-derived before the tail replays.  [program] runs over the diamond
    under explicit DRed with a store: hop(1,4) has two derivations, and
    after deleting link(1,2) DRed leaves it with a stale count of 2;
@@ -590,9 +640,9 @@ let check_mark what expected actual =
    default Auto — counting for hop, counted DRed for path — and one more
    link is deleted.  Trusting the stale counts, hop(1,4) would survive
    the loss of its last derivation and path(1,4) would fall with its
-   first; the audit compares counts.  Auto's own snapshot then carries
-   [auto_mark] and reopens without a re-derivation. *)
-let stale_counts_rederived ~view ~before ~after ~present ~auto_mark program () =
+   first; the audit compares counts.  Auto's own snapshot is then marked
+   exact. *)
+let stale_counts_rederived ~view ~before ~after ~present program () =
   with_dir (fun dir ->
       let vm =
         Vm.create ~algorithm:Vm.Dred ~durable:dir ~facts:diamond_facts
@@ -604,7 +654,7 @@ let stale_counts_rederived ~view ~before ~after ~present ~auto_mark program () =
       Alcotest.(check int) "a DRed snapshot's mark bits" 2 (Char.code bytes.[12] land 6);
       Vm.close_store vm;
       let reopened, recovery = Vm.open_durable dir in
-      check_mark "recovery reports the mark" Snapshot.Stale recovery.Store.counts;
+      check_mark "recovery reports the mark" (Some Snapshot.Stale) recovery.Store.counts;
       ignore (Vm.delete reopened "link" (List.map diamond_link after));
       Alcotest.(check bool)
         (Printf.sprintf "%s(1,4) present" view)
@@ -615,14 +665,37 @@ let stale_counts_rederived ~view ~before ~after ~present ~auto_mark program () =
       Vm.close_store reopened;
       let again, recovery = Vm.open_durable dir in
       Vm.close_store again;
-      check_mark "Auto's snapshot" auto_mark recovery.Store.counts)
+      check_mark "Auto's snapshot" (Some Snapshot.Exact) recovery.Store.counts)
 
-(* A snapshot written before the mark existed reads as derivation counts.
-   The default Auto then resolved a recursive program to DRed, which
-   stores the closure as a set with count 1: such an image, written here
-   as that default wrote it, must be re-derived under counted DRed, where
-   path(1,4)'s two derivations give it count 2 and deleting link(1,2)
-   leaves it standing. *)
+(* A version-1 image is unmarked, and re-derived under every count-exact
+   resolution.  Explicit DRed builds the hop diamond with a store and
+   deletes link(1,2), leaving hop(1,4) with a stale count of 2; the
+   compacted image is rewritten as DRed wrote it before the mark existed.
+   Reopened under Auto (Counting on hop) and trusted, the deletion of
+   link(1,3) would leave hop(1,4) standing after its last derivation is
+   gone. *)
+let unmarked_dred_snapshot_rederived () =
+  with_dir (fun dir ->
+      let vm =
+        Vm.create ~algorithm:Vm.Dred ~durable:dir ~facts:diamond_facts
+          (Parser.parse_rules "hop(X, Y) :- link(X, Z), link(Z, Y).")
+      in
+      ignore (Vm.delete vm "link" [ diamond_link (1, 2) ]);
+      Vm.compact vm;
+      Vm.close_store vm;
+      rewrite_as_version_1 (Store.snapshot_file dir);
+      let vm, recovery = Vm.open_durable dir in
+      check_mark "an unmarked image" None recovery.Store.counts;
+      ignore (Vm.delete vm "link" [ diamond_link (1, 3) ]);
+      Alcotest.(check bool) "hop(1,4) gone" false
+        (Relation.mem (Vm.relation vm "hop") (diamond_link (1, 4)));
+      Alcotest.(check (result unit string)) "audit, with counts" (Ok ()) (Vm.audit vm);
+      Vm.close_store vm)
+
+(* The default Auto once resolved a recursive program to DRed, which
+   stores the closure as a set with count 1: such a version-1 image must
+   be re-derived under counted DRed, where path(1,4)'s two derivations
+   give it count 2 and deleting link(1,2) leaves it standing. *)
 let unmarked_recursive_snapshot_rederived () =
   with_dir (fun dir ->
       let program = Program.make (Parser.parse_rules Programs.transitive_closure) in
@@ -631,9 +704,10 @@ let unmarked_recursive_snapshot_rederived () =
       Seminaive.evaluate db;
       Alcotest.(check int) "the image holds path(1,4) with count 1" 1
         (Relation.count (Database.relation db "path") (diamond_link (1, 4)));
-      Store.close (Store.initialize ~counts:Snapshot.Derivation ~dir db);
+      Store.close (Store.initialize ~counts:Snapshot.Exact ~dir db);
+      rewrite_as_version_1 (Store.snapshot_file dir);
       let vm, recovery = Vm.open_durable dir in
-      check_mark "an unmarked image" Snapshot.Derivation recovery.Store.counts;
+      check_mark "an unmarked image" None recovery.Store.counts;
       Alcotest.(check string) "Auto resolves to counted DRed" "dred-counted"
         (Vm.algorithm_name (Vm.resolve vm));
       Alcotest.(check int) "re-derived: path(1,4) has two derivations" 2
@@ -759,23 +833,23 @@ let inverse (changes : Changes.t) : Changes.t =
   List.map (fun (p, r) -> (p, Relation.negate r)) changes
 
 (* Coalesced recovery = per-record replay of the same log through [apply]
-   on a manager loaded from the same snapshot, for DRed, Recompute and
-   Auto over the differential suite's random stratified programs.  The
-   log mixes random batches with insert/delete pairs that cancel across
-   records (an inverse that a later batch made invalid is refused by
-   [apply] and never logged); a long tail adds 24 more random batches,
-   so a recursive program's net tail crosses Auto's DRed threshold and
-   Auto re-evaluates where DRed runs its phases.  Recompute re-derives
-   every count, so its dumps must match count for count.  DRed keeps
-   tuple sets exact but not derivation counts (see
-   [View_manager.set_algorithm]): its counts depend on where batch
-   boundaries fall, so it is compared as sets, the contract its audit
-   checks; so is Auto, which resolves to DRed on a recursive program and
-   to Counting, replayed record by record, on a nonrecursive one.  CI
-   runs the whole suite at IVM_DOMAINS 1 and 4. *)
+   on a manager loaded from the same snapshot, for DRed, counted DRed,
+   Recompute and Auto over the differential suite's random stratified
+   programs.  The log mixes random batches with insert/delete pairs that
+   cancel across records (an inverse that a later batch made invalid is
+   refused by [apply] and never logged); a long tail adds 24 more random
+   batches, so a recursive program's net tail crosses Auto's threshold
+   and Auto re-evaluates where counted DRed runs its phases.  Every
+   algorithm but explicit DRed keeps exact counts — Auto resolves to
+   counted DRed on a recursive program and to Counting, replayed record
+   by record, on a nonrecursive one — so their dumps must match count
+   for count.  Explicit DRed keeps tuple sets exact but not derivation
+   counts (see [View_manager.set_algorithm]): its counts depend on where
+   batch boundaries fall, so it is compared as sets, the contract its
+   audit checks.  CI runs the whole suite at IVM_DOMAINS 1 and 4. *)
 let net_replay_equals_per_record =
-  let algorithms = [ Vm.Dred; Vm.Recompute; Vm.Auto ] in
-  q "net replay = per-record replay (DRed, Recompute, Auto; random programs, long tails)"
+  let algorithms = [ Vm.Dred; Vm.Dred_counted; Vm.Recompute; Vm.Auto ] in
+  q "net replay = per-record replay (DRed, counted DRed, Recompute, Auto; random programs, long tails)"
     (QCheck.triple Test_differential.arb_program
        (QCheck.make
           ~print:(fun a -> Vm.algorithm_name a)
@@ -816,8 +890,7 @@ let net_replay_equals_per_record =
           let a = Vm.database oracle and b = Vm.database recovered in
           let same =
             Database.agree a b
-            && (algorithm <> Vm.Recompute
-               || String.equal (canonical_dump a) (canonical_dump b))
+            && (algorithm = Vm.Dred || String.equal (canonical_dump a) (canonical_dump b))
           in
           let batches =
             if name = "counting" then List.length recovery.Store.replayed else 1
@@ -890,9 +963,11 @@ let suite =
     quick "wire: CRC, frame and integer codecs allocate per call, not per byte"
       allocation_guards;
     quick "snapshot: round-trip" snapshot_roundtrip;
+    quick "snapshot: the counts mark's bits per version" snapshot_mark_bits;
     quick "snapshot: duplicate semantics" snapshot_duplicate_semantics;
     quick "snapshot: aggregate indexes" snapshot_agg_indexes;
     quick "snapshot: corruption detected" snapshot_detects_corruption;
+    quick "store: a directory fsync reports a missing directory" fsync_dir_reports_errors;
     quick "store: initialize twice refused" initialize_twice_refused;
     quick "store: open missing refused" open_missing_refused;
     quick "store: compaction crash skips covered records"
@@ -901,11 +976,13 @@ let suite =
     quick "manager: compact then reopen" compact_then_reopen;
     quick "manager: a DRed snapshot's stale counts are re-derived under counting"
       (stale_counts_rederived ~view:"hop" ~before:[ (1, 2) ] ~after:[ (1, 3) ]
-         ~present:false ~auto_mark:Snapshot.Derivation
+         ~present:false
          "hop(X, Y) :- link(X, Z), link(Z, Y).");
     quick "manager: a DRed snapshot's stale counts are re-derived under counted DRed"
       (stale_counts_rederived ~view:"path" ~before:[] ~after:[ (1, 2) ] ~present:true
-         ~auto_mark:Snapshot.One_step Programs.transitive_closure);
+         Programs.transitive_closure);
+    quick "manager: an unmarked DRed snapshot is re-derived under counting"
+      unmarked_dred_snapshot_rederived;
     quick "manager: an unmarked recursive snapshot is re-derived under counted DRed"
       unmarked_recursive_snapshot_rederived;
     crash_recovery_prop;
