@@ -376,9 +376,10 @@ let replay (t : t) (records : Changes.t list) : int option =
     refuse an unsupported algorithm, re-derive the views when the
     resolution keeps exact counts and the snapshot is not marked [Exact]
     (written under explicit DRed, or before the mark existed), replay the
-    surviving log tail ({!replay}), and attach the store so subsequent
-    batches are logged.  If the refusal or the replay raises, the store
-    is closed before the exception propagates. *)
+    surviving log tail ({!replay}), compact once after a re-derivation,
+    and attach the store so subsequent batches are logged.  If the
+    refusal or the replay raises, the store is closed before the
+    exception propagates. *)
 let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
   let db, store, recovery = Ivm_store.Store.open_ ~dir in
   let records = recovery.Ivm_store.Store.replayed in
@@ -389,8 +390,10 @@ let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
     try
       let t = of_database ?algorithm db in
       require t.algorithm (program t) (semantics t);
-      if recovery.Ivm_store.Store.counts <> Some Ivm_store.Snapshot.Exact then
-        ignore (rederive t ~stale:true);
+      let rederived =
+        recovery.Ivm_store.Store.counts <> Some Ivm_store.Snapshot.Exact
+        && rederive t ~stale:true
+      in
       Trace.span "store.replay"
         ~args:(fun () ->
           ("records", string_of_int (List.length records))
@@ -399,6 +402,9 @@ let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
           | Some n -> [ ("mode", "net"); ("net_tuples", string_of_int n) ]
           | None -> [ ("mode", "per_record") ]))
         (fun () -> net := replay t records);
+      (* the re-derived counts are exact: write them back once, so the
+         next open trusts the image instead of re-deriving again *)
+      if rederived then Ivm_store.Store.compact ~counts:Ivm_store.Snapshot.Exact store t.db;
       t
     with e ->
       let bt = Printexc.get_raw_backtrace () in

@@ -200,7 +200,9 @@ val fork_database : t -> unit
     under any resolution but explicit [Dred], a snapshot not marked
     [Exact] ({!Ivm_store.Snapshot.counts}) — one written under explicit
     DRed, or an unmarked version-1 image — has its views re-derived
-    before the replay; a snapshot the manager wrote itself under a
+    before the replay, and once the replay succeeds the store is
+    compacted, so the directory holds an [Exact] image and the next open
+    re-derives nothing; a snapshot the manager wrote itself under a
     count-exact resolution re-derives nothing.  Under DRed (counted or not) and
     Recompute the tail is maintained as one net batch; Counting and
     recursive counting replay it record by record.  Either way every

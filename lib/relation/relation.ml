@@ -490,36 +490,142 @@ let of_tuples arity l =
   List.iter (fun t -> add r t 1) l;
   r
 
-(* The entries in [Tuple.compare] order, as the entry array and the
-   sorted positions into it (no per-row pair).  Tuples can compare equal
-   without being equal (an [Int] and a [Float] past 2^53); the stable
-   sort over the reverse of [iter] order keeps those in the order
-   earlier releases encoded them, so snapshots and frames stay
-   byte-identical.  Nothing here may seed an array of more than 256
-   words with a young entry — [Array.make] then forces a minor
-   collection, and a fresh relation's entries are young — so the array
-   is filled from [empty] (old after the first minor collection), and
-   the sort permutes positions, not entries, since [Array.stable_sort]
-   seeds its merge buffer with the array's first element. *)
-let sorted_entries r =
-  let a = Array.make (cardinal r) empty in
-  let i = ref (Array.length a) in
+(* The one sort kernel: the sorted positions into the entry array, in
+   [Tuple.compare] order.  The entry array holds the entries in the
+   reverse of [iter] order (no per-row pair), and so does the flat array
+   below.
+
+   When every value is an [Int], one pass reads each row's values, then
+   its count, into a flat int array (stride [arity + 1]), and the
+   positions sort on those integers ([radix_sort]): no step dereferences
+   an entry, a tuple or a boxed value, and an encoder writes the rows
+   from the same array without building the entry array at all.  Two
+   distinct all-[Int] tuples never compare equal, so this is
+   [Tuple.compare] order with no tie to break.  Any other relation sorts
+   its entries by [Tuple.compare]: tuples can compare equal without
+   being equal (an [Int] and a [Float] past 2^53), and the stable sort
+   over the reverse of [iter] order keeps those in the order earlier
+   releases encoded them, so snapshots and frames stay byte-identical
+   either way.
+
+   Nothing here may seed an array of more than 256 words with a young
+   entry — [Array.make] then forces a minor collection, and a fresh
+   relation's entries are young — so the entry array is filled from
+   [empty] (old after the first minor collection), and the sort permutes
+   positions, not entries, since [Array.stable_sort] seeds its merge
+   buffer with the array's first element. *)
+type sorted =
+  | Ints of { order : int array; flat : int array }
+  | Entries of { order : int array; ents : entry array }
+
+let entries r =
+  let ents = Array.make (cardinal r) empty in
+  let i = ref (Array.length ents) in
   iter_entries
     (fun e ->
       decr i;
-      a.(!i) <- e)
+      ents.(!i) <- e)
     r;
-  let pos = Array.init (Array.length a) Fun.id in
-  Array.stable_sort (fun x y -> Tuple.compare a.(x).etup a.(y).etup) pos;
-  (a, pos)
+  ents
+
+exception Not_int
+
+(* [r]'s values and counts, flat, or [None] at its first non-[Int]. *)
+let int_rows r =
+  let k = r.arity in
+  let flat = Array.make (cardinal r * (k + 1)) 0 in
+  let at = ref (Array.length flat) in
+  match
+    iter_entries
+      (fun e ->
+        at := !at - k - 1;
+        let vals = e.etup.vals in
+        for j = 0 to k - 1 do
+          match vals.(j) with
+          | Value.Int v -> flat.(!at + j) <- v
+          | Value.Float _ | Value.Str _ | Value.Bool _ -> raise Not_int
+        done;
+        flat.(!at + k) <- e.ecount)
+      r
+  with
+  | () -> Some flat
+  | exception Not_int -> None
+
+(* The rows of [flat] in order: a stable least-significant-digit radix
+   sort of their positions, the last column first.  A column's digits
+   are those of its value minus the column's minimum, read as an
+   unsigned 63-bit int (the difference cannot overflow that), so a pass
+   runs only over the bits that vary; a digit is up to 11 bits, fewer
+   for a short relation.  A pass reads each row's digit through the
+   current order and counts, then places. *)
+let radix_sort flat ~k =
+  let stride = k + 1 in
+  let n = Array.length flat / stride in
+  let rec log2_ceil b = if b >= 11 || 1 lsl b >= n then b else log2_ceil (b + 1) in
+  let bits = max 1 (log2_ceil 0) in
+  let mask = (1 lsl bits) - 1 in
+  let count = Array.make (mask + 2) 0 in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  for j = k - 1 downto 0 do
+    let lo = ref max_int and hi = ref min_int in
+    for i = 0 to n - 1 do
+      let v = flat.((i * stride) + j) in
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
+    done;
+    let lo = !lo and span = !hi - !lo in
+    let shift = ref 0 in
+    while !shift < 63 && span lsr !shift <> 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill count 0 (mask + 2) 0;
+      for i = 0 to n - 1 do
+        let c = (((flat.((s.(i) * stride) + j) - lo) lsr sh) land mask) + 1 in
+        count.(c) <- count.(c) + 1
+      done;
+      for c = 1 to mask + 1 do
+        count.(c) <- count.(c) + count.(c - 1)
+      done;
+      for i = 0 to n - 1 do
+        let p = s.(i) in
+        let c = ((flat.((p * stride) + j) - lo) lsr sh) land mask in
+        d.(count.(c)) <- p;
+        count.(c) <- count.(c) + 1
+      done;
+      src := d;
+      dst := s;
+      shift := sh + bits
+    done
+  done;
+  !src
+
+let sort r =
+  match int_rows r with
+  | Some flat -> Ints { order = radix_sort flat ~k:r.arity; flat }
+  | None ->
+    let ents = entries r in
+    let order = Array.init (Array.length ents) Fun.id in
+    Array.stable_sort (fun x y -> Tuple.compare ents.(x).etup ents.(y).etup) order;
+    Entries { order; ents }
+
+let sorted_entries r =
+  match sort r with
+  | Ints { order; _ } -> (order, entries r)
+  | Entries { order; ents } -> (order, ents)
 
 let iter_sorted f r =
-  let a, pos = sorted_entries r in
-  Array.iter (fun p -> f a.(p).etup a.(p).ecount) pos
+  let order, ents = sorted_entries r in
+  Array.iter (fun p -> f ents.(p).etup ents.(p).ecount) order
 
 let to_sorted_list r =
-  let a, pos = sorted_entries r in
-  Array.fold_right (fun p acc -> (a.(p).etup, a.(p).ecount) :: acc) pos []
+  let order, ents = sorted_entries r in
+  Array.fold_right (fun p acc -> (ents.(p).etup, ents.(p).ecount) :: acc) order []
+
+let iter_sorted_rows ~ints ~tuples r =
+  match sort r with
+  | Ints { order; flat } ->
+    let stride = r.arity + 1 in
+    Array.iter (fun p -> ints flat (p * stride)) order
+  | Entries { order; ents } -> Array.iter (fun p -> tuples ents.(p).etup ents.(p).ecount) order
 
 let pp ppf r =
   let pp_entry ppf (t, c) =

@@ -149,12 +149,36 @@ val of_list : int -> (Tuple.t * int) list -> t
 (** Tuples with count 1 each (duplicates in the list accumulate). *)
 val of_tuples : int -> Tuple.t list -> t
 
+(** {2 Canonical order}
+
+    One sort kernel serves the three functions below; the order is
+    [Tuple.compare] order, and tuples that compare equal without being
+    equal (an [Int] and a [Float] past 2^53) keep the reverse of {!iter}
+    order.  When every value is an [Int], the kernel reads the values and
+    counts once into a flat [int array] and radix-sorts the rows on
+    those integers: per column, one O(n) pass for each 11-bit digit of
+    the column's spread (max − min; a 2,000-node graph's columns take
+    one pass each), and n × (arity + 3) words in all (n more when the
+    tuples are wanted).  Any other relation sorts by [Tuple.compare]
+    over the tuples, O(n log n) comparisons, each reading both tuples'
+    values, and 2n words plus the merge buffer. *)
+
 (** Sorted [(tuple, count)] list — deterministic, for tests and printing. *)
 val to_sorted_list : t -> (Tuple.t * int) list
 
 (** [iter_sorted f r] calls [f tuple count] in {!to_sorted_list} order
-    without building the list — the wire codec's deterministic encoding. *)
+    without building the list. *)
 val iter_sorted : (Tuple.t -> int -> unit) -> t -> unit
+
+(** [iter_sorted_rows ~ints ~tuples r] is {!iter_sorted} for encoders.
+    When every value of [r] is an [Int] it calls [ints cols off] once per
+    row, in order: the row's values are [cols.(off)] …
+    [cols.(off + arity r - 1)] and its count [cols.(off + arity r)] — the
+    flat columns the sort ran on, so no tuple is read again.  [cols] is
+    the kernel's own array: read it, neither keep nor write it.  Any other
+    relation gets [tuples tuple count] per row, as {!iter_sorted}. *)
+val iter_sorted_rows :
+  ints:(int array -> int -> unit) -> tuples:(Tuple.t -> int -> unit) -> t -> unit
 
 (** Prints as [{ab, ac 2, mn -1}] in tuple order, counts omitted when 1. *)
 val pp : Format.formatter -> t -> unit

@@ -80,14 +80,22 @@ let put_value w = function
 
 let put_tuple w t = Array.iter (put_value w) (Tuple.to_array t)
 
+(* An all-[Int] relation is written from the sort's flat columns: tag 0
+   and the i64 per value, then the count — [put_value]'s bytes. *)
 let put_relation w r =
-  put_u32 w (Relation.arity r);
+  let k = Relation.arity r in
+  put_u32 w k;
   put_u32 w (Relation.cardinal r);
-  Relation.iter_sorted
-    (fun t c ->
+  Relation.iter_sorted_rows r
+    ~ints:(fun cols off ->
+      for j = off to off + k - 1 do
+        put_u8 w 0;
+        put_i64 w cols.(j)
+      done;
+      put_i64 w cols.(off + k))
+    ~tuples:(fun t c ->
       put_tuple w t;
       put_i64 w c)
-    r
 
 let put_changes w changes =
   put_u32 w (List.length changes);

@@ -200,6 +200,103 @@ let sorted_forces_no_minor () =
   Alcotest.(check int) "all rows" 2000 !rows;
   Alcotest.(check int) "no minor collection" 0 (after - before)
 
+(* ---------------- canonical order (qcheck) ---------------- *)
+
+(* The sort kernel against its reference: [Array.stable_sort] by
+   [Tuple.compare] over the reverse of [iter] order, the order snapshots
+   and frames have always been written in.  A case is an arity (0–3), a
+   column kind and rows with small signed counts, adds that cancel
+   included.  [Ints] relations take the flat-column path: small values,
+   negatives, [min_int], [max_int], any int, and ints around 2^53;
+   [One_float] puts one [Float] among such ints, including floats that
+   tie with an [Int] past 2^53 ([float_of_int (2^53 + 1) = 2^53]);
+   [Mixed] draws strings and booleans too.  Mostly a few hundred rows,
+   sometimes a few thousand, so both digit widths of the radix passes
+   run. *)
+type column_kind = Ints | One_float | Mixed
+
+let big = 1 lsl 53
+
+let int_value_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map Value.int (int_range (-20) 20)); (1, return (Value.int min_int));
+        (1, return (Value.int max_int)); (2, map Value.int int);
+        (2, map (fun d -> Value.int (big + d)) (int_range (-2) 2)) ])
+
+let float_value_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun d -> Value.float (float_of_int (big + d))) (int_range (-2) 2);
+        map (fun x -> Value.float (float_of_int x)) (int_range (-20) 20);
+        map Value.float (float_range (-20.) 20.) ])
+
+let order_case_gen =
+  QCheck.Gen.(
+    let* arity = int_range 0 3 and* kind = oneofl [ Ints; One_float; Mixed ] in
+    let* n = frequency [ (9, int_range 0 300); (1, int_range 2000 3000) ] in
+    let value =
+      match kind with
+      | Ints | One_float -> int_value_gen
+      | Mixed ->
+        frequency
+          [ (3, int_value_gen); (1, float_value_gen);
+            (1, map Value.str (string_size ~gen:printable (int_range 0 2)));
+            (1, map Value.bool bool) ]
+    in
+    let* rows = list_repeat n (pair (array_repeat arity value) (int_range (-2) 3)) in
+    let* at = int_bound (max 0 (n - 1)) and* col = int_bound (max 0 (arity - 1)) in
+    let* f = float_value_gen in
+    if kind = One_float && n > 0 && arity > 0 then (fst (List.nth rows at)).(col) <- f;
+    return (arity, rows))
+
+let print_order_case (arity, rows) =
+  Printf.sprintf "arity %d: %s" arity
+    (String.concat "; "
+       (List.map (fun (vals, c) -> Printf.sprintf "%s %d" (Tuple.to_string (Tuple.make vals)) c) rows))
+
+let order_case = QCheck.make ~print:print_order_case order_case_gen
+
+let relation_of_case (arity, rows) =
+  let r = Relation.create arity in
+  List.iter (fun (vals, c) -> Relation.add r (Tuple.make (Array.copy vals)) c) rows;
+  r
+
+(* The reference order: the stored tuples themselves, with their counts. *)
+let reference_order r =
+  let rows = Array.of_list (Relation.fold (fun t c acc -> (t, c) :: acc) r []) in
+  Array.stable_sort (fun (x, _) (y, _) -> Tuple.compare x y) rows;
+  Array.to_list rows
+
+let same_rows a b =
+  List.length a = List.length b && List.for_all2 (fun (t, c) (u, d) -> t == u && c = d) a b
+
+let sorted_is_reference_order case =
+  let r = relation_of_case case in
+  let want = reference_order r in
+  let iterated = ref [] in
+  Relation.iter_sorted (fun t c -> iterated := (t, c) :: !iterated) r;
+  same_rows want (Relation.to_sorted_list r) && same_rows want (List.rev !iterated)
+
+(* [Wire.put_relation], whose all-[Int] rows are written from the sort's
+   flat columns, against the bytes of the reference order's rows written
+   one [put_tuple] at a time. *)
+let put_relation_is_reference_encoding case =
+  let module Wire = Ivm_wire.Wire in
+  let r = relation_of_case case in
+  let size = Wire.relation_size r in
+  let want =
+    Wire.block size (fun w ->
+        Wire.put_u32 w (Relation.arity r);
+        Wire.put_u32 w (Relation.cardinal r);
+        List.iter
+          (fun (t, c) ->
+            Wire.put_tuple w t;
+            Wire.put_i64 w c)
+          (reference_order r))
+  in
+  Bytes.equal want (Wire.block size (fun w -> Wire.put_relation w r))
+
 (* ---------------- table layout ---------------- *)
 
 (* The main table must keep [Hashtbl.Make (Tuple)]'s layout, so a
@@ -509,6 +606,14 @@ let suite =
     quick "overlay collapses when delta empty" view_collapse;
     quick "sorted entries: Array.stable_sort order" sorted_matches_stable_sort;
     quick "sorted entries: no forced minor collection" sorted_forces_no_minor;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"sorted entries: reference stable sort, every column kind" order_case
+         sorted_is_reference_order);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"Wire.put_relation: the reference order's put_tuple bytes" order_case
+         put_relation_is_reference_encoding);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:20
          ~name:"main table keeps Hashtbl.Make (Tuple)'s layout"

@@ -718,6 +718,55 @@ let unmarked_recursive_snapshot_rederived () =
       Alcotest.(check (result unit string)) "audit, with counts" (Ok ()) (Vm.audit vm);
       Vm.close_store vm)
 
+(* A re-derived image is written back once.  A version-1 store with a
+   one-record log: the first open re-derives the views, replays the
+   record and compacts, leaving a version-2 image marked exact and an
+   empty log; the second open re-derives nothing and replays nothing,
+   and lands on the same state. *)
+let rederived_image_written_back () =
+  with_dir (fun dir ->
+      let vm =
+        Vm.create ~durable:dir ~facts:diamond_facts
+          (Parser.parse_rules "hop(X, Y) :- link(X, Z), link(Z, Y).")
+      in
+      ignore (Vm.delete vm "link" [ diamond_link (1, 2) ]);
+      Vm.close_store vm;
+      rewrite_as_version_1 (Store.snapshot_file dir);
+      let module Trace = Ivm_obs.Trace in
+      let opened () =
+        Trace.enable ~capacity:4096 ();
+        let vm, recovery =
+          Fun.protect
+            ~finally:(fun () -> ignore (Trace.disable ()))
+            (fun () -> Vm.open_durable dir)
+        in
+        let evaluations =
+          List.length
+            (List.filter
+               (fun (e : Trace.event) -> e.Trace.name = "seminaive.evaluate")
+               (Trace.drain ()))
+        in
+        Alcotest.(check (result unit string)) "audit, with counts" (Ok ()) (Vm.audit vm);
+        let state = canonical_dump (Vm.database vm) in
+        Vm.close_store vm;
+        (recovery, evaluations, state)
+      in
+      let first, evaluated, state = opened () in
+      check_mark "first open: an unmarked image" None first.Store.counts;
+      Alcotest.(check int) "first open: the record replayed" 1
+        (List.length first.Store.replayed);
+      Alcotest.(check int) "first open: re-derived once" 1 evaluated;
+      let bytes = In_channel.with_open_bin (Store.snapshot_file dir) In_channel.input_all in
+      Alcotest.(check int) "written back as version 2" 2 (String.get_int32_le bytes 8 |> Int32.to_int);
+      Alcotest.(check int) "written back marked exact" 0 (Char.code bytes.[12] land 6);
+      let second, evaluated, state' = opened () in
+      check_mark "second open: the written-back image" (Some Snapshot.Exact)
+        second.Store.counts;
+      Alcotest.(check int) "second open: nothing replayed" 0
+        (List.length second.Store.replayed);
+      Alcotest.(check int) "second open: nothing re-derived" 0 evaluated;
+      Alcotest.(check string) "same state" state state')
+
 (* ------------------------------------------------------------------ *)
 (* Log-tail replay: net under DRed/Recompute, per record under Counting  *)
 (* ------------------------------------------------------------------ *)
@@ -985,6 +1034,7 @@ let suite =
       unmarked_dred_snapshot_rederived;
     quick "manager: an unmarked recursive snapshot is re-derived under counted DRed"
       unmarked_recursive_snapshot_rederived;
+    quick "manager: a re-derived image is written back once" rederived_image_written_back;
     crash_recovery_prop;
     corruption_recovery_prop;
     quick "manager: an invalid replayed record fails against its prefix, closing the log"
