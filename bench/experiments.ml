@@ -1567,6 +1567,74 @@ let e32 () =
   verdict !ok "each snapshot decodes and re-encodes to the same bytes"
 
 (* =================================================================== *)
+(* E33 — counted DRed's bookkeeping: closure_dred's apply, split         *)
+(* =================================================================== *)
+
+(* perfbench's [closure_dred] shape in process: the 10 × 40 layered DAG,
+   one-edge swaps through the manager ([Auto]: counted DRed on the
+   closure), each swap drawn against the state the previous one left.
+   Per apply: its wall time, the rule-evaluation tasks' share of it
+   (attribution's busy time) and the rest — commit callbacks and the
+   phases' other bookkeeping, the commit to the stored relations — and
+   the minor words the calling domain allocated.  The left-linear
+   closure is perfbench's program; the right-linear one keeps [lag]. *)
+let e33 () =
+  print_header "E33: counted DRed's bookkeeping — a closure_dred apply, split"
+    "counted DRed keeps only the state its unit reads: a left-linear \
+     closure keeps no lag, and each emitted tuple's live delta is looked \
+     up once";
+  let module A = Ivm_obs.Attribution in
+  let layers = 10 and width = 40 and applies = 200 and warmup = 20 in
+  let prev = A.enabled () in
+  A.set_enabled true;
+  let overdeleted = Metrics.counter "ivm_dred_overdeleted_total" in
+  let ok = ref true in
+  let row name src =
+    let db, rng = layered_db ~src ~seed:43 ~layers ~width ~out_degree:2 () in
+    let vm = Vm.of_database (counted_copy db) in
+    let lag = Dred.reads_lag (Vm.database vm) [ "path" ] in
+    let samples =
+      List.init (warmup + applies) (fun _ ->
+          let changes = layered_swap ~k:1 rng (Vm.database vm) ~layers ~width in
+          let d0 = Metrics.counter_value overdeleted in
+          let w0 = Gc.minor_words () in
+          let wall, () = timed (fun () -> ignore (Vm.apply vm changes)) in
+          let words = Gc.minor_words () -. w0 in
+          let rules =
+            match A.last () with Some b -> float_of_int b.busy_wall_ns /. 1e9 | None -> 0.
+          in
+          (wall, rules, words, Metrics.counter_value overdeleted - d0))
+      |> List.filteri (fun i _ -> i >= warmup)
+    in
+    if Vm.audit vm <> Ok () then ok := false;
+    if lag <> String.equal name "right-linear" then ok := false;
+    let med f = percentile (sorted_of (List.map f samples)) 0.5 in
+    let mean f = List.fold_left (fun acc x -> acc +. f x) 0. samples /. float_of_int applies in
+    let wall = med (fun (w, _, _, _) -> w) and rules = med (fun (_, r, _, _) -> r) in
+    let rest = med (fun (w, r, _, _) -> w -. r) in
+    [
+      name; (if lag then "yes" else "no"); fmt_int applies; fmt_time wall; fmt_time rules;
+      fmt_time rest; Printf.sprintf "%.2f" (rest /. rules);
+      Printf.sprintf "%.1fkw" (mean (fun (_, _, w, _) -> w) /. 1000.);
+      Printf.sprintf "%.0f" (mean (fun (_, _, _, d) -> float_of_int d));
+    ]
+  in
+  let rows =
+    [
+      row "left-linear" Programs.transitive_closure;
+      row "right-linear" Programs.transitive_closure_right;
+    ]
+  in
+  A.set_enabled prev;
+  print_table
+    [ "closure"; "keeps lag"; "applies"; "apply (median)"; "rule tasks"; "rest";
+      "rest / rules"; "words / apply"; "overdeleted / apply" ]
+    rows;
+  verdict !ok
+    "only the right-linear closure keeps lag, and both match a recomputation \
+     after their swaps"
+
+(* =================================================================== *)
 
 let all : (string * (unit -> unit)) list =
   [
@@ -1574,4 +1642,5 @@ let all : (string * (unit -> unit)) list =
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
     ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
     ("e17", e17); ("e25", e25); ("e28", e28); ("e30", e30); ("e32", e32);
+    ("e33", e33);
   ]

@@ -130,21 +130,28 @@ let view ctx version pred =
 (** Definition 6.1.  [Δ(¬Q)] holds [t] with count +1 when [t] was deleted
     outright from [Q] (so [¬q(t)] became true) and with −1 when [t] was
     inserted into a previously-empty [Q] slot.  Only tuples of [Δ(Q)] can
-    appear. *)
+    appear.  When [Q]'s set transitions propagate, that is [Q]'s
+    propagated delta negated; otherwise each tuple of [Δ(Q)] is looked
+    up in the stored [Q]. *)
 let neg_delta ctx pred =
   match Hashtbl.find_opt ctx.neg_deltas pred with
   | Some r -> r
   | None ->
-    let out = empty_rel ctx pred in
-    let stored = Database.relation ctx.db pred in
-    let delta = full_delta ctx pred in
-    Relation.iter
-      (fun tup c ->
-        let before = Relation.count stored tup in
-        let after = before + c in
-        if before > 0 && after <= 0 then Relation.add out tup 1
-        else if before <= 0 && after > 0 then Relation.add out tup (-1))
-      delta;
+    let out =
+      if set_propagation ctx pred then Relation.negate (propagated_delta ctx pred)
+      else begin
+        let out = empty_rel ctx pred in
+        let stored = Database.relation ctx.db pred in
+        Relation.iter
+          (fun tup c ->
+            let before = Relation.count stored tup in
+            let after = before + c in
+            if before > 0 && after <= 0 then Relation.add out tup 1
+            else if before <= 0 && after > 0 then Relation.add out tup (-1))
+          (full_delta ctx pred);
+        out
+      end
+    in
     Hashtbl.replace ctx.neg_deltas pred out;
     out
 

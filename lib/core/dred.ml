@@ -39,11 +39,18 @@
     unit, as {!Ivm_eval.Seminaive.evaluate} [~counts:true] stores it).
     The delete phase enumerates each lost derivation exactly once, in the
     round its first premise leaves (Definition 4.1's split across the
-    rounds), and decrements its head.  Rederivation evaluates no rule: it
-    puts back every overdeleted tuple whose count stayed positive — that
-    count is its derivations over what survived the delete phase.  The
-    insert phase, seeded by the put-backs and the insertions, counts each
-    new derivation once, forward through the same frontier rounds. *)
+    rounds), and decrements its head.  Its overestimate is the unit's
+    live delta itself: during the phase a tuple is overdeleted iff its
+    live count is nonzero.  Rederivation evaluates no rule: it walks the
+    live delta and puts back every overdeleted tuple whose count stayed
+    positive — that count is its derivations over what survived the
+    delete phase.  The insert phase, seeded by the put-backs and the
+    insertions, counts each new derivation once, forward through the
+    same frontier rounds.  Both commits look each emitted tuple's live
+    entry up once.  A unit keeps [lag], its live delta one round behind,
+    only when a rule has a unit atom after a literal other than a
+    comparison ({!reads_lag}): right-linear and nonlinear closure do,
+    left-linear closure does not. *)
 
 module Relation = Ivm_relation.Relation
 module Relation_view = Ivm_relation.Relation_view
@@ -269,28 +276,57 @@ let insert_new ctx unit_preds =
 
 (* Beside the live delta (membership, as above), counted DRed keeps per
    unit predicate its one-step count delta, which becomes the unit's
-   full delta at the end, and [lag]: the live delta one round behind,
-   what a unit position after the seed reads.  Within a round, a delta
-   rule seeded at position i reads the unit after this round's change
-   before i and before it after i, so each derivation is enumerated once,
-   at the last of its premises that changed this round. *)
+   full delta at the end.  Within a round, a delta rule seeded at
+   position i reads the unit after this round's change before i and
+   before it after i, so each derivation is enumerated once, at the last
+   of its premises that changed this round.  "Before it" is [lag]: the
+   live delta one round behind.  Only a unit atom after a seedable
+   position reads it, and every position but a comparison is seedable,
+   so a unit whose rules have no unit atom after a non-comparison
+   literal (left-linear closure) keeps no [lag] at all. *)
+type lag = {
+  rels : (string, Relation.t) Hashtbl.t;
+  mutable behind : string -> Relation.t option;
+      (** the frontier [rels] has not caught up with *)
+}
+
 type counted = {
   counts : (string, Relation.t) Hashtbl.t;
-  lag : (string, Relation.t) Hashtbl.t;
-  mutable behind : string -> Relation.t option;
-      (** the frontier [lag] has not caught up with *)
+  lag : lag option;  (** [None] when no rule of the unit reads it *)
 }
+
+(** Whether a rule of the unit reads [lag]: a unit atom after a
+    non-comparison literal of its compiled body. *)
+let reads_lag db unit_preds =
+  let reads (cr : Compile.t) =
+    let rec from seedable j =
+      j < Array.length cr.clits
+      &&
+      match cr.clits.(j) with
+      | Compile.Ccmp _ -> from seedable (j + 1)
+      | Compile.Catom a when seedable && List.mem a.cpred unit_preds -> true
+      | _ -> from true (j + 1)
+    in
+    from false 0
+  in
+  let program = Database.program db in
+  List.exists
+    (fun p -> List.exists (fun r -> reads (Database.compile db r)) (Program.rules_for program p))
+    unit_preds
 
 (** Bring [lag] up to the live delta on the tuples it is behind on. *)
 let catch_up ctx u unit_preds =
-  List.iter
-    (fun p ->
-      let lag = Hashtbl.find u.lag p and live = live ctx p in
-      Option.iter
-        (Relation.iter (fun tup _ -> Relation.set_count lag tup (Relation.count live tup)))
-        (u.behind p))
-    unit_preds;
-  u.behind <- (fun _ -> None)
+  Option.iter
+    (fun lag ->
+      List.iter
+        (fun p ->
+          let rel = Hashtbl.find lag.rels p and live = live ctx p in
+          Option.iter
+            (Relation.iter (fun tup _ -> Relation.set_count rel tup (Relation.count live tup)))
+            (lag.behind p))
+        unit_preds;
+      lag.behind <- (fun _ -> None))
+    u.lag
 
 (** A counted phase's inputs for a rule seeded at [i]: a unit position
     reads the live delta before [i] and [lag] after it, a position
@@ -300,7 +336,10 @@ let counted_inputs ctx u unit_preds ~before ~after (cr : Compile.t) i j =
   | Compile.Catom a when List.mem a.cpred unit_preds ->
     let view =
       if j < i then Delta.new_view ctx a.cpred
-      else Relation_view.overlay (stored ctx a.cpred) (Hashtbl.find u.lag a.cpred)
+      else
+        match u.lag with
+        | Some lag -> Relation_view.overlay (stored ctx a.cpred) (Hashtbl.find lag.rels a.cpred)
+        | None -> assert false (* [reads_lag] found no such position *)
     in
     Rule_eval.Enumerate (view, Rule_eval.set_count)
   | _ -> Delta.inputs ctx cr (fun j -> if j < i then before else after) j
@@ -312,7 +351,7 @@ let counted_fixpoint ctx u unit_preds ~commit ~later init =
   Par_eval.fixpoint engine ~preds:unit_preds ~commit
     ~step:(fun _ frontier ->
       catch_up ctx u unit_preds;
-      u.behind <- frontier;
+      Option.iter (fun lag -> lag.behind <- frontier) u.lag;
       frontier_seeds ~rules:(rules ctx)
         ~inputs:(counted_inputs ctx u unit_preds ~before:later ~after:later)
         unit_preds frontier)
@@ -320,7 +359,9 @@ let counted_fixpoint ctx u unit_preds ~commit ~later init =
   catch_up ctx u unit_preds
 
 (** The three counted phases for one unit; returns the per-predicate
-    overestimate and putback sizes. *)
+    overestimate and putback sizes.  The delete phase's overestimate is
+    the live delta itself: there a tuple is overdeleted iff its live
+    count is nonzero (−stored), and rederivation reads it from there. *)
 let counted_phases ctx ~phase unit_preds =
   let per_pred () =
     let h = Hashtbl.create 4 in
@@ -329,23 +370,31 @@ let counted_phases ctx ~phase unit_preds =
       unit_preds;
     h
   in
-  let u = { counts = per_pred (); lag = per_pred (); behind = (fun _ -> None) } in
-  let dminus = per_pred () and putbacks = per_pred () in
+  let u =
+    {
+      counts = per_pred ();
+      lag =
+        (if reads_lag ctx.Delta.db unit_preds then
+           Some { rels = per_pred (); behind = (fun _ -> None) }
+         else None);
+    }
+  in
+  let putbacks = per_pred () in
   (* Delete: each lost derivation once — before the seed what survives
      this round, after it what held before it. *)
   phase "delete" (fun () ->
       (* the head of a lost derivation is stored: it held before *)
       let commit p buf ~next =
-        let stored = stored ctx p and live = live ctx p and dm = Hashtbl.find dminus p in
+        let stored = stored ctx p and live = live ctx p in
         let counts = Hashtbl.find u.counts p in
+        Metrics.add Stats.probes_c (Relation.cardinal buf);
         Relation.iter
           (fun tup c ->
-            Metrics.inc Stats.probes_c;
             Relation.add counts tup (-c);
-            if not (Relation.mem dm tup) then begin
-              Relation.add dm tup 1;
+            let s = Relation.find live tup in
+            if Relation.slot_count s = 0 then begin
               Relation.add next tup 1;
-              Relation.add live tup (-Relation.count stored tup)
+              Relation.bump live s tup (-Relation.count stored tup)
             end)
           buf
       in
@@ -353,34 +402,36 @@ let counted_phases ctx ~phase unit_preds =
         (phase_seeds ctx unit_preds
            ~inputs:(counted_inputs ctx u unit_preds ~before:Delta.Mid ~after:Delta.Old)
            ~part:Relation.negative_part));
+  let overdeleted = List.map (fun p -> (p, Relation.cardinal (live ctx p))) unit_preds in
   (* Rederive: a filter — an overdeleted tuple whose count stayed
-     positive has a derivation over what survived. *)
+     positive has a derivation over what survived; its live entry
+     (−stored) goes. *)
   phase "rederive" (fun () ->
       List.iter
         (fun p ->
-          let stored = stored ctx p and counts = Hashtbl.find u.counts p in
+          let counts = Hashtbl.find u.counts p in
           let live = live ctx p and putbacks = Hashtbl.find putbacks p in
+          Metrics.add rederive_attempts_c (Relation.cardinal live);
           Relation.iter
-            (fun tup _ ->
-              Metrics.inc rederive_attempts_c;
-              let s = Relation.count stored tup in
-              if s + Relation.count counts tup > 0 then begin
-                Relation.add live tup s;
+            (fun tup c ->
+              if Relation.count counts tup - c > 0 then begin
+                Relation.remove live tup;
                 Relation.add putbacks tup 1
               end)
-            (Hashtbl.find dminus p))
+            live)
         unit_preds);
   (* Insert: each new derivation once, seeded by the insertions and the
      put-backs ([lag] still hides the put-backs in round 0). *)
   phase "insert" (fun () ->
-      u.behind <- Hashtbl.find_opt putbacks;
+      Option.iter (fun lag -> lag.behind <- Hashtbl.find_opt putbacks) u.lag;
       let commit p buf ~next =
         let stored = stored ctx p and live = live ctx p and counts = Hashtbl.find u.counts p in
         Relation.iter
           (fun tup c ->
             Relation.add counts tup c;
-            if Relation.count stored tup + Relation.count live tup <= 0 then begin
-              Relation.add live tup 1;
+            let s = Relation.find live tup in
+            if Relation.count stored tup + Relation.slot_count s <= 0 then begin
+              Relation.bump live s tup 1;
               Relation.add next tup 1
             end)
           buf
@@ -394,11 +445,8 @@ let counted_phases ctx ~phase unit_preds =
           | lit -> Some (Relation.positive_part (Delta.seed_relation ctx lit)))));
   List.iter (fun p -> Delta.set_delta ctx p ~full:(Hashtbl.find u.counts p)) unit_preds;
   List.map
-    (fun p ->
-      ( p,
-        Relation.cardinal (Hashtbl.find dminus p),
-        Relation.cardinal (Hashtbl.find putbacks p) ))
-    unit_preds
+    (fun (p, d) -> (p, d, Relation.cardinal (Hashtbl.find putbacks p)))
+    overdeleted
 
 (* ------------------------------------------------------------------ *)
 

@@ -43,6 +43,13 @@ type mode =
           exact on entry ({!Ivm_eval.Seminaive.evaluate} [~counts:true]
           materializes them) *)
 
+(** Whether counted DRed keeps [lag] (the unit's live delta one round
+    behind) for the recursive unit [unit_preds] of [db]'s program: only
+    when one of the unit's rules has a unit atom after a literal that is
+    not a comparison — right-linear or nonlinear closure, not left-linear
+    closure. *)
+val reads_lag : Database.t -> string list -> bool
+
 (** A mode as the driver runs it: {!Delta.Phases} on every unit under
     [Paper]; under [Counted] on an SCC, with {!Delta.Derive} on a
     nonrecursive unit. *)

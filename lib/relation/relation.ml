@@ -68,7 +68,13 @@ type index = {
    through an [Atomic.t] — an index is fully built before it becomes
    reachable, so concurrent probers either see it complete or build-race
    on [build_lock] and find it on the re-check.  Mutation (insert/remove)
-   remains single-domain, like the rest of the store. *)
+   remains single-domain, like the rest of the store.
+
+   [ints] holds while every tuple inserted since [create] or the last
+   [clear] held only [Int] values, so an encoder can size the relation
+   from its cardinal alone.  A removal never sets it back, so it may read
+   [false] of a relation that is all-[Int] again; a [copy] inherits it
+   rather than reading its tuples' values again. *)
 type t = {
   arity : int;
   mutable size : int;
@@ -76,6 +82,7 @@ type t = {
   initial : int;
   indexes : index list Atomic.t;
   build_lock : Mutex.t;
+  mutable ints : bool;
 }
 
 let rec power_2_above x n =
@@ -84,9 +91,10 @@ let rec power_2_above x n =
 let create ?(size = 64) arity =
   let initial = power_2_above 16 size in
   { arity; size = 0; data = Array.make initial empty; initial;
-    indexes = Atomic.make []; build_lock = Mutex.create () }
+    indexes = Atomic.make []; build_lock = Mutex.create (); ints = true }
 let arity r = r.arity
 let cardinal r = r.size
+let all_ints r = r.ints
 
 (* The entry holding [t], or [empty]. *)
 let rec find_in e h t =
@@ -227,7 +235,14 @@ let check_arity r t =
       (Printf.sprintf "Relation: arity mismatch (expected %d, got %d in %s)"
          r.arity (Tuple.arity t) (Tuple.to_string t))
 
-(* Head insertion of a fresh entry for [t], absent from [r]. *)
+let rec ints_from (vals : Value.t array) i =
+  i >= Array.length vals
+  || match vals.(i) with
+     | Value.Int _ -> ints_from vals (i + 1)
+     | Value.Float _ | Value.Str _ | Value.Bool _ -> false
+
+(* Head insertion of a fresh entry for [t], absent from [r]; [ints] is
+   the caller's to keep. *)
 let link r t c =
   let h = Tuple.hash t and d = r.data in
   let i = h land (Array.length d - 1) in
@@ -247,7 +262,8 @@ let rec each_index f e = function
     f idx e;
     each_index f e rest
 
-let insert_entry r t c =
+let insert_entry r (t : Tuple.t) c =
+  if r.ints && not (ints_from t.vals 0) then r.ints <- false;
   let e = link r t c in
   each_index index_insert e (Atomic.get r.indexes)
 
@@ -282,6 +298,24 @@ let add r t c =
   end
 
 let remove r t = set_count r t 0
+
+(* A lookup whose result a later [bump] reuses: the entry, or [empty]. *)
+type slot = entry
+
+let find = lookup
+let slot_count e = e.ecount
+
+(* [add r t c] on the entry [find r t] returned, [r] unchanged since:
+   the same insertion, in-place bump or removal, without the lookup. *)
+let bump r e t c =
+  if c <> 0 then
+    if e == empty then begin
+      check_arity r t;
+      insert_entry r t c
+    end
+    else
+      let c' = e.ecount + c in
+      if c' = 0 then remove_entry r e else e.ecount <- c'
 
 (* In-place signed-delta application for the snapshot publisher (PR 10).
    Same shape as [add] — in particular an in-place count bump touches no
@@ -322,6 +356,7 @@ let clear r =
   if Array.length r.data <> r.initial then r.data <- Array.make r.initial empty
   else if r.size > 0 then Array.fill r.data 0 r.initial empty;
   r.size <- 0;
+  r.ints <- true;
   Atomic.set r.indexes []
 
 (* Bumped once per index actually built; [Ivm_eval.Stats.index_builds]
@@ -372,12 +407,24 @@ let copy ?(with_indexes = true) r =
      relation. *)
   let out = create ~size:(cardinal r) r.arity in
   iter_entries (fun e -> ignore (link out e.etup e.ecount : entry)) r;
+  out.ints <- r.ints;
   if with_indexes then
     Atomic.set out.indexes
       (List.map (fun idx -> build_index out idx.cols) (Atomic.get r.indexes));
   out
 
 let union_into ~into r = iter (fun t c -> add into t c) r
+
+(* Chain by chain, in order, into a bucket array of [r]'s length: the
+   copy's layout is [r]'s, where [copy]'s head insertion reverses each
+   chain. *)
+let negate r =
+  let rec chain e =
+    if e == empty then empty else { e with ecount = -e.ecount; enext = chain e.enext }
+  in
+  let data = Array.make (Array.length r.data) empty in
+  Array.iteri (fun i e -> data.(i) <- chain e) r.data;
+  { r with data; indexes = Atomic.make []; build_lock = Mutex.create () }
 
 (* ⊎ and set-difference build {e index-free} results: the old
    implementation deep-copied every secondary index of [a] only to drop
@@ -394,11 +441,6 @@ let diff a b =
   iter (fun t c -> add r t c) a;
   iter (fun t c -> add r t (-c)) b;
   r
-
-let negate r =
-  let out = create ~size:(cardinal r) r.arity in
-  iter (fun t c -> set_count out t (-c)) r;
-  out
 
 let to_set r =
   let out = create ~size:(cardinal r) r.arity in

@@ -43,6 +43,11 @@ val count : t -> Tuple.t -> int
 (** [mem r t] — [t] has a non-zero count. *)
 val mem : t -> Tuple.t -> bool
 
+(** [true] only if every tuple of [r] holds only [Int] values: it holds
+    while every tuple inserted since {!create} or the last {!clear} did,
+    and a removal never restores it, so [false] may be stale. *)
+val all_ints : t -> bool
+
 (** [add r t c] merges [c] into [t]'s count ([⊎] on a single tuple);
     the tuple is dropped when its count reaches zero.  [add r t 0] is a
     no-op.  Indexes are maintained.
@@ -69,6 +74,25 @@ val patch_count : t -> Tuple.t -> int -> int
 (** [remove r t] deletes the tuple outright, whatever its count. *)
 val remove : t -> Tuple.t -> unit
 
+(** {2 One lookup, read then updated}
+
+    [let s = find r t in … bump r s t c] is [count r t] followed by
+    [add r t c] with one hash lookup between them: a commit that reads a
+    tuple's count to decide how to change it.  [bump] inserts, bumps in
+    place or removes exactly as {!add} does, so the table, its chains and
+    its indexes end up as after {!add}. *)
+
+(** [t]'s entry in [r], or a slot of count 0 when [t] is absent. *)
+type slot
+
+val find : t -> Tuple.t -> slot
+val slot_count : slot -> int
+
+(** [bump r s t c] is [add r t c], where [s = find r t] and nothing
+    has changed [r] since that [find] (the slot may be stale otherwise).
+    @raise Invalid_argument on an arity mismatch. *)
+val bump : t -> slot -> Tuple.t -> int -> unit
+
 val iter : (Tuple.t -> int -> unit) -> t -> unit
 val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val exists : (Tuple.t -> int -> bool) -> t -> bool
@@ -94,7 +118,9 @@ val union : t -> t -> t
     {!union}. *)
 val diff : t -> t -> t
 
-(** All counts negated — used to turn an insertion delta into a deletion. *)
+(** All counts negated — used to turn an insertion delta into a deletion.
+    The result is laid out entry for entry as [r] is, so it iterates in
+    [r]'s order (a {!copy} does not); it carries no index. *)
 val negate : t -> t
 
 (** [to_set r] clamps positive counts to 1 and drops non-positive tuples:

@@ -19,10 +19,15 @@ let value_size = function
   | Value.Str s -> 1 + string_size s
   | Value.Bool _ -> 2
 
+(* An all-[Int] row is 9 bytes a value and its 8-byte count, so such a
+   relation is sized from its cardinal without reading a tuple. *)
 let relation_size r =
-  Relation.fold
-    (fun t _ acc -> Array.fold_left (fun acc v -> acc + value_size v) (acc + 8) (Tuple.to_array t))
-    r 8
+  if Relation.all_ints r then 8 + (Relation.cardinal r * (8 + (9 * Relation.arity r)))
+  else
+    Relation.fold
+      (fun t _ acc ->
+        Array.fold_left (fun acc v -> acc + value_size v) (acc + 8) (Tuple.to_array t))
+      r 8
 
 let changes_size changes =
   List.fold_left

@@ -322,6 +322,27 @@ let counted_audit =
       arb_program (fun (seed, src) -> counts_exact ~graph:random_graph ~src seed);
   ]
 
+(** Counted DRed and [Auto] against recomputation's one-step counts,
+    count for count, on every recursive program in turn: the left-linear
+    closure keeps no [lag], the right-linear and nonlinear closures and
+    the odd/even unit keep it. *)
+let counted_equals_recompute =
+  q ~count:40
+    "dred-counted == auto == recompute, count for count (every recursive program, cyclic graphs)"
+    (QCheck.make
+       ~print:(fun (seed, ring) ->
+         Printf.sprintf "seed=%d %s" seed (if ring then "(ring + chords)" else "(random graph)"))
+       QCheck.Gen.(pair (int_range 1 1_000_000) bool))
+    (fun (seed, ring) ->
+      List.for_all
+        (fun (_, src) ->
+          lockstep
+            ~graph:(if ring then ring_graph else random_graph)
+            ~semantics:Database.Set_semantics ~src
+            ~runners:[ dred_counted; auto; ("recompute", fun db c -> Recompute.maintain db c) ]
+            ~agree:(agree_as Relation.equal_counted) seed)
+        recursive_programs)
+
 (* ------------------------------------------------------------------ *)
 (* Auto's cost rule: both branches equal the explicit algorithm         *)
 (* ------------------------------------------------------------------ *)
@@ -545,5 +566,5 @@ let auto_recursive =
 let suite =
   [ four_way_set; duplicate_counted; recursive_set ]
   @ determinism_props @ auto_props
-  @ (counted_recursive_set :: counted_audit)
+  @ (counted_recursive_set :: counted_equals_recompute :: counted_audit)
   @ auto_recursive

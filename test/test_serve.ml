@@ -763,16 +763,59 @@ let request_tracing_decomposed () =
           Alcotest.(check bool) "/requestz carries fsync spans" true
             (contains body "\"fsync\"")))
 
+(* The process's stderr as it was at startup: Alcotest points fd 2 at a
+   per-test output file while a test runs. *)
+let console = Unix.dup Unix.stderr
+
+(* [f step] under a watchdog: [step name] marks the step [f] enters.  If
+   one step runs past [budget] seconds, the watchdog names it on the
+   console and ends the test binary with status 124, so a hang fails in
+   bounded time and says where, rather than running into the CI job's
+   timeout.  The main domain may be blocked in a socket read or a domain
+   join, which nothing can interrupt from here; hence the exit. *)
+let with_watchdog ~budget f =
+  let step = Atomic.make ("start", Unix.gettimeofday ()) in
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        while not (Atomic.get finished) do
+          let name, t0 = Atomic.get step in
+          if Unix.gettimeofday () -. t0 > budget then begin
+            let msg =
+              Printf.sprintf "watchdog: step %S made no progress for %.0f s; failing the run\n"
+                name budget
+            in
+            ignore (Unix.write_substring console msg 0 (String.length msg));
+            Unix._exit 124
+          end;
+          Unix.sleepf 0.05
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)
+    (fun () -> f (fun name -> Atomic.set step (name, Unix.gettimeofday ())))
+
 (* Satellite: bounded subscriber outboxes.  A subscriber that stops
    reading must not pin unbounded delta memory — past [max_outbox]
    pending messages its deltas are dropped (counted) and the session is
-   disconnected, while well-behaved sessions keep committing. *)
+   disconnected, while well-behaved sessions keep committing.  Each step
+   runs under a 60 s watchdog: filling the outbox, the disconnect drain,
+   the follow-up ping/apply and the server stop. *)
 let outbox_overflow_drops_and_disconnects () =
   let dropped = Metrics.counter "ivm_serve_deltas_dropped_total" in
   let config =
     { Server.default_config with max_outbox = 4; client_timeout_s = 0.5 }
   in
-  with_server ~config ab_src (fun srv _vm ->
+  with_watchdog ~budget:60. @@ fun step ->
+  step "server start";
+  let srv = Server.start ~config ~vm:(Vm.of_source ab_src) ~port:0 () in
+  Fun.protect
+    ~finally:(fun () ->
+      step "server stop";
+      Server.stop srv)
+    (fun () ->
       let port = Server.port srv in
       (* a subscriber that never reads: tiny receive window, then silence *)
       let sub = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -794,6 +837,7 @@ let outbox_overflow_drops_and_disconnects () =
         let rel = Relation.of_list 1 (List.init 16 (fun j -> (tup j, 1))) in
         [ ("a", rel); ("b", rel) ]
       in
+      step "fill the outbox";
       let c = Client.connect ~port () in
       let deadline = Unix.gettimeofday () +. 30.0 in
       let i = ref 0 in
@@ -807,6 +851,7 @@ let outbox_overflow_drops_and_disconnects () =
       Alcotest.(check bool) "overflow counted in deltas_dropped_total" true
         (Metrics.counter_value dropped > before);
       (* the overflowing session is disconnected, not wedged *)
+      step "disconnect drain";
       Unix.setsockopt_float sub Unix.SO_RCVTIMEO 10.0;
       let rec drain_to_eof budget =
         if budget = 0 then Alcotest.fail "subscriber was not disconnected"
@@ -820,6 +865,7 @@ let outbox_overflow_drops_and_disconnects () =
       drain_to_eof 10_000;
       (try Unix.close sub with Unix.Unix_error _ -> ());
       (* the well-behaved session never noticed *)
+      step "follow-up ping/apply";
       Client.ping c;
       ignore (Client.apply c (pair_batch 999_999));
       Client.close c)
