@@ -20,12 +20,14 @@
     With [--baseline FILE] the run is additionally a gate: the state
     digests must match the baseline exactly, and words/op and the work
     counters — all exactly reproducible — must not regress beyond
-    {!tolerance} (25%).  Wall time is gated too, but as a backstop: it is
-    normalized by a {!calibrate} ratio recorded in both reports (so a
-    throttled host or different CI hardware doesn't trip it) and allowed
-    the wider {!time_tolerance} (50%) because even a min-of-5 swings tens
-    of percent between runs on shared machines.  Exit code 1
-    on any violation — CI runs this against the committed [BENCH_5.json]. *)
+    {!tolerance} (25%).  Wall time is gated too, but as a backstop: each
+    row is normalized by its own {!calibrate} ratio, the reference loop
+    timed between that row's passes and recorded beside it in both
+    reports (so a throttled host, a speed phase that changes mid-run, or
+    different CI hardware doesn't trip it), and allowed the wider
+    {!time_tolerance} (50%) because even a min-of-5 swings tens of
+    percent between runs on shared machines.  Exit code 1 on any
+    violation — CI runs this against the committed [BENCH_5.json]. *)
 
 open Harness
 module Json = Ivm_obs.Json
@@ -227,11 +229,38 @@ let state_digest db =
              (fun p -> p ^ " = " ^ Relation.to_string (Database.relation db p))
              preds)))
 
+(* ------------------------------------------------------------------ *)
+(* Machine-speed calibration                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** A fixed, deterministic mix of allocation, hashing and hashtable
+    traffic — it measures the machine (and its current thermal/steal
+    state), not the kernel.  The gate divides measured ns/op by the
+    calibration ratio before comparing against the baseline, so a
+    throttled container or a differently-provisioned CI runner trips the
+    time checks only when the {e kernel} got slower relative to the
+    machine, not when the machine itself did.  One run, in ns: a row
+    times it before each of its passes and keeps the best, so its ratio
+    reads the host in the same speed phase as the row's own passes. *)
+let calibrate () =
+  let t0 = Unix.gettimeofday () in
+  let h = Hashtbl.create 1024 in
+  let acc = ref 0 in
+  for i = 0 to 300_000 do
+    Hashtbl.replace h (i land 8191, i * 7) i;
+    match Hashtbl.find_opt h ((i * 13) land 8191, i) with
+    | Some v -> acc := !acc + v
+    | None -> incr acc
+  done;
+  ignore (Sys.opaque_identity !acc);
+  (Unix.gettimeofday () -. t0) *. 1e9
+
 type sample = {
   s_algo : string;
   s_supported : bool;
   s_reason : string;
   s_ns_per_op : float;
+  s_calib_ns : float;  (** the reference loop, best of the runs between passes *)
   s_words_per_op : float;
   s_probes : int;
   s_scanned : int;
@@ -260,6 +289,7 @@ let run_algo w algo : sample =
       s_supported = false;
       s_reason = reason;
       s_ns_per_op = 0.;
+      s_calib_ns = 0.;
       s_words_per_op = 0.;
       s_probes = 0;
       s_scanned = 0;
@@ -270,13 +300,18 @@ let run_algo w algo : sample =
     let nops = float_of_int (List.length w.batches) in
     let db0 = algo.setup w.db0 in
     ignore (one_pass w db0 algo) (* warm-up: demand-built indexes, caches *);
-    (* Start every measurement from a compacted heap: carried-over
-       garbage from the previous algorithm otherwise bleeds major-GC
-       time into whichever pass it falls on. *)
-    Gc.compact ();
     let best_t = ref infinity and best_mw = ref infinity in
+    let best_calib = ref infinity in
     let work = ref None and digest = ref "" in
     for _ = 1 to 5 do
+      (* The reference loop runs before each pass, so the row's ratio
+         reads the host in the row's own speed phase.  Each starts from
+         a compacted heap: carried-over garbage (the previous pass's,
+         the loop's, the previous algorithm's) otherwise bleeds
+         major-GC time into whichever run it falls on. *)
+      Gc.compact ();
+      best_calib := Float.min !best_calib (calibrate ());
+      Gc.compact ();
       let dt, mw, wk, db = one_pass w db0 algo in
       if dt < !best_t then best_t := dt;
       if mw < !best_mw then best_mw := mw;
@@ -289,6 +324,7 @@ let run_algo w algo : sample =
       s_supported = true;
       s_reason = "";
       s_ns_per_op = !best_t *. 1e9 /. nops;
+      s_calib_ns = !best_calib;
       s_words_per_op = !best_mw /. nops;
       s_probes = wk.Stats.snap_probes;
       s_scanned = wk.Stats.snap_tuples_scanned;
@@ -311,41 +347,13 @@ let sample_json s : Json.t =
         ("algorithm", Json.Str s.s_algo);
         ("supported", Json.Bool true);
         ("ns_per_op", Json.Num s.s_ns_per_op);
+        ("calib_ns", Json.Num s.s_calib_ns);
         ("minor_words_per_op", Json.Num s.s_words_per_op);
         ("probes", Json.int s.s_probes);
         ("tuples_scanned", Json.int s.s_scanned);
         ("derivations", Json.int s.s_derivations);
         ("state_digest", Json.Str s.s_digest);
       ]
-
-(* ------------------------------------------------------------------ *)
-(* Machine-speed calibration                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** A fixed, deterministic mix of allocation, hashing and hashtable
-    traffic — it measures the machine (and its current thermal/steal
-    state), not the kernel.  The gate divides measured ns/op by the
-    calibration ratio before comparing against the baseline, so a
-    throttled container or a differently-provisioned CI runner trips the
-    time checks only when the {e kernel} got slower relative to the
-    machine, not when the machine itself did. *)
-let calibrate () =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    let h = Hashtbl.create 1024 in
-    let acc = ref 0 in
-    for i = 0 to 300_000 do
-      Hashtbl.replace h (i land 8191, i * 7) i;
-      (match Hashtbl.find_opt h ((i * 13) land 8191, i) with
-      | Some v -> acc := !acc + v
-      | None -> incr acc)
-    done;
-    ignore (Sys.opaque_identity !acc);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best *. 1e9
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison                                                  *)
@@ -388,7 +396,17 @@ let lookup_sample json ~workload ~algo =
 let num_field name j =
   match Json.member name j with Some (Json.Num f) -> Some f | _ -> None
 
-let check_against_baseline ~tol ~time_tol ~time_scale baseline (w : workload)
+(* A row's wall-time normalization: its reference-loop time over the
+   baseline row's.  A baseline row without a [calib_ns], or a degenerate
+   ratio, gates on raw wall time. *)
+let time_scale b (s : sample) =
+  match num_field "calib_ns" b with
+  | Some c ->
+    let ratio = s.s_calib_ns /. c in
+    if ratio > 0.1 && ratio < 10. then ratio else 1.
+  | None -> 1.
+
+let check_against_baseline ~tol ~time_tol baseline (w : workload)
     (s : sample) : verdict list =
   if not s.s_supported then []
   else
@@ -436,7 +454,7 @@ let check_against_baseline ~tol ~time_tol ~time_scale baseline (w : workload)
                against gross regressions.  Allocation, counters and
                digests are exact, so [tol] on them catches any real
                change. *)
-            ("ns_per_op", time_tol, s.s_ns_per_op /. time_scale);
+            ("ns_per_op", time_tol, s.s_ns_per_op /. time_scale b s);
             ("minor_words_per_op", tol, s.s_words_per_op);
             ("probes", tol, float_of_int s.s_probes);
             ("tuples_scanned", tol, float_of_int s.s_scanned);
@@ -473,7 +491,6 @@ let run ~out ?baseline () =
       Ivm_par.set_domains prev_domains;
       Ivm_obs.Attribution.set_enabled attribution_prev)
     (fun () ->
-      let calib = calibrate () in
       let workloads =
         [
           w_hop_tri_hop (); w_only_tri_hop (); w_min_cost_hop ();
@@ -489,16 +506,17 @@ let run ~out ?baseline () =
         (fun (w, samples) ->
           Printf.printf "\n%s — %s\n" w.wname w.wdesc;
           print_table
-            [ "algorithm"; "ns/op"; "minor words/op"; "probes"; "scanned";
+            [ "algorithm"; "ns/op"; "calib"; "minor words/op"; "probes"; "scanned";
               "state digest" ]
             (List.map
                (fun s ->
                  if not s.s_supported then
-                   [ s.s_algo; "n/a"; "n/a"; "n/a"; "n/a"; "n/a" ]
+                   [ s.s_algo; "n/a"; "n/a"; "n/a"; "n/a"; "n/a"; "n/a" ]
                  else
                    [
                      s.s_algo;
                      fmt_time (s.s_ns_per_op /. 1e9);
+                     fmt_time (s.s_calib_ns /. 1e9);
                      fmt_words s.s_words_per_op;
                      string_of_int s.s_probes;
                      string_of_int s.s_scanned;
@@ -510,10 +528,9 @@ let run ~out ?baseline () =
         Json.Obj
           [
             ("report", Json.Str "ivm bench regress");
-            ("schema", Json.int 1);
+            ("schema", Json.int 2);
             ("domains", Json.int 1);
             ("tolerance", Json.Num tolerance);
-            ("calib_ns", Json.Num calib);
             ( "workloads",
               Json.List
                 (List.map
@@ -537,27 +554,14 @@ let run ~out ?baseline () =
       | None -> ()
       | Some file ->
         let base = Json.of_string (In_channel.with_open_text file In_channel.input_all) in
-        (* Normalize time comparisons by the calibration ratio; a
-           baseline without one (or a degenerate measurement) gates on
-           raw wall time. *)
-        let time_scale =
-          match Json.member "calib_ns" base with
-          | Some (Json.Num b) when b > 0. && calib > 0. ->
-            let s = calib /. b in
-            if s > 0.1 && s < 10. then s else 1.
-          | _ -> 1.
-        in
-        if time_scale <> 1. then
-          Printf.printf
-            "\ncalibration: fixed reference loop took %.2fx the baseline's \
-             time on this machine (time gates normalized by that ratio)\n"
-            time_scale;
+        Printf.printf
+          "\ncalibration: each row's time gate is normalized by its own \
+           reference-loop ratio to the baseline row's\n";
         let verdicts =
           List.concat_map
             (fun (w, samples) ->
               List.concat_map
-                (check_against_baseline ~tol:tolerance ~time_tol:time_tolerance
-                   ~time_scale base w)
+                (check_against_baseline ~tol:tolerance ~time_tol:time_tolerance base w)
                 samples)
             results
         in

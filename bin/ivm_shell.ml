@@ -60,10 +60,10 @@ let help_text =
   \                   batch (wall time, Δ in/out, probes, index builds)\n\
   \  explain N        the same table N batches back (0 = most recent;\n\
   \                   an 8-batch history is kept)\n\
-  \  provenance on/off/status  derivation-provenance capture: bounded\n\
-  \                   per-tuple supports + batch lineage (backs why/lineage)\n\
+  \  provenance on/off/status  batch-lineage capture: per-tuple first\n\
+  \                   derived / last deleted batches (backs lineage)\n\
   \  why FACT.        derivation tree of a view tuple down to base facts,\n\
-  \                   from the captured supports (needs 'provenance on')\n\
+  \                   found from the live relations (no capture needed)\n\
   \  why not FACT.    candidate rule instantiations for an absent tuple,\n\
   \                   each with its first failing or missing subgoal\n\
   \  lineage FACT.    batch history of a tuple: first derived, last deleted\n\
@@ -240,13 +240,11 @@ let execute ?sql (vmref : Vm.t ref) line =
   end
   else if line = "provenance on" then begin
     Vm.enable_provenance vm;
-    Format.printf
-      "provenance capture on: supports bootstrapped for %d view tuples@."
-      (Ivm_prov.Prov.tuples_tracked ())
+    Format.printf "provenance (lineage) capture on@."
   end
   else if line = "provenance off" then begin
     Vm.disable_provenance vm;
-    Format.printf "provenance capture off (store cleared)@."
+    Format.printf "provenance (lineage) capture off (store cleared)@."
   end
   else if line = "provenance status" then
     Format.printf "%s@."
@@ -264,10 +262,6 @@ let execute ?sql (vmref : Vm.t ref) line =
     match Vm.parse_fact (String.sub line 4 (String.length line - 4)) with
     | Error e -> Format.printf "error: %s@." e
     | Ok (pred, tup) ->
-      if not (Vm.provenance_enabled vm) then
-        Format.printf
-          "note: provenance capture is off — derivations cannot be expanded \
-           ('provenance on' first)@.";
       let access = Vm.provenance_access vm in
       Format.printf "%a@." Ivm_prov.Prov_query.pp_why
         (Ivm_prov.Prov_query.why access pred tup)

@@ -282,7 +282,7 @@ let derive ctx pred =
     @raise Invalid_argument if a committed count would go negative — the
     caller violated Lemma 4.1's precondition. *)
 let commit ?track ctx =
-  let cap = Ivm_prov.Prov.capturing () in
+  let lineage = Ivm_prov.Prov.enabled () in
   Hashtbl.iter
     (fun pred delta ->
       if not (Relation.is_empty delta) then begin
@@ -295,7 +295,7 @@ let commit ?track ctx =
                 invalid_arg
                   (msg ^ " in " ^ pred ^ "; deletions must be a subset of the database")
             in
-            if cap then
+            if lineage then
               let c' = before + c in
               if before <= 0 && c' > 0 then
                 Ivm_prov.Prov.on_transition ~pred tup `Derived
@@ -391,19 +391,12 @@ let input_ratio ctx unit_preds =
 (** [Auto]'s choice for one unit, made before maintaining it with
     [step]: re-evaluate when the input ratio reaches the step's
     {!threshold}.  With [~auto:false] (the explicit algorithms) the
-    choice is always [Incremental].  Under provenance capture the rule
-    declines: the support store keeps a bounded subset of each tuple's
-    derivations, chosen by the order the incremental phases enumerate
-    them, and re-recording a unit's supports could keep a different
-    subset, so [why]/[explain] would differ from what the incremental
-    branch leaves.  Returns the choice and the ratio; under [Auto] the
-    choice counts in [ivm_auto_choice_total{choice}]. *)
+    choice is always [Incremental].  Returns the choice and the ratio;
+    under [Auto] the choice counts in [ivm_auto_choice_total{choice}]. *)
 let choose ctx step ~auto unit_preds =
   let ratio = input_ratio ctx unit_preds in
   let choice =
-    if auto && ratio >= threshold step && not (Ivm_prov.Prov.capturing ())
-    then Reevaluate
-    else Incremental
+    if auto && ratio >= threshold step then Reevaluate else Incremental
   in
   if auto then Metrics.inc (List.assoc choice choices_c);
   (choice, ratio)
@@ -542,10 +535,6 @@ let maintain_unit ctx alg ~auto ~affected ~sizes unit_preds =
     dependency order, commit, report. *)
 let maintain ?track ?(auto = false) alg (db : Database.t) (changes : Changes.t) : report =
   Metrics.inc alg.batches;
-  (* Delta rules enumerate each gained (+) / lost (−) derivation exactly
-     once (Definition 4.1's partition), so sign-driven support capture
-     stays exact; DRed's phases set their own mode. *)
-  if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
   let program = Database.program db in
   let normalized = Changes.normalize_base db changes in
   (* only views transitively depending on a changed base relation can

@@ -135,10 +135,9 @@ val changed_views : report -> string list
     [Derive] or [Phases] unit whose input ratio — the net size of its
     input deltas (base changes plus lower units' propagated deltas) over
     the stored size of those inputs — reaches its step's threshold is
-    re-evaluated ({!reevaluate}) instead: the same [Δ(P)].  The rule
-    declines while provenance capture is on; each decision counts in
-    [ivm_auto_choice_total{choice}].  [?track] is handed every committed
-    delta whole ({!Changes.absorb}).
+    re-evaluated ({!reevaluate}) instead: the same [Δ(P)].  Each
+    decision counts in [ivm_auto_choice_total{choice}].  [?track] is
+    handed every committed delta whole ({!Changes.absorb}).
     @raise Changes.Invalid_changes on malformed change sets. *)
 val maintain :
   ?track:Changes.collector ->

@@ -191,8 +191,8 @@ let rederive_rule (r : Ast.rule) : Ast.rule =
     putbacks through the rule's other subgoals and tests each head against
     the pending set, rather than enumerating pending candidates by the one
     column the putback binds.  Rederivation rules are compiled under their
-    source rule's name, so provenance and attribution name the program's
-    rules.  Returns per-predicate putback counts. *)
+    source rule's name, so attribution and trace spans name the
+    program's rules.  Returns per-predicate putback counts. *)
 let rederive ctx unit_preds (dminus : (string, Relation.t) Hashtbl.t) =
   let program = Database.program ctx.Delta.db in
   (* pend = δ⁻ tuples not yet put back *)
@@ -462,13 +462,6 @@ let three_phases ~counted ctx unit_preds =
      fan-outs *)
   let phase name f =
     Ivm_obs.Attribution.set_context ~stratum ~phase:name;
-    (* Delete-phase emissions enumerate lost derivations — their supports
-       are removed regardless of sign; rederivation and insertion
-       emissions add supports. *)
-    if Ivm_prov.Prov.capturing () then
-      Ivm_prov.Prov.set_mode
-        (if String.equal name "delete" then Ivm_prov.Prov.Remove
-         else Ivm_prov.Prov.Add);
     Trace.span ("dred." ^ name) ~args:(fun () -> [ ("unit", unit_name) ]) f
   in
   Delta.open_unit ctx unit_preds;

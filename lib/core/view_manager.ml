@@ -122,12 +122,8 @@ let maintain ?track algorithm db changes : (string * Relation.t) list =
   | Recursive_counting -> incremental (Recursive_counting.algorithm ())
   | Recompute | Auto ->
     Option.iter Changes.mark_incomplete track;
-    (* A recompute invalidates every stored support wholesale; the
-       evaluator's capture hook then re-records each current derivation.
-       (No lineage transitions: recompute overwrites relations without a
-       commit loop.) *)
-    if Ivm_prov.Prov.capturing () then
-      Ivm_prov.Prov.truncate_supports ~reason:"recompute";
+    (* No lineage transitions: recompute overwrites relations without a
+       commit loop. *)
     Recompute.maintain db changes;
     []
 
@@ -195,7 +191,7 @@ let maintain_batch ?track (t : t) (changes : Changes.t) :
   let name = algorithm_name (resolve t) in
   let t0 = Unix.gettimeofday () in
   Ivm_obs.Attribution.batch_begin ~algorithm:name;
-  if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.batch_begin ~algorithm:name;
+  Ivm_prov.Prov.batch_begin ~algorithm:name;
   let finish () =
     let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
     ignore (Ivm_obs.Attribution.batch_end ~total_wall_ns:wall_ns);
@@ -338,7 +334,7 @@ let register_agg_indexes (t : t) : unit =
    re-register them).  Returns whether it re-derived. *)
 let rederive (t : t) ~stale : bool =
   let stale = stale && counted t.algorithm (program t) in
-  if stale then Ivm_prov.Prov.with_suspended (fun () -> evaluate t.algorithm t.db);
+  if stale then evaluate t.algorithm t.db;
   if t.incremental_aggregates then register_agg_indexes t;
   stale
 
@@ -517,27 +513,17 @@ let enable_incremental_aggregates (t : t) : unit =
   register_agg_indexes t;
   resnapshot t
 
-(* After a rule change the stored supports may cite a rule that no longer
-   exists (or miss derivations through a new one): drop them all and
-   re-enumerate the current derivations against the rebuilt database. *)
-let refresh_provenance (t : t) ~reason : unit =
-  if Ivm_prov.Prov.capturing () then begin
-    Ivm_prov.Prov.truncate_supports ~reason;
-    Seminaive.replay_derivations t.db
-  end
-
 (* Section 7's view redefinition: [change] rebuilds the database and
    maintains every view through the guard flip with the configured
    algorithm.  A change can flip what [Auto] resolves to only between two
    count-exact steps (Counting and counted DRed), so the maintained
    counts stay exact and nothing is re-derived; the rebuilt database
-   carries no aggregate indexes, so they are re-registered. *)
+   carries no aggregate indexes, so they are re-registered.  Its lineage
+   transitions are recorded under a batch of their own. *)
 let change_rule (t : t) change (rule : Ast.rule) : unit =
-  t.db <-
-    Ivm_prov.Prov.with_suspended (fun () ->
-        change t.db ~maintain:(fun db c -> ignore (maintain t.algorithm db c)) rule);
+  Ivm_prov.Prov.batch_begin ~algorithm:"rule-change";
+  t.db <- change t.db ~maintain:(fun db c -> ignore (maintain t.algorithm db c)) rule;
   if t.incremental_aggregates then register_agg_indexes t;
-  refresh_provenance t ~reason:"rule-change";
   resnapshot t
 
 (** Add a rule to the program, incrementally maintaining all views
@@ -573,8 +559,7 @@ let set_algorithm (t : t) (algorithm : algorithm) : unit =
     require algorithm (program t) (semantics t);
     let leaves_dred = t.algorithm = Dred in
     t.algorithm <- algorithm;
-    if rederive t ~stale:leaves_dred then
-      refresh_provenance t ~reason:"algorithm-switch";
+    ignore (rederive t ~stale:leaves_dred);
     resnapshot t
   end
 
@@ -583,8 +568,7 @@ let set_algorithm (t : t) (algorithm : algorithm) : unit =
     under every resolution but explicit DRed, sets under it). *)
 let audit (t : t) : (unit, string) result =
   let fresh = Database.copy t.db in
-  (* The audit copy's evaluation must not pollute the provenance store. *)
-  Ivm_prov.Prov.with_suspended (fun () -> evaluate t.algorithm fresh);
+  evaluate t.algorithm fresh;
   let compare_counts = counted t.algorithm (program t) in
   let bad =
     List.filter_map
@@ -609,45 +593,34 @@ let pp ppf t = Database.pp ppf t.db
 (* Provenance & lineage                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Switch derivation-provenance capture on ({!Ivm_prov.Prov}) and
-    bootstrap the support store by re-enumerating every current
-    derivation once.  The store is process-global: with several managers
-    in one process, enable capture on only one. *)
-let enable_provenance (t : t) : unit =
-  Ivm_prov.Prov.set_enabled true;
-  Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
-  Seminaive.replay_derivations t.db
+(** Switch lineage capture on ({!Ivm_prov.Prov}).  The store is
+    process-global: with several managers in one process, enable it on
+    only one. *)
+let enable_provenance (_t : t) : unit = Ivm_prov.Prov.set_enabled true
 
-(** Switch capture off and clear the store. *)
+(** Switch lineage capture off and clear the store. *)
 let disable_provenance (_t : t) : unit = Ivm_prov.Prov.set_enabled false
 
 let provenance_enabled (_t : t) : bool = Ivm_prov.Prov.enabled ()
 
 (** Database-access closures for {!Ivm_prov.Prov_query} — every closure
-    rereads [t.db], so the record survives rule changes. *)
+    rereads [t.db], so the record survives rule changes.  The monitor's
+    [/why] runs these beside {!apply}, so [probe] never builds an index
+    ({!Relation.probe_existing}). *)
 let provenance_access (t : t) : Ivm_prov.Prov_query.db_access =
   let prog () = Database.program t.db in
   {
     Ivm_prov.Prov_query.rules_for = (fun p -> Program.rules_for (prog ()) p);
-    is_base = (fun p -> List.mem p (Program.base_preds (prog ())));
-    known_pred =
-      (fun p ->
-        let program = prog () in
-        List.mem p (Program.base_preds program)
-        || List.mem p (Program.derived_preds program));
-    arity = (fun p -> Program.arity (prog ()) p);
+    is_base = (fun p -> Program.is_base (prog ()) p);
+    known_pred = (fun p -> Program.mem_pred (prog ()) p);
     holds = (fun p tup -> Relation.mem (Database.relation t.db p) tup);
     count = (fun p tup -> Relation.count (Database.relation t.db p) tup);
     probe =
       (fun p bound f ->
-        let rel = Database.relation t.db p in
-        match bound with
-        | [] -> Relation.iter (fun tup c -> f tup c) rel
-        | _ ->
-          let cols = Array.of_list (List.map fst bound) in
-          let key = Tuple.of_list (List.map snd bound) in
-          Relation.probe rel cols key f);
-    dup_semantics = Database.semantics t.db = Database.Duplicate_semantics;
+        let cols = Array.of_list (List.map fst bound) in
+        let key = Tuple.of_list (List.map snd bound) in
+        Relation.probe_existing (Database.relation t.db p) cols key f);
+    mult_for = (fun p -> Database.mult_for t.db p);
   }
 
 (** Parse ["p(v1, …)"] (trailing period optional) as one ground fact. *)

@@ -272,17 +272,17 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Provenance & lineage}
 
-    Derivation-provenance capture ({!Ivm_prov.Prov}) records, per derived
-    tuple, a bounded set of supports — (rule, immediate subgoal tuples) —
-    kept incrementally correct by the maintenance algorithms, plus a
-    batch-lineage history.  The store is process-global: with several
-    managers in one process, enable capture on only one. *)
+    [why] needs no capture: {!Ivm_prov.Prov_query} enumerates a tuple's
+    derivations from the live database at query time.  The switch below
+    turns on batch lineage ({!Ivm_prov.Prov}): per-tuple first-derived /
+    last-deleted batches and the batch ring.  The lineage store is
+    process-global: with several managers in one process, enable it on
+    only one. *)
 
-(** Switch capture on and bootstrap the store by re-enumerating every
-    current derivation once ({!Ivm_eval.Seminaive.replay_derivations}). *)
+(** Switch lineage capture on (the store starts empty). *)
 val enable_provenance : t -> unit
 
-(** Switch capture off and clear the store. *)
+(** Switch lineage capture off and clear the store. *)
 val disable_provenance : t -> unit
 
 val provenance_enabled : t -> bool

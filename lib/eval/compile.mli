@@ -45,7 +45,7 @@ type t = {
   source : Ivm_datalog.Ast.rule;
   name : string;
       (** the text of the program rule this rule reports under — in
-          provenance supports, per-rule attribution and trace spans *)
+          per-rule attribution and trace spans *)
   head_pred : string;
   nslots : int;
   slot_names : string array;

@@ -100,9 +100,7 @@ let run (db : Database.t) (body : Ast.literal list) : result =
       ~mult_for:(Database.mult_for db) ~cache ~version:"query" cr
   in
   let rows = Relation.create (List.length columns) in
-  (* Ad-hoc queries must not pollute the provenance store. *)
-  Ivm_prov.Prov.with_suspended (fun () ->
-      Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add rows tup c) cr);
+  Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add rows tup c) cr;
   { columns; rows }
 
 (** Run a full query rule: the head's argument expressions are the output
@@ -119,9 +117,7 @@ let run_rule (db : Database.t) (rule : Ast.rule) ~(columns : string list) : resu
       ~mult_for:(Database.mult_for db) ~cache ~version:"query" cr
   in
   let rows = Relation.create (List.length columns) in
-  (* Ad-hoc queries must not pollute the provenance store. *)
-  Ivm_prov.Prov.with_suspended (fun () ->
-      Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add rows tup c) cr);
+  Rule_eval.eval ~inputs ~emit:(fun tup c -> Relation.add rows tup c) cr;
   { columns; rows }
 
 (** Parse and run a query text like ["hop(a, X), link(X, Y)"]. *)

@@ -361,21 +361,6 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
     let plan = Array.of_list (build_plan ?seed ~inputs cr) in
     let binding = binding cr.nslots in
     let nsteps = Array.length plan in
-    (* Provenance capture, hoisted to one load per evaluation: when off,
-       the emission path below pays a single boolean test. *)
-    let cap = Ivm_prov.Prov.capturing () in
-    let record_support head cnt =
-      let subs = ref [] in
-      for j = Array.length cr.clits - 1 downto 0 do
-        match cr.clits.(j) with
-        | Catom a ->
-          let vals = Array.map (function Cconst v -> v | Cvar s -> binding.(s)) a.cargs in
-          subs := (a.cpred, Tuple.make vals) :: !subs
-        | Cneg _ | Cagg _ | Ccmp _ -> ()
-      done;
-      Ivm_prov.Prov.record ~pred:cr.head_pred ~rule:cr.name ~head ~count:cnt
-        ~subgoals:!subs
-    in
     let head () =
       let vals = Array.make (Array.length cr.chead) unbound in
       for i = 0 to Array.length vals - 1 do
@@ -393,7 +378,6 @@ let eval_body ?seed ~(inputs : int -> subgoal_input) ~emit (cr : Compile.t) : un
         if k = nsteps then begin
           let head = head () in
           Ivm_obs.Metrics.inc Stats.derivations_c;
-          if cap then record_support head cnt;
           emit head cnt
         end
         else

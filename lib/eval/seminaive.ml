@@ -164,11 +164,6 @@ let eval_recursive_unit ?resolve ?(counts = false) db ~cache (unit_preds : strin
     base relations (overwrites previous materializations). *)
 let evaluate ?counts (db : Database.t) : unit =
   Trace.span "seminaive.evaluate" (fun () ->
-      (* A from-scratch materialization enumerates every derivation of
-         every derived tuple exactly once (round-0 rules plus the
-         semi-naive delta partition), so with capture on the emissions
-         rebuild the support store from nothing. *)
-      if Ivm_prov.Prov.capturing () then Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
       let program = Database.program db in
       let cache = Agg_cache.create () in
       List.iter
@@ -183,29 +178,3 @@ let evaluate ?counts (db : Database.t) : unit =
                  ~args:(fun () -> [ ("unit", String.concat "," unit_preds) ])
                  (fun () -> eval_recursive_unit ?counts db ~cache unit_preds)))
         (Program.recursive_units program))
-
-(** Re-enumerate every current derivation of every derived predicate —
-    each rule evaluated once against the stored relations, emissions
-    discarded.  The stored views are already a fixpoint, so this
-    enumerates exactly the immediate derivations of each present tuple;
-    with provenance capture on, the {!Rule_eval} hook repopulates the
-    support store for an already-materialized database ([provenance on]
-    mid-session, or after a truncation). *)
-let replay_derivations (db : Database.t) : unit =
-  if Ivm_prov.Prov.capturing () then begin
-    Ivm_prov.Prov.set_mode Ivm_prov.Prov.Add;
-    let program = Database.program db in
-    let cache = Agg_cache.create () in
-    List.iter
-      (fun p ->
-        List.iter
-          (fun rule ->
-            let cr = Database.compile db rule in
-            let inputs =
-              make_inputs ~resolve:(Database.view db)
-                ~mult_for:(Database.mult_for db) ~cache ~version:"cur" cr
-            in
-            Rule_eval.eval ~inputs ~emit:(fun _ _ -> ()) cr)
-          (Program.rules_for program p))
-      (Program.derived_preds program)
-  end

@@ -65,10 +65,3 @@ val eval_recursive_unit :
     (overwrites previous materializations); [~counts] as for
     {!eval_recursive_unit}. *)
 val evaluate : ?counts:bool -> Database.t -> unit
-
-(** Re-enumerate every current derivation once — each rule evaluated
-    against the stored relations with emissions discarded — so that,
-    with provenance capture on ([Ivm_prov.Prov]), the evaluator's
-    capture hook repopulates the support store for an
-    already-materialized database.  No-op when capture is off. *)
-val replay_derivations : Database.t -> unit

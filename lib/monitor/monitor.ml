@@ -18,8 +18,8 @@
     - [GET /requestz] — the {!Ivm_obs.Reqtrace} ring of completed serve
       requests with per-stage latency breakdowns;
     - [GET /why?q=fact] — the caller-supplied provenance EXPLAIN
-      callback ([why]/[why not]/[lineage] JSON); 404 when none is
-      configured.
+      callback ([why]/[why not]/[lineage] JSON; [why] needs no capture,
+      [lineage] needs [provenance on]); 404 when none is configured.
 
     {b Robustness.}  {!start} ignores SIGPIPE process-wide (a scrape
     client disconnecting mid-response must surface as [EPIPE], not kill

@@ -1,6 +1,6 @@
 (** The primitives the instruments share: a bounded history ring, an
     environment on/off switch and the slow-event log line.  {!Trace},
-    {!Attribution}, {!Reqtrace} and the provenance store keep their
+    {!Attribution}, {!Reqtrace} and the lineage store keep their
     histories in a {!Ring}; Attribution and Reqtrace take their switch
     and slow log from here. *)
 

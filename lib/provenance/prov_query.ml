@@ -1,4 +1,4 @@
-(** Query layer over the provenance store — see the interface. *)
+(** [why], [why not] and [lineage] queries — see the interface. *)
 
 module Tuple = Ivm_relation.Tuple
 module Value = Ivm_relation.Value
@@ -10,11 +10,10 @@ type db_access = {
   rules_for : string -> Ast.rule list;
   is_base : string -> bool;
   known_pred : string -> bool;
-  arity : string -> int;
   holds : string -> Tuple.t -> bool;
   count : string -> Tuple.t -> int;
   probe : string -> (int * Value.t) list -> (Tuple.t -> int -> unit) -> unit;
-  dup_semantics : bool;
+  mult_for : string -> int -> int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -75,202 +74,8 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let contains_sub s sub =
-  let ls = String.length s and lb = String.length sub in
-  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-  lb > 0 && go 0
-
 (* ------------------------------------------------------------------ *)
-(* Support validation                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** A support is valid when its rule is still in the program, its
-    recorded subgoals match the rule's positive atoms in order and all
-    still hold, the rule's filters pass under the induced bindings, and
-    the head expressions evaluate back to the node's tuple.  Aggregate
-    literals (and anything left unbound by them) are not re-evaluated —
-    validation is partial there by design. *)
-let validate_support access pred tuple (s : Prov.support) =
-  (not (access.is_base pred))
-  &&
-  match
-    List.find_opt
-      (fun r -> String.equal (Pretty.rule_to_string r) s.rule)
-      (access.rules_for pred)
-  with
-  | None -> false
-  | Some r ->
-    let env : (string, Value.t) Hashtbl.t = Hashtbl.create 16 in
-    let lookup x = Hashtbl.find_opt env x in
-    let unify_arg e v =
-      match e with
-      | Ast.Eterm (Ast.Var x) -> (
-        match lookup x with
-        | Some v' -> Value.equal v' v
-        | None ->
-          Hashtbl.add env x v;
-          true)
-      | e -> (
-        match eval_expr lookup e with
-        | Some v' -> Value.equal v' v
-        | None -> false)
-    in
-    let unify_atom (a : Ast.atom) tup =
-      let vals = Tuple.to_list tup in
-      List.length a.Ast.args = List.length vals
-      && List.for_all2 unify_arg a.Ast.args vals
-    in
-    (* Pass 1: positive atoms consume the recorded subgoals in order. *)
-    let sg = ref (Array.to_list s.subgoals) in
-    let pos_ok =
-      List.for_all
-        (fun lit ->
-          match lit with
-          | Ast.Lpos a -> (
-            match !sg with
-            | (p, t) :: rest when String.equal p a.Ast.pred ->
-              sg := rest;
-              access.holds p t && unify_atom a t
-            | _ -> false)
-          | _ -> true)
-        r.Ast.body
-      && !sg = []
-    in
-    pos_ok
-    &&
-    (* Pass 2: filters to fixpoint — comparisons check or bind, ground
-       negations check; aggregates are accepted unverified. *)
-    let exact = ref true in
-    let ok = ref true in
-    let pending =
-      ref
-        (List.filter
-           (function Ast.Lpos _ -> false | _ -> true)
-           r.Ast.body)
-    in
-    let progress = ref true in
-    while !progress && !ok do
-      progress := false;
-      pending :=
-        List.filter
-          (fun lit ->
-            match lit with
-            | Ast.Lpos _ -> false
-            | Ast.Lcmp (l, op, rr) -> (
-              match (eval_expr lookup l, eval_expr lookup rr) with
-              | Some a, Some b ->
-                if not (cmp_values op a b) then ok := false;
-                progress := true;
-                false
-              | None, Some v -> (
-                match (l, op) with
-                | Ast.Eterm (Ast.Var x), Ast.Eq ->
-                  Hashtbl.add env x v;
-                  progress := true;
-                  false
-                | _ -> true)
-              | Some v, None -> (
-                match (rr, op) with
-                | Ast.Eterm (Ast.Var x), Ast.Eq ->
-                  Hashtbl.add env x v;
-                  progress := true;
-                  false
-                | _ -> true)
-              | None, None -> true)
-            | Ast.Lneg a -> (
-              match ground_atom lookup a with
-              | Some tup ->
-                if access.holds a.Ast.pred tup then ok := false;
-                progress := true;
-                false
-              | None -> true)
-            | Ast.Lagg _ ->
-              exact := false;
-              progress := true;
-              false)
-          !pending
-    done;
-    if !pending <> [] then exact := false;
-    !ok
-    &&
-    (* Head: every evaluable argument must reproduce the tuple. *)
-    let vals = Tuple.to_list tuple in
-    List.length r.Ast.head.Ast.args = List.length vals
-    && List.for_all2
-         (fun e v ->
-           match eval_expr lookup e with
-           | Some v' -> Value.equal v' v
-           | None -> not !exact)
-         r.Ast.head.Ast.args vals
-
-(* ------------------------------------------------------------------ *)
-(* why                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type tree = { t_pred : string; t_tuple : Tuple.t; t_kind : kind }
-
-and kind =
-  | Base
-  | Derived of { supports : deriv list; truncated : bool; elided : int }
-  | Cycle
-  | Depth_limit
-  | Unsupported
-
-and deriv = {
-  d_rule : string;
-  d_mult : int;
-  d_note : string option;
-  d_children : tree list;
-}
-
-type why_result = Why_unknown_pred | Why_absent | Why_tree of tree
-
-let why ?(max_depth = 8) ?(max_width = 4) access pred tuple =
-  if not (access.known_pred pred) then Why_unknown_pred
-  else if not (access.holds pred tuple) then Why_absent
-  else begin
-    let rec node path depth p t =
-      let mk k = { t_pred = p; t_tuple = t; t_kind = k } in
-      if access.is_base p then mk Base
-      else if
-        List.exists
-          (fun (p', t') -> String.equal p p' && Tuple.equal t t')
-          path
-      then mk Cycle
-      else if depth >= max_depth then mk Depth_limit
-      else begin
-        let sups =
-          List.filter (validate_support access p t) (Prov.supports_of ~pred:p t)
-        in
-        let truncated = Prov.supports_truncated ~pred:p t in
-        match sups with
-        | [] -> mk Unsupported
-        | _ ->
-          let shown = take max_width sups in
-          let elided = List.length sups - List.length shown in
-          let path = (p, t) :: path in
-          let deriv (s : Prov.support) =
-            {
-              d_rule = s.Prov.rule;
-              d_mult = s.Prov.mult;
-              d_note =
-                (if contains_sub s.Prov.rule "groupby(" then
-                   Some "aggregate subgoal not expanded"
-                 else None);
-              d_children =
-                List.map
-                  (fun (p', t') -> node path (depth + 1) p' t')
-                  (Array.to_list s.Prov.subgoals);
-            }
-          in
-          mk (Derived { supports = List.map deriv shown; truncated; elided })
-      end
-    in
-    Why_tree (node [] 0 pred tuple)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* why not                                                             *)
+(* The bounded search                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type failure = {
@@ -282,19 +87,11 @@ type failure = {
   f_note : string;
 }
 
-type whynot_result =
-  | Whynot_unknown_pred
-  | Whynot_present of int
-  | Whynot_base
-  | Whynot_no_rules
-  | Whynot_failures of failure list
-
 let lookup_in env x = List.assoc_opt x env
 
 (* Re-evaluate one aggregate literal under [env] (group variables must
-   be bound).  A best-effort mirror of the evaluator's semantics: set
-   semantics weighs each distinct source tuple once, duplicate
-   semantics by its count. *)
+   be bound), weighing each source tuple by its count as the evaluator
+   reads it. *)
 let compute_agg access env (agg : Ast.aggregate) : (Value.t, string) result =
   let src = agg.Ast.agg_source in
   if not (access.known_pred src.Ast.pred) then
@@ -332,7 +129,7 @@ let compute_agg access env (agg : Ast.aggregate) : (Value.t, string) result =
         match extend_src env tup with
         | None -> ()
         | Some env' -> (
-          let w = if access.dup_semantics then c else 1 in
+          let w = access.mult_for src.Ast.pred c in
           cnt := !cnt + w;
           match agg.Ast.agg_fn with
           | Ast.Count -> ()
@@ -379,24 +176,50 @@ let compute_agg access env (agg : Ast.aggregate) : (Value.t, string) result =
         | Ast.Avg -> Ok (Value.Float (!sum /. float_of_int !cnt)))
   end
 
-let analyze_rule ~max_nodes access tuple (r : Ast.rule) : failure =
-  let rule_str = Pretty.rule_to_string r in
-  let total = List.length r.Ast.body in
-  let mk_fail ~progress ~failing ~env note =
-    {
-      f_rule = rule_str;
-      f_progress = progress;
-      f_total = total;
-      f_failing = failing;
-      f_bindings = List.rev env;
-      f_note = note;
-    }
-  in
+let search_budget = 20_000
+
+(* One tuple's search budget, shared by its candidate rules. *)
+type budget = { mutable left : int; mutable ran_out : bool }
+
+let new_budget () = { left = search_budget; ran_out = false }
+
+let mk_fail (r : Ast.rule) ~progress ~failing ~env note =
+  {
+    f_rule = Pretty.rule_to_string r;
+    f_progress = progress;
+    f_total = List.length r.Ast.body;
+    f_failing = failing;
+    f_bindings = List.rev env;
+    f_note = note;
+  }
+
+type outcome = {
+  head_env : (string * Value.t) list;  (** bindings from the head alone *)
+  matched : bool;  (** at least one instantiation was found *)
+  deepest : failure option Lazy.t;
+      (** the deepest failure met, built only if asked for *)
+}
+
+(* The backtracking search of [why] and [why not] over one rule with its
+   head bound to [tuple]: unify the head, then instantiate body literals
+   most-bound-first against the live relations.  [on_match env mult] is
+   called for every instantiation whose head evaluates to [tuple], with
+   [mult] the product of its positive subgoals' counts as the evaluator
+   reads them; the search stops when it returns [false] or [budget] runs
+   out. *)
+let search budget access tuple (r : Ast.rule) ~on_match : outcome =
   (* Head unification: bind variables, check constants, defer computed
      arguments until the body binds their variables. *)
   let vals = Tuple.to_list tuple in
+  let head_failure note =
+    {
+      head_env = [];
+      matched = false;
+      deepest = lazy (Some (mk_fail r ~progress:(-1) ~failing:None ~env:[] note));
+    }
+  in
   if List.length r.Ast.head.Ast.args <> List.length vals then
-    mk_fail ~progress:(-1) ~failing:None ~env:[] "head arity mismatch"
+    head_failure "head arity mismatch"
   else begin
     let head_fail = ref None in
     let deferred = ref [] in
@@ -434,22 +257,27 @@ let analyze_rule ~max_nodes access tuple (r : Ast.rule) : failure =
         [] r.Ast.head.Ast.args vals
     in
     match !head_fail with
-    | Some msg ->
-      mk_fail ~progress:(-1) ~failing:None ~env:[] ("head cannot match: " ^ msg)
+    | Some msg -> head_failure ("head cannot match: " ^ msg)
     | None ->
       let lits = Array.of_list r.Ast.body in
       let n = Array.length lits in
       let used = Array.make n false in
-      let budget = ref max_nodes in
-      let best_progress = ref (-2) in
-      let best =
-        ref (mk_fail ~progress:0 ~failing:None ~env:env0 "no subgoal attempted")
+      let best_progress = ref (-1) in
+      let best = ref None in
+      let matched = ref false and stop = ref false in
+      let live () =
+        (not !stop)
+        && (budget.left > 0
+           ||
+           (budget.ran_out <- true;
+            false))
       in
-      let succeeded = ref false in
+      (* [failing] is a literal index; [note] is only rendered for the
+         failure that is finally reported. *)
       let record_fail env progress failing note =
         if progress > !best_progress then begin
           best_progress := progress;
-          best := mk_fail ~progress ~failing ~env note
+          best := Some (progress, failing, env, note)
         end
       in
       let check_deferred env =
@@ -552,34 +380,34 @@ let analyze_rule ~max_nodes access tuple (r : Ast.rule) : failure =
             lits;
           Option.map (fun i -> `Stuck i) !stuck
       in
-      let rec step env progress =
-        if (not !succeeded) && !budget > 0 then begin
-          decr budget;
+      let rec step env progress mult =
+        if live () then begin
+          budget.left <- budget.left - 1;
           match pick env with
           | None -> (
             match check_deferred env with
-            | Ok () -> succeeded := true
-            | Error msg -> record_fail env progress None msg)
+            | Ok () ->
+              matched := true;
+              if not (on_match env mult) then stop := true
+            | Error msg -> record_fail env progress None (fun () -> msg))
           | Some (`Cmp (i, op, a, b)) ->
             used.(i) <- true;
-            if cmp_values op a b then step env (progress + 1)
+            if cmp_values op a b then step env (progress + 1) mult
             else
-              record_fail env progress
-                (Some (Pretty.literal_to_string lits.(i)))
-                (Printf.sprintf "comparison is false (%s vs %s)"
-                   (Value.to_string a) (Value.to_string b));
+              record_fail env progress (Some i) (fun () ->
+                  Printf.sprintf "comparison is false (%s vs %s)"
+                    (Value.to_string a) (Value.to_string b));
             used.(i) <- false
           | Some (`Bind (i, x, v)) ->
             used.(i) <- true;
-            step ((x, v) :: env) (progress + 1);
+            step ((x, v) :: env) (progress + 1) mult;
             used.(i) <- false
           | Some (`Neg (i, a, tup)) ->
             used.(i) <- true;
             if access.holds a.Ast.pred tup then
-              record_fail env progress
-                (Some (Pretty.literal_to_string lits.(i)))
-                ("negated subgoal holds: " ^ fact_to_string a.Ast.pred tup)
-            else step env (progress + 1);
+              record_fail env progress (Some i) (fun () ->
+                  "negated subgoal holds: " ^ fact_to_string a.Ast.pred tup)
+            else step env (progress + 1) mult;
             used.(i) <- false
           | Some (`Pos (i, a, _)) ->
             used.(i) <- true;
@@ -595,21 +423,20 @@ let analyze_rule ~max_nodes access tuple (r : Ast.rule) : failure =
             in
             let found = ref false in
             if access.known_pred a.Ast.pred then
-              access.probe a.Ast.pred bound (fun tup _c ->
-                  if (not !succeeded) && !budget > 0 then
+              access.probe a.Ast.pred bound (fun tup c ->
+                  if live () then
                     match extend env a tup with
                     | Some env' ->
                       found := true;
                       step env' (progress + 1)
+                        (mult * access.mult_for a.Ast.pred c)
                     | None -> ());
-            if (not !found) && not !succeeded then
-              record_fail env progress
-                (Some (Pretty.literal_to_string lits.(i)))
-                (if bound = [] then
-                   Printf.sprintf "no %s facts at all" a.Ast.pred
-                 else
-                   Printf.sprintf "no matching %s fact under these bindings"
-                     a.Ast.pred);
+            if (not !found) && not !stop then
+              record_fail env progress (Some i) (fun () ->
+                  if bound = [] then Printf.sprintf "no %s facts at all" a.Ast.pred
+                  else
+                    Printf.sprintf "no matching %s fact under these bindings"
+                      a.Ast.pred);
             used.(i) <- false
           | Some (`Agg (i, agg)) ->
             used.(i) <- true;
@@ -618,36 +445,183 @@ let analyze_rule ~max_nodes access tuple (r : Ast.rule) : failure =
               let x = agg.Ast.agg_result in
               match lookup_in env x with
               | Some v' ->
-                if Value.equal v' v then step env (progress + 1)
+                if Value.equal v' v then step env (progress + 1) mult
                 else
-                  record_fail env progress
-                    (Some (Pretty.literal_to_string lits.(i)))
-                    (Printf.sprintf "aggregate evaluates to %s, not %s"
-                       (Value.to_string v) (Value.to_string v'))
-              | None -> step ((x, v) :: env) (progress + 1))
+                  record_fail env progress (Some i) (fun () ->
+                      Printf.sprintf "aggregate evaluates to %s, not %s"
+                        (Value.to_string v) (Value.to_string v'))
+              | None -> step ((x, v) :: env) (progress + 1) mult)
             | Error msg ->
-              record_fail env progress
-                (Some (Pretty.literal_to_string lits.(i)))
-                msg);
+              record_fail env progress (Some i) (fun () -> msg));
             used.(i) <- false
           | Some (`Stuck i) ->
-            record_fail env progress
-              (Some (Pretty.literal_to_string lits.(i)))
-              "subgoal cannot be instantiated (unbound variables)"
+            record_fail env progress (Some i) (fun () ->
+                "subgoal cannot be instantiated (unbound variables)")
         end
       in
-      step env0 0;
-      if !succeeded then
-        mk_fail ~progress:total ~failing:None ~env:env0
-          "every subgoal is satisfiable — a derivation exists, so the \
-           stored view may be stale"
-      else if !budget <= 0 && !best_progress < 0 then
-        mk_fail ~progress:0 ~failing:None ~env:env0
-          "search budget exhausted before a definite failure was found"
-      else !best
+      step env0 0 1;
+      let deepest =
+        lazy
+          (Option.map
+             (fun (progress, failing, env, note) ->
+               mk_fail r ~progress
+                 ~failing:(Option.map (fun i -> Pretty.literal_to_string lits.(i)) failing)
+                 ~env (note ()))
+             !best)
+      in
+      { head_env = env0; matched = !matched; deepest }
   end
 
-let whynot ?(max_nodes = 20_000) access pred tuple =
+(* ------------------------------------------------------------------ *)
+(* why                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type tree = { t_pred : string; t_tuple : Tuple.t; t_kind : kind }
+
+and kind =
+  | Base
+  | Derived of {
+      supports : deriv list;
+      derivations : int;
+      elided : int;
+      truncated : bool;
+    }
+  | Cycle
+  | Depth_limit
+  | Unsupported
+
+and deriv = {
+  d_rule : string;
+  d_mult : int;
+  d_note : string option;
+  d_children : tree list;
+}
+
+type why_result = Why_unknown_pred | Why_absent | Why_tree of tree
+
+let compare_subgoal (p1, t1) (p2, t2) =
+  match String.compare p1 p2 with 0 -> Tuple.compare t1 t2 | c -> c
+
+(* One instantiation of a rule deriving a tuple. *)
+type inst = {
+  rule_index : int;  (** position among the predicate's rules *)
+  rule : string;
+  note : string option;
+  subgoals : (string * Tuple.t) list;  (** positive subgoals, body order *)
+  mult : int;
+}
+
+(* Every instantiation of every rule deriving [tuple], ordered by rule
+   then subgoals so the output does not depend on relation iteration
+   order; and whether the search ran out of budget. *)
+let instantiations access pred tuple =
+  let budget = new_budget () in
+  let found = ref [] in
+  List.iteri
+    (fun rule_index (r : Ast.rule) ->
+      let rule = Pretty.rule_to_string r in
+      let note =
+        if List.exists (function Ast.Lagg _ -> true | _ -> false) r.Ast.body then
+          Some "aggregate subgoal not expanded"
+        else None
+      in
+      let atoms =
+        List.filter_map (function Ast.Lpos a -> Some a | _ -> None) r.Ast.body
+      in
+      ignore
+        (search budget access tuple r ~on_match:(fun env mult ->
+             let subgoals =
+               List.map
+                 (fun (a : Ast.atom) ->
+                   (a.Ast.pred, Option.get (ground_atom (lookup_in env) a)))
+                 atoms
+             in
+             found := { rule_index; rule; note; subgoals; mult } :: !found;
+             true)))
+    (access.rules_for pred);
+  let order a b =
+    match Int.compare a.rule_index b.rule_index with
+    | 0 -> List.compare compare_subgoal a.subgoals b.subgoals
+    | c -> c
+  in
+  (List.sort order !found, budget.ran_out)
+
+let why ?(max_depth = 8) ?(max_width = 4) access pred tuple =
+  if not (access.known_pred pred) then Why_unknown_pred
+  else if not (access.holds pred tuple) then Why_absent
+  else begin
+    (* A tuple can appear under many branches; search it once. *)
+    let memo = Hashtbl.create 64 in
+    let instantiations p t =
+      match Hashtbl.find_opt memo (p, t) with
+      | Some r -> r
+      | None ->
+        let r = instantiations access p t in
+        Hashtbl.add memo (p, t) r;
+        r
+    in
+    let rec node path depth p t =
+      let mk k = { t_pred = p; t_tuple = t; t_kind = k } in
+      if access.is_base p then mk Base
+      else if
+        List.exists
+          (fun (p', t') -> String.equal p p' && Tuple.equal t t')
+          path
+      then mk Cycle
+      else if depth >= max_depth then mk Depth_limit
+      else
+        match instantiations p t with
+        | [], _ -> mk Unsupported
+        | found, truncated ->
+          let shown = take max_width found in
+          let path = (p, t) :: path in
+          let deriv i =
+            {
+              d_rule = i.rule;
+              d_mult = i.mult;
+              d_note = i.note;
+              d_children =
+                List.map (fun (p', t') -> node path (depth + 1) p' t') i.subgoals;
+            }
+          in
+          mk
+            (Derived
+               {
+                 supports = List.map deriv shown;
+                 derivations = List.fold_left (fun acc i -> acc + i.mult) 0 found;
+                 elided = List.length found - List.length shown;
+                 truncated;
+               })
+    in
+    Why_tree (node [] 0 pred tuple)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* why not                                                             *)
+(* ------------------------------------------------------------------ *)
+
+type whynot_result =
+  | Whynot_unknown_pred
+  | Whynot_present of int
+  | Whynot_base
+  | Whynot_no_rules
+  | Whynot_failures of failure list
+
+let analyze_rule budget access tuple (r : Ast.rule) : failure =
+  let o = search budget access tuple r ~on_match:(fun _ _ -> false) in
+  let fail ~progress note = mk_fail r ~progress ~failing:None ~env:o.head_env note in
+  if o.matched then
+    fail ~progress:(List.length r.Ast.body)
+      "every subgoal is satisfiable — a derivation exists, so the stored \
+       view may be stale"
+  else
+    match Lazy.force o.deepest with
+    | Some f -> f
+    | None when budget.ran_out ->
+      fail ~progress:0 "search budget exhausted before a definite failure was found"
+    | None -> fail ~progress:0 "no subgoal attempted"
+
+let whynot access pred tuple =
   if not (access.known_pred pred) then Whynot_unknown_pred
   else begin
     let c = access.count pred tuple in
@@ -657,7 +631,8 @@ let whynot ?(max_nodes = 20_000) access pred tuple =
       match access.rules_for pred with
       | [] -> Whynot_no_rules
       | rules ->
-        Whynot_failures (List.map (analyze_rule ~max_nodes access tuple) rules)
+        let budget = new_budget () in
+        Whynot_failures (List.map (analyze_rule budget access tuple) rules)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -705,13 +680,16 @@ let rec render_tree buf indent t =
   | Unsupported ->
     Buffer.add_string buf
       (Printf.sprintf
-         "%s%s  [present, but no stored support — derived before capture \
-          was enabled, or truncated]\n"
+         "%s%s  [present, but the search found no derivation — it ran out \
+          of budget, or the stored view is stale]\n"
          pad fact)
-  | Derived { supports; truncated; elided } ->
+  | Derived { supports; derivations; truncated; _ } ->
     Buffer.add_string buf
-      (Printf.sprintf "%s%s  [derived%s]\n" pad fact
-         (if truncated then ", support set truncated" else ""));
+      (Printf.sprintf "%s%s  [derived]  (%d derivation%s, %d shown%s)\n" pad fact
+         derivations
+         (if derivations = 1 then "" else "s")
+         (List.length supports)
+         (if truncated then "; search budget exhausted" else ""));
     List.iter
       (fun d ->
         Buffer.add_string buf
@@ -719,10 +697,7 @@ let rec render_tree buf indent t =
              (if d.d_mult > 1 then Printf.sprintf " (x%d)" d.d_mult else "")
              (match d.d_note with Some n -> "  [" ^ n ^ "]" | None -> ""));
         List.iter (render_tree buf (indent + 4)) d.d_children)
-      supports;
-    if elided > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf "%s  (+%d more supports not shown)\n" pad elided)
+      supports
 
 let pp_why fmt = function
   | Why_unknown_pred -> Format.pp_print_string fmt "unknown predicate\n"
@@ -838,10 +813,11 @@ let rec tree_json t =
   | Cycle -> base "cycle" []
   | Depth_limit -> base "depth_limit" []
   | Unsupported -> base "unsupported" []
-  | Derived { supports; truncated; elided } ->
+  | Derived { supports; derivations; elided; truncated } ->
     base "derived"
       [
         ("truncated", Json.Bool truncated);
+        ("derivations", Json.int derivations);
         ("elided", Json.int elided);
         ("supports", Json.List (List.map deriv_json supports));
       ]

@@ -1,16 +1,23 @@
-(** Query layer over the provenance store: [why] derivation trees,
-    [why not] failure analysis, and [lineage] batch history.
+(** Provenance queries: [why] derivation trees, [why not] failure
+    analysis, and [lineage] batch history.
 
     This module never touches the database directly — callers hand it a
     {!db_access} record of closures (built by [Ivm.View_manager]), which
     keeps the provenance library below the evaluator in the build graph.
 
-    [why] {e validates at read time}: every stored support is re-checked
-    against the live database (its rule still exists, its subgoals still
-    hold, comparisons pass, the head expressions still evaluate to the
-    node's tuple) and stale supports are dropped, so a tree edge is an
-    actual current derivation even if the store lags (DRed set semantics
-    can leave supports whose multiplicities drifted). *)
+    [why] and [why not] run one bounded backtracking search over the
+    live relations: bind a rule's head to the tuple, then instantiate the
+    body literals most-bound-first.  [why] collects every instantiation
+    that succeeds, so it needs no capture: a tree edge is a current
+    derivation by construction.  [why not] keeps the deepest failure.
+    Each tuple's search, over all its candidate rules, takes at most
+    20,000 steps.
+
+    Each derivation's [mult] is the product of its positive subgoals'
+    counts, read the way the evaluator reads them ({!db_access.mult_for}),
+    so under every resolution that stores exact counts (all but explicit
+    DRed) a node's [derivations] equals the tuple's stored count whenever
+    its search finished within budget. *)
 
 module Tuple = Ivm_relation.Tuple
 module Value = Ivm_relation.Value
@@ -22,12 +29,12 @@ type db_access = {
   rules_for : string -> Ivm_datalog.Ast.rule list;
   is_base : string -> bool;
   known_pred : string -> bool;
-  arity : string -> int;
   holds : string -> Tuple.t -> bool;
   count : string -> Tuple.t -> int;
   probe : string -> (int * Value.t) list -> (Tuple.t -> int -> unit) -> unit;
-  dup_semantics : bool;  (** duplicate semantics: aggregate re-checks
-                             weight source tuples by count *)
+  mult_for : string -> int -> int;
+      (** the count transform the evaluator applies when reading a
+          predicate: the set clamp, or identity under duplicate semantics *)
 }
 
 (** {1 why} *)
@@ -36,32 +43,32 @@ type tree = { t_pred : string; t_tuple : Tuple.t; t_kind : kind }
 
 and kind =
   | Base  (** a base fact — a leaf *)
-  | Derived of { supports : deriv list; truncated : bool; elided : int }
-      (** validated supports; [truncated] — the capture-side bound
-          dropped some; [elided] — the width bound hid some here *)
+  | Derived of {
+      supports : deriv list;  (** the derivations shown *)
+      derivations : int;  (** Σ [d_mult] over every derivation found *)
+      elided : int;  (** derivations found but hidden by the width bound *)
+      truncated : bool;  (** the search ran out of budget *)
+    }
   | Cycle  (** this tuple already appears on the path to the root *)
   | Depth_limit
   | Unsupported
-      (** present, but no stored support survived validation (captured
-          before enablement, or truncated — re-run the bootstrap) *)
+      (** present, but the search found no derivation (it ran out of
+          budget, or the stored view is stale) *)
 
 and deriv = {
   d_rule : string;  (** pretty-printed source rule *)
-  d_mult : int;
+  d_mult : int;  (** product of the positive subgoals' counts *)
   d_note : string option;  (** e.g. aggregate subgoals not expanded *)
   d_children : tree list;
 }
 
 type why_result = Why_unknown_pred | Why_absent | Why_tree of tree
 
-(** Depth default 8, width (supports shown per node) default 4. *)
+(** Depth default 8, width (derivations shown per node) default 4.
+    Shown derivations are ordered by rule, then by subgoal tuples. *)
 val why :
   ?max_depth:int -> ?max_width:int -> db_access -> string -> Tuple.t ->
   why_result
-
-(** Re-validate one stored support against the live database (exposed
-    for the property suite, which checks every tree edge independently). *)
-val validate_support : db_access -> string -> Tuple.t -> Prov.support -> bool
 
 (** {1 why not} *)
 
@@ -83,10 +90,9 @@ type whynot_result =
   | Whynot_no_rules
   | Whynot_failures of failure list  (** one per candidate rule *)
 
-(** Bounded backtracking search per candidate rule: unify the head,
-    instantiate body literals most-bound-first, and report the deepest
-    failure.  [max_nodes] (default 20000) bounds the whole search. *)
-val whynot : ?max_nodes:int -> db_access -> string -> Tuple.t -> whynot_result
+(** The same search per candidate rule, reporting each rule's deepest
+    failure. *)
+val whynot : db_access -> string -> Tuple.t -> whynot_result
 
 (** {1 lineage} *)
 

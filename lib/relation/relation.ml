@@ -522,6 +522,15 @@ let probe_via h key f =
 
 let probe r cols key f = probe_via (probe_handle r cols) key f
 
+let probe_existing r cols key f =
+  if Array.length cols = 0 || natural_full r cols then probe r cols key f
+  else
+    match find_index r cols with
+    | Some idx -> probe_via { hrel = r; hkind = Kindex idx } key f
+    | None ->
+      let kpos = Array.init (Array.length cols) Fun.id in
+      iter (fun t c -> if key_is cols t.vals kpos key.vals 0 then f t c) r
+
 let of_list arity l =
   let r = create ~size:(List.length l) arity in
   List.iter (fun (t, c) -> add r t c) l;

@@ -170,6 +170,13 @@ val probe_via : handle -> Tuple.t -> (Tuple.t -> int -> unit) -> unit
     the one-shot form.  [cols = [||]] degenerates to {!iter}. *)
 val probe : t -> int array -> Tuple.t -> (Tuple.t -> int -> unit) -> unit
 
+(** [probe_existing r cols key f] is {!probe} through access paths [r]
+    already has — the main table or a published secondary index — and
+    otherwise a filtered scan: it never builds an index.  For readers
+    that run beside {!add} without serializing with it, where an index
+    built mid-insert would miss the concurrent tuple for good. *)
+val probe_existing : t -> int array -> Tuple.t -> (Tuple.t -> int -> unit) -> unit
+
 val of_list : int -> (Tuple.t * int) list -> t
 
 (** Tuples with count 1 each (duplicates in the list accumulate). *)

@@ -402,6 +402,16 @@ let exec (ctx : ctx) (step : Cmd.step) : unit =
         (if p = "link" then Model.base_tuples m p else Model.derived_tuples m p)
     in
     match (Prov_query.why access p t, present) with
+    | ( Prov_query.Why_tree
+          { t_kind = Prov_query.Derived { derivations; truncated = false; _ }; _ },
+        true )
+      when Vm.algorithm ctx.vm <> Vm.Dred ->
+      (* Every resolution but explicit DRed stores exact counts: the
+         derivations [why] finds must add up to the stored count. *)
+      let stored = Relation.count (Vm.relation ctx.vm p) t in
+      if derivations <> stored then
+        fail ctx "why %s%s: %d derivations found, stored count %d" p
+          (Tuple.to_string t) derivations stored
     | Prov_query.Why_tree _, true | Prov_query.Why_absent, false -> ()
     | Prov_query.Why_tree _, false ->
       fail ctx "why %s%s: tree for a tuple the model lacks" p

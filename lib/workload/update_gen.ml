@@ -23,8 +23,9 @@ let deletions rng (db : Database.t) pred k : Changes.t =
   let victims = Prng.sample rng k all in
   Changes.deletions (Database.program db) pred victims
 
-(** [edge_insertions rng db pred ~nodes k] — [k] random new 2-column edges
-    over integer nodes [0 .. nodes - 1], avoiding stored duplicates. *)
+(** [edge_insertions rng db pred ~nodes k] — [k] random 2-column edges
+    over integer nodes [0 .. nodes - 1], avoiding self-loops and stored
+    tuples but not each other: a batch can repeat an edge. *)
 let edge_insertions rng (db : Database.t) pred ~nodes k : Changes.t =
   let stored = Database.relation db pred in
   let rec draw k acc =
@@ -37,8 +38,9 @@ let edge_insertions rng (db : Database.t) pred ~nodes k : Changes.t =
   in
   Changes.insertions (Database.program db) pred (draw k [])
 
-(** A mixed batch: [dels] deletions of stored tuples and [ins] fresh edge
-    insertions on the same predicate. *)
+(** A mixed batch: [dels] deletions of stored tuples and [ins] edge
+    insertions (see the interface: possibly fewer distinct) on the same
+    predicate. *)
 let mixed rng db pred ~nodes ~dels ~ins : Changes.t =
   Changes.merge (deletions rng db pred dels) (edge_insertions rng db pred ~nodes ins)
 

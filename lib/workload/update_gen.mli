@@ -1,6 +1,6 @@
 (** Update-stream generators: always-valid change sets against a live
     database's base relations (deletions pick stored tuples; insertions
-    avoid duplicates). *)
+    avoid stored tuples). *)
 
 module Value = Ivm_relation.Value
 module Tuple = Ivm_relation.Tuple
@@ -10,11 +10,14 @@ module Changes = Ivm.Changes
 (** Delete [k] random stored tuples (fewer if the relation is smaller). *)
 val deletions : Prng.t -> Database.t -> string -> int -> Changes.t
 
-(** Insert [k] fresh random 2-column edges over nodes [0 .. nodes - 1]. *)
+(** Insert [k] random 2-column edges over nodes [0 .. nodes - 1], each
+    drawn until it is neither a self-loop nor already stored.  Draws are
+    not checked against each other, so the batch can repeat an edge and
+    hold fewer than [k] distinct ones. *)
 val edge_insertions :
   Prng.t -> Database.t -> string -> nodes:int -> int -> Changes.t
 
-(** [dels] deletions ⊎ [ins] fresh insertions on one predicate. *)
+(** [dels] deletions ⊎ [ins] {!edge_insertions} on one predicate. *)
 val mixed :
   Prng.t -> Database.t -> string -> nodes:int -> dels:int -> ins:int -> Changes.t
 

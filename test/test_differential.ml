@@ -20,7 +20,10 @@
       (a one-change batch stays incremental, a half-swap re-evaluates):
       random programs under set semantics (counted DRed on the recursive
       ones), Counting under duplicate semantics, and negation and GROUPBY
-      views over a closure (counted DRed).
+      views over a closure (counted DRed);
+    - [why] agrees with the stored counts: under every resolution but
+      explicit DRed, the [mult]s of the derivations [why] finds for a
+      present view tuple sum to its stored count, GROUPBY views included.
 
     Plus the determinism properties for the multicore path: for every
     algorithm, the exact same scenario replayed at [~domains:4] produces
@@ -40,6 +43,7 @@ module Prng = Ivm_workload.Prng
 module Graph_gen = Ivm_workload.Graph_gen
 module Update_gen = Ivm_workload.Update_gen
 module Programs = Ivm_workload.Programs
+module Pq = Ivm_prov.Prov_query
 
 let q ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -563,8 +567,84 @@ let auto_recursive =
           ~agree:(agree_as Relation.equal_sets) seed);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* why: the derivations found add up to the stored count               *)
+(* ------------------------------------------------------------------ *)
+
+(** For every present view tuple, the [mult]s of the derivations [why]
+    finds sum to the stored count — every resolution but explicit DRed
+    stores exact counts.  Only a search that ran out of budget is
+    excused. *)
+let why_sums_to_count (name, db) =
+  let access = Vm.provenance_access (Vm.of_database db) in
+  List.for_all
+    (fun p ->
+      Relation.fold
+        (fun tup stored ok ->
+          ok
+          &&
+          match Pq.why ~max_depth:1 access p tup with
+          | Pq.Why_tree { t_kind = Pq.Derived { derivations; truncated; _ }; _ } ->
+            truncated || derivations = stored
+            || QCheck.Test.fail_reportf "%s: why %s found %d derivations, stored count %d"
+                 name (Pq.fact_to_string p tup) derivations stored
+          | _ ->
+            QCheck.Test.fail_reportf "%s: why %s found no derivation" name
+              (Pq.fact_to_string p tup))
+        (Database.relation db p) true)
+    (Program.derived_preds (Database.program db))
+
+let recompute = ("recompute", fun db c -> Recompute.maintain db c)
+
+let why_count_props =
+  [
+    q ~count:40 "why = count: random programs (counting, dred-counted, auto, recompute)"
+      arb_shape (fun s ->
+        lockstep ~semantics:Database.Set_semantics ~src:(source_of s)
+          ~runners:
+            [ ("counting", fun db c -> ignore (Counting.maintain db c)); dred_counted; auto; recompute ]
+          ~agree:(List.for_all why_sums_to_count) s.seed);
+    q ~count:25 "why = count: duplicate semantics (counting, auto, recompute)" arb_shape
+      (fun s ->
+        lockstep ~semantics:Database.Duplicate_semantics ~src:(source_of s)
+          ~runners:[ ("counting", fun db c -> ignore (Counting.maintain db c)); auto; recompute ]
+          ~agree:(List.for_all why_sums_to_count) s.seed);
+    q ~count:15 "why = count: recursive programs, each in turn (dred-counted, auto, recompute)"
+      (QCheck.make
+         ~print:(fun (seed, ring) ->
+           Printf.sprintf "seed=%d %s" seed (if ring then "(ring + chords)" else "(random graph)"))
+         QCheck.Gen.(pair (int_range 1 1_000_000) bool))
+      (fun (seed, ring) ->
+        List.for_all
+          (fun (_, src) ->
+            lockstep
+              ~graph:(if ring then ring_graph else random_graph)
+              ~semantics:Database.Set_semantics ~src ~runners:[ dred_counted; auto; recompute ]
+              ~agree:(List.for_all why_sums_to_count) seed)
+          recursive_programs);
+    (* Recursive counting needs acyclic data: deletion-only streams over a
+       layered DAG, duplicate semantics. *)
+    q ~count:15 "why = count: recursive counting on DAG data"
+      (QCheck.make ~print:print_program
+         QCheck.Gen.(
+           pair (int_range 1 1_000_000)
+             (oneofl
+                [ Programs.transitive_closure; Programs.transitive_closure_right; nonlinear_closure ])))
+      (fun (seed, src) ->
+        let rng = Prng.create seed in
+        let db = Database.create ~semantics:Database.Duplicate_semantics (Program.make (Parser.parse_rules src)) in
+        Database.load db "link"
+          (Graph_gen.tuples (Graph_gen.layered_dag rng ~layers:5 ~width:4 ~out_degree:2));
+        Rc.evaluate db;
+        List.for_all
+          (fun () ->
+            ignore (Rc.maintain db (Update_gen.deletions rng db "link" (Prng.int rng 3)));
+            why_sums_to_count ("recursive-counting", db))
+          (List.init steps (fun _ -> ())));
+  ]
+
 let suite =
   [ four_way_set; duplicate_counted; recursive_set ]
   @ determinism_props @ auto_props
   @ (counted_recursive_set :: counted_equals_recompute :: counted_audit)
-  @ auto_recursive
+  @ auto_recursive @ why_count_props

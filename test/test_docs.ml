@@ -117,8 +117,8 @@ let test_monitor_commands_documented () =
   in
   List.iter has
     [ "--monitor"; "/metrics"; "/healthz"; "/statusz"; "/trace"; "/requestz";
-      "/why"; "IVM_ATTRIBUTION"; "IVM_SLOW_BATCH_MS"; "IVM_PROV_MAX_SUPPORTS";
-      "IVM_REQTRACE"; "IVM_SLOW_REQUEST_MS"; "--timings" ]
+      "/why"; "IVM_ATTRIBUTION"; "IVM_SLOW_BATCH_MS"; "IVM_REQTRACE";
+      "IVM_SLOW_REQUEST_MS"; "--timings" ]
 
 let test_readme_mentions_docs () =
   (* The persistence spec the README and ARCHITECTURE.md point at must

@@ -2,16 +2,14 @@
     randomized properties over generated stratified programs.
 
     The properties drive each maintenance algorithm over a seeded
-    insert/delete stream with capture on and then check the store against
-    the live database:
+    insert/delete stream, with lineage capture off, and then check every
+    present view tuple's [why] tree against the live database:
 
-    - every [why]-tree edge re-validates: the support's rule is in the
-      program and {!Ivm_prov.Prov_query.validate_support} accepts it
-      against the current relations;
+    - every derivation's rule is one of the program's own rules;
+    - every child holds;
     - leaves are base facts (nonrecursive programs; recursive trees may
       also end at a cycle);
-    - [why not] never fires for a present tuple;
-    - tuples deleted by maintenance retain no supports.
+    - [why not] never fires for a present tuple.
 
     Aggregate-free shapes only: a GROUPBY subgoal is deliberately not
     expanded into children (the tree notes it instead), which would void
@@ -36,8 +34,8 @@ module Pretty = Ivm_datalog.Pretty
 let q ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-(* Capture is process-global state; every test flips it on for its own
-   scenario and restores the disabled default. *)
+(* Lineage capture is process-global state; a test that needs it flips
+   it on for its own scenario and restores the disabled default. *)
 let with_capture f =
   Prov.reset ();
   Prov.set_enabled true;
@@ -57,12 +55,11 @@ let hop_src =
    link(a, b). link(b, c). link(c, a)."
 
 let test_why_present_tuple () =
-  with_capture @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting hop_src in
-  Vm.enable_provenance vm;
   let access = Vm.provenance_access vm in
   match Pq.why access "hop" (t2 "a" "c") with
-  | Pq.Why_tree { t_kind = Pq.Derived { supports = [ d ]; _ }; _ } ->
+  | Pq.Why_tree { t_kind = Pq.Derived { supports = [ d ]; derivations; _ }; _ } ->
+    Alcotest.(check int) "one derivation found" 1 derivations;
     Alcotest.(check string)
       "support rule" "hop(X, Y) :- link(X, Z), link(Z, Y)." d.Pq.d_rule;
     Alcotest.(check int) "two subgoal children" 2 (List.length d.Pq.d_children);
@@ -71,13 +68,28 @@ let test_why_present_tuple () =
         match c.Pq.t_kind with
         | Pq.Base -> ()
         | _ -> Alcotest.fail "hop child should be a base fact")
-      d.Pq.d_children
+      d.Pq.d_children;
+    (* The width bound hides derivations but never the count: two rules
+       derive hop(a,b), one is shown. *)
+    let vm =
+      Vm.of_source ~algorithm:Vm.Counting
+        "hop(X, Y) :- link(X, Y).\n\
+         hop(X, Y) :- back(Y, X).\n\
+         link(a, b). back(b, a)."
+    in
+    (match Pq.why ~max_width:1 (Vm.provenance_access vm) "hop" (t2 "a" "b") with
+    | Pq.Why_tree
+        { t_kind = Pq.Derived { supports = [ _ ]; derivations = 2; elided = 1; truncated = false }; _ }
+      ->
+      ()
+    | _ -> Alcotest.fail "expected 2 derivations, 1 shown");
+    Alcotest.(check int)
+      "stored count" 2
+      (Relation.count (Vm.relation vm "hop") (t2 "a" "b"))
   | _ -> Alcotest.fail "expected a single-support derivation tree"
 
 let test_why_absent_and_unknown () =
-  with_capture @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting hop_src in
-  Vm.enable_provenance vm;
   let access = Vm.provenance_access vm in
   (match Pq.why access "hop" (t2 "a" "a") with
   | Pq.Why_tree _ -> Alcotest.fail "hop(a,a) holds?"
@@ -96,22 +108,21 @@ let test_insert_delete_lineage () =
   Alcotest.(check bool)
     "hop(b,b) present" true
     (Relation.mem (Vm.relation vm "hop") (t2 "b" "b"));
-  Alcotest.(check bool)
-    "hop(b,b) has supports" true
-    (Prov.supports_of ~pred:"hop" (t2 "b" "b") <> []);
+  let access = Vm.provenance_access vm in
+  (match Pq.why access "hop" (t2 "b" "b") with
+  | Pq.Why_tree { t_kind = Pq.Derived _; _ } -> ()
+  | _ -> Alcotest.fail "hop(b,b) should have a derivation tree");
   ignore (Vm.delete vm "link" [ t2 "c" "b" ]);
-  Alcotest.(check bool)
-    "supports purged on deletion" true
-    (Prov.supports_of ~pred:"hop" (t2 "b" "b") = []);
+  (match Pq.why access "hop" (t2 "b" "b") with
+  | Pq.Why_absent -> ()
+  | _ -> Alcotest.fail "hop(b,b) is gone after the deletion");
   match Prov.lineage_of ~pred:"hop" (t2 "b" "b") with
   | Some { Prov.first_derived = Some b1; last_deleted = Some b2; _ } ->
     Alcotest.(check bool) "derived before deleted" true (b1 < b2)
   | _ -> Alcotest.fail "expected full lineage for hop(b,b)"
 
 let test_whynot_reports_failing_subgoal () =
-  with_capture @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting hop_src in
-  Vm.enable_provenance vm;
   let access = Vm.provenance_access vm in
   (match Pq.whynot access "hop" (t2 "a" "c") with
   | Pq.Whynot_present 1 -> ()
@@ -126,60 +137,65 @@ let test_whynot_reports_failing_subgoal () =
     Alcotest.(check bool) "a failing literal is named" true (f.Pq.f_failing <> None)
   | _ -> Alcotest.fail "expected one candidate-rule failure"
 
+(* The rules [why] shows for a tuple, one per derivation shown. *)
+let why_rules access pred tup =
+  match Pq.why access pred tup with
+  | Pq.Why_tree { t_kind = Pq.Derived { supports; _ }; _ } ->
+    List.map (fun d -> d.Pq.d_rule) supports
+  | Pq.Why_tree _ -> Alcotest.fail "expected a derived node"
+  | Pq.Why_absent | Pq.Why_unknown_pred -> []
+
+(* A rule change is maintained through the guard flip and leaves [why]
+   reading the new program: the added rule derives hop(a,b), and once it
+   is removed nothing does.  Its lineage transitions land in a batch of
+   their own. *)
 let test_rule_change_refreshes_supports () =
   with_capture @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting hop_src in
   Vm.enable_provenance vm;
-  Vm.add_rule_text vm "hop(X, Y) :- link(X, Y).";
-  let sups = Prov.supports_of ~pred:"hop" (t2 "a" "b") in
-  Alcotest.(check bool)
-    "direct-rule support exists after addrule" true
-    (List.exists (fun s -> s.Prov.rule = "hop(X, Y) :- link(X, Y).") sups);
-  Vm.remove_rule_text vm "hop(X, Y) :- link(X, Y).";
-  Alcotest.(check bool)
-    "support through the removed rule is gone" true
-    (List.for_all
-       (fun s -> s.Prov.rule <> "hop(X, Y) :- link(X, Y).")
-       (Prov.supports_of ~pred:"hop" (t2 "a" "b")));
   let access = Vm.provenance_access vm in
-  match Pq.why access "hop" (t2 "a" "c") with
-  | Pq.Why_tree { t_kind = Pq.Derived _; _ } -> ()
-  | _ -> Alcotest.fail "hop(a,c) should re-validate after rule churn"
+  let direct = "hop(X, Y) :- link(X, Y)." in
+  Vm.add_rule_text vm direct;
+  Alcotest.(check (list string))
+    "hop(a,b) derived through the added rule" [ direct ]
+    (why_rules access "hop" (t2 "a" "b"));
+  Alcotest.(check (list string))
+    "hop(a,c) keeps its two-hop derivation"
+    [ "hop(X, Y) :- link(X, Z), link(Z, Y)." ]
+    (why_rules access "hop" (t2 "a" "c"));
+  (match Prov.lineage_of ~pred:"hop" (t2 "a" "b") with
+  | Some { Prov.first_derived = Some b; _ } ->
+    Alcotest.(check (option string))
+      "derived in the rule-change batch" (Some "rule-change")
+      (Option.map
+         (fun (i : Prov.batch_info) -> i.algorithm)
+         (List.find_opt (fun (i : Prov.batch_info) -> i.seq = b) (Prov.batches ())))
+  | _ -> Alcotest.fail "expected lineage for hop(a,b)");
+  Vm.remove_rule_text vm direct;
+  Alcotest.(check (list string))
+    "hop(a,b) gone with the removed rule" []
+    (why_rules access "hop" (t2 "a" "b"));
+  Alcotest.(check (list string))
+    "hop(a,c) still derived"
+    [ "hop(X, Y) :- link(X, Z), link(Z, Y)." ]
+    (why_rules access "hop" (t2 "a" "c"))
 
-let test_support_bound_truncates () =
-  with_capture @@ fun () ->
-  let prev = Prov.max_supports () in
-  Prov.set_max_supports 1;
-  Fun.protect ~finally:(fun () -> Prov.set_max_supports prev) @@ fun () ->
-  let vm =
-    Vm.of_source ~algorithm:Vm.Counting
-      "hop(X, Y) :- link(X, Y).\n\
-       hop(X, Y) :- back(Y, X).\n\
-       link(a, b). back(b, a)."
-  in
-  Vm.enable_provenance vm;
-  Alcotest.(check int)
-    "bound keeps one support" 1
-    (List.length (Prov.supports_of ~pred:"hop" (t2 "a" "b")));
-  Alcotest.(check bool)
-    "tuple marked truncated" true
-    (Prov.supports_truncated ~pred:"hop" (t2 "a" "b"))
-
-let test_disabled_capture_is_inert () =
+let test_why_needs_no_capture () =
   Prov.reset ();
   let vm = Vm.of_source ~algorithm:Vm.Counting hop_src in
   Alcotest.(check bool) "capture off" false (Vm.provenance_enabled vm);
   ignore (Vm.insert vm "link" [ t2 "c" "b" ]);
-  Alcotest.(check int) "nothing recorded" 0 (Prov.tuples_tracked ());
+  Alcotest.(check int) "no lineage recorded" 0 (Prov.tuples_tracked ());
   let access = Vm.provenance_access vm in
   match Pq.why access "hop" (t2 "b" "b") with
-  | Pq.Why_tree { t_kind = Pq.Unsupported; _ } -> ()
-  | _ -> Alcotest.fail "present tuple without capture reports Unsupported"
+  | Pq.Why_tree { t_kind = Pq.Derived { supports = [ d ]; _ }; _ } ->
+    Alcotest.(check (list string))
+      "children are hop(b,b)'s subgoals" [ "link(b, c)"; "link(c, b)" ]
+      (List.map (fun c -> Pq.fact_to_string c.Pq.t_pred c.Pq.t_tuple) d.Pq.d_children)
+  | _ -> Alcotest.fail "hop(b,b) should have a derived tree with capture off"
 
 let test_explain_json () =
-  with_capture @@ fun () ->
   let vm = Vm.of_source ~algorithm:Vm.Counting hop_src in
-  Vm.enable_provenance vm;
   (match Vm.explain_json vm "hop(a, c)" with
   | Ok doc ->
     Alcotest.(check (option string))
@@ -215,18 +231,17 @@ let test_dred_recursive_why () =
   Alcotest.(check bool)
     "path(a,d) deleted" false
     (Relation.mem (Vm.relation vm "path") (t2 "a" "d"));
-  Alcotest.(check bool)
-    "deleted path tuple keeps no supports" true
-    (Prov.supports_of ~pred:"path" (t2 "a" "d") = []);
-  (* Rederivation rules report under the program rule they rewrite: no
-     support and no attribution row may name DRed's internal rewrite. *)
+  (match Pq.why access "path" (t2 "a" "d") with
+  | Pq.Why_absent -> ()
+  | _ -> Alcotest.fail "why must not explain a deleted path tuple");
+  (* Derivations and attribution rows name the program's rules, never
+     DRed's internal rederivation rewrite. *)
   let rewritten rule = String.contains rule '$' in
   Relation.iter
     (fun tup _ ->
       List.iter
-        (fun (s : Prov.support) ->
-          if rewritten s.rule then Alcotest.failf "support names %s" s.rule)
-        (Prov.supports_of ~pred:"path" tup))
+        (fun rule -> if rewritten rule then Alcotest.failf "why names %s" rule)
+        (why_rules access "path" tup))
     (Vm.relation vm "path");
   match Ivm_obs.Attribution.last () with
   | None -> Alcotest.fail "no attribution recorded for the DRed batch"
@@ -239,14 +254,38 @@ let test_dred_recursive_why () =
         if rewritten r.rule then Alcotest.failf "attribution row names %s" r.rule)
       b.rows
 
-(* Auto's cost rule declines while capture is on: re-recording a
-   re-evaluated unit's bounded supports could keep another subset than
-   the incremental phases leave.  A batch swapping half of [link] (far
-   above the DRed threshold) therefore runs counted DRed's phases under
-   Auto, and every [explain] of every [path] tuple — supports, lineage
-   and one-step count — equals explicit counted DRed's.  With capture
-   off the same batch re-evaluates. *)
-let test_auto_declines_under_capture () =
+(* [why] and [why not] run from the monitor beside [apply], so they must
+   build no index: [add] keeps only the indexes already published, and one
+   built mid-insert would miss that tuple for good.  The right-linear
+   closure's [why] binds [link] on column 0, which maintenance never
+   indexes. *)
+let test_why_builds_no_index () =
+  let vm =
+    Vm.of_source
+      "path(X, Y) :- link(X, Y).\n\
+       path(X, Y) :- link(X, Z), path(Z, Y).\n\
+       link(a, b). link(b, c). link(c, d)."
+  in
+  ignore (Vm.insert vm "link" [ t2 "d" "e" ]);
+  let indexes () =
+    List.map (fun p -> Relation.index_count (Vm.relation vm p)) [ "link"; "path" ]
+  in
+  let before = indexes () in
+  let access = Vm.provenance_access vm in
+  Relation.iter
+    (fun tup _ ->
+      match Pq.why ~max_depth:32 access "path" tup with
+      | Pq.Why_tree { t_kind = Pq.Derived _; _ } -> ()
+      | _ -> Alcotest.fail "every path tuple has a derivation tree")
+    (Vm.relation vm "path");
+  ignore (Pq.whynot access "path" (t2 "e" "a"));
+  Alcotest.(check (list int)) "index counts unchanged" before (indexes ())
+
+(* Auto's cost rule ignores the provenance switch: a batch swapping half
+   of [link] (far above the DRed threshold) re-evaluates under Auto with
+   lineage capture on and off alike, and every [why] of every [path]
+   tuple equals explicit counted DRed's. *)
+let test_auto_ignores_provenance_switch () =
   let src =
     Programs.transitive_closure
     ^ "\nlink(a, b). link(b, c). link(c, d). link(d, e). link(a, c). link(b, d)."
@@ -264,29 +303,26 @@ let test_auto_declines_under_capture () =
     Prov.set_enabled capture;
     Fun.protect ~finally:(fun () -> Prov.set_enabled false) @@ fun () ->
     let vm = Vm.of_source ~algorithm src in
-    if capture then Vm.enable_provenance vm;
     let before = List.map choice_total [ "incremental"; "reevaluate" ] in
     ignore (Vm.apply vm (swap vm));
     let moved = List.map2 (fun c b -> choice_total c - b) [ "incremental"; "reevaluate" ] before in
-    let explain =
+    let access = Vm.provenance_access vm in
+    let why =
       Relation.fold
         (fun tup _ acc ->
-          match Vm.explain_json vm (Pq.fact_to_string "path" tup) with
-          | Ok doc -> Json.to_string doc :: acc
-          | Error e -> Alcotest.fail e)
+          Json.to_string (Pq.why_json (Pq.why access "path" tup)) :: acc)
         (Vm.relation vm "path") []
       |> List.sort compare
     in
-    (moved, explain)
+    (moved, why)
   in
-  let auto_moved, auto_explain = run ~capture:true Vm.Auto in
-  let _, dred_explain = run ~capture:true Vm.Dred_counted in
-  Alcotest.(check (list int)) "capture on: Auto keeps counted DRed's phases" [ 1; 0 ]
-    auto_moved;
-  Alcotest.(check (list string)) "explain equals explicit counted DRed's" dred_explain
-    auto_explain;
-  Alcotest.(check (list int)) "capture off: the same batch re-evaluates" [ 0; 1 ]
-    (fst (run ~capture:false Vm.Auto))
+  let on_moved, on_why = run ~capture:true Vm.Auto in
+  let off_moved, off_why = run ~capture:false Vm.Auto in
+  let _, dred_why = run ~capture:false Vm.Dred_counted in
+  Alcotest.(check (list int)) "capture on: the batch re-evaluates" [ 0; 1 ] on_moved;
+  Alcotest.(check (list int)) "capture off: the same choice" on_moved off_moved;
+  Alcotest.(check (list string)) "why equal on and off" off_why on_why;
+  Alcotest.(check (list string)) "why equals explicit counted DRed's" dred_why on_why
 
 (* ------------------------------------------------------------------ *)
 (* Randomized properties                                                *)
@@ -335,90 +371,70 @@ let with_domains d f =
   Ivm_par.set_domains d;
   Fun.protect ~finally:(fun () -> Ivm_par.set_domains prev) f
 
-(* Walk a why tree, failing on anything that is not a validated current
+(* Walk a why tree, failing on anything that is not a current
    derivation ending in base facts (or, when [allow_cycle], a cycle). *)
 let check_tree ~allow_cycle access root =
+  let rule_texts = Hashtbl.create 8 in
+  let program_rule p rule =
+    let texts =
+      match Hashtbl.find_opt rule_texts p with
+      | Some texts -> texts
+      | None ->
+        let texts = List.map Pretty.rule_to_string (access.Pq.rules_for p) in
+        Hashtbl.add rule_texts p texts;
+        texts
+    in
+    List.mem rule texts
+  in
   let rec walk t =
+    if not (access.Pq.holds t.Pq.t_pred t.Pq.t_tuple) then
+      failwith
+        (Printf.sprintf "node %s does not hold"
+           (Pq.fact_to_string t.Pq.t_pred t.Pq.t_tuple));
     match t.Pq.t_kind with
     | Pq.Base ->
       if not (access.Pq.is_base t.Pq.t_pred) then
-        failwith (Printf.sprintf "non-base leaf %s" t.Pq.t_pred);
-      if not (access.Pq.holds t.Pq.t_pred t.Pq.t_tuple) then
-        failwith "base leaf does not hold"
+        failwith (Printf.sprintf "non-base leaf %s" t.Pq.t_pred)
     | Pq.Cycle ->
       if not allow_cycle then failwith "cycle in a nonrecursive tree"
     | Pq.Depth_limit -> failwith "depth limit reached"
     | Pq.Unsupported ->
       failwith
-        (Printf.sprintf "present tuple %s has no valid support"
+        (Printf.sprintf "present tuple %s has no derivation"
            (Pq.fact_to_string t.Pq.t_pred t.Pq.t_tuple))
-    | Pq.Derived { supports; _ } ->
-      if supports = [] then failwith "derived node with no supports";
+    | Pq.Derived { supports; truncated; _ } ->
+      if supports = [] then failwith "derived node with no derivations";
+      if truncated then failwith "search ran out of budget";
       List.iter
         (fun d ->
-          (* the support's rule must be one of the program's own rules —
+          (* the derivation's rule must be one of the program's own rules —
              never an internal rewrite like DRed's rederivation rules *)
-          if
-            not
-              (List.exists
-                 (fun r -> String.equal (Pretty.rule_to_string r) d.Pq.d_rule)
-                 (access.Pq.rules_for t.Pq.t_pred))
-          then failwith (Printf.sprintf "rule not in program: %s" d.Pq.d_rule);
-          (* edge re-validation, independently of the walk itself *)
-          let sup =
-            {
-              Prov.rule = d.Pq.d_rule;
-              subgoals =
-                Array.of_list
-                  (List.map (fun c -> (c.Pq.t_pred, c.Pq.t_tuple)) d.Pq.d_children);
-              mult = d.Pq.d_mult;
-            }
-          in
-          if not (Pq.validate_support access t.Pq.t_pred t.Pq.t_tuple sup) then
-            failwith
-              (Printf.sprintf "support fails validation: %s for %s" d.Pq.d_rule
-                 (Pq.fact_to_string t.Pq.t_pred t.Pq.t_tuple));
+          if not (program_rule t.Pq.t_pred d.Pq.d_rule) then failwith (Printf.sprintf "rule not in program: %s" d.Pq.d_rule);
           List.iter walk d.Pq.d_children)
         supports
   in
   walk root
 
-(** Drive one algorithm over a seeded change stream with capture on, then
-    check the whole store against the final database state. *)
+(** Drive one algorithm over a seeded change stream, then check every
+    present view tuple's [why] tree against the final database state. *)
 let scenario ~semantics ~src ~load ~evaluate ~maintain ~next ~max_depth
     ~allow_cycle seed =
   with_domains 1 @@ fun () ->
-  with_capture @@ fun () ->
   let rng = Prng.create seed in
   let program = Program.make (Parser.parse_rules src) in
   let db = Database.create ~semantics program in
   Database.load db "link" (load rng);
-  Prov.set_mode Prov.Add;
   evaluate db;
   let derived = Program.derived_preds program in
-  (* every (pred, tuple) ever observed present, to find deletions later *)
-  let seen = Hashtbl.create 64 in
-  let snapshot () =
-    List.iter
-      (fun p ->
-        Relation.iter
-          (fun tup _ -> Hashtbl.replace seen (p, tup) ())
-          (Database.relation db p))
-      derived
-  in
-  snapshot ();
   for _ = 1 to steps do
-    let changes = next rng db in
-    Prov.batch_begin ~algorithm:"property";
-    maintain db changes;
-    snapshot ()
+    maintain db (next rng db)
   done;
   let access = access_of db in
   List.iter
     (fun p ->
       Relation.iter
         (fun tup _ ->
-          (match Pq.why ~max_depth ~max_width:16 access p tup with
+          (match Pq.why ~max_depth ~max_width:8 access p tup with
           | Pq.Why_tree t -> check_tree ~allow_cycle access t
           | Pq.Why_absent | Pq.Why_unknown_pred ->
             failwith "why did not return a tree for a present tuple");
@@ -430,14 +446,6 @@ let scenario ~semantics ~src ~load ~evaluate ~maintain ~next ~max_depth
                  (Pq.fact_to_string p tup)))
         (Database.relation db p))
     derived;
-  Hashtbl.iter
-    (fun (p, tup) () ->
-      if not (Relation.mem (Database.relation db p) tup) then
-        if Prov.supports_of ~pred:p tup <> [] then
-          failwith
-            (Printf.sprintf "deleted tuple %s retains supports"
-               (Pq.fact_to_string p tup)))
-    seen;
   true
 
 let mixed_stream rng db =
@@ -506,16 +514,15 @@ let suite =
       test_whynot_reports_failing_subgoal;
     Alcotest.test_case "rule change refreshes supports" `Quick
       test_rule_change_refreshes_supports;
-    Alcotest.test_case "support bound truncates" `Quick
-      test_support_bound_truncates;
-    Alcotest.test_case "disabled capture is inert" `Quick
-      test_disabled_capture_is_inert;
+    Alcotest.test_case "why needs no capture" `Quick test_why_needs_no_capture;
     Alcotest.test_case "explain_json" `Quick test_explain_json;
     Alcotest.test_case "dred: recursive why + purge" `Quick
       test_dred_recursive_why;
+    Alcotest.test_case "why builds no index" `Quick test_why_builds_no_index;
   ]
   @ property_tests
   @ [
-      Alcotest.test_case "auto: the cost rule declines under capture" `Quick
-        test_auto_declines_under_capture;
+      Alcotest.test_case "Auto's choice does not depend on the provenance switch"
+        `Quick
+        test_auto_ignores_provenance_switch;
     ]
