@@ -30,10 +30,51 @@ let atom_terms (a : atom) ~ctx =
         fail "%s: argument of %s must be a variable or constant" ctx a.pred)
     a.args
 
-(** Variables a literal {e provides} once its prerequisites are met, and the
-    variables it {e requires} already bound.  [Lcmp] equalities can provide
-    their lone unbound side. *)
-let check_rule (r : rule) =
+(** The binding fixpoint: the variables a bottom-up evaluation of [body]
+    binds — those of positive atoms, aggregate outputs, and equalities
+    [V = expr] over bound variables — in first-binding order (an atom's in
+    argument order), and which literals bind.  An equality binds its lone
+    unbound side. *)
+let binding_fixpoint (body : literal list) =
+  let order = ref [] and bound = ref Sset.empty in
+  let bind v =
+    if not (Sset.mem v !bound) then begin
+      bound := Sset.add v !bound;
+      order := v :: !order
+    end
+  in
+  let is_bound e = Sset.subset (expr_vars e) !bound in
+  let progress = ref true in
+  let consumed = Array.make (List.length body) false in
+  while !progress do
+    progress := false;
+    List.iteri
+      (fun i lit ->
+        if not consumed.(i) then
+          match lit with
+          | Lpos a ->
+            List.iter (fun e -> Sset.iter bind (expr_vars e)) a.args;
+            consumed.(i) <- true;
+            progress := true
+          | Lagg agg ->
+            List.iter bind (agg.agg_group_by @ [ agg.agg_result ]);
+            consumed.(i) <- true;
+            progress := true
+          | Lcmp (Eterm (Var v), Eq, e) when (not (Sset.mem v !bound)) && is_bound e ->
+            bind v;
+            consumed.(i) <- true;
+            progress := true
+          | Lcmp (e, Eq, Eterm (Var v)) when (not (Sset.mem v !bound)) && is_bound e ->
+            bind v;
+            consumed.(i) <- true;
+            progress := true
+          | Lneg _ | Lcmp _ -> ())
+      body
+  done;
+  (List.rev !order, !bound, consumed)
+
+(** Check [r] given its body's {!binding_fixpoint}. *)
+let check_bound (r : rule) ~bound ~consumed =
   let ctx = Pretty.rule_to_string r in
   (* body atoms are term-only *)
   List.iter
@@ -77,39 +118,8 @@ let check_rule (r : rule) =
             ctx (Sset.choose escaped)
       | Lpos _ | Lneg _ | Lcmp _ -> ())
     r.body;
-  (* binding fixpoint *)
-  let bound = ref Sset.empty in
-  let bind vs = bound := Sset.union vs !bound in
-  let is_bound e = Sset.subset (expr_vars e) !bound in
-  let progress = ref true in
-  let consumed = Array.make (List.length r.body) false in
-  while !progress do
-    progress := false;
-    List.iteri
-      (fun i lit ->
-        if not consumed.(i) then
-          match lit with
-          | Lpos a ->
-            bind (atom_vars a);
-            consumed.(i) <- true;
-            progress := true
-          | Lagg agg ->
-            bind (aggregate_vars agg);
-            consumed.(i) <- true;
-            progress := true
-          | Lcmp (Eterm (Var v), Eq, e) when (not (Sset.mem v !bound)) && is_bound e ->
-            bind (Sset.singleton v);
-            consumed.(i) <- true;
-            progress := true
-          | Lcmp (e, Eq, Eterm (Var v)) when (not (Sset.mem v !bound)) && is_bound e ->
-            bind (Sset.singleton v);
-            consumed.(i) <- true;
-            progress := true
-          | Lneg _ | Lcmp _ -> ())
-      r.body
-  done;
   let require what vs =
-    let missing = Sset.diff vs !bound in
+    let missing = Sset.diff vs bound in
     if not (Sset.is_empty missing) then
       fail "%s: %s variable %s is not bound by any positive subgoal" ctx what
         (Sset.choose missing)
@@ -123,5 +133,16 @@ let check_rule (r : rule) =
         require "comparison" (Sset.union (expr_vars a) (expr_vars b))
       | Lpos _ | Lagg _ | Lcmp _ -> ())
     r.body
+
+let check_rule (r : rule) =
+  let _, bound, consumed = binding_fixpoint r.body in
+  check_bound r ~bound ~consumed
+
+let check_query (body : literal list) =
+  let columns, bound, consumed = binding_fixpoint body in
+  let head = { pred = "$query$"; args = List.map (fun v -> Eterm (Var v)) columns } in
+  let rule = { head; body } in
+  check_bound rule ~bound ~consumed;
+  (columns, rule)
 
 let check_program rules = List.iter check_rule rules

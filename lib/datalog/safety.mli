@@ -10,4 +10,12 @@ exception Unsafe of string
 (** @raise Unsafe with a message naming the rule and the offence. *)
 val check_rule : Ast.rule -> unit
 
+(** [check_query body] checks [body] as an ad-hoc query whose answer
+    columns are every variable it binds — those of positive atoms,
+    aggregate outputs and binding equalities, in first-binding order (an
+    atom's in argument order).  Returns the columns and the checked rule
+    [$query$(columns) :- body].
+    @raise Unsafe as {!check_rule}. *)
+val check_query : Ast.literal list -> string list * Ast.rule
+
 val check_program : Ast.rule list -> unit

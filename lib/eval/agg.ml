@@ -1,7 +1,9 @@
 (** Incrementally maintainable aggregate accumulators, per [DAJ91] as cited
-    in Section 6.2: COUNT/SUM/AVG keep running sums; MIN/MAX keep a multiset
-    of contributing values so deletions never force a rescan of the group.
-    One {!state} holds one group's accumulator. *)
+    in Section 6.2: COUNT and integer SUM/AVG keep running sums; MIN/MAX
+    keep a multiset of contributing values so deletions never force a
+    rescan of the group, and so do the float contributions of SUM/AVG,
+    whose sum is read off the multiset in ascending order.  One {!state}
+    holds one group's accumulator. *)
 
 module Value = Ivm_relation.Value
 open Ivm_datalog.Ast
@@ -12,26 +14,21 @@ type state = {
   fn : agg_fn;
   mutable n : int;  (** multiplicity-weighted number of contributions *)
   mutable sum_int : int;  (** exact sum of integer contributions *)
-  mutable sum_float : float;  (** sum of float contributions *)
-  mutable n_float : int;  (** how many contributions were floats *)
-  mutable values : int Vmap.t;  (** value multiset, kept for Min/Max only *)
+  mutable values : int Vmap.t;
+      (** value multiset: every contribution under Min/Max, the float
+          ones under Sum/Avg *)
 }
 
-let create fn =
-  { fn; n = 0; sum_int = 0; sum_float = 0.; n_float = 0; values = Vmap.empty }
+let create fn = { fn; n = 0; sum_int = 0; values = Vmap.empty }
 
 let copy s = { s with fn = s.fn }
 
 let is_empty s = s.n = 0
 
-
-let touch_sum s v mult =
-  match v with
-  | Value.Int x -> s.sum_int <- s.sum_int + (x * mult)
-  | Value.Float x ->
-    s.sum_float <- s.sum_float +. (x *. float_of_int mult);
-    s.n_float <- s.n_float + mult
-  | v -> raise (Value.Type_error ("cannot aggregate over " ^ Value.to_string v))
+let touch_values s v mult =
+  let c = Option.value ~default:0 (Vmap.find_opt v s.values) + mult in
+  if c < 0 then invalid_arg "Agg.update: value multiplicity went negative";
+  s.values <- (if c = 0 then Vmap.remove v s.values else Vmap.add v c s.values)
 
 (** [update s v mult] adds [mult] occurrences of [v] ([mult < 0] removes).
     @raise Invalid_argument when removing occurrences that were never
@@ -41,15 +38,28 @@ let update s v mult =
   if mult <> 0 then begin
     s.n <- s.n + mult;
     if s.n < 0 then invalid_arg "Agg.update: group multiplicity went negative";
-    (match s.fn with
-    | Count -> ()
-    | Sum | Avg -> touch_sum s v mult
-    | Min | Max ->
-      let cur = Option.value ~default:0 (Vmap.find_opt v s.values) in
-      let c = cur + mult in
-      if c < 0 then invalid_arg "Agg.update: value multiplicity went negative";
-      s.values <- (if c = 0 then Vmap.remove v s.values else Vmap.add v c s.values))
+    match s.fn, v with
+    | Count, _ -> ()
+    | (Sum | Avg), Value.Int x -> s.sum_int <- s.sum_int + (x * mult)
+    | (Sum | Avg), Value.Float x ->
+      (* A removal beyond the float copies takes the rest from the equal
+         Int: a stored tuple and its delta may spell 2 and 2.0 apart. *)
+      let have = Option.value ~default:0 (Vmap.find_opt v s.values) in
+      let excess = min 0 (have + mult) in
+      touch_values s v (mult - excess);
+      s.sum_int <- s.sum_int + (int_of_float x * excess)
+    | (Min | Max), _ -> touch_values s v mult
+    | (Sum | Avg), v ->
+      raise (Value.Type_error ("cannot aggregate over " ^ Value.to_string v))
   end
+
+(* The float contributions' sum, in ascending value order: a function of
+   the multiset alone, whatever order the contributions arrived in. *)
+let float_sum s =
+  Vmap.fold
+    (fun v c acc ->
+      match v with Value.Float x -> acc +. (x *. float_of_int c) | _ -> acc)
+    s.values 0.
 
 (** Current aggregate value; [None] when the group is empty (an empty group
     contributes no tuple to the grouped relation). *)
@@ -60,10 +70,9 @@ let value s =
     | Count -> Some (Value.Int s.n)
     | Sum ->
       Some
-        (if s.n_float > 0 then Value.Float (s.sum_float +. float_of_int s.sum_int)
-         else Value.Int s.sum_int)
-    | Avg ->
-      Some (Value.Float ((s.sum_float +. float_of_int s.sum_int) /. float_of_int s.n))
+        (if Vmap.is_empty s.values then Value.Int s.sum_int
+         else Value.Float (float_sum s +. float_of_int s.sum_int))
+    | Avg -> Some (Value.Float ((float_sum s +. float_of_int s.sum_int) /. float_of_int s.n))
     | Min -> Some (fst (Vmap.min_binding s.values))
     | Max -> Some (fst (Vmap.max_binding s.values))
 

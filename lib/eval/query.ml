@@ -18,62 +18,6 @@ type result = {
   rows : Relation.t;  (** one tuple per answer, with derivation counts *)
 }
 
-(** Variables of [body] that a bottom-up evaluation binds: those of
-    positive atoms, aggregate outputs, and equality binders — the legal
-    answer columns. *)
-let bound_vars (body : Ast.literal list) : string list =
-  (* mirror of the safety fixpoint, keeping first-occurrence order *)
-  let order = ref [] in
-  let seen = Hashtbl.create 8 in
-  let note v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      order := v :: !order
-    end
-  in
-  (* note an atom's variables in argument order, not set order *)
-  let note_atom (a : Ast.atom) =
-    List.iter
-      (fun e ->
-        match e with
-        | Ast.Eterm (Ast.Var v) -> note v
-        | _ -> Ast.Sset.iter note (Ast.expr_vars e))
-      a.Ast.args
-  in
-  let progress = ref true in
-  let consumed = Array.make (List.length body) false in
-  while !progress do
-    progress := false;
-    List.iteri
-      (fun i lit ->
-        if not consumed.(i) then
-          match lit with
-          | Ast.Lpos a ->
-            note_atom a;
-            consumed.(i) <- true;
-            progress := true
-          | Ast.Lagg agg ->
-            List.iter note agg.Ast.agg_group_by;
-            note agg.Ast.agg_result;
-            consumed.(i) <- true;
-            progress := true
-          | Ast.Lcmp (Ast.Eterm (Ast.Var v), Ast.Eq, e)
-            when (not (Hashtbl.mem seen v))
-                 && Ast.Sset.for_all (Hashtbl.mem seen) (Ast.expr_vars e) ->
-            note v;
-            consumed.(i) <- true;
-            progress := true
-          | Ast.Lcmp (e, Ast.Eq, Ast.Eterm (Ast.Var v))
-            when (not (Hashtbl.mem seen v))
-                 && Ast.Sset.for_all (Hashtbl.mem seen) (Ast.expr_vars e) ->
-            note v;
-            consumed.(i) <- true;
-            progress := true
-          | Ast.Lneg _ | Ast.Lcmp _ -> ())
-      body
-  done;
-  List.rev !order
-
 (** Run a query body against the database's stored relations.
     @raise Safety.Unsafe when the body is unsafe (e.g. a negated or
     comparison variable never positively bound);
@@ -87,12 +31,7 @@ let run (db : Database.t) (body : Ast.literal list) : result =
       | Ast.Lagg agg -> ignore (Program.pred_info program agg.Ast.agg_source.Ast.pred)
       | Ast.Lcmp _ -> ())
     body;
-  let columns = bound_vars body in
-  let head =
-    { Ast.pred = "$query$"; args = List.map (fun v -> Ast.Eterm (Ast.Var v)) columns }
-  in
-  let rule = { Ast.head; body } in
-  Safety.check_rule rule;
+  let columns, rule = Safety.check_query body in
   let cr = Compile.compile rule in
   let cache = Seminaive.Agg_cache.create () in
   let inputs =

@@ -10,10 +10,6 @@ type result = {
   rows : Relation.t;  (** one tuple per answer, with derivation counts *)
 }
 
-(** Variables a bottom-up evaluation of the body binds — the legal answer
-    columns. *)
-val bound_vars : Ivm_datalog.Ast.literal list -> string list
-
 (** Run a query body against the stored relations.
     @raise Ivm_datalog.Safety.Unsafe on unsafe bodies;
     @raise Ivm_datalog.Program.Program_error on unknown predicates. *)

@@ -64,6 +64,8 @@ let unbound = Value.Str (String.make 1 '\000')
 
 let binding nslots = Array.make nslots unbound
 
+let is_bound (binding : Value.t array) s = binding.(s) != unbound
+
 let term_value (binding : Value.t array) = function
   | Cconst c -> c
   | Cvar s ->

@@ -54,6 +54,9 @@ exception Plan_error of string
 (** [binding n]: [n] unbound slots. *)
 val binding : int -> Value.t array
 
+(** Whether a slot of the binding holds a value. *)
+val is_bound : Value.t array -> Compile.slot -> bool
+
 (** Value of a compiled expression under a binding.
     @raise Plan_error on an unbound variable. *)
 val expr_value : Value.t array -> Compile.cexpr -> Value.t

@@ -5,6 +5,9 @@ module Value = Ivm_relation.Value
 module Ast = Ivm_datalog.Ast
 module Pretty = Ivm_datalog.Pretty
 module Json = Ivm_obs.Json
+module Compile = Ivm_eval.Compile
+module Rule_eval = Ivm_eval.Rule_eval
+module Agg = Ivm_eval.Agg
 
 type db_access = {
   rules_for : string -> Ast.rule list;
@@ -16,54 +19,6 @@ type db_access = {
   mult_for : string -> int -> int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Expression evaluation over partial environments                     *)
-(* ------------------------------------------------------------------ *)
-
-let rec eval_expr lookup (e : Ast.expr) : Value.t option =
-  match e with
-  | Ast.Eterm (Ast.Const v) -> Some v
-  | Ast.Eterm (Ast.Var x) -> lookup x
-  | Ast.Eadd (a, b) -> arith2 lookup Value.add a b
-  | Ast.Esub (a, b) -> arith2 lookup Value.sub a b
-  | Ast.Emul (a, b) -> arith2 lookup Value.mul a b
-  | Ast.Ediv (a, b) -> arith2 lookup Value.div a b
-  | Ast.Eneg a -> (
-    match eval_expr lookup a with
-    | Some v -> ( try Some (Value.neg v) with Value.Type_error _ -> None)
-    | None -> None)
-
-and arith2 lookup f a b =
-  match (eval_expr lookup a, eval_expr lookup b) with
-  | Some va, Some vb -> ( try Some (f va vb) with Value.Type_error _ -> None)
-  | _ -> None
-
-(* Numeric comparison across Int/Float, the kind order otherwise —
-   matching the evaluator's comparison-literal semantics. *)
-let cmp_values (op : Ast.cmp_op) a b =
-  let c =
-    if Value.is_numeric a && Value.is_numeric b then
-      Float.compare (Value.as_number a) (Value.as_number b)
-    else Value.compare a b
-  in
-  match op with
-  | Ast.Eq -> c = 0
-  | Ast.Neq -> c <> 0
-  | Ast.Lt -> c < 0
-  | Ast.Le -> c <= 0
-  | Ast.Gt -> c > 0
-  | Ast.Ge -> c >= 0
-
-let ground_atom lookup (a : Ast.atom) : Tuple.t option =
-  let rec go acc = function
-    | [] -> Some (Tuple.of_list (List.rev acc))
-    | e :: rest -> (
-      match eval_expr lookup e with
-      | Some v -> go (v :: acc) rest
-      | None -> None)
-  in
-  go [] a.Ast.args
-
 let fact_to_string pred tup =
   pred ^ "("
   ^ String.concat ", " (List.map Value.to_string (Tuple.to_list tup))
@@ -73,6 +28,44 @@ let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
+
+(* ------------------------------------------------------------------ *)
+(* Partial bindings                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The search runs the evaluator's own primitives on {!Compile}d rules
+   over a partial {!Rule_eval.binding}: a value is known once every slot
+   it reads is bound. *)
+
+let term_opt b = function
+  | Compile.Cconst v -> Some v
+  | Compile.Cvar s -> if Rule_eval.is_bound b s then Some b.(s) else None
+
+(* [None] while a slot is unbound, or on a type error. *)
+let value_opt b e =
+  match Rule_eval.expr_value b e with
+  | v -> Some v
+  | exception (Rule_eval.Plan_error _ | Value.Type_error _) -> None
+
+(* The bound columns of an atom, as a probe key. *)
+let bound_columns b args =
+  let cols = ref [] in
+  for j = Array.length args - 1 downto 0 do
+    match term_opt b args.(j) with Some v -> cols := (j, v) :: !cols | None -> ()
+  done;
+  !cols
+
+let ground b args =
+  if Array.for_all (fun t -> term_opt b t <> None) args then
+    Some (Tuple.make (Array.map (fun t -> Option.get (term_opt b t)) args))
+  else None
+
+(* The slots a compiled match binds, prepended in column order to
+   [order] (newest first). *)
+let newly_bound ops order =
+  Array.fold_left
+    (fun acc -> function Rule_eval.Mbind (_, s) -> s :: acc | _ -> acc)
+    order ops
 
 (* ------------------------------------------------------------------ *)
 (* The bounded search                                                   *)
@@ -87,93 +80,27 @@ type failure = {
   f_note : string;
 }
 
-let lookup_in env x = List.assoc_opt x env
-
-(* Re-evaluate one aggregate literal under [env] (group variables must
-   be bound), weighing each source tuple by its count as the evaluator
-   reads it. *)
-let compute_agg access env (agg : Ast.aggregate) : (Value.t, string) result =
-  let src = agg.Ast.agg_source in
-  if not (access.known_pred src.Ast.pred) then
-    Error ("unknown predicate " ^ src.Ast.pred)
+(* Algorithm 6.1's value for the group [key] of a GROUPBY subgoal: the
+   group's source tuples, weighted as the evaluator reads them, folded
+   into an {!Agg} accumulator. *)
+let group_value access (spec : Compile.agg_spec) key : (Value.t, string) result =
+  let src = spec.gsource.cpred in
+  if not (access.known_pred src) then Error ("unknown predicate " ^ src)
   else begin
-    let lookup = lookup_in env in
-    let extend_src env tup =
-      let rec go env args vals =
-        match (args, vals) with
-        | [], [] -> Some env
-        | e :: args, v :: vals -> (
-          match e with
-          | Ast.Eterm (Ast.Var x) -> (
-            match List.assoc_opt x env with
-            | Some v' -> if Value.equal v' v then go env args vals else None
-            | None -> go ((x, v) :: env) args vals)
-          | e -> (
-            match eval_expr (lookup_in env) e with
-            | Some v' -> if Value.equal v' v then go env args vals else None
-            | None -> None))
-        | _ -> None
-      in
-      go env src.Ast.args (Tuple.to_list tup)
-    in
-    let bound =
-      List.concat
-        (List.mapi
-           (fun j e ->
-             match eval_expr lookup e with Some v -> [ (j, v) ] | None -> [])
-           src.Ast.args)
-    in
-    let cnt = ref 0 and sum = ref 0.0 and all_int = ref true in
-    let mn = ref None and mx = ref None and bad = ref None in
-    access.probe src.Ast.pred bound (fun tup c ->
-        match extend_src env tup with
-        | None -> ()
-        | Some env' -> (
-          let w = access.mult_for src.Ast.pred c in
-          cnt := !cnt + w;
-          match agg.Ast.agg_fn with
-          | Ast.Count -> ()
-          | fn -> (
-            match eval_expr (lookup_in env') agg.Ast.agg_arg with
-            | None -> bad := Some "aggregated expression not evaluable"
-            | Some v -> (
-              match fn with
-              | Ast.Count -> ()
-              | Ast.Min ->
-                mn :=
-                  Some
-                    (match !mn with
-                    | None -> v
-                    | Some m -> if Value.compare v m < 0 then v else m)
-              | Ast.Max ->
-                mx :=
-                  Some
-                    (match !mx with
-                    | None -> v
-                    | Some m -> if Value.compare v m > 0 then v else m)
-              | Ast.Sum | Ast.Avg -> (
-                try
-                  (match v with Value.Int _ -> () | _ -> all_int := false);
-                  sum := !sum +. (Value.as_number v *. float_of_int w)
-                with Value.Type_error _ ->
-                  bad := Some "non-numeric value under sum/avg")))));
-    match !bad with
-    | Some msg -> Error msg
-    | None ->
-      if !cnt = 0 then Error "the group is empty (no source tuples match)"
-      else (
-        match agg.Ast.agg_fn with
-        | Ast.Count -> Ok (Value.Int !cnt)
-        | Ast.Min -> (
-          match !mn with Some v -> Ok v | None -> Error "no values")
-        | Ast.Max -> (
-          match !mx with Some v -> Ok v | None -> Error "no values")
-        | Ast.Sum ->
-          Ok
-            (if !all_int && Float.is_integer !sum then
-               Value.Int (int_of_float !sum)
-             else Value.Float !sum)
-        | Ast.Avg -> Ok (Value.Float (!sum /. float_of_int !cnt)))
+    let b = Rule_eval.binding spec.gnslots in
+    Array.iteri (fun k g -> b.(g) <- Tuple.get key k) spec.ggroup;
+    let ops = Rule_eval.compile_match ~bound:(Rule_eval.is_bound b) spec.gsource.cargs in
+    let st = Agg.create spec.gfn in
+    match
+      access.probe src (bound_columns b spec.gsource.cargs) (fun tup c ->
+          let w = access.mult_for src c in
+          if w > 0 && Rule_eval.matches b ops tup then
+            Agg.update st (Rule_eval.expr_value b spec.garg) w)
+    with
+    | () ->
+      Option.to_result ~none:"the group is empty (no source tuples match)"
+        (Agg.value st)
+    | exception Value.Type_error msg -> Error msg
   end
 
 let search_budget = 20_000
@@ -183,294 +110,261 @@ type budget = { mutable left : int; mutable ran_out : bool }
 
 let new_budget () = { left = search_budget; ran_out = false }
 
-let mk_fail (r : Ast.rule) ~progress ~failing ~env note =
+(* Bindings by variable name, oldest first. *)
+let named (cr : Compile.t) b order =
+  List.rev_map (fun s -> (cr.slot_names.(s), b.(s))) order
+
+let mk_fail (cr : Compile.t) ~progress ~failing ~bindings note =
   {
-    f_rule = Pretty.rule_to_string r;
+    f_rule = cr.name;
     f_progress = progress;
-    f_total = List.length r.Ast.body;
+    f_total = Array.length cr.clits;
     f_failing = failing;
-    f_bindings = List.rev env;
+    f_bindings = bindings;
     f_note = note;
   }
 
 type outcome = {
-  head_env : (string * Value.t) list;  (** bindings from the head alone *)
+  head_bindings : (string * Value.t) list;  (** bound by the head alone *)
   matched : bool;  (** at least one instantiation was found *)
   deepest : failure option Lazy.t;
       (** the deepest failure met, built only if asked for *)
 }
 
-(* The backtracking search of [why] and [why not] over one rule with its
-   head bound to [tuple]: unify the head, then instantiate body literals
-   most-bound-first against the live relations.  [on_match env mult] is
-   called for every instantiation whose head evaluates to [tuple], with
-   [mult] the product of its positive subgoals' counts as the evaluator
-   reads them; the search stops when it returns [false] or [budget] runs
-   out. *)
-let search budget access tuple (r : Ast.rule) ~on_match : outcome =
-  (* Head unification: bind variables, check constants, defer computed
-     arguments until the body binds their variables. *)
-  let vals = Tuple.to_list tuple in
-  let head_failure note =
-    {
-      head_env = [];
-      matched = false;
-      deepest = lazy (Some (mk_fail r ~progress:(-1) ~failing:None ~env:[] note));
-    }
-  in
-  if List.length r.Ast.head.Ast.args <> List.length vals then
-    head_failure "head arity mismatch"
+(* Unify the head of [cr] with [tuple]: bind its variables and check its
+   constants (one compiled match), and defer computed arguments until the
+   body binds their variables.  [Ok (binding, order, deferred)], or the
+   reason the head cannot match. *)
+let unify_head (cr : Compile.t) tuple =
+  if Array.length cr.chead <> Tuple.arity tuple then Error "head arity mismatch"
   else begin
-    let head_fail = ref None in
-    let deferred = ref [] in
-    let env0 =
-      List.fold_left2
-        (fun env e v ->
-          if !head_fail <> None then env
-          else
-            match e with
-            | Ast.Eterm (Ast.Var x) -> (
-              match List.assoc_opt x env with
-              | Some v' ->
-                if Value.equal v' v then env
-                else begin
-                  head_fail :=
-                    Some
-                      (Printf.sprintf
-                         "head variable %s would need to be both %s and %s" x
-                         (Value.to_string v') (Value.to_string v));
-                  env
-                end
-              | None -> (x, v) :: env)
-            | Ast.Eterm (Ast.Const c) ->
-              if Value.equal c v then env
-              else begin
-                head_fail :=
-                  Some
-                    (Printf.sprintf "head constant %s does not match %s"
-                       (Value.to_string c) (Value.to_string v));
-                env
-              end
-            | e ->
-              deferred := (e, v) :: !deferred;
-              env)
-        [] r.Ast.head.Ast.args vals
-    in
-    match !head_fail with
-    | Some msg -> head_failure ("head cannot match: " ^ msg)
-    | None ->
-      let lits = Array.of_list r.Ast.body in
-      let n = Array.length lits in
-      let used = Array.make n false in
-      let best_progress = ref (-1) in
-      let best = ref None in
-      let matched = ref false and stop = ref false in
-      let live () =
-        (not !stop)
-        && (budget.left > 0
-           ||
-           (budget.ran_out <- true;
-            false))
-      in
-      (* [failing] is a literal index; [note] is only rendered for the
-         failure that is finally reported. *)
-      let record_fail env progress failing note =
-        if progress > !best_progress then begin
-          best_progress := progress;
-          best := Some (progress, failing, env, note)
-        end
-      in
-      let check_deferred env =
-        let lookup = lookup_in env in
-        let rec go = function
-          | [] -> Ok ()
-          | (e, v) :: rest -> (
-            match eval_expr lookup e with
-            | Some v' ->
-              if Value.equal v' v then go rest
-              else
-                Error
-                  (Printf.sprintf "head expression evaluates to %s, not %s"
-                     (Value.to_string v') (Value.to_string v))
-            | None -> Error "head expression not determined by the body")
-        in
-        go !deferred
-      in
-      let extend env (a : Ast.atom) tup =
-        let rec go env args vals =
-          match (args, vals) with
-          | [], [] -> Some env
-          | e :: args, v :: vals -> (
-            match e with
-            | Ast.Eterm (Ast.Var x) -> (
-              match List.assoc_opt x env with
-              | Some v' -> if Value.equal v' v then go env args vals else None
-              | None -> go ((x, v) :: env) args vals)
-            | e -> (
-              match eval_expr (lookup_in env) e with
-              | Some v' -> if Value.equal v' v then go env args vals else None
-              | None -> None))
-          | _ -> None
-        in
-        go env a.Ast.args (Tuple.to_list tup)
-      in
-      (* Pick the next literal: ready comparisons first, then binding
-         comparisons, ground negations, the most-bound positive atom,
-         ready aggregates; [`Stuck] when something is left but nothing
-         can make progress. *)
-      let pick env =
-        let lookup = lookup_in env in
-        let evb e = eval_expr lookup e in
-        let ready_cmp = ref None and binder = ref None in
-        let ready_neg = ref None and best_pos = ref None in
-        let ready_agg = ref None in
-        Array.iteri
-          (fun i lit ->
-            if not used.(i) then
-              match lit with
-              | Ast.Lcmp (l, op, rr) -> (
-                match (evb l, evb rr) with
-                | Some a, Some b ->
-                  if !ready_cmp = None then ready_cmp := Some (i, op, a, b)
-                | None, Some v -> (
-                  match (l, op) with
-                  | Ast.Eterm (Ast.Var x), Ast.Eq ->
-                    if !binder = None then binder := Some (i, x, v)
-                  | _ -> ())
-                | Some v, None -> (
-                  match (rr, op) with
-                  | Ast.Eterm (Ast.Var x), Ast.Eq ->
-                    if !binder = None then binder := Some (i, x, v)
-                  | _ -> ())
-                | None, None -> ())
-              | Ast.Lneg a -> (
-                match ground_atom lookup a with
-                | Some tup ->
-                  if !ready_neg = None then ready_neg := Some (i, a, tup)
-                | None -> ())
-              | Ast.Lagg agg ->
-                if
-                  List.for_all
-                    (fun x -> lookup x <> None)
-                    agg.Ast.agg_group_by
-                  && !ready_agg = None
-                then ready_agg := Some (i, agg)
-              | Ast.Lpos a ->
-                let nb =
-                  List.length
-                    (List.filter (fun e -> evb e <> None) a.Ast.args)
-                in
-                let better =
-                  match !best_pos with
-                  | Some (_, _, nb') -> nb > nb'
-                  | None -> true
-                in
-                if better then best_pos := Some (i, a, nb))
-          lits;
-        match (!ready_cmp, !binder, !ready_neg, !best_pos, !ready_agg) with
-        | Some c, _, _, _, _ -> Some (`Cmp c)
-        | None, Some b, _, _, _ -> Some (`Bind b)
-        | None, None, Some ng, _, _ -> Some (`Neg ng)
-        | None, None, None, Some p, _ -> Some (`Pos p)
-        | None, None, None, None, Some ag -> Some (`Agg ag)
-        | None, None, None, None, None ->
-          let stuck = ref None in
-          Array.iteri
-            (fun i _ -> if (not used.(i)) && !stuck = None then stuck := Some i)
-            lits;
-          Option.map (fun i -> `Stuck i) !stuck
-      in
-      let rec step env progress mult =
-        if live () then begin
-          budget.left <- budget.left - 1;
-          match pick env with
-          | None -> (
-            match check_deferred env with
-            | Ok () ->
-              matched := true;
-              if not (on_match env mult) then stop := true
-            | Error msg -> record_fail env progress None (fun () -> msg))
-          | Some (`Cmp (i, op, a, b)) ->
-            used.(i) <- true;
-            if cmp_values op a b then step env (progress + 1) mult
-            else
-              record_fail env progress (Some i) (fun () ->
-                  Printf.sprintf "comparison is false (%s vs %s)"
-                    (Value.to_string a) (Value.to_string b));
-            used.(i) <- false
-          | Some (`Bind (i, x, v)) ->
-            used.(i) <- true;
-            step ((x, v) :: env) (progress + 1) mult;
-            used.(i) <- false
-          | Some (`Neg (i, a, tup)) ->
-            used.(i) <- true;
-            if access.holds a.Ast.pred tup then
-              record_fail env progress (Some i) (fun () ->
-                  "negated subgoal holds: " ^ fact_to_string a.Ast.pred tup)
-            else step env (progress + 1) mult;
-            used.(i) <- false
-          | Some (`Pos (i, a, _)) ->
-            used.(i) <- true;
-            let lookup = lookup_in env in
-            let bound =
-              List.concat
-                (List.mapi
-                   (fun j e ->
-                     match eval_expr lookup e with
-                     | Some v -> [ (j, v) ]
-                     | None -> [])
-                   a.Ast.args)
-            in
-            let found = ref false in
-            if access.known_pred a.Ast.pred then
-              access.probe a.Ast.pred bound (fun tup c ->
-                  if live () then
-                    match extend env a tup with
-                    | Some env' ->
-                      found := true;
-                      step env' (progress + 1)
-                        (mult * access.mult_for a.Ast.pred c)
-                    | None -> ());
-            if (not !found) && not !stop then
-              record_fail env progress (Some i) (fun () ->
-                  if bound = [] then Printf.sprintf "no %s facts at all" a.Ast.pred
-                  else
-                    Printf.sprintf "no matching %s fact under these bindings"
-                      a.Ast.pred);
-            used.(i) <- false
-          | Some (`Agg (i, agg)) ->
-            used.(i) <- true;
-            (match compute_agg access env agg with
-            | Ok v -> (
-              let x = agg.Ast.agg_result in
-              match lookup_in env x with
-              | Some v' ->
-                if Value.equal v' v then step env (progress + 1) mult
-                else
-                  record_fail env progress (Some i) (fun () ->
-                      Printf.sprintf "aggregate evaluates to %s, not %s"
-                        (Value.to_string v) (Value.to_string v'))
-              | None -> step ((x, v) :: env) (progress + 1) mult)
-            | Error msg ->
-              record_fail env progress (Some i) (fun () -> msg));
-            used.(i) <- false
-          | Some (`Stuck i) ->
-            record_fail env progress (Some i) (fun () ->
-                "subgoal cannot be instantiated (unbound variables)")
-        end
-      in
-      step env0 0 1;
-      let deepest =
-        lazy
-          (Option.map
-             (fun (progress, failing, env, note) ->
-               mk_fail r ~progress
-                 ~failing:(Option.map (fun i -> Pretty.literal_to_string lits.(i)) failing)
-                 ~env (note ()))
-             !best)
-      in
-      { head_env = env0; matched = !matched; deepest }
+    let terms = ref [] and deferred = ref [] in
+    Array.iteri
+      (fun i e ->
+        let v = Tuple.get tuple i in
+        match e with
+        | Compile.Xterm t -> terms := (t, v) :: !terms
+        | e -> deferred := (e, v) :: !deferred)
+      cr.chead;
+    let pattern = Array.of_list (List.rev_map fst !terms) in
+    let vals = Tuple.of_list (List.rev_map snd !terms) in
+    let b = Rule_eval.binding cr.nslots in
+    let ops = Rule_eval.compile_match ~bound:(fun _ -> false) pattern in
+    if Rule_eval.matches b ops vals then Ok (b, newly_bound ops [], !deferred)
+    else
+      (* the match stopped at its first failing column *)
+      let v p = Value.to_string (Tuple.get vals p) in
+      Error
+        ("head cannot match: "
+        ^ Option.get
+            (Array.find_map
+               (function
+                 | Rule_eval.Mconst (p, c) when not (Value.equal c (Tuple.get vals p)) ->
+                   Some
+                     (Printf.sprintf "head constant %s does not match %s"
+                        (Value.to_string c) (v p))
+                 | Rule_eval.Mslot (p, s) when not (Value.equal b.(s) (Tuple.get vals p)) ->
+                   Some
+                     (Printf.sprintf "head variable %s would need to be both %s and %s"
+                        cr.slot_names.(s) (Value.to_string b.(s)) (v p))
+                 | _ -> None)
+               ops))
   end
+
+(* The backtracking search of [why] and [why not] over one compiled rule
+   with its head bound to [tuple]: unify the head, then instantiate body
+   literals most-bound-first against the live relations.  [on_match b
+   mult] is called for every instantiation whose head evaluates to
+   [tuple], with [mult] the product of its positive subgoals' counts as
+   the evaluator reads them; the search stops when it returns [false] or
+   [budget] runs out.  A binding, once handed to [step], is never
+   mutated: extending it copies it. *)
+let search budget access tuple (cr : Compile.t) ~on_match : outcome =
+  match unify_head cr tuple with
+  | Error note ->
+    {
+      head_bindings = [];
+      matched = false;
+      deepest =
+        lazy (Some (mk_fail cr ~progress:(-1) ~failing:None ~bindings:[] note));
+    }
+  | Ok (b0, order0, deferred) ->
+    let lits = cr.clits in
+    let n = Array.length lits in
+    let used = Array.make n false in
+    let best_progress = ref (-1) in
+    let best = ref None in
+    let matched = ref false and stop = ref false in
+    let live () =
+      (not !stop)
+      && (budget.left > 0
+         ||
+         (budget.ran_out <- true;
+          false))
+    in
+    (* [failing] is a literal index; [note] is only rendered for the
+       failure that is finally reported. *)
+    let record_fail b order progress failing note =
+      if progress > !best_progress then begin
+        best_progress := progress;
+        best := Some (progress, failing, b, order, note)
+      end
+    in
+    let check_deferred b =
+      let rec go = function
+        | [] -> Ok ()
+        | (e, v) :: rest -> (
+          match value_opt b e with
+          | Some v' ->
+            if Value.equal v' v then go rest
+            else
+              Error
+                (Printf.sprintf "head expression evaluates to %s, not %s"
+                   (Value.to_string v') (Value.to_string v))
+          | None -> Error "head expression not determined by the body")
+      in
+      go deferred
+    in
+    (* Pick the next literal: ready comparisons first, then binding
+       comparisons, ground negations, the most-bound positive atom, ready
+       aggregates; [`Stuck] when something is left but nothing can make
+       progress. *)
+    let pick b =
+      let ready_cmp = ref None and binder = ref None in
+      let ready_neg = ref None and best_pos = ref None in
+      let ready_agg = ref None in
+      let bind_if i e v =
+        match e with
+        | Compile.Xterm (Compile.Cvar s) -> if !binder = None then binder := Some (i, s, v)
+        | _ -> ()
+      in
+      Array.iteri
+        (fun i lit ->
+          if not used.(i) then
+            match lit with
+            | Compile.Ccmp (l, op, r) -> (
+              match (value_opt b l, value_opt b r) with
+              | Some x, Some y -> if !ready_cmp = None then ready_cmp := Some (i, op, x, y)
+              | None, Some v -> if op = Ast.Eq then bind_if i l v
+              | Some v, None -> if op = Ast.Eq then bind_if i r v
+              | None, None -> ())
+            | Compile.Cneg a -> (
+              match ground b a.cargs with
+              | Some tup -> if !ready_neg = None then ready_neg := Some (i, a.cpred, tup)
+              | None -> ())
+            | Compile.Cagg (spec, args) ->
+              (* args: the grouping variables, then the result *)
+              let groups = Array.sub args 0 (Array.length args - 1) in
+              if !ready_agg = None then
+                Option.iter
+                  (fun key -> ready_agg := Some (i, spec, args, key))
+                  (ground b groups)
+            | Compile.Catom a ->
+              let nb = List.length (bound_columns b a.cargs) in
+              let better =
+                match !best_pos with Some (_, _, nb') -> nb > nb' | None -> true
+              in
+              if better then best_pos := Some (i, a, nb))
+        lits;
+      match (!ready_cmp, !binder, !ready_neg, !best_pos, !ready_agg) with
+      | Some c, _, _, _, _ -> Some (`Cmp c)
+      | None, Some bd, _, _, _ -> Some (`Bind bd)
+      | None, None, Some ng, _, _ -> Some (`Neg ng)
+      | None, None, None, Some (i, a, _), _ -> Some (`Pos (i, a))
+      | None, None, None, None, Some ag -> Some (`Agg ag)
+      | None, None, None, None, None ->
+        let stuck = ref None in
+        Array.iteri
+          (fun i _ -> if (not used.(i)) && !stuck = None then stuck := Some i)
+          lits;
+        Option.map (fun i -> `Stuck i) !stuck
+    in
+    let rec step b order progress mult =
+      if live () then begin
+        budget.left <- budget.left - 1;
+        match pick b with
+        | None -> (
+          match check_deferred b with
+          | Ok () ->
+            matched := true;
+            if not (on_match b mult) then stop := true
+          | Error msg -> record_fail b order progress None (fun () -> msg))
+        | Some (`Cmp (i, op, x, y)) ->
+          used.(i) <- true;
+          if Rule_eval.cmp_holds op x y then step b order (progress + 1) mult
+          else
+            record_fail b order progress (Some i) (fun () ->
+                Printf.sprintf "comparison is false (%s vs %s)" (Value.to_string x)
+                  (Value.to_string y));
+          used.(i) <- false
+        | Some (`Bind (i, s, v)) ->
+          used.(i) <- true;
+          let b' = Array.copy b in
+          b'.(s) <- v;
+          step b' (s :: order) (progress + 1) mult;
+          used.(i) <- false
+        | Some (`Neg (i, pred, tup)) ->
+          used.(i) <- true;
+          if access.holds pred tup then
+            record_fail b order progress (Some i) (fun () ->
+                "negated subgoal holds: " ^ fact_to_string pred tup)
+          else step b order (progress + 1) mult;
+          used.(i) <- false
+        | Some (`Pos (i, (a : Compile.catom))) ->
+          used.(i) <- true;
+          let key = bound_columns b a.cargs in
+          let ops = Rule_eval.compile_match ~bound:(Rule_eval.is_bound b) a.cargs in
+          let order' = newly_bound ops order in
+          let found = ref false in
+          if access.known_pred a.cpred then
+            access.probe a.cpred key (fun tup c ->
+                if live () then begin
+                  let b' = Array.copy b in
+                  if Rule_eval.matches b' ops tup then begin
+                    found := true;
+                    step b' order' (progress + 1) (mult * access.mult_for a.cpred c)
+                  end
+                end);
+          if (not !found) && not !stop then
+            record_fail b order progress (Some i) (fun () ->
+                if key = [] then Printf.sprintf "no %s facts at all" a.cpred
+                else Printf.sprintf "no matching %s fact under these bindings" a.cpred);
+          used.(i) <- false
+        | Some (`Agg (i, spec, args, key)) ->
+          used.(i) <- true;
+          (* join the group's tuple of the grouped relation, as the
+             evaluator does: only the result column can fail to match *)
+          (match group_value access spec key with
+          | Ok v ->
+            let ops = Rule_eval.compile_match ~bound:(Rule_eval.is_bound b) args in
+            let b' = Array.copy b in
+            if Rule_eval.matches b' ops (Tuple.append key v) then
+              step b' (newly_bound ops order) (progress + 1) mult
+            else
+              record_fail b order progress (Some i) (fun () ->
+                  Printf.sprintf "aggregate evaluates to %s, not %s" (Value.to_string v)
+                    (Value.to_string (Option.get (term_opt b args.(Array.length args - 1)))))
+          | Error msg -> record_fail b order progress (Some i) (fun () -> msg));
+          used.(i) <- false
+        | Some (`Stuck i) ->
+          record_fail b order progress (Some i) (fun () ->
+              "subgoal cannot be instantiated (unbound variables)")
+      end
+    in
+    step b0 order0 0 1;
+    let deepest =
+      lazy
+        (Option.map
+           (fun (progress, failing, b, order, note) ->
+             mk_fail cr ~progress
+               ~failing:
+                 (Option.map
+                    (fun i -> Pretty.literal_to_string (List.nth cr.source.body i))
+                    failing)
+               ~bindings:(named cr b order) (note ()))
+           !best)
+    in
+    { head_bindings = named cr b0 order0; matched = !matched; deepest }
 
 (* ------------------------------------------------------------------ *)
 (* why                                                                 *)
@@ -519,24 +413,25 @@ let instantiations access pred tuple =
   let found = ref [] in
   List.iteri
     (fun rule_index (r : Ast.rule) ->
-      let rule = Pretty.rule_to_string r in
+      let cr = Compile.compile r in
       let note =
-        if List.exists (function Ast.Lagg _ -> true | _ -> false) r.Ast.body then
+        if Array.exists (function Compile.Cagg _ -> true | _ -> false) cr.clits then
           Some "aggregate subgoal not expanded"
         else None
       in
       let atoms =
-        List.filter_map (function Ast.Lpos a -> Some a | _ -> None) r.Ast.body
+        List.filter_map
+          (function Compile.Catom a -> Some a | _ -> None)
+          (Array.to_list cr.clits)
       in
       ignore
-        (search budget access tuple r ~on_match:(fun env mult ->
+        (search budget access tuple cr ~on_match:(fun b mult ->
              let subgoals =
                List.map
-                 (fun (a : Ast.atom) ->
-                   (a.Ast.pred, Option.get (ground_atom (lookup_in env) a)))
+                 (fun (a : Compile.catom) -> (a.cpred, Option.get (ground b a.cargs)))
                  atoms
              in
-             found := { rule_index; rule; note; subgoals; mult } :: !found;
+             found := { rule_index; rule = cr.name; note; subgoals; mult } :: !found;
              true)))
     (access.rules_for pred);
   let order a b =
@@ -608,10 +503,13 @@ type whynot_result =
   | Whynot_failures of failure list
 
 let analyze_rule budget access tuple (r : Ast.rule) : failure =
-  let o = search budget access tuple r ~on_match:(fun _ _ -> false) in
-  let fail ~progress note = mk_fail r ~progress ~failing:None ~env:o.head_env note in
+  let cr = Compile.compile r in
+  let o = search budget access tuple cr ~on_match:(fun _ _ -> false) in
+  let fail ~progress note =
+    mk_fail cr ~progress ~failing:None ~bindings:o.head_bindings note
+  in
   if o.matched then
-    fail ~progress:(List.length r.Ast.body)
+    fail ~progress:(Array.length cr.clits)
       "every subgoal is satisfiable — a derivation exists, so the stored \
        view may be stale"
   else

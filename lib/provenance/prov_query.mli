@@ -2,8 +2,8 @@
     analysis, and [lineage] batch history.
 
     This module never touches the database directly — callers hand it a
-    {!db_access} record of closures (built by [Ivm.View_manager]), which
-    keeps the provenance library below the evaluator in the build graph.
+    {!db_access} record of closures (built by [Ivm.View_manager]), and
+    every relation it reads goes through [probe], [holds] and [count].
 
     [why] and [why not] run one bounded backtracking search over the
     live relations: bind a rule's head to the tuple, then instantiate the
@@ -12,6 +12,12 @@
     derivation by construction.  [why not] keeps the deepest failure.
     Each tuple's search, over all its candidate rules, takes at most
     20,000 steps.
+
+    The search runs on {!Ivm_eval.Compile.compile} of each rule with the
+    evaluator's own primitives: {!Ivm_eval.Rule_eval} bindings, matches,
+    expressions and comparisons, and an {!Ivm_eval.Agg} accumulator for
+    a GROUPBY subgoal's group.  It compares, computes and aggregates
+    exactly as maintenance does.
 
     Each derivation's [mult] is the product of its positive subgoals'
     counts, read the way the evaluator reads them ({!db_access.mult_for}),

@@ -192,6 +192,22 @@ let recompute_invalidates () =
     (fun p -> check_rel (p ^ " exact") (rel oracle p) (rel db p))
     (Program.derived_preds (Database.program db))
 
+(* A delta may spell a stored value in the other numeric kind: deleting
+   f(a, 2.0) removes the stored f(a, 2).  The index's SUM then takes the
+   float removal from its exact Int sum and agrees with a fresh build. *)
+let float_delta_of_int_value () =
+  let spec = agg_spec_of_source "t(P, T) :- groupby(f(P, X), [P], T = sum(X))." in
+  let f x = Tuple.of_list [ Value.str "a"; x ] in
+  let u = Relation.create 2 in
+  List.iter (fun t -> Relation.add u t 1) [ f (Value.int 2); f (Value.float 3.5) ];
+  let idx = Agg_index.build (Relation_view.concrete u) spec in
+  let delta = Relation.of_list 2 [ (f (Value.float 2.0), -1) ] in
+  Relation.add u (f (Value.float 2.0)) (-1);
+  ignore (Agg_index.apply_delta idx delta);
+  check_rel ~counted:false "grouped after the float-spelled delete"
+    (Ivm_eval.Grouping.compute (Relation_view.concrete u) spec)
+    (Agg_index.grouped idx)
+
 let suite =
   [
     quick "build / apply_delta lifecycle" build_and_apply;
@@ -203,4 +219,5 @@ let suite =
     quick "view manager integration + rule changes" view_manager_integration;
     quick "DRed with registered index" dred_with_index;
     quick "recompute invalidates indexes" recompute_invalidates;
+    quick "a float-spelled delete of an Int value" float_delta_of_int_value;
   ]

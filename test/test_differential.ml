@@ -643,8 +643,54 @@ let why_count_props =
           (List.init steps (fun _ -> ())));
   ]
 
+(** [why] compares and aggregates as the evaluator does.  [facts] are
+    loaded, [inserted] applied as one batch under each resolution that
+    stores exact counts, and then every view tuple's derivations must add
+    up to its count. *)
+let why_exact ~src ~facts ~inserted () =
+  List.iter
+    (fun (name, run) ->
+      let program = Program.make (Parser.parse_rules src) in
+      let db = Database.create ~semantics:Database.Set_semantics program in
+      List.iter (fun (p, tups) -> Database.load db p tups) facts;
+      Seminaive.evaluate ~counts:(List.mem name [ fst dred_counted; fst auto ]) db;
+      run db (Changes.of_list program inserted);
+      Alcotest.(check bool) (name ^ ": why = count") true (why_sums_to_count (name, db)))
+    [ ("counting", fun db c -> ignore (Counting.maintain db c)); dred_counted; auto; recompute ]
+
+let int1 x = Tuple.of_list [ Value.Int x ]
+let keyed g v = Tuple.of_list [ Value.str g; v ]
+
+(* 2^53 and 2^53 + 1 are equal as floats. *)
+let why_exact_cases =
+  let big = 9007199254740992 in
+  let rng = Prng.create 34 in
+  let float_groups n =
+    List.concat
+      (List.init 30 (fun g ->
+           List.init n (fun _ ->
+               keyed (Printf.sprintf "g%d" g) (Value.Float ((Prng.float rng -. 0.5) *. 20.)))))
+  in
+  [
+    quick "why = count: an Int comparison past 2^53"
+      (why_exact ~src:"big(X, Y) :- n(X), n(Y), X < Y."
+         ~facts:[ ("n", [ int1 big ]) ]
+         ~inserted:[ ("n", [ (int1 (big + 1), 1) ]) ]);
+    quick "why = count: an Int sum past 2^53"
+      (why_exact ~src:"t(P, T) :- groupby(n(P, X), [P], T = sum(X))."
+         ~facts:[ ("n", [ keyed "a" (Value.Int (big + 1)) ]) ]
+         ~inserted:[ ("n", [ (keyed "a" (Value.Int 2), 1) ]) ]);
+    quick "why = count: float sum/avg groups after one insertion"
+      (why_exact
+         ~src:
+           "s(P, T) :- groupby(f(P, X), [P], T = avg(X)).\n\
+            u(P, T) :- groupby(f(P, X), [P], T = sum(X))."
+         ~facts:[ ("f", float_groups 4) ]
+         ~inserted:[ ("f", List.map (fun t -> (t, 1)) (float_groups 1)) ]);
+  ]
+
 let suite =
   [ four_way_set; duplicate_counted; recursive_set ]
   @ determinism_props @ auto_props
   @ (counted_recursive_set :: counted_equals_recompute :: counted_audit)
-  @ auto_recursive @ why_count_props
+  @ auto_recursive @ why_count_props @ why_exact_cases

@@ -356,24 +356,34 @@ let roundtrip_prop =
 
 module Agg = Ivm_eval.Agg
 
-let agg_prop fn name =
+(* A random multiset, inserted and partly deleted in random orders,
+   reads the same value as a one-shot aggregation of the survivors in
+   any order: float SUM/AVG included, whose value is a function of the
+   multiset. *)
+let agg_prop ?(value = QCheck.Gen.(map Value.int (int_range 0 10))) fn name =
+  let contribution = QCheck.Gen.(triple value (int_range 1 3) bool) in
+  let shuffled deleted vs =
+    QCheck.Gen.shuffle_l (List.filter (fun (_, _, d) -> d = deleted) vs)
+  in
   q ~count:200 name
-    (QCheck.list_of_size (QCheck.Gen.int_range 0 30)
-       (QCheck.pair (QCheck.int_range 0 10) (QCheck.int_range 1 3)))
-    (fun ops ->
-      (* interpret as a stream of inserts, then remove a random-ish prefix
-         again; final state must equal aggregating the surviving multiset *)
+    (QCheck.make
+       ~print:(fun (ins, _, _) ->
+         String.concat "; "
+           (List.map
+              (fun (v, m, d) ->
+                Printf.sprintf "%s x%d%s" (Value.to_string v) m (if d then " del" else ""))
+              ins))
+       QCheck.Gen.(
+         list_size (int_range 0 30) contribution >>= fun vs ->
+         triple (shuffle_l vs) (shuffled true vs) (shuffled false vs)))
+    (fun (ins, del, kept) ->
       let st = Agg.create fn in
-      List.iter (fun (v, m) -> Agg.update st (Value.Int v) m) ops;
-      let removed, kept =
-        List.partition (fun (v, _) -> v mod 3 = 0) ops
-      in
-      List.iter (fun (v, m) -> Agg.update st (Value.Int v) (-m)) removed;
-      let oracle =
-        Agg.of_seq fn
-          (List.to_seq (List.map (fun (v, m) -> (Value.Int v, m)) kept))
-      in
+      List.iter (fun (v, m, _) -> Agg.update st v m) ins;
+      List.iter (fun (v, m, _) -> Agg.update st v (-m)) del;
+      let oracle = Agg.of_seq fn (List.to_seq (List.map (fun (v, m, _) -> (v, m)) kept)) in
       Option.equal Value.equal (Agg.value st) (Agg.value oracle))
+
+let float_value = QCheck.Gen.(map Value.float (float_range (-100.) 100.))
 
 let agg_props =
   [
@@ -382,6 +392,8 @@ let agg_props =
     agg_prop Ivm_datalog.Ast.Min "agg/min incremental == oracle";
     agg_prop Ivm_datalog.Ast.Max "agg/max incremental == oracle";
     agg_prop Ivm_datalog.Ast.Avg "agg/avg incremental == oracle";
+    agg_prop ~value:float_value Ivm_datalog.Ast.Sum "agg/float sum: any update order == oracle";
+    agg_prop ~value:float_value Ivm_datalog.Ast.Avg "agg/float avg: any update order == oracle";
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -614,6 +614,37 @@ let compact_then_reopen () =
         (Database.agree (Vm.database vm) (Vm.database vm2));
       Vm.close_store vm2)
 
+(* One insertion into a float AVG group: every algorithm reaches the
+   value recomputation reaches, and the store reopens.  Materialization,
+   Algorithm 6.1's per-group recompute and the replay meet the group's
+   values in different orders, so its value must not depend on order. *)
+let float_avg_insert_reopens () =
+  let src =
+    "f(a, 8.7). f(a, 3.166). f(a, -1.36). f(a, 0.92).\n\
+     s(P, T) :- groupby(f(P, X), [P], T = avg(X))."
+  in
+  List.iter
+    (fun (name, algorithm) ->
+      with_dir (fun dir ->
+          let vm = Vm.of_source ~algorithm ~durable:dir src in
+          ignore (Vm.insert vm "f" [ Tuple.of_list [ Value.str "a"; Value.float 9.41 ] ]);
+          Alcotest.(check (result unit string)) (name ^ ": audit") (Ok ()) (Vm.audit vm);
+          Alcotest.(check int) (name ^ ": one group tuple") 1
+            (Relation.cardinal (Vm.relation vm "s"));
+          Vm.close_store vm;
+          let vm2, _ = Vm.open_durable ~algorithm dir in
+          Alcotest.(check bool) (name ^ ": reopened state agrees") true
+            (Database.agree (Vm.database vm) (Vm.database vm2));
+          Alcotest.(check (result unit string)) (name ^ ": reopened audit") (Ok ())
+            (Vm.audit vm2);
+          Vm.close_store vm2))
+    [
+      ("counting", Vm.Counting);
+      ("auto", Vm.Auto);
+      ("dred-counted", Vm.Dred_counted);
+      ("recompute", Vm.Recompute);
+    ]
+
 (* The two-route diamond 1→{2,3}→4, and a 20-edge chain elsewhere that
    keeps each one-link batch under Auto's thresholds, so every deletion
    below is maintained incrementally, not re-evaluated. *)
@@ -1023,6 +1054,8 @@ let suite =
       compaction_crash_skips_covered_records;
     quick "manager: rule change survives reopen" reopen_after_rule_change;
     quick "manager: compact then reopen" compact_then_reopen;
+    quick "manager: a float AVG insert audits and reopens under every algorithm"
+      float_avg_insert_reopens;
     quick "manager: a DRed snapshot's stale counts are re-derived under counting"
       (stale_counts_rederived ~view:"hop" ~before:[ (1, 2) ] ~after:[ (1, 3) ]
          ~present:false
