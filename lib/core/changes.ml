@@ -129,9 +129,21 @@ let normalize_base ?pending (db : Database.t) (t : t) : t =
       let out = Relation.create (Relation.arity delta) in
       Relation.iter
         (fun tup c ->
+          let in_stored = Relation.find stored tup in
+          let in_pending = Option.map (fun r -> Relation.find r tup) overlay in
           let have =
-            Relation.count stored tup
-            + match overlay with None -> 0 | Some r -> Relation.count r tup
+            Relation.slot_count in_stored
+            + match in_pending with None -> 0 | Some p -> Relation.slot_count p
+          in
+          (* a tuple the database holds keeps its stored spelling ([Int 2]
+             and [Float 2.0] are one tuple), so a delta names exactly what
+             aggregate indexes and lineage saw stored *)
+          let tup =
+            if Relation.slot_count in_stored > 0 then Relation.slot_tuple in_stored
+            else
+              match in_pending with
+              | Some p when Relation.slot_count p > 0 -> Relation.slot_tuple p
+              | _ -> tup
           in
           match Database.semantics db with
           | Database.Duplicate_semantics ->

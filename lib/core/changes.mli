@@ -75,7 +75,10 @@ val collected : collector -> t
     stored multiplicities (the standing assumption of Lemma 4.1); under
     set semantics insert/delete collapse to ±1 transitions and re-inserts
     of present tuples are dropped.  Duplicate entries for one predicate
-    are merged first.
+    are merged first.  A changed tuple the database holds comes out
+    spelled as stored (a deletion of [Int 2] names the stored
+    [Float 2.0]; an equal tuple only [pending] holds, as [pending]
+    spells it), so aggregate indexes see the values they hold.
 
     [pending] is a collector of net base counts not yet applied to the
     database: each check then sees the stored count plus the pending

@@ -466,6 +466,13 @@ type algorithm = {
   step : recursive:bool -> step;
 }
 
+let largest_threshold alg program =
+  List.fold_left
+    (fun acc unit_preds ->
+      max acc
+        (threshold (alg.step ~recursive:(Program.recursive program (List.hd unit_preds)))))
+    0. (Program.recursive_units program)
+
 type report = {
   base_deltas : (string * Relation.t) list;
   view_deltas : (string * Relation.t) list;

@@ -115,6 +115,14 @@ type algorithm = {
   step : recursive:bool -> step;  (** the step of a (non)recursive unit *)
 }
 
+(** The largest input-ratio threshold of [Auto]'s cost rule among the
+    steps [alg] runs on [program]'s units: 0.35 when a unit runs
+    Counting's delta rules, 0.07 when every unit is recursive and runs
+    DRed's phases, 0 for a program without views.  Durable recovery
+    under [Auto] evaluates the views from the recovered base relations
+    when a log tail's net ratio reaches it. *)
+val largest_threshold : algorithm -> Ivm_datalog.Program.t -> float
+
 type report = {
   base_deltas : (string * Relation.t) list;
       (** the normalized base changes that were applied *)

@@ -25,15 +25,20 @@ let evaluate (db : Database.t) : unit =
   then Recursive_counting.evaluate db
   else Seminaive.evaluate ~counts:true db
 
+(** Add normalized base changes to the stored base relations; the views
+    are left as they are. *)
+let apply_base (db : Database.t) (normalized : Changes.t) : unit =
+  List.iter
+    (fun (pred, delta) ->
+      (* the base relation changes outside delta-tracked maintenance *)
+      Database.invalidate_agg_indexes db pred;
+      let stored = Database.relation db pred in
+      Relation.iter (fun tup c -> Relation.add stored tup c) delta)
+    normalized
+
 (** Apply the base changes, then rebuild every view with {!evaluate}. *)
 let maintain (db : Database.t) (changes : Changes.t) : unit =
   Metrics.inc batches_c;
   Ivm_obs.Trace.span "recompute.maintain" (fun () ->
-      List.iter
-        (fun (pred, delta) ->
-          (* the base relation changes outside delta-tracked maintenance *)
-          Database.invalidate_agg_indexes db pred;
-          let stored = Database.relation db pred in
-          Relation.iter (fun tup c -> Relation.add stored tup c) delta)
-        (Changes.normalize_base db changes);
+      apply_base db (Changes.normalize_base db changes);
       evaluate db)

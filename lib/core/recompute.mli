@@ -12,6 +12,11 @@ module Database = Ivm_eval.Database
     under duplicate semantics go through {!Recursive_counting.evaluate}. *)
 val evaluate : Database.t -> unit
 
+(** Add already-normalized base changes ({!Changes.normalize_base}) to
+    the stored base relations, invalidating aggregate indexes over the
+    changed relations; the views are not touched. *)
+val apply_base : Database.t -> Changes.t -> unit
+
 (** Apply the base changes, invalidating aggregate indexes over the
     changed relations, then rebuild every view with {!evaluate}. *)
 val maintain : Database.t -> Changes.t -> unit

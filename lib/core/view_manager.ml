@@ -1,7 +1,7 @@
 (** The library's front door: a materialized-view database plus an
     incremental maintenance policy.  The interface tables the algorithm
     contract on [algorithm] — which of the paper's algorithms maintains
-    which programs, and how every entry point refuses the rest; the five
+    which programs, and how every entry point refuses the rest; the
     functions under "The algorithm contract" below implement it.
 
     Rule insertions/deletions (Section 7's view redefinition) go through
@@ -45,7 +45,7 @@ let semantics_name = function
 (* The algorithm contract                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* These five functions, with [algorithm_name] and [algorithm_of_string],
+(* These functions, with [algorithm_name] and [algorithm_of_string],
    are the only code that matches on an [algorithm]: every entry point
    makes each per-algorithm decision through them. *)
 
@@ -89,6 +89,31 @@ let replays_net algorithm program =
   | Dred | Dred_counted | Recompute -> true
   | Counting | Recursive_counting | Auto -> false
 
+(** The incremental algorithm [algorithm] runs on [program], as the
+    maintenance driver takes it; [None] for recomputation. *)
+let incremental algorithm program =
+  match resolve algorithm program with
+  | Counting -> Some Counting.algorithm
+  | Dred -> Some (Dred.algorithm Paper)
+  | Dred_counted -> Some (Dred.algorithm Counted)
+  | Recursive_counting -> Some (Recursive_counting.algorithm ())
+  | Recompute | Auto -> None
+
+(** The net ratio of a recovered log tail at and above which recovery
+    evaluates the views once from the recovered base relations instead
+    of replaying the tail into the snapshot's views — the heuristic of
+    inertia (Section 1).  Under [Auto] it is the largest threshold of
+    Auto's own cost rule among the steps it runs on the program's units
+    ({!Delta.largest_threshold}); under [Recompute] any tail, since its
+    replay re-evaluates every view anyway; the other explicit
+    algorithms always replay. *)
+let recomputes_at algorithm program =
+  match algorithm with
+  | Auto ->
+    Option.map (fun alg -> Delta.largest_threshold alg program) (incremental algorithm program)
+  | Recompute -> Some 0.
+  | Counting | Dred | Dred_counted | Recursive_counting -> None
+
 (** Materialize every view of [db] from its base relations: with exact
     counts, except under explicit DRed, which stores a recursive view as
     a set with count 1 (the paper's reference). *)
@@ -109,18 +134,13 @@ let evaluate algorithm db =
     rewrites relations wholesale, so it marks [track] incomplete instead
     and the snapshot publisher falls back to a full copy. *)
 let maintain ?track algorithm db changes : (string * Relation.t) list =
-  let incremental alg =
+  match incremental algorithm (Database.program db) with
+  | Some alg -> (
     let report = Delta.maintain ?track ~auto:(algorithm = Auto) alg db changes in
     match Database.semantics db with
     | Database.Set_semantics -> report.Delta.propagated_deltas
-    | Database.Duplicate_semantics -> report.Delta.view_deltas
-  in
-  match resolve algorithm (Database.program db) with
-  | Counting -> incremental Counting.algorithm
-  | Dred -> incremental (Dred.algorithm Paper)
-  | Dred_counted -> incremental (Dred.algorithm Counted)
-  | Recursive_counting -> incremental (Recursive_counting.algorithm ())
-  | Recompute | Auto ->
+    | Database.Duplicate_semantics -> report.Delta.view_deltas)
+  | None ->
     Option.iter Changes.mark_incomplete track;
     (* No lineage transitions: recompute overwrites relations without a
        commit loop. *)
@@ -327,80 +347,125 @@ let register_agg_indexes (t : t) : unit =
         rule.Ast.body)
     (Program.rules (Database.program t.db))
 
-(* Moving into a count-exact resolution from explicit DRed — an explicit
-   switch, or a snapshot not marked exact — inherits stale counts: with
-   [~stale] and a count-exact resolution, re-derive every view from
-   scratch (which drops aggregate indexes over the rewritten views;
-   re-register them).  Returns whether it re-derived. *)
-let rederive (t : t) ~stale : bool =
-  let stale = stale && counted t.algorithm (program t) in
-  if stale then evaluate t.algorithm t.db;
-  if t.incremental_aggregates then register_agg_indexes t;
-  stale
+(* Evaluate every view from the base relations, which drops the
+   aggregate indexes over the rewritten views; re-register them. *)
+let rederive (t : t) =
+  evaluate t.algorithm t.db;
+  if t.incremental_aggregates then register_agg_indexes t
 
-(** Replay a recovered log tail; [Some n] when it was maintained as one
-    net batch of [n] tuples.  DRed (counted or not) and recomputation
-    fold the tail ({!replays_net}): a DRed batch costs the region it
-    over-deletes, not |Δ|, and consecutive records over-delete
-    overlapping regions, so one pass handles each region once (Section 7
-    takes any mix of insertions and deletions).  Each record is still
-    validated against the state the records before it leave (the loaded counts plus
-    the pending net overlay), so an invalid record fails with the same
-    [Invalid_changes] as per-record replay, before anything is
-    maintained.  The counting algorithms cost O(|Δ|) per batch and replay
-    record by record: merged, the Counting tail of EXPERIMENTS.md E24
-    derived less but ran slower. *)
-let replay (t : t) (records : Changes.t list) : int option =
-  if not (replays_net t.algorithm (program t)) then begin
-    List.iter (fun c -> ignore (maintain_batch t c)) records;
-    None
-  end
-  else begin
-    let pending = Changes.collector () in
-    List.iter
-      (fun record ->
-        List.iter
-          (fun (pred, delta) -> Changes.absorb pending pred delta)
-          (Changes.normalize_base ~pending t.db record))
-      records;
-    let net = Changes.collected pending in
-    if records <> [] then ignore (maintain_batch t net);
-    Some (Changes.total_tuples net)
-  end
+(** How {!open_durable} brought the views up to the end of the log:
+    evaluated once from the recovered base relations, or the snapshot's
+    views with the tail replayed as one net batch or record by record. *)
+type replay = From_base | Net_batch | Per_record
 
-(** Open an existing durable store: load the snapshot (no re-evaluation),
-    refuse an unsupported algorithm, re-derive the views when the
-    resolution keeps exact counts and the snapshot is not marked [Exact]
-    (written under explicit DRed, or before the mark existed), replay the
-    surviving log tail ({!replay}), compact once after a re-derivation,
-    and attach the store so subsequent batches are logged.  If the
+let replay_name = function
+  | From_base -> "recompute"
+  | Net_batch -> "net"
+  | Per_record -> "per_record"
+
+let replays_c =
+  List.map
+    (fun mode ->
+      ( mode,
+        Metrics.counter ~labels:[ ("mode", replay_name mode) ] "ivm_recovery_replays_total" ))
+    [ From_base; Net_batch; Per_record ]
+
+(** Fold a recovered log tail into one net base change.  Each record is
+    validated against the state the records before it leave (the
+    snapshot's base relations plus the pending net overlay), so an
+    invalid record fails with the same [Invalid_changes] as per-record
+    replay, before anything is maintained. *)
+let fold_tail db (records : Changes.t list) : Changes.t =
+  let pending = Changes.collector () in
+  List.iter
+    (fun record ->
+      List.iter
+        (fun (pred, delta) -> Changes.absorb pending pred delta)
+        (Changes.normalize_base ~pending db record))
+    records;
+  Changes.collected pending
+
+(** [Σ|net Δ| / Σ|stored|] over the changed base relations: the measure
+    of {!Delta}'s cost rule, on the base relations the snapshot holds. *)
+let net_ratio db (net : Changes.t) =
+  let changed, stored =
+    List.fold_left
+      (fun (changed, stored) (pred, delta) ->
+        ( changed + Relation.cardinal delta,
+          stored + Relation.cardinal (Database.relation db pred) ))
+      (0, 0) net
+  in
+  float_of_int changed /. float_of_int (max 1 stored)
+
+(** Open an existing durable store and bring its views to the end of the
+    log.  The snapshot's base relations are decoded and the surviving
+    log tail is folded into one net base change ({!fold_tail}).  Then,
+    in one of three modes:
+
+    - [recompute]: the views are evaluated once from the base relations
+      with the net change applied, and the snapshot's views are never
+      decoded.  Taken when the resolution keeps exact counts and the
+      snapshot is not marked [Exact] (written under explicit DRed, or
+      before the mark existed), or when the tail's {!net_ratio} reaches
+      {!recomputes_at};
+    - [net] or [per_record]: otherwise the snapshot's views are decoded
+      and the tail replayed through maintenance — as one net batch where
+      the resolution {!replays_net} (a DRed batch costs the region it
+      over-deletes, and consecutive records over-delete overlapping
+      regions), else record by record: the counting algorithms cost
+      O(|Δ|) per batch, and merged, the Counting tail of EXPERIMENTS.md
+      E24 derived less but ran slower.
+
+    A stale image's re-derivation is written back once ({!compact}); a
+    large tail alone is not.  The mode counts in
+    [ivm_recovery_replays_total{mode}] and tags the [store.replay] span.
+    The algorithm is refused before anything is evaluated, and if the
     refusal or the replay raises, the store is closed before the
-    exception propagates. *)
+    exception propagates; subsequent batches are logged. *)
 let open_durable ?algorithm (dir : string) : t * Ivm_store.Store.recovery =
-  let db, store, recovery = Ivm_store.Store.open_ ~dir in
+  let image, store, recovery = Ivm_store.Store.open_ ~dir in
   let records = recovery.Ivm_store.Store.replayed in
-  let net = ref None in
   (* the store handle is attached only after replay, so replayed batches
      are not appended to the log a second time *)
   let t =
     try
-      let t = of_database ?algorithm db in
+      let t = of_database ?algorithm image.Ivm_store.Snapshot.db in
       require t.algorithm (program t) (semantics t);
-      let rederived =
+      let net = fold_tail t.db records in
+      let ratio = net_ratio t.db net in
+      let stale =
         recovery.Ivm_store.Store.counts <> Some Ivm_store.Snapshot.Exact
-        && rederive t ~stale:true
+        && counted t.algorithm (program t)
+      in
+      let mode =
+        match recomputes_at t.algorithm (program t) with
+        | _ when stale -> From_base
+        | Some at when net <> [] && ratio >= at -> From_base
+        | _ -> if replays_net t.algorithm (program t) then Net_batch else Per_record
       in
       Trace.span "store.replay"
         ~args:(fun () ->
-          ("records", string_of_int (List.length records))
-          ::
-          (match !net with
-          | Some n -> [ ("mode", "net"); ("net_tuples", string_of_int n) ]
-          | None -> [ ("mode", "per_record") ]))
-        (fun () -> net := replay t records);
+          [
+            ("records", string_of_int (List.length records));
+            ("mode", replay_name mode);
+            ("net_tuples", string_of_int (Changes.total_tuples net));
+            ("net_ratio", Printf.sprintf "%.4f" ratio);
+          ])
+        (fun () ->
+          match mode with
+          | From_base ->
+            Recompute.apply_base t.db net;
+            rederive t
+          | Net_batch ->
+            Lazy.force image.Ivm_store.Snapshot.views;
+            if net <> [] then ignore (maintain_batch t net)
+          | Per_record ->
+            Lazy.force image.Ivm_store.Snapshot.views;
+            List.iter (fun c -> ignore (maintain_batch t c)) records);
+      Metrics.inc (List.assoc mode replays_c);
       (* the re-derived counts are exact: write them back once, so the
          next open trusts the image instead of re-deriving again *)
-      if rederived then Ivm_store.Store.compact ~counts:Ivm_store.Snapshot.Exact store t.db;
+      if stale then Ivm_store.Store.compact ~counts:Ivm_store.Snapshot.Exact store t.db;
       t
     with e ->
       let bt = Printexc.get_raw_backtrace () in
@@ -559,7 +624,9 @@ let set_algorithm (t : t) (algorithm : algorithm) : unit =
     require algorithm (program t) (semantics t);
     let leaves_dred = t.algorithm = Dred in
     t.algorithm <- algorithm;
-    ignore (rederive t ~stale:leaves_dred);
+    (* a count-exact resolution inherits explicit DRed's stale counts *)
+    if leaves_dred && counted algorithm (program t) then rederive t
+    else if t.incremental_aggregates then register_agg_indexes t;
     resnapshot t
   end
 

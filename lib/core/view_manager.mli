@@ -36,9 +36,13 @@ module Database = Ivm_eval.Database
     DRed combined with counting (Hu, Motik & Horrocks, arXiv:1711.03987)
     on each SCC: every stored tuple holds its one-step derivation count,
     so rederivation is a filter over the overdeleted tuples and evaluates
-    no rule ({!Dred.maintain} [~mode:Counted]).  A log tail replays as
-    one net batch under DRed, counted or not, and recomputation; record
-    by record under the counting algorithms.
+    no rule ({!Dred.maintain} [~mode:Counted]).  A short log tail
+    replays as one net batch under DRed, counted or not; record by
+    record under the counting algorithms.  A tail that is a large share
+    of the base relations under [Auto], any tail under [Recompute], and
+    any tail over a stale image under a count-exact resolution are
+    instead applied to the base relations, and the views evaluated once
+    from them ({!open_durable}).
 
     [Auto] is the only entry that enables the driver's per-unit cost
     rule: a unit whose net input delta reaches a constant share of its
@@ -194,19 +198,33 @@ val fork_database : t -> unit
     views — the paper's "maintenance beats recomputation" argument applied
     to recovery. *)
 
-(** Open an existing store directory: load the snapshot with zero
-    re-evaluation, replay the surviving log tail through the normal
-    maintenance path, attach the log for subsequent batches.  Opened
-    under any resolution but explicit [Dred], a snapshot not marked
-    [Exact] ({!Ivm_store.Snapshot.counts}) — one written under explicit
-    DRed, or an unmarked version-1 image — has its views re-derived
-    before the replay, and once the replay succeeds the store is
-    compacted, so the directory holds an [Exact] image and the next open
-    re-derives nothing; a snapshot the manager wrote itself under a
-    count-exact resolution re-derives nothing.  Under DRed (counted or not) and
-    Recompute the tail is maintained as one net batch; Counting and
-    recursive counting replay it record by record.  Either way every
-    record is validated against the state the records before it leave.
+(** Open an existing store directory, bring its views to the end of the
+    log, attach the log for subsequent batches.  The snapshot's base
+    relations are decoded and the surviving log tail folded into one net
+    base change, every record validated against the state the records
+    before it leave.  Then, in one of three modes (the [mode] label of
+    [ivm_recovery_replays_total] and of the [store.replay] span, which
+    also carries [net_tuples] and [net_ratio]):
+    - [recompute]: the net change is applied to the base relations and
+      every view is evaluated once from them; the snapshot's views are
+      never decoded.  Taken under any resolution but explicit [Dred]
+      when the snapshot is not marked [Exact]
+      ({!Ivm_store.Snapshot.counts}: written under explicit DRed, or an
+      unmarked version-1 image); under [Auto] when the net ratio
+      ([Σ|net Δ| / Σ|stored|] over the changed base relations) reaches
+      the largest threshold of Auto's cost rule among the steps it runs
+      on the program's units ({!Delta.largest_threshold}: 0.35, or 0.07
+      when every unit is recursive); under [Recompute] for any non-empty
+      net change;
+    - [net]: otherwise, under DRed (counted or not) and [Recompute], the
+      snapshot's views are decoded and the net change maintained as one
+      batch;
+    - [per_record]: otherwise, under Counting and recursive counting,
+      the views are decoded and the tail replayed record by record.
+    Every count-exact resolution stores what evaluation produces, so
+    the modes reach the same state.  A stale image's re-derivation is
+    then compacted once, so the directory holds an [Exact] image and the
+    next open re-derives nothing; a large tail alone is not compacted.
     The returned {!Ivm_store.Store.recovery} says what was replayed,
     skipped, or dropped (torn/corrupt tail bytes).
     @raise Ivm_store.Store.Corrupt on an unrecoverable snapshot/log.

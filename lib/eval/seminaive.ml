@@ -65,15 +65,22 @@ let make_inputs ~(resolve : string -> Relation_view.t)
     pool, each into a private relation ⊎-merged in rule order. *)
 let eval_nonrecursive ?resolve db ~cache pred =
   let program = Database.program db in
-  let out = Relation.create (Program.arity program pred) in
+  (* the first task's buffer becomes the result: one copy fewer *)
+  let out = ref None in
   Ivm_obs.Attribution.set_context ~stratum:(Program.stratum program pred)
     ~phase:"materialize";
   Trace.span "seminaive.materialize"
     ~args:(fun () ->
-      [ ("pred", pred); ("tuples", string_of_int (Relation.cardinal out)) ])
+      [
+        ("pred", pred);
+        ("tuples", string_of_int (match !out with Some r -> Relation.cardinal r | None -> 0));
+      ])
     (fun () ->
       Par_eval.round
-        ~commit:(fun _ buf -> Relation.union_into ~into:out buf)
+        ~commit:(fun _ buf ->
+          match !out with
+          | None -> out := Some buf
+          | Some into -> Relation.union_into ~into buf)
         (List.map
            (fun rule ->
              let rule = Database.compile db rule in
@@ -84,7 +91,7 @@ let eval_nonrecursive ?resolve db ~cache pred =
              in
              { Par_eval.head = pred; rule; at = None; inputs })
            (Program.rules_for program pred)));
-  out
+  match !out with Some r -> r | None -> Relation.create (Program.arity program pred)
 
 (** Semi-naive fixpoint for one recursive unit (an SCC of mutually
     recursive predicates), set semantics.  Relations outside the unit are

@@ -304,6 +304,7 @@ type slot = entry
 
 let find = lookup
 let slot_count e = e.ecount
+let slot_tuple e = e.etup
 
 (* [add r t c] on the entry [find r t] returned, [r] unchanged since:
    the same insertion, in-place bump or removal, without the lookup. *)

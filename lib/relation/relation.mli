@@ -88,6 +88,10 @@ type slot
 val find : t -> Tuple.t -> slot
 val slot_count : slot -> int
 
+(** The tuple as [r] stores it (equal tuples may differ in spelling:
+    [Int 2] and [Float 2.0]); only meaningful when [slot_count] is not 0. *)
+val slot_tuple : slot -> Tuple.t
+
 (** [bump r s t c] is [add r t c], where [s = find r t] and nothing
     has changed [r] since that [find] (the slot may be stale otherwise).
     @raise Invalid_argument on an arity mismatch. *)

@@ -79,7 +79,14 @@ let encode ~counts ~seq (db : Database.t) : string =
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt ("snapshot: " ^ s))) fmt
 
-let decode (s : string) : Database.t * int * counts option =
+type image = {
+  db : Database.t;
+  seq : int;
+  counts : counts option;
+  views : unit Lazy.t;
+}
+
+let read (s : string) : image =
   let n = String.length s in
   if n < String.length magic + 4 + 4 then corrupt "file too short (%d bytes)" n;
   if String.sub s 0 (String.length magic) <> magic then corrupt "bad magic";
@@ -87,60 +94,95 @@ let decode (s : string) : Database.t * int * counts option =
   let computed = Crc32.update 0l s 0 (n - 4) in
   if stored_crc <> computed then
     corrupt "CRC mismatch (stored %08lx, computed %08lx)" stored_crc computed;
-  let r = Wire.reader ~pos:(String.length magic) (String.sub s 0 (n - 4)) in
-  try
-    let v = Wire.get_u32 r in
-    if v <> 1 && v <> version then corrupt "unsupported version %d (expected %d)" v version;
-    let flags = Wire.get_u8 r in
-    (* a version-1 image is unmarked, whatever its bits 1-2 held *)
-    if flags lsr (if v = 1 then 3 else 2) <> 0 then corrupt "bad semantics byte %d" flags;
-    let counts = if v = 1 then None else if flags land 2 = 0 then Some Exact else Some Stale in
-    let semantics =
-      if flags land 1 = 0 then Database.Set_semantics else Database.Duplicate_semantics
-    in
-    let seq = Wire.get_i64 r in
-    let program_src = Wire.get_string r in
-    let extra_base =
-      List.init (Wire.get_u32 r) (fun _ ->
-          let name = Wire.get_string r in
-          let arity = Wire.get_u32 r in
-          (name, arity))
-    in
-    let distinct = List.init (Wire.get_u32 r) (fun _ -> Wire.get_string r) in
-    let agg_sigs = List.init (Wire.get_u32 r) (fun _ -> Wire.get_string r) in
-    let rels =
-      List.init (Wire.get_u32 r) (fun _ ->
-          let name = Wire.get_string r in
-          let rel = Wire.get_relation r in
-          (name, rel))
-    in
-    if Wire.remaining r <> 0 then
-      corrupt "%d trailing bytes after payload" (Wire.remaining r);
-    let program = Program.make ~extra_base (Parser.parse_rules program_src) in
-    let db = Database.create ~semantics program in
-    List.iter (fun (name, rel) -> Database.set_relation db name rel) rels;
-    List.iter (fun v -> Database.mark_distinct db v) distinct;
-    (* Rebuild the registered aggregate indexes from the loaded source
-       relations: the accumulator state is a pure function of the source
-       multiset, so this reproduces the pre-crash index exactly. *)
-    List.iter
-      (fun (rule : Ast.rule) ->
-        List.iter
-          (fun lit ->
-            match lit with
-            | Ast.Lagg agg ->
-              let spec = Ivm_eval.Compile.compile_agg_spec agg in
-              if List.mem spec.Ivm_eval.Compile.gsignature agg_sigs then
-                ignore (Database.register_agg_index db spec)
-            | Ast.Lpos _ | Ast.Lneg _ | Ast.Lcmp _ -> ())
-          rule.Ast.body)
-      (Program.rules program);
-    (db, seq, counts)
-  with
-  | Corrupt _ as e -> raise e
-  | Wire.Corrupt msg -> corrupt "payload: %s" msg
-  | Parser.Parse_error msg | Program.Program_error msg -> corrupt "program: %s" msg
-  | Invalid_argument msg -> corrupt "inconsistent payload: %s" msg
+  let payload = String.sub s 0 (n - 4) in
+  let guard f =
+    try f () with
+    | Corrupt _ as e -> raise e
+    | Wire.Corrupt msg -> corrupt "payload: %s" msg
+    | Parser.Parse_error msg | Program.Program_error msg -> corrupt "program: %s" msg
+    | Invalid_argument msg -> corrupt "inconsistent payload: %s" msg
+  in
+  guard (fun () ->
+      let r = Wire.reader ~pos:(String.length magic) payload in
+      let v = Wire.get_u32 r in
+      if v <> 1 && v <> version then corrupt "unsupported version %d (expected %d)" v version;
+      let flags = Wire.get_u8 r in
+      (* a version-1 image is unmarked, whatever its bits 1-2 held *)
+      if flags lsr (if v = 1 then 3 else 2) <> 0 then corrupt "bad semantics byte %d" flags;
+      let counts = if v = 1 then None else if flags land 2 = 0 then Some Exact else Some Stale in
+      let semantics =
+        if flags land 1 = 0 then Database.Set_semantics else Database.Duplicate_semantics
+      in
+      let seq = Wire.get_i64 r in
+      let program_src = Wire.get_string r in
+      let extra_base =
+        List.init (Wire.get_u32 r) (fun _ ->
+            let name = Wire.get_string r in
+            let arity = Wire.get_u32 r in
+            (name, arity))
+      in
+      let distinct = List.init (Wire.get_u32 r) (fun _ -> Wire.get_string r) in
+      let agg_sigs = List.init (Wire.get_u32 r) (fun _ -> Wire.get_string r) in
+      let program = Program.make ~extra_base (Parser.parse_rules program_src) in
+      (* The registered aggregate indexes, rebuilt below from their
+         loaded sources: the accumulator state is a pure function of the
+         source multiset, so this reproduces the writer's index exactly. *)
+      let indexed =
+        List.concat_map
+          (fun (rule : Ast.rule) ->
+            List.filter_map
+              (function
+                | Ast.Lagg agg ->
+                  let spec = Ivm_eval.Compile.compile_agg_spec agg in
+                  if List.mem spec.Ivm_eval.Compile.gsignature agg_sigs then Some spec
+                  else None
+                | Ast.Lpos _ | Ast.Lneg _ | Ast.Lcmp _ -> None)
+              rule.Ast.body)
+          (Program.rules program)
+      in
+      let source (spec : Ivm_eval.Compile.agg_spec) =
+        spec.Ivm_eval.Compile.gsource.Ivm_eval.Compile.cpred
+      in
+      (* Base relations and the views an index reads are decoded now;
+         every other view is walked and decoded when [views] is forced. *)
+      let now name =
+        Program.is_base program name || List.exists (fun s -> source s = name) indexed
+      in
+      let db = Database.create ~semantics program in
+      let deferred = ref [] in
+      for _ = 1 to Wire.get_u32 r do
+        let name = Wire.get_string r in
+        if now name then Database.set_relation db name (Wire.get_relation r)
+        else begin
+          let pos = Wire.pos r in
+          let arity = Wire.skip_relation r in
+          if arity <> Program.arity program name then
+            corrupt "inconsistent payload: arity mismatch for %s" name;
+          deferred := (name, pos) :: !deferred
+        end
+      done;
+      if Wire.remaining r <> 0 then
+        corrupt "%d trailing bytes after payload" (Wire.remaining r);
+      List.iter (fun v -> Database.mark_distinct db v) distinct;
+      List.iter (fun spec -> ignore (Database.register_agg_index db spec)) indexed;
+      let views =
+        lazy
+          (Trace.span "snapshot.decode_views"
+             ~args:(fun () -> [ ("views", string_of_int (List.length !deferred)) ])
+             (fun () ->
+               guard (fun () ->
+                   List.iter
+                     (fun (name, pos) ->
+                       Database.set_relation db name
+                         (Wire.get_relation (Wire.reader ~pos payload)))
+                     (List.rev !deferred))))
+      in
+      { db; seq; counts; views })
+
+let decode (s : string) : Database.t * int * counts option =
+  let image = read s in
+  Lazy.force image.views;
+  (image.db, image.seq, image.counts)
 
 (* ---------------- files ---------------- *)
 
@@ -160,4 +202,6 @@ let save ~counts ~path ~seq (db : Database.t) : int =
       Metrics.add bytes_written_c (String.length data);
       String.length data)
 
-let load ~path = decode (In_channel.with_open_bin path In_channel.input_all)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let load ~path = decode (read_file path)
+let load_image ~path = read (read_file path)

@@ -34,8 +34,28 @@ type counts =
 (** Encode to bytes (including magic, version and CRC trailer). *)
 val encode : counts:counts -> seq:int -> Ivm_eval.Database.t -> string
 
+(** A verified image whose views are decoded on demand. *)
+type image = {
+  db : Ivm_eval.Database.t;
+      (** the base relations, the DISTINCT marks, the registered
+          aggregate indexes and the views they read; every other view
+          is empty until [views] is forced *)
+  seq : int;
+  counts : counts option;  (** the image's mark; [None] for version 1 *)
+  views : unit Lazy.t;  (** forcing it decodes the remaining views into [db] *)
+}
+
+(** Verify the whole image and decode all but its views.  Every check
+    {!decode} makes is made here: the CRC over the whole image first,
+    then the structure of every relation, views included — arity and
+    row-count bounds, value tags, string lengths, each view's arity
+    against the program's — and no trailing bytes.  Forcing [views]
+    then cannot fail on an image [read] accepted.
+    @raise Corrupt on a bad magic, version, CRC or structure. *)
+val read : string -> image
+
 (** Decode and verify; the returned database is fully materialized, with
-    the image's mark ([None] for version 1).
+    the image's mark ([None] for version 1): {!read}, views forced.
     @raise Corrupt on a bad magic, version, CRC or structure. *)
 val decode : string -> Ivm_eval.Database.t * int * counts option
 
@@ -45,3 +65,7 @@ val save : counts:counts -> path:string -> seq:int -> Ivm_eval.Database.t -> int
 
 (** @raise Corrupt as {!decode}; @raise Sys_error if unreadable. *)
 val load : path:string -> Ivm_eval.Database.t * int * counts option
+
+(** {!read} of the file at [path].
+    @raise Corrupt as {!read}; @raise Sys_error if unreadable. *)
+val load_image : path:string -> image

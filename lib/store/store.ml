@@ -51,18 +51,19 @@ let initialize ~counts ~dir (db : Database.t) : t =
   let wal, _tail = Wal.open_append ~path:(wal_file dir) in
   { sdir = dir; wal; last_seq = 0; snap_seq = 0; snap_bytes = snapshot_bytes }
 
-let open_ ~dir : Database.t * t * recovery =
+let open_ ~dir : Snapshot.image * t * recovery =
   let snap_path = snapshot_file dir in
   if not (Sys.file_exists snap_path) then
     raise (Corrupt (Printf.sprintf "%s: no snapshot (not a store?)" dir));
   match
-    let db, snapshot_seq, counts = Snapshot.load ~path:snap_path in
+    let image = Snapshot.load_image ~path:snap_path in
     let wal, tail = Wal.open_append ~path:(wal_file dir) in
-    (db, snapshot_seq, counts, wal, tail)
+    (image, wal, tail)
   with
   | exception Snapshot.Corrupt msg -> raise (Corrupt msg)
   | exception Wal.Corrupt msg -> raise (Corrupt msg)
-  | db, snapshot_seq, counts, wal, tail ->
+  | image, wal, tail ->
+    let snapshot_seq = image.Snapshot.seq in
     (* A crash between snapshot rename and log reset leaves records the
        snapshot already covers; skip them by sequence number. *)
     let skipped, live =
@@ -89,10 +90,10 @@ let open_ ~dir : Database.t * t * recovery =
         skipped_records = List.length skipped;
         truncated_bytes = tail.Wal.dropped_bytes;
         damage = tail.Wal.damage;
-        counts;
+        counts = image.Snapshot.counts;
       }
     in
-    (db, t, recovery)
+    (image, t, recovery)
 
 let append ?sync:(s = true) t (changes : changes) : unit =
   t.last_seq <- t.last_seq + 1;

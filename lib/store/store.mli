@@ -2,17 +2,23 @@
 
     Layout: [dir/snapshot.ivm] (the last compacted state) and
     [dir/wal.ivm] (validated change batches appended {e before} the
-    maintenance algorithm applies them).  Restart is therefore a
-    [load + replay-Δ] maintenance run — the paper's
+    maintenance algorithm applies them).  Restart after a short tail is
+    therefore a [load + replay-Δ] maintenance run — the paper's
     "maintenance beats recomputation" argument applied to recovery —
-    instead of re-deriving every view from the base relations.
+    instead of re-deriving every view from the base relations; after a
+    tail that is a large share of the data, the heuristic of inertia
+    (Section 1) turns the other way, and the caller evaluates the views
+    once from the recovered base relations without decoding the
+    snapshot's.
 
     The caller (normally [Ivm.View_manager]) drives the protocol:
 
     - {!initialize} a fresh directory from a fully materialized database;
-    - {!open_} an existing one: the snapshot database comes back with the
+    - {!open_} an existing one: the snapshot image comes back with the
       surviving log tail, which the caller replays through its normal
-      maintenance path, then keeps the handle for appending;
+      maintenance path (or, for a large tail, folds into the base
+      relations before evaluating the views once), then keeps the
+      handle for appending;
     - {!append} each validated change batch before applying it;
     - {!compact} folds the log into a fresh snapshot (also the rotation
       point after rule changes, which are not logged).
@@ -60,12 +66,14 @@ val exists : string -> bool
     @raise Invalid_argument if [dir] is already a store. *)
 val initialize : counts:Snapshot.counts -> dir:string -> Ivm_eval.Database.t -> t
 
-(** Open an existing store: load + verify the snapshot, truncate any
-    damaged log tail, and return the materialized database plus the
-    records to replay.  The caller must apply [recovery.replayed] (in
-    order) through its maintenance path to reach the durable state.
+(** Open an existing store: verify the whole snapshot ({!Snapshot.read}),
+    truncate any damaged log tail, and return the image, its views not
+    yet decoded, plus the records to replay.  The caller either forces
+    [image.views] and applies [recovery.replayed] (in order) through its
+    maintenance path, or applies the records to the base relations and
+    evaluates the views from them; both reach the durable state.
     @raise Corrupt if the snapshot or the log header is unrecoverable. *)
-val open_ : dir:string -> Ivm_eval.Database.t * t * recovery
+val open_ : dir:string -> Snapshot.image * t * recovery
 
 (** Log one validated change batch.  [~sync:true] (the default) fsyncs
     before returning; [~sync:false] defers the fsync for a group commit —

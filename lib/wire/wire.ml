@@ -169,7 +169,8 @@ let get_value r =
 
 let get_tuple r ~arity = Tuple.make (Array.init arity (fun _ -> get_value r))
 
-let get_relation r =
+(* A relation's arity and row count, both checked. *)
+let relation_header r =
   let arity = get_u32 r in
   if arity > 0xFFFF then corrupt r (Printf.sprintf "implausible arity %d" arity);
   let rows = get_u32 r in
@@ -181,6 +182,10 @@ let get_relation r =
     corrupt r
       (Printf.sprintf "%d rows of arity %d cannot fit in %d bytes" rows arity
          (remaining r));
+  (arity, rows)
+
+let get_relation r =
+  let arity, rows = relation_header r in
   let rel = Relation.create ~size:(max 16 rows) arity in
   for _ = 1 to rows do
     let t = get_tuple r ~arity in
@@ -188,6 +193,32 @@ let get_relation r =
     Relation.add rel t c
   done;
   rel
+
+let skip r n what =
+  need r n what;
+  r.pos <- r.pos + n
+
+(* [get_value]'s checks without the value *)
+let skip_value r =
+  match get_u8 r with
+  | 0 -> skip r 8 "i64"
+  | 1 -> skip r 8 "float"
+  | 2 -> skip r (get_u32 r) "string body"
+  | 3 -> (
+    match get_u8 r with
+    | 0 | 1 -> ()
+    | b -> corrupt r (Printf.sprintf "bad bool byte %d" b))
+  | tag -> corrupt r (Printf.sprintf "bad value tag %d" tag)
+
+let skip_relation r =
+  let arity, rows = relation_header r in
+  for _ = 1 to rows do
+    for _ = 1 to arity do
+      skip_value r
+    done;
+    skip r 8 "i64"
+  done;
+  arity
 
 let get_changes r =
   List.init (get_u32 r) (fun _ ->

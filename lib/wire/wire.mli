@@ -108,6 +108,11 @@ val get_tuple : reader -> arity:int -> Tuple.t
     allocation. *)
 val get_relation : reader -> Relation.t
 
+(** Walk past one relation, making every check {!get_relation} makes
+    (arity and row-count bounds, value tags, bool bytes, string lengths,
+    truncation) without building it; returns its arity. *)
+val skip_relation : reader -> int
+
 (** Inverse of {!put_changes}. *)
 val get_changes : reader -> (string * Relation.t) list
 

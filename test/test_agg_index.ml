@@ -208,6 +208,25 @@ let float_delta_of_int_value () =
     (Ivm_eval.Grouping.compute (Relation_view.concrete u) spec)
     (Agg_index.grouped idx)
 
+(* An Int-spelled delete of a stored Float: deleting f(a, 2) removes the
+   stored f(a, 2.0).  The batch is normalized to the stored spelling, so
+   the incremental SUM takes out the float it holds, and the maintained
+   view equals a recomputation under every count-exact algorithm. *)
+let int_spelled_delete_of_float_value () =
+  List.iter
+    (fun algorithm ->
+      let vm =
+        Vm.of_source ~algorithm
+          {|t(P, T) :- groupby(f(P, X), [P], T = sum(X)).
+            f(a, 2.0). f(a, 0.1). f(a, 0.7).|}
+      in
+      Vm.enable_incremental_aggregates vm;
+      ignore (Vm.delete vm "f" [ Tuple.of_list [ Value.str "a"; Value.int 2 ] ]);
+      Alcotest.(check (result unit string))
+        (Vm.algorithm_name algorithm ^ ": audit after the Int-spelled delete")
+        (Ok ()) (Vm.audit vm))
+    [ Vm.Auto; Vm.Counting; Vm.Dred_counted ]
+
 let suite =
   [
     quick "build / apply_delta lifecycle" build_and_apply;
@@ -220,4 +239,6 @@ let suite =
     quick "DRed with registered index" dred_with_index;
     quick "recompute invalidates indexes" recompute_invalidates;
     quick "a float-spelled delete of an Int value" float_delta_of_int_value;
+    quick "an Int-spelled delete of a stored Float, through the manager"
+      int_spelled_delete_of_float_value;
   ]

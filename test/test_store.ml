@@ -897,15 +897,80 @@ let replay_batches_per_algorithm () =
       Alcotest.(check (list int)) "DRed: one batch per tail" [ 1; 0 ] dred;
       Alcotest.(check (list int)) "Counting: one batch per record" [ 0; 4 ] counting;
       let span = Alcotest.(list (list (pair string string))) in
+      (* explicit algorithms keep their replay whatever the tail's net
+         ratio (+ca over the three stored links) *)
       Alcotest.check span "DRed's replay span: net, one tuple (+ca) left"
-        [ [ ("records", "4"); ("mode", "net"); ("net_tuples", "1") ] ]
+        [ [ ("records", "4"); ("mode", "net"); ("net_tuples", "1"); ("net_ratio", "0.3333") ] ]
         dred_span;
       Alcotest.check span "Counting's replay span: per record"
-        [ [ ("records", "4"); ("mode", "per_record") ] ]
+        [ [ ("records", "4"); ("mode", "per_record"); ("net_tuples", "1");
+            ("net_ratio", "0.3333") ] ]
         counting_span;
       Alcotest.(check string) "same recovered views" counting_state dred_state;
       Alcotest.(check string) "hop after the tail"
         "hop = {a,c; b,a; b,d; c,b}" dred_state)
+
+(** Recoveries so far per mode: the [ivm_recovery_replays_total{mode}]
+    counters, as [recompute; net; per_record]. *)
+let replay_modes = [ "recompute"; "net"; "per_record" ]
+
+let modes_total () =
+  List.map
+    (fun mode ->
+      Ivm_obs.Metrics.counter_value
+        (Ivm_obs.Metrics.counter ~labels:[ ("mode", mode) ] "ivm_recovery_replays_total"))
+    replay_modes
+
+(** The one mode [f]'s recovery counted, and [f ()]. *)
+let recovery_mode f =
+  let before = modes_total () in
+  let r = f () in
+  let moved =
+    List.filter_map
+      (fun (mode, (a, b)) -> if a > b then Some mode else None)
+      (List.combine replay_modes (List.combine (modes_total ()) before))
+  in
+  (r, String.concat "+" moved)
+
+(** The mode the recovery rule predicts for a tail of [records] over an
+    [Exact] image holding [db], with the net base change it folds to:
+    [recompute] when the net ratio (Σ|net Δ| / Σ|stored| over the changed
+    base relations) reaches 0.35 with a nonrecursive unit in the program,
+    0.07 with only recursive ones, under [Auto], or for any net change
+    under [Recompute]; otherwise [net] for the DRed resolutions and
+    [Recompute], [per_record] for Counting. *)
+let predicted_mode ~algorithm db records =
+  let program = Database.program db in
+  let pending = Changes.collector () in
+  List.iter
+    (fun r ->
+      List.iter
+        (fun (p, d) -> Changes.absorb pending p d)
+        (Changes.normalize_base ~pending db r))
+    records;
+  let net = Changes.collected pending in
+  let stored =
+    List.fold_left (fun acc (p, _) -> acc + Relation.cardinal (Database.relation db p)) 0 net
+  in
+  let ratio = float_of_int (Changes.total_tuples net) /. float_of_int (max 1 stored) in
+  let largest =
+    List.fold_left
+      (fun acc u -> max acc (if Program.recursive program (List.hd u) then 0.07 else 0.35))
+      0. (Program.recursive_units program)
+  in
+  let at =
+    match algorithm with Vm.Auto -> Some largest | Vm.Recompute -> Some 0. | _ -> None
+  in
+  let mode =
+    match at with
+    | Some at when net <> [] && ratio >= at -> "recompute"
+    | _ ->
+      if algorithm = Vm.Counting
+         || (algorithm = Vm.Auto && Program.nonrecursive program)
+      then "per_record"
+      else "net"
+  in
+  (mode, net)
 
 (** [changes] with every count negated: applied after [changes], the
     pair cancels in the log's net set. *)
@@ -918,12 +983,14 @@ let inverse (changes : Changes.t) : Changes.t =
    programs.  The log mixes random batches with insert/delete pairs that
    cancel across records (an inverse that a later batch made invalid is
    refused by [apply] and never logged); a long tail adds 24 more random
-   batches, so a recursive program's net tail crosses Auto's threshold
-   and Auto re-evaluates where counted DRed runs its phases.  Every
+   batches, so the net tail crosses Auto's recovery threshold and Auto
+   evaluates the views from the recovered base relations.  The recovery
+   counts the mode {!predicted_mode} predicts, and maintains as many
+   batches as that mode runs: none when it recomputes from base, one
+   for a non-empty net batch, one per record under Counting.  Every
    algorithm but explicit DRed keeps exact counts — Auto resolves to
-   counted DRed on a recursive program and to Counting, replayed record
-   by record, on a nonrecursive one — so their dumps must match count
-   for count.  Explicit DRed keeps tuple sets exact but not derivation
+   counted DRed on a recursive program and to Counting on a
+   nonrecursive one — so their dumps must match count for count.  Explicit DRed keeps tuple sets exact but not derivation
    counts (see [View_manager.set_algorithm]): its counts depend on where
    batch boundaries fall, so it is compared as sets, the contract its
    audit checks.  CI runs the whole suite at IVM_DOMAINS 1 and 4. *)
@@ -960,30 +1027,39 @@ let net_replay_equals_per_record =
           if long_tail then for _ = 1 to 24 do apply (random ()) done;
           Vm.close_store vm;
           let name = Vm.algorithm_name (Vm.resolve vm) in
-          let (recovered, recovery), counts =
-            counting_batches [ name ] (fun () -> Vm.open_durable ~algorithm dir)
+          let ((recovered, recovery), counts), mode =
+            recovery_mode (fun () ->
+                counting_batches [ name ] (fun () -> Vm.open_durable ~algorithm dir))
           in
           Vm.close_store recovered;
           let db, _, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
+          let records = recovery.Store.replayed in
+          let predicted, net = predicted_mode ~algorithm db records in
           let oracle = Vm.of_database ~algorithm db in
-          List.iter (fun c -> ignore (Vm.apply oracle c)) recovery.Store.replayed;
+          List.iter (fun c -> ignore (Vm.apply oracle c)) records;
           let a = Vm.database oracle and b = Vm.database recovered in
           let same =
             Database.agree a b
             && (algorithm = Vm.Dred || String.equal (canonical_dump a) (canonical_dump b))
           in
           let batches =
-            if name = "counting" then List.length recovery.Store.replayed else 1
+            match mode with
+            | "recompute" -> 0
+            | "per_record" -> List.length records
+            | _ -> if net = [] then 0 else 1
           in
-          recovery.Store.replayed <> [] && counts = [ batches ] && same))
+          if mode <> predicted then
+            QCheck.Test.fail_reportf "recovered by %s, the rule predicts %s" mode predicted;
+          records <> [] && counts = [ batches ] && same))
 
 (* perfbench's closure_dred tail in small: a closure over a layered DAG
    (6 layers of 8 nodes, two successors each) takes 80 live one-edge
    swaps, each under Auto's DRed threshold (2/96 = 0.02), so each runs
-   DRed's phases.  Recovery folds them into one net batch far above it:
-   exactly one unit decision, and it re-evaluates [path].  The recovered
-   views pass the audit and equal per-record replay of the same log
-   through explicit DRed, as sets (the contract DRed's audit checks). *)
+   DRed's phases.  Recovery folds them into one net change far above it
+   and evaluates [path] once from the recovered [link]: no unit
+   decision at all.  The recovered views pass the audit and equal
+   per-record replay of the same log through explicit DRed, as sets
+   (the contract DRed's audit checks). *)
 let closure_tail_reevaluated () =
   with_dir (fun dir ->
       let layers = 6 and width = 8 in
@@ -1015,9 +1091,10 @@ let closure_tail_reevaluated () =
         (choice_total "incremental" - incremental);
       Vm.close_store vm;
       let before = List.map choice_total [ "incremental"; "reevaluate" ] in
-      let recovered, recovery = Vm.open_durable dir in
+      let (recovered, recovery), mode = recovery_mode (fun () -> Vm.open_durable dir) in
       Vm.close_store recovered;
-      Alcotest.(check (list int)) "recovery re-evaluated exactly one unit" [ 0; 1 ]
+      Alcotest.(check string) "recovery evaluated the views from base" "recompute" mode;
+      Alcotest.(check (list int)) "no unit decision" [ 0; 0 ]
         (List.map2 (fun c b -> choice_total c - b) [ "incremental"; "reevaluate" ] before);
       Alcotest.(check (result unit string)) "audit" (Ok ()) (Vm.audit recovered);
       let db, _, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
@@ -1026,6 +1103,186 @@ let closure_tail_reevaluated () =
       Alcotest.(check int) "the whole tail replayed" 80 (List.length recovery.Store.replayed);
       Alcotest.(check bool) "equals per-record replay as sets" true
         (Database.agree (Vm.database oracle) (Vm.database recovered)))
+
+(* Recovery from the base relations = the replay it replaces, over the
+   differential suite's random programs (GROUPBY views among them) under
+   Auto, with random DISTINCT marks, with or without incremental
+   aggregates, under duplicate semantics where the program allows it,
+   over 40 links and a tail of 1–2 random batches (mostly under the
+   threshold) or 15–30 (over it),
+   from an exact image or an unmarked, stale one.  The oracle is the
+   path recovery took before it could evaluate from base: the snapshot's
+   views (re-derived when the image is stale), then the tail record by
+   record through [apply].  Recovery must count the mode the rule
+   predicts — [recompute] for a stale image — and land on the oracle's
+   state and the live session's, count for count, with the same
+   aggregate-index signatures and DISTINCT marks. *)
+let recovery_from_base_equals_replay =
+  q "recovery from base = per-record replay (GROUPBY, DISTINCT, stale and exact images)"
+    (QCheck.pair Test_differential.arb_program
+       (QCheck.make
+          ~print:(fun (dup, (stale, (aggs, tail))) ->
+            Printf.sprintf "duplicates %b, stale %b, incremental aggregates %b, %d batches"
+              dup stale aggs tail)
+          QCheck.Gen.(
+            pair bool (pair bool (pair bool (oneof [ int_range 1 2; int_range 15 30 ]))))))
+    (fun ((seed, src), (duplicates, (stale, (aggs, tail)))) ->
+      with_dir (fun dir ->
+          let rng = Prng.create seed in
+          let nodes = 12 in
+          let rules = Parser.parse_rules src in
+          let program = Program.make rules in
+          let semantics =
+            if duplicates && Program.nonrecursive program then Database.Duplicate_semantics
+            else Database.Set_semantics
+          in
+          let distinct =
+            List.filter (fun _ -> Prng.int rng 2 = 0) (Program.derived_preds program)
+          in
+          let vm =
+            Vm.create ~semantics ~distinct ~durable:dir
+              ~facts:[ ("link", Graph_gen.tuples (Graph_gen.random rng ~nodes ~edges:40)) ]
+              rules
+          in
+          if aggs then Vm.enable_incremental_aggregates vm;
+          for _ = 1 to tail do
+            let c =
+              Update_gen.mixed rng (Vm.database vm) "link" ~nodes
+                ~dels:(Prng.int rng 3) ~ins:(Prng.int rng 3)
+            in
+            try ignore (Vm.apply vm c) with Changes.Invalid_changes _ -> ()
+          done;
+          let live = canonical_dump (Vm.database vm) in
+          let live_sigs = Database.agg_signatures (Vm.database vm) in
+          Vm.close_store vm;
+          if stale then rewrite_as_version_1 (Store.snapshot_file dir);
+          let image, store, recovery = Store.open_ ~dir in
+          Store.close store;
+          Lazy.force image.Snapshot.views;
+          let db = image.Snapshot.db and records = recovery.Store.replayed in
+          let predicted =
+            if stale then "recompute" else fst (predicted_mode ~algorithm:Vm.Auto db records)
+          in
+          if stale then Ivm.Recompute.evaluate db;
+          let oracle = Vm.of_database db in
+          if aggs then Vm.enable_incremental_aggregates oracle;
+          List.iter (fun c -> ignore (Vm.apply oracle c)) records;
+          let (recovered, _), mode = recovery_mode (fun () -> Vm.open_durable dir) in
+          Vm.close_store recovered;
+          let a = Vm.database oracle and b = Vm.database recovered in
+          if mode <> predicted then
+            QCheck.Test.fail_reportf "recovered by %s, the rule predicts %s" mode predicted;
+          if canonical_dump b <> canonical_dump a then
+            QCheck.Test.fail_reportf "recovered:\n%s\nreplayed:\n%s" (canonical_dump b)
+              (canonical_dump a);
+          canonical_dump b = live
+          && Database.agg_signatures b = Database.agg_signatures a
+          && Database.agg_signatures b = live_sigs
+          && Database.distinct_views b = Database.distinct_views a
+          && Database.distinct_views b = List.sort String.compare distinct
+          && Vm.audit recovered = Ok ()))
+
+(** A durable hop store over a 30-node path, with [k] single-link
+    insertions in its log: 1 is far under Auto's 0.35 for Counting, 20
+    far over it. *)
+let hop_store ~dir k =
+  let chain = List.init 30 (fun i -> diamond_link (i, i + 1)) in
+  let vm =
+    Vm.create ~durable:dir ~facts:[ ("link", chain) ]
+      (Parser.parse_rules "hop(X, Y) :- link(X, Z), link(Z, Y).")
+  in
+  for i = 1 to k do
+    ignore (Vm.insert vm "link" [ diamond_link (100 + i, i) ])
+  done;
+  let state = canonical_dump (Vm.database vm) in
+  Vm.close_store vm;
+  state
+
+(* The image comes back from [Store.open_] with its views undecoded, and
+   forcing them gives what [Snapshot.load] returns.  Recovery from base
+   never forces them (no [snapshot.decode_views] span); a short tail,
+   replayed into the snapshot's views, forces them once. *)
+let recovery_from_base_decodes_no_view () =
+  let opened ~dir =
+    let module Trace = Ivm_obs.Trace in
+    Trace.enable ~capacity:4096 ();
+    let (vm, _), mode =
+      Fun.protect
+        ~finally:(fun () -> ignore (Trace.disable ()))
+        (fun () -> recovery_mode (fun () -> Vm.open_durable dir))
+    in
+    let decoded =
+      List.length
+        (List.filter
+           (fun (e : Trace.event) -> e.Trace.name = "snapshot.decode_views")
+           (Trace.drain ()))
+    in
+    let state = canonical_dump (Vm.database vm) in
+    Vm.close_store vm;
+    (mode, decoded, state)
+  in
+  with_dir (fun dir ->
+      let live = hop_store ~dir 20 in
+      let image, store, _ = Store.open_ ~dir in
+      Store.close store;
+      Alcotest.(check int) "hop not decoded by open" 0
+        (Relation.cardinal (Database.relation image.Snapshot.db "hop"));
+      Alcotest.(check int) "link decoded by open" 30
+        (Relation.cardinal (Database.relation image.Snapshot.db "link"));
+      Lazy.force image.Snapshot.views;
+      let db, _, _ = Snapshot.load ~path:(Store.snapshot_file dir) in
+      Alcotest.(check string) "forced views = the loaded image's" (canonical_dump db)
+        (canonical_dump image.Snapshot.db);
+      let mode, decoded, state = opened ~dir in
+      Alcotest.(check string) "a long tail: from base" "recompute" mode;
+      Alcotest.(check int) "a long tail: no view decoded" 0 decoded;
+      Alcotest.(check string) "a long tail: the live state" live state);
+  with_dir (fun dir ->
+      let live = hop_store ~dir 1 in
+      let mode, decoded, state = opened ~dir in
+      Alcotest.(check string) "a short tail: per record" "per_record" mode;
+      Alcotest.(check int) "a short tail: the views decoded once" 1 decoded;
+      Alcotest.(check string) "a short tail: the live state" live state)
+
+(* A view region that is structurally bad under a valid CRC — a bad value
+   tag in [hop]'s first row, or a row count its bytes cannot hold — is
+   refused by [Snapshot.decode], by [Store.open_], and by a recovery that
+   would evaluate the views from base and never decode [hop]. *)
+let bad_view_region_refused () =
+  with_dir (fun dir ->
+      ignore (hop_store ~dir 20);
+      let path = Store.snapshot_file dir in
+      let image = In_channel.with_open_bin path In_channel.input_all in
+      (* [hop]'s relation: its name (u32 length 3), arity, row count, rows *)
+      let name = "\003\000\000\000hop" in
+      let rec find i =
+        if String.sub image i (String.length name) = name then i else find (i + 1)
+      in
+      let at = find 0 + String.length name in
+      let broken ~offset ~set =
+        let b = Bytes.of_string image in
+        set b (at + offset);
+        let n = Bytes.length b in
+        Bytes.set_int32_le b (n - 4) (Crc32.update_bytes 0l b 0 (n - 4));
+        Bytes.unsafe_to_string b
+      in
+      List.iter
+        (fun (what, bytes) ->
+          (match Snapshot.decode bytes with
+          | _ -> Alcotest.failf "%s: decoded" what
+          | exception Snapshot.Corrupt _ -> ());
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+          (match Store.open_ ~dir with
+          | _ -> Alcotest.failf "%s: Store.open_ accepted it" what
+          | exception Store.Corrupt _ -> ());
+          match Vm.open_durable dir with
+          | _ -> Alcotest.failf "%s: recovered" what
+          | exception Store.Corrupt _ -> ())
+        [
+          ("a bad value tag", broken ~offset:8 ~set:(fun b i -> Bytes.set_uint8 b i 9));
+          ( "an impossible row count",
+            broken ~offset:4 ~set:(fun b i -> Bytes.set_int32_le b i 0x7FFFFFFFl) );
+        ])
 
 let suite =
   [
@@ -1075,6 +1332,11 @@ let suite =
     quick "manager: DRed replays a tail once, Counting once per record"
       replay_batches_per_algorithm;
     net_replay_equals_per_record;
-    quick "manager: a long closure tail recovers through one re-evaluated unit"
+    recovery_from_base_equals_replay;
+    quick "manager: recovery from base decodes no view of the snapshot"
+      recovery_from_base_decodes_no_view;
+    quick "manager: a bad view region under a valid CRC is refused at open"
+      bad_view_region_refused;
+    quick "manager: a long closure tail recovers by evaluating the views from base"
       closure_tail_reevaluated;
   ]
